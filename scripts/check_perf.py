@@ -12,7 +12,8 @@ smoke step and BENCH_bench_ingest_hotpath.json from a full sweep).
 
 Metrics: numeric leaves of the inner report are compared by JSON path.
   * higher-is-better — keys ending in "_rate" / "rate" / "speedup" /
-    "throughput": regression when current < baseline * (1 - threshold).
+    "throughput", or naming a same-host ratio "<a>_over_<b>":
+    regression when current < baseline * (1 - threshold).
   * lower-is-better  — keys containing "degradation" (a fraction):
     regression when current > baseline + threshold.
 Wall-clock and workload-shape fields (seconds, sizes, counts) are
@@ -38,6 +39,7 @@ from pathlib import Path
 # threshold via PERF_REGRESSION_THRESHOLD.
 HIGHER_SUFFIXES = ("_rate", "_ratio", "speedup", "throughput")
 HIGHER_EXACT = {"rate"}
+HIGHER_SUBSTR = ("_over_",)
 LOWER_SUBSTR = ("degradation",)
 
 
@@ -61,7 +63,8 @@ def metric_kind(key: str):
     k = key.lower()
     if any(s in k for s in LOWER_SUBSTR):
         return "lower"
-    if k in HIGHER_EXACT or any(k.endswith(s) for s in HIGHER_SUFFIXES):
+    if (k in HIGHER_EXACT or any(k.endswith(s) for s in HIGHER_SUFFIXES)
+            or any(s in k for s in HIGHER_SUBSTR)):
         return "higher"
     return None
 

@@ -78,6 +78,11 @@
 #                           serialization). CLUSTER_MAX_WORKERS /
 #                           CLUSTER_SETS / CLUSTER_SET_SIZE shrink the
 #                           workload for CI.
+#   bench_query_cost      — the exact snapshot count nvals() against
+#                           materialize-then-count at each hierarchy
+#                           configuration: exits non-zero when the two
+#                           disagree; count_over_materialize feeds the
+#                           perf trajectory.
 #
 # Usage: scripts/run_benches.sh [build-dir] [output-dir]
 set -u

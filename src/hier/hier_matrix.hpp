@@ -254,7 +254,7 @@ class HierMatrix {
 
   /// Exact nnz of the logical matrix. Freezes the levels (publishing
   /// views, no copy) and counts the distinct coordinates with the
-  /// snapshot's k-way union scan — Σ Ai is never materialized.
+  /// snapshot's merge count — Σ Ai is never materialized.
   std::size_t nvals() const { return freeze().nvals(); }
 
   /// Append the blocks currently backing the live levels (side-effect-

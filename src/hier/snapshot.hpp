@@ -28,12 +28,15 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "gbx/matrix.hpp"
 #include "gbx/monoid.hpp"
+#include "gbx/parallel.hpp"
 #include "gbx/reduce.hpp"
+#include "gbx/tsan_omp.hpp"
 #include "gbx/view.hpp"
 #include "hier/snapshot_source.hpp"
 #include "hier/stats.hpp"
@@ -63,70 +66,188 @@ std::size_t deduped_bytes(std::vector<const gbx::Dcsr<T>*> blocks) {
   return n;
 }
 
-/// Exact number of distinct coordinates across a set of frozen blocks,
-/// counted by a k-way union scan — nothing is materialized (block
-/// counts are small, so linear cursor scans beat a heap). The single
-/// definition behind HierSnapshot::nvals AND SnapshotSet::nvals.
-template <class T>
-std::size_t count_distinct_coords(std::vector<const gbx::Dcsr<T>*> bs) {
-  dedupe_blocks(bs);  // aliased blocks contribute one copy
-  bs.erase(std::remove_if(bs.begin(), bs.end(),
-                          [](const auto* b) { return b->empty(); }),
-           bs.end());
-  if (bs.empty()) return 0;
-  if (bs.size() == 1) return bs.front()->nnz();
+/// Below this many stored entries (summed over the blocks) the distinct
+/// count runs as one chunk on the calling thread: forking a team costs
+/// more than the scan it would split.
+inline constexpr std::size_t kParallelCountCutoff = std::size_t{1} << 16;
 
-  const std::size_t L = bs.size();
-  std::vector<std::size_t> rk(L, 0);   // row-list cursor per block
-  std::vector<gbx::Offset> ck(L);      // column cursor within the row
-  std::vector<std::size_t> active(L);  // blocks containing the row
-  std::size_t count = 0;
+/// One block's row-index range [k, end) inside a count chunk.
+template <class T>
+struct RowCursor {
+  const gbx::Dcsr<T>* blk;
+  std::size_t k;
+  std::size_t end;
+};
+
+template <class T>
+std::span<const gbx::Index> row_segment(const gbx::Dcsr<T>& b,
+                                        std::size_t k) {
+  return b.cols().subspan(b.ptr()[k], b.ptr()[k + 1] - b.ptr()[k]);
+}
+
+/// |a ∪ b| of two sorted column segments, as |a| + |b| − |a∩b| from a
+/// branch-free two-pointer walk: the interleaving of two blocks' columns
+/// does not predict, and this count is most of a query's nvals() time.
+/// The cascade's ewise_add_into keeps its branchy gbx::detail::
+/// union_count: swapping this walk in there speeds lane apply enough
+/// that NetServer.BackPressureThrottlesOnlyTheSaturatedLane stops
+/// saturating its lane on a loaded 4-thread host.
+inline std::size_t union_size(std::span<const gbx::Index> a,
+                              std::span<const gbx::Index> b) {
+  std::size_t i = 0, j = 0, common = 0;
+  while (i < a.size() && j < b.size()) {
+    const gbx::Index x = a[i], y = b[j];
+    common += static_cast<std::size_t>(x == y);
+    i += static_cast<std::size_t>(x <= y);
+    j += static_cast<std::size_t>(y <= x);
+  }
+  return a.size() + b.size() - common;
+}
+
+/// Write the sorted union of a and b to out (room for |a| + |b|) with
+/// the same branch-free walk as union_size; returns its size.
+inline std::size_t union_into(std::span<const gbx::Index> a,
+                              std::span<const gbx::Index> b,
+                              gbx::Index* out) {
+  std::size_t i = 0, j = 0, k = 0;
+  while (i < a.size() && j < b.size()) {
+    const gbx::Index x = a[i], y = b[j];
+    out[k++] = x <= y ? x : y;
+    i += static_cast<std::size_t>(x <= y);
+    j += static_cast<std::size_t>(y <= x);
+  }
+  for (; i < a.size(); ++i) out[k++] = a[i];
+  for (; j < b.size(); ++j) out[k++] = b[j];
+  return k;
+}
+
+/// Distinct coordinates inside one chunk's row ranges. Rows held by one
+/// block add their segment length, rows held by two add their two-
+/// pointer union count, and rows held by three or more fold their
+/// segments pairwise into a reused scratch union.
+template <class T>
+std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
+  std::erase_if(cs, [](const RowCursor<T>& c) { return c.k == c.end; });
+  if (cs.empty()) return 0;
+  if (cs.size() == 1) {
+    const auto& c = cs.front();
+    return static_cast<std::size_t>(c.blk->ptr()[c.end] - c.blk->ptr()[c.k]);
+  }
+  std::size_t n = 0;
+  if (cs.size() == 2) {
+    // Whole-chunk two-block merge: the quiesced two-lane shape.
+    auto& [a, ka, ea] = cs[0];
+    auto& [b, kb, eb] = cs[1];
+    while (ka < ea && kb < eb) {
+      const gbx::Index ra = a->rows()[ka], rb = b->rows()[kb];
+      if (ra < rb) {
+        n += row_segment(*a, ka++).size();
+      } else if (rb < ra) {
+        n += row_segment(*b, kb++).size();
+      } else {
+        n += union_size(row_segment(*a, ka++), row_segment(*b, kb++));
+      }
+    }
+    return n + static_cast<std::size_t>(a->ptr()[ea] - a->ptr()[ka]) +
+           static_cast<std::size_t>(b->ptr()[eb] - b->ptr()[kb]);
+  }
+  std::vector<std::size_t> active;  // cursors positioned on the row
+  std::vector<gbx::Index> acc, tmp;
   for (;;) {
-    // Next row = min over the blocks' row cursors.
-    gbx::Index row = gbx::kIndexMax;
     bool any = false;
-    for (std::size_t b = 0; b < L; ++b) {
-      if (rk[b] >= bs[b]->rows().size()) continue;
-      const gbx::Index r = bs[b]->rows()[rk[b]];
+    gbx::Index row = 0;
+    for (const auto& c : cs) {
+      if (c.k == c.end) continue;
+      const gbx::Index r = c.blk->rows()[c.k];
       if (!any || r < row) row = r;
       any = true;
     }
-    if (!any) break;
-    std::size_t na = 0;
-    for (std::size_t b = 0; b < L; ++b) {
-      if (rk[b] < bs[b]->rows().size() && bs[b]->rows()[rk[b]] == row)
-        active[na++] = b;
-    }
+    if (!any) return n;
+    active.clear();
+    for (std::size_t i = 0; i < cs.size(); ++i)
+      if (cs[i].k < cs[i].end && cs[i].blk->rows()[cs[i].k] == row)
+        active.push_back(i);
+    auto seg = [&](std::size_t a) {
+      return row_segment(*cs[active[a]].blk, cs[active[a]].k);
+    };
+    const std::size_t na = active.size();
     if (na == 1) {
-      const auto* blk = bs[active[0]];
-      const std::size_t k = rk[active[0]]++;
-      count += static_cast<std::size_t>(blk->ptr()[k + 1] - blk->ptr()[k]);
-      continue;
-    }
-    // Distinct-column count across the active blocks' sorted segments.
-    for (std::size_t a = 0; a < na; ++a)
-      ck[active[a]] = bs[active[a]]->ptr()[rk[active[a]]];
-    for (;;) {
-      gbx::Index col = gbx::kIndexMax;
-      bool have = false;
-      for (std::size_t a = 0; a < na; ++a) {
-        const std::size_t b = active[a];
-        if (ck[b] >= bs[b]->ptr()[rk[b] + 1]) continue;
-        const gbx::Index c = bs[b]->cols()[ck[b]];
-        if (!have || c < col) col = c;
-        have = true;
+      n += seg(0).size();
+    } else if (na == 2) {
+      n += union_size(seg(0), seg(1));
+    } else {
+      // Smallest first: the largest segment is only counted, never copied.
+      std::sort(active.begin(), active.end(),
+                [&](std::size_t x, std::size_t y) {
+                  return row_segment(*cs[x].blk, cs[x].k).size() <
+                         row_segment(*cs[y].blk, cs[y].k).size();
+                });
+      acc.assign(seg(0).begin(), seg(0).end());
+      for (std::size_t a = 1; a + 1 < na; ++a) {
+        tmp.resize(acc.size() + seg(a).size());
+        tmp.resize(union_into(acc, seg(a), tmp.data()));
+        acc.swap(tmp);
       }
-      if (!have) break;
-      ++count;
-      for (std::size_t a = 0; a < na; ++a) {
-        const std::size_t b = active[a];
-        if (ck[b] < bs[b]->ptr()[rk[b] + 1] && bs[b]->cols()[ck[b]] == col)
-          ++ck[b];
-      }
+      n += union_size(acc, seg(na - 1));
     }
-    for (std::size_t a = 0; a < na; ++a) ++rk[active[a]];
+    for (const std::size_t i : active) ++cs[i].k;
   }
-  return count;
+}
+
+/// Exact number of distinct coordinates across a set of frozen blocks —
+/// nothing is materialized. The row space is cut into chunks at
+/// quantiles of the block with the most rows; each chunk locates its
+/// row range in every block by binary search and counts independently
+/// (dynamic schedule, about four chunks per thread), and the per-chunk
+/// counts are summed serially, so the result is exact and independent
+/// of the team size. The single definition behind HierSnapshot::nvals
+/// AND SnapshotSet::nvals.
+template <class T>
+std::size_t count_distinct_coords(std::vector<const gbx::Dcsr<T>*> bs) {
+  dedupe_blocks(bs);  // aliased blocks contribute one copy
+  std::erase_if(bs, [](const auto* b) { return b->empty(); });
+  if (bs.empty()) return 0;
+  if (bs.size() == 1) return bs.front()->nnz();
+
+  std::size_t total = 0;
+  const gbx::Dcsr<T>* widest = bs.front();
+  for (const auto* b : bs) {
+    total += b->nnz();
+    if (b->nrows_nonempty() > widest->nrows_nonempty()) widest = b;
+  }
+  const auto split = widest->rows();
+  const std::size_t nchunks =
+      total < kParallelCountCutoff
+          ? 1
+          : std::min(split.size(),
+                     4 * static_cast<std::size_t>(gbx::max_threads()));
+  // Chunk c owns rows [split[c·S/n], split[(c+1)·S/n]), with the first
+  // and last chunks open-ended; a row equal to a splitter lands at the
+  // start of the same chunk in every block.
+  auto bound = [&](std::span<const gbx::Index> rows, std::size_t q) {
+    if (q == 0) return std::size_t{0};
+    if (q == nchunks) return rows.size();
+    const gbx::Index s = split[q * split.size() / nchunks];
+    return static_cast<std::size_t>(
+        std::lower_bound(rows.begin(), rows.end(), s) - rows.begin());
+  };
+  std::vector<std::size_t> counts(nchunks, 0);
+  GBX_OMP_CAPTURE_HANDOFF;
+#pragma omp parallel if (nchunks > 1)
+  {
+    gbx::OmpRegionGuard tsan_region;
+#pragma omp for schedule(dynamic, 1)
+    for (std::size_t c = 0; c < nchunks; ++c) {
+      std::vector<RowCursor<T>> cs;
+      cs.reserve(bs.size());
+      for (const auto* b : bs)
+        cs.push_back({b, bound(b->rows(), c), bound(b->rows(), c + 1)});
+      counts[c] = count_chunk(std::move(cs));
+    }
+  }
+  std::size_t n = 0;
+  for (const std::size_t x : counts) n += x;
+  return n;
 }
 
 /// Classify a snapshot's deduped blocks against the source's current
@@ -214,10 +335,11 @@ class HierSnapshot {
     return n;
   }
 
-  /// Exact number of distinct coordinates of Σ Ai, counted by a k-way
-  /// union scan over the frozen level blocks — no resident level is
-  /// copied and the sum is never materialized (the HierMatrix::nvals
-  /// fast path). Demoted segments are decoded transiently into the scan.
+  /// Exact number of distinct coordinates of Σ Ai, counted by the row-
+  /// chunked merge count (detail::count_distinct_coords) over the frozen
+  /// level blocks — no resident level is copied and the sum is never
+  /// materialized (the HierMatrix::nvals fast path). Demoted segments
+  /// are decoded transiently into the count.
   std::size_t nvals() const {
     std::vector<const gbx::Dcsr<T>*> bs;
     std::vector<std::shared_ptr<const gbx::Dcsr<T>>> keepalive;
@@ -348,7 +470,7 @@ class HierSnapshot {
   }
 
   /// Resident blocks PLUS transiently decoded demoted segments, for the
-  /// distinct-coordinate union scan (nvals here and in SnapshotSet).
+  /// distinct-coordinate merge count (nvals here and in SnapshotSet).
   /// `keepalive` owns the decoded blocks for as long as the pointers in
   /// `out` are used.
   void collect_count_blocks(
@@ -430,7 +552,7 @@ class SnapshotSet {
   }
 
   /// Exact number of distinct coordinates of the whole union
-  /// Σ_p Σ_i A_{p,i}: the same k-way union scan as HierSnapshot::nvals,
+  /// Σ_p Σ_i A_{p,i}: the same merge count as HierSnapshot::nvals,
   /// over every part's blocks at once — coordinates shared between
   /// parts (overlapping ParallelStream lanes) are counted once, and
   /// nothing is materialized.

@@ -278,7 +278,7 @@ class TierView {
   }
 
   /// Decode every segment block in fold order: f(const matrix_type&).
-  /// (HierSnapshot::nvals feeds the decoded blocks to its union scan.)
+  /// (HierSnapshot::nvals feeds the decoded blocks to its merge count.)
   template <class F>
   void for_each_block(F&& f) const {
     if (!demoted()) return;

@@ -368,12 +368,14 @@ class ReplicaServer {
       case net::MsgType::kQuerySum: {
         // Per-lane reduce folded in lane order: deterministic, and
         // bit-identical to the same fold over any equally-ordered
-        // per-lane state (the failover exactness probe).
-        SumLanes r = sum_lanes();
+        // per-lane state (the failover exactness probe). nvals counts
+        // the union over lanes, as IngestServer does: a coordinate fed
+        // to several lanes is one coordinate of Σ Ai.
+        const auto img = freeze_lanes();
         net::SumReply reply;
-        reply.sum = r.sum;
+        reply.sum = img.reduce();
         reply.epoch = applied_seq_.load(std::memory_order_relaxed);
-        reply.nvals = r.nvals;
+        reply.nvals = img.nvals();
         reply_ok(s, type, &reply, sizeof reply);
         return true;
       }
@@ -542,22 +544,18 @@ class ReplicaServer {
     wal_dirty_ = false;
   }
 
-  struct SumLanes {
-    double sum = 0;
-    std::uint64_t nvals = 0;
-  };
-  SumLanes sum_lanes() GBX_REQUIRES(loop_role_) {
+  /// All lanes frozen as one image, parts in lane order.
+  hier::SnapshotSet<double> freeze_lanes() GBX_REQUIRES(loop_role_) {
     // Quiesce the lane workers: this thread is the only submitter, so
     // drain() terminates, and its lane handshake orders every applied
     // batch before the freezes below.
     if (streaming_) stream_.drain();
-    SumLanes r;
-    for (std::size_t p = 0; p < opt_.lanes; ++p) {
-      auto snap = array_.instance(p).freeze();
-      r.sum += snap.reduce();
-      r.nvals += snap.nvals();
-    }
-    return r;
+    std::vector<hier::HierSnapshot<double>> parts;
+    parts.reserve(opt_.lanes);
+    for (std::size_t p = 0; p < opt_.lanes; ++p)
+      parts.push_back(array_.instance(p).freeze());
+    return hier::SnapshotSet<double>(
+        std::move(parts), std::vector<hier::SnapshotWatermark>(opt_.lanes), 0);
   }
 
   // --- lease / promotion ---------------------------------------------------

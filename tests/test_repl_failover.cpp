@@ -283,6 +283,59 @@ TEST_F(ReplFailover, PartitionFencesLivePrimary) {
       << "partition never forced a failover — stall window too short?";
 }
 
+// A promoted replica answers kQuerySum as the primary does: the lane-
+// order sum, and nvals = distinct coordinates of Σ Ai. Every batch goes
+// to two lanes, so each coordinate lives in both and must count once.
+TEST_F(ReplFailover, PromotedReplicaSumMatchesPrimaryOnLaneOverlap) {
+  const std::string primary_wal = tmp_path("repl_overlap_primary_wal");
+  const std::string replica_wal = tmp_path("repl_overlap_replica_wal");
+  std::filesystem::remove(primary_wal);
+  std::filesystem::remove(replica_wal);
+  const auto work = make_work(rng_);
+
+  repl::ReplicaOptions ropt;
+  ropt.wal_path = replica_wal;
+  ropt.lanes = kLanes;
+  ropt.nrows = kDim;
+  ropt.ncols = kDim;
+  ropt.cuts = cuts();
+  ropt.lease_ms = 100;
+  repl::ReplicaServer replica(ropt);
+  replica.start();
+  auto rig = std::make_unique<PrimaryRig>(replica.port(), primary_wal);
+
+  proptest::DenseRef<double> ref;
+  net::Client::Options copt;
+  copt.recv_timeout_ms = 5000;
+  net::Client cli(copt);
+  cli.connect("127.0.0.1", rig->server->port());
+  for (std::size_t b = 0; b < 8; ++b) {
+    for (const std::uint64_t lane : {0u, 1u}) {
+      cli.insert(work[0][b], lane);
+      ref.apply(work[0][b]);
+    }
+  }
+  cli.flush();  // applied on the primary and durable on the replica
+  const net::SumReply primary = cli.query_sum();
+  rig->kill_now();
+  for (int a = 0; a < 500 && !replica.promoted(); ++a)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(replica.promoted());
+  net::Client rcli(copt);
+  rcli.connect("127.0.0.1", replica.port());
+  const net::SumReply promoted = rcli.query_sum();
+
+  // Small-integer values: every fold order gives the same sum exactly.
+  EXPECT_EQ(primary.sum, ref.reduce());
+  EXPECT_EQ(primary.nvals, ref.nvals());
+  EXPECT_EQ(promoted.sum, primary.sum);
+  EXPECT_EQ(promoted.nvals, primary.nvals);
+  rig.reset();
+  replica.stop();
+  std::filesystem::remove(primary_wal);
+  std::filesystem::remove(replica_wal);
+}
+
 // Cold-restart of the replica: its own WAL replays to the exact state.
 TEST_F(ReplFailover, ReplicaColdRestartReplaysItsWal) {
   const std::string wal = tmp_path("repl_cold_wal");

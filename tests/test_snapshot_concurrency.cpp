@@ -270,6 +270,59 @@ TEST(SnapshotConcurrency, ReadersRacingPumpTsanStress) {
 }
 
 // ---------------------------------------------------------------------------
+// Readers count live images while pump() runs: nvals() (the row-chunked
+// count, in its own OpenMP team on each reader) must equal the
+// materialized count of the same image. Batches are large enough that
+// later images pass the serial cutoff, so the parallel count races the
+// lane folds under TSan.
+// ---------------------------------------------------------------------------
+TEST(SnapshotConcurrency, NvalsDuringPumpIsExact) {
+  HHGBX_PROP_SEED(seed, kSeedPump ^ 0x4E5A);
+  const std::size_t lanes = 2, sets = 40, set_size = 2000;
+  const Index dim = 1u << 16;
+  std::mt19937_64 rng(proptest::mix(seed));
+  std::vector<std::vector<Tuples<double>>> batches(lanes);
+  for (auto& lane : batches)
+    for (std::size_t s = 0; s < sets; ++s)
+      lane.push_back(proptest::random_batch<double>(rng, dim, set_size));
+
+  InstanceArray<double> array(lanes, dim, dim, CutPolicy({256, 4096}));
+  ParallelStream<double> engine(array);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> checked{0}, above_cutoff{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto snap = engine.snapshot();
+        EXPECT_EQ(snap.nvals(), snap.to_matrix().nvals())
+            << "epoch " << snap.epoch();
+        std::size_t bound = 0;
+        for (std::size_t p = 0; p < snap.size(); ++p)
+          bound += snap.part(p).nvals_bound();
+        if (bound >= hier::detail::kParallelCountCutoff)
+          above_cutoff.fetch_add(1, std::memory_order_relaxed);
+        checked.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  auto report = engine.pump(sets, set_size, [&](std::size_t p) {
+    return ScriptGen{&batches[p]};
+  });
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  ASSERT_EQ(report.entries, lanes * sets * set_size);
+  EXPECT_GT(checked.load(), 0u);
+  if (above_cutoff.load() == 0)
+    GTEST_LOG_(INFO) << "no live image passed the serial cutoff (fast machine)";
+
+  const auto final_snap = engine.snapshot();
+  EXPECT_EQ(final_snap.nvals(), final_snap.to_matrix().nvals());
+}
+
+// ---------------------------------------------------------------------------
 // ShardedHier: concurrent writers, freeze sees only whole batches and a
 // per-writer prefix. Batch k of writer w holds kRowsPerBatch entries in
 // column (w * kMaxBatches + k), rows spread across shards — so a frozen
