@@ -9,12 +9,16 @@ Checks:
   2. No naked `new` outside the allowlist — ownership goes through
      containers / smart pointers (gbx/scratch.hpp owns the one audited
      arena exception).
-  3. Annotated subsystems (src/hier, src/store, src/net) must not
-     declare raw std::mutex / std::shared_mutex / std::condition_variable
-     members or locals: they use gbx::Mutex / gbx::SharedMutex /
-     gbx::CondVar from gbx/thread_annotations.hpp so the thread-safety
-     analysis sees every acquisition (the wrapper header itself is the
-     one allowed user of the std primitives).
+  3. Annotated subsystems (src/hier, src/store, src/net, src/repl,
+     src/cluster) must not declare raw std::mutex / std::shared_mutex /
+     std::condition_variable members or locals: they use gbx::Mutex /
+     gbx::SharedMutex / gbx::CondVar from gbx/thread_annotations.hpp so
+     the thread-safety analysis sees every acquisition (the wrapper
+     header itself is the one allowed user of the std primitives).
+  4. `::bind(`, `::listen(` and `::accept4(` appear only in
+     src/net/frame_loop.hpp: every front end takes its listener and its
+     accepted sockets from the one session core, so none can grow a
+     private listener again.
 """
 
 import re
@@ -31,7 +35,8 @@ NAKED_NEW_ALLOWLIST = {
 }
 
 # Subsystems whose locking must go through gbx/thread_annotations.hpp.
-ANNOTATED_SUBSYSTEMS = ("src/hier", "src/store", "src/net", "src/repl")
+ANNOTATED_SUBSYSTEMS = ("src/hier", "src/store", "src/net", "src/repl",
+                        "src/cluster")
 RAW_PRIMITIVE_ALLOWLIST = {
     "src/gbx/thread_annotations.hpp",  # the wrapper itself
 }
@@ -41,6 +46,10 @@ RAW_PRIMITIVE_RE = re.compile(
     r"condition_variable(_any)?|lock_guard|unique_lock|shared_lock|"
     r"scoped_lock)\b"
 )
+# The one file allowed to bind, listen, and accept.
+LISTENER_HOME = "src/net/frame_loop.hpp"
+LISTENER_RE = re.compile(r"::(bind|listen|accept4)\(")
+
 # `new` as an expression: preceded by start/space/punct, followed by a
 # type. Excludes placement-new forms used by containers (none in-repo)
 # and words containing "new" (renew, new_size, ...).
@@ -154,6 +163,19 @@ def check_raw_primitives(path: Path, code: str, errors: list) -> None:
                 f"(gbx/thread_annotations.hpp)")
 
 
+def check_listeners(path: Path, code: str, errors: list) -> None:
+    rel = str(path.relative_to(REPO))
+    if rel == LISTENER_HOME:
+        return
+    for ln, line in enumerate(code.splitlines(), 1):
+        m = LISTENER_RE.search(line)
+        if m:
+            errors.append(
+                f"{rel}:{ln}: ::{m.group(1)}() outside {LISTENER_HOME} — "
+                f"take listeners and accepted sockets from the session "
+                f"core (net::listen_loopback / net::accept_client)")
+
+
 def main() -> int:
     errors: list = []
     for path in sorted(SRC.rglob("*")):
@@ -164,6 +186,7 @@ def main() -> int:
         check_pragma_once(path, text, errors)
         check_naked_new(path, code, errors)
         check_raw_primitives(path, code, errors)
+        check_listeners(path, code, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:

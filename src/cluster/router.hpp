@@ -12,52 +12,43 @@
 // reads exact: an element probe has exactly one owner, nvals adds, and
 // Σ Ai folds part-major in the canonical order.
 //
-// Concurrency design — deliberately a distributed ShardedHier, not a
-// second epoll engine. A router fronts few, long-lived connections
-// (its fan-IN is the worker pool's job), so it runs one blocking
-// thread per client session and reuses the proven freeze/writer-slot
-// structure verbatim:
+// Concurrency design — a distributed ShardedHier, one blocking thread
+// per client session, not the net/frame_loop.hpp epoll core. A router
+// session spends its time blocked on worker RPCs, and a blocked thread
+// reads nothing more from its client until its reply is sent: it
+// back-pressures only that client and needs no outbound cap. The router
+// shares the core's listener and the request validator, and reuses the
+// proven freeze/writer-slot structure verbatim:
 //
 //   * An insert session splits its batch by part and forwards every
 //     non-empty sub-batch while holding a SHARED slot on `snap_mu_` —
-//     the whole-batch atomicity rule of ShardedHier::update, across
-//     processes. Per-worker order is serialized by that worker's
-//     connection mutex; sub-batches of one client batch can interleave
-//     with another client's across workers, exactly the nondeterminism
-//     ShardedHier writers already have.
+//     ShardedHier::update's whole-batch atomicity, across processes.
+//     Per-worker order is serialized by that worker's connection mutex.
 //
-//   * Every query is an epoch-stitched distributed snapshot: take the
-//     EXCLUSIVE slot (writer backoff via freeze_pending_, as in
-//     ShardedHier::freeze), drive a flush barrier through every worker
-//     (PR-2's whole-batch freeze generalized: "admitted" == "applied"
-//     on every worker, and no client batch is half-forwarded), collect
-//     one revision-2 provenance epoch per worker, answer from that cut,
-//     release. The per-worker epoch vector travels back to the client
-//     as the reply's provenance trailer, so a stitched answer is
-//     auditable.
+//   * Every query is an epoch-stitched distributed snapshot: the
+//     EXCLUSIVE slot (writers back off via freeze_pending_, as in
+//     ShardedHier::freeze), a flush barrier through every worker (so
+//     "admitted" == "applied" everywhere and no client batch is
+//     half-forwarded), one revision-2 provenance epoch per worker, the
+//     answer from that cut. The epoch vector rides back as the reply's
+//     provenance trailer, so a stitched answer is auditable.
 //
-//   * Partial failure is LOUD. Any worker I/O error (EPIPE after a
-//     SIGKILL, recv timeout on a hang, EOF on a crash) marks that
-//     worker dead; the triggering request gets kReplyError, every
-//     later stitched query gets kReplyError, and inserts routed to the
-//     dead worker close their session with kReplyError. The router
-//     never answers from a subset of workers — no silent partial sums.
+//   * Partial failure is LOUD. A worker I/O error (EPIPE after a SIGKILL,
+//     recv timeout on a hang, EOF on a crash) marks that worker dead: the
+//     triggering request and every later stitched query get kReplyError.
+//     The router never answers from a subset of workers.
 //
 //   * Placement hints double as the redirect primitive: a client that
-//     pins an explicit worker index on kInsert asserts its map; if the
-//     current map disagrees (membership changed), the router replies
-//     kReplyError naming the current version and the client re-fetches
-//     kQueryMap. kAnyLane routes by hash and never redirects.
+//     pins a worker index on kInsert asserts its map; if the current map
+//     disagrees, the reply is kReplyError naming the current version and
+//     the client re-fetches kQueryMap. kAnyLane routes by hash.
 #pragma once
 
 #ifdef __linux__
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
@@ -74,6 +65,7 @@
 #include "cluster/partition_map.hpp"
 #include "net/client.hpp"
 #include "net/event_loop.hpp"
+#include "net/frame_loop.hpp"
 #include "net/protocol.hpp"
 
 namespace cluster {
@@ -96,8 +88,6 @@ class Router {
  public:
   struct Options {
     std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
-    int backlog = 64;
-    std::uint64_t max_frame_bytes = 64u << 20;
     /// Matrix dimensions (insert validation happens HERE: a bad
     /// coordinate must never reach a worker, where the resulting
     /// kReplyError would poison the router's shared connection).
@@ -106,9 +96,6 @@ class Router {
     /// Worker-side failure detection: a worker that stays silent this
     /// long mid-RPC is declared dead (→ loud errors, never a hang).
     int worker_recv_timeout_ms = 10000;
-    /// Workers may still be binding when the router dials them.
-    int worker_connect_attempts = 50;
-    int worker_connect_backoff_ms = 20;
   };
 
   // No `opt = {}` default argument: GCC parses default arguments before
@@ -134,8 +121,9 @@ class Router {
       auto wk = std::make_unique<Worker>();
       net::Client::Options copt;
       copt.recv_timeout_ms = opt_.worker_recv_timeout_ms;
-      copt.connect_attempts = opt_.worker_connect_attempts;
-      copt.connect_backoff_ms = opt_.worker_connect_backoff_ms;
+      // Workers may still be binding when the router dials them.
+      copt.connect_attempts = 50;
+      copt.connect_backoff_ms = 20;
       {
         gbx::ScopedLock lk(wk->mu);
         wk->cli = net::Client(copt);
@@ -144,25 +132,9 @@ class Router {
       workers_.push_back(std::move(wk));
     }
 
-    listen_ = net::Fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-    GBX_CHECK(listen_.valid(), "router socket() failed");
-    const int one = 1;
-    ::setsockopt(listen_.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    ::sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(opt_.port);
-    GBX_CHECK(::bind(listen_.get(), reinterpret_cast<::sockaddr*>(&addr),
-                     sizeof addr) == 0,
-              "router bind() failed");
-    GBX_CHECK(::listen(listen_.get(), opt_.backlog) == 0,
-              "router listen() failed");
-    ::socklen_t len = sizeof addr;
-    GBX_CHECK(::getsockname(listen_.get(),
-                            reinterpret_cast<::sockaddr*>(&addr), &len) == 0,
-              "router getsockname() failed");
-    port_ = ntohs(addr.sin_port);
-
+    // Blocking listener: the accept thread sleeps in accept(), and
+    // stop() wakes it by shutting the socket down.
+    listen_ = net::listen_loopback(opt_.port, /*nonblocking=*/false, port_);
     stop_.store(false, std::memory_order_relaxed);
     running_ = true;
     accept_thread_ = std::thread([this] { accept_loop(); });
@@ -175,21 +147,16 @@ class Router {
     stop_.store(true, std::memory_order_relaxed);
     ::shutdown(listen_.get(), SHUT_RDWR);  // accept() returns
     accept_thread_.join();
+    std::vector<std::unique_ptr<RouterSession>> sessions;
     {
+      // The accept thread is gone, so nothing adds sessions any more.
       gbx::ScopedLock lk(sessions_mu_);
       for (auto& s : sessions_)
         ::shutdown(s->fd.get(), SHUT_RDWR);  // blocking recv returns
+      sessions.swap(sessions_);
     }
-    for (;;) {
-      std::unique_ptr<RouterSession> victim;
-      {
-        gbx::ScopedLock lk(sessions_mu_);
-        if (sessions_.empty()) break;
-        victim = std::move(sessions_.back());
-        sessions_.pop_back();
-      }
-      if (victim->th.joinable()) victim->th.join();
-    }
+    for (auto& s : sessions)
+      if (s->th.joinable()) s->th.join();
     for (auto& wk : workers_) {
       gbx::ScopedLock lk(wk->mu);
       if (!wk->dead && wk->cli.connected()) {
@@ -218,8 +185,9 @@ class Router {
   };
 
   struct RouterSession {
-    explicit RouterSession(net::Fd f, std::uint64_t cap, std::size_t nworkers)
-        : fd(std::move(f)), dec(cap), used_workers(nworkers, false) {}
+    RouterSession(net::Fd f, std::size_t nworkers)
+        : fd(std::move(f)), dec(net::kMaxFrameBytes),
+          used_workers(nworkers, false) {}
     net::Fd fd;
     store::RecordFrameDecoder dec;
     std::vector<bool> used_workers;  ///< workers this session ever fed
@@ -231,17 +199,13 @@ class Router {
 
   void accept_loop() {
     while (!stop_.load(std::memory_order_relaxed)) {
-      net::Fd c(::accept4(listen_.get(), nullptr, nullptr, SOCK_CLOEXEC));
+      net::Fd c = net::accept_client(listen_.get(), /*nonblocking=*/false);
       if (!c.valid()) {
         if (stop_.load(std::memory_order_relaxed)) return;
         if (errno == EINTR || errno == ECONNABORTED) continue;
         return;  // listen socket gone
       }
-      const int one = 1;
-      ::setsockopt(c.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      auto s = std::make_unique<RouterSession>(std::move(c),
-                                               opt_.max_frame_bytes,
-                                               workers_.size());
+      auto s = std::make_unique<RouterSession>(std::move(c), workers_.size());
       RouterSession* raw = s.get();
       stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
       {
@@ -294,22 +258,20 @@ class Router {
         break;
       }
       s.dec.feed(buf, static_cast<std::size_t>(n));
-      for (open = true; open;) {
-        switch (s.dec.next(rec)) {
-          case store::RecordFrameDecoder::Status::kNeedMore:
-            goto drained;
-          case store::RecordFrameDecoder::Status::kCorrupt:
-            stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-            reply_error(s, net::MsgType::kInsert, s.dec.error());
-            open = false;
-            break;
-          case store::RecordFrameDecoder::Status::kFrame:
-            open = handle_frame(s, rec);
-            break;
+      while (open) {
+        const auto st = s.dec.next(rec);
+        if (st == store::RecordFrameDecoder::Status::kNeedMore) break;
+        if (st == store::RecordFrameDecoder::Status::kCorrupt) {
+          stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
+          reply_error(s, net::MsgType::kInsert, s.dec.error());
+          open = false;
+        } else {
+          open = handle_frame(s, rec);
         }
       }
-    drained:;
     }
+    // The client sees EOF now, not when the session is reaped.
+    ::shutdown(s.fd.get(), SHUT_RDWR);
   }
 
   // --- frame dispatch (session threads).
@@ -323,7 +285,8 @@ class Router {
     try {
       switch (type) {
         case net::MsgType::kInsert:
-          return handle_insert(s, arg, rec);
+          handle_insert(s, arg, rec);
+          return true;
         case net::MsgType::kFlush:
           handle_client_flush(s);
           return true;
@@ -331,7 +294,8 @@ class Router {
           handle_query_sum(s, want_prov);
           return true;
         case net::MsgType::kQueryElements:
-          return handle_query_elements(s, want_prov, rec);
+          handle_query_elements(s, want_prov, rec);
+          return true;
         case net::MsgType::kQuerySummary:
           handle_query_summary(s, want_prov);
           return true;
@@ -347,66 +311,44 @@ class Router {
           r.parts = map_.parts();
           r.nrows = opt_.nrows;
           r.ncols = opt_.ncols;
-          reply_ok(s, type, 0, &r, sizeof r);
+          reply_ok(s, type, &r, sizeof r);
           return true;
         }
         case net::MsgType::kBye:
-          reply_ok(s, type, 0, "", 0);
+          reply_ok(s, type, "", 0);
           return false;
         default:
-          stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-          reply_error(s, type, "unknown message type");
-          return false;
+          throw gbx::Error("unknown message type");
       }
     } catch (const gbx::Error& e) {
-      // A worker failed (or timed out) mid-request: the LOUD path. The
-      // requester gets the diagnostic; the session closes so no later
-      // one-way insert can be silently half-routed.
+      // A rejected request, or a worker that failed (or timed out)
+      // mid-request: the LOUD path. The requester gets the diagnostic;
+      // the session closes so no later one-way insert can be silently
+      // half-routed.
+      stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
       reply_error(s, type, e.what());
       return false;
     }
   }
 
-  bool handle_insert(RouterSession& s, std::uint64_t arg,
+  void handle_insert(RouterSession& s, std::uint64_t arg,
                      store::LogRecord& rec) {
-    std::vector<gbx::Entry<double>> entries;
-    if (!net::payload_as(rec.payload, entries)) {
-      stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-      reply_error(s, net::MsgType::kInsert,
-                  "insert payload is not a whole number of entries");
-      return false;
-    }
-    for (const auto& e : entries) {
-      if (e.row >= opt_.nrows || e.col >= opt_.ncols) {
-        stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        reply_error(s, net::MsgType::kInsert,
-                    "insert coordinate out of range: (" +
-                        std::to_string(e.row) + ", " + std::to_string(e.col) +
-                        ") vs " + std::to_string(opt_.nrows) + " x " +
-                        std::to_string(opt_.ncols));
-        return false;
-      }
-    }
+    const auto entries = net::checked_insert(rec.payload, opt_.nrows,
+                                             opt_.ncols);
     // An explicit placement hint is the client asserting its partition
     // map: every row must land on that worker under the CURRENT map,
     // otherwise the map changed under the client — redirect.
-    if (arg != net::kAnyLane) {
-      bool stale = arg >= map_.parts();
-      for (const auto& e : entries)
-        if (stale || map_.part_of(e.row) != arg) {
-          stale = true;
-          break;
-        }
-      if (stale) {
-        stats_.redirects.fetch_add(1, std::memory_order_relaxed);
-        reply_error(s, net::MsgType::kInsert,
-                    "stale partition map: placement hint " +
-                        std::to_string(arg) + " does not own this batch "
-                        "(current map version " +
-                        std::to_string(map_.version()) +
-                        "); re-fetch kQueryMap and reconnect");
-        return false;
-      }
+    if (arg != net::kAnyLane &&
+        (arg >= map_.parts() ||
+         std::any_of(entries.begin(), entries.end(), [&](const auto& e) {
+           return map_.part_of(e.row) != arg;
+         }))) {
+      stats_.redirects.fetch_add(1, std::memory_order_relaxed);
+      throw gbx::Error("stale partition map: placement hint " +
+                       std::to_string(arg) + " does not own this batch "
+                       "(current map version " +
+                       std::to_string(map_.version()) +
+                       "); re-fetch kQueryMap and reconnect");
     }
 
     // Split part-major — the same per-entry walk as ShardedHier::update,
@@ -427,7 +369,6 @@ class Router {
     stats_.batches_routed.fetch_add(1, std::memory_order_relaxed);
     stats_.entries_routed.fetch_add(entries.size(),
                                     std::memory_order_relaxed);
-    return true;
   }
 
   void handle_client_flush(RouterSession& s) {
@@ -436,49 +377,27 @@ class Router {
     // includes everything forwarded on behalf of this client.
     for (std::size_t w = 0; w < s.used_workers.size(); ++w)
       if (s.used_workers[w]) worker_flush(w);
-    reply_ok(s, net::MsgType::kFlush, 0, "", 0);
+    reply_ok(s, net::MsgType::kFlush, "", 0);
   }
 
   void handle_query_sum(RouterSession& s, bool want_prov) {
-    stats_.queries.fetch_add(1, std::memory_order_relaxed);
     net::SumReply r;
-    std::vector<std::uint64_t> epochs(workers_.size(), 0);
-    with_stitch([&] {
-      // Part-major fold in map order — the canonical SnapshotSet order,
-      // so the stitched Σ is bit-identical to ShardedHier's reduce().
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        net::ReplyProvenance wp;
-        net::SumReply wr = worker_call(
-            w, [&wp](net::Client& c) { return c.query_sum(&wp); });
-        r.sum += wr.sum;
-        r.nvals += wr.nvals;  // row-disjoint workers: distinct counts add
-        epochs[w] = wp.snapshot_epoch;
-        r.epoch += wp.snapshot_epoch;  // Σ of part epochs, SnapshotSet's rule
-      }
+    // Part-major fold in map order — the canonical SnapshotSet order, so
+    // the stitched Σ is bit-identical to ShardedHier's reduce().
+    const Cut cut = stitch([&r](std::size_t, net::Client& c) {
+      net::ReplyProvenance wp;
+      const net::SumReply wr = c.query_sum(&wp);
+      r.sum += wr.sum;
+      r.nvals += wr.nvals;  // row-disjoint workers: distinct counts add
+      return wp.snapshot_epoch;
     });
-    reply_stitched(s, net::MsgType::kQuerySum, want_prov, &r, sizeof r,
-                   epochs, r.epoch);
+    r.epoch = cut.epoch;
+    reply_stitched(s, net::MsgType::kQuerySum, want_prov, &r, sizeof r, cut);
   }
 
-  bool handle_query_elements(RouterSession& s, bool want_prov,
+  void handle_query_elements(RouterSession& s, bool want_prov,
                              store::LogRecord& rec) {
-    stats_.queries.fetch_add(1, std::memory_order_relaxed);
-    std::vector<net::ElementQuery> qs;
-    if (!net::payload_as(rec.payload, qs)) {
-      stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-      reply_error(s, net::MsgType::kQueryElements,
-                  "element query payload is not a whole number of "
-                  "{row, col} probes");
-      return false;
-    }
-    for (const auto& q : qs) {
-      if (q.row >= opt_.nrows || q.col >= opt_.ncols) {
-        stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        reply_error(s, net::MsgType::kQueryElements,
-                    "element probe out of range");
-        return false;
-      }
-    }
+    const auto qs = net::checked_probes(rec.payload, opt_.nrows, opt_.ncols);
     // Route each probe to its single owner (row-disjoint placement),
     // keeping reply order = probe order.
     std::vector<std::vector<net::ElementQuery>> per(workers_.size());
@@ -489,120 +408,109 @@ class Router {
       origin[w].push_back(i);
     }
     std::vector<net::ElementReply> rs(qs.size());
-    std::vector<std::uint64_t> epochs(workers_.size(), 0);
-    std::uint64_t cut_epoch = 0;
-    with_stitch([&] {
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        net::ReplyProvenance wp;
-        // Unprobed workers still contribute their epoch to the stitched
-        // cut via an empty probe batch (a pin, no reads).
-        auto wr = worker_call(w, [&](net::Client& c) {
-          return c.query_elements(per[w], &wp);
-        });
-        for (std::size_t k = 0; k < wr.size(); ++k) rs[origin[w][k]] = wr[k];
-        epochs[w] = wp.snapshot_epoch;
-        cut_epoch += wp.snapshot_epoch;
-      }
+    // Unprobed workers still contribute their epoch to the stitched cut
+    // via an empty probe batch (a pin, no reads).
+    const Cut cut = stitch([&](std::size_t w, net::Client& c) {
+      net::ReplyProvenance wp;
+      const auto wr = c.query_elements(per[w], &wp);
+      for (std::size_t k = 0; k < wr.size(); ++k) rs[origin[w][k]] = wr[k];
+      return wp.snapshot_epoch;
     });
     reply_stitched(s, net::MsgType::kQueryElements, want_prov, rs.data(),
-                   rs.size() * sizeof(net::ElementReply), epochs, cut_epoch);
-    return true;
+                   rs.size() * sizeof(net::ElementReply), cut);
   }
 
   void handle_query_summary(RouterSession& s, bool want_prov) {
-    stats_.queries.fetch_add(1, std::memory_order_relaxed);
     net::SummaryReply r;
-    std::vector<std::uint64_t> epochs(workers_.size(), 0);
     std::set<std::uint64_t> destinations;  // columns are NOT disjoint
-    with_stitch([&] {
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        net::ReplyProvenance wp;
-        net::SummaryReply wr = worker_call(
-            w, [&wp](net::Client& c) { return c.query_summary(&wp); });
-        // Row-disjoint stitches: links (distinct coords), sources
-        // (distinct rows) and packets add; max_link is a per-coordinate
-        // value, so max over workers is the global max.
-        r.links += wr.links;
-        r.packets += wr.packets;
-        r.sources += wr.sources;
-        if (wr.max_link > r.max_link) r.max_link = wr.max_link;
-        // Destinations (distinct columns) need the actual sets.
-        const auto cols = worker_call(
-            w, [](net::Client& c) { return c.query_columns(); });
-        destinations.insert(cols.begin(), cols.end());
-        epochs[w] = wp.snapshot_epoch;
-        r.epoch += wp.snapshot_epoch;
-      }
+    const Cut cut = stitch([&](std::size_t, net::Client& c) {
+      net::ReplyProvenance wp;
+      const net::SummaryReply wr = c.query_summary(&wp);
+      // Row-disjoint stitches: links (distinct coords), sources (distinct
+      // rows) and packets add; max_link is a per-coordinate value, so max
+      // over workers is the global max.
+      r.links += wr.links;
+      r.packets += wr.packets;
+      r.sources += wr.sources;
+      if (wr.max_link > r.max_link) r.max_link = wr.max_link;
+      // Destinations (distinct columns) need the actual sets.
+      const auto cols = c.query_columns();
+      destinations.insert(cols.begin(), cols.end());
+      return wp.snapshot_epoch;
     });
+    r.epoch = cut.epoch;
     r.destinations = destinations.size();
     // Same formula as analytics::summarize — identical operands give an
     // identical quotient.
     if (r.links > 0) r.mean_link = r.packets / static_cast<double>(r.links);
     reply_stitched(s, net::MsgType::kQuerySummary, want_prov, &r, sizeof r,
-                   epochs, r.epoch);
+                   cut);
   }
 
   void handle_query_refresh(RouterSession& s, bool want_prov) {
-    stats_.queries.fetch_add(1, std::memory_order_relaxed);
     net::RefreshReply r;
-    std::vector<std::uint64_t> epochs(workers_.size(), 0);
-    with_stitch([&] {
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        net::RefreshReply wr = worker_call(
-            w, [](net::Client& c) { return c.query_refresh(); });
-        r.epoch += wr.epoch;
-        r.full_recompute |= wr.full_recompute;
-        r.added += wr.added;
-        r.changed += wr.changed;
-        // Caveat, documented in the README: per-worker triangle counts
-        // only stitch when triangles are disabled (the worker default,
-        // where every count is 0) — a triangle can span workers, so a
-        // nonzero sum would undercount and we refuse to fake it.
-        r.triangles += wr.triangles;
-        r.sum += wr.sum;
-        epochs[w] = wr.epoch;
-      }
+    const Cut cut = stitch([&r](std::size_t, net::Client& c) {
+      const net::RefreshReply wr = c.query_refresh();
+      r.full_recompute |= wr.full_recompute;
+      r.added += wr.added;
+      r.changed += wr.changed;
+      // Caveat, documented in the README: per-worker triangle counts
+      // only stitch when triangles are disabled (the worker default,
+      // where every count is 0) — a triangle can span workers, so a
+      // nonzero sum would undercount and we refuse to fake it.
+      r.triangles += wr.triangles;
+      r.sum += wr.sum;
+      return wr.epoch;
     });
+    r.epoch = cut.epoch;
     reply_stitched(s, net::MsgType::kQueryRefresh, want_prov, &r, sizeof r,
-                   epochs, r.epoch);
+                   cut);
   }
 
   void handle_query_columns(RouterSession& s, bool want_prov) {
-    stats_.queries.fetch_add(1, std::memory_order_relaxed);
     std::set<std::uint64_t> cols;
-    std::vector<std::uint64_t> epochs(workers_.size(), 0);
-    std::uint64_t cut_epoch = 0;
-    with_stitch([&] {
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        net::ReplyProvenance wp;
-        const auto wc = worker_call(
-            w, [&wp](net::Client& c) { return c.query_columns(&wp); });
-        cols.insert(wc.begin(), wc.end());
-        epochs[w] = wp.snapshot_epoch;
-        cut_epoch += wp.snapshot_epoch;
-      }
+    const Cut cut = stitch([&cols](std::size_t, net::Client& c) {
+      net::ReplyProvenance wp;
+      const auto wc = c.query_columns(&wp);
+      cols.insert(wc.begin(), wc.end());
+      return wp.snapshot_epoch;
     });
     std::vector<std::uint64_t> sorted(cols.begin(), cols.end());
     reply_stitched(s, net::MsgType::kQueryColumns, want_prov, sorted.data(),
-                   sorted.size() * sizeof(std::uint64_t), epochs, cut_epoch);
+                   sorted.size() * sizeof(std::uint64_t), cut);
   }
 
   // --- the stitched freeze.
 
-  /// Run `f` inside a stitched cut: exclusive slot on `snap_mu_` (so no
-  /// insert fan-out is in flight — whole-batch atomicity across
-  /// processes) plus a flush barrier through every worker ("admitted"
-  /// becomes "applied" everywhere before any epoch is read). A dead
-  /// worker throws during the barrier — the whole query fails loudly
+  /// The cut a stitched reply describes: per-worker snapshot epochs and
+  /// their sum (SnapshotSet's rule).
+  struct Cut {
+    std::vector<std::uint64_t> epochs;
+    std::uint64_t epoch = 0;
+  };
+
+  /// One stitched read: `read(w, client)` runs once per worker, in map
+  /// order, and returns that worker's snapshot epoch. It runs inside the
+  /// cut: an exclusive slot on `snap_mu_` (no insert fan-out in flight —
+  /// whole-batch atomicity across processes) plus a flush barrier through
+  /// every worker ("admitted" becomes "applied" everywhere before any
+  /// epoch is read). A dead worker throws — the whole query fails loudly
   /// instead of stitching a subset.
-  template <class F>
-  void with_stitch(F&& f) {
+  template <class Read>
+  Cut stitch(Read&& read) {
+    stats_.queries.fetch_add(1, std::memory_order_relaxed);
     stats_.stitched_freezes.fetch_add(1, std::memory_order_relaxed);
     freeze_pending_.fetch_add(1, std::memory_order_relaxed);
-    gbx::ScopedWriteLock cut(snap_mu_);
+    gbx::ScopedWriteLock lock(snap_mu_);
     freeze_pending_.fetch_sub(1, std::memory_order_relaxed);
     for (std::size_t w = 0; w < workers_.size(); ++w) worker_flush(w);
-    f();
+    Cut cut;
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      cut.epochs.push_back(
+          worker_call(w, [&](net::Client& c) { return read(w, c); }));
+      cut.epoch += cut.epochs.back();
+    }
+    return cut;
   }
 
   /// Writers pass through here before taking their shared slot — the
@@ -639,63 +547,48 @@ class Router {
     // and one lane per worker is what keeps its part bit-identical to
     // the corresponding ShardedHier shard (sub-batches apply in
     // forwarding order to one HierMatrix).
-    worker_call(w, [&sub](net::Client& c) {
-      c.insert(sub, 0);
-      return 0;
-    });
+    worker_call(w, [&sub](net::Client& c) { c.insert(sub, 0); });
   }
 
   void worker_flush(std::size_t w) {
-    worker_call(w, [](net::Client& c) {
-      c.flush();
-      return 0;
-    });
+    worker_call(w, [](net::Client& c) { c.flush(); });
   }
 
-  // --- client-side replies (blocking send on the session socket).
+  // --- client-side replies (blocking send on the session socket; a
+  // client that is gone is noticed by the session loop's next recv).
 
-  void reply_ok(RouterSession& s, net::MsgType request, std::uint64_t flag,
-                const void* payload, std::size_t size) {
+  static void send_frame(RouterSession& s, net::MsgType type,
+                         std::uint64_t arg, const void* payload,
+                         std::size_t size) {
     std::string frame;
-    net::append_frame(frame, net::MsgType::kReplyOk,
-                      static_cast<std::uint64_t>(request) | flag, payload,
-                      size);
-    send_all(s, frame);
+    net::append_frame(frame, type, arg, payload, size);
+    (void)net::send_all(s.fd.get(), frame.data(), frame.size());
+  }
+
+  static void reply_ok(RouterSession& s, net::MsgType request,
+                       const void* payload, std::size_t size) {
+    send_frame(s, net::MsgType::kReplyOk, static_cast<std::uint64_t>(request),
+               payload, size);
+  }
+
+  static void reply_error(RouterSession& s, net::MsgType request,
+                          const std::string& what) {
+    send_frame(s, net::MsgType::kReplyError,
+               static_cast<std::uint64_t>(request), what.data(), what.size());
   }
 
   void reply_stitched(RouterSession& s, net::MsgType request, bool want_prov,
-                      const void* payload, std::size_t size,
-                      const std::vector<std::uint64_t>& epochs,
-                      std::uint64_t cut_epoch) {
+                      const void* payload, std::size_t size, const Cut& cut) {
     if (!want_prov) {
-      reply_ok(s, request, 0, payload, size);
+      reply_ok(s, request, payload, size);
       return;
     }
     std::string body(size > 0 ? static_cast<const char*>(payload) : "", size);
-    net::append_provenance(body, epochs, cut_epoch,
+    net::append_provenance(body, cut.epochs, cut.epoch,
                            static_cast<std::uint32_t>(map_.version()));
-    reply_ok(s, request, net::kWantProvenance, body.data(), body.size());
-  }
-
-  void reply_error(RouterSession& s, net::MsgType request,
-                   const std::string& what) {
-    std::string frame;
-    net::append_frame(frame, net::MsgType::kReplyError,
-                      static_cast<std::uint64_t>(request), what.data(),
-                      what.size());
-    send_all(s, frame);
-  }
-
-  void send_all(RouterSession& s, const std::string& bytes) {
-    const char* p = bytes.data();
-    std::size_t n = bytes.size();
-    while (n > 0) {
-      const auto w = ::send(s.fd.get(), p, n, MSG_NOSIGNAL);
-      if (w < 0 && errno == EINTR) continue;
-      if (w <= 0) return;  // client gone; session loop exits on recv
-      p += w;
-      n -= static_cast<std::size_t>(w);
-    }
+    send_frame(s, net::MsgType::kReplyOk,
+               static_cast<std::uint64_t>(request) | net::kWantProvenance,
+               body.data(), body.size());
   }
 
   PartitionMap map_;

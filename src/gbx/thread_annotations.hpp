@@ -25,7 +25,8 @@
 // Usage rules (see README "Static analysis" for the longer version):
 //   * Declare mutexes as gbx::Mutex / gbx::SharedMutex, never raw
 //     std::mutex, in annotated subsystems (scripts/lint_invariants.py
-//     enforces this for src/hier, src/store, src/net).
+//     enforces this for src/hier, src/store, src/net, src/repl,
+//     src/cluster).
 //   * Annotate every member the mutex protects with GBX_GUARDED_BY(mu).
 //   * Lock with gbx::ScopedLock (exclusive), gbx::ScopedReadLock /
 //     gbx::ScopedWriteLock (shared mutexes). Helpers called with the

@@ -11,9 +11,6 @@
 
 #ifdef __linux__
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -60,11 +57,6 @@ class Client : public QueryInterface {
   /// with exponential backoff per Options::connect_attempts — so a
   /// failover client can dial a replica that is still promoting.
   void connect(const std::string& host, std::uint16_t port) {
-    ::sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    GBX_CHECK(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
-              "client: bad host address");
     int backoff = opt_.connect_backoff_ms;
     const int attempts = opt_.connect_attempts > 0 ? opt_.connect_attempts : 1;
     for (int a = 0; a < attempts; ++a) {
@@ -72,18 +64,14 @@ class Client : public QueryInterface {
         std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
         backoff = std::min(backoff * 2, opt_.connect_max_backoff_ms);
       }
-      fd_ = Fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-      GBX_CHECK(fd_.valid(), "client socket() failed");
-      if (::connect(fd_.get(), reinterpret_cast<::sockaddr*>(&addr),
-                    sizeof addr) == 0) {
-        const int one = 1;
-        ::setsockopt(fd_.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        dec_ = store::RecordFrameDecoder(kDecoderCap);  // fresh session
+      fd_ = dial(host, port);
+      if (fd_.valid()) {
+        dec_ = store::RecordFrameDecoder(kMaxFrameBytes);  // fresh session
         return;
       }
-      fd_.reset();
     }
-    GBX_CHECK(false, "client connect() failed after " +
+    GBX_CHECK(false, "client connect() to " + host + ":" +
+                         std::to_string(port) + " failed after " +
                          std::to_string(attempts) + " attempt(s)");
   }
 
@@ -102,12 +90,7 @@ class Client : public QueryInterface {
 
   /// Barrier: returns once the server has APPLIED every batch this
   /// session submitted (not merely received it).
-  void flush() {
-    std::string frame;
-    append_frame(frame, MsgType::kFlush);
-    send_all(frame.data(), frame.size());
-    expect_ok(MsgType::kFlush);
-  }
+  void flush() { call(MsgType::kFlush); }
 
   // The QueryInterface surface. Passing a non-null ReplyProvenance
   // requests the revision-2 provenance trailer (kWantProvenance arg
@@ -117,79 +100,39 @@ class Client : public QueryInterface {
   using QueryInterface::query_summary;
 
   SumReply query_sum(ReplyProvenance* prov) override {
-    std::string frame;
-    append_frame(frame, MsgType::kQuerySum, prov ? kWantProvenance : 0);
-    send_all(frame.data(), frame.size());
-    auto rec = expect_ok(MsgType::kQuerySum, prov);
-    SumReply r;
-    GBX_CHECK(payload_as(rec.payload, r), "client: malformed sum reply");
-    return r;
+    return reply_as<SumReply>(call(MsgType::kQuerySum, prov));
   }
 
   std::vector<ElementReply> query_elements(const std::vector<ElementQuery>& qs,
                                            ReplyProvenance* prov) override {
-    std::string frame;
-    append_frame(frame, MsgType::kQueryElements, prov ? kWantProvenance : 0,
-                 qs.data(), qs.size() * sizeof(ElementQuery));
-    send_all(frame.data(), frame.size());
-    auto rec = expect_ok(MsgType::kQueryElements, prov);
-    std::vector<ElementReply> rs;
-    GBX_CHECK(payload_as(rec.payload, rs),
-              "client: malformed element reply");
+    auto rs = reply_as<std::vector<ElementReply>>(
+        call(MsgType::kQueryElements, prov, qs.data(),
+             qs.size() * sizeof(ElementQuery)));
     GBX_CHECK(rs.size() == qs.size(), "client: element reply count mismatch");
     return rs;
   }
 
   SummaryReply query_summary(ReplyProvenance* prov) override {
-    std::string frame;
-    append_frame(frame, MsgType::kQuerySummary, prov ? kWantProvenance : 0);
-    send_all(frame.data(), frame.size());
-    auto rec = expect_ok(MsgType::kQuerySummary, prov);
-    SummaryReply r;
-    GBX_CHECK(payload_as(rec.payload, r), "client: malformed summary reply");
-    return r;
+    return reply_as<SummaryReply>(call(MsgType::kQuerySummary, prov));
   }
 
   RefreshReply query_refresh() override {
-    std::string frame;
-    append_frame(frame, MsgType::kQueryRefresh);
-    send_all(frame.data(), frame.size());
-    auto rec = expect_ok(MsgType::kQueryRefresh);
-    RefreshReply r;
-    GBX_CHECK(payload_as(rec.payload, r), "client: malformed refresh reply");
-    return r;
+    return reply_as<RefreshReply>(call(MsgType::kQueryRefresh));
   }
 
   /// Sorted distinct column ids of Σ Ai (the destination set; the
   /// router's summary stitch unions these across workers).
   std::vector<std::uint64_t> query_columns(ReplyProvenance* prov = nullptr) {
-    std::string frame;
-    append_frame(frame, MsgType::kQueryColumns, prov ? kWantProvenance : 0);
-    send_all(frame.data(), frame.size());
-    auto rec = expect_ok(MsgType::kQueryColumns, prov);
-    std::vector<std::uint64_t> cols;
-    GBX_CHECK(payload_as(rec.payload, cols),
-              "client: malformed columns reply");
-    return cols;
+    return reply_as<std::vector<std::uint64_t>>(
+        call(MsgType::kQueryColumns, prov));
   }
 
   /// Partition-map metadata (version 0 from a standalone server).
-  MapReply query_map() {
-    std::string frame;
-    append_frame(frame, MsgType::kQueryMap);
-    send_all(frame.data(), frame.size());
-    auto rec = expect_ok(MsgType::kQueryMap);
-    MapReply r;
-    GBX_CHECK(payload_as(rec.payload, r), "client: malformed map reply");
-    return r;
-  }
+  MapReply query_map() { return reply_as<MapReply>(call(MsgType::kQueryMap)); }
 
   /// Orderly goodbye: the server acks and closes its side.
   void bye() {
-    std::string frame;
-    append_frame(frame, MsgType::kBye);
-    send_all(frame.data(), frame.size());
-    expect_ok(MsgType::kBye);
+    call(MsgType::kBye);
     close();
   }
 
@@ -198,12 +141,30 @@ class Client : public QueryInterface {
   /// Raw byte escape hatch (tests: malformed/truncated frames).
   void send_raw(const void* data, std::size_t n) { send_all(data, n); }
 
+  /// Half-close: the server sees EOF; its replies stay readable.
+  void shutdown_send() { ::shutdown(fd_.get(), SHUT_WR); }
+
   /// Next reply frame, whatever it is (tests: observing kReplyError).
   store::LogRecord read_reply() { return next_frame(); }
 
- private:
-  static constexpr std::size_t kDecoderCap = 64u << 20;
+  /// One request out, its reply back (see expect_ok).
+  store::LogRecord call(MsgType type, ReplyProvenance* prov = nullptr,
+                        const void* payload = "", std::size_t size = 0) {
+    std::string frame;
+    append_frame(frame, type, prov ? kWantProvenance : 0, payload, size);
+    send_all(frame.data(), frame.size());
+    return expect_ok(type, prov);
+  }
 
+  /// A reply payload as a POD, or a vector of PODs.
+  template <class Reply>
+  static Reply reply_as(const store::LogRecord& rec) {
+    Reply r;
+    GBX_CHECK(payload_as(rec.payload, r), "client: malformed reply payload");
+    return r;
+  }
+
+ private:
   void send_all(const void* data, std::size_t n) {
     GBX_CHECK(fd_.valid(), "client not connected");
     const char* p = static_cast<const char*>(data);
@@ -231,13 +192,8 @@ class Client : public QueryInterface {
   }
 
   void send_bytes(const char* p, std::size_t n) {
-    while (n > 0) {
-      const auto w = ::send(fd_.get(), p, n, MSG_NOSIGNAL);
-      if (w < 0 && errno == EINTR) continue;
-      GBX_CHECK(w > 0, "client: connection lost during send");
-      p += w;
-      n -= static_cast<std::size_t>(w);
-    }
+    GBX_CHECK(net::send_all(fd_.get(), p, n),
+              "client: connection lost during send");
   }
 
   store::LogRecord next_frame() {
@@ -306,7 +262,7 @@ class Client : public QueryInterface {
 
   Options opt_{};
   Fd fd_;
-  store::RecordFrameDecoder dec_{kDecoderCap};
+  store::RecordFrameDecoder dec_{kMaxFrameBytes};
 };
 
 }  // namespace net

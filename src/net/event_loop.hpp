@@ -1,21 +1,27 @@
 // net/event_loop.hpp — minimal epoll + eventfd wrappers (Linux only).
 //
-// Thin RAII shims over the three kernel objects the ingest server
-// needs: an epoll instance, an eventfd wake channel (so stop() can
-// interrupt a blocked epoll_wait from another thread), and owned file
-// descriptors. No callback registry, no timer wheel — the server's
-// event loop is a plain readable function, and these classes only keep
-// the fd bookkeeping honest.
+// Thin RAII shims over the three kernel objects the session core
+// (net/frame_loop.hpp) needs: an epoll instance, an eventfd wake
+// channel (so stop() can interrupt a blocked epoll_wait from another
+// thread), and owned file descriptors — plus the blocking dial and
+// send every blocking socket user shares. No callback registry, no
+// timer wheel: these classes only keep the fd bookkeeping honest.
 #pragma once
 
 #ifdef __linux__
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,7 +48,6 @@ class Fd {
 
   int get() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
-  int release() { return std::exchange(fd_, -1); }
   void reset() {
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
@@ -52,7 +57,37 @@ class Fd {
   int fd_ = -1;
 };
 
-/// epoll instance keyed by raw fd (the server maps fd -> session).
+/// One blocking TCP connect to `host` (dotted quad) : `port`, with
+/// TCP_NODELAY set; invalid on any failure.
+inline Fd dial(const std::string& host, std::uint16_t port) {
+  ::sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return {};
+  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  if (!fd.valid() || ::connect(fd.get(), reinterpret_cast<::sockaddr*>(&addr),
+                               sizeof addr) != 0)
+    return {};
+  const int one = 1;
+  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  return fd;
+}
+
+/// Blocking send of all `n` bytes (EINTR retried, SIGPIPE suppressed).
+/// False when the peer is gone; the caller decides how loud that is.
+inline bool send_all(int fd, const void* data, std::size_t n) {
+  const char* p = static_cast<const char*>(data);
+  while (n > 0) {
+    const auto w = ::send(fd, p, n, MSG_NOSIGNAL);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return false;
+    p += w;
+    n -= static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+/// epoll instance keyed by raw fd (the loop maps fd -> session).
 class EventLoop {
  public:
   EventLoop() : ep_(::epoll_create1(EPOLL_CLOEXEC)) {

@@ -1,0 +1,449 @@
+// net/frame_loop.hpp — the one epoll session core under every event-loop
+// front end (Linux only).
+//
+// net::IngestServer and repl::ReplicaServer speak one frame protocol
+// (net/protocol.hpp); a front end is just a FrameHandler, a set of verb
+// handlers. The core owns everything else about a session:
+//
+//   * the loopback listener, and accept with TCP_NODELAY;
+//   * a store::RecordFrameDecoder per session (the WAL frame codec is
+//     the wire codec), capped at kMaxFrameBytes;
+//   * bounded read passes: at most kReadBurst recvs per session per
+//     wake-up (level-triggered epoll re-reports the rest), so no session
+//     starves the others and the handler's end-of-pass work runs during
+//     a sustained stream;
+//   * a nonblocking outbound queue per session, throttled: past
+//     max_outbound_bytes of unsent replies (a client pipelining requests
+//     without reading) the session is not read until the backlog halves,
+//     so no reply blocks the loop and memory stays bounded per session;
+//   * pause/unpause of a parked session: TCP flow control then pushes
+//     back on that one client;
+//   * torn tails (a partial frame at peer EOF is counted and dropped —
+//     the WAL torn-tail rule) and reaping: a closing session is destroyed
+//     once its replies are sent and its handler has nothing pending;
+//   * one error path: corrupt bytes, or a gbx::Error thrown by a handler,
+//     earn one kReplyError with the diagnostic, then an orderly close.
+//
+// One loop thread runs every hook. run() claims role_, which guards the
+// session table; a session is reachable only through that table and the
+// hooks, so its methods need no role of their own. Each hook is a
+// loop-thread entry point of its handler and claims the handler's role.
+#pragma once
+
+#ifdef __linux__
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
+#include <atomic>
+#include <cerrno>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <thread>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "gbx/error.hpp"
+#include "gbx/thread_annotations.hpp"
+#include "net/event_loop.hpp"
+#include "net/protocol.hpp"
+#include "store/wal.hpp"
+
+namespace net {
+
+/// Monotone front-end counters (relaxed atomics; readable from any thread).
+struct ServerStats {
+  std::atomic<std::uint64_t> sessions_accepted{0};
+  std::atomic<std::uint64_t> sessions_closed{0};
+  std::atomic<std::uint64_t> insert_frames{0};
+  std::atomic<std::uint64_t> entries_ingested{0};
+  std::atomic<std::uint64_t> queries{0};
+  std::atomic<std::uint64_t> parks{0};           ///< lane-full back-pressure events
+  std::atomic<std::uint64_t> out_throttles{0};   ///< reply-backlog back-pressure events
+  std::atomic<std::uint64_t> rejected_frames{0}; ///< corrupt/malformed/torn
+};
+
+/// Bind a TCP listener on 127.0.0.1:`port` (0 = ephemeral) and report the
+/// bound port through `bound`. Every front end's listener comes from here.
+inline Fd listen_loopback(std::uint16_t port, bool nonblocking,
+                          std::uint16_t& bound) {
+  Fd fd(::socket(AF_INET,
+                 SOCK_STREAM | SOCK_CLOEXEC | (nonblocking ? SOCK_NONBLOCK : 0),
+                 0));
+  GBX_CHECK(fd.valid(), "socket() failed");
+  const int one = 1;
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  ::sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  GBX_CHECK(::bind(fd.get(), reinterpret_cast<::sockaddr*>(&addr),
+                   sizeof addr) == 0,
+            "bind() failed");
+  GBX_CHECK(::listen(fd.get(), 64) == 0, "listen() failed");
+  ::socklen_t len = sizeof addr;
+  GBX_CHECK(::getsockname(fd.get(), reinterpret_cast<::sockaddr*>(&addr),
+                          &len) == 0,
+            "getsockname() failed");
+  bound = ntohs(addr.sin_port);
+  return fd;
+}
+
+/// Accept one pending connection with TCP_NODELAY set. Invalid when none
+/// is pending or accept failed (errno says which).
+inline Fd accept_client(int listen_fd, bool nonblocking) {
+  Fd c(::accept4(listen_fd, nullptr, nullptr,
+                 SOCK_CLOEXEC | (nonblocking ? SOCK_NONBLOCK : 0)));
+  if (c.valid()) {
+    const int one = 1;
+    ::setsockopt(c.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  }
+  return c;
+}
+
+class FrameLoop;
+
+/// One connection's core state. A front end derives its per-session
+/// state from this (FrameHandler::open builds the derived object) and
+/// answers through reply()/fail(); the loop owns the socket I/O.
+class FrameSession {
+ public:
+  explicit FrameSession(Fd f) : fd_(std::move(f)), dec_(kMaxFrameBytes) {}
+  virtual ~FrameSession() = default;
+  FrameSession(const FrameSession&) = delete;
+  FrameSession& operator=(const FrameSession&) = delete;
+
+  /// Queue one frame and send what the socket takes now. Write-side
+  /// back-pressure: once the unsent backlog passes the cap the session
+  /// stops being read, so the queue can never grow without bound; the
+  /// loop resumes it when the backlog halves.
+  void reply(MsgType type, std::uint64_t arg, const void* payload,
+             std::size_t size) {
+    append_frame(out_, type, arg, payload, size);
+    flush_out();
+    if (dead || out_throttled_ || out_pending() <= max_out_) return;
+    out_throttled_ = true;
+    reading_ = false;
+    stats_->out_throttles.fetch_add(1, std::memory_order_relaxed);
+    update_interest();
+  }
+
+  void reply_ok(MsgType request, const void* payload, std::size_t size) {
+    reply(MsgType::kReplyOk, static_cast<std::uint64_t>(request), payload,
+          size);
+  }
+
+  /// The error path: count the rejected frame, answer kReplyError with
+  /// the diagnostic, close.
+  void fail(MsgType request, const std::string& what) {
+    stats_->rejected_frames.fetch_add(1, std::memory_order_relaxed);
+    reply(MsgType::kReplyError, static_cast<std::uint64_t>(request),
+          what.data(), what.size());
+    close();
+  }
+
+  /// Orderly close: stop reading; the loop destroys the session once its
+  /// replies are sent and its handler reports no pending work.
+  void close() {
+    reading_ = false;
+    closing = true;
+  }
+
+  /// Park: stop decoding and reading this connection until unpause().
+  void pause() {
+    paused = true;
+    reading_ = false;
+  }
+
+  /// Resume a parked session; the loop works through the frames decoded
+  /// before the park on this pass.
+  void unpause() {
+    paused = false;
+    reading_ = !closing && !out_throttled_;
+    backlog_ = true;
+  }
+
+  bool paused = false;   ///< parked by the handler
+  bool closing = false;  ///< destroy once replies drain and the handler settles
+  bool dead = false;     ///< destroy now (I/O error)
+
+ private:
+  friend class FrameLoop;
+
+  std::size_t out_pending() const { return out_.size() - out_off_; }
+  bool halted() const { return paused || closing || dead || out_throttled_; }
+
+  /// Opportunistic nonblocking send; arms EPOLLOUT only on partials.
+  void flush_out() {
+    while (out_off_ < out_.size()) {
+      const auto n = ::send(fd_.get(), out_.data() + out_off_,
+                            out_.size() - out_off_, MSG_NOSIGNAL);
+      if (n > 0) {
+        out_off_ += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      dead = true;  // peer reset mid-reply
+      return;
+    }
+    if (out_off_ >= out_.size()) {
+      out_.clear();
+      out_off_ = 0;
+    }
+    update_interest();
+  }
+
+  void update_interest() {
+    if (dead) return;
+    std::uint32_t ev = EPOLLRDHUP;
+    if (reading_ && !closing) ev |= EPOLLIN;
+    if (out_off_ < out_.size()) ev |= EPOLLOUT;
+    if (ev == events_) return;
+    ep_->mod(fd_.get(), ev);
+    events_ = ev;
+  }
+
+  Fd fd_;
+  store::RecordFrameDecoder dec_;
+  std::string out_;          ///< outbound bytes
+  std::size_t out_off_ = 0;  ///< sent prefix of out_
+  std::uint32_t events_ = 0;  ///< epoll interest currently armed
+  bool reading_ = true;         ///< EPOLLIN wanted
+  bool out_throttled_ = false;  ///< reply backlog over cap; reads paused
+  bool backlog_ = false;        ///< decoded frames wait since an unpause
+  EventLoop* ep_ = nullptr;
+  ServerStats* stats_ = nullptr;
+  std::size_t max_out_ = 0;
+};
+
+/// A front end's verb handlers. Every hook runs on the loop thread.
+class FrameHandler {
+ public:
+  virtual ~FrameHandler() = default;
+
+  /// Per-session state for a freshly accepted connection.
+  virtual std::unique_ptr<FrameSession> open(Fd fd) = 0;
+  /// One decoded frame. To hold further frames, pause() or close() the
+  /// session. Throwing gbx::Error rejects the frame: kReplyError, close.
+  virtual void on_frame(FrameSession& s, store::LogRecord& rec) = 0;
+  /// End of one bounded read pass over `s`.
+  virtual void on_read_pass(FrameSession&) {}
+  /// Once per loop pass, before the sessions' turn.
+  virtual void on_tick() {}
+  /// Once per loop pass per live session: retry parked work, settle
+  /// barriers.
+  virtual void on_pass(FrameSession&) {}
+  /// Deferred work outstanding on `s`: the loop polls briskly and keeps
+  /// a closing session open until it clears.
+  virtual bool pending(const FrameSession&) const { return false; }
+};
+
+class FrameLoop {
+ public:
+  FrameLoop(FrameHandler& handler, ServerStats& stats,
+            std::size_t max_outbound_bytes)
+      : handler_(&handler), stats_(&stats), max_out_(max_outbound_bytes) {}
+  FrameLoop(const FrameLoop&) = delete;
+  FrameLoop& operator=(const FrameLoop&) = delete;
+
+  ~FrameLoop() {
+    if (running_) stop();
+  }
+
+  /// Bind, listen on `port` (0 = ephemeral), spawn the loop thread.
+  void start(std::uint16_t port) {
+    GBX_CHECK(!running_, "frame loop already started");
+    listen_ = listen_loopback(port, /*nonblocking=*/true, port_);
+    ep_ = std::make_unique<EventLoop>();
+    wake_ = std::make_unique<WakeFd>();
+    ep_->add(listen_.get(), EPOLLIN);
+    ep_->add(wake_->get(), EPOLLIN);
+    stop_.store(false, std::memory_order_relaxed);
+    running_ = true;
+    thread_ = std::thread([this] { run(); });
+  }
+
+  /// Wake the loop, join it, close every socket. In-flight sessions
+  /// (parked batches, pending barriers) are dropped with an EOF — the
+  /// clean-shutdown contract is "no hang, no crash, no partial frame
+  /// applied", not "drain the world".
+  void stop() {
+    GBX_CHECK(running_, "frame loop not started");
+    stop_.store(true, std::memory_order_relaxed);
+    wake_->wake();
+    thread_.join();
+    {
+      // The loop thread is gone; join() hands its role to this thread
+      // for the teardown.
+      gbx::ScopedThreadRole role(role_);
+      sessions_.clear();
+    }
+    ep_.reset();
+    wake_.reset();
+    listen_.reset();
+    running_ = false;
+  }
+
+  /// Bound port (valid after start()).
+  std::uint16_t port() const { return port_; }
+  bool running() const { return running_; }
+
+ private:
+  static constexpr int kReadBurst = 64;
+
+  void run() {
+    // The loop thread's entry point claims the role; every loop-only
+    // method below REQUIRES it.
+    gbx::ScopedThreadRole role(role_);
+    while (!stop_.load(std::memory_order_relaxed)) {
+      // Parked work and pending barriers have no wake event of their
+      // own (lanes drain on worker threads); poll them briskly.
+      for (const auto& ev : ep_->wait(busy_ ? 1 : 10)) {
+        if (stop_.load(std::memory_order_relaxed)) break;
+        if (ev.data.fd == wake_->get()) {
+          wake_->clear();
+        } else if (ev.data.fd == listen_.get()) {
+          accept_all();
+        } else {
+          auto it = sessions_.find(ev.data.fd);
+          if (it == sessions_.end()) continue;
+          FrameSession& s = *it->second;
+          if (ev.events & EPOLLOUT) s.flush_out();
+          if (ev.events & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP))
+            if (!s.dead) read_session(s);
+        }
+      }
+      progress_pass();
+    }
+  }
+
+  void accept_all() GBX_REQUIRES(role_) {
+    for (;;) {
+      Fd c = accept_client(listen_.get(), /*nonblocking=*/true);
+      if (!c.valid()) return;  // EAGAIN or transient error: next wave
+      const int fd = c.get();
+      auto s = handler_->open(std::move(c));
+      s->ep_ = ep_.get();
+      s->stats_ = stats_;
+      s->max_out_ = max_out_;
+      s->events_ = EPOLLIN | EPOLLRDHUP;
+      ep_->add(fd, s->events_);
+      sessions_.emplace(fd, std::move(s));
+      stats_->sessions_accepted.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  /// One bounded read pass: pull bytes until EAGAIN / EOF / a halt /
+  /// the burst cap, decoding as we go.
+  void read_session(FrameSession& s) GBX_REQUIRES(role_) {
+    char buf[1u << 16];
+    for (int burst = 0;
+         burst < kReadBurst && s.reading_ && !s.closing && !s.dead; ++burst) {
+      const auto n = ::recv(s.fd_.get(), buf, sizeof buf, 0);
+      if (n > 0) {
+        s.dec_.feed(buf, static_cast<std::size_t>(n));
+        if (!process_frames(s)) break;  // parked, throttled or closing
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) {
+        if (errno != EAGAIN && errno != EWOULDBLOCK) s.dead = true;
+        break;
+      }
+      // EOF. A partial frame at EOF is the torn-tail case: count it,
+      // drop it. Pending work (parked batch, flush barrier, queued
+      // replies) still completes before the session is destroyed.
+      if (s.dec_.buffered() > 0 && !s.dec_.corrupt())
+        stats_->rejected_frames.fetch_add(1, std::memory_order_relaxed);
+      s.close();
+      break;
+    }
+    if (!s.dead) handler_->on_read_pass(s);
+    s.update_interest();
+  }
+
+  /// Decode and dispatch every complete frame buffered on the session.
+  /// Returns false when processing must pause (parked, throttled,
+  /// closing); the decoder keeps any backlog for later.
+  bool process_frames(FrameSession& s) GBX_REQUIRES(role_) {
+    store::LogRecord rec;
+    while (!s.halted()) {
+      switch (s.dec_.next(rec)) {
+        case store::RecordFrameDecoder::Status::kNeedMore:
+          return true;
+        case store::RecordFrameDecoder::Status::kCorrupt:
+          s.fail(MsgType::kInsert, s.dec_.error());
+          break;
+        case store::RecordFrameDecoder::Status::kFrame:
+          try {
+            handler_->on_frame(s, rec);
+          } catch (const gbx::Error& e) {
+            s.fail(tag_type(rec.epoch), e.what());
+          }
+          break;
+      }
+    }
+    return false;
+  }
+
+  /// Per-pass housekeeping: the handler's tick and per-session work,
+  /// throttle release, backlog drain, reaping.
+  void progress_pass() GBX_REQUIRES(role_) {
+    handler_->on_tick();
+    busy_ = false;
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      FrameSession& s = *it->second;
+      if (!s.dead) handler_->on_pass(s);
+      // Reply-backlog throttle release: EPOLLOUT drains the queue on its
+      // own wake-ups; once below half the cap, resume reading.
+      if (s.out_throttled_ && !s.dead && s.out_pending() <= max_out_ / 2) {
+        s.out_throttled_ = false;
+        if (!s.paused) s.unpause();
+      }
+      // Work through frames decoded before a park or throttle lifted; a
+      // second park here just re-enters the same state.
+      if (s.backlog_ && !s.halted()) {
+        s.backlog_ = false;
+        if (process_frames(s) && s.reading_) read_session(s);
+      }
+      s.update_interest();
+      const bool pending = !s.dead && handler_->pending(s);
+      busy_ |= pending;
+      if (s.dead || (s.closing && !pending && s.out_pending() == 0)) {
+        ep_->del(it->first);
+        it = sessions_.erase(it);
+        stats_->sessions_closed.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  FrameHandler* handler_;
+  ServerStats* stats_;
+  std::size_t max_out_;
+  /// Single-thread discipline of the loop, checked at compile time: run()
+  /// claims the role, loop-only methods REQUIRE it (stop() re-claims it
+  /// after join() for the teardown).
+  gbx::ThreadRole role_;
+
+  Fd listen_;
+  std::unique_ptr<EventLoop> ep_;
+  std::unique_ptr<WakeFd> wake_;
+  std::thread thread_;
+  std::atomic<bool> stop_{false};
+  bool running_ = false;
+  std::uint16_t port_ = 0;
+  bool busy_ GBX_GUARDED_BY(role_) = false;  ///< poll-timeout hint
+  std::unordered_map<int, std::unique_ptr<FrameSession>> sessions_
+      GBX_GUARDED_BY(role_);
+};
+
+}  // namespace net
+
+#endif  // __linux__

@@ -35,10 +35,15 @@
 #include <type_traits>
 #include <vector>
 
+#include "gbx/error.hpp"
 #include "gbx/sort.hpp"
 #include "store/wal.hpp"
 
 namespace net {
+
+/// Decoder cap of every frame consumer (servers, router, client,
+/// shipper): a frame claiming a larger payload is corrupt.
+inline constexpr std::uint64_t kMaxFrameBytes = 64u << 20;
 
 /// Message type, high 16 bits of the frame tag.
 enum class MsgType : std::uint16_t {
@@ -178,8 +183,9 @@ struct RefreshReply {
 
 /// Append one wire frame to `out` (the socket send buffer). Same bytes
 /// as store::RecordLogWriter::append would produce for (tag, payload).
-inline void append_frame(std::string& out, MsgType type, std::uint64_t arg48,
-                         const void* payload, std::size_t size) {
+inline void append_frame(std::string& out, MsgType type,
+                         std::uint64_t arg48 = 0, const void* payload = "",
+                         std::size_t size = 0) {
   // An empty POD array legitimately arrives as (nullptr, 0) — e.g.
   // vector::data() of an empty reply set. Substitute a non-null
   // sentinel so neither fnv1a nor string::append ever sees a null
@@ -199,11 +205,6 @@ inline void append_frame(std::string& out, MsgType type, std::uint64_t arg48,
   put(&sum, sizeof sum);
 }
 
-inline void append_frame(std::string& out, MsgType type,
-                         std::uint64_t arg48 = 0) {
-  append_frame(out, type, arg48, "", 0);
-}
-
 /// Reinterpret a decoded payload as a POD array; false when the byte
 /// count is not a whole number of elements (a malformed frame).
 template <class Pod>
@@ -221,6 +222,48 @@ bool payload_as(const std::vector<std::byte>& payload, Pod& out) {
   if (payload.size() != sizeof(Pod)) return false;
   std::memcpy(&out, payload.data(), sizeof(Pod));
   return true;
+}
+
+// --- the one request validator every front end runs. A bad frame must
+// be rejected on its session (gbx::Error → kReplyError, then close),
+// never reach a lane worker, and read the same on every front end.
+
+namespace detail {
+/// A payload as a whole number of `Pod`s whose {row, col} all lie inside
+/// nrows x ncols; throws `not_whole`, or `coord` + "out of range: ...".
+template <class Pod>
+std::vector<Pod> checked_coords(const std::vector<std::byte>& payload,
+                                std::uint64_t nrows, std::uint64_t ncols,
+                                const char* not_whole, const char* coord) {
+  std::vector<Pod> out;
+  if (!payload_as(payload, out)) throw gbx::Error(not_whole);
+  for (const auto& e : out)
+    if (e.row >= nrows || e.col >= ncols)
+      throw gbx::Error(std::string(coord) + " out of range: (" +
+                       std::to_string(e.row) + ", " + std::to_string(e.col) +
+                       ") vs " + std::to_string(nrows) + " x " +
+                       std::to_string(ncols));
+  return out;
+}
+}  // namespace detail
+
+/// Decode and check a kInsert payload.
+inline std::vector<gbx::Entry<double>> checked_insert(
+    const std::vector<std::byte>& payload, std::uint64_t nrows,
+    std::uint64_t ncols) {
+  return detail::checked_coords<gbx::Entry<double>>(
+      payload, nrows, ncols, "insert payload is not a whole number of entries",
+      "insert coordinate");
+}
+
+/// Decode and check a kQueryElements payload.
+inline std::vector<ElementQuery> checked_probes(
+    const std::vector<std::byte>& payload, std::uint64_t nrows,
+    std::uint64_t ncols) {
+  return detail::checked_coords<ElementQuery>(
+      payload, nrows, ncols,
+      "element query payload is not a whole number of {row, col} probes",
+      "element probe");
 }
 
 /// Append a provenance trailer (epoch vector + tail) to reply payload

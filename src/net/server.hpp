@@ -4,105 +4,59 @@
 // frames (net/protocol.hpp) into hier::ParallelStream lanes and issue
 // query RPCs answered from hier::MemoryGovernor snapshot epochs —
 // ingest never pauses for analysis, the paper's operating point.
+// IngestHandlers is that client verb set; IngestServer runs it on the
+// session core (net/frame_loop.hpp), and a promoted repl::ReplicaServer
+// runs the very same handlers over its own stream and governor.
 //
-// Architecture — one event-loop thread, nonblocking everything:
+//   * Each session has a home lane assigned round-robin at accept; a
+//     kInsert may pin another lane in the low 48 tag bits.
+//   * Back-pressure maps lane queues onto socket reads: inserts go
+//     through ParallelStream::try_submit, never the blocking submit().
+//     When the target lane is full the batch is PARKED and the session
+//     paused, so TCP flow control pushes back on that client while every
+//     other session streams on. The park is retried each loop pass.
+//   * kFlush is the session barrier: acknowledged once the session has
+//     nothing parked and every lane it ever touched is idle (queue empty,
+//     no batch mid-application), so a client that flushes then queries
+//     observes its own writes. Pipelined flushes are each acknowledged.
+//   * Queries never block writers: they read a governed snapshot
+//     (freeze waits at most one in-flight batch per lane) through the
+//     handle's pin. kQuerySummary / kQueryRefresh run the incremental
+//     analytics engine on the loop thread (the single-analyst model).
+//   * A malformed request (checked_insert / checked_probes, the
+//     validator every front end shares) throws; the core answers
+//     kReplyError and closes, so it never reaches a lane.
 //
-//   * Accepted connections become Sessions. Each session owns a
-//     store::RecordFrameDecoder (the WAL frame machinery is the wire
-//     codec), an outbound byte buffer, and a home lane assigned
-//     round-robin at accept; kInsert frames may override the lane per
-//     batch (the low 48 tag bits).
-//
-//   * Back-pressure maps lane queues onto socket reads. Inserts go
-//     through ParallelStream::try_submit — never the blocking submit().
-//     When a session's target lane is full, the batch is PARKED, the
-//     session's EPOLLIN interest is dropped, and the event loop simply
-//     stops reading that connection: the kernel socket buffer fills,
-//     TCP flow control pushes back to that client's send(), and every
-//     other session keeps streaming. The park is retried each loop
-//     pass; on success the decoder backlog resumes and EPOLLIN returns.
-//
-//   * Back-pressure also covers the reply direction: a session whose
-//     outbound buffer exceeds max_outbound_bytes (a client pipelining
-//     queries without reading replies) likewise loses EPOLLIN until the
-//     backlog drains below half the cap — the server's memory stays
-//     bounded per session in both directions.
-//
-//   * kFlush is the session barrier: acknowledged only when the session
-//     has nothing parked and every lane it ever touched is idle
-//     (lane_idle — queue empty, no batch mid-application), so a client
-//     that flushes then queries observes its own writes. Pipelined
-//     flushes are counted, and each one is acknowledged individually
-//     when the barrier clears.
-//
-//   * Queries never block writers. kQuerySum / kQueryElements acquire a
-//     governed snapshot (freeze waits at most one in-flight batch per
-//     lane; workers keep folding throughout) and read through the
-//     handle's pin — correct even if the governor evicts the epoch
-//     mid-read. kQuerySummary / kQueryRefresh run the incremental
-//     analytics engine (single-analyst discipline holds: only the event
-//     loop calls refresh()).
-//
-//   * Malformed bytes (bad magic, checksum mismatch, oversized or
-//     non-integral payloads, insert coordinates outside the matrix
-//     dimensions) earn one kReplyError frame with a diagnostic, then an
-//     orderly close — never an exception into the engine. A torn frame
-//     at peer EOF is counted and dropped — exactly the WAL torn-tail
-//     rule.
-//
-// stop() wakes the loop via eventfd, joins the thread, and closes all
-// sockets; in-flight sessions see EOF. The stream/governor are the
-// caller's — the server never starts or stops them.
+// The stream/governor are the caller's — the server never starts or
+// stops them.
 #pragma once
 
 #ifdef __linux__
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "analytics/incremental.hpp"
 #include "gbx/coo.hpp"
+#include "gbx/error.hpp"
 #include "gbx/reduce.hpp"
 #include "gbx/thread_annotations.hpp"
-#include "gbx/error.hpp"
 #include "hier/memory_governor.hpp"
 #include "hier/parallel_stream.hpp"
 #include "hier/snapshot_source.hpp"
-#include "net/event_loop.hpp"
+#include "net/frame_loop.hpp"
 #include "net/protocol.hpp"
 
 namespace net {
 
-/// Monotone server counters (relaxed atomics; readable from any thread).
-struct ServerStats {
-  std::atomic<std::uint64_t> sessions_accepted{0};
-  std::atomic<std::uint64_t> sessions_closed{0};
-  std::atomic<std::uint64_t> insert_frames{0};
-  std::atomic<std::uint64_t> entries_ingested{0};
-  std::atomic<std::uint64_t> queries{0};
-  std::atomic<std::uint64_t> parks{0};           ///< lane-full back-pressure events
-  std::atomic<std::uint64_t> out_throttles{0};   ///< reply-backlog back-pressure events
-  std::atomic<std::uint64_t> rejected_frames{0}; ///< corrupt/malformed/torn
-};
-
 /// Observer of every insert batch the server accepts, in acceptance
 /// order — the primary half of WAL shipping (repl::PrimaryReplicator
-/// implements it; the interface lives here so net never depends on
-/// repl). Both methods run on the event-loop thread:
+/// implements it; a promoted repl::ReplicaServer implements it for its
+/// own WAL; the interface lives here so net never depends on repl). Both
+/// methods run on the loop thread:
 ///   * on_batch() fires immediately after a lane accepts the batch, in
 ///     the single loop thread's total order — the sink's log order IS
 ///     the per-lane apply order, which is what makes a replica's replay
@@ -117,259 +71,96 @@ class ReplicationSink {
   virtual bool all_durable() = 0;
 };
 
-class IngestServer {
+/// IngestServer knobs (IngestServer::Options).
+struct IngestOptions {
+  std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
+  /// Reply-backlog cap: once a session's unsent outbound bytes exceed
+  /// this, the server stops reading that connection until the backlog
+  /// drains below half the cap (see out_throttles). Bounds the memory a
+  /// client can pin by pipelining queries without reading replies.
+  std::size_t max_outbound_bytes = 4u << 20;
+  /// Analytics knobs for the refresh/summary RPCs. Triangle counting and
+  /// PageRank are opt-in: they are superlinear in the snapshot and would
+  /// stall the event loop on big graphs.
+  analytics::IncrementalOptions analytics = default_analytics();
+  /// Optional replication sink (primary-side WAL shipping). When set,
+  /// every accepted insert batch is handed to the sink in acceptance
+  /// order and flush acks additionally wait for all_durable(). Must
+  /// outlive the server.
+  ReplicationSink* replication = nullptr;
+
+  static analytics::IncrementalOptions default_analytics() {
+    analytics::IncrementalOptions a;
+    a.enable_pagerank = false;
+    a.enable_triangles = false;
+    return a;
+  }
+};
+
+/// The client verb set — kInsert, kFlush, kQuery*, kBye — over one
+/// stream and governor, as FrameLoop handlers.
+class IngestHandlers final : public FrameHandler {
  public:
   using Stream = hier::ParallelStream<double>;
   using Governor = hier::MemoryGovernor<Stream>;
   using Analytics = analytics::IncrementalEngine<Governor>;
 
-  struct Options {
-    std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
-    int backlog = 64;
-    /// Decoder cap: larger insert/query frames are rejected as corrupt.
-    std::uint64_t max_frame_bytes = 64u << 20;
-    /// Reply-backlog cap: once a session's unsent outbound bytes exceed
-    /// this, the server stops reading that connection until the backlog
-    /// drains below half the cap (see out_throttles). Bounds the memory
-    /// a client can pin by pipelining queries without reading replies.
-    std::size_t max_outbound_bytes = 4u << 20;
-    /// Analytics knobs for the refresh/summary RPCs. Triangle counting
-    /// and PageRank are opt-in: they are superlinear in the snapshot
-    /// and would stall the event loop on big graphs.
-    analytics::IncrementalOptions analytics = default_analytics();
-    /// Optional replication sink (primary-side WAL shipping). When set,
-    /// every accepted insert batch is handed to the sink in acceptance
-    /// order and flush acks additionally wait for all_durable(). Must
-    /// outlive the server.
-    ReplicationSink* replication = nullptr;
-
-    static analytics::IncrementalOptions default_analytics() {
-      analytics::IncrementalOptions a;
-      a.enable_pagerank = false;
-      a.enable_triangles = false;
-      return a;
-    }
+  /// Per-session ingest state; a front end that runs these handlers
+  /// next to its own verbs derives its sessions from this.
+  struct Session : FrameSession {
+    using FrameSession::FrameSession;
+    std::size_t home_lane = 0;
+    std::size_t parked_lane = 0;
+    gbx::Tuples<double> parked_batch;   ///< insert waiting for lane space
+    std::vector<bool> used_lanes;       ///< lanes this session ever fed
+    std::uint64_t pending_flushes = 0;  ///< kFlush frames awaiting their ack
   };
 
-  // No `opt = {}` default argument: GCC parses default arguments before
-  // the nested class's member initializers, rejecting the braced init.
-  IngestServer(Stream& stream, Governor& governor)
-      : IngestServer(stream, governor, Options()) {}
-
-  IngestServer(Stream& stream, Governor& governor, Options opt)
+  IngestHandlers(Stream& stream, Governor& governor, const IngestOptions& opt,
+                 ServerStats& stats)
       : stream_(&stream),
         governor_(&governor),
-        opt_(opt),
+        sink_(opt.replication),
+        stats_(&stats),
         analytics_(governor, opt.analytics),
         nrows_(stream.nrows()),
         ncols_(stream.ncols()) {}
+  IngestHandlers(const IngestHandlers&) = delete;
+  IngestHandlers& operator=(const IngestHandlers&) = delete;
 
-  IngestServer(const IngestServer&) = delete;
-  IngestServer& operator=(const IngestServer&) = delete;
-
-  ~IngestServer() {
-    if (running_) stop();
+  /// A session of type S (Session or a front end's extension of it),
+  /// homed on the next lane round-robin.
+  template <class S>
+  std::unique_ptr<FrameSession> open_as(Fd fd) {
+    gbx::ScopedThreadRole role(loop_role_);  // a loop-thread entry point
+    auto s = std::make_unique<S>(std::move(fd));
+    s->home_lane = next_lane_++ % stream_->instances();
+    s->used_lanes.assign(stream_->instances(), false);
+    return s;
   }
 
-  /// Bind, listen, and spawn the event-loop thread. The stream must
-  /// already be start()ed (inserts would otherwise bounce as kStopped).
-  void start() {
-    GBX_CHECK(!running_, "IngestServer already started");
-    listen_ = Fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                          0));
-    GBX_CHECK(listen_.valid(), "socket() failed");
-    const int one = 1;
-    ::setsockopt(listen_.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    ::sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(opt_.port);
-    GBX_CHECK(::bind(listen_.get(), reinterpret_cast<::sockaddr*>(&addr),
-                     sizeof addr) == 0,
-              "bind() failed");
-    GBX_CHECK(::listen(listen_.get(), opt_.backlog) == 0, "listen() failed");
-    ::socklen_t len = sizeof addr;
-    GBX_CHECK(::getsockname(listen_.get(),
-                            reinterpret_cast<::sockaddr*>(&addr), &len) == 0,
-              "getsockname() failed");
-    port_ = ntohs(addr.sin_port);
-
-    loop_ = std::make_unique<EventLoop>();
-    wake_ = std::make_unique<WakeFd>();
-    loop_->add(listen_.get(), EPOLLIN);
-    loop_->add(wake_->get(), EPOLLIN);
-    stop_.store(false, std::memory_order_relaxed);
-    running_ = true;
-    thread_ = std::thread([this] { run(); });
+  std::unique_ptr<FrameSession> open(Fd fd) override {
+    return open_as<Session>(std::move(fd));
   }
 
-  /// Wake the loop, join it, close every socket. In-flight sessions
-  /// (parked batches, pending flushes) are dropped with an EOF — the
-  /// clean-shutdown contract is "no hang, no crash, no partial frame
-  /// applied", not "drain the world".
-  void stop() {
-    GBX_CHECK(running_, "IngestServer not started");
-    stop_.store(true, std::memory_order_relaxed);
-    wake_->wake();
-    thread_.join();
-    {
-      // The loop thread is gone; join() hands its role to this thread
-      // for the teardown.
-      gbx::ScopedThreadRole role(loop_role_);
-      sessions_.clear();
-    }
-    loop_.reset();
-    wake_.reset();
-    listen_.reset();
-    running_ = false;
-  }
-
-  /// Bound port (valid after start()).
-  std::uint16_t port() const { return port_; }
-  bool running() const { return running_; }
-  const ServerStats& stats() const { return stats_; }
-
- private:
-  struct Session {
-    explicit Session(Fd f, std::uint64_t cap, std::size_t home)
-        : fd(std::move(f)), dec(cap), home_lane(home) {}
-
-    Fd fd;
-    store::RecordFrameDecoder dec;
-    std::size_t home_lane;
-    std::string out;            ///< outbound bytes
-    std::size_t out_off = 0;    ///< sent prefix of `out`
-    bool want_write = false;    ///< EPOLLOUT currently armed
-    bool reading = true;        ///< EPOLLIN currently armed
-    bool parked = false;        ///< insert waiting for lane space
-    bool out_throttled = false; ///< reply backlog over cap; reads paused
-    std::size_t parked_lane = 0;
-    gbx::Tuples<double> parked_batch;
-    std::vector<bool> used_lanes;  ///< lanes this session ever fed
-    std::uint64_t pending_flushes = 0;  ///< kFlush frames awaiting their ack
-    bool closing = false;       ///< destroy once out drains & flush done
-    bool dead = false;          ///< destroy now (I/O error / EOF final)
-
-    std::size_t out_pending() const { return out.size() - out_off; }
-  };
-
-  void run() {
-    // The event-loop thread's entry point claims the role; every
-    // loop-only method below REQUIRES it, so calling one from another
-    // thread is a compile error under the thread-safety analysis.
+  /// Dispatch one client verb.
+  void on_frame(FrameSession& fs, store::LogRecord& rec) override {
     gbx::ScopedThreadRole role(loop_role_);
-    while (!stop_.load(std::memory_order_relaxed)) {
-      // Parked batches and pending flushes have no wake event of their
-      // own (lanes drain on worker threads); poll them briskly.
-      const bool busy = have_parked_ || have_flush_;
-      for (const auto& ev : loop_->wait(busy ? 1 : 50)) {
-        if (stop_.load(std::memory_order_relaxed)) break;
-        if (ev.data.fd == wake_->get()) {
-          wake_->clear();
-        } else if (ev.data.fd == listen_.get()) {
-          accept_all();
-        } else {
-          auto it = sessions_.find(ev.data.fd);
-          if (it == sessions_.end()) continue;
-          Session& s = *it->second;
-          if (ev.events & EPOLLOUT) flush_out(s);
-          if (ev.events & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP))
-            if (!s.dead) read_session(s);
-        }
-      }
-      progress_pass();
-    }
-  }
-
-  void accept_all() GBX_REQUIRES(loop_role_) {
-    for (;;) {
-      Fd c(::accept4(listen_.get(), nullptr, nullptr,
-                     SOCK_NONBLOCK | SOCK_CLOEXEC));
-      if (!c.valid()) return;  // EAGAIN or transient error: next wave
-      const int one = 1;
-      ::setsockopt(c.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      const int fd = c.get();
-      auto s = std::make_unique<Session>(
-          std::move(c), opt_.max_frame_bytes,
-          next_lane_++ % stream_->instances());
-      s->used_lanes.assign(stream_->instances(), false);
-      loop_->add(fd, EPOLLIN | EPOLLRDHUP);
-      sessions_.emplace(fd, std::move(s));
-      stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Pull bytes until EAGAIN / EOF / park / corruption, decoding as we
-  /// go. Level-triggered epoll re-fires for anything left unread.
-  void read_session(Session& s) GBX_REQUIRES(loop_role_) {
-    char buf[1u << 16];
-    while (s.reading && !s.closing && !s.dead) {
-      const auto n = ::recv(s.fd.get(), buf, sizeof buf, 0);
-      if (n > 0) {
-        s.dec.feed(buf, static_cast<std::size_t>(n));
-        if (!process_frames(s)) break;  // parked or closing
-        continue;
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        s.dead = true;
-        break;
-      }
-      // EOF. A partial frame at EOF is the torn-tail case: count it,
-      // drop it. Pending work (parked batch, flush barrier, queued
-      // replies) still completes before the session is destroyed.
-      if (s.dec.buffered() > 0 && !s.dec.corrupt())
-        stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-      s.reading = false;
-      s.closing = true;
-      break;
-    }
-    update_interest(s);
-  }
-
-  /// Decode and dispatch every complete frame buffered on the session.
-  /// Returns false when processing must pause (lane full -> parked, or
-  /// the session started closing).
-  bool process_frames(Session& s) GBX_REQUIRES(loop_role_) {
-    store::LogRecord rec;
-    for (;;) {
-      switch (s.dec.next(rec)) {
-        case store::RecordFrameDecoder::Status::kNeedMore:
-          return true;
-        case store::RecordFrameDecoder::Status::kCorrupt:
-          stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-          reply_error(s, MsgType::kInsert, s.dec.error());
-          s.reading = false;
-          s.closing = true;
-          return false;
-        case store::RecordFrameDecoder::Status::kFrame:
-          if (!handle_frame(s, rec)) return false;
-          // Reply backlog over cap: stop decoding (and reading) until
-          // the client drains it — progress_pass resumes the backlog.
-          if (s.out_throttled) return false;
-          break;
-      }
-    }
-  }
-
-  /// Dispatch one frame. Returns false to pause processing (parked /
-  /// closing); the decoder keeps any backlog for later.
-  bool handle_frame(Session& s, store::LogRecord& rec)
-      GBX_REQUIRES(loop_role_) {
+    auto& s = static_cast<Session&>(fs);
     const MsgType type = tag_type(rec.epoch);
     const std::uint64_t arg = tag_arg(rec.epoch);
     switch (type) {
       case MsgType::kInsert:
-        return handle_insert(s, arg, rec);
+        handle_insert(s, arg, rec);
+        return;
       case MsgType::kFlush:
         // A counter, not a flag: pipelined flushes each get their own
         // ack (a client blocking per-flush would otherwise hang).
         ++s.pending_flushes;
-        have_flush_ = true;
         check_flush(s);
-        return !s.closing;
+        return;
       case MsgType::kQuerySum: {
-        stats_.queries.fetch_add(1, std::memory_order_relaxed);
+        stats_->queries.fetch_add(1, std::memory_order_relaxed);
         // The unified snapshot-acquisition entry point (the governed
         // handle is "just another source" — hier/snapshot_source.hpp).
         auto handle = hier::acquire_snapshot(*governor_);
@@ -378,24 +169,12 @@ class IngestServer {
         r.sum = img.reduce();
         r.epoch = handle.epoch();
         r.nvals = img.nvals();
-        if (arg & kWantProvenance)
-          reply_ok_prov(s, type, &r, sizeof r, part_epochs(img),
-                        handle.epoch());
-        else
-          reply_ok(s, type, &r, sizeof r);
-        return !s.closing;
+        answer(s, type, arg, &r, sizeof r, part_epochs(img), handle.epoch());
+        return;
       }
       case MsgType::kQueryElements: {
-        stats_.queries.fetch_add(1, std::memory_order_relaxed);
-        std::vector<ElementQuery> qs;
-        if (!payload_as(rec.payload, qs)) {
-          stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-          reply_error(s, type, "element query payload is not a whole number "
-                               "of {row, col} probes");
-          s.reading = false;
-          s.closing = true;
-          return false;
-        }
+        stats_->queries.fetch_add(1, std::memory_order_relaxed);
+        const auto qs = checked_probes(rec.payload, nrows_, ncols_);
         auto handle = hier::acquire_snapshot(*governor_);
         auto img = handle.pin();  // one pin, batched probes
         std::vector<ElementReply> rs(qs.size());
@@ -405,15 +184,12 @@ class IngestServer {
             rs[i].value = *v;
           }
         }
-        if (arg & kWantProvenance)
-          reply_ok_prov(s, type, rs.data(), rs.size() * sizeof(ElementReply),
-                        part_epochs(img), handle.epoch());
-        else
-          reply_ok(s, type, rs.data(), rs.size() * sizeof(ElementReply));
-        return !s.closing;
+        answer(s, type, arg, rs.data(), rs.size() * sizeof(ElementReply),
+               part_epochs(img), handle.epoch());
+        return;
       }
       case MsgType::kQueryColumns: {
-        stats_.queries.fetch_add(1, std::memory_order_relaxed);
+        stats_->queries.fetch_add(1, std::memory_order_relaxed);
         // Sorted distinct columns of Σ Ai: the destination set. Heavy
         // (materializes the snapshot) — exists so a router can stitch
         // exact destination counts across row-disjoint workers.
@@ -423,13 +199,9 @@ class IngestServer {
         const auto colv = gbx::reduce_cols<gbx::PlusMonoid<double>>(m.view());
         const auto idx = colv.indices();
         static_assert(sizeof(gbx::Index) == sizeof(std::uint64_t));
-        if (arg & kWantProvenance)
-          reply_ok_prov(s, type, idx.data(),
-                        idx.size() * sizeof(std::uint64_t), part_epochs(img),
-                        handle.epoch());
-        else
-          reply_ok(s, type, idx.data(), idx.size() * sizeof(std::uint64_t));
-        return !s.closing;
+        answer(s, type, arg, idx.data(), idx.size() * sizeof(std::uint64_t),
+               part_epochs(img), handle.epoch());
+        return;
       }
       case MsgType::kQueryMap: {
         // Standalone server: version 0 (placement never changes),
@@ -439,11 +211,11 @@ class IngestServer {
         r.parts = stream_->instances();
         r.nrows = nrows_;
         r.ncols = ncols_;
-        reply_ok(s, type, &r, sizeof r);
-        return !s.closing;
+        s.reply_ok(type, &r, sizeof r);
+        return;
       }
       case MsgType::kQuerySummary: {
-        stats_.queries.fetch_add(1, std::memory_order_relaxed);
+        stats_->queries.fetch_add(1, std::memory_order_relaxed);
         analytics_.refresh();
         const auto& sum = analytics_.summary();
         SummaryReply r;
@@ -454,16 +226,13 @@ class IngestServer {
         r.destinations = sum.destinations;
         r.max_link = sum.max_link;
         r.mean_link = sum.mean_link;
-        if (arg & kWantProvenance)
-          // The analytics engine answers from its own maintained image;
-          // no per-part vector to report, just the epoch it describes.
-          reply_ok_prov(s, type, &r, sizeof r, {}, r.epoch);
-        else
-          reply_ok(s, type, &r, sizeof r);
-        return !s.closing;
+        // The analytics engine answers from its own maintained image; no
+        // per-part vector to report, just the epoch it describes.
+        answer(s, type, arg, &r, sizeof r, {}, r.epoch);
+        return;
       }
       case MsgType::kQueryRefresh: {
-        stats_.queries.fetch_add(1, std::memory_order_relaxed);
+        stats_->queries.fetch_add(1, std::memory_order_relaxed);
         const auto& rep = analytics_.refresh();
         RefreshReply r;
         r.epoch = rep.epoch;
@@ -472,203 +241,123 @@ class IngestServer {
         r.changed = rep.changed;
         r.triangles = analytics_.triangles();
         r.sum = gbx::reduce_scalar<gbx::PlusMonoid<double>>(analytics_.sum());
-        if (arg & kWantProvenance)
-          reply_ok_prov(s, type, &r, sizeof r, {}, r.epoch);
-        else
-          reply_ok(s, type, &r, sizeof r);
-        return !s.closing;
+        answer(s, type, arg, &r, sizeof r, {}, r.epoch);
+        return;
       }
       case MsgType::kBye:
-        reply_ok(s, type, "", 0);
-        s.reading = false;
-        s.closing = true;
-        return false;
+        s.reply_ok(type, "", 0);
+        s.close();
+        return;
       default:
-        stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        reply_error(s, type, "unknown message type");
-        s.reading = false;
-        s.closing = true;
-        return false;
+        throw gbx::Error("unknown message type");
     }
   }
 
-  bool handle_insert(Session& s, std::uint64_t arg, store::LogRecord& rec)
+  /// Retry a parked batch; settle flush barriers.
+  void on_pass(FrameSession& fs) override {
+    gbx::ScopedThreadRole role(loop_role_);
+    auto& s = static_cast<Session&>(fs);
+    if (s.paused) {
+      switch (try_submit(s, s.parked_lane, s.parked_batch)) {
+        case hier::SubmitResult::kAccepted:
+          s.parked_batch.clear();
+          s.unpause();
+          break;
+        case hier::SubmitResult::kLaneFull:
+          break;  // stay parked, retry next pass
+        case hier::SubmitResult::kStopped:
+          s.paused = false;
+          s.close();
+          break;
+      }
+    }
+    if (s.pending_flushes > 0) check_flush(s);
+  }
+
+  bool pending(const FrameSession& fs) const override {
+    const auto& s = static_cast<const Session&>(fs);
+    return s.paused || s.pending_flushes > 0;
+  }
+
+ private:
+  void handle_insert(Session& s, std::uint64_t arg, store::LogRecord& rec)
       GBX_REQUIRES(loop_role_) {
     std::size_t lane = s.home_lane;
     if (arg != kAnyLane) {
-      if (arg >= stream_->instances()) {
-        stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        reply_error(s, MsgType::kInsert, "insert lane out of range");
-        s.reading = false;
-        s.closing = true;
-        return false;
-      }
+      if (arg >= stream_->instances())
+        throw gbx::Error("insert lane out of range");
       lane = static_cast<std::size_t>(arg);
     }
-    std::vector<gbx::Entry<double>> entries;
-    if (!payload_as(rec.payload, entries)) {
-      stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-      reply_error(s, MsgType::kInsert,
-                  "insert payload is not a whole number of entries");
-      s.reading = false;
-      s.closing = true;
-      return false;
-    }
-    // Validate coordinates BEFORE the batch reaches a lane: a bad
-    // coordinate must be a rejected frame on this session, never an
-    // exception inside a lane worker thread.
-    for (const auto& e : entries) {
-      if (e.row >= nrows_ || e.col >= ncols_) {
-        stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        reply_error(s, MsgType::kInsert,
-                    "insert coordinate out of range: (" +
-                        std::to_string(e.row) + ", " + std::to_string(e.col) +
-                        ") vs " + std::to_string(nrows_) + " x " +
-                        std::to_string(ncols_));
-        s.reading = false;
-        s.closing = true;
-        return false;
-      }
-    }
-    gbx::Tuples<double> batch;
-    batch.entries() = std::move(entries);
-    return submit_or_park(s, lane, batch);
-  }
-
-  /// try_submit with park-on-full: the back-pressure pivot.
-  bool submit_or_park(Session& s, std::size_t lane,
-                      gbx::Tuples<double>& batch) GBX_REQUIRES(loop_role_) {
-    const std::size_t n = batch.size();
-    // try_submit consumes the batch on acceptance, but the replication
-    // sink must only see batches that were actually accepted (a parked
-    // batch dropped by a dying session must never reach the replica) —
-    // so copy first, hand over after. The copy is only paid when
-    // replication is on; the no-replication path is untouched.
-    gbx::Tuples<double> shipped;
-    if (opt_.replication != nullptr) shipped = batch;
-    switch (stream_->try_submit(lane, batch)) {
+    gbx::Tuples<double> batch(checked_insert(rec.payload, nrows_, ncols_));
+    switch (try_submit(s, lane, batch)) {
       case hier::SubmitResult::kAccepted:
-        if (opt_.replication != nullptr)
-          opt_.replication->on_batch(lane, std::move(shipped));
-        s.used_lanes[lane] = true;
-        stats_.insert_frames.fetch_add(1, std::memory_order_relaxed);
-        stats_.entries_ingested.fetch_add(n, std::memory_order_relaxed);
-        return true;
+        return;
       case hier::SubmitResult::kLaneFull:
-        s.parked = true;
+        // The back-pressure pivot: stop reading THIS connection only.
         s.parked_lane = lane;
         s.parked_batch = std::move(batch);
-        s.reading = false;  // stop reading THIS connection only
-        have_parked_ = true;
-        stats_.parks.fetch_add(1, std::memory_order_relaxed);
-        return false;
+        s.pause();
+        stats_->parks.fetch_add(1, std::memory_order_relaxed);
+        return;
       case hier::SubmitResult::kStopped:
-        reply_error(s, MsgType::kInsert, "ingest engine is stopped");
-        s.reading = false;
-        s.closing = true;
-        return false;
+        throw gbx::Error("ingest engine is stopped");
     }
-    return false;  // unreachable
   }
 
-  /// Per-pass housekeeping: retry parks, settle flush barriers, reap
-  /// finished sessions.
-  void progress_pass() GBX_REQUIRES(loop_role_) {
-    have_parked_ = false;
-    have_flush_ = false;
-    std::vector<int> reap;
-    for (auto& [fd, sp] : sessions_) {
-      Session& s = *sp;
-      if (s.parked && !s.dead) {
-        const std::size_t n = s.parked_batch.size();
-        gbx::Tuples<double> shipped;  // see submit_or_park
-        if (opt_.replication != nullptr) shipped = s.parked_batch;
-        switch (stream_->try_submit(s.parked_lane, s.parked_batch)) {
-          case hier::SubmitResult::kAccepted:
-            if (opt_.replication != nullptr)
-              opt_.replication->on_batch(s.parked_lane, std::move(shipped));
-            s.used_lanes[s.parked_lane] = true;
-            stats_.insert_frames.fetch_add(1, std::memory_order_relaxed);
-            stats_.entries_ingested.fetch_add(n, std::memory_order_relaxed);
-            s.parked_batch.clear();
-            s.parked = false;
-            s.reading = !s.closing && !s.out_throttled;
-            // Drain the decoder backlog accumulated before the park; a
-            // second park here just re-enters the same state.
-            if (process_frames(s) && s.reading) read_session(s);
-            update_interest(s);
-            break;
-          case hier::SubmitResult::kLaneFull:
-            break;  // stay parked, retry next pass
-          case hier::SubmitResult::kStopped:
-            s.parked = false;
-            s.closing = true;
-            break;
-        }
-      }
-      // Reply-backlog throttle release: EPOLLOUT drains `out` on its
-      // own wake-ups; once below half the cap, resume reading and work
-      // through any frames decoded before the pause.
-      if (s.out_throttled && !s.dead &&
-          s.out_pending() <= opt_.max_outbound_bytes / 2) {
-        s.out_throttled = false;
-        if (!s.parked) {
-          s.reading = !s.closing;
-          if (process_frames(s) && s.reading) read_session(s);
-        }
-        update_interest(s);
-      }
-      if (s.pending_flushes > 0 && !s.dead) check_flush(s);
-      have_parked_ |= s.parked;
-      have_flush_ |= s.pending_flushes > 0;
-      if (s.dead ||
-          (s.closing && !s.parked && s.pending_flushes == 0 &&
-           s.out_off >= s.out.size()))
-        reap.push_back(fd);
+  /// try_submit plus the accounting of an accepted batch. The
+  /// replication sink must only see batches that were actually accepted
+  /// (a parked batch dropped by a dying session must never reach the
+  /// replica) — so copy first, hand over after. The copy is only paid
+  /// when replication is on.
+  hier::SubmitResult try_submit(Session& s, std::size_t lane,
+                                gbx::Tuples<double>& batch)
+      GBX_REQUIRES(loop_role_) {
+    const std::size_t n = batch.size();
+    gbx::Tuples<double> shipped;
+    if (sink_ != nullptr) shipped = batch;
+    const auto r = stream_->try_submit(lane, batch);
+    if (r == hier::SubmitResult::kAccepted) {
+      if (sink_ != nullptr) sink_->on_batch(lane, std::move(shipped));
+      s.used_lanes[lane] = true;
+      stats_->insert_frames.fetch_add(1, std::memory_order_relaxed);
+      stats_->entries_ingested.fetch_add(n, std::memory_order_relaxed);
     }
-    for (int fd : reap) destroy(fd);
+    return r;
   }
 
   /// Flush barrier: everything this session submitted has been applied.
   /// Every flush received before the barrier cleared gets its own ack.
   void check_flush(Session& s) GBX_REQUIRES(loop_role_) {
-    if (s.parked) return;
+    if (s.paused) return;
     for (std::size_t p = 0; p < s.used_lanes.size(); ++p)
       if (s.used_lanes[p] && !stream_->lane_idle(p)) return;
     // Replication barrier (conservative, global): a flush ack promises
     // the batches survive a primary crash, so it must also wait for the
     // replica's cumulative durable ack to catch up with everything
     // shipped. The loop polls at 1ms while flushes are pending.
-    if (opt_.replication != nullptr && s.pending_flushes > 0 &&
-        !opt_.replication->all_durable())
-      return;
+    if (sink_ != nullptr && !sink_->all_durable()) return;
     while (s.pending_flushes > 0) {
       --s.pending_flushes;
-      reply_ok(s, MsgType::kFlush, "", 0);
+      s.reply_ok(MsgType::kFlush, "", 0);
     }
   }
 
-  void reply_ok(Session& s, MsgType request, const void* payload,
-                std::size_t size) GBX_REQUIRES(loop_role_) {
-    append_frame(s.out, MsgType::kReplyOk,
-                 static_cast<std::uint64_t>(request), payload, size);
-    flush_out(s);
-    throttle_if_backlogged(s);
-  }
-
-  /// Revision-2 reply: body + provenance trailer, with kWantProvenance
-  /// echoed in the arg so the client knows to split the trailer.
-  void reply_ok_prov(Session& s, MsgType request, const void* payload,
-                     std::size_t size,
+  /// Query reply; revision 2 (body + provenance trailer, kWantProvenance
+  /// echoed in the arg so the client knows to split the trailer) when
+  /// the request asked for it.
+  static void answer(Session& s, MsgType request, std::uint64_t arg,
+                     const void* payload, std::size_t size,
                      const std::vector<std::uint64_t>& epochs,
-                     std::uint64_t snapshot_epoch) GBX_REQUIRES(loop_role_) {
+                     std::uint64_t snapshot_epoch) {
+    if (!(arg & kWantProvenance)) {
+      s.reply_ok(request, payload, size);
+      return;
+    }
     std::string body(size > 0 ? static_cast<const char*>(payload) : "", size);
     append_provenance(body, epochs, snapshot_epoch, /*map_version=*/0);
-    append_frame(s.out, MsgType::kReplyOk,
-                 static_cast<std::uint64_t>(request) | kWantProvenance,
-                 body.data(), body.size());
-    flush_out(s);
-    throttle_if_backlogged(s);
+    s.reply(MsgType::kReplyOk,
+            static_cast<std::uint64_t>(request) | kWantProvenance, body.data(),
+            body.size());
   }
 
   /// Per-lane epoch vector of a pinned stream snapshot (provenance).
@@ -679,92 +368,55 @@ class IngestServer {
     return es;
   }
 
-  void reply_error(Session& s, MsgType request, const std::string& what)
-      GBX_REQUIRES(loop_role_) {
-    append_frame(s.out, MsgType::kReplyError,
-                 static_cast<std::uint64_t>(request), what.data(),
-                 what.size());
-    flush_out(s);
-    throttle_if_backlogged(s);
-  }
-
-  /// Write-side back-pressure: a client that pipelines requests without
-  /// reading replies stops being read once its unsent backlog passes the
-  /// cap, so `out` can never grow without bound. progress_pass resumes
-  /// the session when the backlog halves.
-  void throttle_if_backlogged(Session& s) GBX_REQUIRES(loop_role_) {
-    if (s.dead || s.out_throttled ||
-        s.out_pending() <= opt_.max_outbound_bytes)
-      return;
-    s.out_throttled = true;
-    s.reading = false;
-    stats_.out_throttles.fetch_add(1, std::memory_order_relaxed);
-    update_interest(s);
-  }
-
-  /// Opportunistic nonblocking send; arms EPOLLOUT only on partials.
-  void flush_out(Session& s) GBX_REQUIRES(loop_role_) {
-    while (s.out_off < s.out.size()) {
-      const auto n = ::send(s.fd.get(), s.out.data() + s.out_off,
-                            s.out.size() - s.out_off, MSG_NOSIGNAL);
-      if (n > 0) {
-        s.out_off += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      s.dead = true;  // peer reset mid-reply
-      return;
-    }
-    if (s.out_off >= s.out.size()) {
-      s.out.clear();
-      s.out_off = 0;
-    }
-    update_interest(s);
-  }
-
-  void update_interest(Session& s) GBX_REQUIRES(loop_role_) {
-    if (s.dead) return;
-    const bool want_write = s.out_off < s.out.size();
-    std::uint32_t ev = EPOLLRDHUP;
-    if (s.reading && !s.closing) ev |= EPOLLIN;
-    if (want_write) ev |= EPOLLOUT;
-    loop_->mod(s.fd.get(), ev);
-    s.want_write = want_write;
-  }
-
-  void destroy(int fd) GBX_REQUIRES(loop_role_) {
-    auto it = sessions_.find(fd);
-    if (it == sessions_.end()) return;
-    loop_->del(fd);
-    sessions_.erase(it);
-    stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
-  }
-
   Stream* stream_;
   Governor* governor_;
-  Options opt_;
-  /// Single-thread discipline of the event loop, checked at compile
-  /// time: run() claims the role, loop-only methods REQUIRE it, and the
-  /// members below marked GBX_GUARDED_BY(loop_role_) are loop-thread
-  /// state (stop() re-claims the role after join() for the teardown).
+  ReplicationSink* sink_;
+  ServerStats* stats_;
+  /// Single-thread discipline: every hook is a loop-thread entry point
+  /// and claims the role; members marked GBX_GUARDED_BY(loop_role_) are
+  /// loop-thread state.
   gbx::ThreadRole loop_role_;
   Analytics analytics_ GBX_GUARDED_BY(loop_role_);
-  gbx::Index nrows_;  ///< matrix dims, cached for insert validation
+  gbx::Index nrows_;  ///< matrix dims, cached for request validation
   gbx::Index ncols_;
-  ServerStats stats_;
-
-  Fd listen_;
-  std::unique_ptr<EventLoop> loop_;
-  std::unique_ptr<WakeFd> wake_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-  bool running_ = false;
-  std::uint16_t port_ = 0;
   std::size_t next_lane_ GBX_GUARDED_BY(loop_role_) = 0;  ///< round-robin
-  bool have_parked_ GBX_GUARDED_BY(loop_role_) = false;  ///< poll-timeout
-  bool have_flush_ GBX_GUARDED_BY(loop_role_) = false;   ///< hints
-  std::unordered_map<int, std::unique_ptr<Session>> sessions_
-      GBX_GUARDED_BY(loop_role_);
+};
+
+/// The ingest front end: IngestHandlers on their own session core.
+class IngestServer {
+ public:
+  using Stream = IngestHandlers::Stream;
+  using Governor = IngestHandlers::Governor;
+  using Options = IngestOptions;
+
+  IngestServer(Stream& stream, Governor& governor, Options opt = {})
+      : opt_(opt),
+        handlers_(stream, governor, opt_, stats_),
+        loop_(handlers_, stats_, opt_.max_outbound_bytes) {}
+  IngestServer(const IngestServer&) = delete;
+  IngestServer& operator=(const IngestServer&) = delete;
+
+  ~IngestServer() {
+    if (running()) stop();
+  }
+
+  /// Bind, listen, and spawn the event-loop thread. The stream must
+  /// already be start()ed (inserts would otherwise bounce as kStopped).
+  void start() { loop_.start(opt_.port); }
+
+  /// Wake the loop, join it, close every socket (see FrameLoop::stop).
+  void stop() { loop_.stop(); }
+
+  /// Bound port (valid after start()).
+  std::uint16_t port() const { return loop_.port(); }
+  bool running() const { return loop_.running(); }
+  const ServerStats& stats() const { return stats_; }
+
+ private:
+  Options opt_;
+  ServerStats stats_;
+  IngestHandlers handlers_;
+  FrameLoop loop_;
 };
 
 }  // namespace net

@@ -126,15 +126,9 @@ class FailoverSender {
       try {
         client = net::Client(copt);
         client.connect(opt_.replica_host, opt_.replica_port);
-        std::string frame;
-        net::append_frame(frame, net::MsgType::kQueryLaneEpochs);
-        client.send_raw(frame.data(), frame.size());
-        auto rec = client.read_reply();
-        GBX_CHECK(net::tag_type(rec.epoch) == net::MsgType::kReplyOk,
-                  "failover: lane-epoch query rejected");
-        std::vector<std::uint64_t> words;
-        GBX_CHECK(net::payload_as(rec.payload, words) && words.size() >= 3,
-                  "failover: malformed lane-epoch reply");
+        const auto words = net::Client::reply_as<std::vector<std::uint64_t>>(
+            client.call(net::MsgType::kQueryLaneEpochs));
+        GBX_CHECK(words.size() >= 3, "failover: malformed lane-epoch reply");
         const bool promoted = words[0] != 0;
         if (!promoted) {
           std::this_thread::sleep_for(

@@ -1,85 +1,67 @@
 // repl/replica.hpp — the replica half of WAL shipping: validate,
 // persist, apply, ack; self-promote when the primary's lease lapses.
 //
-// A ReplicaServer owns a full hier::InstanceArray<double> shaped like
-// the primary's (same lanes, dimensions, cut schedule) behind a
-// hier::ParallelStream: the event-loop thread validates, persists, and
-// sequences every shipped batch, then SUBMITS it to the stream's lane
-// workers instead of applying inline — the loop thread stays on the
-// socket while lanes apply in parallel, which is what keeps a
-// replicated primary within a few percent of unreplicated ingest:
+// A ReplicaServer owns a hier::InstanceArray<double> shaped like the
+// primary's (same lanes, dimensions, cut schedule) behind a
+// hier::ParallelStream and a hier::MemoryGovernor, and runs on the
+// session core (net/frame_loop.hpp). The loop thread validates,
+// persists, and sequences each shipped batch, then SUBMITS it to the
+// lane workers, so lanes apply in parallel while the loop stays on the
+// socket. The replica's own verbs:
 //
-//   kShipHello   validate topology; if promoted, fence the caller with
-//                kReplyError (a deposed primary must never write);
-//                else reply ShipHelloReply{next_seq} so the shipper
-//                resumes exactly where the replica's durable state ends
-//   kShipBatch   admit via hier::ReplayCursor (gapped / overlapping /
-//                torn suffixes are rejected LOUDLY — the connection is
-//                errored and closed, never partially applied), append
-//                the record to the replica's own WAL, submit to the
-//                lane. Acks are batched: after each socket read pass
-//                drains, the WAL is flushed ONCE and ONE cumulative
-//                kShipAck covers everything the pass admitted.
-//                Persist-before-ack is the durability edge
-//                all_durable() leans on — an acked batch is in the
-//                flushed WAL, so it survives a replica crash-restart
-//                via cold replay even if a lane had not applied it yet.
+//   kShipHello   check topology; once promoted, fence the caller (a
+//                deposed primary must never write); else reply
+//                ShipHelloReply{next_seq}, where the shipper resumes
+//   kShipBatch   admit via hier::ReplayCursor (gaps and overlaps are
+//                rejected loudly, never partially applied), append to
+//                the replica's WAL, submit to the lane. After each read
+//                pass ONE WAL flush and ONE cumulative kShipAck cover
+//                everything the pass admitted: persist-before-ack, so an
+//                acked batch survives a replica crash via cold replay.
 //   kHeartbeat   refresh the primary's lease
+//   kQueryLaneEpochs  [promoted][applied_seq][per-lane batch counts],
+//                all u64 — a failover client's resume point
 //
-// Queries and flush barriers drain the stream first (the loop thread is
-// the only submitter, so drain() terminates), which preserves the
-// applied-barrier semantics the failover exactness probes rely on; the
-// per-lane batch counts served by kQueryLaneEpochs are submit-time
-// counts, which are correct resume indices because every submitted
-// batch is applied before any drain-gated read can observe the lane.
+// Every other verb is a client verb, served once promoted by the same
+// net::IngestHandlers an IngestServer runs, over the replica's stream
+// and governor. The replica is its own net::ReplicationSink: on_batch
+// logs each accepted client batch to its WAL and counts it on its lane;
+// all_durable flushes the WAL, so a flush ack is a durability promise.
 //
-// Promotion: when no shipper traffic (hello/batch/heartbeat) arrives
-// for lease_ms after a primary was first seen, the replica promotes
-// itself: it starts accepting the client-facing subset of the ingest
-// protocol (kInsert / kFlush / queries) and fences every later hello.
-// Failover clients find their resume point via kQueryLaneEpochs, whose
-// reply is [promoted u64][applied_seq u64][per-lane applied batch
-// counts u64 × lanes] — counts include both shipped and post-promotion
-// batches, so a per-lane-exclusive writer resumes without double-
-// applying or dropping anything.
+// Promotion: after lease_ms without shipper traffic (once a primary was
+// seen), the replica drains its stream — every shipped batch is applied
+// before a client verb can see the lanes — then enables client verbs,
+// severs shipper sessions, and fences every later hello. Lane counts are
+// submit-time counts over shipped and client batches alike, so a
+// per-lane-exclusive writer resumes without doubling or dropping any.
 //
 // Cold start: an existing WAL at wal_path is replayed through the same
-// ReplayCursor before the socket opens (crash-restart of the replica
-// itself), then appended to.
+// ReplayCursor before the socket opens, then appended to.
 #pragma once
 
 #ifdef __linux__
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "gbx/coo.hpp"
 #include "gbx/error.hpp"
 #include "gbx/failpoint.hpp"
-#include "gbx/reduce.hpp"
 #include "gbx/thread_annotations.hpp"
 #include "hier/checkpoint.hpp"
 #include "hier/instance_array.hpp"
 #include "hier/parallel_stream.hpp"
-#include "net/event_loop.hpp"
+#include "net/frame_loop.hpp"
 #include "net/protocol.hpp"
+#include "net/server.hpp"
 #include "repl/protocol.hpp"
 #include "store/wal.hpp"
 
@@ -87,7 +69,6 @@ namespace repl {
 
 struct ReplicaOptions {
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
-  int backlog = 16;
   /// Primary lease: promote after this much shipper silence (only once
   /// a primary has been seen at all).
   int lease_ms = 200;
@@ -99,17 +80,21 @@ struct ReplicaOptions {
   std::uint64_t ncols = 0;
   hier::CutPolicy cuts = hier::CutPolicy::geometric(3, 2048, 8);
   bool auto_promote = true;
-  std::uint64_t max_frame_bytes = 64u << 20;
 };
 
-class ReplicaServer {
+class ReplicaServer final : private net::FrameHandler,
+                            private net::ReplicationSink {
  public:
   explicit ReplicaServer(ReplicaOptions opt)
       : opt_(std::move(opt)),
         array_(opt_.lanes, static_cast<gbx::Index>(opt_.nrows),
                static_cast<gbx::Index>(opt_.ncols), opt_.cuts),
         stream_(array_),
-        lane_batches_(opt_.lanes, 0) {
+        governor_(stream_),
+        clients_(stream_, governor_, net::IngestOptions{.replication = this},
+                 stats_),
+        lane_batches_(opt_.lanes, 0),
+        loop_(*this, stats_, net::IngestOptions().max_outbound_bytes) {
     GBX_CHECK(!opt_.wal_path.empty(), "replica: wal_path required");
     // The loop thread does not exist yet; the constructing thread holds
     // the role for the cold replay.
@@ -122,97 +107,59 @@ class ReplicaServer {
     writer_ = std::make_unique<store::RecordLogWriter>(wal_out_);
   }
 
-  ~ReplicaServer() {
-    if (running_) stop();
+  ReplicaServer(const ReplicaServer&) = delete;
+  ReplicaServer& operator=(const ReplicaServer&) = delete;
+
+  ~ReplicaServer() override {
+    if (running()) stop();
   }
 
   void start() {
-    GBX_CHECK(!running_, "ReplicaServer already started");
-    listen_ = net::Fd(
-        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
-    GBX_CHECK(listen_.valid(), "replica: socket() failed");
-    const int one = 1;
-    ::setsockopt(listen_.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    ::sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(opt_.port);
-    GBX_CHECK(::bind(listen_.get(), reinterpret_cast<::sockaddr*>(&addr),
-                     sizeof addr) == 0,
-              "replica: bind() failed");
-    GBX_CHECK(::listen(listen_.get(), opt_.backlog) == 0,
-              "replica: listen() failed");
-    ::socklen_t len = sizeof addr;
-    GBX_CHECK(::getsockname(listen_.get(),
-                            reinterpret_cast<::sockaddr*>(&addr), &len) == 0,
-              "replica: getsockname() failed");
-    port_ = ntohs(addr.sin_port);
-
-    loop_ = std::make_unique<net::EventLoop>();
-    wake_ = std::make_unique<net::WakeFd>();
-    loop_->add(listen_.get(), EPOLLIN);
-    loop_->add(wake_->get(), EPOLLIN);
+    GBX_CHECK(!running(), "ReplicaServer already started");
     stream_.start();
-    streaming_ = true;
-    stop_.store(false, std::memory_order_relaxed);
-    running_ = true;
-    thread_ = std::thread([this] { run(); });
+    loop_.start(opt_.port);
   }
 
   void stop() {
-    GBX_CHECK(running_, "ReplicaServer not started");
-    stop_.store(true, std::memory_order_relaxed);
-    wake_->wake();
-    thread_.join();
-    {
-      gbx::ScopedThreadRole role(loop_role_);
-      sessions_.clear();
-    }
-    loop_.reset();
-    wake_.reset();
-    listen_.reset();
+    GBX_CHECK(running(), "ReplicaServer not started");
+    loop_.stop();
     // Drain the lane workers: every submitted batch is applied before
     // stop() returns, so the post-stop array()/lane_batches() reads see
     // exactly the acked state. A failed apply is silent divergence —
     // refuse to pretend the replica is intact.
-    if (streaming_) {
+    if (stream_.running()) {
       const auto report = stream_.stop();
-      streaming_ = false;
       std::uint64_t failed = 0;
       for (const auto& lc : report.lane) failed += lc.failed_batches;
       GBX_CHECK(failed == 0, "replica: shipped batch failed to apply");
     }
     wal_out_.flush();
-    running_ = false;
   }
 
-  std::uint16_t port() const { return port_; }
-  bool running() const { return running_; }
+  std::uint16_t port() const { return loop_.port(); }
+  bool running() const { return loop_.running(); }
   bool promoted() const { return promoted_.load(std::memory_order_acquire); }
   std::uint64_t applied_seq() const {
     return applied_seq_.load(std::memory_order_acquire);
   }
+  const net::ServerStats& stats() const { return stats_; }
 
   /// In-process state reads — only meaningful after stop() (the loop
   /// thread owns these while running).
   hier::InstanceArray<double>& array() {
-    GBX_CHECK(!running_, "replica array() while running");
+    GBX_CHECK(!running(), "replica array() while running");
     return array_;
   }
   std::vector<std::uint64_t> lane_batches() const {
-    GBX_CHECK(!running_, "replica lane_batches() while running");
+    GBX_CHECK(!running(), "replica lane_batches() while running");
     return lane_batches_;
   }
 
  private:
-  struct Session {
-    explicit Session(net::Fd f, std::uint64_t cap, std::size_t home)
-        : fd(std::move(f)), dec(cap), home_lane(home) {}
-    net::Fd fd;
-    store::RecordFrameDecoder dec;
-    std::size_t home_lane;
-    bool is_shipper = false;
-    bool dead = false;
+  struct Session : net::IngestHandlers::Session {
+    using net::IngestHandlers::Session::Session;
+    /// Hello generation this session shipped under (0 = not a shipper).
+    std::uint64_t shipper = 0;
     /// Batched acks: ship frames admitted this read pass; one cumulative
     /// kShipAck (preceded by a WAL flush) is sent when the pass drains.
     bool ack_pending = false;
@@ -237,196 +184,100 @@ class ReplicaServer {
     }
   }
 
-  // --- event loop ----------------------------------------------------------
-  void run() {
+  // --- net::FrameHandler (loop-thread entry points) -------------------------
+  std::unique_ptr<net::FrameSession> open(net::Fd fd) override {
+    return clients_.open_as<Session>(std::move(fd));
+  }
+
+  void on_frame(net::FrameSession& fs, store::LogRecord& rec) override {
     gbx::ScopedThreadRole role(loop_role_);
-    while (!stop_.load(std::memory_order_relaxed)) {
-      for (const auto& ev : loop_->wait(10)) {
-        if (stop_.load(std::memory_order_relaxed)) break;
-        if (ev.data.fd == wake_->get()) {
-          wake_->clear();
-        } else if (ev.data.fd == listen_.get()) {
-          accept_all();
-        } else {
-          auto it = sessions_.find(ev.data.fd);
-          if (it != sessions_.end()) read_session(*it->second);
-        }
-      }
-      check_lease();
-      reap();
-    }
-  }
-
-  void accept_all() GBX_REQUIRES(loop_role_) {
-    for (;;) {
-      // Blocking accepted sockets: recv uses MSG_DONTWAIT, sends are
-      // small and synchronous (acks, replies) — a replica pair has few
-      // well-behaved peers, unlike the hardened ingest front end.
-      net::Fd fd(::accept4(listen_.get(), nullptr, nullptr, SOCK_CLOEXEC));
-      if (!fd.valid()) return;
-      const int one = 1;
-      ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      const int raw = fd.get();
-      auto s = std::make_unique<Session>(std::move(fd), opt_.max_frame_bytes,
-                                         next_home_lane_++ % opt_.lanes);
-      loop_->add(raw, EPOLLIN);
-      sessions_.emplace(raw, std::move(s));
-    }
-  }
-
-  void read_session(Session& s) GBX_REQUIRES(loop_role_) {
-    pump_session(s);
-    // End of the read pass: everything admitted above is persisted by
-    // ONE flush and covered by ONE cumulative ack — the write+fsync
-    // amortization that keeps replication off the ingest critical path.
-    if (s.ack_pending) {
-      s.ack_pending = false;
-      if (!s.suppress_ack && !s.dead) {
-        flush_wal();
-        std::string out;
-        net::append_frame(out, net::MsgType::kShipAck,
-                          applied_seq_.load(std::memory_order_relaxed));
-        send_all(s, out);
-      }
-      s.suppress_ack = false;
-    }
-  }
-
-  void pump_session(Session& s) GBX_REQUIRES(loop_role_) {
-    // Bounded pass: a shipper that streams faster than the lanes apply
-    // would otherwise keep this loop fed forever and the pass-end
-    // ack/flush would never run — acks must flow DURING a sustained
-    // stream, or the primary's flush barrier stalls against the ship
-    // window. Level-triggered epoll re-reports the fd immediately, so
-    // leftover bytes are picked up by the next pass (after the ack).
-    char buf[1u << 16];
-    for (int burst = 0; burst < 64; ++burst) {
-      const auto n = ::recv(s.fd.get(), buf, sizeof buf, MSG_DONTWAIT);
-      if (n > 0) {
-        s.dec.feed(buf, static_cast<std::size_t>(n));
-        if (!process_frames(s)) return;
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      if (n < 0 && errno == EINTR) continue;
-      s.dead = true;  // EOF or error
-      return;
-    }
-  }
-
-  bool process_frames(Session& s) GBX_REQUIRES(loop_role_) {
-    store::LogRecord rec;
-    for (;;) {
-      switch (s.dec.next(rec)) {
-        case store::RecordFrameDecoder::Status::kNeedMore:
-          return true;
-        case store::RecordFrameDecoder::Status::kCorrupt:
-          // Loud: a corrupted shipped stream must never decay into a
-          // partial apply. The shipper reconnects and resumes cleanly.
-          reply_error(s, net::MsgType::kShipBatch,
-                      "replica: " + s.dec.error());
-          s.dead = true;
-          return false;
-        case store::RecordFrameDecoder::Status::kFrame:
-          try {
-            if (!handle_frame(s, rec)) return false;
-          } catch (const gbx::Error& e) {
-            reply_error(s, net::tag_type(rec.epoch), e.what());
-            s.dead = true;
-            return false;
-          }
-          break;
-      }
-    }
-  }
-
-  bool handle_frame(Session& s, store::LogRecord& rec)
-      GBX_REQUIRES(loop_role_) {
+    auto& s = static_cast<Session&>(fs);
     const net::MsgType type = net::tag_type(rec.epoch);
-    const std::uint64_t arg = net::tag_arg(rec.epoch);
     switch (type) {
       case net::MsgType::kShipHello:
-        return handle_hello(s, rec);
+        handle_hello(s, rec);
+        return;
       case net::MsgType::kShipBatch:
-        return handle_ship_batch(s, arg, rec);
+        handle_ship_batch(s, net::tag_arg(rec.epoch), rec);
+        return;
       case net::MsgType::kHeartbeat:
-        if (s.is_shipper) touch_lease();
-        return true;
+        if (is_shipper(s)) touch_lease();
+        return;
       case net::MsgType::kQueryLaneEpochs: {
         // Failover clients resume from these counts and never re-send
         // below them — flush first so the reported boundary survives a
         // replica crash-restart.
         flush_wal();
-        std::vector<std::uint64_t> out;
-        out.reserve(2 + lane_batches_.size());
-        out.push_back(promoted_.load(std::memory_order_relaxed) ? 1 : 0);
-        out.push_back(applied_seq_.load(std::memory_order_relaxed));
+        std::vector<std::uint64_t> out{
+            promoted_.load(std::memory_order_relaxed) ? 1u : 0u,
+            applied_seq_.load(std::memory_order_relaxed)};
         out.insert(out.end(), lane_batches_.begin(), lane_batches_.end());
-        reply_ok(s, type, out.data(), out.size() * sizeof(out[0]));
-        return true;
+        s.reply_ok(type, out.data(), out.size() * sizeof(out[0]));
+        return;
       }
-      case net::MsgType::kQuerySum: {
-        // Per-lane reduce folded in lane order: deterministic, and
-        // bit-identical to the same fold over any equally-ordered
-        // per-lane state (the failover exactness probe). nvals counts
-        // the union over lanes, as IngestServer does: a coordinate fed
-        // to several lanes is one coordinate of Σ Ai.
-        const auto img = freeze_lanes();
-        net::SumReply reply;
-        reply.sum = img.reduce();
-        reply.epoch = applied_seq_.load(std::memory_order_relaxed);
-        reply.nvals = img.nvals();
-        reply_ok(s, type, &reply, sizeof reply);
-        return true;
-      }
-      case net::MsgType::kInsert:
-        return handle_insert(s, arg, rec);
-      case net::MsgType::kFlush:
-        if (!promoted_.load(std::memory_order_relaxed)) {
-          reply_error(s, type, "replica not promoted");
-          s.dead = true;
-          return false;
-        }
-        // The barrier: applied (drain the lane workers) AND durable
-        // (flush the WAL) before the ack goes out.
-        if (streaming_) stream_.drain();
-        flush_wal();
-        reply_ok(s, type, "", 0);
-        return true;
-      case net::MsgType::kBye:
-        reply_ok(s, type, "", 0);
-        s.dead = true;
-        return false;
       default:
-        reply_error(s, type, "replica: unsupported message type");
-        s.dead = true;
-        return false;
+        if (!promoted_.load(std::memory_order_relaxed))
+          throw gbx::Error("replica not promoted");
+        clients_.on_frame(s, rec);
     }
   }
 
-  bool handle_hello(Session& s, store::LogRecord& rec)
+  /// End of a read pass: everything admitted above is persisted by ONE
+  /// flush and covered by ONE cumulative ack — the write+fsync
+  /// amortization that keeps replication off the ingest critical path.
+  void on_read_pass(net::FrameSession& fs) override {
+    gbx::ScopedThreadRole role(loop_role_);
+    auto& s = static_cast<Session&>(fs);
+    if (!s.ack_pending) return;
+    s.ack_pending = false;
+    if (!s.suppress_ack) {
+      flush_wal();
+      s.reply(net::MsgType::kShipAck,
+              applied_seq_.load(std::memory_order_relaxed), "", 0);
+    }
+    s.suppress_ack = false;
+  }
+
+  void on_tick() override {
+    gbx::ScopedThreadRole role(loop_role_);
+    check_lease();
+  }
+
+  void on_pass(net::FrameSession& fs) override {
+    gbx::ScopedThreadRole role(loop_role_);
+    auto& s = static_cast<Session&>(fs);
+    // Sever a superseded shipper, and every shipper once promoted: if the
+    // primary is in fact alive, its reconnect hello meets the fence.
+    if (s.shipper != 0 &&
+        (promoted_.load(std::memory_order_relaxed) || !is_shipper(s)))
+      s.close();
+    clients_.on_pass(fs);
+  }
+
+  bool pending(const net::FrameSession& s) const override {
+    return clients_.pending(s);
+  }
+
+  // --- shipping verbs --------------------------------------------------------
+  bool is_shipper(const Session& s) const GBX_REQUIRES(loop_role_) {
+    return s.shipper != 0 && s.shipper == shipper_;
+  }
+
+  void handle_hello(Session& s, store::LogRecord& rec)
       GBX_REQUIRES(loop_role_) {
     ShipHello hello;
-    if (!net::payload_as(rec.payload, hello)) {
-      reply_error(s, net::MsgType::kShipHello, "replica: malformed hello");
-      s.dead = true;
-      return false;
-    }
-    if (promoted_.load(std::memory_order_relaxed)) {
-      // The fence: a deposed primary (or its reconnecting shipper) is
-      // turned away for good.
-      reply_error(s, net::MsgType::kShipHello,
-                  "replica promoted: primary is fenced");
-      s.dead = true;
-      return false;
-    }
+    if (!net::payload_as(rec.payload, hello))
+      throw gbx::Error("replica: malformed hello");
+    // The fence: a deposed primary (or its reconnecting shipper) is
+    // turned away for good.
+    if (promoted_.load(std::memory_order_relaxed))
+      throw gbx::Error("replica promoted: primary is fenced");
     GBX_CHECK(hello.lanes == opt_.lanes && hello.nrows == opt_.nrows &&
                   hello.ncols == opt_.ncols,
               "replica: primary topology mismatch");
-    // One shipper at a time: a re-handshake supersedes the old session.
-    for (auto& [fd, sp] : sessions_)
-      if (sp.get() != &s && sp->is_shipper) sp->dead = true;
-    s.is_shipper = true;
+    // One shipper at a time: a re-handshake supersedes the old session
+    // (on_pass severs it; its frames are rejected meanwhile).
+    s.shipper = ++shipper_;
     seen_primary_ = true;
     touch_lease();
     cursor_ = std::make_unique<hier::ReplayCursor>(
@@ -436,13 +287,12 @@ class ReplicaServer {
     flush_wal();
     ShipHelloReply r;
     r.next_seq = applied_seq_.load(std::memory_order_relaxed) + 1;
-    reply_ok(s, net::MsgType::kShipHello, &r, sizeof r);
-    return true;
+    s.reply_ok(net::MsgType::kShipHello, &r, sizeof r);
   }
 
-  bool handle_ship_batch(Session& s, std::uint64_t seq,
+  void handle_ship_batch(Session& s, std::uint64_t seq,
                          store::LogRecord& rec) GBX_REQUIRES(loop_role_) {
-    GBX_CHECK(s.is_shipper, "replica: ship batch before hello");
+    GBX_CHECK(is_shipper(s), "replica: ship batch from no current shipper");
     GBX_CHECK(!promoted_.load(std::memory_order_relaxed),
               "replica promoted: primary is fenced");
     touch_lease();
@@ -453,7 +303,7 @@ class ReplicaServer {
     // across a reconnect), a gap or regression throws — gapped and
     // overlapping suffixes are rejected loudly, exactly as recover()
     // rejects them on a crash log.
-    if (!cursor_->admit(seq)) return true;
+    if (!cursor_->admit(seq)) return;
     apply_payload(seq, rec.payload, /*log=*/true);
     cursor_->mark_applied(seq);
 
@@ -466,51 +316,14 @@ class ReplicaServer {
           s.suppress_ack = true;  // ack withheld: flush barrier holds
       }
     }
-    return !s.dead;
-  }
-
-  bool handle_insert(Session& s, std::uint64_t arg, store::LogRecord& rec)
-      GBX_REQUIRES(loop_role_) {
-    if (!promoted_.load(std::memory_order_relaxed)) {
-      reply_error(s, net::MsgType::kInsert, "replica not promoted");
-      s.dead = true;
-      return false;
-    }
-    std::size_t lane = s.home_lane;
-    if (arg != net::kAnyLane) {
-      GBX_CHECK(arg < opt_.lanes, "replica: insert lane out of range");
-      lane = static_cast<std::size_t>(arg);
-    }
-    gbx::Tuples<double> batch;
-    std::vector<gbx::Entry<double>> entries;
-    GBX_CHECK(net::payload_as(rec.payload, entries),
-              "replica: insert payload is not a whole number of entries");
-    for (const auto& e : entries)
-      GBX_CHECK(e.row < opt_.nrows && e.col < opt_.ncols,
-                "replica: insert coordinate out of range");
-    batch.entries() = std::move(entries);
-    const std::uint64_t seq =
-        applied_seq_.load(std::memory_order_relaxed) + 1;
-    const std::string payload = encode_batch_payload(lane, batch);
-    writer_->append(seq, payload.data(), payload.size());
-    GBX_CHECK(wal_out_.good(), "replica: WAL write failed");
-    wal_dirty_ = true;  // flushed at the kFlush barrier — the only
-                        // point an insert's durability is promised
-    if (streaming_)
-      stream_.submit(lane, std::move(batch));
-    else
-      array_.instance(lane).update(batch);
-    ++lane_batches_[lane];
-    applied_seq_.store(seq, std::memory_order_release);
-    return true;
   }
 
   /// Decode, optionally persist, and hand one sequenced batch record to
   /// its lane. Persist (WAL append) happens BEFORE the submit, and the
-  /// caller's pass-end flush happens BEFORE its ack — an acked batch is
-  /// always recoverable from the WAL even if a lane worker had not
-  /// applied it when the replica died. Cold replay (log=false) applies
-  /// directly: the stream is not running yet.
+  /// pass-end flush happens BEFORE its ack — an acked batch is always
+  /// recoverable from the WAL even if a lane worker had not applied it
+  /// when the replica died. Cold replay (log=false) applies directly:
+  /// the stream is not running yet.
   void apply_payload(std::uint64_t seq, const std::vector<std::byte>& payload,
                      bool log) GBX_REQUIRES(loop_role_) {
     std::uint64_t lane = 0;
@@ -521,15 +334,42 @@ class ReplicaServer {
     for (const auto& e : batch.entries())
       GBX_CHECK(e.row < opt_.nrows && e.col < opt_.ncols,
                 "replica: shipped coordinate out of range");
-    if (log) {
-      writer_->append(seq, payload.data(), payload.size());
-      GBX_CHECK(wal_out_.good(), "replica: WAL write failed");
-      wal_dirty_ = true;
-    }
-    if (streaming_)
+    if (log) append_wal(seq, payload.data(), payload.size());
+    if (stream_.running())
       stream_.submit(static_cast<std::size_t>(lane), std::move(batch));
     else
       array_.instance(static_cast<std::size_t>(lane)).update(batch);
+    count_batch(seq, static_cast<std::size_t>(lane));
+  }
+
+  // --- net::ReplicationSink: post-promotion client batches ----------------
+  /// A lane accepted a client batch: log it under the next sequence
+  /// number (flushed at the kFlush barrier — the only point an insert's
+  /// durability is promised) and count it.
+  void on_batch(std::size_t lane, gbx::Tuples<double> batch) override {
+    gbx::ScopedThreadRole role(loop_role_);  // called on the loop thread
+    const std::uint64_t seq = applied_seq_.load(std::memory_order_relaxed) + 1;
+    const std::string payload = encode_batch_payload(lane, batch);
+    append_wal(seq, payload.data(), payload.size());
+    count_batch(seq, lane);
+  }
+
+  bool all_durable() override {
+    gbx::ScopedThreadRole role(loop_role_);
+    flush_wal();
+    return true;
+  }
+
+  // --- WAL -----------------------------------------------------------------
+  void append_wal(std::uint64_t seq, const void* data, std::size_t size)
+      GBX_REQUIRES(loop_role_) {
+    writer_->append(seq, data, size);
+    GBX_CHECK(wal_out_.good(), "replica: WAL write failed");
+    wal_dirty_ = true;
+  }
+
+  void count_batch(std::uint64_t seq, std::size_t lane)
+      GBX_REQUIRES(loop_role_) {
     ++lane_batches_[lane];
     applied_seq_.store(seq, std::memory_order_release);
   }
@@ -544,20 +384,6 @@ class ReplicaServer {
     wal_dirty_ = false;
   }
 
-  /// All lanes frozen as one image, parts in lane order.
-  hier::SnapshotSet<double> freeze_lanes() GBX_REQUIRES(loop_role_) {
-    // Quiesce the lane workers: this thread is the only submitter, so
-    // drain() terminates, and its lane handshake orders every applied
-    // batch before the freezes below.
-    if (streaming_) stream_.drain();
-    std::vector<hier::HierSnapshot<double>> parts;
-    parts.reserve(opt_.lanes);
-    for (std::size_t p = 0; p < opt_.lanes; ++p)
-      parts.push_back(array_.instance(p).freeze());
-    return hier::SnapshotSet<double>(
-        std::move(parts), std::vector<hier::SnapshotWatermark>(opt_.lanes), 0);
-  }
-
   // --- lease / promotion ---------------------------------------------------
   void touch_lease() GBX_REQUIRES(loop_role_) {
     last_activity_ = std::chrono::steady_clock::now();
@@ -570,65 +396,29 @@ class ReplicaServer {
     const auto now = std::chrono::steady_clock::now();
     if (now - last_activity_ < std::chrono::milliseconds(opt_.lease_ms))
       return;
+    // Apply every shipped batch before client verbs see the lanes: this
+    // thread is the only submitter, so drain() terminates.
+    stream_.drain();
     promoted_.store(true, std::memory_order_release);
-    // Sever the (dead or partitioned) shipper: if the primary is in
-    // fact alive, its reconnect hello meets the fence above.
-    for (auto& [fd, sp] : sessions_)
-      if (sp->is_shipper) sp->dead = true;
-  }
-
-  // --- plumbing ------------------------------------------------------------
-  void reply_ok(Session& s, net::MsgType request, const void* payload,
-                std::size_t size) GBX_REQUIRES(loop_role_) {
-    std::string out;
-    net::append_frame(out, net::MsgType::kReplyOk,
-                      static_cast<std::uint64_t>(request), payload, size);
-    send_all(s, out);
-  }
-
-  void reply_error(Session& s, net::MsgType request, const std::string& what)
-      GBX_REQUIRES(loop_role_) {
-    std::string out;
-    net::append_frame(out, net::MsgType::kReplyError,
-                      static_cast<std::uint64_t>(request), what.data(),
-                      what.size());
-    send_all(s, out);
-  }
-
-  void send_all(Session& s, const std::string& bytes)
-      GBX_REQUIRES(loop_role_) {
-    const char* p = bytes.data();
-    std::size_t n = bytes.size();
-    while (n > 0 && !s.dead) {
-      const auto w = ::send(s.fd.get(), p, n, MSG_NOSIGNAL);
-      if (w < 0 && errno == EINTR) continue;
-      if (w <= 0) {
-        s.dead = true;
-        return;
-      }
-      p += w;
-      n -= static_cast<std::size_t>(w);
-    }
-  }
-
-  void reap() GBX_REQUIRES(loop_role_) {
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      if (it->second->dead) {
-        loop_->del(it->first);
-        it = sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
   }
 
   ReplicaOptions opt_;
 
   /// Written by stream_'s lane workers while running (the loop thread
-  /// only touches it through submit/drain, or directly during the cold
+  /// only touches it through the stream, or directly during the cold
   /// replay and after stop() — both single-threaded by construction).
+  /// The stream starts before the loop thread and stops after it, so
+  /// the loop's stream_.running() reads need no synchronization.
   hier::InstanceArray<double> array_;
   hier::ParallelStream<double> stream_;
+  net::IngestHandlers::Governor governor_;
+  net::ServerStats stats_;
+  /// The client verbs, enabled at promotion.
+  net::IngestHandlers clients_;
+
+  /// Single-thread discipline: every hook is a loop-thread entry point
+  /// and claims the role (the constructor holds it for the cold replay).
+  gbx::ThreadRole loop_role_;
   std::vector<std::uint64_t> lane_batches_ GBX_GUARDED_BY(loop_role_);
   std::ofstream wal_out_ GBX_GUARDED_BY(loop_role_);
   bool wal_dirty_ GBX_GUARDED_BY(loop_role_) = false;
@@ -638,25 +428,10 @@ class ReplicaServer {
   std::atomic<std::uint64_t> applied_seq_{0};
   std::atomic<bool> promoted_{false};
   bool seen_primary_ GBX_GUARDED_BY(loop_role_) = false;
+  std::uint64_t shipper_ GBX_GUARDED_BY(loop_role_) = 0;  ///< hello generation
   std::chrono::steady_clock::time_point last_activity_
       GBX_GUARDED_BY(loop_role_){};
-
-  net::Fd listen_;
-  std::unique_ptr<net::EventLoop> loop_;
-  std::unique_ptr<net::WakeFd> wake_;
-  std::unordered_map<int, std::unique_ptr<Session>> sessions_
-      GBX_GUARDED_BY(loop_role_);
-  std::size_t next_home_lane_ GBX_GUARDED_BY(loop_role_) = 0;
-
-  gbx::ThreadRole loop_role_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-  bool running_ = false;
-  /// True between stream_.start() and stream_.stop(): toggled only
-  /// while the loop thread does not exist (thread create/join orders
-  /// the loop thread's reads), so a plain bool suffices.
-  bool streaming_ = false;
-  std::uint16_t port_ = 0;
+  net::FrameLoop loop_;  ///< last: its thread runs the hooks above
 };
 
 }  // namespace repl

@@ -43,9 +43,6 @@
 
 #ifdef __linux__
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -84,7 +81,6 @@ struct ShipperOptions {
   int heartbeat_ms = 20;
   int reconnect_backoff_ms = 10;
   int max_backoff_ms = 500;
-  std::uint64_t max_frame_bytes = 64u << 20;
   std::uint64_t generation = 1;
   /// Max batches queued for the logger thread before on_batch blocks
   /// the accept path (the replication back-pressure bound).
@@ -231,7 +227,7 @@ class PrimaryReplicator final : public net::ReplicationSink {
   void ship() {
     int backoff = opt_.reconnect_backoff_ms;
     while (!stopping() && !fenced_.load(std::memory_order_relaxed)) {
-      net::Fd fd = dial();
+      net::Fd fd = net::dial(opt_.host, opt_.port);
       if (!fd.valid()) {
         sleep_backoff(backoff);
         continue;
@@ -251,22 +247,6 @@ class PrimaryReplicator final : public net::ReplicationSink {
     }
   }
 
-  net::Fd dial() {
-    net::Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-    if (!fd.valid()) return {};
-    ::sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(opt_.port);
-    if (::inet_pton(AF_INET, opt_.host.c_str(), &addr.sin_addr) != 1)
-      return {};
-    if (::connect(fd.get(), reinterpret_cast<::sockaddr*>(&addr),
-                  sizeof addr) != 0)
-      return {};
-    const int one = 1;
-    ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    return fd;
-  }
-
   void sleep_backoff(int& backoff) {
     // Sliced sleep so stop()/kill() never waits a whole backoff.
     for (int slept = 0; slept < backoff && !stopping(); slept += 5)
@@ -278,7 +258,7 @@ class PrimaryReplicator final : public net::ReplicationSink {
   /// the socket dies or we are stopped. Throws gbx::Error on any I/O
   /// trouble (caller reconnects).
   void run_session(net::Fd& fd) {
-    store::RecordFrameDecoder dec(opt_.max_frame_bytes);
+    store::RecordFrameDecoder dec(net::kMaxFrameBytes);
 
     // Handshake: who we are, where to resume.
     ShipHello hello;
@@ -289,7 +269,7 @@ class PrimaryReplicator final : public net::ReplicationSink {
     std::string out;
     net::append_frame(out, net::MsgType::kShipHello, 0, &hello, sizeof hello);
     send_all(fd, out.data(), out.size());
-    store::LogRecord rec = read_frame(fd, dec, /*timeout_ms=*/-1);
+    const store::LogRecord rec = *next_frame(fd, dec, /*timeout_ms=*/-1);
     if (net::tag_type(rec.epoch) == net::MsgType::kReplyError) {
       fenced_.store(true, std::memory_order_release);
       return;  // deposed: retire quietly, never reconnect
@@ -309,12 +289,19 @@ class PrimaryReplicator final : public net::ReplicationSink {
     // Tail the WAL from the top, skipping already-applied records.
     std::ifstream wal_in(opt_.wal_path, std::ios::binary | std::ios::in);
     GBX_CHECK(wal_in.good(), "shipper: cannot re-open replication WAL");
-    store::RecordLogTailer tailer(wal_in, opt_.max_frame_bytes);
+    store::RecordLogTailer tailer(wal_in, net::kMaxFrameBytes);
 
     std::uint64_t last_sent = next - 1;
     auto last_beat = std::chrono::steady_clock::now();
     while (!stopping()) {
-      drain_acks(fd, dec);
+      // Absorb every pending cumulative kShipAck without blocking.
+      while (auto ack = next_frame(fd, dec, 0)) {
+        GBX_CHECK(net::tag_type(ack->epoch) == net::MsgType::kShipAck,
+                  "shipper: unexpected frame from replica");
+        const std::uint64_t a = net::tag_arg(ack->epoch);
+        if (a > acked_.load(std::memory_order_relaxed))
+          acked_.store(a, std::memory_order_release);
+      }
 
       const std::uint64_t inflight =
           last_sent - acked_.load(std::memory_order_relaxed);
@@ -363,72 +350,34 @@ class PrimaryReplicator final : public net::ReplicationSink {
     }
   }
 
-  /// Nonblockingly absorb every pending kShipAck.
-  void drain_acks(net::Fd& fd, store::RecordFrameDecoder& dec) {
-    for (;;) {
-      store::LogRecord rec;
-      switch (dec.next(rec)) {
-        case store::RecordFrameDecoder::Status::kFrame: {
-          GBX_CHECK(net::tag_type(rec.epoch) == net::MsgType::kShipAck,
-                    "shipper: unexpected frame from replica");
-          const std::uint64_t a = net::tag_arg(rec.epoch);
-          if (a > acked_.load(std::memory_order_relaxed))
-            acked_.store(a, std::memory_order_release);
-          continue;
-        }
-        case store::RecordFrameDecoder::Status::kCorrupt:
-          GBX_CHECK(false, "shipper: corrupt ack stream: " + dec.error());
-          continue;
-        case store::RecordFrameDecoder::Status::kNeedMore:
-          break;
-      }
-      ::pollfd pfd{fd.get(), POLLIN, 0};
-      int r = ::poll(&pfd, 1, 0);
-      if (r <= 0) return;  // nothing readable right now
-      char buf[1u << 16];
-      const auto n = ::recv(fd.get(), buf, sizeof buf, MSG_DONTWAIT);
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      if (n < 0 && errno == EINTR) continue;
-      GBX_CHECK(n > 0, "shipper: replica closed the connection");
-      dec.feed(buf, static_cast<std::size_t>(n));
-    }
-  }
-
-  store::LogRecord read_frame(net::Fd& fd, store::RecordFrameDecoder& dec,
-                              int timeout_ms) {
+  /// Next frame from the replica, waiting up to `timeout_ms` (-1 =
+  /// forever) for bytes; nullopt when none arrive in time.
+  std::optional<store::LogRecord> next_frame(net::Fd& fd,
+                                             store::RecordFrameDecoder& dec,
+                                             int timeout_ms) {
     store::LogRecord rec;
     for (;;) {
-      switch (dec.next(rec)) {
-        case store::RecordFrameDecoder::Status::kFrame:
-          return rec;
-        case store::RecordFrameDecoder::Status::kCorrupt:
-          GBX_CHECK(false, "shipper: " + dec.error());
-          break;
-        case store::RecordFrameDecoder::Status::kNeedMore:
-          break;
-      }
+      const auto st = dec.next(rec);
+      if (st == store::RecordFrameDecoder::Status::kFrame) return rec;
+      GBX_CHECK(st == store::RecordFrameDecoder::Status::kNeedMore,
+                "shipper: " + dec.error());
       ::pollfd pfd{fd.get(), POLLIN, 0};
-      int r;
-      do {
-        r = ::poll(&pfd, 1, timeout_ms);
-      } while (r < 0 && errno == EINTR);
-      GBX_CHECK(r > 0, "shipper: timed out waiting for replica");
+      const int r = ::poll(&pfd, 1, timeout_ms);
+      if (r < 0 && errno == EINTR) continue;
+      GBX_CHECK(r >= 0, "shipper: poll() failed");
+      if (r == 0) return std::nullopt;  // timed out (never with -1)
       char buf[1u << 16];
-      const auto n = ::recv(fd.get(), buf, sizeof buf, 0);
-      if (n < 0 && errno == EINTR) continue;
+      const auto n = ::recv(fd.get(), buf, sizeof buf, MSG_DONTWAIT);
+      if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK))
+        continue;
       GBX_CHECK(n > 0, "shipper: replica closed the connection");
       dec.feed(buf, static_cast<std::size_t>(n));
     }
   }
 
   void send_all(net::Fd& fd, const char* p, std::size_t n) {
-    while (n > 0) {
-      const auto w = ::send(fd.get(), p, n, MSG_NOSIGNAL);
-      if (w < 0 && errno == EINTR) continue;
-      GBX_CHECK(w > 0, "shipper: connection lost during send");
-      p += w;
-      n -= static_cast<std::size_t>(w);
-    }
+    GBX_CHECK(net::send_all(fd.get(), p, n),
+              "shipper: connection lost during send");
   }
 
   ShipperOptions opt_;

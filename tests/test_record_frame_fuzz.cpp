@@ -11,9 +11,11 @@
 // offset (including the header — the frame checksum covers
 // epoch|size|payload exactly so header damage is detected, not
 // reinterpreted), random multi-byte splices, and random chunk
-// re-feeding. Then the same corruptions are replayed against a live
-// repl::ReplicaServer over a socket: a corrupt shipped stream must be
-// rejected loudly with the replica's applied watermark unchanged.
+// re-feeding. Then the same corruptions are replayed against live
+// consumers over a socket: a corrupt shipped stream must be rejected
+// loudly by a repl::ReplicaServer with its applied watermark unchanged,
+// and a mutated kInsert stream into net::IngestServer or
+// cluster::Router must end loudly with exactly the intact prefix served.
 #include <gtest/gtest.h>
 
 #ifdef __linux__
@@ -29,7 +31,10 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "gbx/gbx.hpp"
+#include "hier/memory_governor.hpp"
+#include "net/net.hpp"
 #include "prop_util.hpp"
 #include "repl/repl.hpp"
 #include "store/wal.hpp"
@@ -334,6 +339,132 @@ TEST_F(RecordFrameFuzz, ReplicaRejectsCorruptedShipStreamLoudly) {
   EXPECT_EQ(replica.applied_seq(), 2u)
       << "corrupt frame must not advance the applied watermark";
   std::filesystem::remove(wal);
+}
+
+// --- the same mutator on kInsert streams into the ingest front ends --------
+//
+// A stream of value-1 insert frames, mutated at one seeded offset (a bit
+// flip, or the stream cut short mid-frame), is sent on a fresh session
+// that then half-closes. The session must end in kReplyError and a
+// close, or in a counted torn tail — and the front end must serve
+// exactly the frames that ended before the first mutated byte.
+
+constexpr gbx::Index kFuzzDim = 256;
+constexpr std::size_t kFuzzEntries = 8;  // per frame
+
+struct InsertStream {
+  std::string bytes;
+  std::vector<std::size_t> ends;  ///< end offset of each frame
+};
+
+InsertStream build_insert_stream(std::mt19937_64& rng, std::size_t frames) {
+  std::uniform_int_distribution<gbx::Index> coord(0, kFuzzDim - 1);
+  InsertStream st;
+  for (std::size_t f = 0; f < frames; ++f) {
+    std::vector<gbx::Entry<double>> es(kFuzzEntries);
+    for (auto& e : es) e = {coord(rng), coord(rng), 1.0};
+    net::append_frame(st.bytes, net::MsgType::kInsert, net::kAnyLane,
+                      es.data(), es.size() * sizeof(es[0]));
+    st.ends.push_back(st.bytes.size());
+  }
+  return st;
+}
+
+/// Send `bytes` on a fresh connection, half-close, and collect every
+/// reply frame until the front end closes (or 10 s pass).
+std::vector<store::LogRecord> send_and_drain(std::uint16_t port,
+                                             const std::string& bytes) {
+  net::Client::Options copt;
+  copt.recv_timeout_ms = 10000;
+  net::Client cl(copt);
+  cl.connect("127.0.0.1", port);
+  cl.send_raw(bytes.data(), bytes.size());
+  cl.shutdown_send();
+  std::vector<store::LogRecord> replies;
+  try {
+    for (;;) replies.push_back(cl.read_reply());
+  } catch (const gbx::Error&) {
+    // closed by the front end (or timed out: the checks below fail)
+  }
+  return replies;
+}
+
+/// Fuzz one front end; `rejected` reads its rejected-frame counter.
+template <class Rejected>
+void fuzz_insert_streams(std::mt19937_64& rng, std::uint16_t port,
+                         Rejected rejected) {
+  double served = 0;
+  for (int round = 0; round < 64; ++round) {
+    const InsertStream st = build_insert_stream(rng, 6);
+    std::string mutated = st.bytes;
+    std::uniform_int_distribution<std::size_t> pos(1, st.bytes.size() - 1);
+    std::size_t at = pos(rng);
+    if (round % 2 == 0) {
+      mutated[at] = static_cast<char>(mutated[at] ^ (1u << (rng() % 8)));
+    } else {
+      // Cut mid-frame: a cut on a frame boundary is a clean prefix.
+      for (std::size_t end : st.ends)
+        if (at == end) --at;
+      mutated.resize(at);
+    }
+    const auto before = rejected();
+    const auto replies = send_and_drain(port, mutated);
+    ASSERT_LE(replies.size(), 1u) << "round " << round;
+    if (!replies.empty()) {
+      ASSERT_EQ(net::tag_type(replies[0].epoch), net::MsgType::kReplyError)
+          << "round " << round;
+    }
+    // kReplyError or a torn tail: either way exactly one rejection.
+    ASSERT_EQ(rejected(), before + 1) << "round " << round;
+
+    std::size_t intact = 0;
+    for (std::size_t end : st.ends)
+      if (end <= at) ++intact;
+    served += static_cast<double>(intact * kFuzzEntries);
+    // One more value-1 entry and a flush: a barrier over everything the
+    // mutated session got applied.
+    net::Client probe;
+    probe.connect("127.0.0.1", port);
+    gbx::Tuples<double> one;
+    one.push_back(0, 0, 1.0);
+    probe.insert(one);
+    probe.flush();
+    served += 1;
+    ASSERT_EQ(probe.query_sum().sum, served) << "round " << round;
+    probe.bye();
+  }
+}
+
+TEST_F(RecordFrameFuzz, MutatedInsertStreamsIntoIngestServer) {
+  hier::InstanceArray<double> array(1, kFuzzDim, kFuzzDim,
+                                    hier::CutPolicy::geometric(3, 2048, 8));
+  hier::ParallelStream<double> stream(array);
+  hier::MemoryGovernor<hier::ParallelStream<double>> governor(stream);
+  stream.start();
+  net::IngestServer server(stream, governor);
+  server.start();
+  fuzz_insert_streams(rng_, server.port(), [&] {
+    return server.stats().rejected_frames.load();
+  });
+  server.stop();
+  stream.stop();
+}
+
+TEST_F(RecordFrameFuzz, MutatedInsertStreamsIntoRouter) {
+  cluster::WorkerConfig wc;
+  wc.nrows = kFuzzDim;
+  wc.ncols = kFuzzDim;
+  cluster::LocalWorkerPool pool(2, wc);
+  cluster::Router::Options ro;
+  ro.nrows = kFuzzDim;
+  ro.ncols = kFuzzDim;
+  ro.worker_recv_timeout_ms = 10000;
+  cluster::Router router(pool.map(), ro);
+  router.start();
+  fuzz_insert_streams(rng_, router.port(), [&] {
+    return router.stats().rejected_frames.load();
+  });
+  router.stop();
 }
 
 #endif  // __linux__
