@@ -8,8 +8,8 @@
 //   OFF — governor present but with an unlimited budget (same code path,
 //         no evictions): measures how many pinned bytes the laggard
 //         accumulates, and the baseline update() throughput.
-//   ON  — budget B (default: a quarter of the OFF peak), spill enabled:
-//         the governor must materialize-and-release the laggard.
+//   ON  — budget B (default: a quarter of the OFF peak): the governor
+//         must materialize-and-release the laggard.
 //
 // Gates (exit non-zero on violation):
 //   * bounded memory — ON peak identity-deduped pinned bytes stay
@@ -17,16 +17,15 @@
 //     enforcement points each shard can supersede at most its current
 //     fold chain, dominated by its largest block; EVICT_SLACK_BLOCKS
 //     overrides the count).
-//   * exactness — every probe through the (evicted, later spilled)
-//     reader handle, and its final full materialization, is
-//     BIT-IDENTICAL to the baseline materialized from the same frozen
-//     image before any eviction.
+//   * exactness — every probe through the evicted reader handle, and
+//     its final full materialization, is BIT-IDENTICAL to the baseline
+//     materialized from the same frozen image before any eviction.
+//   * governed — the ON run evicts at least once.
 //   * throughput — ON ingest rate (measured strictly inside update(),
 //     like Fig. 2) stays ≥ EVICT_MIN_RATE_RATIO (default 0.9) of OFF.
 //
 // Env knobs: EVICT_SETS, EVICT_SET_SIZE, EVICT_SHARDS, EVICT_SCALE,
-// EVICT_BUDGET_BYTES, EVICT_SPILL_LAG, EVICT_MIN_RATE_RATIO,
-// EVICT_SLACK_BLOCKS.
+// EVICT_BUDGET_BYTES, EVICT_MIN_RATE_RATIO, EVICT_SLACK_BLOCKS.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -66,13 +65,11 @@ struct RunResult {
 
 RunResult run(const std::vector<gbx::Tuples<double>>& batches,
               std::size_t shards, gbx::Index dim, std::uint64_t budget,
-              std::uint64_t spill_lag, std::size_t hold_at) {
+              std::size_t hold_at) {
   hier::ShardedHier<double> sharded(shards, dim, dim,
                                     hier::CutPolicy::geometric(4, 1u << 13, 8));
   hier::GovernorConfig cfg;
   cfg.budget_bytes = budget;
-  cfg.min_evict_lag = 1;
-  cfg.spill_lag = spill_lag;
   hier::MemoryGovernor<hier::ShardedHier<double>> gov(sharded, cfg);
 
   using Handle = hier::MemoryGovernor<hier::ShardedHier<double>>::handle_type;
@@ -107,10 +104,8 @@ RunResult run(const std::vector<gbx::Tuples<double>>& batches,
     const auto mem = gov.memory();
     r.largest_block = std::max(r.largest_block, mem.largest_block_bytes);
 
-    // The slow reader re-queries its held (possibly evicted/spilled)
-    // handle: results must match the baseline bit-for-bit. One pin per
-    // probe round — a spilled pin deserializes the whole image, so
-    // per-coordinate handle calls would pay that k times over.
+    // The slow reader re-queries its held (possibly evicted) handle:
+    // results must match the baseline bit-for-bit.
     if (held.valid() && k > hold_at && k % 3 == 0) {
       auto img = held.pin();
       for (const auto& [i, j] : probes) {
@@ -143,7 +138,6 @@ int main() {
   const std::size_t shards = env_or("EVICT_SHARDS", 4);
   const int scale = static_cast<int>(env_or("EVICT_SCALE", 14));
   const std::size_t hold_at = 6;
-  const std::uint64_t spill_lag = env_or("EVICT_SPILL_LAG", 12);
   const double min_ratio = env_or_d("EVICT_MIN_RATE_RATIO", 0.9);
   const gbx::Index dim = gbx::Index{1} << scale;
 
@@ -163,30 +157,28 @@ int main() {
   std::vector<gbx::Tuples<double>> batches(sets);
   for (auto& b : batches) g.batch<double>(set_size, b);
 
-  const auto off = run(batches, shards, dim, hier::GovernorConfig::kNever,
-                       hier::GovernorConfig::kNever, hold_at);
+  const auto off =
+      run(batches, shards, dim, hier::GovernorConfig::kNever, hold_at);
   const std::uint64_t budget = static_cast<std::uint64_t>(
       env_or("EVICT_BUDGET_BYTES",
              static_cast<std::size_t>(off.peak_pinned / 4)));
-  const auto on = run(batches, shards, dim, budget, spill_lag, hold_at);
+  const auto on = run(batches, shards, dim, budget, hold_at);
 
   const std::uint64_t slack_blocks = env_or("EVICT_SLACK_BLOCKS", shards);
   const std::uint64_t slack = slack_blocks * on.largest_block;
   const double ratio =
       off.ingest_rate > 0 ? on.ingest_rate / off.ingest_rate : 0.0;
 
-  std::printf("\nrun\tpeak_pinned\tingest_rate\tevictions\tspills\tidentical\n");
-  std::printf("off\t%llu\t%s\t%llu\t%llu\t%s\n",
+  std::printf("\nrun\tpeak_pinned\tingest_rate\tevictions\tidentical\n");
+  std::printf("off\t%llu\t%s\t%llu\t%s\n",
               static_cast<unsigned long long>(off.peak_pinned),
               benchutil::rate(off.ingest_rate).c_str(),
               static_cast<unsigned long long>(off.stats.evictions),
-              static_cast<unsigned long long>(off.stats.spills),
               off.identical ? "yes" : "NO");
-  std::printf("on\t%llu\t%s\t%llu\t%llu\t%s\n",
+  std::printf("on\t%llu\t%s\t%llu\t%s\n",
               static_cast<unsigned long long>(on.peak_pinned),
               benchutil::rate(on.ingest_rate).c_str(),
               static_cast<unsigned long long>(on.stats.evictions),
-              static_cast<unsigned long long>(on.stats.spills),
               on.identical ? "yes" : "NO");
   std::printf("\nbudget B = %llu bytes (off-peak/4 unless EVICT_BUDGET_BYTES)"
               "\nslack    = %llu bytes (%llu blocks x largest %llu)"
@@ -210,7 +202,7 @@ int main() {
   const bool bounded =
       on.peak_pinned <= budget + slack && on.end_pinned <= budget;
   const bool exact = on.identical && off.identical;
-  const bool governed = on.stats.evictions >= 1 && on.stats.spills >= 1;
+  const bool governed = on.stats.evictions >= 1;
   const bool fast = ratio >= min_ratio;
   const bool pass = lag_ok && bounded && exact && governed && fast;
 
@@ -220,7 +212,7 @@ int main() {
                 static_cast<unsigned long long>(budget),
                 static_cast<unsigned long long>(slack));
   if (!exact) std::printf("FAIL: evicted-reader reads not bit-identical\n");
-  if (!governed) std::printf("FAIL: governor performed no eviction/spill\n");
+  if (!governed) std::printf("FAIL: governor performed no eviction\n");
   if (!fast)
     std::printf("FAIL: governed ingest rate ratio %.3f below %.2f\n", ratio,
                 min_ratio);
@@ -242,9 +234,6 @@ int main() {
       ",\"on_ingest_rate\":" + std::to_string(on.ingest_rate) +
       ",\"rate_ratio\":" + std::to_string(ratio) +
       ",\"evictions\":" + std::to_string(on.stats.evictions) +
-      ",\"part_evictions\":" + std::to_string(on.stats.part_evictions) +
-      ",\"spills\":" + std::to_string(on.stats.spills) +
-      ",\"rehydrations\":" + std::to_string(on.stats.rehydrations) +
       ",\"held_lag\":" + std::to_string(on.held_lag) +
       ",\"identical\":" + (exact ? "true" : "false") +
       ",\"pass\":" + (pass ? "true" : "false") + "}";

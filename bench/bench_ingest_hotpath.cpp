@@ -1,19 +1,17 @@
-// Ingest hot path — fused radix fold pipeline vs the seed (pre-PR)
-// pipeline, on identical Kronecker streams.
+// Ingest hot path — the fused radix fold pipeline on a Kronecker stream.
 //
 // The paper's headline number is raw streaming insert rate, and the
 // per-update cost is dominated by the cascade fold: sort the pending
-// batch, fold duplicates, merge into the next level. This bench runs the
-// SAME workload through both fold pipelines (the legacy one is kept
-// callable behind gbx::set_fold_pipeline) and gates the PR:
+// batch, fold duplicates, merge into the next level. This bench streams
+// one pre-generated workload through the fold pipeline and gates it:
 //
-//   * single lane: fused fold throughput must be >= 1.5x legacy
-//     (BENCH_INGEST_MIN_SPEEDUP to override, like the delta bench's
-//     BENCH_DELTA_MIN_SPEEDUP);
-//   * exactness: Σ Ai after the fused run must be bit-identical to
-//     direct accumulation into one flat matrix (and to the legacy run);
-//   * P lanes: hier::pump under both pipelines, reported for the
-//     trajectory (the Fig. 2 shape bench remains bench_parallel_stream).
+//   * exactness: Σ Ai after the single-lane run must be bit-identical
+//     to direct accumulation into one flat matrix;
+//   * zero scratch growth: the measured (post-warmup) runs must not grow
+//     the thread's ScratchPool — the steady-state zero-allocation claim;
+//   * fused_rate (single lane) and the P-lane hier::pump rates feed the
+//     perf trajectory (scripts/check_perf.py gates them against perf/;
+//     the Fig. 2 shape bench remains bench_parallel_stream).
 //
 // Workload: the paper's set granularity (100K-entry batches; INGEST_SETS
 // and INGEST_SET_SIZE adjust for CI scale), scale-17 Kronecker stream,
@@ -26,17 +24,11 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "gbx/fold.hpp"
 #include "gbx/reduce.hpp"
 #include "gen/kronecker.hpp"
 #include "hier/hier.hpp"
 
 namespace {
-
-double env_or(const char* name, double fallback) {
-  const char* s = std::getenv(name);
-  return (s != nullptr && *s != '\0') ? std::atof(s) : fallback;
-}
 
 std::size_t env_or_sz(const char* name, std::size_t fallback) {
   const char* s = std::getenv(name);
@@ -63,13 +55,11 @@ struct LaneRun {
   }
 };
 
-/// Stream `sets` pre-generated batches through one HierMatrix under the
-/// given pipeline; only HierMatrix::update is timed (generation happens
-/// up front, the paper's untimed packet-capture role).
-LaneRun run_single_lane(gbx::FoldPipeline pipeline,
-                        const std::vector<gbx::Tuples<double>>& batches,
+/// Stream pre-generated batches through one HierMatrix; only
+/// HierMatrix::update is timed (generation happens up front, the
+/// paper's untimed packet-capture role).
+LaneRun run_single_lane(const std::vector<gbx::Tuples<double>>& batches,
                         const hier::CutPolicy& cuts, gbx::Index dim) {
-  gbx::set_fold_pipeline(pipeline);
   hier::HierMatrix<double> m(dim, dim, cuts);
   LaneRun r;
   for (const auto& b : batches) {
@@ -91,22 +81,20 @@ LaneRun run_single_lane(gbx::FoldPipeline pipeline,
 int main() {
   const std::size_t sets = env_or_sz("INGEST_SETS", 30);
   const std::size_t set_size = env_or_sz("INGEST_SET_SIZE", 100000);
-  const double min_speedup = env_or("BENCH_INGEST_MIN_SPEEDUP", 1.5);
   const std::uint64_t seed = 20200316;
   const gbx::Index dim = gbx::Index{1} << 17;
   const auto cuts = hier::CutPolicy::geometric(4, 1u << 13, 8);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
   benchutil::header(
-      "ingest hot path — fused radix fold vs seed pipeline",
-      "same Kronecker stream through both fold pipelines; gate: fused "
-      "single-lane fold throughput >= " + std::to_string(min_speedup) +
-          "x legacy AND bit-identical Σ Ai vs direct accumulation");
+      "ingest hot path — fused radix fold pipeline",
+      "gate: bit-identical Σ Ai vs direct accumulation AND zero scratch "
+      "arena growth after warmup; fused_rate feeds the perf trajectory");
   benchutil::note("workload: " + std::to_string(sets) + " sets x " +
                   std::to_string(set_size) + " entries, scale-17 Kronecker");
 
-  // Pre-generate the stream once; both pipelines and the direct
-  // reference consume the identical batches.
+  // Pre-generate the stream once; every run and the direct reference
+  // consume the identical batches.
   std::vector<gbx::Tuples<double>> batches;
   batches.reserve(sets);
   {
@@ -125,88 +113,62 @@ int main() {
     direct_nvals = acc.nvals();
   }
 
-  // Warm each pipeline once (first-touch page faults, scratch growth),
-  // then measure the pipelines ALTERNATING and keep each one's best
-  // rep: background load and thermal drift hit both sides equally
-  // instead of whichever happens to run last. INGEST_REPS overrides.
+  // Warm once (first-touch page faults, scratch growth), then keep the
+  // best of INGEST_REPS measured runs.
   const std::size_t reps = env_or_sz("INGEST_REPS", 2);
   std::printf("\n-- single lane: fold throughput (updates/s, insert time only; "
-              "best of %zu alternating reps) --\n", reps);
-  (void)run_single_lane(gbx::FoldPipeline::kLegacy, batches, cuts, dim);
-  (void)run_single_lane(gbx::FoldPipeline::kFused, batches, cuts, dim);
-  LaneRun legacy, fused;
-  std::uint64_t scratch_grows = 0;  // fused reps only: the zero-alloc claim
+              "best of %zu reps) --\n", reps);
+  (void)run_single_lane(batches, cuts, dim);
+  LaneRun fused;
+  const auto grow_before = gbx::ScratchPool::local().grow_count();
   for (std::size_t r = 0; r < reps; ++r) {
-    const auto l = run_single_lane(gbx::FoldPipeline::kLegacy, batches, cuts, dim);
-    const auto grow_before = gbx::ScratchPool::local().grow_count();
-    const auto f = run_single_lane(gbx::FoldPipeline::kFused, batches, cuts, dim);
-    scratch_grows += gbx::ScratchPool::local().grow_count() - grow_before;
-    if (r == 0 || l.busy_seconds < legacy.busy_seconds) legacy = l;
+    const auto f = run_single_lane(batches, cuts, dim);
     if (r == 0 || f.busy_seconds < fused.busy_seconds) fused = f;
   }
+  const std::uint64_t scratch_grows =
+      gbx::ScratchPool::local().grow_count() - grow_before;
 
-  const double speedup = legacy.rate() > 0 ? fused.rate() / legacy.rate() : 0;
-  std::printf("legacy\t%s updates/s (%.3fs busy)\n",
-              benchutil::rate(legacy.rate()).c_str(), legacy.busy_seconds);
   std::printf("fused\t%s updates/s (%.3fs busy)\n",
               benchutil::rate(fused.rate()).c_str(), fused.busy_seconds);
-  std::printf("speedup\t%.2fx (gate >= %.2fx)\n", speedup, min_speedup);
-  std::printf("scratch arena grows during measured fused run: %llu\n",
+  std::printf("scratch arena grows during measured runs: %llu\n",
               static_cast<unsigned long long>(scratch_grows));
 
-  const bool identical = fused.sum == direct_sum &&
-                         fused.nvals == direct_nvals &&
-                         legacy.sum == direct_sum &&
-                         legacy.nvals == direct_nvals;
-  std::printf("Σ Ai fused=%.17g legacy=%.17g direct=%.17g nvals %zu/%zu/%zu "
-              "-> %s\n",
-              fused.sum, legacy.sum, direct_sum, fused.nvals, legacy.nvals,
-              direct_nvals, identical ? "BIT-IDENTICAL" : "MISMATCH");
+  const bool identical =
+      fused.sum == direct_sum && fused.nvals == direct_nvals;
+  std::printf("Σ Ai fused=%.17g direct=%.17g nvals %zu/%zu -> %s\n", fused.sum,
+              direct_sum, fused.nvals, direct_nvals,
+              identical ? "BIT-IDENTICAL" : "MISMATCH");
 
   // P-lane sweep (informational; the Fig. 2 gate lives in
-  // bench_parallel_stream): hier::pump under both pipelines.
+  // bench_parallel_stream).
   std::printf("\n-- P lanes (hier::pump, generation untimed) --\n");
-  std::printf("P\tlegacy_agg\tfused_agg\tspeedup\n");
+  std::printf("P\tfused_agg\n");
   std::string lanes_json = "[";
   std::vector<std::size_t> counts;
   for (std::size_t p = 1; p <= hw; p *= 2) counts.push_back(p);
   if (counts.back() != hw) counts.push_back(hw);
   for (std::size_t idx = 0; idx < counts.size(); ++idx) {
     const std::size_t p = counts[idx];
-    gbx::set_fold_pipeline(gbx::FoldPipeline::kLegacy);
-    hier::InstanceArray<double> la(p, dim, dim, cuts);
-    const auto lr = hier::pump<double>(la, sets, set_size, [&](std::size_t q) {
-      return make_generator(q, seed + 777);
-    });
-    gbx::set_fold_pipeline(gbx::FoldPipeline::kFused);
     hier::InstanceArray<double> fa(p, dim, dim, cuts);
     const auto fr = hier::pump<double>(fa, sets, set_size, [&](std::size_t q) {
       return make_generator(q, seed + 777);
     });
-    const double sp =
-        lr.aggregate_rate > 0 ? fr.aggregate_rate / lr.aggregate_rate : 0;
-    std::printf("%zu\t%s\t%s\t%.2fx\n", p,
-                benchutil::rate(lr.aggregate_rate).c_str(),
-                benchutil::rate(fr.aggregate_rate).c_str(), sp);
+    std::printf("%zu\t%s\n", p, benchutil::rate(fr.aggregate_rate).c_str());
     lanes_json += std::string(idx ? "," : "") + "{\"instances\":" +
-                  std::to_string(p) + ",\"legacy_agg_rate\":" +
-                  std::to_string(lr.aggregate_rate) + ",\"fused_agg_rate\":" +
+                  std::to_string(p) + ",\"fused_agg_rate\":" +
                   std::to_string(fr.aggregate_rate) + "}";
   }
   lanes_json += "]";
-  gbx::set_fold_pipeline(gbx::FoldPipeline::kFused);
 
-  const bool pass = speedup >= min_speedup && identical;
-  std::printf("\nresult: %s (speedup %.2fx %s %.2fx, exactness %s)\n",
-              pass ? "PASS" : "FAIL", speedup, speedup >= min_speedup ? ">=" : "<",
-              min_speedup, identical ? "ok" : "VIOLATED");
+  const bool pass = identical && scratch_grows == 0;
+  std::printf("\nresult: %s (exactness %s, scratch grows %llu)\n",
+              pass ? "PASS" : "FAIL", identical ? "ok" : "VIOLATED",
+              static_cast<unsigned long long>(scratch_grows));
   std::printf(
       "BENCH_JSON {\"bench\":\"ingest_hotpath\",\"sets\":%zu,"
-      "\"set_size\":%zu,\"single\":{\"legacy_rate\":%.1f,\"fused_rate\":%.1f,"
-      "\"speedup\":%.4f},\"min_speedup\":%.2f,\"identical\":%s,"
+      "\"set_size\":%zu,\"single\":{\"fused_rate\":%.1f},\"identical\":%s,"
       "\"scratch_grows\":%llu,\"lanes\":%s}\n",
-      sets, set_size, legacy.rate(), fused.rate(), speedup, min_speedup,
-      identical ? "true" : "false",
+      sets, set_size, fused.rate(), identical ? "true" : "false",
       static_cast<unsigned long long>(scratch_grows), lanes_json.c_str());
   return pass ? 0 : 1;
 }

@@ -42,7 +42,7 @@
 // Memory-governed sources (hier::MemoryGovernor): the engine layers on
 // them unchanged — snapshot_type becomes the governed handle. When the
 // governor has evicted the engine's cached previous snapshot between
-// refreshes (its levels compacted or spilled, so no block-identity diff
+// refreshes (its levels compacted, so no block-identity diff
 // exists any more), try_snapshot_diff reports the image unavailable and
 // the refresh falls back to the same counted full recompute, with
 // report.prev_unavailable set. Delta semantics are unchanged either
@@ -81,8 +81,8 @@ struct IncrementalReport {
   std::uint64_t epoch = 0;          ///< epoch of the snapshot analyzed
   bool full_recompute = false;      ///< first pass, removal, or eviction
                                     ///< fallback
-  bool prev_unavailable = false;    ///< previous snapshot was evicted or
-                                    ///< spilled by a memory governor
+  bool prev_unavailable = false;    ///< previous snapshot was evicted by
+                                    ///< a memory governor
   std::size_t added = 0;            ///< new coordinates in Σ Ai
   std::size_t changed = 0;          ///< coordinates whose value changed
   std::size_t new_edges = 0;        ///< new undirected graph edges
@@ -126,7 +126,7 @@ class IncrementalEngine {
       // as well as the plain-snapshot wrapper in hier/delta.hpp.
       auto delta = try_snapshot_diff(prev_, snap);
       if (!delta) {
-        // A memory governor evicted/spilled the cached image: recompute.
+        // A memory governor evicted the cached image: recompute.
         report_.prev_unavailable = true;
         full_recompute(snap);
       } else if (!delta->removed.empty()) {

@@ -16,13 +16,8 @@
 // itself on the comparison fallback); `merge_run_into` / `build_from_run`
 // consume it. gbx::Matrix drives the pipeline from materialize(),
 // plus_assign() and fold_from().
-//
-// A global pipeline switch keeps the pre-PR kernels selectable at
-// runtime so differential tests and the ingest bench can pit the two
-// implementations against each other on identical streams.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -32,24 +27,6 @@
 #include "gbx/sort.hpp"
 
 namespace gbx {
-
-/// Which fold implementation gbx::Matrix uses. kLegacy replays the seed
-/// pipeline (comparison sort + dedup + from_sorted_unique + ewise_add
-/// with fresh allocations); kFused is the radix/scratch pipeline above.
-/// Process-global and meant to be flipped only from quiescent test/bench
-/// harness code, not while folds are in flight.
-enum class FoldPipeline { kLegacy, kFused };
-
-namespace detail {
-inline std::atomic<FoldPipeline> g_fold_pipeline{FoldPipeline::kFused};
-}  // namespace detail
-
-inline FoldPipeline fold_pipeline() {
-  return detail::g_fold_pipeline.load(std::memory_order_relaxed);
-}
-inline void set_fold_pipeline(FoldPipeline p) {
-  detail::g_fold_pipeline.store(p, std::memory_order_relaxed);
-}
 
 namespace detail {
 
@@ -350,8 +327,8 @@ inline constexpr std::size_t kParallelMergeCutoff = std::size_t{1} << 20;
 /// simultaneously, emitting merged rows straight into `out` (capacity
 /// reserved to the exact upper bound up front, so no reallocation and no
 /// counting pass). Values present on both sides combine as
-/// Op::apply(A value, run value) — the same order as ewise_add(A, delta)
-/// on the legacy path. `out` must not alias A.
+/// Op::apply(A value, run value) — the same order as ewise_add(A, delta).
+/// `out` must not alias A.
 template <class Op, class T, class Run>
 void merge_run_into(const Dcsr<T>& A, const Run& run, Dcsr<T>& out) {
   auto& orows = out.mutable_rows();

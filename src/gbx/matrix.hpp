@@ -154,20 +154,6 @@ class Matrix {
   /// spare block and swaps — zero heap traffic at steady state.
   void materialize() const {
     if (pending_.empty()) return;
-    if (fold_pipeline() == FoldPipeline::kLegacy) {
-      // The seed pipeline, kept bit-for-bit: comparison sort, dedup,
-      // intermediate delta block, two-pass union into a fresh block.
-      sort_entries_comparison(pending_.entries());
-      dedup_sorted_entries_parallel<AddMonoid>(pending_.entries());
-      Dcsr<T> delta = Dcsr<T>::from_sorted_unique(pending_.entries());
-      pending_.reset();
-      if (stor_->empty()) {
-        stor_ = std::make_shared<Dcsr<T>>(std::move(delta));
-      } else {
-        stor_ = std::make_shared<Dcsr<T>>(ewise_add<add_op>(*stor_, delta));
-      }
-      return;
-    }
     with_fold_run<AddMonoid>(pending_.entries(), ScratchPool::local(),
                              [&](const auto& run) { fold_run_in(run); });
     pending_.clear();  // capacity retained: the fast level stays warm
@@ -223,11 +209,6 @@ class Matrix {
     // Folding a matrix into itself would merge and then clear the same
     // storage — silent data loss. Self-application needs plus_assign.
     GBX_CHECK_VALUE(&src != this, "fold_from requires a distinct source");
-    if (fold_pipeline() == FoldPipeline::kLegacy) {
-      plus_assign(src);
-      src.reset();
-      return;
-    }
     materialize();
     // Compressed side first (present when a query materialized src, or
     // for levels above the first, which accumulate folded blocks).
@@ -324,10 +305,6 @@ class Matrix {
   /// counts-then-fill otherwise. Precondition: neither block is empty,
   /// `other` is not `*stor_`.
   void merge_block_in(const Dcsr<T>& other) const {
-    if (fold_pipeline() == FoldPipeline::kLegacy) {
-      stor_ = std::make_shared<Dcsr<T>>(ewise_add<add_op>(*stor_, other));
-      return;
-    }
     if (max_threads() == 1 ||
         stor_->nnz() + other.nnz() < detail::kParallelMergeCutoff) {
       merge_blocks_into<add_op>(*stor_, other, spare_);

@@ -12,13 +12,19 @@ namespace gbx {
 
 namespace detail {
 
+/// Below this many stored entries a row reduction runs on the calling
+/// thread: forking a team costs more than the scan it would split (a
+/// query over a near-empty snapshot otherwise spins every core). The
+/// per-row partials make the result independent of the team size.
+inline constexpr std::size_t kParallelReduceCutoff = std::size_t{1} << 16;
+
 /// Shared reduction core over raw DCSR storage.
 template <class MonoidT, class T>
 T reduce_scalar_dcsr(const Dcsr<T>& s) {
   const auto nr = s.nrows_nonempty();
   std::vector<T> partial(nr, MonoidT::identity());
   GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel
+#pragma omp parallel if (s.nnz() >= kParallelReduceCutoff)
   {
     gbx::OmpRegionGuard tsan_region;
 #pragma omp for schedule(guided)
@@ -57,7 +63,7 @@ SparseVector<T> reduce_rows_dcsr(const Dcsr<T>& s, Index nrows) {
   std::vector<Index> idx(nr);
   std::vector<T> val(nr);
   GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel
+#pragma omp parallel if (s.nnz() >= kParallelReduceCutoff)
   {
     gbx::OmpRegionGuard tsan_region;
 #pragma omp for schedule(guided)

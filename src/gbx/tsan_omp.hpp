@@ -44,13 +44,14 @@
 //    - Each pool worker runs with READS ignored from the end of its
 //      first region for the rest of its life (guard dtor sets it,
 //      tracked by a thread_local). The prologue loads — which land on
-//      stack bytes the master's serial code reused for spills since
-//      the last barrier (observed: TSan pairing a prologue load with
-//      an unrelated master spill at the same address) — are thereby
-//      never recorded. The window cannot close inside the region:
-//      because GCC emits the receiver const, it may legally schedule a
-//      prologue load across ANY call we make there, including the
-//      close itself (observed at -O2 in reduce's region). A fresh
+//      stack bytes the master's serial code reused for register saves
+//      since the last barrier (observed: TSan pairing a prologue load
+//      with an unrelated master register save at the same address) —
+//      are thereby never recorded. The window cannot close inside the
+//      region: because GCC emits the receiver const, it may legally
+//      schedule a prologue load across ANY call we make there,
+//      including the close itself (observed at -O2 in reduce's
+//      region). A fresh
 //      worker's first region needs no window: thread creation orders
 //      the fork.
 //

@@ -21,26 +21,20 @@
 //             THIS is what the budget governs.
 //   private — compact copies owned by evicted snapshots (the price of
 //             the reader's bit-exactness contract; bounded by Σ Ai at
-//             the reader's epoch, and spillable).
-//   spilled — serialized compact images (store::RecordLog frames), out
-//             of block form entirely.
+//             the reader's epoch).
 //
 // When pinned bytes exceed the budget, the governor *materializes and
 // releases*, laggiest reader first: the snapshot's levels are folded
-// into one privately-owned compact gbx::Matrix (HierSnapshot::compacted)
-// and the shared-block pins are dropped — so the writer's spare-block
-// recycling goes back to zero allocations, and the freed generations
-// return their heap. Reads through the handle stay bit-identical: the
-// compact block carries to_matrix()'s own per-coordinate left-fold
-// values, the order every read path already defines as THE value.
-// Readers lagging past `spill_lag` epochs additionally have their
-// compact image serialized through the RecordLog checkpoint container
-// (cold snapshots); reads rehydrate a transient copy on demand.
-//
-// ShardedHier sources can add per-shard budgets (part_budget_bytes):
-// parts are compacted individually, which is still bit-exact because
-// extract_element/to_matrix fold part-major — each part's levels form a
-// contiguous prefix segment of the per-coordinate fold chain.
+// into one privately-owned compact gbx::Matrix (HierSnapshot::compacted,
+// or SnapshotSet::compacted's whole-set collapse for lane and shard
+// sources) and the shared-block pins are dropped — so the writer's
+// spare-block recycling goes back to zero allocations, and the freed
+// generations return their heap. Reads through the handle stay
+// bit-identical: the compact block carries to_matrix()'s own
+// per-coordinate left-fold values, the order every read path already
+// defines as THE value. That is the only eviction form: the newest
+// acquired image is never evicted, and an evicted image stays compact
+// until its last handle drops.
 //
 // Threading: acquire()/enforce()/memory() are as thread-safe as the
 // source's freeze() (ShardedHier/ParallelStream: any thread; HierMatrix:
@@ -57,44 +51,27 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <sstream>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "gbx/serialize.hpp"
 #include "gbx/thread_annotations.hpp"
 #include "hier/delta.hpp"
 #include "hier/hier_matrix.hpp"
 #include "hier/sharded_hier.hpp"
 #include "hier/snapshot.hpp"
-#include "store/wal.hpp"
 
 namespace hier {
 
-/// Budget/policy knobs of one governor. Byte budgets act on the
-/// identity-deduped *pinned* class only (superseded shared blocks);
-/// private compact copies are reported separately and governed by
-/// spill_lag.
+/// Budget knobs of one governor. Byte budgets act on the identity-
+/// deduped *pinned* class only (superseded shared blocks); private
+/// compact copies are reported separately.
 struct GovernorConfig {
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
   /// Pinned-bytes ceiling across all outstanding snapshots. Exceeding it
   /// triggers materialize-and-release, laggiest reader first.
   std::uint64_t budget_bytes = kNever;
-  /// Per-part (per-shard) pinned ceiling for SnapshotSet sources;
-  /// 0 disables the per-part pass.
-  std::uint64_t part_budget_bytes = 0;
-  /// Never evict a snapshot lagging fewer than this many epochs behind
-  /// the newest acquired one (default: only the newest image is safe).
-  std::uint64_t min_evict_lag = 1;
-  /// Epoch lag at which an evicted snapshot's compact image is
-  /// serialized out of block form (cold snapshots). kNever disables.
-  std::uint64_t spill_lag = kNever;
-  /// Run enforce() inside every acquire() (the steady-state mode); turn
-  /// off to drive enforcement manually or from a dedicated thread.
-  bool enforce_on_acquire = true;
   /// Write-side enforcement: attach a write observer to the source so
   /// every ingested (sub-)batch triggers an enforcement pass. Acquire-
   /// time-only enforcement lets a lagging reader's pinned class drift up
@@ -108,7 +85,7 @@ struct GovernorConfig {
   /// destruction, which is only safe once writers have stopped.
   bool enforce_on_write = false;
   /// Resident-byte ceiling for the LIVE matrix (the out-of-core tier,
-  /// alongside the snapshot budgets above): every enforcement pass also
+  /// alongside the snapshot budget above): every enforcement pass also
   /// asks the source to demote cold bottom levels into its block store
   /// until resident heap fits. Requires a source exposing
   /// enforce_residency (HierMatrix / ShardedHier after enable_demotion;
@@ -121,10 +98,7 @@ struct GovernorConfig {
 /// Monotone counters of governor activity (copyable POD view).
 struct GovernorStats {
   std::uint64_t enforcements = 0;     ///< enforce() passes
-  std::uint64_t evictions = 0;        ///< whole snapshots compacted
-  std::uint64_t part_evictions = 0;   ///< individual parts compacted
-  std::uint64_t spills = 0;           ///< compact images serialized
-  std::uint64_t rehydrations = 0;     ///< spilled reads deserialized
+  std::uint64_t evictions = 0;        ///< snapshots compacted
   std::uint64_t bytes_released = 0;   ///< pinned bytes actually freed by
                                       ///< evictions (pool delta, exact)
   std::uint64_t peak_pinned_bytes = 0;///< high-water mark of pinned class
@@ -138,34 +112,19 @@ struct GovernorMemory {
   std::uint64_t live_bytes = 0;
   std::uint64_t pinned_bytes = 0;
   std::uint64_t private_bytes = 0;
-  std::uint64_t spilled_bytes = 0;
-  std::uint64_t largest_block_bytes = 0;  ///< the "+one block" slack unit
+  /// Largest shared (live or pinned) block: the "+one block" slack unit.
+  /// Private compact blocks never become pinned, so they do not count.
+  std::uint64_t largest_block_bytes = 0;
   std::size_t snapshots = 0;
   std::size_t evicted_snapshots = 0;
-  std::size_t spilled_snapshots = 0;
-
-  /// Bytes held purely on the readers' behalf, in any form.
-  std::uint64_t retained_bytes() const {
-    return pinned_bytes + private_bytes + spilled_bytes;
-  }
 };
 
 namespace detail {
 
-template <class Snap>
-struct is_snapshot_set : std::false_type {};
-template <class T, class M>
-struct is_snapshot_set<SnapshotSet<T, M>> : std::true_type {};
-
-/// Shared, atomically-updated backing of GovernorStats. Held by
-/// shared_ptr from the governor AND every slot, so handle-side events
-/// (rehydrations) count even after the governor is gone.
+/// Atomically-updated backing of GovernorStats.
 struct GovernorCounters {
   std::atomic<std::uint64_t> enforcements{0};
   std::atomic<std::uint64_t> evictions{0};
-  std::atomic<std::uint64_t> part_evictions{0};
-  std::atomic<std::uint64_t> spills{0};
-  std::atomic<std::uint64_t> rehydrations{0};
   std::atomic<std::uint64_t> bytes_released{0};
   std::atomic<std::uint64_t> peak_pinned_bytes{0};
   std::atomic<std::uint64_t> demotions{0};
@@ -180,125 +139,17 @@ struct GovernorCounters {
 
 /// One registered snapshot. The slot's mutex orders reader pins against
 /// governor evictions; `epoch` is immutable so handles read it lock-free.
-/// State machine: live -> (part-)evicted -> spilled; `private_blocks`
-/// names the compact blocks the slot owns outright, so accounting can
-/// tell them apart from pinned shared blocks.
+/// Once `evicted`, every block the image holds is a compact copy the
+/// slot owns outright (the private accounting class).
 template <class Snap>
 struct GovernedSlot {
-  using block_type = const gbx::Dcsr<typename Snap::value_type>*;
-
-  GovernedSlot(Snap s, std::uint64_t e, std::shared_ptr<GovernorCounters> c)
-      : snap(std::move(s)), epoch(e), counters(std::move(c)) {}
+  GovernedSlot(Snap s, std::uint64_t e) : snap(std::move(s)), epoch(e) {}
 
   mutable gbx::Mutex mu;
-  Snap snap GBX_GUARDED_BY(mu);   ///< live image / compact image / skeleton
-  bool evicted GBX_GUARDED_BY(mu) = false;  ///< some/all levels compacted
-  bool spilled GBX_GUARDED_BY(mu) = false;  ///< image serialized into `spill`
-  std::vector<bool> compacted_parts GBX_GUARDED_BY(mu);  ///< per-part (sets)
-  std::vector<block_type> private_blocks
-      GBX_GUARDED_BY(mu);  ///< sorted; owned compact blocks
-  std::string spill GBX_GUARDED_BY(mu);  ///< RecordLog frames, compact image
+  Snap snap GBX_GUARDED_BY(mu);             ///< live image / compact image
+  bool evicted GBX_GUARDED_BY(mu) = false;  ///< snap is the compact image
   const std::uint64_t epoch;
-  std::shared_ptr<GovernorCounters> counters;
 };
-
-// --- spill container: one store::RecordLog frame per level, the frame
-// epoch carrying the part index (0 for single snapshots), the payload a
-// gbx::serialize image of the level's block. Checksummed + torn-tail
-// detecting for free, and byte-exact: gbx serialization round-trips
-// values bit-for-bit.
-
-template <class T, class M>
-void spill_levels(store::RecordLogWriter& w, std::uint64_t part,
-                  const HierSnapshot<T, M>& snap) {
-  for (std::size_t l = 0; l < snap.num_levels(); ++l) {
-    std::ostringstream os;
-    gbx::serialize(os, snap.level(l));
-    const std::string bytes = os.str();
-    w.append(part, bytes.data(), bytes.size());
-  }
-}
-
-template <class T, class M>
-std::string spill_snapshot(const HierSnapshot<T, M>& snap) {
-  std::ostringstream os;
-  store::RecordLogWriter w(os);
-  spill_levels(w, 0, snap);
-  return os.str();
-}
-
-template <class T, class M>
-std::string spill_snapshot(const SnapshotSet<T, M>& snap) {
-  std::ostringstream os;
-  store::RecordLogWriter w(os);
-  for (std::size_t p = 0; p < snap.size(); ++p) spill_levels(w, p, snap.part(p));
-  return os.str();
-}
-
-/// The metadata that stays resident while the blocks are spilled:
-/// dimensions, cuts, stats, watermarks, epochs — everything but views.
-template <class T, class M>
-HierSnapshot<T, M> skeleton_of(const HierSnapshot<T, M>& s) {
-  return HierSnapshot<T, M>(s.nrows(), s.ncols(), {}, s.cuts(), s.stats(),
-                            s.epoch());
-}
-
-template <class T, class M>
-SnapshotSet<T, M> skeleton_of(const SnapshotSet<T, M>& s) {
-  std::vector<HierSnapshot<T, M>> parts;
-  std::vector<SnapshotWatermark> marks;
-  parts.reserve(s.size());
-  marks.reserve(s.size());
-  for (std::size_t p = 0; p < s.size(); ++p) {
-    parts.push_back(skeleton_of(s.part(p)));
-    marks.push_back(s.watermark(p));
-  }
-  return SnapshotSet<T, M>(std::move(parts), std::move(marks), s.epoch());
-}
-
-template <class T, class M>
-std::vector<std::vector<gbx::MatrixView<T>>> read_spill(
-    const std::string& spill, std::size_t parts) {
-  std::istringstream is(spill);
-  store::RecordLogReader reader(is);
-  std::vector<std::vector<gbx::MatrixView<T>>> views(parts);
-  while (auto rec = reader.next()) {
-    GBX_CHECK(rec->epoch < parts, "governor spill: part index out of range");
-    std::string payload(reinterpret_cast<const char*>(rec->payload.data()),
-                        rec->payload.size());
-    std::istringstream ps(std::move(payload));
-    auto m = gbx::deserialize<T, M>(ps);
-    views[rec->epoch].push_back(m.view());
-  }
-  return views;
-}
-
-template <class T, class M>
-HierSnapshot<T, M> rehydrated(const HierSnapshot<T, M>& skel,
-                              const std::string& spill) {
-  auto views = read_spill<T, M>(spill, 1);
-  return HierSnapshot<T, M>(skel.nrows(), skel.ncols(), std::move(views[0]),
-                            skel.cuts(), skel.stats(), skel.epoch());
-}
-
-template <class T, class M>
-SnapshotSet<T, M> rehydrated(const SnapshotSet<T, M>& skel,
-                             const std::string& spill) {
-  auto views =
-      read_spill<T, M>(spill, std::max<std::size_t>(std::size_t{1}, skel.size()));
-  std::vector<HierSnapshot<T, M>> parts;
-  std::vector<SnapshotWatermark> marks;
-  parts.reserve(skel.size());
-  marks.reserve(skel.size());
-  for (std::size_t p = 0; p < skel.size(); ++p) {
-    const auto& sp = skel.part(p);
-    parts.push_back(HierSnapshot<T, M>(sp.nrows(), sp.ncols(),
-                                       std::move(views[p]), sp.cuts(),
-                                       sp.stats(), sp.epoch()));
-    marks.push_back(skel.watermark(p));
-  }
-  return SnapshotSet<T, M>(std::move(parts), std::move(marks), skel.epoch());
-}
 
 }  // namespace detail
 
@@ -306,8 +157,8 @@ SnapshotSet<T, M> rehydrated(const SnapshotSet<T, M>& skel,
 /// shared_ptr); every read first *pins* a copy of the slot's current
 /// image under the slot lock and then operates on immutable views, so
 /// reads race eviction safely and stay bit-exact before, during, and
-/// after it. Dropping the last handle releases whatever the slot still
-/// holds (blocks or spill bytes).
+/// after it. Dropping the last handle releases whatever blocks the slot
+/// still holds.
 template <class Snap>
 class GovernedSnapshot {
  public:
@@ -320,7 +171,7 @@ class GovernedSnapshot {
   bool valid() const { return slot_ != nullptr; }
 
   /// Epoch of the frozen image (0 for an empty handle). Immutable —
-  /// eviction and spill never change what epoch the reader holds.
+  /// eviction never changes what epoch the reader holds.
   std::uint64_t epoch() const { return slot_ ? slot_->epoch : 0; }
 
   bool evicted() const {
@@ -330,61 +181,35 @@ class GovernedSnapshot {
     return s.evicted;
   }
 
-  bool spilled() const {
-    if (!slot_) return false;
-    auto& s = *slot_;
-    gbx::ScopedLock lk(s.mu);
-    return s.spilled;
-  }
-
   /// Copy of the current image: the original frozen levels before
-  /// eviction, the compact image after it, a transient rehydrated copy
-  /// while spilled (the slot stays spilled — rehydration never
-  /// re-occupies resident memory beyond the returned copy's lifetime).
-  /// The copy re-pins its blocks for exactly as long as the caller
-  /// holds it.
+  /// eviction, the compact image after it. The copy re-pins its blocks
+  /// for exactly as long as the caller holds it.
   Snap pin() const {
     GBX_CHECK(slot_ != nullptr, "pin() on an empty governed snapshot");
     auto& s = *slot_;
     gbx::ScopedLock lk(s.mu);
-    if (s.spilled) {
-      s.counters->rehydrations.fetch_add(1, std::memory_order_relaxed);
-      return detail::rehydrated(s.snap, s.spill);
-    }
     return s.snap;
   }
 
   /// Pin only if the image still has its original (diffable) level
-  /// structure; nullopt once eviction compacted any of it. This is what
+  /// structure; nullopt once eviction compacted it. This is what
   /// try_snapshot_diff uses to decide between an incremental delta and
   /// a full-recompute fallback.
   std::optional<Snap> try_pin_live() const {
     if (!slot_) return std::nullopt;
     auto& s = *slot_;
     gbx::ScopedLock lk(s.mu);
-    if (s.evicted || s.spilled) return std::nullopt;
+    if (s.evicted) return std::nullopt;
     return s.snap;
   }
 
-  /// Read-path conveniences; each pins a copy first (see pin()). On a
-  /// SPILLED handle every call deserializes the whole image — batch
-  /// repeated probes through one pin() instead of calling
-  /// extract_element per coordinate.
+  /// Read-path conveniences; each pins a copy first (see pin()).
   matrix_type to_matrix() const { return pin().to_matrix(); }
   value_type reduce() const { return pin().reduce(); }
   std::optional<value_type> extract_element(gbx::Index i, gbx::Index j) const {
     return pin().extract_element(i, j);
   }
   std::size_t nvals() const { return pin().nvals(); }
-
-  /// Resident bytes this handle's slot holds right now (block bytes
-  /// when live/evicted, serialized bytes when spilled).
-  std::size_t memory_bytes() const {
-    if (!slot_) return 0;
-    auto& s = *slot_;
-    gbx::ScopedLock lk(s.mu);
-    return s.spilled ? s.spill.size() : s.snap.memory_bytes();
-  }
 
   /// Drop the handle early (destructor semantics, explicit).
   void reset() { slot_.reset(); }
@@ -401,10 +226,10 @@ class GovernedSnapshot {
 
 /// Governed overload of try_snapshot_diff: diff the two underlying
 /// images when both still have their original level structure, nullopt
-/// otherwise (either was compacted/spilled — the incremental reader
-/// falls back to a counted full recompute; delta semantics unchanged).
-/// The pins keep both images alive for the duration of the diff even if
-/// the governor evicts the slots mid-call.
+/// otherwise (either was compacted — the incremental reader falls back
+/// to a counted full recompute; delta semantics unchanged). The pins
+/// keep both images alive for the duration of the diff even if the
+/// governor evicts the slots mid-call.
 template <class Snap>
 std::optional<SnapshotDelta<typename Snap::value_type>> try_snapshot_diff(
     const GovernedSnapshot<Snap>& a, const GovernedSnapshot<Snap>& b) {
@@ -435,35 +260,6 @@ bool governor_live_blocks(const ShardedHier<T, M>& s,
 template <class Source, class T>
 bool governor_live_blocks(const Source&, std::vector<const gbx::Dcsr<T>*>&) {
   return false;  // e.g. ParallelStream: lanes owned by worker threads
-}
-
-/// Are the source's snapshot parts coordinate-disjoint? True for
-/// ShardedHier (row-hash partitioning), false in general (ParallelStream
-/// lanes overlap freely). Disjoint parts may be compacted individually
-/// with bit-exact reads; overlapping parts must be collapsed whole (see
-/// SnapshotSet::compacted), and per-part budgets only apply when true.
-template <class T, class M>
-constexpr bool governor_parts_disjoint(const ShardedHier<T, M>&) {
-  return true;
-}
-
-template <class Source>
-constexpr bool governor_parts_disjoint(const Source&) {
-  return false;
-}
-
-/// Per-part live peek (per-shard budgets); same convention.
-template <class T, class M>
-bool governor_part_live_blocks(const ShardedHier<T, M>& s, std::size_t part,
-                               std::vector<const gbx::Dcsr<T>*>& out) {
-  s.collect_live_blocks(part, out);
-  return true;
-}
-
-template <class Source, class T>
-bool governor_part_live_blocks(const Source&, std::size_t,
-                               std::vector<const gbx::Dcsr<T>*>&) {
-  return false;
 }
 
 /// Write-observer attachment customization (enforce_on_write): install
@@ -548,20 +344,16 @@ class MemoryGovernor {
   using handle_type = GovernedSnapshot<snapshot_type>;
   using value_type = typename snapshot_type::value_type;
 
-  /// Hook fired after each whole-snapshot eviction: the evicted epoch,
-  /// the newest acquired epoch, and the pinned-class total before the
-  /// eviction. Fired after the enforcement pass releases the registry
-  /// lock, so the hook may call back into this governor freely.
+  /// Hook fired after each eviction: the evicted epoch, the newest
+  /// acquired epoch, and the pinned-class total before the eviction.
+  /// Fired after the enforcement pass releases the registry lock, so the
+  /// hook may call back into this governor freely.
   using EvictionHook = std::function<void(
       std::uint64_t evicted_epoch, std::uint64_t current_epoch,
       std::uint64_t pinned_before)>;
 
   explicit MemoryGovernor(Source& source, GovernorConfig cfg = {})
-      : source_(&source),
-        cfg_(cfg),
-        budget_bytes_(cfg.budget_bytes),
-        engine_(source),
-        counters_(std::make_shared<detail::GovernorCounters>()) {
+      : source_(&source), cfg_(cfg), engine_(source) {
     if (cfg_.enforce_on_write) {
       // Same install-before-writers discipline as set_staleness_hook:
       // the governor is constructed before ingest threads start, so the
@@ -592,19 +384,18 @@ class MemoryGovernor {
   MemoryGovernor(const MemoryGovernor&) = delete;
   MemoryGovernor& operator=(const MemoryGovernor&) = delete;
 
-  /// Freeze a new snapshot, register it with the governor, and (by
-  /// default) run an enforcement pass. Thread-safety: that of the
-  /// source's freeze().
+  /// Freeze a new snapshot, register it with the governor, and run an
+  /// enforcement pass. Thread-safety: that of the source's freeze().
   handle_type acquire() {
     auto snap = engine_.acquire();
     const std::uint64_t e = snap.epoch();
-    auto slot = std::make_shared<Slot>(std::move(snap), e, counters_);
+    auto slot = std::make_shared<Slot>(std::move(snap), e);
     {
       gbx::ScopedLock lk(mu_);
       slots_.push_back(slot);
       registered_.store(slots_.size(), std::memory_order_relaxed);
     }
-    if (cfg_.enforce_on_acquire) enforce();
+    enforce();
     return handle_type(std::move(slot));
   }
 
@@ -613,41 +404,36 @@ class MemoryGovernor {
   /// unchanged (their snapshot_type becomes the governed handle).
   handle_type freeze() { return acquire(); }
 
-  /// One enforcement pass: global budget (laggiest-first materialize-
-  /// and-release), then per-part budgets for set sources, then the
-  /// cold-snapshot spill sweep. Returns compactions performed (whole
-  /// snapshots + parts). Safe from any thread the source's freeze()
-  /// allows; passes are serialized on the registry lock.
+  /// One enforcement pass: laggiest-first materialize-and-release until
+  /// pinned bytes fit the budget, then the live-matrix residency budget.
+  /// Returns snapshots compacted. Safe from any thread the source's
+  /// freeze() allows; passes are serialized on the registry lock.
   std::size_t enforce() {
     // Hook invocations collected under the lock, fired after releasing
     // it — a hook may call back into memory()/enforce() (or anything
     // else on this governor) without self-deadlocking.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> evicted_epochs;
     EvictionHook hook;
-    std::size_t compactions = 0;
     {
       gbx::ScopedLock lk(mu_);
       hook = eviction_hook_;
-      counters_->enforcements.fetch_add(1, std::memory_order_relaxed);
+      counters_.enforcements.fetch_add(1, std::memory_order_relaxed);
       auto slots = gather_locked();
       const std::uint64_t current =
           governor_current_epoch(*source_, engine_.last_epoch());
 
-      // --- global pinned budget.
       std::uint64_t prev_pinned = 0;
-      bool evicted_last = false;
       for (;;) {
         std::vector<Block> baseline;
         auto mem = account_locked(slots, &baseline);
-        counters_->peak_pinned(mem.pinned_bytes);
-        if (evicted_last && prev_pinned > mem.pinned_bytes)
-          counters_->bytes_released.fetch_add(prev_pinned - mem.pinned_bytes,
-                                              std::memory_order_relaxed);
-        if (mem.pinned_bytes <= budget_bytes_.load(std::memory_order_relaxed))
-          break;
+        counters_.peak_pinned(mem.pinned_bytes);
+        if (!evicted_epochs.empty() && prev_pinned > mem.pinned_bytes)
+          counters_.bytes_released.fetch_add(prev_pinned - mem.pinned_bytes,
+                                             std::memory_order_relaxed);
+        if (mem.pinned_bytes <= cfg_.budget_bytes) break;
         Slot* victim = nullptr;
         for (const auto& s : slots) {  // ascending epoch = laggiest first
-          if (current - s->epoch < cfg_.min_evict_lag) continue;
+          if (s->epoch >= current) continue;  // the newest image stays
           if (pinned_involvement_locked(*s, baseline) == 0) continue;
           victim = s.get();
           break;
@@ -656,37 +442,19 @@ class MemoryGovernor {
         evict_locked(*victim);
         evicted_epochs.emplace_back(victim->epoch, mem.pinned_bytes);
         prev_pinned = mem.pinned_bytes;
-        evicted_last = true;
-        ++compactions;
         // Loop: re-account (shared generations may need several drops).
-      }
-
-      // --- per-part budgets (coordinate-disjoint set sources only: an
-      // individually compacted part is bit-exact only when no other part
-      // holds its coordinates).
-      if constexpr (detail::is_snapshot_set<snapshot_type>::value) {
-        if (cfg_.part_budget_bytes > 0 && governor_parts_disjoint(*source_))
-          compactions += enforce_parts_locked(slots, current);
-      }
-
-      // --- cold-snapshot spill sweep.
-      if (cfg_.spill_lag != GovernorConfig::kNever) {
-        for (const auto& s : slots) {
-          if (current - s->epoch < cfg_.spill_lag) continue;
-          spill_locked(*s);
-        }
       }
 
       // --- live-matrix resident budget: demote cold bottom levels into
       // the source's block store. Inside the registry lock so passes
       // stay serialized (ShardedHier's observer fires from several
       // writer threads); lock order mu_ -> shard locks matches the
-      // accounting passes above.
+      // accounting pass above.
       if (cfg_.live_budget_bytes != GovernorConfig::kNever) {
         const std::size_t demoted =
             governor_enforce_residency(*source_, cfg_.live_budget_bytes);
         if (demoted > 0)
-          counters_->demotions.fetch_add(demoted, std::memory_order_relaxed);
+          counters_.demotions.fetch_add(demoted, std::memory_order_relaxed);
       }
     }
     const std::uint64_t current =
@@ -695,48 +463,27 @@ class MemoryGovernor {
       engine_.check_staleness(epoch);  // laggard warning, if installed
       if (hook) hook(epoch, current, pinned_before);
     }
-    return compactions;
+    return evicted_epochs.size();
   }
 
   /// Accounting snapshot (also updates the pinned high-water mark).
   /// Same thread-safety as enforce().
   GovernorMemory memory() const {
     gbx::ScopedLock lk(mu_);
-    auto slots = gather_locked();
-    std::vector<Block> baseline;
-    auto mem = account_locked(slots, &baseline);
-    counters_->peak_pinned(mem.pinned_bytes);
+    auto mem = account_locked(gather_locked(), nullptr);
+    counters_.peak_pinned(mem.pinned_bytes);
     return mem;
   }
 
   GovernorStats stats() const {
     GovernorStats s;
-    s.enforcements = counters_->enforcements.load(std::memory_order_relaxed);
-    s.evictions = counters_->evictions.load(std::memory_order_relaxed);
-    s.part_evictions =
-        counters_->part_evictions.load(std::memory_order_relaxed);
-    s.spills = counters_->spills.load(std::memory_order_relaxed);
-    s.rehydrations = counters_->rehydrations.load(std::memory_order_relaxed);
-    s.bytes_released =
-        counters_->bytes_released.load(std::memory_order_relaxed);
+    s.enforcements = counters_.enforcements.load(std::memory_order_relaxed);
+    s.evictions = counters_.evictions.load(std::memory_order_relaxed);
+    s.bytes_released = counters_.bytes_released.load(std::memory_order_relaxed);
     s.peak_pinned_bytes =
-        counters_->peak_pinned_bytes.load(std::memory_order_relaxed);
-    s.demotions = counters_->demotions.load(std::memory_order_relaxed);
+        counters_.peak_pinned_bytes.load(std::memory_order_relaxed);
+    s.demotions = counters_.demotions.load(std::memory_order_relaxed);
     return s;
-  }
-
-  /// Effective configuration (budget_bytes reflects set_budget updates).
-  GovernorConfig config() const {
-    GovernorConfig c = cfg_;
-    c.budget_bytes = budget_bytes_.load(std::memory_order_relaxed);
-    return c;
-  }
-
-  /// Adjust the global budget (e.g. an operator tightening a live
-  /// system); next enforcement applies it. Lock-free: the knob lives in
-  /// its own atomic so the (otherwise immutable) config needs no lock.
-  void set_budget(std::uint64_t bytes) {
-    budget_bytes_.store(bytes, std::memory_order_relaxed);
   }
 
   /// The underlying snapshot engine (epoch counters, staleness hook —
@@ -754,16 +501,9 @@ class MemoryGovernor {
     eviction_hook_ = std::move(hook);
   }
 
-  /// Outstanding (still-referenced) snapshot handles.
-  std::size_t outstanding() const {
-    gbx::ScopedLock lk(mu_);
-    return gather_locked().size();
-  }
-
  private:
   using Slot = detail::GovernedSlot<snapshot_type>;
-  using T = value_type;
-  using Block = const gbx::Dcsr<T>*;
+  using Block = const gbx::Dcsr<value_type>*;
 
   /// Prune dead registrations; return live slots sorted by epoch
   /// ascending (the eviction order).
@@ -798,7 +538,7 @@ class MemoryGovernor {
       for (auto it = slots.rbegin(); it != slots.rend(); ++it) {  // newest 1st
         Slot& sl = **it;
         gbx::ScopedLock lk(sl.mu);
-        if (sl.evicted || sl.spilled) continue;
+        if (sl.evicted) continue;
         sl.snap.collect_blocks(out);
         break;
       }
@@ -820,21 +560,11 @@ class MemoryGovernor {
     for (const auto& s : slots) {
       Slot& sl = *s;
       gbx::ScopedLock lk(sl.mu);
-      if (sl.spilled) {
+      if (sl.evicted) {
         ++mem.evicted_snapshots;
-        ++mem.spilled_snapshots;
-        mem.spilled_bytes += sl.spill.size();
-        continue;
-      }
-      if (sl.evicted) ++mem.evicted_snapshots;
-      std::vector<Block> blocks;
-      sl.snap.collect_blocks(blocks);
-      for (Block b : blocks) {
-        if (std::binary_search(sl.private_blocks.begin(),
-                               sl.private_blocks.end(), b))
-          private_pool.push_back(b);
-        else
-          shared_pool.push_back(b);
+        sl.snap.collect_blocks(private_pool);
+      } else {
+        sl.snap.collect_blocks(shared_pool);
       }
     }
     detail::dedupe_blocks(shared_pool);
@@ -847,192 +577,44 @@ class MemoryGovernor {
       else
         mem.pinned_bytes += bytes;
     }
-    for (Block b : private_pool) {
-      const auto bytes = static_cast<std::uint64_t>(b->memory_bytes());
-      mem.largest_block_bytes = std::max(mem.largest_block_bytes, bytes);
-      mem.private_bytes += bytes;
-    }
+    for (Block b : private_pool) mem.private_bytes += b->memory_bytes();
     if (baseline_out != nullptr) *baseline_out = std::move(baseline);
     return mem;
   }
 
   /// Bytes of this slot's shared blocks outside the baseline — what an
   /// eviction is *about* (0 means compacting frees nothing: the slot is
-  /// fully live-shared, already compact, or spilled).
+  /// fully live-shared or already compact).
   std::uint64_t pinned_involvement_locked(Slot& s,
                                           const std::vector<Block>& baseline)
       const GBX_REQUIRES(mu_) {
     gbx::ScopedLock lk(s.mu);
-    if (s.spilled) return 0;
+    if (s.evicted) return 0;
     std::vector<Block> blocks;
     s.snap.collect_blocks(blocks);
     detail::dedupe_blocks(blocks);
     std::uint64_t n = 0;
-    for (Block b : blocks) {
-      if (std::binary_search(s.private_blocks.begin(), s.private_blocks.end(),
-                             b))
-        continue;
-      if (std::binary_search(baseline.begin(), baseline.end(), b)) continue;
-      n += b->memory_bytes();
-    }
+    for (Block b : blocks)
+      if (!std::binary_search(baseline.begin(), baseline.end(), b))
+        n += b->memory_bytes();
     return n;
   }
 
-  /// Fully compact a slot's image. Disjoint-part sources compact part
-  /// by part (skipping parts already compacted, preserving the shard
-  /// structure); everything else collapses the whole image into one
-  /// exact Σ block (SnapshotSet::compacted(nullptr) semantics).
-  snapshot_type compact_remaining_locked(Slot& s) const GBX_REQUIRES(s.mu) {
-    if constexpr (detail::is_snapshot_set<snapshot_type>::value) {
-      if (governor_parts_disjoint(*source_)) {
-        std::vector<bool> mask(s.snap.size());
-        for (std::size_t p = 0; p < mask.size(); ++p)
-          mask[p] = s.compacted_parts.empty() || !s.compacted_parts[p];
-        return s.snap.compacted(&mask);
-      }
-    }
-    return s.snap.compacted();
-  }
-
-  void refresh_private_locked(Slot& s) const GBX_REQUIRES(s.mu) {
-    s.private_blocks.clear();
-    if constexpr (detail::is_snapshot_set<snapshot_type>::value) {
-      for (std::size_t p = 0; p < s.snap.size(); ++p) {
-        if (s.compacted_parts.empty() || s.compacted_parts[p])
-          s.snap.part(p).collect_blocks(s.private_blocks);
-      }
-    } else {
-      s.snap.collect_blocks(s.private_blocks);
-    }
-    detail::dedupe_blocks(s.private_blocks);
-  }
-
-  /// Materialize-and-release one whole snapshot. Hooks are the caller's
+  /// Materialize-and-release one snapshot. Hooks are the caller's
   /// business (enforce() fires them after dropping the registry lock).
   void evict_locked(Slot& s) GBX_REQUIRES(mu_) {
     {
       gbx::ScopedLock lk(s.mu);
-      if (s.spilled) return;
-      s.snap = compact_remaining_locked(s);
-      if constexpr (detail::is_snapshot_set<snapshot_type>::value)
-        s.compacted_parts.assign(s.snap.size(), true);
+      s.snap = s.snap.compacted();
       s.evicted = true;
-      refresh_private_locked(s);
     }
-    counters_->evictions.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Per-part budget pass (set sources): for each part, classify that
-  /// part's blocks across snapshots against the shard's own live blocks
-  /// (plus the newest image's part) and compact the laggiest offenders.
-  std::size_t enforce_parts_locked(
-      const std::vector<std::shared_ptr<Slot>>& slots, std::uint64_t current)
-      GBX_REQUIRES(mu_) {
-    std::size_t compactions = 0;
-    std::size_t nparts = 0;
-    for (const auto& s : slots) {
-      Slot& sl = *s;
-      gbx::ScopedLock lk(sl.mu);
-      if (!sl.spilled) {
-        nparts = sl.snap.size();
-        break;
-      }
-    }
-    for (std::size_t p = 0; p < nparts; ++p) {
-      for (;;) {
-        std::vector<Block> baseline;
-        if (!governor_part_live_blocks(*source_, p, baseline)) {
-          // No thread-safe shard peek: the newest image stands in.
-          for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
-            Slot& sl = **it;
-            gbx::ScopedLock lk(sl.mu);
-            if (sl.spilled || part_compacted_locked(sl, p)) continue;
-            sl.snap.part(p).collect_blocks(baseline);
-            break;
-          }
-        }
-        detail::dedupe_blocks(baseline);
-
-        std::uint64_t pinned = 0;
-        Slot* victim = nullptr;
-        for (const auto& s : slots) {
-          Slot& sl = *s;
-          gbx::ScopedLock lk(sl.mu);
-          if (sl.spilled || part_compacted_locked(sl, p)) continue;
-          std::vector<Block> blocks;
-          sl.snap.part(p).collect_blocks(blocks);
-          detail::dedupe_blocks(blocks);
-          std::uint64_t involved = 0;
-          for (Block b : blocks) {
-            if (std::binary_search(baseline.begin(), baseline.end(), b))
-              continue;
-            involved += b->memory_bytes();
-          }
-          pinned += involved;  // parts are disjoint across slots' dedup: a
-                               // block may repeat across slots, but the
-                               // budget is a ceiling — double counting a
-                               // shared generation only evicts sooner.
-          if (victim == nullptr && involved > 0 &&
-              current - s->epoch >= cfg_.min_evict_lag)
-            victim = s.get();
-        }
-        if (pinned <= cfg_.part_budget_bytes || victim == nullptr) break;
-        {
-          Slot& v = *victim;
-          gbx::ScopedLock lk(v.mu);
-          if (v.compacted_parts.empty())
-            v.compacted_parts.assign(v.snap.size(), false);
-          std::vector<bool> mask(v.snap.size(), false);
-          mask[p] = true;
-          v.snap = v.snap.compacted(&mask);
-          v.compacted_parts[p] = true;
-          v.evicted = true;
-          refresh_private_locked(v);
-        }
-        counters_->part_evictions.fetch_add(1, std::memory_order_relaxed);
-        ++compactions;
-      }
-    }
-    return compactions;
-  }
-
-  bool part_compacted_locked(const Slot& s, std::size_t p) const
-      GBX_REQUIRES(s.mu) {
-    return !s.compacted_parts.empty() && s.compacted_parts[p];
-  }
-
-  /// Serialize a cold snapshot's compact image out of block form. The
-  /// image is compacted first if eviction had not reached it yet.
-  void spill_locked(Slot& s) GBX_REQUIRES(mu_) {
-    gbx::ScopedLock lk(s.mu);
-    if (s.spilled) return;
-    auto compact = s.evicted && all_compacted_locked(s)
-                       ? std::move(s.snap)
-                       : compact_remaining_locked(s);
-    s.spill = detail::spill_snapshot(compact);
-    s.snap = detail::skeleton_of(compact);
-    s.private_blocks.clear();
-    s.evicted = true;
-    s.spilled = true;
-    counters_->spills.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  bool all_compacted_locked(const Slot& s) const GBX_REQUIRES(s.mu) {
-    if constexpr (detail::is_snapshot_set<snapshot_type>::value) {
-      if (s.compacted_parts.empty()) return false;
-      for (bool c : s.compacted_parts)
-        if (!c) return false;
-      return true;
-    } else {
-      return s.evicted;
-    }
+    counters_.evictions.fetch_add(1, std::memory_order_relaxed);
   }
 
   Source* source_;
-  const GovernorConfig cfg_;  ///< immutable; the one runtime knob is below
-  std::atomic<std::uint64_t> budget_bytes_;  ///< set_budget, any thread
+  const GovernorConfig cfg_;
   SnapshotEngine<Source> engine_;
-  std::shared_ptr<detail::GovernorCounters> counters_;
+  mutable detail::GovernorCounters counters_;
   mutable gbx::Mutex mu_;  ///< registry + enforcement serialization
   mutable std::vector<std::weak_ptr<Slot>> slots_ GBX_GUARDED_BY(mu_);
   /// Registration-count hint for the write observer's lock-free skip

@@ -81,7 +81,7 @@ class ShardedHier {
     // shard loop means a snapshot acquired at epoch e already lags the
     // very first fold of batch e+1 — the write observer below can evict
     // it immediately instead of letting a whole batch of per-shard
-    // folds pile up pinned behind min_evict_lag.
+    // folds pile up pinned behind the newest-image guard.
     epoch_.fetch_add(1, std::memory_order_relaxed);
     static thread_local std::vector<gbx::Tuples<T>> parts;
     if (parts.size() < shards_.size()) parts.resize(shards_.size());
@@ -224,17 +224,11 @@ class ShardedHier {
   /// pinned-vs-live classification, safe to call from reader threads
   /// while writers stream.
   void collect_live_blocks(std::vector<const gbx::Dcsr<T>*>& out) const {
-    for (std::size_t s = 0; s < shards_.size(); ++s) collect_live_blocks(s, out);
-  }
-
-  /// Same, for one shard — the per-shard-budget accounting unit
-  /// (governor parts match shards by position).
-  void collect_live_blocks(std::size_t shard,
-                           std::vector<const gbx::Dcsr<T>*>& out) const {
-    GBX_CHECK_INDEX(shard < shards_.size(), "shard index out of range");
-    Shard& sh = *shards_[shard];
-    gbx::ScopedLock g(sh.mu);
-    sh.matrix.collect_live_blocks(out);
+    for (const auto& shard : shards_) {
+      Shard& sh = *shard;
+      gbx::ScopedLock g(sh.mu);
+      sh.matrix.collect_live_blocks(out);
+    }
   }
 
   /// Install a hook fired by writers after every ingested sub-batch

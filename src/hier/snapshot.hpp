@@ -579,37 +579,17 @@ class SnapshotSet {
     return acc;
   }
 
-  /// Materialize-and-release for the whole set (mask == nullptr): the
-  /// exact Σ_p Σ_i image is folded ONCE into a privately-owned block
-  /// held by part 0, and every other part becomes an empty shell that
-  /// keeps its cuts/stats/epoch. Reads stay bit-identical by
-  /// construction — to_matrix() IS the definition of the logical value,
-  /// and the part-major extract_element over [compact, empty, ...]
-  /// reads that block verbatim. Watermarks and the set epoch survive.
-  ///
-  /// With a mask, only the selected parts are compacted individually
-  /// (their own levels pre-folded), the rest keep sharing their
-  /// original blocks. Pre-folding one part re-associates the per-
-  /// coordinate fold chain at coordinates other parts also hold, so
-  /// masked compaction is bit-exact only when parts are coordinate-
-  /// disjoint (ShardedHier's row-hash shards) or the fold is bit-
-  /// associative (integer plus, min, max) — which is why the governor
-  /// applies per-part budgets only to sharded sources.
-  SnapshotSet compacted(const std::vector<bool>* mask = nullptr) const {
+  /// Materialize-and-release for the whole set: the exact Σ_p Σ_i image
+  /// is folded ONCE into a privately-owned block held by part 0, and
+  /// every other part becomes an empty shell that keeps its cuts/stats/
+  /// epoch. Reads stay bit-identical by construction — to_matrix() IS
+  /// the definition of the logical value, and the part-major
+  /// extract_element over [compact, empty, ...] reads that block
+  /// verbatim — whether the parts overlap (ParallelStream lanes) or are
+  /// coordinate-disjoint (ShardedHier shards). Watermarks and the set
+  /// epoch survive.
+  SnapshotSet compacted() const {
     if (parts_.empty()) return *this;
-    if (mask != nullptr) {
-      GBX_CHECK_DIM(mask->size() == parts_.size(),
-                    "compacted part mask size mismatch");
-      std::vector<part_type> parts;
-      parts.reserve(parts_.size());
-      for (std::size_t p = 0; p < parts_.size(); ++p) {
-        if ((*mask)[p])
-          parts.push_back(parts_[p].compacted());
-        else
-          parts.push_back(parts_[p]);
-      }
-      return SnapshotSet(std::move(parts), marks_, epoch_);
-    }
     matrix_type m = to_matrix();
     // Single-non-empty-level sets alias the block through plus_assign;
     // the compact image must OWN its block for the pins to really drop.

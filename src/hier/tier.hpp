@@ -18,8 +18,8 @@
 // never-demoted twin, demotion splits the per-coordinate fold chain at
 // demote boundaries — bit-identical whenever the fold is associative in
 // bits (integer plus/min/max, or float over exactly-representable
-// values, the suite's discipline), the same caveat SnapshotSet::
-// compacted(mask) already documents for per-part compaction.
+// values, the suite's discipline): pre-folding a prefix of a fold chain
+// re-associates it.
 //
 // Concurrency: demote()/compact() follow HierMatrix's owning-thread
 // discipline. Readers (snapshots on any thread) hold an immutable

@@ -1,7 +1,7 @@
 // Differential and allocation tests for the fused ingest hot path:
-// radix sort vs comparison oracles, fused fold vs the legacy pipeline vs
-// dense replay, parallel-dedup chunk boundaries, and the zero-allocation
-// steady-state guarantee of the scratch arenas.
+// radix sort vs comparison oracles, fused fold vs a comparison-sort
+// oracle vs dense replay, parallel-dedup chunk boundaries, and the
+// zero-allocation steady-state guarantee of the scratch arenas.
 //
 // This translation unit replaces the global operator new/delete with
 // counting wrappers (malloc-backed, so sanitizer interception still
@@ -55,14 +55,6 @@ namespace {
 
 using gbx::Entry;
 using gbx::Index;
-
-/// Restore the fold pipeline choice on scope exit.
-struct PipelineGuard {
-  gbx::FoldPipeline saved = gbx::fold_pipeline();
-  PipelineGuard() = default;
-  explicit PipelineGuard(gbx::FoldPipeline p) { gbx::set_fold_pipeline(p); }
-  ~PipelineGuard() { gbx::set_fold_pipeline(saved); }
-};
 
 /// Restore the OpenMP thread count on scope exit.
 struct ThreadsGuard {
@@ -245,53 +237,54 @@ TEST(DedupParallel, MixedRunsRandom) {
   check_dedup_matches_map(gen_random(rng, (std::size_t{1} << 15) + 11, 40));
 }
 
-// -------------------- fused fold vs legacy vs dense replay ------------
+// ------------- fused fold vs comparison-sort oracle vs dense replay ---
+
+/// Σ of every streamed entry built the slow way: one comparison sort of
+/// the whole stream, one dedup, one block — no radix, no cascade.
+template <class T, class M>
+gbx::Matrix<T, M> comparison_oracle(std::vector<Entry<T>> all, Index dim) {
+  gbx::sort_entries_comparison(all);
+  gbx::dedup_sorted_entries<M>(all);
+  return gbx::Matrix<T, M>::adopt(dim, dim,
+                                  gbx::Dcsr<T>::from_sorted_unique(all));
+}
 
 template <class T, class M>
 void run_fold_differential(std::uint64_t seed, Index dim,
                            std::size_t batches, std::size_t batch_size) {
-  const auto cuts = hier::CutPolicy::geometric(4, 512, 8);
-  hier::HierMatrix<T, M> fused(dim, dim, cuts);
-  hier::HierMatrix<T, M> legacy(dim, dim, cuts);
+  hier::HierMatrix<T, M> fused(dim, dim, hier::CutPolicy::geometric(4, 512, 8));
   proptest::DenseRef<T, M> ref;
+  std::vector<Entry<T>> all;
   std::mt19937_64 rng(seed);
-  PipelineGuard restore;
   for (std::size_t b = 0; b < batches; ++b) {
     auto batch = proptest::random_batch<T>(rng, dim, batch_size);
-    gbx::set_fold_pipeline(gbx::FoldPipeline::kFused);
     fused.update(batch);
-    gbx::set_fold_pipeline(gbx::FoldPipeline::kLegacy);
-    legacy.update(batch);
     ref.apply(batch);
+    for (const auto& e : batch) all.push_back(e);
   }
-  gbx::set_fold_pipeline(gbx::FoldPipeline::kFused);
   ASSERT_TRUE(ref.matches(fused.freeze()));
-  auto fused_sum = fused.snapshot();
-  gbx::set_fold_pipeline(gbx::FoldPipeline::kLegacy);
-  auto legacy_sum = legacy.snapshot();
-  gbx::set_fold_pipeline(gbx::FoldPipeline::kFused);
-  EXPECT_TRUE(gbx::equal(fused_sum, legacy_sum));
-  ASSERT_TRUE(ref.matches(legacy_sum));
+  EXPECT_TRUE(gbx::equal(fused.snapshot(),
+                         comparison_oracle<T, M>(std::move(all), dim)));
 }
 
-TEST(FusedFold, MatchesLegacyAndDenseRefPlusDouble) {
+TEST(FusedFold, MatchesComparisonOracleAndDenseRefPlusDouble) {
   HHGBX_PROP_SEED(seed, 41001ull);
   run_fold_differential<double, gbx::PlusMonoid<double>>(seed, 96, 24, 700);
 }
 
-TEST(FusedFold, MatchesLegacyAndDenseRefPlusInt64) {
+TEST(FusedFold, MatchesComparisonOracleAndDenseRefPlusInt64) {
   HHGBX_PROP_SEED(seed, 41002ull);
   run_fold_differential<std::int64_t, gbx::PlusMonoid<std::int64_t>>(seed, 64,
                                                                      24, 700);
 }
 
-TEST(FusedFold, MatchesLegacyAndDenseRefMinInt64) {
+TEST(FusedFold, MatchesComparisonOracleAndDenseRefMinInt64) {
   HHGBX_PROP_SEED(seed, 41003ull);
   run_fold_differential<std::int64_t, gbx::MinMonoid<std::int64_t>>(seed, 80,
                                                                     20, 600);
 }
 
-TEST(FusedFold, MatchesLegacyAndDenseRefMaxInt64) {
+TEST(FusedFold, MatchesComparisonOracleAndDenseRefMaxInt64) {
   HHGBX_PROP_SEED(seed, 41004ull);
   run_fold_differential<std::int64_t, gbx::MaxMonoid<std::int64_t>>(seed, 80,
                                                                     20, 600);
@@ -301,11 +294,9 @@ TEST(FusedFold, AdversarialBatchShapes) {
   HHGBX_PROP_SEED(seed, 41005ull);
   std::mt19937_64 rng(seed);
   const Index dim = gbx::kIPv6Dim;
-  const auto cuts = hier::CutPolicy::geometric(3, 1024, 8);
-  hier::HierMatrix<double> fused(dim, dim, cuts);
-  hier::HierMatrix<double> legacy(dim, dim, cuts);
+  hier::HierMatrix<double> fused(dim, dim,
+                                 hier::CutPolicy::geometric(3, 1024, 8));
   proptest::DenseRef<double> ref;
-  PipelineGuard restore;
 
   std::vector<std::vector<Entry<double>>> batches;
   batches.push_back(gen_all_duplicate(3000));
@@ -314,18 +305,18 @@ TEST(FusedFold, AdversarialBatchShapes) {
   batches.push_back(gen_near_index_max(rng, 3000));  // unpackable fallback
   batches.push_back(gen_skewed(rng, 3000));
   batches.push_back(gen_random(rng, 3000, 50));  // dup-heavy
+  std::vector<Entry<double>> all;
   for (const auto& b : batches) {
     gbx::Tuples<double> t;
     for (const auto& e : b) t.push_back(e.row, e.col, e.val);
-    gbx::set_fold_pipeline(gbx::FoldPipeline::kFused);
     fused.update(t);
-    gbx::set_fold_pipeline(gbx::FoldPipeline::kLegacy);
-    legacy.update(t);
     ref.apply(t);
+    all.insert(all.end(), b.begin(), b.end());
   }
-  gbx::set_fold_pipeline(gbx::FoldPipeline::kFused);
   ASSERT_TRUE(ref.matches(fused.freeze()));
-  EXPECT_TRUE(gbx::equal(fused.snapshot(), legacy.snapshot()));
+  EXPECT_TRUE(gbx::equal(fused.snapshot(),
+                         comparison_oracle<double, gbx::PlusMonoid<double>>(
+                             std::move(all), dim)));
 }
 
 // -------------------- freeze-backed queries ---------------------------
@@ -406,7 +397,6 @@ TEST(ZeroAlloc, SteadyStateCascadeFoldsDoNotTouchTheHeap) {
   // paths are allocation-free too once warm, but libgomp's internal
   // bookkeeping is outside our control).
   ThreadsGuard threads(1);
-  PipelineGuard pipeline(gbx::FoldPipeline::kFused);
 
   const Index dim = 256;  // 65536 coordinates: the blocks saturate
   hier::HierMatrix<double> m(dim, dim,

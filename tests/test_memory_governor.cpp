@@ -10,12 +10,10 @@
 //     governed handle stay bit-identical before/after eviction, and
 //     block use counts actually drop (the memory really frees).
 //   * Property (stress label, 3-seed rerun): random update/acquire/
-//     evict/spill interleavings re-queried against the dense-replay
-//     oracle across the four fold monoids.
-//   * Spill: cold snapshots serialize through the RecordLog container
-//     and rehydrate transiently with exact results.
-//   * ShardedHier per-shard budgets: parts compacted individually,
-//     watermarks preserved, reads exact.
+//     evict interleavings re-queried against the dense-replay oracle
+//     across the four fold monoids, over HierMatrix and over
+//     ShardedHier (whose evictions collapse the whole set; watermarks
+//     and epochs preserved).
 //   * analytics::IncrementalEngine over a governed source: eviction of
 //     the cached previous snapshot falls back to a counted full
 //     recompute; a generous budget keeps the incremental path intact.
@@ -48,7 +46,6 @@ using proptest::DenseRef;
 constexpr std::uint64_t kSeedCompact = 0x60C0001;
 constexpr std::uint64_t kSeedEvict = 0x60C0002;
 constexpr std::uint64_t kSeedOracle = 0x60C0003;
-constexpr std::uint64_t kSeedSpill = 0x60C0004;
 constexpr std::uint64_t kSeedSharded = 0x60C0005;
 constexpr std::uint64_t kSeedIncr = 0x60C0006;
 constexpr std::uint64_t kSeedWriteSide = 0x60C0007;
@@ -145,7 +142,6 @@ TEST(MemoryGovernor, BudgetEvictsLaggingReaderExactly) {
 
   GovernorConfig cfg;
   cfg.budget_bytes = 0;  // any pinned byte is over budget
-  cfg.min_evict_lag = 1;
   MemoryGovernor<HierMatrix<double>> gov(h, cfg);
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> evictions;
@@ -243,7 +239,6 @@ TEST(MemoryGovernor, WriteSideEnforcementBoundsPinnedToOneGeneration) {
     ShardedHier<double> sh(kShards, dim, dim, CutPolicy({256, 4096}));
     GovernorConfig cfg;
     cfg.budget_bytes = 0;
-    cfg.min_evict_lag = 1;
     MemoryGovernor<ShardedHier<double>> gov(sh, cfg);
 
     for (int k = 0; k < kWarmup; ++k) sh.update(batches[k]);
@@ -271,7 +266,6 @@ TEST(MemoryGovernor, WriteSideEnforcementBoundsPinnedToOneGeneration) {
   ShardedHier<double> sh(kShards, dim, dim, CutPolicy({256, 4096}));
   GovernorConfig cfg;
   cfg.budget_bytes = 0;  // any pinned byte is over budget
-  cfg.min_evict_lag = 1;
   cfg.enforce_on_write = true;
   MemoryGovernor<ShardedHier<double>> gov(sh, cfg);
 
@@ -335,157 +329,115 @@ TEST(MemoryGovernor, WriteSideEnforcementBoundsPinnedToOneGeneration) {
 }
 
 // ---------------------------------------------------------------------------
-// Property: evict → re-query equals the dense-replay oracle (4 monoids).
+// Property: evict → re-query equals the dense-replay oracle (4 monoids,
+// HierMatrix and ShardedHier sources).
 // ---------------------------------------------------------------------------
-template <class T, class M>
-void run_evict_requery_oracle(std::uint64_t seed) {
+template <class T, class M, class Source>
+void run_evict_requery_oracle(Source& src, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
-  const Index dim = 1u << 11;
-  HierMatrix<T, M> h(dim, dim, CutPolicy({32, 512, 4096}));
+  const Index dim = src.nrows();
 
   GovernorConfig cfg;
   cfg.budget_bytes = 0;
-  cfg.min_evict_lag = 1;
-  cfg.spill_lag = 10;  // the coldest held snapshots leave block form too
-  MemoryGovernor<HierMatrix<T, M>> gov(h, cfg);
+  MemoryGovernor<Source> gov(src, cfg);
 
+  struct Held {
+    typename MemoryGovernor<Source>::handle_type handle;
+    DenseRef<T, M> ref;
+    std::vector<hier::SnapshotWatermark> marks;  ///< set sources only
+  };
+  auto marks_of = [](const auto& img) {
+    std::vector<hier::SnapshotWatermark> marks;
+    if constexpr (requires { img.watermark(0); })
+      for (std::size_t p = 0; p < img.size(); ++p)
+        marks.push_back(img.watermark(p));
+    return marks;
+  };
   DenseRef<T, M> ref;
-  std::vector<
-      std::pair<typename MemoryGovernor<HierMatrix<T, M>>::handle_type,
-                DenseRef<T, M>>>
-      held;
+  std::vector<Held> held;
   for (int step = 0; step < 40; ++step) {
     auto b = proptest::random_batch<T>(rng, dim, 120);
-    h.update(b);
+    src.update(b);
     ref.apply(b);
-    if (step % 5 == 2) held.emplace_back(gov.acquire(), ref);
+    if (step % 5 == 2) {
+      auto handle = gov.acquire();
+      auto marks = marks_of(handle.pin());
+      held.push_back({std::move(handle), ref, std::move(marks)});
+    }
   }
   gov.enforce();
 
-  const auto st = gov.stats();
-  EXPECT_GE(st.evictions, 1u);
-  EXPECT_GE(st.spills, 1u);
+  EXPECT_GE(gov.stats().evictions, 1u);
+  EXPECT_EQ(gov.memory().pinned_bytes, 0u);
 
   for (std::size_t k = 0; k < held.size(); ++k) {
+    const auto& h = held[k];
     SCOPED_TRACE(::testing::Message()
-                 << "held snapshot " << k << ", epoch " << held[k].first.epoch()
-                 << (held[k].first.spilled()
-                         ? " (spilled)"
-                         : held[k].first.evicted() ? " (evicted)" : " (live)"));
-    EXPECT_TRUE(held[k].second.matches(held[k].first.to_matrix()));
-    EXPECT_EQ(held[k].first.nvals(), held[k].second.nvals());
+                 << "held snapshot " << k << ", epoch " << h.handle.epoch()
+                 << (h.handle.evicted() ? " (evicted)" : " (live)"));
+    EXPECT_TRUE(h.ref.matches(h.handle.to_matrix()));
+    EXPECT_EQ(h.handle.nvals(), h.ref.nvals());
+    auto img = h.handle.pin();
+    EXPECT_EQ(img.epoch(), h.handle.epoch());
+    // Eviction keeps every part's watermark, compacted or not.
+    const auto marks = marks_of(img);
+    ASSERT_EQ(marks.size(), h.marks.size());
+    for (std::size_t p = 0; p < marks.size(); ++p) {
+      EXPECT_EQ(marks[p].batches, h.marks[p].batches);
+      EXPECT_EQ(marks[p].entries, h.marks[p].entries);
+    }
   }
+}
+
+template <class T, class M>
+void run_evict_requery_oracle_hier(std::uint64_t seed) {
+  HierMatrix<T, M> h(1u << 11, 1u << 11, CutPolicy({32, 512, 4096}));
+  run_evict_requery_oracle<T, M>(h, seed);
+}
+
+template <class T, class M>
+void run_evict_requery_oracle_sharded(std::uint64_t seed) {
+  ShardedHier<T, M> sh(4, 1u << 11, 1u << 11, CutPolicy({32, 512, 4096}));
+  run_evict_requery_oracle<T, M>(sh, seed);
 }
 
 TEST(MemoryGovernorProperty, EvictRequeryOracle_PlusDouble) {
   HHGBX_PROP_SEED(seed, kSeedOracle);
-  run_evict_requery_oracle<double, gbx::PlusMonoid<double>>(seed);
+  run_evict_requery_oracle_hier<double, gbx::PlusMonoid<double>>(seed);
 }
 TEST(MemoryGovernorProperty, EvictRequeryOracle_PlusInt64) {
   HHGBX_PROP_SEED(seed, kSeedOracle ^ 0x11);
-  run_evict_requery_oracle<std::int64_t, gbx::PlusMonoid<std::int64_t>>(seed);
+  run_evict_requery_oracle_hier<std::int64_t, gbx::PlusMonoid<std::int64_t>>(
+      seed);
 }
 TEST(MemoryGovernorProperty, EvictRequeryOracle_MinInt64) {
   HHGBX_PROP_SEED(seed, kSeedOracle ^ 0x22);
-  run_evict_requery_oracle<std::int64_t, gbx::MinMonoid<std::int64_t>>(seed);
+  run_evict_requery_oracle_hier<std::int64_t, gbx::MinMonoid<std::int64_t>>(
+      seed);
 }
 TEST(MemoryGovernorProperty, EvictRequeryOracle_MaxInt64) {
   HHGBX_PROP_SEED(seed, kSeedOracle ^ 0x33);
-  run_evict_requery_oracle<std::int64_t, gbx::MaxMonoid<std::int64_t>>(seed);
+  run_evict_requery_oracle_hier<std::int64_t, gbx::MaxMonoid<std::int64_t>>(
+      seed);
 }
-
-// ---------------------------------------------------------------------------
-// Spill: cold snapshots serialize out of block form and rehydrate
-// transiently with exact results.
-// ---------------------------------------------------------------------------
-TEST(MemoryGovernor, SpillAndRehydrateExactly) {
-  HHGBX_PROP_SEED(seed, kSeedSpill);
-  std::mt19937_64 rng(seed);
-  const Index dim = 1u << 12;
-  HierMatrix<double> h(dim, dim, CutPolicy({64, 1024}));
-
-  GovernorConfig cfg;
-  cfg.budget_bytes = 0;
-  cfg.min_evict_lag = 1;
-  cfg.spill_lag = 4;
-  MemoryGovernor<HierMatrix<double>> gov(h, cfg);
-
-  MemoryGovernor<HierMatrix<double>>::handle_type held;
-  gbx::Matrix<double> ref(1, 1);
-  for (int k = 0; k < 12; ++k) {
-    auto b = proptest::random_batch<double>(rng, dim, 200);
-    h.update(b);
-    if (k == 2) {
-      held = gov.acquire();
-      ref = held.pin().to_matrix();
-    } else {
-      gov.acquire();
-    }
-  }
-
-  EXPECT_TRUE(held.spilled());
-  const auto mem = gov.memory();
-  EXPECT_GT(mem.spilled_bytes, 0u);
-  EXPECT_EQ(mem.spilled_snapshots, 1u);
-  EXPECT_EQ(held.memory_bytes(), mem.spilled_bytes);
-
-  // Rehydrated reads: exact, counted, and transient (still spilled).
-  EXPECT_TRUE(same_matrix(held.to_matrix(), ref));
-  EXPECT_EQ(held.nvals(), ref.nvals());
-  EXPECT_TRUE(held.spilled());
-  EXPECT_GE(gov.stats().rehydrations, 2u);
-  EXPECT_GE(gov.stats().spills, 1u);
-
-  // A pinned copy of a spilled image keeps every metadata field.
-  auto img = held.pin();
-  EXPECT_EQ(img.epoch(), held.epoch());
-  EXPECT_EQ(img.stats().updates, held.epoch());
-}
-
-// ---------------------------------------------------------------------------
-// ShardedHier: per-shard budgets compact parts individually, watermarks
-// and reads preserved exactly.
-// ---------------------------------------------------------------------------
-TEST(MemoryGovernor, ShardedPerShardBudgetsEvictPartsExactly) {
+TEST(MemoryGovernorProperty, ShardedEvictRequeryOracle_PlusDouble) {
   HHGBX_PROP_SEED(seed, kSeedSharded);
-  std::mt19937_64 rng(seed);
-  const Index dim = 1u << 13;
-  ShardedHier<double> sh(4, dim, dim, CutPolicy({32, 512}));
-
-  GovernorConfig cfg;
-  cfg.part_budget_bytes = 1;  // any pinned shard byte is over budget
-  cfg.min_evict_lag = 1;
-  MemoryGovernor<ShardedHier<double>> gov(sh, cfg);
-
-  MemoryGovernor<ShardedHier<double>>::handle_type held;
-  gbx::Matrix<double> ref(1, 1);
-  std::vector<hier::SnapshotWatermark> marks;
-  for (int k = 0; k < 25; ++k) {
-    auto b = proptest::random_batch<double>(rng, dim, 250);
-    sh.update(b);
-    if (k == 5) {
-      held = gov.acquire();
-      auto img = held.pin();
-      ref = img.to_matrix();
-      for (std::size_t p = 0; p < img.size(); ++p)
-        marks.push_back(img.watermark(p));
-    } else {
-      gov.acquire();
-    }
-  }
-
-  EXPECT_TRUE(held.evicted());
-  const auto st = gov.stats();
-  EXPECT_GE(st.part_evictions, 1u);
-
-  auto img = held.pin();
-  ASSERT_EQ(img.size(), 4u);
-  for (std::size_t p = 0; p < img.size(); ++p) {
-    EXPECT_EQ(img.watermark(p).batches, marks[p].batches);
-    EXPECT_EQ(img.watermark(p).entries, marks[p].entries);
-  }
-  EXPECT_TRUE(same_matrix(held.to_matrix(), ref));
-  EXPECT_EQ(gov.memory().pinned_bytes, 0u);
+  run_evict_requery_oracle_sharded<double, gbx::PlusMonoid<double>>(seed);
+}
+TEST(MemoryGovernorProperty, ShardedEvictRequeryOracle_PlusInt64) {
+  HHGBX_PROP_SEED(seed, kSeedSharded ^ 0x11);
+  run_evict_requery_oracle_sharded<std::int64_t,
+                                   gbx::PlusMonoid<std::int64_t>>(seed);
+}
+TEST(MemoryGovernorProperty, ShardedEvictRequeryOracle_MinInt64) {
+  HHGBX_PROP_SEED(seed, kSeedSharded ^ 0x22);
+  run_evict_requery_oracle_sharded<std::int64_t,
+                                   gbx::MinMonoid<std::int64_t>>(seed);
+}
+TEST(MemoryGovernorProperty, ShardedEvictRequeryOracle_MaxInt64) {
+  HHGBX_PROP_SEED(seed, kSeedSharded ^ 0x33);
+  run_evict_requery_oracle_sharded<std::int64_t,
+                                   gbx::MaxMonoid<std::int64_t>>(seed);
 }
 
 // ---------------------------------------------------------------------------
@@ -499,7 +451,6 @@ TEST(MemoryGovernor, IncrementalEngineSurvivesEvictionOfItsPrevSnapshot) {
 
   GovernorConfig cfg;
   cfg.budget_bytes = 0;  // evict the engine's cached prev every round
-  cfg.min_evict_lag = 1;
   MemoryGovernor<HierMatrix<double>> gov(h, cfg);
   analytics::IncrementalEngine<MemoryGovernor<HierMatrix<double>>> eng(gov);
 

@@ -461,8 +461,6 @@ TEST(SnapshotConcurrency, EvictionDuringPumpKeepsReadsExact) {
   ParallelStream<double> engine(array);
   hier::GovernorConfig cfg;
   cfg.budget_bytes = 0;  // evict every lagging image as soon as possible
-  cfg.min_evict_lag = 1;
-  cfg.spill_lag = 3;     // and push the coldest ones out of block form
   hier::MemoryGovernor<ParallelStream<double>> gov(engine, cfg);
 
   std::atomic<bool> stop{false};
@@ -480,7 +478,7 @@ TEST(SnapshotConcurrency, EvictionDuringPumpKeepsReadsExact) {
           ref = held.pin().to_matrix();  // unevicted baseline of the image
           continue;
         }
-        // Re-query the (possibly just evicted/spilled) handle: every
+        // Re-query the (possibly just evicted) handle: every
         // read path must still produce the frozen image bit-for-bit.
         EXPECT_TRUE(gbx::equal(held.to_matrix(), ref));
         EXPECT_EQ(held.epoch(), held.pin().epoch());
