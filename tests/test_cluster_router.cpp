@@ -18,6 +18,12 @@
 
 #ifdef __linux__
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -301,6 +307,58 @@ TEST(ClusterRouter, DeadWorkerFailsStitchedQueriesLoudly) {
   auto probe2 = h.client();
   EXPECT_THROW(probe2.query_summary(), gbx::Error);
   EXPECT_THROW(h.client().query_refresh(), gbx::Error);
+}
+
+TEST(ClusterRouter, HungWorkerFailsLoudlyAndSticky) {
+  // Worker 1 is a black hole: a listening socket that completes the
+  // handshake in the kernel but is never accepted or read. Requests to
+  // it are never answered, so only the router's recv timeout can turn
+  // the hang into an error.
+  const int hole = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(hole, 0);
+  ::sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(hole, reinterpret_cast<::sockaddr*>(&addr), sizeof addr),
+            0);
+  ASSERT_EQ(::listen(hole, 8), 0);
+  ::socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(hole, reinterpret_cast<::sockaddr*>(&addr), &len),
+            0);
+
+  cluster::LocalWorker real(ClusterHarness::config());
+  cluster::PartitionMap map(
+      {real.endpoint(),
+       cluster::WorkerEndpoint{"127.0.0.1", ntohs(addr.sin_port)}});
+  auto ropt = ClusterHarness::router_options();
+  ropt.worker_recv_timeout_ms = 300;
+  cluster::Router router(map, ropt);
+  router.start();
+
+  // Every reply must come within a bound well above the router's
+  // timeout: a client-side timeout here means the router hung.
+  net::Client::Options copt;
+  copt.recv_timeout_ms = 10000;
+  const auto bounded = [](auto&& call) {
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_THROW(call(), gbx::Error);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(8));
+  };
+
+  cluster::RouterClient cli(copt);
+  cli.connect("127.0.0.1", router.port());
+  cli.insert(integer_batches(0x4A96, 1, 200)[0]);  // rows on both workers
+  bounded([&] { cli.flush(); });
+  bounded([&] { cli.query_sum(); });
+
+  // Sticky: a fresh session's stitched query fails too.
+  cluster::RouterClient fresh(copt);
+  fresh.connect("127.0.0.1", router.port());
+  bounded([&] { fresh.query_summary(); });
+  EXPECT_GE(router.stats().worker_failures.load(), 1u);
+
+  router.stop();
+  ::close(hole);
 }
 
 TEST(ClusterRouter, StaleHintIsRedirectedLoudly) {
