@@ -19,6 +19,12 @@ Checks:
      src/net/frame_loop.hpp: every front end takes its listener and its
      accepted sockets from the one session core, so none can grow a
      private listener again.
+  5. No `std::thread`, `::recv(` or `::send(` under src/cluster: the
+     router is a handler on the session core, where its client sessions
+     and its worker connections share the one loop thread and the
+     core's nonblocking socket I/O. A thread or a blocking socket call
+     there would bring back a second session loop and the locks it
+     needs (the worker pool's forked processes need neither).
 """
 
 import re
@@ -49,6 +55,10 @@ RAW_PRIMITIVE_RE = re.compile(
 # The one file allowed to bind, listen, and accept.
 LISTENER_HOME = "src/net/frame_loop.hpp"
 LISTENER_RE = re.compile(r"::(bind|listen|accept4)\(")
+
+# Session-core-only I/O for the cluster layer (check 5).
+CLUSTER_DIR = "src/cluster/"
+CLUSTER_BANNED_RE = re.compile(r"(\bstd::thread\b|::recv\(|::send\()")
 
 # `new` as an expression: preceded by start/space/punct, followed by a
 # type. Excludes placement-new forms used by containers (none in-repo)
@@ -173,7 +183,20 @@ def check_listeners(path: Path, code: str, errors: list) -> None:
             errors.append(
                 f"{rel}:{ln}: ::{m.group(1)}() outside {LISTENER_HOME} — "
                 f"take listeners and accepted sockets from the session "
-                f"core (net::listen_loopback / net::accept_client)")
+                f"core (net::FrameLoop)")
+
+
+def check_cluster_io(path: Path, code: str, errors: list) -> None:
+    rel = str(path.relative_to(REPO))
+    if not rel.startswith(CLUSTER_DIR):
+        return
+    for ln, line in enumerate(code.splitlines(), 1):
+        m = CLUSTER_BANNED_RE.search(line)
+        if m:
+            errors.append(
+                f"{rel}:{ln}: {m.group(1)} under {CLUSTER_DIR} — the "
+                f"router runs on the session core's loop thread and its "
+                f"nonblocking I/O (net/frame_loop.hpp)")
 
 
 def main() -> int:
@@ -187,6 +210,7 @@ def main() -> int:
         check_naked_new(path, code, errors)
         check_raw_primitives(path, code, errors)
         check_listeners(path, code, errors)
+        check_cluster_io(path, code, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:

@@ -1,61 +1,50 @@
 // cluster/router.hpp — N-primary router: one process front end over N
 // worker IngestServer processes (Linux only).
 //
-// The router speaks the net/protocol.hpp frame protocol on BOTH sides:
-// clients connect to it exactly as they would to a single IngestServer,
-// and it holds one upstream net::Client connection per worker process.
-// Inserts are fanned out by the shared row-hash partition
-// (hier/partition.hpp — the same function ShardedHier uses), so a
-// multi-process cluster places every coordinate on the worker that a
-// single-process ShardedHier with the same part count would place it
-// in. Workers are therefore row-DISJOINT, which is what makes stitched
-// reads exact: an element probe has exactly one owner, nvals adds, and
-// Σ Ai folds part-major in the canonical order.
+// It speaks the net/protocol.hpp frame protocol to clients, exactly like
+// one IngestServer, and to each worker. Inserts fan out by ShardedHier's
+// row hash (hier/partition.hpp), so worker w holds exactly the rows of
+// shard w: rows are DISJOINT across workers, which makes stitched reads
+// exact (a probe has one owner, nvals adds, Σ Ai folds part-major).
 //
-// Concurrency design — a distributed ShardedHier, one blocking thread
-// per client session, not the net/frame_loop.hpp epoll core. A router
-// session spends its time blocked on worker RPCs, and a blocked thread
-// reads nothing more from its client until its reply is sent: it
-// back-pressures only that client and needs no outbound cap. The router
-// shares the core's listener and the request validator, and reuses the
-// proven freeze/writer-slot structure verbatim:
+// The router is a FrameHandler on the net/frame_loop.hpp session core:
+// client sessions and worker connections share one loop thread, and no
+// worker RPC blocks.
 //
-//   * An insert session splits its batch by part and forwards every
-//     non-empty sub-batch while holding a SHARED slot on `snap_mu_` —
-//     ShardedHier::update's whole-batch atomicity, across processes.
-//     Per-worker order is serialized by that worker's connection mutex.
-//
-//   * Every query is an epoch-stitched distributed snapshot: the
-//     EXCLUSIVE slot (writers back off via freeze_pending_, as in
-//     ShardedHier::freeze), a flush barrier through every worker (so
-//     "admitted" == "applied" everywhere and no client batch is
-//     half-forwarded), one revision-2 provenance epoch per worker, the
-//     answer from that cut. The epoch vector rides back as the reply's
-//     provenance trailer, so a stitched answer is auditable.
-//
-//   * Partial failure is LOUD. A worker I/O error (EPIPE after a SIGKILL,
-//     recv timeout on a hang, EOF on a crash) marks that worker dead: the
-//     triggering request and every later stitched query get kReplyError.
-//     The router never answers from a subset of workers.
-//
-//   * Placement hints double as the redirect primitive: a client that
-//     pins a worker index on kInsert asserts its map; if the current map
-//     disagrees, the reply is kReplyError naming the current version and
-//     the client re-fetches kQueryMap. kAnyLane routes by hash.
+//   * A client batch is split by part and each sub-batch queued one-way
+//     on its worker connection; while a worker's unsent backlog is over
+//     the cap, client batches are held (the full-lane park, one hop up).
+//   * kFlush and queries are continuations: each worker connection keeps
+//     a FIFO of the replies it owes, and the asking client pauses until
+//     its last one is in.
+//   * A query is an epoch-stitched snapshot: kFlush to every worker, then
+//     (all acked: "admitted" == "applied" everywhere) the read verb(s) to
+//     every worker, folded in canonical part order, with the per-worker
+//     epochs as the reply's provenance trailer.
+//   * The cut is loop order: from a stitch's start until its read round
+//     is sent no client frame is acted on, and one stitch runs at a
+//     time. Per-connection FIFO then puts every client batch on the same
+//     side of the read on every worker: no stitch sees a torn batch. (A
+//     read never follows an unacked flush: a worker answers a query
+//     before a pending flush ack.)
+//   * Failure is LOUD and sticky: a worker whose connection fails, that
+//     answers kReplyError, or that owes a reply past
+//     worker_recv_timeout_ms is dead; its waiting clients get kReplyError
+//     and are closed, as is every later request that needs it.
 #pragma once
 
 #ifdef __linux__
 
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
+#include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -63,276 +52,239 @@
 #include "gbx/error.hpp"
 #include "gbx/thread_annotations.hpp"
 #include "cluster/partition_map.hpp"
-#include "net/client.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame_loop.hpp"
 #include "net/protocol.hpp"
+#include "net/server.hpp"
 
 namespace cluster {
 
-/// Monotone router counters (relaxed atomics; readable from any thread).
-struct RouterStats {
-  std::atomic<std::uint64_t> sessions_accepted{0};
-  std::atomic<std::uint64_t> sessions_closed{0};
+/// Monotone router counters (relaxed atomics): the core's, plus its own.
+struct RouterStats : net::SessionStats {
   std::atomic<std::uint64_t> batches_routed{0};     ///< client batches split
   std::atomic<std::uint64_t> subbatches_forwarded{0};
   std::atomic<std::uint64_t> entries_routed{0};
   std::atomic<std::uint64_t> queries{0};
   std::atomic<std::uint64_t> stitched_freezes{0};
   std::atomic<std::uint64_t> worker_failures{0};
-  std::atomic<std::uint64_t> rejected_frames{0};
   std::atomic<std::uint64_t> redirects{0};  ///< stale-map placement hints
 };
 
-class Router {
+class Router final : private net::FrameHandler {
  public:
   struct Options {
     std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
-    /// Matrix dimensions (insert validation happens HERE: a bad
-    /// coordinate must never reach a worker, where the resulting
-    /// kReplyError would poison the router's shared connection).
+    /// Matrix dimensions, for insert validation HERE: a bad coordinate
+    /// reaching a worker would fail the router's shared connection.
     gbx::Index nrows = 0;
     gbx::Index ncols = 0;
-    /// Worker-side failure detection: a worker that stays silent this
-    /// long mid-RPC is declared dead (→ loud errors, never a hang).
+    /// Worker-side failure detection: a worker that owes a reply this
+    /// long is declared dead (→ loud errors, never a hang).
     int worker_recv_timeout_ms = 10000;
   };
 
   // No `opt = {}` default argument: GCC parses default arguments before
   // nested-class member initializers (same workaround as IngestServer).
   explicit Router(PartitionMap map) : Router(std::move(map), Options()) {}
-  Router(PartitionMap map, Options opt) : map_(std::move(map)), opt_(opt) {
+  Router(PartitionMap map, Options opt)
+      : map_(std::move(map)), opt_(opt), loop_(*this, stats_, max_out_) {
     GBX_CHECK_VALUE(opt_.nrows > 0 && opt_.ncols > 0,
                     "router needs matrix dimensions for insert validation");
   }
 
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
-
-  ~Router() {
-    if (running_) stop();
+  ~Router() override {
+    if (running()) stop();
   }
 
-  /// Dial every worker, bind, listen, spawn the accept thread.
+  /// Dial every worker, bind, listen, spawn the loop thread.
   void start() {
-    GBX_CHECK(!running_, "Router already started");
-    workers_.clear();
-    for (std::size_t w = 0; w < map_.parts(); ++w) {
-      auto wk = std::make_unique<Worker>();
-      net::Client::Options copt;
-      copt.recv_timeout_ms = opt_.worker_recv_timeout_ms;
-      // Workers may still be binding when the router dials them.
-      copt.connect_attempts = 50;
-      copt.connect_backoff_ms = 20;
-      {
-        gbx::ScopedLock lk(wk->mu);
-        wk->cli = net::Client(copt);
-        wk->cli.connect(map_.worker(w).host, map_.worker(w).port);
-      }
-      workers_.push_back(std::move(wk));
-    }
-
-    // Blocking listener: the accept thread sleeps in accept(), and
-    // stop() wakes it by shutting the socket down.
-    listen_ = net::listen_loopback(opt_.port, /*nonblocking=*/false, port_);
-    stop_.store(false, std::memory_order_relaxed);
-    running_ = true;
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
-
-  /// Unblock and join every thread, close every socket. In-flight
-  /// client sessions see EOF; worker connections get an orderly bye.
-  void stop() {
-    GBX_CHECK(running_, "Router not started");
-    stop_.store(true, std::memory_order_relaxed);
-    ::shutdown(listen_.get(), SHUT_RDWR);  // accept() returns
-    accept_thread_.join();
-    std::vector<std::unique_ptr<RouterSession>> sessions;
+    GBX_CHECK(!running(), "Router already started");
+    std::vector<std::unique_ptr<net::FrameSession>> links;
     {
-      // The accept thread is gone, so nothing adds sessions any more.
-      gbx::ScopedLock lk(sessions_mu_);
-      for (auto& s : sessions_)
-        ::shutdown(s->fd.get(), SHUT_RDWR);  // blocking recv returns
-      sessions.swap(sessions_);
-    }
-    for (auto& s : sessions)
-      if (s->th.joinable()) s->th.join();
-    for (auto& wk : workers_) {
-      gbx::ScopedLock lk(wk->mu);
-      if (!wk->dead && wk->cli.connected()) {
-        try {
-          wk->cli.bye();
-        } catch (const gbx::Error&) {
-          // Teardown is best-effort; a worker that died first is fine.
-        }
+      gbx::ScopedThreadRole role(loop_role_);  // no loop thread yet
+      workers_.clear();
+      for (std::size_t w = 0; w < map_.parts(); ++w) {
+        // Workers may still be binding when the router dials them.
+        net::Fd fd = net::dial(map_.worker(w).host, map_.worker(w).port,
+                               /*attempts=*/50);
+        GBX_CHECK(fd.valid(), "router: cannot reach " + name(w));
+        links.push_back(std::make_unique<Worker>(std::move(fd), w));
+        workers_.push_back(static_cast<Worker*>(links.back().get()));
       }
-      wk->cli.close();
     }
-    listen_.reset();
-    running_ = false;
+    loop_.start(opt_.port, std::move(links));
   }
 
-  std::uint16_t port() const { return port_; }
-  bool running() const { return running_; }
+  /// Join the loop and close every socket: clients and workers see EOF.
+  void stop() {
+    loop_.stop();
+    gbx::ScopedThreadRole role(loop_role_);  // the loop thread is gone
+    workers_.clear();
+    stitch_.reset();
+  }
+
+  std::uint16_t port() const { return loop_.port(); }
+  bool running() const { return loop_.running(); }
   const RouterStats& stats() const { return stats_; }
   const PartitionMap& map() const { return map_; }
 
  private:
-  struct Worker {
-    gbx::Mutex mu;
-    net::Client cli GBX_GUARDED_BY(mu);
-    bool dead GBX_GUARDED_BY(mu) = false;
+  using Clock = std::chrono::steady_clock;
+
+  struct Session : net::FrameSession {
+    Session(net::Fd f, std::size_t nworkers)
+        : FrameSession(std::move(f)), used_workers(nworkers, false) {}
+    std::vector<bool> used_workers;        ///< workers this session fed
+    std::optional<store::LogRecord> held;  ///< frame waiting for admission
+    std::size_t awaiting = 0;              ///< worker replies it waits for
   };
 
-  struct RouterSession {
-    RouterSession(net::Fd f, std::size_t nworkers)
-        : fd(std::move(f)), dec(net::kMaxFrameBytes),
-          used_workers(nworkers, false) {}
-    net::Fd fd;
-    store::RecordFrameDecoder dec;
-    std::vector<bool> used_workers;  ///< workers this session ever fed
-    std::thread th;
-    std::atomic<bool> done{false};
+  /// One reply a worker owes, in request order.
+  struct Owed {
+    net::MsgType verb;  ///< the request; its reply echoes it
+    Session* client;    ///< who waits for it; null once nobody does
+    Clock::time_point sent;
   };
 
-  // --- accept / session lifecycle.
+  struct Worker : net::FrameSession {
+    Worker(net::Fd f, std::size_t w) : FrameSession(std::move(f)), index(w) {}
+    std::size_t index;
+    std::deque<Owed> owed;
+  };
 
-  void accept_loop() {
-    while (!stop_.load(std::memory_order_relaxed)) {
-      net::Fd c = net::accept_client(listen_.get(), /*nonblocking=*/false);
-      if (!c.valid()) {
-        if (stop_.load(std::memory_order_relaxed)) return;
-        if (errno == EINTR || errno == ECONNABORTED) continue;
-        return;  // listen socket gone
-      }
-      auto s = std::make_unique<RouterSession>(std::move(c), workers_.size());
-      RouterSession* raw = s.get();
-      stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
-      {
-        gbx::ScopedLock lk(sessions_mu_);
-        sessions_.push_back(std::move(s));
-        sessions_.back()->th = std::thread([this, raw] {
-          session_loop(*raw);
-          raw->done.store(true, std::memory_order_release);
-        });
-      }
-      reap_finished();
+  /// The one stitched query in flight. Its owner's `awaiting` counts the
+  /// replies the current round (flushes, then reads) still needs.
+  struct Stitch {
+    Session* owner = nullptr;
+    net::MsgType verb = net::MsgType::kQuerySum;
+    bool want_prov = false;
+    bool reading = false;  ///< read round sent: the cut is over
+    std::vector<net::ElementQuery> probes;               ///< kQueryElements
+    std::vector<std::vector<store::LogRecord>> replies;  ///< per worker
+    std::vector<std::uint64_t> epochs;                   ///< per worker
+  };
+
+  // --- net::FrameHandler (loop-thread entry points) ------------------------
+
+  std::unique_ptr<net::FrameSession> open(net::Fd fd) override {
+    return std::make_unique<Session>(std::move(fd), map_.parts());
+  }
+
+  void on_frame(net::FrameSession& fs, store::LogRecord& rec) override {
+    gbx::ScopedThreadRole role(loop_role_);
+    if (fs.outbound()) {
+      on_worker_reply(static_cast<Worker&>(fs), rec);
+      return;
+    }
+    auto& s = static_cast<Session&>(fs);
+    s.held = std::move(rec);
+    s.pause();
+    admit(s);  // a gbx::Error here is the core's to answer
+  }
+
+  void on_tick() override {
+    gbx::ScopedThreadRole role(loop_role_);
+    const auto limit = std::chrono::milliseconds(opt_.worker_recv_timeout_ms);
+    for (Worker* wk : workers_)
+      if (wk != nullptr && !wk->owed.empty() &&
+          Clock::now() - wk->owed.front().sent > limit)
+        fail_worker(wk->index, "no reply within " +
+                                   std::to_string(limit.count()) + " ms");
+  }
+
+  void on_pass(net::FrameSession& fs) override {
+    gbx::ScopedThreadRole role(loop_role_);
+    if (fs.outbound()) return;
+    auto& s = static_cast<Session&>(fs);
+    const net::MsgType type =
+        s.held ? net::tag_type(s.held->epoch) : net::MsgType::kInsert;
+    try {
+      admit(s);
+    } catch (const gbx::Error& e) {
+      s.fail(type, e.what());
     }
   }
 
-  /// Join and drop sessions whose threads have finished (bounds the
-  /// session list on long-lived routers; stop() drains the rest).
-  void reap_finished() {
-    std::vector<std::unique_ptr<RouterSession>> finished;
-    {
-      gbx::ScopedLock lk(sessions_mu_);
-      for (auto it = sessions_.begin(); it != sessions_.end();) {
-        if ((*it)->done.load(std::memory_order_acquire)) {
-          finished.push_back(std::move(*it));
-          it = sessions_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    for (auto& s : finished) {
-      if (s->th.joinable()) s->th.join();
-      stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
-    }
+  bool pending(const net::FrameSession& fs) const override { return fs.paused; }
+
+  void on_close(net::FrameSession& fs) override {
+    gbx::ScopedThreadRole role(loop_role_);
+    if (fs.outbound())
+      fail_worker(static_cast<Worker&>(fs).index, "connection lost");
+    else
+      forget(static_cast<Session&>(fs));
   }
 
-  void session_loop(RouterSession& s) {
-    char buf[1u << 16];
-    store::LogRecord rec;
-    bool open = true;
-    while (open && !stop_.load(std::memory_order_relaxed)) {
-      const auto n = ::recv(s.fd.get(), buf, sizeof buf, 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (n == 0) {
-        // EOF; a partial frame here is the torn-tail case: count, drop.
-        if (s.dec.buffered() > 0 && !s.dec.corrupt())
-          stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      s.dec.feed(buf, static_cast<std::size_t>(n));
-      while (open) {
-        const auto st = s.dec.next(rec);
-        if (st == store::RecordFrameDecoder::Status::kNeedMore) break;
-        if (st == store::RecordFrameDecoder::Status::kCorrupt) {
-          stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-          reply_error(s, net::MsgType::kInsert, s.dec.error());
-          open = false;
-        } else {
-          open = handle_frame(s, rec);
-        }
-      }
-    }
-    // The client sees EOF now, not when the session is reaped.
-    ::shutdown(s.fd.get(), SHUT_RDWR);
+  // --- client verbs --------------------------------------------------------
+
+  static bool stitched(net::MsgType t) {  // kQuerySum..kQueryRefresh
+    return (t >= net::MsgType::kQuerySum && t <= net::MsgType::kQueryRefresh) ||
+           t == net::MsgType::kQueryColumns;
   }
 
-  // --- frame dispatch (session threads).
+  /// Act on the session's held frame once the cut allows: nothing moves
+  /// between a stitch's start and its read round, and one stitch runs at
+  /// a time. Batches also wait while any worker's unsent backlog is over
+  /// the cap.
+  void admit(Session& s) GBX_REQUIRES(loop_role_) {
+    if (!s.held) return;
+    const net::MsgType t = net::tag_type(s.held->epoch);
+    if ((stitch_ && (!stitch_->reading || stitched(t))) ||
+        (t == net::MsgType::kInsert &&
+         std::any_of(workers_.begin(), workers_.end(), [this](Worker* w) {
+           return w != nullptr && w->backlog() > max_out_;
+         })))
+      return;
+    store::LogRecord rec = std::move(*s.held);
+    s.held.reset();
+    s.unpause();
+    dispatch(s, rec);
+  }
 
-  /// Returns false when the session must close.
-  bool handle_frame(RouterSession& s, store::LogRecord& rec) {
+  /// Act on one client frame; throws gbx::Error to reject it.
+  void dispatch(Session& s, store::LogRecord& rec) GBX_REQUIRES(loop_role_) {
     const net::MsgType type = net::tag_type(rec.epoch);
     const std::uint64_t arg = net::tag_arg(rec.epoch);
-    const bool want_prov = type != net::MsgType::kInsert &&
-                           (arg & net::kWantProvenance) != 0;
-    try {
-      switch (type) {
-        case net::MsgType::kInsert:
-          handle_insert(s, arg, rec);
-          return true;
-        case net::MsgType::kFlush:
-          handle_client_flush(s);
-          return true;
-        case net::MsgType::kQuerySum:
-          handle_query_sum(s, want_prov);
-          return true;
-        case net::MsgType::kQueryElements:
-          handle_query_elements(s, want_prov, rec);
-          return true;
-        case net::MsgType::kQuerySummary:
-          handle_query_summary(s, want_prov);
-          return true;
-        case net::MsgType::kQueryRefresh:
-          handle_query_refresh(s, want_prov);
-          return true;
-        case net::MsgType::kQueryColumns:
-          handle_query_columns(s, want_prov);
-          return true;
-        case net::MsgType::kQueryMap: {
-          net::MapReply r;
-          r.version = map_.version();
-          r.parts = map_.parts();
-          r.nrows = opt_.nrows;
-          r.ncols = opt_.ncols;
-          reply_ok(s, type, &r, sizeof r);
-          return true;
-        }
-        case net::MsgType::kBye:
-          reply_ok(s, type, "", 0);
-          return false;
-        default:
-          throw gbx::Error("unknown message type");
+    if (stitched(type)) {
+      start_stitch(s, type, (arg & net::kWantProvenance) != 0, rec);
+      return;
+    }
+    switch (type) {
+      case net::MsgType::kInsert:
+        handle_insert(s, arg, rec);
+        return;
+      case net::MsgType::kFlush:
+        // Barrier over every worker this session fed: a worker's flush
+        // covers all the router forwarded to it, this client's included.
+        for (std::size_t w = 0; w < s.used_workers.size(); ++w)
+          if (s.used_workers[w]) live(w);
+        for (std::size_t w = 0; w < s.used_workers.size(); ++w)
+          if (s.used_workers[w]) ask(w, net::MsgType::kFlush, false, s);
+        if (s.awaiting > 0)
+          s.pause();
+        else
+          s.reply_ok(type, "", 0);  // fed no worker: nothing to wait for
+        return;
+      case net::MsgType::kQueryMap: {
+        net::MapReply r;
+        r.version = map_.version();
+        r.parts = map_.parts();
+        r.nrows = opt_.nrows;
+        r.ncols = opt_.ncols;
+        s.reply_ok(type, &r, sizeof r);
+        return;
       }
-    } catch (const gbx::Error& e) {
-      // A rejected request, or a worker that failed (or timed out)
-      // mid-request: the LOUD path. The requester gets the diagnostic;
-      // the session closes so no later one-way insert can be silently
-      // half-routed.
-      stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-      reply_error(s, type, e.what());
-      return false;
+      case net::MsgType::kBye:
+        s.reply_ok(type, "", 0);
+        s.close();
+        return;
+      default:
+        throw gbx::Error("unknown message type");
     }
   }
 
-  void handle_insert(RouterSession& s, std::uint64_t arg,
-                     store::LogRecord& rec) {
+  void handle_insert(Session& s, std::uint64_t arg, store::LogRecord& rec)
+      GBX_REQUIRES(loop_role_) {
     const auto entries = net::checked_insert(rec.payload, opt_.nrows,
                                              opt_.ncols);
     // An explicit placement hint is the client asserting its partition
@@ -353,16 +305,17 @@ class Router {
 
     // Split part-major — the same per-entry walk as ShardedHier::update,
     // preserving within-batch order inside every sub-batch.
-    std::vector<gbx::Tuples<double>> parts(workers_.size());
-    for (const auto& e : entries)
-      parts[map_.part_of(e.row)].push_back(e.row, e.col, e.val);
-
-    // Whole-batch atomicity across processes: hold a shared slot for
-    // the full fan-out so no stitched freeze can observe half a batch.
-    gbx::ScopedReadLock batch_guard(writer_slot());
+    std::vector<std::vector<gbx::Entry<double>>> parts(workers_.size());
+    for (const auto& e : entries) parts[map_.part_of(e.row)].push_back(e);
+    for (std::size_t w = 0; w < parts.size(); ++w)
+      if (!parts[w].empty()) live(w);  // all targets, before any is fed
+    // Lane 0 on every worker: one lane per worker keeps its part
+    // bit-identical to the matching ShardedHier shard (sub-batches apply
+    // in forwarding order to one HierMatrix).
     for (std::size_t w = 0; w < parts.size(); ++w) {
       if (parts[w].empty()) continue;
-      worker_insert(w, parts[w]);  // throws on a dead worker → loud close
+      workers_[w]->send(net::MsgType::kInsert, 0, parts[w].data(),
+                        parts[w].size() * sizeof(parts[w][0]));
       s.used_workers[w] = true;
       stats_.subbatches_forwarded.fetch_add(1, std::memory_order_relaxed);
     }
@@ -371,246 +324,263 @@ class Router {
                                     std::memory_order_relaxed);
   }
 
-  void handle_client_flush(RouterSession& s) {
-    // Barrier over every worker this session ever fed: each worker's
-    // own flush barrier covers the router's upstream session, which
-    // includes everything forwarded on behalf of this client.
-    for (std::size_t w = 0; w < s.used_workers.size(); ++w)
-      if (s.used_workers[w]) worker_flush(w);
-    reply_ok(s, net::MsgType::kFlush, "", 0);
-  }
+  // --- the stitched freeze -------------------------------------------------
 
-  void handle_query_sum(RouterSession& s, bool want_prov) {
-    net::SumReply r;
-    // Part-major fold in map order — the canonical SnapshotSet order, so
-    // the stitched Σ is bit-identical to ShardedHier's reduce().
-    const Cut cut = stitch([&r](std::size_t, net::Client& c) {
-      net::ReplyProvenance wp;
-      const net::SumReply wr = c.query_sum(&wp);
-      r.sum += wr.sum;
-      r.nvals += wr.nvals;  // row-disjoint workers: distinct counts add
-      return wp.snapshot_epoch;
-    });
-    r.epoch = cut.epoch;
-    reply_stitched(s, net::MsgType::kQuerySum, want_prov, &r, sizeof r, cut);
-  }
-
-  void handle_query_elements(RouterSession& s, bool want_prov,
-                             store::LogRecord& rec) {
-    const auto qs = net::checked_probes(rec.payload, opt_.nrows, opt_.ncols);
-    // Route each probe to its single owner (row-disjoint placement),
-    // keeping reply order = probe order.
-    std::vector<std::vector<net::ElementQuery>> per(workers_.size());
-    std::vector<std::vector<std::size_t>> origin(workers_.size());
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      const std::size_t w = map_.part_of(qs[i].row);
-      per[w].push_back(qs[i]);
-      origin[w].push_back(i);
-    }
-    std::vector<net::ElementReply> rs(qs.size());
-    // Unprobed workers still contribute their epoch to the stitched cut
-    // via an empty probe batch (a pin, no reads).
-    const Cut cut = stitch([&](std::size_t w, net::Client& c) {
-      net::ReplyProvenance wp;
-      const auto wr = c.query_elements(per[w], &wp);
-      for (std::size_t k = 0; k < wr.size(); ++k) rs[origin[w][k]] = wr[k];
-      return wp.snapshot_epoch;
-    });
-    reply_stitched(s, net::MsgType::kQueryElements, want_prov, rs.data(),
-                   rs.size() * sizeof(net::ElementReply), cut);
-  }
-
-  void handle_query_summary(RouterSession& s, bool want_prov) {
-    net::SummaryReply r;
-    std::set<std::uint64_t> destinations;  // columns are NOT disjoint
-    const Cut cut = stitch([&](std::size_t, net::Client& c) {
-      net::ReplyProvenance wp;
-      const net::SummaryReply wr = c.query_summary(&wp);
-      // Row-disjoint stitches: links (distinct coords), sources (distinct
-      // rows) and packets add; max_link is a per-coordinate value, so max
-      // over workers is the global max.
-      r.links += wr.links;
-      r.packets += wr.packets;
-      r.sources += wr.sources;
-      if (wr.max_link > r.max_link) r.max_link = wr.max_link;
-      // Destinations (distinct columns) need the actual sets.
-      const auto cols = c.query_columns();
-      destinations.insert(cols.begin(), cols.end());
-      return wp.snapshot_epoch;
-    });
-    r.epoch = cut.epoch;
-    r.destinations = destinations.size();
-    // Same formula as analytics::summarize — identical operands give an
-    // identical quotient.
-    if (r.links > 0) r.mean_link = r.packets / static_cast<double>(r.links);
-    reply_stitched(s, net::MsgType::kQuerySummary, want_prov, &r, sizeof r,
-                   cut);
-  }
-
-  void handle_query_refresh(RouterSession& s, bool want_prov) {
-    net::RefreshReply r;
-    const Cut cut = stitch([&r](std::size_t, net::Client& c) {
-      const net::RefreshReply wr = c.query_refresh();
-      r.full_recompute |= wr.full_recompute;
-      r.added += wr.added;
-      r.changed += wr.changed;
-      // Caveat, documented in the README: per-worker triangle counts
-      // only stitch when triangles are disabled (the worker default,
-      // where every count is 0) — a triangle can span workers, so a
-      // nonzero sum would undercount and we refuse to fake it.
-      r.triangles += wr.triangles;
-      r.sum += wr.sum;
-      return wr.epoch;
-    });
-    r.epoch = cut.epoch;
-    reply_stitched(s, net::MsgType::kQueryRefresh, want_prov, &r, sizeof r,
-                   cut);
-  }
-
-  void handle_query_columns(RouterSession& s, bool want_prov) {
-    std::set<std::uint64_t> cols;
-    const Cut cut = stitch([&cols](std::size_t, net::Client& c) {
-      net::ReplyProvenance wp;
-      const auto wc = c.query_columns(&wp);
-      cols.insert(wc.begin(), wc.end());
-      return wp.snapshot_epoch;
-    });
-    std::vector<std::uint64_t> sorted(cols.begin(), cols.end());
-    reply_stitched(s, net::MsgType::kQueryColumns, want_prov, sorted.data(),
-                   sorted.size() * sizeof(std::uint64_t), cut);
-  }
-
-  // --- the stitched freeze.
-
-  /// The cut a stitched reply describes: per-worker snapshot epochs and
-  /// their sum (SnapshotSet's rule).
-  struct Cut {
-    std::vector<std::uint64_t> epochs;
-    std::uint64_t epoch = 0;
-  };
-
-  /// One stitched read: `read(w, client)` runs once per worker, in map
-  /// order, and returns that worker's snapshot epoch. It runs inside the
-  /// cut: an exclusive slot on `snap_mu_` (no insert fan-out in flight —
-  /// whole-batch atomicity across processes) plus a flush barrier through
-  /// every worker ("admitted" becomes "applied" everywhere before any
-  /// epoch is read). A dead worker throws — the whole query fails loudly
-  /// instead of stitching a subset.
-  template <class Read>
-  Cut stitch(Read&& read) {
+  void start_stitch(Session& s, net::MsgType verb, bool want_prov,
+                    store::LogRecord& rec) GBX_REQUIRES(loop_role_) {
+    std::vector<net::ElementQuery> probes;
+    if (verb == net::MsgType::kQueryElements)
+      probes = net::checked_probes(rec.payload, opt_.nrows, opt_.ncols);
     stats_.queries.fetch_add(1, std::memory_order_relaxed);
     stats_.stitched_freezes.fetch_add(1, std::memory_order_relaxed);
-    freeze_pending_.fetch_add(1, std::memory_order_relaxed);
-    gbx::ScopedWriteLock lock(snap_mu_);
-    freeze_pending_.fetch_sub(1, std::memory_order_relaxed);
-    for (std::size_t w = 0; w < workers_.size(); ++w) worker_flush(w);
-    Cut cut;
+    const std::size_t n = workers_.size();
+    for (std::size_t w = 0; w < n; ++w) live(w);
+    stitch_ = Stitch{&s, verb, want_prov, false, std::move(probes),
+                     std::vector<std::vector<store::LogRecord>>(n),
+                     std::vector<std::uint64_t>(n)};
+    // Flush first: "admitted" is "applied" everywhere before any read.
+    for (std::size_t w = 0; w < n; ++w) ask(w, net::MsgType::kFlush, false, s);
+    s.pause();
+  }
+
+  /// Every flush is acked: send the read round. A probe goes to its owner;
+  /// an unprobed worker still pins its epoch with an empty probe batch.
+  void send_reads(Stitch& st) GBX_REQUIRES(loop_role_) {
+    std::vector<std::vector<net::ElementQuery>> per(workers_.size());
+    for (const auto& q : st.probes) per[map_.part_of(q.row)].push_back(q);
     for (std::size_t w = 0; w < workers_.size(); ++w) {
-      cut.epochs.push_back(
-          worker_call(w, [&](net::Client& c) { return read(w, c); }));
-      cut.epoch += cut.epochs.back();
+      ask(w, st.verb, true, *st.owner, per[w].data(),
+          per[w].size() * sizeof(net::ElementQuery));
+      // Destinations (distinct columns) need the column sets.
+      if (st.verb == net::MsgType::kQuerySummary)
+        ask(w, net::MsgType::kQueryColumns, false, *st.owner);
     }
-    return cut;
+    st.reading = true;
   }
 
-  /// Writers pass through here before taking their shared slot — the
-  /// ShardedHier starvation-avoidance pattern, verbatim.
-  gbx::SharedMutex& writer_slot() GBX_RETURN_CAPABILITY(snap_mu_) {
-    while (freeze_pending_.load(std::memory_order_relaxed) > 0)
-      std::this_thread::yield();
-    return snap_mu_;
-  }
-
-  // --- worker I/O (each call-response pair under that worker's mutex).
-
-  template <class F>
-  auto worker_call(std::size_t w, F&& f) -> decltype(f(
-      std::declval<net::Client&>())) {
-    Worker& wk = *workers_[w];
-    gbx::ScopedLock lk(wk.mu);
-    GBX_CHECK(!wk.dead, "worker " + std::to_string(w) + " (" +
-                            map_.worker(w).host + ":" +
-                            std::to_string(map_.worker(w).port) +
-                            ") is dead; stitched reads are unavailable");
+  /// Answer with the fold and the cut: per-worker epochs and their sum.
+  void finish_stitch() GBX_REQUIRES(loop_role_) {
+    const Stitch st = std::move(*stitch_);
+    stitch_.reset();
+    st.owner->unpause();
     try {
-      return f(wk.cli);
-    } catch (const gbx::Error&) {
-      wk.dead = true;
-      wk.cli.close();
-      stats_.worker_failures.fetch_add(1, std::memory_order_relaxed);
-      throw;
+      std::string body = fold(st);
+      std::uint64_t arg = static_cast<std::uint64_t>(st.verb);
+      if (st.want_prov) {
+        net::append_provenance(body, st.epochs, sum(st.epochs),
+                               static_cast<std::uint32_t>(map_.version()));
+        arg |= net::kWantProvenance;
+      }
+      st.owner->send(net::MsgType::kReplyOk, arg, body.data(), body.size());
+    } catch (const gbx::Error& e) {
+      st.owner->fail(st.verb, e.what());
     }
   }
 
-  void worker_insert(std::size_t w, const gbx::Tuples<double>& sub) {
-    // Lane 0 on every worker: a cluster worker scales by process count,
-    // and one lane per worker is what keeps its part bit-identical to
-    // the corresponding ShardedHier shard (sub-batches apply in
-    // forwarding order to one HierMatrix).
-    worker_call(w, [&sub](net::Client& c) { c.insert(sub, 0); });
+  /// The read round folded in map order — the canonical SnapshotSet
+  /// order, so a stitched Σ is bit-identical to ShardedHier's reduce().
+  std::string fold(const Stitch& st) const {
+    const std::size_t n = st.replies.size();
+    switch (st.verb) {
+      case net::MsgType::kQuerySum: {
+        net::SumReply r;
+        for (std::size_t w = 0; w < n; ++w) {
+          const auto wr = net::reply_as<net::SumReply>(st.replies[w][0]);
+          r.sum += wr.sum;
+          r.nvals += wr.nvals;  // row-disjoint workers: distinct counts add
+        }
+        r.epoch = sum(st.epochs);
+        return bytes(&r, 1);
+      }
+      case net::MsgType::kQueryElements: {
+        // Reply order = probe order: each owner's answers in turn.
+        std::vector<std::vector<net::ElementReply>> per;
+        for (std::size_t w = 0; w < n; ++w)
+          per.push_back(
+              net::reply_as<std::vector<net::ElementReply>>(st.replies[w][0]));
+        std::vector<std::size_t> next(n, 0);
+        std::vector<net::ElementReply> out;
+        for (const auto& q : st.probes) {
+          const std::size_t w = map_.part_of(q.row);
+          GBX_CHECK(next[w] < per[w].size(),
+                    "router: short element reply from " + name(w));
+          out.push_back(per[w][next[w]++]);
+        }
+        return bytes(out.data(), out.size());
+      }
+      case net::MsgType::kQuerySummary: {
+        net::SummaryReply r;
+        for (std::size_t w = 0; w < n; ++w) {
+          const auto wr = net::reply_as<net::SummaryReply>(st.replies[w][0]);
+          // Row-disjoint: links, sources and packets add; max_link is a
+          // per-coordinate value, so the max over workers is global.
+          r.links += wr.links;
+          r.packets += wr.packets;
+          r.sources += wr.sources;
+          r.max_link = std::max(r.max_link, wr.max_link);
+        }
+        r.epoch = sum(st.epochs);
+        r.destinations = columns(st, 1).size();
+        // Same formula as analytics::summarize — identical operands give
+        // an identical quotient.
+        if (r.links > 0) r.mean_link = r.packets / static_cast<double>(r.links);
+        return bytes(&r, 1);
+      }
+      case net::MsgType::kQueryRefresh: {
+        net::RefreshReply r;
+        for (std::size_t w = 0; w < n; ++w) {
+          const auto wr = net::reply_as<net::RefreshReply>(st.replies[w][0]);
+          r.full_recompute |= wr.full_recompute;
+          r.added += wr.added;
+          r.changed += wr.changed;
+          // Caveat (README): triangle counts only stitch when disabled on
+          // the workers (their default, every count 0) — a triangle can
+          // span workers, so a nonzero sum would undercount.
+          r.triangles += wr.triangles;
+          r.sum += wr.sum;
+        }
+        r.epoch = sum(st.epochs);
+        return bytes(&r, 1);
+      }
+      default: {  // kQueryColumns
+        const auto cols = columns(st, 0);
+        const std::vector<std::uint64_t> sorted(cols.begin(), cols.end());
+        return bytes(sorted.data(), sorted.size());
+      }
+    }
   }
 
-  void worker_flush(std::size_t w) {
-    worker_call(w, [](net::Client& c) { c.flush(); });
+  /// Union of the workers' column sets (columns are NOT disjoint).
+  static std::set<std::uint64_t> columns(const Stitch& st, std::size_t k) {
+    std::set<std::uint64_t> cols;
+    for (const auto& rs : st.replies) {
+      const auto wc = net::reply_as<std::vector<std::uint64_t>>(rs[k]);
+      cols.insert(wc.begin(), wc.end());
+    }
+    return cols;
   }
 
-  // --- client-side replies (blocking send on the session socket; a
-  // client that is gone is noticed by the session loop's next recv).
+  // --- worker connections --------------------------------------------------
 
-  static void send_frame(RouterSession& s, net::MsgType type,
-                         std::uint64_t arg, const void* payload,
-                         std::size_t size) {
-    std::string frame;
-    net::append_frame(frame, type, arg, payload, size);
-    (void)net::send_all(s.fd.get(), frame.data(), frame.size());
+  /// Queue one request on worker `w`; `client` waits for its reply.
+  void ask(std::size_t w, net::MsgType verb, bool prov, Session& client,
+           const void* payload = "", std::size_t size = 0)
+      GBX_REQUIRES(loop_role_) {
+    workers_[w]->send(verb, prov ? net::kWantProvenance : 0, payload, size);
+    workers_[w]->owed.push_back(Owed{verb, &client, Clock::now()});
+    ++client.awaiting;
   }
 
-  static void reply_ok(RouterSession& s, net::MsgType request,
-                       const void* payload, std::size_t size) {
-    send_frame(s, net::MsgType::kReplyOk, static_cast<std::uint64_t>(request),
-               payload, size);
-  }
-
-  static void reply_error(RouterSession& s, net::MsgType request,
-                          const std::string& what) {
-    send_frame(s, net::MsgType::kReplyError,
-               static_cast<std::uint64_t>(request), what.data(), what.size());
-  }
-
-  void reply_stitched(RouterSession& s, net::MsgType request, bool want_prov,
-                      const void* payload, std::size_t size, const Cut& cut) {
-    if (!want_prov) {
-      reply_ok(s, request, payload, size);
+  void on_worker_reply(Worker& wk, store::LogRecord& rec)
+      GBX_REQUIRES(loop_role_) {
+    const std::size_t w = wk.index;
+    if (workers_[w] != &wk) return;  // already failed
+    const std::uint64_t arg = net::tag_arg(rec.epoch);
+    const bool prov = (arg & net::kWantProvenance) != 0;
+    net::ReplyProvenance p;
+    if (net::tag_type(rec.epoch) != net::MsgType::kReplyOk ||
+        wk.owed.empty() ||
+        (arg & ~net::kWantProvenance) !=
+            static_cast<std::uint64_t>(wk.owed.front().verb) ||
+        (prov && !net::split_provenance(rec.payload, p)))
+      return fail_worker(w, "unexpected reply: " + bytes(rec.payload.data(),
+                                                          rec.payload.size()));
+    const Owed o = wk.owed.front();
+    wk.owed.pop_front();
+    if (o.client == nullptr) return;  // nobody waits for it any more
+    Session& s = *o.client;
+    const bool last = --s.awaiting == 0;
+    if (!stitch_ || stitch_->owner != &s) {
+      if (last) {  // the session's kFlush
+        s.reply_ok(net::MsgType::kFlush, "", 0);
+        s.unpause();
+      }
       return;
     }
-    std::string body(size > 0 ? static_cast<const char*>(payload) : "", size);
-    net::append_provenance(body, cut.epochs, cut.epoch,
-                           static_cast<std::uint32_t>(map_.version()));
-    send_frame(s, net::MsgType::kReplyOk,
-               static_cast<std::uint64_t>(request) | net::kWantProvenance,
-               body.data(), body.size());
+    Stitch& st = *stitch_;
+    if (st.reading) {
+      if (prov) st.epochs[w] = p.snapshot_epoch;
+      st.replies[w].push_back(std::move(rec));
+    }
+    if (!last) return;
+    if (st.reading)
+      finish_stitch();
+    else
+      send_reads(st);
+  }
+
+  /// Throws a loud error naming worker `w` when it is dead.
+  void live(std::size_t w) GBX_REQUIRES(loop_role_) {
+    if (workers_[w] != nullptr && workers_[w]->dead)
+      fail_worker(w, "connection lost");
+    GBX_CHECK(workers_[w] != nullptr,
+              name(w) + " is dead; stitched reads are unavailable");
+  }
+
+  /// Mark worker `w` dead for good and fail every client waiting on it.
+  void fail_worker(std::size_t w, const std::string& why)
+      GBX_REQUIRES(loop_role_) {
+    Worker* wk = workers_[w];
+    if (wk == nullptr) return;
+    workers_[w] = nullptr;
+    wk->dead = true;  // the loop destroys the connection
+    stats_.worker_failures.fetch_add(1, std::memory_order_relaxed);
+    const std::string what = name(w) + " failed: " + why;
+    // Every stitch needs every worker. A failed client waits for nothing
+    // more, which also skips its other entries below.
+    if (stitch_) fail_client(*stitch_->owner, stitch_->verb, what);
+    for (const Owed& o : wk->owed)
+      if (o.client != nullptr && o.client->awaiting > 0)
+        fail_client(*o.client, net::MsgType::kFlush, what);
+  }
+
+  void fail_client(Session& s, net::MsgType request, const std::string& what)
+      GBX_REQUIRES(loop_role_) {
+    forget(s);
+    s.held.reset();
+    s.unpause();
+    s.fail(request, what);
+  }
+
+  /// Drop every reference to `s`: replies owed to it are discarded on
+  /// arrival, and a stitch it asked for is abandoned.
+  void forget(Session& s) GBX_REQUIRES(loop_role_) {
+    for (Worker* wk : workers_) {
+      if (wk == nullptr) continue;
+      for (Owed& o : wk->owed)
+        if (o.client == &s) o.client = nullptr;
+    }
+    if (stitch_ && stitch_->owner == &s) stitch_.reset();
+    s.awaiting = 0;
+  }
+
+  std::string name(std::size_t w) const {
+    return "worker " + std::to_string(w) + " (" + map_.worker(w).host + ":" +
+           std::to_string(map_.worker(w).port) + ")";
+  }
+
+  static std::uint64_t sum(const std::vector<std::uint64_t>& v) {
+    return std::accumulate(v.begin(), v.end(), std::uint64_t{0});
+  }
+
+  template <class Pod>
+  static std::string bytes(const Pod* p, std::size_t n) {
+    return std::string(reinterpret_cast<const char*>(p), n * sizeof(Pod));
   }
 
   PartitionMap map_;
   Options opt_;
   RouterStats stats_;
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-
-  // Writers (insert fan-out) shared, stitched queries exclusive: the
-  // ShardedHier freeze discipline, spanning processes.
-  gbx::SharedMutex snap_mu_;
-  std::atomic<std::uint32_t> freeze_pending_{0};
-
-  gbx::Mutex sessions_mu_;
-  std::vector<std::unique_ptr<RouterSession>> sessions_
-      GBX_GUARDED_BY(sessions_mu_);
-
-  net::Fd listen_;
-  std::thread accept_thread_;
-  std::atomic<bool> stop_{false};
-  bool running_ = false;
-  std::uint16_t port_ = 0;
+  /// Unsent bytes a connection may hold before its reads (a client) or
+  /// the client batches bound for it (a worker) are held back.
+  const std::size_t max_out_ = net::IngestOptions().max_outbound_bytes;
+  /// Single-thread discipline: every hook is a loop-thread entry point
+  /// and claims the role; start()/stop() claim it around the loop's life.
+  gbx::ThreadRole loop_role_;
+  /// Worker connections by part; null once a worker is dead (sticky).
+  std::vector<Worker*> workers_ GBX_GUARDED_BY(loop_role_);
+  std::optional<Stitch> stitch_ GBX_GUARDED_BY(loop_role_);
+  net::FrameLoop loop_;  ///< last: its thread runs the hooks above
 };
 
 }  // namespace cluster

@@ -93,9 +93,9 @@ class RouterClient : public net::Client {
     return hier::row_partition(row, static_cast<std::size_t>(m.parts));
   }
 
-  /// Take an epoch-stitched distributed snapshot. The router drives the
-  /// flush barrier across every worker under its exclusive slot, so the
-  /// image is a consistent whole-batch cut of the entire cluster.
+  /// Take an epoch-stitched distributed snapshot. The router flushes
+  /// every worker and forwards no client batch until its reads are out,
+  /// so the image is a consistent whole-batch cut of the entire cluster.
   ClusterSnapshot freeze() {
     net::ReplyProvenance prov;
     net::SumReply sum = query_sum(&prov);

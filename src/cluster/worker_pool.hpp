@@ -78,9 +78,6 @@ class LocalWorker {
   std::uint16_t port() const { return server_->port(); }
   WorkerEndpoint endpoint() const { return WorkerEndpoint{"127.0.0.1", port()}; }
   net::IngestServer& server() { return *server_; }
-  hier::MemoryGovernor<hier::ParallelStream<double>>& governor() {
-    return governor_;
-  }
 
  private:
   hier::InstanceArray<double> array_;

@@ -50,6 +50,7 @@
 
 #include "gbx/coo.hpp"
 #include "gbx/error.hpp"
+#include "gbx/failpoint.hpp"
 #include "gbx/thread_annotations.hpp"
 #include "hier/instance_array.hpp"
 #include "hier/snapshot.hpp"
@@ -439,6 +440,11 @@ class ParallelStream {
       // is the backstop that turns a bad batch into a dropped batch
       // (counted in failed_batches) instead of a dead engine.
       bool applied = true;
+      // Test hook: a kStall/kDelay holds this lane busy (disarmed: one
+      // relaxed load), so a test can saturate it deterministically.
+      if (gbx::failpoints().armed())
+        if (auto fp = gbx::failpoints().hit("hier.stream.apply"))
+          std::this_thread::sleep_for(std::chrono::milliseconds(fp->delay_ms));
       try {
         matrix.update(batch);
       } catch (const std::exception&) {

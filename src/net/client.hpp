@@ -42,10 +42,8 @@ class Client : public QueryInterface {
     int recv_timeout_ms = -1;
     /// connect() attempts before giving up (reconnect-with-retry).
     int connect_attempts = 1;
-    /// Backoff before the second attempt, milliseconds; doubled per
-    /// retry up to connect_max_backoff_ms.
+    /// Backoff before the second attempt, milliseconds (see net::dial).
     int connect_backoff_ms = 20;
-    int connect_max_backoff_ms = 500;
   };
 
   // No `opt = {}` default argument: GCC parses default arguments before
@@ -54,28 +52,15 @@ class Client : public QueryInterface {
   explicit Client(Options opt) : opt_(opt) {}
 
   /// Connect to a server (dotted-quad host, e.g. "127.0.0.1"), retrying
-  /// with exponential backoff per Options::connect_attempts — so a
-  /// failover client can dial a replica that is still promoting.
+  /// per Options — so a failover client can reach a promoting replica.
   void connect(const std::string& host, std::uint16_t port) {
-    int backoff = opt_.connect_backoff_ms;
-    const int attempts = opt_.connect_attempts > 0 ? opt_.connect_attempts : 1;
-    for (int a = 0; a < attempts; ++a) {
-      if (a > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-        backoff = std::min(backoff * 2, opt_.connect_max_backoff_ms);
-      }
-      fd_ = dial(host, port);
-      if (fd_.valid()) {
-        dec_ = store::RecordFrameDecoder(kMaxFrameBytes);  // fresh session
-        return;
-      }
-    }
-    GBX_CHECK(false, "client connect() to " + host + ":" +
-                         std::to_string(port) + " failed after " +
-                         std::to_string(attempts) + " attempt(s)");
+    const int attempts = std::max(opt_.connect_attempts, 1);
+    fd_ = dial(host, port, attempts, opt_.connect_backoff_ms);
+    GBX_CHECK(fd_.valid(), "client connect() to " + host + ":" +
+                               std::to_string(port) + " failed after " +
+                               std::to_string(attempts) + " attempt(s)");
+    dec_ = store::RecordFrameDecoder(kMaxFrameBytes);  // fresh session
   }
-
-  bool connected() const { return fd_.valid(); }
 
   /// Stream one insert batch (no ack; see flush()). `lane` pins the
   /// batch to a server lane; kAnyLane uses the session's home lane.
@@ -154,14 +139,6 @@ class Client : public QueryInterface {
     append_frame(frame, type, prov ? kWantProvenance : 0, payload, size);
     send_all(frame.data(), frame.size());
     return expect_ok(type, prov);
-  }
-
-  /// A reply payload as a POD, or a vector of PODs.
-  template <class Reply>
-  static Reply reply_as(const store::LogRecord& rec) {
-    Reply r;
-    GBX_CHECK(payload_as(rec.payload, r), "client: malformed reply payload");
-    return r;
   }
 
  private:

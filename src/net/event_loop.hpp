@@ -3,8 +3,8 @@
 // Thin RAII shims over the three kernel objects the session core
 // (net/frame_loop.hpp) needs: an epoll instance, an eventfd wake
 // channel (so stop() can interrupt a blocked epoll_wait from another
-// thread), and owned file descriptors — plus the blocking dial and
-// send every blocking socket user shares. No callback registry, no
+// thread), and owned file descriptors — plus the blocking dial (with
+// retries) and send every socket user shares. No callback registry, no
 // timer wheel: these classes only keep the fd bookkeeping honest.
 #pragma once
 
@@ -18,10 +18,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -57,20 +60,30 @@ class Fd {
   int fd_ = -1;
 };
 
-/// One blocking TCP connect to `host` (dotted quad) : `port`, with
-/// TCP_NODELAY set; invalid on any failure.
-inline Fd dial(const std::string& host, std::uint16_t port) {
+/// Blocking TCP connect to `host` (dotted quad) : `port`, with
+/// TCP_NODELAY set; invalid when every attempt fails. A retry sleeps
+/// `backoff_ms` first, doubling up to `max_backoff_ms` — so a caller can
+/// reach a peer that is still binding or promoting.
+inline Fd dial(const std::string& host, std::uint16_t port, int attempts = 1,
+               int backoff_ms = 20, int max_backoff_ms = 500) {
   ::sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return {};
-  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (!fd.valid() || ::connect(fd.get(), reinterpret_cast<::sockaddr*>(&addr),
-                               sizeof addr) != 0)
-    return {};
-  const int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
+  for (int a = 0; a < attempts; ++a) {
+    if (a > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+      backoff_ms = std::min(backoff_ms * 2, max_backoff_ms);
+    }
+    Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    if (fd.valid() && ::connect(fd.get(), reinterpret_cast<::sockaddr*>(&addr),
+                                sizeof addr) == 0) {
+      const int one = 1;
+      ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      return fd;
+    }
+  }
+  return {};
 }
 
 /// Blocking send of all `n` bytes (EINTR retried, SIGPIPE suppressed).

@@ -1,11 +1,12 @@
-// net/frame_loop.hpp — the one epoll session core under every event-loop
-// front end (Linux only).
+// net/frame_loop.hpp — the one epoll session core under every front end
+// (Linux only).
 //
-// net::IngestServer and repl::ReplicaServer speak one frame protocol
-// (net/protocol.hpp); a front end is just a FrameHandler, a set of verb
-// handlers. The core owns everything else about a session:
+// net::IngestServer, repl::ReplicaServer and cluster::Router speak one
+// frame protocol (net/protocol.hpp); a front end is just a FrameHandler,
+// a set of verb handlers. The core owns everything else about a session:
 //
-//   * the loopback listener, and accept with TCP_NODELAY;
+//   * the loopback listener, accept with TCP_NODELAY, and outbound
+//     sessions (sockets the front end connected, e.g. to its workers);
 //   * a store::RecordFrameDecoder per session (the WAL frame codec is
 //     the wire codec), capped at kMaxFrameBytes;
 //   * bounded read passes: at most kReadBurst recvs per session per
@@ -14,13 +15,16 @@
 //     a sustained stream;
 //   * a nonblocking outbound queue per session, throttled: past
 //     max_outbound_bytes of unsent replies (a client pipelining requests
-//     without reading) the session is not read until the backlog halves,
-//     so no reply blocks the loop and memory stays bounded per session;
+//     without reading) an accepted session is not read until the backlog
+//     halves, so no reply blocks the loop and memory stays bounded per
+//     session. An outbound session is always read (two peers that stop
+//     reading each other deadlock); its handler bounds its backlog();
 //   * pause/unpause of a parked session: TCP flow control then pushes
 //     back on that one client;
 //   * torn tails (a partial frame at peer EOF is counted and dropped —
 //     the WAL torn-tail rule) and reaping: a closing session is destroyed
-//     once its replies are sent and its handler has nothing pending;
+//     once its replies are sent and its handler has nothing pending; the
+//     handler hears of every destroyed session through on_close();
 //   * one error path: corrupt bytes, or a gbx::Error thrown by a handler,
 //     earn one kReplyError with the diagnostic, then an orderly close.
 //
@@ -35,6 +39,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <fcntl.h>
 #include <sys/socket.h>
 
 #include <atomic>
@@ -55,61 +60,28 @@
 
 namespace net {
 
-/// Monotone front-end counters (relaxed atomics; readable from any thread).
-struct ServerStats {
+/// The session core's counters (relaxed atomics; readable from any
+/// thread). A front end's outbound sessions are not counted.
+struct SessionStats {
   std::atomic<std::uint64_t> sessions_accepted{0};
   std::atomic<std::uint64_t> sessions_closed{0};
-  std::atomic<std::uint64_t> insert_frames{0};
-  std::atomic<std::uint64_t> entries_ingested{0};
-  std::atomic<std::uint64_t> queries{0};
-  std::atomic<std::uint64_t> parks{0};           ///< lane-full back-pressure events
   std::atomic<std::uint64_t> out_throttles{0};   ///< reply-backlog back-pressure events
   std::atomic<std::uint64_t> rejected_frames{0}; ///< corrupt/malformed/torn
 };
 
-/// Bind a TCP listener on 127.0.0.1:`port` (0 = ephemeral) and report the
-/// bound port through `bound`. Every front end's listener comes from here.
-inline Fd listen_loopback(std::uint16_t port, bool nonblocking,
-                          std::uint16_t& bound) {
-  Fd fd(::socket(AF_INET,
-                 SOCK_STREAM | SOCK_CLOEXEC | (nonblocking ? SOCK_NONBLOCK : 0),
-                 0));
-  GBX_CHECK(fd.valid(), "socket() failed");
-  const int one = 1;
-  ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  ::sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  GBX_CHECK(::bind(fd.get(), reinterpret_cast<::sockaddr*>(&addr),
-                   sizeof addr) == 0,
-            "bind() failed");
-  GBX_CHECK(::listen(fd.get(), 64) == 0, "listen() failed");
-  ::socklen_t len = sizeof addr;
-  GBX_CHECK(::getsockname(fd.get(), reinterpret_cast<::sockaddr*>(&addr),
-                          &len) == 0,
-            "getsockname() failed");
-  bound = ntohs(addr.sin_port);
-  return fd;
-}
-
-/// Accept one pending connection with TCP_NODELAY set. Invalid when none
-/// is pending or accept failed (errno says which).
-inline Fd accept_client(int listen_fd, bool nonblocking) {
-  Fd c(::accept4(listen_fd, nullptr, nullptr,
-                 SOCK_CLOEXEC | (nonblocking ? SOCK_NONBLOCK : 0)));
-  if (c.valid()) {
-    const int one = 1;
-    ::setsockopt(c.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  }
-  return c;
-}
+/// Ingest front-end counters: the core's plus the ingest verbs'.
+struct ServerStats : SessionStats {
+  std::atomic<std::uint64_t> insert_frames{0};
+  std::atomic<std::uint64_t> entries_ingested{0};
+  std::atomic<std::uint64_t> queries{0};
+  std::atomic<std::uint64_t> parks{0};  ///< lane-full back-pressure events
+};
 
 class FrameLoop;
 
 /// One connection's core state. A front end derives its per-session
 /// state from this (FrameHandler::open builds the derived object) and
-/// answers through reply()/fail(); the loop owns the socket I/O.
+/// answers through send()/fail(); the loop owns the socket I/O.
 class FrameSession {
  public:
   explicit FrameSession(Fd f) : fd_(std::move(f)), dec_(kMaxFrameBytes) {}
@@ -118,14 +90,14 @@ class FrameSession {
   FrameSession& operator=(const FrameSession&) = delete;
 
   /// Queue one frame and send what the socket takes now. Write-side
-  /// back-pressure: once the unsent backlog passes the cap the session
-  /// stops being read, so the queue can never grow without bound; the
-  /// loop resumes it when the backlog halves.
-  void reply(MsgType type, std::uint64_t arg, const void* payload,
-             std::size_t size) {
+  /// back-pressure: once the unsent backlog of an accepted session passes
+  /// the cap the session stops being read, so the queue can never grow
+  /// without bound; the loop resumes it when the backlog halves.
+  void send(MsgType type, std::uint64_t arg, const void* payload,
+            std::size_t size) {
     append_frame(out_, type, arg, payload, size);
     flush_out();
-    if (dead || out_throttled_ || out_pending() <= max_out_) return;
+    if (dead || outbound_ || out_throttled_ || backlog() <= max_out_) return;
     out_throttled_ = true;
     reading_ = false;
     stats_->out_throttles.fetch_add(1, std::memory_order_relaxed);
@@ -133,16 +105,16 @@ class FrameSession {
   }
 
   void reply_ok(MsgType request, const void* payload, std::size_t size) {
-    reply(MsgType::kReplyOk, static_cast<std::uint64_t>(request), payload,
-          size);
+    send(MsgType::kReplyOk, static_cast<std::uint64_t>(request), payload,
+         size);
   }
 
   /// The error path: count the rejected frame, answer kReplyError with
   /// the diagnostic, close.
   void fail(MsgType request, const std::string& what) {
     stats_->rejected_frames.fetch_add(1, std::memory_order_relaxed);
-    reply(MsgType::kReplyError, static_cast<std::uint64_t>(request),
-          what.data(), what.size());
+    send(MsgType::kReplyError, static_cast<std::uint64_t>(request),
+         what.data(), what.size());
     close();
   }
 
@@ -167,6 +139,11 @@ class FrameSession {
     backlog_ = true;
   }
 
+  /// Unsent outbound bytes.
+  std::size_t backlog() const { return out_.size() - out_off_; }
+  /// Handed to FrameLoop::start() connected, rather than accepted.
+  bool outbound() const { return outbound_; }
+
   bool paused = false;   ///< parked by the handler
   bool closing = false;  ///< destroy once replies drain and the handler settles
   bool dead = false;     ///< destroy now (I/O error)
@@ -174,7 +151,6 @@ class FrameSession {
  private:
   friend class FrameLoop;
 
-  std::size_t out_pending() const { return out_.size() - out_off_; }
   bool halted() const { return paused || closing || dead || out_throttled_; }
 
   /// Opportunistic nonblocking send; arms EPOLLOUT only on partials.
@@ -216,8 +192,9 @@ class FrameSession {
   bool reading_ = true;         ///< EPOLLIN wanted
   bool out_throttled_ = false;  ///< reply backlog over cap; reads paused
   bool backlog_ = false;        ///< decoded frames wait since an unpause
+  bool outbound_ = false;       ///< see outbound()
   EventLoop* ep_ = nullptr;
-  ServerStats* stats_ = nullptr;
+  SessionStats* stats_ = nullptr;
   std::size_t max_out_ = 0;
 };
 
@@ -228,6 +205,8 @@ class FrameHandler {
 
   /// Per-session state for a freshly accepted connection.
   virtual std::unique_ptr<FrameSession> open(Fd fd) = 0;
+  /// `s` is about to be destroyed (closed, or its connection failed).
+  virtual void on_close(FrameSession&) {}
   /// One decoded frame. To hold further frames, pause() or close() the
   /// session. Throwing gbx::Error rejects the frame: kReplyError, close.
   virtual void on_frame(FrameSession& s, store::LogRecord& rec) = 0;
@@ -245,7 +224,7 @@ class FrameHandler {
 
 class FrameLoop {
  public:
-  FrameLoop(FrameHandler& handler, ServerStats& stats,
+  FrameLoop(FrameHandler& handler, SessionStats& stats,
             std::size_t max_outbound_bytes)
       : handler_(&handler), stats_(&stats), max_out_(max_outbound_bytes) {}
   FrameLoop(const FrameLoop&) = delete;
@@ -255,14 +234,25 @@ class FrameLoop {
     if (running_) stop();
   }
 
-  /// Bind, listen on `port` (0 = ephemeral), spawn the loop thread.
-  void start(std::uint16_t port) {
+  /// Bind, listen on `port` (0 = ephemeral), adopt the `outbound`
+  /// sessions (sockets the front end connected), spawn the loop thread.
+  void start(std::uint16_t port,
+             std::vector<std::unique_ptr<FrameSession>> outbound = {}) {
     GBX_CHECK(!running_, "frame loop already started");
-    listen_ = listen_loopback(port, /*nonblocking=*/true, port_);
+    listen_ = listen_loopback(port, port_);
     ep_ = std::make_unique<EventLoop>();
     wake_ = std::make_unique<WakeFd>();
     ep_->add(listen_.get(), EPOLLIN);
     ep_->add(wake_->get(), EPOLLIN);
+    {
+      gbx::ScopedThreadRole role(role_);  // no loop thread yet
+      for (auto& s : outbound) {
+        const int fd = s->fd_.get();
+        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+        s->outbound_ = true;
+        add(std::move(s));
+      }
+    }
     stop_.store(false, std::memory_order_relaxed);
     running_ = true;
     thread_ = std::thread([this] { run(); });
@@ -271,7 +261,8 @@ class FrameLoop {
   /// Wake the loop, join it, close every socket. In-flight sessions
   /// (parked batches, pending barriers) are dropped with an EOF — the
   /// clean-shutdown contract is "no hang, no crash, no partial frame
-  /// applied", not "drain the world".
+  /// applied", not "drain the world". No on_close() fires here: the
+  /// front end resets its own loop state after stop().
   void stop() {
     GBX_CHECK(running_, "frame loop not started");
     stop_.store(true, std::memory_order_relaxed);
@@ -295,6 +286,30 @@ class FrameLoop {
 
  private:
   static constexpr int kReadBurst = 64;
+
+  /// Bind a TCP listener on 127.0.0.1:`port` (0 = ephemeral) and report
+  /// the bound port through `bound`.
+  static Fd listen_loopback(std::uint16_t port, std::uint16_t& bound) {
+    Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0));
+    GBX_CHECK(fd.valid(), "socket() failed");
+    const int one = 1;
+    ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    ::sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    GBX_CHECK(::bind(fd.get(), reinterpret_cast<::sockaddr*>(&addr),
+                     sizeof addr) == 0,
+              "bind() failed");
+    GBX_CHECK(::listen(fd.get(), 64) == 0, "listen() failed");
+    ::socklen_t len = sizeof addr;
+    GBX_CHECK(::getsockname(fd.get(), reinterpret_cast<::sockaddr*>(&addr),
+                            &len) == 0,
+              "getsockname() failed");
+    bound = ntohs(addr.sin_port);
+    return fd;
+  }
+
 
   void run() {
     // The loop thread's entry point claims the role; every loop-only
@@ -324,18 +339,24 @@ class FrameLoop {
 
   void accept_all() GBX_REQUIRES(role_) {
     for (;;) {
-      Fd c = accept_client(listen_.get(), /*nonblocking=*/true);
+      Fd c(::accept4(listen_.get(), nullptr, nullptr,
+                     SOCK_CLOEXEC | SOCK_NONBLOCK));
       if (!c.valid()) return;  // EAGAIN or transient error: next wave
-      const int fd = c.get();
-      auto s = handler_->open(std::move(c));
-      s->ep_ = ep_.get();
-      s->stats_ = stats_;
-      s->max_out_ = max_out_;
-      s->events_ = EPOLLIN | EPOLLRDHUP;
-      ep_->add(fd, s->events_);
-      sessions_.emplace(fd, std::move(s));
+      const int one = 1;
+      ::setsockopt(c.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      add(handler_->open(std::move(c)));
       stats_->sessions_accepted.fetch_add(1, std::memory_order_relaxed);
     }
+  }
+
+  void add(std::unique_ptr<FrameSession> s) GBX_REQUIRES(role_) {
+    const int fd = s->fd_.get();
+    s->ep_ = ep_.get();
+    s->stats_ = stats_;
+    s->max_out_ = max_out_;
+    s->events_ = EPOLLIN | EPOLLRDHUP;
+    ep_->add(fd, s->events_);
+    sessions_.emplace(fd, std::move(s));
   }
 
   /// One bounded read pass: pull bytes until EAGAIN / EOF / a halt /
@@ -357,10 +378,14 @@ class FrameLoop {
       }
       // EOF. A partial frame at EOF is the torn-tail case: count it,
       // drop it. Pending work (parked batch, flush barrier, queued
-      // replies) still completes before the session is destroyed.
+      // replies) still completes before an accepted session is
+      // destroyed; an outbound peer that hangs up is simply gone.
       if (s.dec_.buffered() > 0 && !s.dec_.corrupt())
         stats_->rejected_frames.fetch_add(1, std::memory_order_relaxed);
-      s.close();
+      if (s.outbound_)
+        s.dead = true;
+      else
+        s.close();
       break;
     }
     if (!s.dead) handler_->on_read_pass(s);
@@ -401,7 +426,7 @@ class FrameLoop {
       if (!s.dead) handler_->on_pass(s);
       // Reply-backlog throttle release: EPOLLOUT drains the queue on its
       // own wake-ups; once below half the cap, resume reading.
-      if (s.out_throttled_ && !s.dead && s.out_pending() <= max_out_ / 2) {
+      if (s.out_throttled_ && !s.dead && s.backlog() <= max_out_ / 2) {
         s.out_throttled_ = false;
         if (!s.paused) s.unpause();
       }
@@ -414,10 +439,12 @@ class FrameLoop {
       s.update_interest();
       const bool pending = !s.dead && handler_->pending(s);
       busy_ |= pending;
-      if (s.dead || (s.closing && !pending && s.out_pending() == 0)) {
+      if (s.dead || (s.closing && !pending && s.backlog() == 0)) {
+        handler_->on_close(s);
+        if (!s.outbound_)
+          stats_->sessions_closed.fetch_add(1, std::memory_order_relaxed);
         ep_->del(it->first);
         it = sessions_.erase(it);
-        stats_->sessions_closed.fetch_add(1, std::memory_order_relaxed);
       } else {
         ++it;
       }
@@ -425,7 +452,7 @@ class FrameLoop {
   }
 
   FrameHandler* handler_;
-  ServerStats* stats_;
+  SessionStats* stats_;
   std::size_t max_out_;
   /// Single-thread discipline of the loop, checked at compile time: run()
   /// claims the role, loop-only methods REQUIRE it (stop() re-claims it

@@ -224,6 +224,14 @@ bool payload_as(const std::vector<std::byte>& payload, Pod& out) {
   return true;
 }
 
+/// A reply payload as a POD, or a vector of PODs; throws when malformed.
+template <class Reply>
+Reply reply_as(const store::LogRecord& rec) {
+  Reply r;
+  GBX_CHECK(payload_as(rec.payload, r), "malformed reply payload");
+  return r;
+}
+
 // --- the one request validator every front end runs. A bad frame must
 // be rejected on its session (gbx::Error → kReplyError, then close),
 // never reach a lane worker, and read the same on every front end.

@@ -355,9 +355,9 @@ class IngestHandlers final : public FrameHandler {
     }
     std::string body(size > 0 ? static_cast<const char*>(payload) : "", size);
     append_provenance(body, epochs, snapshot_epoch, /*map_version=*/0);
-    s.reply(MsgType::kReplyOk,
-            static_cast<std::uint64_t>(request) | kWantProvenance, body.data(),
-            body.size());
+    s.send(MsgType::kReplyOk,
+           static_cast<std::uint64_t>(request) | kWantProvenance, body.data(),
+           body.size());
   }
 
   /// Per-lane epoch vector of a pinned stream snapshot (provenance).

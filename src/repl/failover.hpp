@@ -126,7 +126,7 @@ class FailoverSender {
       try {
         client = net::Client(copt);
         client.connect(opt_.replica_host, opt_.replica_port);
-        const auto words = net::Client::reply_as<std::vector<std::uint64_t>>(
+        const auto words = net::reply_as<std::vector<std::uint64_t>>(
             client.call(net::MsgType::kQueryLaneEpochs));
         GBX_CHECK(words.size() >= 3, "failover: malformed lane-epoch reply");
         const bool promoted = words[0] != 0;

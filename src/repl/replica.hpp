@@ -232,8 +232,8 @@ class ReplicaServer final : private net::FrameHandler,
     s.ack_pending = false;
     if (!s.suppress_ack) {
       flush_wal();
-      s.reply(net::MsgType::kShipAck,
-              applied_seq_.load(std::memory_order_relaxed), "", 0);
+      s.send(net::MsgType::kShipAck,
+             applied_seq_.load(std::memory_order_relaxed), "", 0);
     }
     s.suppress_ack = false;
   }

@@ -8,8 +8,9 @@
 // per-coordinate element probes, same stitched traffic summary. On top
 // of that: placement must agree with ShardedHier::shard_of coordinate-
 // for-coordinate, stitched snapshots must never observe a torn client
-// batch, a dead worker must surface as a loud kReplyError (never a
-// silent partial sum), and a stale placement hint must be redirected.
+// batch, a dead or hung worker must surface as a loud kReplyError
+// (never a silent partial sum or a hang), and a stale placement hint
+// must be redirected.
 //
 // Workers here are in-process LocalWorkers (real sockets, same code
 // path as forked processes — examples/cluster_demo.cpp covers the

@@ -7,12 +7,11 @@
 //
 // Then the regression the shared session core fixed: a client that
 // pipelines queries without reading the replies must not stall the
-// other sessions of a promoted replica. The replica used to reply with
-// blocking sends on its loop thread, so one such client froze it.
+// other sessions of any front end. The replica used to reply with
+// blocking sends on its loop thread, so one such client froze it, and
+// the router had no reply-backlog cap at all.
 //
-// The server and replica run on the net/frame_loop.hpp session core;
-// the router keeps its thread-per-session design but shares the core's
-// listener and the request validator.
+// All three front ends run on the net/frame_loop.hpp session core.
 #include <gtest/gtest.h>
 
 #ifdef __linux__
@@ -70,6 +69,8 @@ class FrontEnd {
   virtual std::uint16_t port() const = 0;
   /// Frames answered with kReplyError, plus torn tails.
   virtual std::uint64_t rejected() const = 0;
+  /// Sessions whose reply backlog passed the cap.
+  virtual std::uint64_t out_throttles() const = 0;
 };
 
 class ServerFrontEnd final : public FrontEnd {
@@ -87,6 +88,9 @@ class ServerFrontEnd final : public FrontEnd {
   std::uint16_t port() const override { return server_->port(); }
   std::uint64_t rejected() const override {
     return server_->stats().rejected_frames.load();
+  }
+  std::uint64_t out_throttles() const override {
+    return server_->stats().out_throttles.load();
   }
 
  private:
@@ -144,7 +148,9 @@ class ReplicaFrontEnd final : public FrontEnd {
   std::uint64_t rejected() const override {
     return replica_->stats().rejected_frames.load();
   }
-  const repl::ReplicaServer& replica() const { return *replica_; }
+  std::uint64_t out_throttles() const override {
+    return replica_->stats().out_throttles.load();
+  }
 
  private:
   std::string wal_;
@@ -160,6 +166,9 @@ class RouterFrontEnd final : public FrontEnd {
   std::uint16_t port() const override { return router_.port(); }
   std::uint64_t rejected() const override {
     return router_.stats().rejected_frames.load();
+  }
+  std::uint64_t out_throttles() const override {
+    return router_.stats().out_throttles.load();
   }
 
  private:
@@ -304,17 +313,13 @@ TEST_P(FrontEndHardening, TornTailIsCountedAndDropped) {
   expect_serving();  // the half frame was never applied
 }
 
-INSTANTIATE_TEST_SUITE_P(AllFrontEnds, FrontEndHardening,
-                         ::testing::Values("server", "replica", "router"),
-                         [](const auto& info) { return info.param; });
-
-// A promoted replica answers queries through the session core's
+// Every front end answers queries through the session core's
 // nonblocking outbound queue: client A pipelines kQuerySum without ever
 // reading, its backlog passes the cap and its reads are throttled, and
 // client B's whole ingest round trip still completes.
-TEST(PromotedReplica, SlowReaderStallsNoOtherSession) {
+TEST_P(FrontEndHardening, SlowReaderStallsNoOtherSession) {
   GBX_SKIP_UNDER_TSAN();
-  ReplicaFrontEnd fe;
+  const FrontEnd& fe = *fe_;
 
   // Client A: a small receive buffer, so the replies pile up in the
   // replica's outbound queue rather than in the kernel.
@@ -339,13 +344,12 @@ TEST(PromotedReplica, SlowReaderStallsNoOtherSession) {
 
   // A's backlog passes the 4 MB cap after ~75k queries: seconds on an
   // idle host, minutes on a loaded one.
-  const auto& stats = fe.replica().stats();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(300);
-  while (stats.out_throttles.load() == 0 &&
+  while (fe.out_throttles() == 0 &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_GT(stats.out_throttles.load(), 0u)
+  EXPECT_GT(fe.out_throttles(), 0u)
       << "A's reply backlog never reached the cap";
 
   // Client B: insert, flush, query, each reply within 5 s.
@@ -363,6 +367,10 @@ TEST(PromotedReplica, SlowReaderStallsNoOtherSession) {
   sender.join();
   ::close(a);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllFrontEnds, FrontEndHardening,
+                         ::testing::Values("server", "replica", "router"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 
