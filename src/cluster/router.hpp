@@ -157,7 +157,7 @@ class Router final : private net::FrameHandler {
   struct Stitch {
     Session* owner = nullptr;
     net::MsgType verb = net::MsgType::kQuerySum;
-    bool want_prov = false;
+    std::uint64_t arg = 0;  ///< the query's tag argument
     bool reading = false;  ///< read round sent: the cut is over
     std::vector<net::ElementQuery> probes;               ///< kQueryElements
     std::vector<std::vector<store::LogRecord>> replies;  ///< per worker
@@ -246,7 +246,7 @@ class Router final : private net::FrameHandler {
     const net::MsgType type = net::tag_type(rec.epoch);
     const std::uint64_t arg = net::tag_arg(rec.epoch);
     if (stitched(type)) {
-      start_stitch(s, type, (arg & net::kWantProvenance) != 0, rec);
+      start_stitch(s, type, arg, rec);
       return;
     }
     switch (type) {
@@ -326,7 +326,7 @@ class Router final : private net::FrameHandler {
 
   // --- the stitched freeze -------------------------------------------------
 
-  void start_stitch(Session& s, net::MsgType verb, bool want_prov,
+  void start_stitch(Session& s, net::MsgType verb, std::uint64_t arg,
                     store::LogRecord& rec) GBX_REQUIRES(loop_role_) {
     std::vector<net::ElementQuery> probes;
     if (verb == net::MsgType::kQueryElements)
@@ -335,7 +335,7 @@ class Router final : private net::FrameHandler {
     stats_.stitched_freezes.fetch_add(1, std::memory_order_relaxed);
     const std::size_t n = workers_.size();
     for (std::size_t w = 0; w < n; ++w) live(w);
-    stitch_ = Stitch{&s, verb, want_prov, false, std::move(probes),
+    stitch_ = Stitch{&s, verb, arg, false, std::move(probes),
                      std::vector<std::vector<store::LogRecord>>(n),
                      std::vector<std::uint64_t>(n)};
     // Flush first: "admitted" is "applied" everywhere before any read.
@@ -364,14 +364,10 @@ class Router final : private net::FrameHandler {
     stitch_.reset();
     st.owner->unpause();
     try {
-      std::string body = fold(st);
-      std::uint64_t arg = static_cast<std::uint64_t>(st.verb);
-      if (st.want_prov) {
-        net::append_provenance(body, st.epochs, sum(st.epochs),
-                               static_cast<std::uint32_t>(map_.version()));
-        arg |= net::kWantProvenance;
-      }
-      st.owner->send(net::MsgType::kReplyOk, arg, body.data(), body.size());
+      const std::string body = fold(st);
+      st.owner->answer(st.verb, st.arg, body.data(), body.size(), st.epochs,
+                       sum(st.epochs),
+                       static_cast<std::uint32_t>(map_.version()));
     } catch (const gbx::Error& e) {
       st.owner->fail(st.verb, e.what());
     }

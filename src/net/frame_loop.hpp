@@ -109,6 +109,22 @@ class FrameSession {
          size);
   }
 
+  /// Query reply; revision 2 (body + provenance trailer, kWantProvenance
+  /// echoed in the arg so the client knows to split the trailer) when
+  /// the request's `arg` asked for it.
+  void answer(MsgType request, std::uint64_t arg, const void* payload,
+              std::size_t size, const std::vector<std::uint64_t>& epochs,
+              std::uint64_t snapshot_epoch, std::uint32_t map_version = 0) {
+    if (!(arg & kWantProvenance)) {
+      reply_ok(request, payload, size);
+      return;
+    }
+    std::string body(size > 0 ? static_cast<const char*>(payload) : "", size);
+    append_provenance(body, epochs, snapshot_epoch, map_version);
+    const std::uint64_t echo = static_cast<std::uint64_t>(request);
+    send(MsgType::kReplyOk, echo | kWantProvenance, body.data(), body.size());
+  }
+
   /// The error path: count the rejected frame, answer kReplyError with
   /// the diagnostic, close.
   void fail(MsgType request, const std::string& what) {

@@ -169,7 +169,7 @@ class IngestHandlers final : public FrameHandler {
         r.sum = img.reduce();
         r.epoch = handle.epoch();
         r.nvals = img.nvals();
-        answer(s, type, arg, &r, sizeof r, part_epochs(img), handle.epoch());
+        s.answer(type, arg, &r, sizeof r, part_epochs(img), handle.epoch());
         return;
       }
       case MsgType::kQueryElements: {
@@ -184,7 +184,7 @@ class IngestHandlers final : public FrameHandler {
             rs[i].value = *v;
           }
         }
-        answer(s, type, arg, rs.data(), rs.size() * sizeof(ElementReply),
+        s.answer(type, arg, rs.data(), rs.size() * sizeof(ElementReply),
                part_epochs(img), handle.epoch());
         return;
       }
@@ -199,7 +199,7 @@ class IngestHandlers final : public FrameHandler {
         const auto colv = gbx::reduce_cols<gbx::PlusMonoid<double>>(m.view());
         const auto idx = colv.indices();
         static_assert(sizeof(gbx::Index) == sizeof(std::uint64_t));
-        answer(s, type, arg, idx.data(), idx.size() * sizeof(std::uint64_t),
+        s.answer(type, arg, idx.data(), idx.size() * sizeof(std::uint64_t),
                part_epochs(img), handle.epoch());
         return;
       }
@@ -228,7 +228,7 @@ class IngestHandlers final : public FrameHandler {
         r.mean_link = sum.mean_link;
         // The analytics engine answers from its own maintained image; no
         // per-part vector to report, just the epoch it describes.
-        answer(s, type, arg, &r, sizeof r, {}, r.epoch);
+        s.answer(type, arg, &r, sizeof r, {}, r.epoch);
         return;
       }
       case MsgType::kQueryRefresh: {
@@ -241,7 +241,7 @@ class IngestHandlers final : public FrameHandler {
         r.changed = rep.changed;
         r.triangles = analytics_.triangles();
         r.sum = gbx::reduce_scalar<gbx::PlusMonoid<double>>(analytics_.sum());
-        answer(s, type, arg, &r, sizeof r, {}, r.epoch);
+        s.answer(type, arg, &r, sizeof r, {}, r.epoch);
         return;
       }
       case MsgType::kBye:
@@ -340,24 +340,6 @@ class IngestHandlers final : public FrameHandler {
       --s.pending_flushes;
       s.reply_ok(MsgType::kFlush, "", 0);
     }
-  }
-
-  /// Query reply; revision 2 (body + provenance trailer, kWantProvenance
-  /// echoed in the arg so the client knows to split the trailer) when
-  /// the request asked for it.
-  static void answer(Session& s, MsgType request, std::uint64_t arg,
-                     const void* payload, std::size_t size,
-                     const std::vector<std::uint64_t>& epochs,
-                     std::uint64_t snapshot_epoch) {
-    if (!(arg & kWantProvenance)) {
-      s.reply_ok(request, payload, size);
-      return;
-    }
-    std::string body(size > 0 ? static_cast<const char*>(payload) : "", size);
-    append_provenance(body, epochs, snapshot_epoch, /*map_version=*/0);
-    s.send(MsgType::kReplyOk,
-           static_cast<std::uint64_t>(request) | kWantProvenance, body.data(),
-           body.size());
   }
 
   /// Per-lane epoch vector of a pinned stream snapshot (provenance).

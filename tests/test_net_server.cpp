@@ -232,8 +232,14 @@ TEST(NetServer, ReplyBacklogIsBoundedAndEveryPipelinedQueryAnswered) {
       cl.send_raw(frame.data(), frame.size());
   });
 
-  // Let the backlog build before draining a single reply.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Drain no reply until the backlog has hit the cap: the replies far
+  // outgrow the socket buffers, so the throttle must engage however
+  // slowly a loaded host serves the queries.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (h.server->stats().out_throttles.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   std::vector<net::ElementReply> want(kProbes);
   for (std::size_t i = 0; i < kQueries; ++i) {
     auto rec = cl.read_reply();
