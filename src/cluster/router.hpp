@@ -158,7 +158,7 @@ class Router final : private net::FrameHandler {
     Session* owner = nullptr;
     net::MsgType verb = net::MsgType::kQuerySum;
     std::uint64_t arg = 0;  ///< the query's tag argument
-    bool reading = false;  ///< read round sent: the cut is over
+    bool reading = false;   ///< read round sent: the cut is over
     std::vector<net::ElementQuery> probes;               ///< kQueryElements
     std::vector<std::vector<store::LogRecord>> replies;  ///< per worker
     std::vector<std::uint64_t> epochs;                   ///< per worker
@@ -196,8 +196,8 @@ class Router final : private net::FrameHandler {
     gbx::ScopedThreadRole role(loop_role_);
     if (fs.outbound()) return;
     auto& s = static_cast<Session&>(fs);
-    const net::MsgType type =
-        s.held ? net::tag_type(s.held->epoch) : net::MsgType::kInsert;
+    if (!s.held) return;
+    const net::MsgType type = net::tag_type(s.held->epoch);
     try {
       admit(s);
     } catch (const gbx::Error& e) {
@@ -217,7 +217,7 @@ class Router final : private net::FrameHandler {
 
   // --- client verbs --------------------------------------------------------
 
-  static bool stitched(net::MsgType t) {  // kQuerySum..kQueryRefresh
+  static bool stitched(net::MsgType t) {  // the five query verbs
     return (t >= net::MsgType::kQuerySum && t <= net::MsgType::kQueryRefresh) ||
            t == net::MsgType::kQueryColumns;
   }
@@ -227,7 +227,6 @@ class Router final : private net::FrameHandler {
   /// a time. Batches also wait while any worker's unsent backlog is over
   /// the cap.
   void admit(Session& s) GBX_REQUIRES(loop_role_) {
-    if (!s.held) return;
     const net::MsgType t = net::tag_type(s.held->epoch);
     if ((stitch_ && (!stitch_->reading || stitched(t))) ||
         (t == net::MsgType::kInsert &&
