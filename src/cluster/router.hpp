@@ -12,8 +12,9 @@
 // worker RPC blocks.
 //
 //   * A client batch is split by part and each sub-batch queued one-way
-//     on its worker connection; while a worker's unsent backlog is over
-//     the cap, client batches are held (the full-lane park, one hop up).
+//     on its worker connection; client batches are held while a worker's
+//     unsent backlog is over the cap (the full-lane park, one hop up) or
+//     it owes a kFlush ack (a flush waits only for what came before it).
 //   * kFlush and queries are continuations: each worker connection keeps
 //     a FIFO of the replies it owes, and the asking client pauses until
 //     its last one is in.
@@ -21,12 +22,11 @@
 //     (all acked: "admitted" == "applied" everywhere) the read verb(s) to
 //     every worker, folded in canonical part order, with the per-worker
 //     epochs as the reply's provenance trailer.
-//   * The cut is loop order: from a stitch's start until its read round
-//     is sent no client frame is acted on, and one stitch runs at a
-//     time. Per-connection FIFO then puts every client batch on the same
-//     side of the read on every worker: no stitch sees a torn batch. (A
-//     read never follows an unacked flush: a worker answers a query
-//     before a pending flush ack.)
+//   * The cut is loop order: while a stitch is in flight no client frame
+//     is acted on, so one stitch runs at a time and per-connection FIFO
+//     puts every client batch on the same side of the read on every
+//     worker: no stitch sees a torn batch. (A read never follows an
+//     unacked flush: a worker answers a query before a pending flush ack.)
 //   * Failure is LOUD and sticky: a worker whose connection fails, that
 //     answers kReplyError, or that owes a reply past
 //     worker_recv_timeout_ms is dead; its waiting clients get kReplyError
@@ -150,6 +150,7 @@ class Router final : private net::FrameHandler {
     Worker(net::Fd f, std::size_t w) : FrameSession(std::move(f)), index(w) {}
     std::size_t index;
     std::deque<Owed> owed;
+    std::size_t flushes = 0;  ///< kFlush entries in `owed`
   };
 
   /// The one stitched query in flight. Its owner's `awaiting` counts the
@@ -158,7 +159,7 @@ class Router final : private net::FrameHandler {
     Session* owner = nullptr;
     net::MsgType verb = net::MsgType::kQuerySum;
     std::uint64_t arg = 0;  ///< the query's tag argument
-    bool reading = false;   ///< read round sent: the cut is over
+    bool reading = false;   ///< flushes acked, read round sent
     std::vector<net::ElementQuery> probes;               ///< kQueryElements
     std::vector<std::vector<store::LogRecord>> replies;  ///< per worker
     std::vector<std::uint64_t> epochs;                   ///< per worker
@@ -223,15 +224,17 @@ class Router final : private net::FrameHandler {
   }
 
   /// Act on the session's held frame once the cut allows: nothing moves
-  /// between a stitch's start and its read round, and one stitch runs at
-  /// a time. Batches also wait while any worker's unsent backlog is over
-  /// the cap.
+  /// while a stitch is in flight (its read round included, which keeps
+  /// batch work off the loop while the replies come in). Batches also
+  /// wait while a worker's unsent backlog is over the cap or it owes a
+  /// kFlush ack: it acks once its lane is idle, which batches fed in
+  /// behind the flush could put off for ever.
   void admit(Session& s) GBX_REQUIRES(loop_role_) {
     const net::MsgType t = net::tag_type(s.held->epoch);
-    if ((stitch_ && (!stitch_->reading || stitched(t))) ||
+    if (stitch_ ||
         (t == net::MsgType::kInsert &&
          std::any_of(workers_.begin(), workers_.end(), [this](Worker* w) {
-           return w != nullptr && w->backlog() > max_out_;
+           return w != nullptr && (w->backlog() > max_out_ || w->flushes > 0);
          })))
       return;
     store::LogRecord rec = std::move(*s.held);
@@ -463,6 +466,7 @@ class Router final : private net::FrameHandler {
       GBX_REQUIRES(loop_role_) {
     workers_[w]->send(verb, prov ? net::kWantProvenance : 0, payload, size);
     workers_[w]->owed.push_back(Owed{verb, &client, Clock::now()});
+    workers_[w]->flushes += verb == net::MsgType::kFlush;
     ++client.awaiting;
   }
 
@@ -482,6 +486,7 @@ class Router final : private net::FrameHandler {
                                                           rec.payload.size()));
     const Owed o = wk.owed.front();
     wk.owed.pop_front();
+    wk.flushes -= o.verb == net::MsgType::kFlush;
     if (o.client == nullptr) return;  // nobody waits for it any more
     Session& s = *o.client;
     const bool last = --s.awaiting == 0;

@@ -94,7 +94,7 @@ class RouterClient : public net::Client {
   }
 
   /// Take an epoch-stitched distributed snapshot. The router flushes
-  /// every worker and forwards no client batch until its reads are out,
+  /// every worker and forwards no client batch until it has answered,
   /// so the image is a consistent whole-batch cut of the entire cluster.
   ClusterSnapshot freeze() {
     net::ReplyProvenance prov;

@@ -62,10 +62,11 @@ class Fd {
 
 /// Blocking TCP connect to `host` (dotted quad) : `port`, with
 /// TCP_NODELAY set; invalid when every attempt fails. A retry sleeps
-/// `backoff_ms` first, doubling up to `max_backoff_ms` — so a caller can
-/// reach a peer that is still binding or promoting.
+/// `backoff_ms` first, doubling up to 500 ms — so a caller can reach a
+/// peer that is still binding or promoting.
 inline Fd dial(const std::string& host, std::uint16_t port, int attempts = 1,
-               int backoff_ms = 20, int max_backoff_ms = 500) {
+               int backoff_ms = 20) {
+  constexpr int kMaxBackoffMs = 500;
   ::sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -73,7 +74,7 @@ inline Fd dial(const std::string& host, std::uint16_t port, int attempts = 1,
   for (int a = 0; a < attempts; ++a) {
     if (a > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, max_backoff_ms);
+      backoff_ms = std::min(backoff_ms * 2, kMaxBackoffMs);
     }
     Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (fd.valid() && ::connect(fd.get(), reinterpret_cast<::sockaddr*>(&addr),

@@ -9,8 +9,9 @@
 // of that: placement must agree with ShardedHier::shard_of coordinate-
 // for-coordinate, stitched snapshots must never observe a torn client
 // batch, a dead or hung worker must surface as a loud kReplyError
-// (never a silent partial sum or a hang), and a stale placement hint
-// must be redirected.
+// (never a silent partial sum or a hang), a client's flush must be acked
+// while another client streams, and a stale placement hint must be
+// redirected.
 //
 // Workers here are in-process LocalWorkers (real sockets, same code
 // path as forked processes — examples/cluster_demo.cpp covers the
@@ -24,6 +25,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -35,6 +37,7 @@
 
 #include "cluster/cluster.hpp"
 #include "gbx/error.hpp"
+#include "gbx/failpoint.hpp"
 #include "hier/hier.hpp"
 #include "net/net.hpp"
 #include "prop_util.hpp"
@@ -360,6 +363,67 @@ TEST(ClusterRouter, HungWorkerFailsLoudlyAndSticky) {
 
   router.stop();
   ::close(hole);
+}
+
+TEST(ClusterRouter, FlushIsAckedWhileAnotherClientStreams) {
+  // A worker acks kFlush once its lane is idle. Client B streams
+  // open-loop (never flushing) twice as fast as the lanes apply — every
+  // apply is slowed by a failpoint — so the lanes would never go idle if
+  // B's batches kept flowing in behind A's flush. The router must hold
+  // them until the flush is acked, well inside the worker timeout,
+  // rather than declare a healthy worker dead.
+  constexpr int kApplyMs = 20, kOfferMs = 10, kTimeoutMs = 1500;
+  constexpr std::size_t kBatch = 100;
+  cluster::LocalWorkerPool pool(2, ClusterHarness::config());
+  auto ropt = ClusterHarness::router_options();
+  ropt.worker_recv_timeout_ms = kTimeoutMs;
+  cluster::Router router(pool.map(), ropt);
+  router.start();
+
+  gbx::FailpointSpec slow;
+  slow.action = gbx::FailAction::kDelay;
+  slow.probability = 1.0;
+  slow.delay_ms = kApplyMs;
+  slow.max_fires = ~std::uint64_t{0};
+  gbx::failpoints().arm("hier.stream.apply", slow);
+
+  const auto ones = [](std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<Index> coord(0, kDim - 1);
+    Tuples<double> b;
+    for (std::size_t i = 0; i < kBatch; ++i)
+      b.push_back(coord(rng), coord(rng), 1.0);  // rows on both workers
+    return b;
+  };
+
+  std::atomic<bool> stop{false};
+  std::size_t streamed = 0;
+  cluster::RouterClient b;
+  b.connect("127.0.0.1", router.port());
+  std::thread stream([&] {
+    while (!stop.load()) {
+      b.insert(ones(streamed++));
+      std::this_thread::sleep_for(std::chrono::milliseconds(kOfferMs));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // backlog
+
+  cluster::RouterClient a;
+  a.connect("127.0.0.1", router.port());
+  a.insert(ones(~std::uint64_t{0}));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_NO_THROW(a.flush());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(kTimeoutMs));
+  stop.store(true);
+  stream.join();
+  gbx::failpoints().clear();
+  EXPECT_EQ(router.stats().worker_failures.load(), 0u);
+
+  // Every batch of both clients is applied exactly once.
+  EXPECT_NO_THROW(b.flush());
+  EXPECT_EQ(a.query_sum().sum, static_cast<double>((streamed + 1) * kBatch));
+  router.stop();
 }
 
 TEST(ClusterRouter, StaleHintIsRedirectedLoudly) {
