@@ -9,6 +9,11 @@
 //     to direct accumulation into one flat matrix;
 //   * zero scratch growth: the measured (post-warmup) runs must not grow
 //     the thread's ScratchPool — the steady-state zero-allocation claim;
+//   * checksum at memory speed: store::detail::frame_sum, the trailer
+//     every WAL, wire and block frame pays on write and again on every
+//     verify, must hash one 50K-entry batch at >= 0.2x the bytes/s of a
+//     memcpy of it (checksum_over_memcpy, a same-host ratio; a
+//     byte-serial hash measures ~0.035);
 //   * fused_rate (single lane) and the P-lane hier::pump rates feed the
 //     perf trajectory (scripts/check_perf.py gates them against perf/;
 //     the Fig. 2 shape bench remains bench_parallel_stream).
@@ -16,9 +21,11 @@
 // Workload: the paper's set granularity (100K-entry batches; INGEST_SETS
 // and INGEST_SET_SIZE adjust for CI scale), scale-17 Kronecker stream,
 // geometric cuts — the same shape bench_parallel_stream measures.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +34,7 @@
 #include "gbx/reduce.hpp"
 #include "gen/kronecker.hpp"
 #include "hier/hier.hpp"
+#include "store/wal.hpp"
 
 namespace {
 
@@ -74,6 +82,44 @@ LaneRun run_single_lane(const std::vector<gbx::Tuples<double>>& batches,
   r.sum = gbx::reduce_scalar<gbx::PlusMonoid<double>>(sum);
   r.nvals = sum.nvals();
   return r;
+}
+
+/// Best-of-`reps` bytes/s of `pass` over `bytes` bytes, each rep timing
+/// `iters` back-to-back passes.
+template <class Pass>
+double best_bytes_per_s(std::size_t bytes, Pass&& pass) {
+  constexpr int reps = 7, iters = 20;
+  double best = 0;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < iters; ++i) pass();
+    const double s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    best = std::max(best, static_cast<double>(bytes) * iters / s);
+  }
+  return best;
+}
+
+/// frame_sum bytes/s over memcpy bytes/s, both over the same one
+/// 50K-entry batch (warm in cache, as a just-received batch is).
+double checksum_over_memcpy(const gbx::Tuples<double>& batch) {
+  const auto& es = batch.entries();
+  const std::size_t bytes = es.size() * sizeof(es[0]);
+  std::vector<unsigned char> dst(bytes);
+  volatile std::uint64_t sink = 0;
+  std::uint64_t epoch = 0;
+  const double sum_bps = best_bytes_per_s(bytes, [&] {
+    sink = sink ^ store::detail::frame_sum(++epoch, bytes, es.data());
+  });
+  const double copy_bps = best_bytes_per_s(bytes, [&] {
+    std::memcpy(dst.data(), es.data(), bytes);
+    asm volatile("" : : "r"(dst.data()) : "memory");  // keep every copy
+    sink = sink ^ dst[epoch++ % bytes];
+  });
+  std::printf("frame_sum\t%.2f GB/s\nmemcpy\t\t%.2f GB/s\n", sum_bps / 1e9,
+              copy_bps / 1e9);
+  return sum_bps / copy_bps;
 }
 
 }  // namespace
@@ -139,6 +185,15 @@ int main() {
               direct_sum, fused.nvals, direct_nvals,
               identical ? "BIT-IDENTICAL" : "MISMATCH");
 
+  std::printf("\n-- frame checksum vs memcpy (one 50K-entry batch) --\n");
+  const double sum_ratio = [&] {
+    auto gen = make_generator(0, seed + 991);
+    return checksum_over_memcpy(gen.batch<double>(50000));
+  }();
+  const bool sum_ok = sum_ratio >= 0.2;
+  std::printf("checksum_over_memcpy %.3f (gate >= 0.2) -> %s\n", sum_ratio,
+              sum_ok ? "ok" : "TOO SLOW");
+
   // P-lane sweep (informational; the Fig. 2 gate lives in
   // bench_parallel_stream).
   std::printf("\n-- P lanes (hier::pump, generation untimed) --\n");
@@ -160,15 +215,18 @@ int main() {
   }
   lanes_json += "]";
 
-  const bool pass = identical && scratch_grows == 0;
-  std::printf("\nresult: %s (exactness %s, scratch grows %llu)\n",
-              pass ? "PASS" : "FAIL", identical ? "ok" : "VIOLATED",
-              static_cast<unsigned long long>(scratch_grows));
+  const bool pass = identical && scratch_grows == 0 && sum_ok;
+  std::printf(
+      "\nresult: %s (exactness %s, scratch grows %llu, checksum %.3f x "
+      "memcpy)\n",
+      pass ? "PASS" : "FAIL", identical ? "ok" : "VIOLATED",
+      static_cast<unsigned long long>(scratch_grows), sum_ratio);
   std::printf(
       "BENCH_JSON {\"bench\":\"ingest_hotpath\",\"sets\":%zu,"
       "\"set_size\":%zu,\"single\":{\"fused_rate\":%.1f},\"identical\":%s,"
-      "\"scratch_grows\":%llu,\"lanes\":%s}\n",
+      "\"scratch_grows\":%llu,\"checksum_over_memcpy\":%.3f,\"lanes\":%s}\n",
       sets, set_size, fused.rate(), identical ? "true" : "false",
-      static_cast<unsigned long long>(scratch_grows), lanes_json.c_str());
+      static_cast<unsigned long long>(scratch_grows), sum_ratio,
+      lanes_json.c_str());
   return pass ? 0 : 1;
 }

@@ -2,7 +2,7 @@
 //
 // Every message, in both directions, is one store::RecordLog record:
 //
-//   [magic u64 "HHWAL001"][tag u64][size u64][payload bytes][fnv1a-64]
+//   [magic u64 "HHWAL002"][tag u64][size u64][payload bytes][XXH64]
 //
 // reusing the WAL's frame layout verbatim — same magic, same checksum,
 // same torn/corrupt classification — so the server's session codec IS
@@ -188,7 +188,7 @@ inline void append_frame(std::string& out, MsgType type,
                          std::size_t size = 0) {
   // An empty POD array legitimately arrives as (nullptr, 0) — e.g.
   // vector::data() of an empty reply set. Substitute a non-null
-  // sentinel so neither fnv1a nor string::append ever sees a null
+  // sentinel so neither frame_sum nor string::append ever sees a null
   // pointer (formally UB even for zero lengths).
   const char* body =
       size > 0 ? static_cast<const char*>(payload) : "";

@@ -9,7 +9,9 @@
 //
 // Durability contract (what all_durable() means): a batch is durable
 // once the replica's cumulative kShipAck covers its sequence number —
-// the replica has persisted AND applied it. The ingest server holds
+// the replica has appended it to its own WAL and flushed that, and
+// submitted it to a lane (persist-before-ack, replica.hpp); a lane
+// worker may not have applied it yet. The ingest server holds
 // flush acks until all_durable(), so a client that got its flush ack
 // can lose the primary wholesale and find every acked batch on the
 // promoted replica: acked ⊆ replicated, never lost. The converse

@@ -118,9 +118,9 @@ class MemBackend final : public BlockBackend {
 };
 
 /// Single-file append-only backend. Every mutation is one RecordLog
-/// frame `[magic][block id][size][payload][fnv1a of id|size|payload]`
-/// (the WAL's frame_sum, so a decoder replay and a vacuum rewrite agree
-/// with a direct append); a zero-size payload is a tombstone. open() replays the frames into an offset catalog and
+/// frame `[magic][block id][size][payload][frame_sum(id, size, payload)]`
+/// (the WAL's XXH64 trailer, so a decoder replay and a vacuum rewrite
+/// agree with a direct append); a zero-size payload is a tombstone. open() replays the frames into an offset catalog and
 /// truncates the file at the first torn or corrupt frame — the crash-
 /// recovery rule of the WAL, applied to block storage: whatever a crash
 /// tore off simply reverts to "unknown block", never to wrong bytes.
@@ -319,7 +319,7 @@ class BlockStore {
     GBX_CHECK_VALUE(!bytes.empty(), "block store: empty block payload");
     gbx::ScopedLock lk(mu_);
     backend_->write(id, bytes.data(), bytes.size());
-    sums_[id] = detail::fnv1a(bytes.data(), bytes.size());
+    sums_[id] = detail::xxh64(bytes.data(), bytes.size(), 0);
     sizes_[id] = bytes.size();
     ++stats_.puts;
     stats_.bytes_written += bytes.size();
@@ -351,7 +351,7 @@ class BlockStore {
     stats_.bytes_read += payload.size();
     if (auto it = sums_.find(id); it != sums_.end()) {
       if (payload.size() != sizes_[id] ||
-          detail::fnv1a(payload.data(), payload.size()) != it->second) {
+          detail::xxh64(payload.data(), payload.size(), 0) != it->second) {
         ++stats_.checksum_failures;
         GBX_CHECK(false,
                   "block store: block checksum mismatch (torn write, short "

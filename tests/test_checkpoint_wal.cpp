@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "gbx/matrix_ops.hpp"
 #include "gen/kronecker.hpp"
 #include "hier/hier.hpp"
+#include "legacy_frame.hpp"
 #include "store/wal.hpp"
 
 namespace {
@@ -492,6 +494,91 @@ TEST(RecordFrameDecoder, ReaderStillClassifiesTornVersusCorrupt) {
     EXPECT_NO_THROW(r.next());
     EXPECT_NO_THROW(r.next());
     EXPECT_THROW(r.next(), gbx::Error);  // torn tail
+  }
+}
+
+// --- the frame checksum: XXH64, seeded with the epoch ------------------------
+
+TEST(FrameSum, Xxh64KnownAnswers) {
+  // Reference vectors of the XXH64 spec, seed 0.
+  const auto h = [](const std::string& s) {
+    return store::detail::xxh64(s.data(), s.size(), 0);
+  };
+  EXPECT_EQ(h(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(h("a"), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(h("abc"), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(h("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ull);
+  EXPECT_EQ(store::detail::xxh64(nullptr, 0, 0), 0xEF46DB3751D8E999ull);
+}
+
+store::RecordFrameDecoder::Status first_verdict(const std::string& bytes) {
+  store::RecordFrameDecoder dec;
+  dec.feed(bytes.data(), bytes.size());
+  store::LogRecord rec;
+  return dec.next(rec);
+}
+
+TEST(FrameSum, EveryHeaderBitFlipIsRejected) {
+  // The trailer covers both header words, on every tail path of the
+  // hash (sizes straddle the 8-, 4- and 1-byte tails and the edge of
+  // the 32-byte four-lane stripe). Zero padding after the frame lets a
+  // shrunk or modestly grown size field reach the checksum, where it
+  // must fail; a size past the buffered bytes stays kNeedMore. Neither
+  // ever yields a frame.
+  constexpr std::size_t kPad = 4096;
+  constexpr std::size_t kEpochAt = 8, kSizeAt = 16;
+  for (const std::size_t n : {0, 1, 3, 4, 7, 8, 31, 32, 33, 63, 64, 65}) {
+    std::string payload(n, '\0');
+    for (std::size_t i = 0; i < n; ++i)
+      payload[i] = static_cast<char>(i * 37 + 1);
+    std::ostringstream os;
+    store::RecordLogWriter w(os);
+    w.append(0x0123456789ABCDEFull, payload.data(), payload.size());
+    std::string bytes = os.str() + std::string(kPad, '\0');
+    for (const std::size_t at : {kEpochAt, kSizeAt}) {
+      for (int bit = 0; bit < 64; ++bit) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, bytes.data() + at, 8);
+        word ^= std::uint64_t{1} << bit;
+        std::memcpy(bytes.data() + at, &word, 8);
+        const auto st = first_verdict(bytes);
+        const bool reaches_trailer =
+            at == kEpochAt || 24 + word + 8 <= bytes.size();
+        EXPECT_EQ(st, reaches_trailer
+                          ? store::RecordFrameDecoder::Status::kCorrupt
+                          : store::RecordFrameDecoder::Status::kNeedMore)
+            << "size " << n << (at == kEpochAt ? " epoch" : " size")
+            << " bit " << bit;
+        word ^= std::uint64_t{1} << bit;  // restore for the next flip
+        std::memcpy(bytes.data() + at, &word, 8);
+      }
+    }
+  }
+}
+
+TEST(FrameSum, PreviousFormatIsRejectedByMagic) {
+  const std::string p = "a frame from before the XXH64 trailer";
+  const std::string v1 = legacy::v1_frame(3, p.data(), p.size());
+  const auto expect_magic_error = [](auto& reader) {
+    try {
+      reader.next();
+      ADD_FAILURE() << "an HHWAL001 frame was accepted";
+    } catch (const gbx::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad record magic"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  {
+    std::istringstream is(v1);
+    store::RecordLogReader r(is);
+    expect_magic_error(r);
+  }
+  {
+    std::istringstream is(v1);
+    store::RecordLogTailer t(is);
+    expect_magic_error(t);
   }
 }
 

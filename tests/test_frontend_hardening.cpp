@@ -33,6 +33,7 @@
 #include "gbx/error.hpp"
 #include "hier/hier.hpp"
 #include "hier/memory_governor.hpp"
+#include "legacy_frame.hpp"
 #include "net/net.hpp"
 #include "repl/repl.hpp"
 
@@ -253,6 +254,16 @@ class FrontEndHardening : public ::testing::TestWithParam<std::string> {
 
 TEST_P(FrontEndHardening, BadMagic) {
   expect_rejected(std::string(32, '\xAB'), "magic");
+  expect_serving();
+}
+
+TEST_P(FrontEndHardening, PreviousFrameFormatIsRejectedByMagic) {
+  // A well-formed insert from a peer still on the "HHWAL001" format.
+  const auto es = unit_batch(64, 9).entries();
+  expect_rejected(
+      legacy::v1_frame(net::make_tag(net::MsgType::kInsert, net::kAnyLane),
+                       es.data(), es.size() * sizeof(es[0])),
+      "bad record magic");
   expect_serving();
 }
 

@@ -285,13 +285,20 @@ TEST(NetServer, BackPressureThrottlesOnlyTheSaturatedLane) {
     cl.bye();
   });
 
-  // Wait until lane 0 actually parked (back-pressure engaged).
+  // Wait until lane 0 actually parked (back-pressure engaged) AND its
+  // worker took the stall. A park alone is not enough: a lane-0 worker
+  // slow to wake (a loaded host) leaves batch 1 queued and parks batch
+  // 2, and lane 1's first apply would then be the one to stall. The
+  // failpoint disarms itself when it fires, and only lane 0 has work.
+  const auto engaged = [&] {
+    return h.server->stats().parks.load(std::memory_order_relaxed) > 0 &&
+           !gbx::failpoints().armed();
+  };
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (h.server->stats().parks.load(std::memory_order_relaxed) == 0 &&
-         std::chrono::steady_clock::now() < deadline)
+  while (!engaged() && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  if (h.server->stats().parks.load(std::memory_order_relaxed) == 0) {
+  if (!engaged()) {
     slow.join();  // let the stream finish before tearing the harness down
     gbx::failpoints().clear();
     FAIL() << "lane 0 never saturated; back-pressure path unexercised";
