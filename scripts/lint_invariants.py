@@ -25,6 +25,11 @@ Checks:
      core's nonblocking socket I/O. A thread or a blocking socket call
      there would bring back a second session loop and the locks it
      needs (the worker pool's forked processes need neither).
+  6. No file under src/hier includes store/btree_store.hpp,
+     store/lsm_store.hpp or store/bloom.hpp: those are the Fig. 2
+     database comparator models. The out-of-core tier's demoted runs
+     are immutable and sorted, and each run indexes its own rows, so
+     the tier cannot grow a second index over them again.
 """
 
 import re
@@ -59,6 +64,11 @@ LISTENER_RE = re.compile(r"::(bind|listen|accept4)\(")
 # Session-core-only I/O for the cluster layer (check 5).
 CLUSTER_DIR = "src/cluster/"
 CLUSTER_BANNED_RE = re.compile(r"(\bstd::thread\b|::recv\(|::send\()")
+
+# Fig. 2 comparator stores the hierarchy must not build on (check 6).
+HIER_DIR = "src/hier/"
+COMPARATOR_INCLUDE_RE = re.compile(
+    r'#\s*include\s*"(store/(?:btree_store|lsm_store|bloom)\.hpp)"')
 
 # `new` as an expression: preceded by start/space/punct, followed by a
 # type. Excludes placement-new forms used by containers (none in-repo)
@@ -199,6 +209,19 @@ def check_cluster_io(path: Path, code: str, errors: list) -> None:
                 f"nonblocking I/O (net/frame_loop.hpp)")
 
 
+def check_hier_includes(path: Path, text: str, errors: list) -> None:
+    rel = str(path.relative_to(REPO))
+    if not rel.startswith(HIER_DIR):
+        return
+    for ln, line in enumerate(text.splitlines(), 1):
+        m = COMPARATOR_INCLUDE_RE.search(line)
+        if m:
+            errors.append(
+                f"{rel}:{ln}: includes {m.group(1)} under {HIER_DIR} — "
+                f"the B-tree, LSM and bloom stores are Fig. 2 comparator "
+                f"models; demoted runs index their own rows (hier/tier.hpp)")
+
+
 def main() -> int:
     errors: list = []
     for path in sorted(SRC.rglob("*")):
@@ -211,6 +234,7 @@ def main() -> int:
         check_raw_primitives(path, code, errors)
         check_listeners(path, code, errors)
         check_cluster_io(path, code, errors)
+        check_hier_includes(path, text, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:

@@ -106,7 +106,10 @@ class HierMatrix {
   }
 
   /// Heap bytes across all levels (resident only — demoted runs live in
-  /// the block store, counted by store_bytes()).
+  /// the block store, counted by store_bytes()). Each demoted run's row
+  /// index (8 B per row) stays on the heap and is not counted: demoting
+  /// cannot shrink it, so counting it would make enforce_residency()
+  /// flush and demote on every batch once it nears the budget.
   std::size_t memory_bytes() const {
     std::size_t n = 0;
     for (const auto& l : levels_) n += l.memory_bytes();

@@ -26,15 +26,19 @@
 // TierImage published through TierView — runs are refcounted, and a
 // run's blocks are erased from the store only when the last image
 // referencing it dies (RAII GC), so compaction never pulls blocks out
-// from under a concurrent reader. The TierDirectory (bloom-guarded
-// (run, row) → block map over the PR-seed B-tree/LSM stores) and the
-// BlockStore are internally locked.
+// from under a concurrent reader. A run indexes its own rows: the
+// level's sorted row array, copied once at demote(), plus each
+// segment's end position in it — two binary searches resolve a row to
+// its block, and a row the run does not hold reads no block. Runs are
+// immutable once published, so the index needs no lock; the BlockStore
+// is internally locked.
 //
 // The ingest hot path is untouched: cascade folds never consult the
 // tier, and demotion runs only from explicit calls (demote_now,
 // enforce_residency — the MemoryGovernor's batch-granularity hook).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -47,9 +51,6 @@
 #include "gbx/serialize.hpp"
 #include "gbx/thread_annotations.hpp"
 #include "store/block_store.hpp"
-#include "store/bloom.hpp"
-#include "store/btree_store.hpp"
-#include "store/lsm_store.hpp"
 
 namespace hier {
 
@@ -62,13 +63,6 @@ struct DemotionConfig {
   /// Runs accumulated before compact() merges them into one (the LSM
   /// read-amplification bound).
   std::size_t max_runs = 8;
-
-  /// Which seed store indexes (run, row) → block id.
-  enum class Directory { kBtree, kLsm };
-  Directory directory = Directory::kBtree;
-
-  /// False-positive rate of the row bloom filter guarding point reads.
-  double bloom_fp_rate = 0.01;
 };
 
 struct TierStats {
@@ -78,122 +72,13 @@ struct TierStats {
   std::uint64_t bytes_demoted = 0;    ///< serialized bytes written
 };
 
-namespace detail {
-
-/// Block ids travel through the directory stores' double values; doubles
-/// hold integers exactly up to 2^53 — far beyond any real block count,
-/// but checked rather than assumed.
-inline constexpr std::uint64_t kMaxOrdinalInDouble = 1ull << 53;
-
-}  // namespace detail
-
-/// Bloom-guarded (run, row) → block-id index over the seed key/value
-/// stores (Key{row, run} keeps one row's entries adjacent in the B-tree
-/// order). Both stores accumulate duplicate keys with +=, so every
-/// (run, row) key is inserted exactly once — each row lives in exactly
-/// one segment of a run. Internally locked: snapshot readers probe from
-/// arbitrary threads (LSM gets mutate bloom-skip stats even when const).
-class TierDirectory {
- public:
-  explicit TierDirectory(DemotionConfig::Directory kind,
-                         double bloom_fp_rate = 0.01)
-      : kind_(kind),
-        bloom_fp_rate_(bloom_fp_rate),
-        bloom_capacity_(1u << 10),
-        bloom_(bloom_capacity_, bloom_fp_rate) {
-    if (kind_ == DemotionConfig::Directory::kBtree) {
-      btree_ = std::make_unique<store::BTreeStore>(/*enable_wal=*/false);
-    } else {
-      store::LsmOptions opt;
-      opt.enable_wal = false;  // durability lives in the BlockStore
-      opt.bloom_fp_rate = bloom_fp_rate;
-      lsm_ = std::make_unique<store::LsmStore>(opt);
-    }
-  }
-
-  void insert(std::uint64_t run, gbx::Index row, store::BlockId block) {
-    GBX_CHECK_VALUE(block < detail::kMaxOrdinalInDouble &&
-                        run < detail::kMaxOrdinalInDouble,
-                    "tier directory: ordinal exceeds exact double range");
-    gbx::ScopedLock lk(mu_);
-    const store::Key k{row, run};
-    if (btree_) btree_->insert(k, static_cast<store::Value>(block));
-    else lsm_->insert(k, static_cast<store::Value>(block));
-    ++entries_;
-    if (entries_ > 2 * bloom_capacity_) rebuild_bloom_locked();
-    bloom_.add(store::Key{row, 0});
-  }
-
-  /// False means NO run holds the row — the probe skips the store
-  /// entirely (the read path's fast negative).
-  bool may_contain(gbx::Index row) const {
-    gbx::ScopedLock lk(mu_);
-    ++probes_;
-    if (bloom_.may_contain(store::Key{row, 0})) return true;
-    ++bloom_negatives_;
-    return false;
-  }
-
-  std::optional<store::BlockId> lookup(std::uint64_t run,
-                                       gbx::Index row) const {
-    gbx::ScopedLock lk(mu_);
-    const store::Key k{row, run};
-    const auto v = btree_ ? btree_->get(k) : lsm_->get(k);
-    if (!v) return std::nullopt;
-    return static_cast<store::BlockId>(*v);
-  }
-
-  std::uint64_t entries() const {
-    gbx::ScopedLock lk(mu_);
-    return entries_;
-  }
-  std::uint64_t probes() const {
-    gbx::ScopedLock lk(mu_);
-    return probes_;
-  }
-  std::uint64_t bloom_negatives() const {
-    gbx::ScopedLock lk(mu_);
-    return bloom_negatives_;
-  }
-  DemotionConfig::Directory kind() const { return kind_; }
-
- private:
-  /// Grow the bloom filter by rescanning the store's keys (the filter
-  /// has no remove/resize; saturation would erode the negative-probe
-  /// fast path to useless).
-  void rebuild_bloom_locked() GBX_REQUIRES(mu_) {
-    while (entries_ > bloom_capacity_) bloom_capacity_ *= 2;
-    bloom_ = store::BloomFilter(bloom_capacity_, bloom_fp_rate_);
-    auto add = [this](const store::Key& k, store::Value) {
-      bloom_.add(store::Key{k.row, 0});
-    };
-    if (btree_) btree_->scan(add);
-    else lsm_->scan(add);
-  }
-
-  mutable gbx::Mutex mu_;
-  DemotionConfig::Directory kind_;  ///< immutable after construction
-  double bloom_fp_rate_;            ///< immutable after construction
-  std::size_t bloom_capacity_ GBX_GUARDED_BY(mu_);
-  store::BloomFilter bloom_ GBX_GUARDED_BY(mu_);
-  // The pointers are set once in the constructor; the stores they point
-  // at are only ever touched with mu_ held (LSM mutates bloom-skip stats
-  // even on const probes).
-  std::unique_ptr<store::BTreeStore> btree_ GBX_PT_GUARDED_BY(mu_);
-  std::unique_ptr<store::LsmStore> lsm_ GBX_PT_GUARDED_BY(mu_);
-  std::uint64_t entries_ GBX_GUARDED_BY(mu_) = 0;
-  mutable std::uint64_t probes_ GBX_GUARDED_BY(mu_) = 0;
-  mutable std::uint64_t bloom_negatives_ GBX_GUARDED_BY(mu_) = 0;
-};
-
 /// One immutable demoted run: the serialized image of the bottom level
 /// at one demote(), split into row-range segment blocks. Destroying the
 /// last reference erases the blocks from the store (best-effort — a
 /// failing store must not turn reader teardown into a crash; leaked
 /// blocks are reclaimed by FileBackend::vacuum or store teardown).
 struct TierRun {
-  TierRun(store::BlockStore* s, std::uint64_t run_id)
-      : store(s), id(run_id) {}
+  explicit TierRun(store::BlockStore* s) : store(s) {}
   TierRun(const TierRun&) = delete;
   TierRun& operator=(const TierRun&) = delete;
   ~TierRun() {
@@ -205,19 +90,29 @@ struct TierRun {
     }
   }
 
+  /// The block of the segment holding `row`, or nullopt when the run
+  /// holds no entry in that row (exact: no false positives).
+  std::optional<store::BlockId> find(gbx::Index row) const {
+    const auto it = std::lower_bound(rows.begin(), rows.end(), row);
+    if (it == rows.end() || *it != row) return std::nullopt;
+    const auto pos = static_cast<std::size_t>(it - rows.begin());
+    const auto seg = std::upper_bound(seg_end.begin(), seg_end.end(), pos);
+    return blocks[static_cast<std::size_t>(seg - seg_end.begin())];
+  }
+
   store::BlockStore* store;
-  std::uint64_t id;
   std::vector<store::BlockId> blocks;  ///< segments in ascending row order
+  std::vector<gbx::Index> rows;        ///< every row the run holds, ascending
+  std::vector<std::size_t> seg_end;    ///< blocks[k] holds rows[.., seg_end[k])
   std::uint64_t entries = 0;
   std::uint64_t bytes = 0;  ///< serialized payload bytes
 };
 
-/// Immutable published state of the tier: the run list (oldest first)
-/// plus the directory resolving their rows. Snapshots hold one by
-/// shared_ptr; demote/compact swap in a successor without touching it.
+/// Immutable published state of the tier: the run list, oldest first.
+/// Snapshots hold one by shared_ptr; demote/compact swap in a successor
+/// without touching it.
 struct TierImage {
   std::vector<std::shared_ptr<const TierRun>> runs;
-  std::shared_ptr<const TierDirectory> dir;
   std::uint64_t entries = 0;
   std::uint64_t bytes = 0;
 };
@@ -249,14 +144,13 @@ class TierView {
   std::size_t num_runs() const { return image_ ? image_->runs.size() : 0; }
 
   /// Demoted contribution at (i, j): the left fold, oldest run first, of
-  /// every run's value there. Bloom-guarded — a negative row probe skips
-  /// the directory and store entirely.
+  /// every run's value there. A run that does not hold row i reads no
+  /// block.
   std::optional<T> extract(gbx::Index i, gbx::Index j) const {
     if (!demoted()) return std::nullopt;
-    if (!image_->dir->may_contain(i)) return std::nullopt;
     std::optional<T> acc;
     for (const auto& run : image_->runs) {
-      const auto blk = image_->dir->lookup(run->id, i);
+      const auto blk = run->find(i);
       if (!blk) continue;
       const matrix_type seg = decode_block(*blk);
       if (auto x = seg.storage().get(i, j)) {
@@ -285,8 +179,6 @@ class TierView {
     for (const auto& run : image_->runs)
       for (const auto b : run->blocks) f(decode_block(b));
   }
-
-  const std::shared_ptr<const TierImage>& image() const { return image_; }
 
  private:
   matrix_type decode_block(store::BlockId id) const {
@@ -319,9 +211,7 @@ class DemotedTier {
     GBX_CHECK_VALUE(store_ != nullptr, "tier: null block store");
     GBX_CHECK_VALUE(cfg_.segment_bytes > 0, "tier: zero segment size");
     GBX_CHECK_VALUE(cfg_.max_runs > 0, "tier: zero run bound");
-    auto img = std::make_shared<TierImage>();
-    img->dir = dir_ = make_directory();
-    publish(std::move(img));
+    publish(std::make_shared<TierImage>());
   }
 
   /// Move `bottom`'s current value into a new demoted run and reset the
@@ -337,14 +227,10 @@ class DemotedTier {
     if (bottom.empty()) return false;
     const gbx::Dcsr<T>& s = bottom.storage();
     auto cur = image();
-    // The directory is shared append-only between compactions; entries
-    // of a run that failed mid-demote are unreachable garbage (the run
-    // id is never reused), swept out at the next compaction.
-    auto run = build_run(s, *dir_);
+    auto run = build_run(s);
     auto img = std::make_shared<TierImage>();
     img->runs = cur->runs;
     img->runs.push_back(run);
-    img->dir = cur->dir;
     img->entries = cur->entries + run->entries;
     img->bytes = cur->bytes + run->bytes;
     publish(std::move(img));
@@ -359,8 +245,8 @@ class DemotedTier {
   /// amplification bound). Merging folds the runs oldest-first — a
   /// prefix regrouping of the per-coordinate chain, so reads through the
   /// compacted image are bit-identical to reads through the old one.
-  /// The merged run gets a fresh directory; old images (held by live
-  /// snapshots) keep the old directory and blocks until they die.
+  /// Old images (held by live snapshots) keep the old runs and their
+  /// blocks until they die.
   bool maybe_compact() {
     if (image()->runs.size() <= cfg_.max_runs) return false;
     compact();
@@ -374,27 +260,20 @@ class DemotedTier {
     TierView<T, AddMonoid> v(cur, store_, nrows_, ncols_);
     v.materialize_into(merged);
     merged.materialize();
-    auto dir = make_directory();
     auto img = std::make_shared<TierImage>();
     if (!merged.empty()) {
-      auto run = build_run(merged.storage(), *dir);
+      auto run = build_run(merged.storage());
       img->entries = run->entries;
       img->bytes = run->bytes;
       img->runs.push_back(std::move(run));
     }
-    img->dir = dir;
     publish(std::move(img));
-    dir_ = std::move(dir);
     ++stats_.compactions;
   }
 
   /// Drop every demoted run (collapse() promotes the tier back into the
   /// resident bottom first, then clears it here).
-  void clear() {
-    auto img = std::make_shared<TierImage>();
-    img->dir = dir_ = make_directory();
-    publish(std::move(img));
-  }
+  void clear() { publish(std::make_shared<TierImage>()); }
 
   /// Publish the current image for a snapshot (cheap: two shared_ptr
   /// copies under the image lock).
@@ -407,16 +286,8 @@ class DemotedTier {
   std::uint64_t entries_bound() const { return view().entries_bound(); }
   std::size_t num_runs() const { return view().num_runs(); }
   const TierStats& stats() const { return stats_; }
-  const DemotionConfig& config() const { return cfg_; }
-  store::BlockStore& store() { return *store_; }
-  const TierDirectory& directory() const { return *dir_; }
 
  private:
-  std::shared_ptr<TierDirectory> make_directory() const {
-    return std::make_shared<TierDirectory>(cfg_.directory,
-                                           cfg_.bloom_fp_rate);
-  }
-
   std::shared_ptr<const TierImage> image() const {
     gbx::ScopedLock lk(img_mu_);
     return image_;
@@ -434,14 +305,14 @@ class DemotedTier {
            sizeof(gbx::Offset);
   }
 
-  /// Serialize s into segment blocks of ~segment_bytes and index every
-  /// row. Blocks are put before their directory entries, and the run is
+  /// Serialize s into segment blocks of ~segment_bytes and index the
+  /// run's rows. A block id is recorded before its put, and the run is
   /// committed to an image only by the caller — so any throw along the
   /// way unwinds into the run's RAII erase with nothing published.
-  std::shared_ptr<TierRun> build_run(const gbx::Dcsr<T>& s,
-                                     TierDirectory& dir) {
-    auto run = std::make_shared<TierRun>(store_, next_run_id_++);
-    const auto& rows = s.rows();
+  std::shared_ptr<TierRun> build_run(const gbx::Dcsr<T>& s) {
+    auto run = std::make_shared<TierRun>(store_);
+    const auto rows = s.rows();
+    run->rows.assign(rows.begin(), rows.end());
     std::size_t b = 0;
     while (b < rows.size()) {
       std::size_t e = b;
@@ -457,7 +328,7 @@ class DemotedTier {
       run->blocks.push_back(id);  // before put: erase of an unwritten
       store_->put(id, payload);   // id is an idempotent no-op
       run->bytes += payload.size();
-      for (std::size_t r = b; r < e; ++r) dir.insert(run->id, rows[r], id);
+      run->seg_end.push_back(e);
       b = e;
     }
     run->entries = s.nnz();
@@ -470,8 +341,6 @@ class DemotedTier {
   gbx::Index ncols_;
   mutable gbx::Mutex img_mu_;  ///< orders image swaps against view()
   std::shared_ptr<const TierImage> image_ GBX_GUARDED_BY(img_mu_);
-  std::shared_ptr<TierDirectory> dir_;  ///< directory of the CURRENT image
-  std::uint64_t next_run_id_ = 1;
   TierStats stats_;
 };
 

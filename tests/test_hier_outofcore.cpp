@@ -46,18 +46,17 @@ void for_each_entry(const Matrix<T, M>& m, F&& f) {
 
 // Small segments + few runs so modest streams exercise segmentation,
 // run accumulation, AND compaction.
-DemotionConfig small_segments(DemotionConfig::Directory dir) {
+DemotionConfig small_segments() {
   DemotionConfig cfg;
   cfg.segment_bytes = 2048;
   cfg.max_runs = 3;
-  cfg.directory = dir;
   return cfg;
 }
 
 TEST(OutOfCore, DemoteMovesBottomLevelIntoStore) {
   auto store = store::make_mem_block_store();
   HierMatrix<std::int64_t> h(1u << 16, 1u << 16, CutPolicy({32, 256}));
-  h.enable_demotion(store.get(), small_segments(DemotionConfig::Directory::kBtree));
+  h.enable_demotion(store.get(), small_segments());
 
   proptest::DenseRef<std::int64_t> ref;
   std::mt19937_64 rng(7);
@@ -97,15 +96,14 @@ TEST(OutOfCore, EmptyBottomDemotesToNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized interleaving property, parameterized over fold monoid and
-// directory kind. A never-demoting twin receives the identical stream;
+// Randomized interleaving property, parameterized over fold monoid. A
+// never-demoting twin receives the identical stream;
 // values are small integers so the fold is bit-associative and twin
 // equality is exact.
 // ---------------------------------------------------------------------------
 
 template <class M>
-void interleaving_property(std::uint64_t pinned,
-                           DemotionConfig::Directory dir) {
+void interleaving_property(std::uint64_t pinned) {
   HHGBX_PROP_SEED(seed, pinned);
   using T = typename M::value_type;
   const Index dim = 1024;
@@ -113,7 +111,7 @@ void interleaving_property(std::uint64_t pinned,
 
   auto store = store::make_mem_block_store();
   HierMatrix<T, M> h(dim, dim, CutPolicy({24, 192}));
-  h.enable_demotion(store.get(), small_segments(dir));
+  h.enable_demotion(store.get(), small_segments());
   HierMatrix<T, M> twin(dim, dim, CutPolicy({24, 192}));
   proptest::DenseRef<T, M> ref;
 
@@ -160,27 +158,22 @@ void interleaving_property(std::uint64_t pinned,
       << "demotion changed the accumulated value";
 }
 
-TEST(OutOfCoreInterleaving, PlusInt64Btree) {
-  interleaving_property<gbx::PlusMonoid<std::int64_t>>(
-      101, DemotionConfig::Directory::kBtree);
+TEST(OutOfCoreInterleaving, PlusInt64Seed101) {
+  interleaving_property<gbx::PlusMonoid<std::int64_t>>(101);
 }
-TEST(OutOfCoreInterleaving, PlusInt64Lsm) {
-  interleaving_property<gbx::PlusMonoid<std::int64_t>>(
-      102, DemotionConfig::Directory::kLsm);
+TEST(OutOfCoreInterleaving, PlusInt64Seed102) {
+  interleaving_property<gbx::PlusMonoid<std::int64_t>>(102);
 }
-TEST(OutOfCoreInterleaving, MinInt64Btree) {
-  interleaving_property<gbx::MinMonoid<std::int64_t>>(
-      103, DemotionConfig::Directory::kBtree);
+TEST(OutOfCoreInterleaving, MinInt64) {
+  interleaving_property<gbx::MinMonoid<std::int64_t>>(103);
 }
-TEST(OutOfCoreInterleaving, MaxInt64Lsm) {
-  interleaving_property<gbx::MaxMonoid<std::int64_t>>(
-      104, DemotionConfig::Directory::kLsm);
+TEST(OutOfCoreInterleaving, MaxInt64) {
+  interleaving_property<gbx::MaxMonoid<std::int64_t>>(104);
 }
-TEST(OutOfCoreInterleaving, PlusDoubleBtree) {
+TEST(OutOfCoreInterleaving, PlusDouble) {
   // Small-integer-valued doubles: exactly representable, so plus stays
   // bit-associative and the twin comparison is still exact.
-  interleaving_property<gbx::PlusMonoid<double>>(
-      105, DemotionConfig::Directory::kBtree);
+  interleaving_property<gbx::PlusMonoid<double>>(105);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,7 +191,7 @@ TEST(OutOfCore, ReadPathsAgreeBitExactlyOnArbitraryDoubles) {
 
   auto store = store::make_mem_block_store();
   HierMatrix<double> h(dim, dim, CutPolicy({16, 128}));
-  auto cfg = small_segments(DemotionConfig::Directory::kBtree);
+  auto cfg = small_segments();
   cfg.max_runs = 100;  // keep the runs un-merged: distinct fold chains
   h.enable_demotion(store.get(), cfg);
   for (int s = 0; s < 12; ++s) {
@@ -240,7 +233,7 @@ TEST(OutOfCore, ReadPathsAgreeBitExactlyOnArbitraryDoubles) {
 TEST(OutOfCore, CompactionBoundsRunsAndReclaimsBlocksAfterReaders) {
   auto store = store::make_mem_block_store();
   HierMatrix<std::int64_t> h(2048, 2048, CutPolicy({16}));
-  auto cfg = small_segments(DemotionConfig::Directory::kBtree);
+  auto cfg = small_segments();
   h.enable_demotion(store.get(), cfg);
 
   proptest::DenseRef<std::int64_t> ref;
@@ -280,7 +273,7 @@ TEST(OutOfCore, CollapsePromotesTierBackAndReleasesStore) {
   auto store = store::make_mem_block_store();
   HierMatrix<std::int64_t> h(1024, 1024, CutPolicy({16, 64}));
   h.enable_demotion(store.get(),
-                    small_segments(DemotionConfig::Directory::kLsm));
+                    small_segments());
   proptest::DenseRef<std::int64_t> ref;
   std::mt19937_64 rng(21);
   for (int s = 0; s < 6; ++s) {
@@ -313,7 +306,7 @@ TEST(OutOfCore, GovernorLiveBudgetDemotesDuringIngest) {
   auto store = store::make_mem_block_store();
   HierMatrix<std::int64_t> h(dim, dim, CutPolicy({256, 2048}));
   h.enable_demotion(store.get(),
-                    small_segments(DemotionConfig::Directory::kBtree));
+                    small_segments());
 
   // First pass (no governor) to learn the stream's natural footprint.
   proptest::DenseRef<std::int64_t> ref;
@@ -354,7 +347,7 @@ TEST(OutOfCore, ShardedHierDemotionMatchesSingleMatrix) {
   auto store = store::make_mem_block_store();
   ShardedHier<std::int64_t> sharded(8, dim, dim, CutPolicy({64, 512}));
   sharded.enable_demotion(store.get(),
-                          small_segments(DemotionConfig::Directory::kBtree));
+                          small_segments());
   HierMatrix<std::int64_t> single(dim, dim, CutPolicy({64, 512}));
 
   for (int s = 0; s < 20; ++s) {
@@ -394,7 +387,7 @@ TEST(OutOfCore, FileBackedTierSurvivesCacheChurnAndVacuum) {
     auto store = store::make_file_block_store(path, scfg);
 
     HierMatrix<std::int64_t> h(4096, 4096, CutPolicy({32}));
-    auto cfg = small_segments(DemotionConfig::Directory::kBtree);
+    auto cfg = small_segments();
     h.enable_demotion(store.get(), cfg);
     proptest::DenseRef<std::int64_t> ref;
     std::mt19937_64 rng(31);
@@ -428,7 +421,7 @@ TEST(OutOfCore, CheckpointOfDemotedMatrixIsSelfContained) {
   auto store = store::make_mem_block_store();
   HierMatrix<std::int64_t> h(1u << 14, 1u << 14, CutPolicy({32, 256}));
   h.enable_demotion(store.get(),
-                    small_segments(DemotionConfig::Directory::kBtree));
+                    small_segments());
   proptest::DenseRef<std::int64_t> ref;
   std::mt19937_64 rng(41);
   for (int s = 0; s < 8; ++s) {
@@ -461,26 +454,30 @@ TEST(OutOfCore, CheckpointOfDemotedMatrixIsSelfContained) {
   EXPECT_TRUE(gbx::equal(restored.snapshot(), h.snapshot()));
 }
 
-// Bloom guard: point probes for rows that never demoted skip the
-// directory entirely (the negative fast path actually fires).
-TEST(OutOfCore, BloomGuardSkipsAbsentRows) {
+// A run indexes its rows exactly: a probe for a row no run holds reads
+// no block, whether the row lies far from the demoted set or inside a
+// segment's row span.
+TEST(OutOfCore, AbsentRowsReadNoBlock) {
   auto store = store::make_mem_block_store();
   HierMatrix<std::int64_t> h(1u << 20, 1u << 20, CutPolicy({16}));
-  h.enable_demotion(store.get(),
-                    small_segments(DemotionConfig::Directory::kBtree));
-  // Demoted rows all live in [0, 64).
-  for (Index i = 0; i < 64; ++i) h.update(i, i, 1);
+  h.enable_demotion(store.get(), small_segments());
+  // Demoted rows are the even rows of [0, 1024): several segments.
+  for (Index i = 0; i < 1024; i += 2) h.update(i, i, 1);
   h.flush();
   ASSERT_TRUE(h.demote_now());
+  ASSERT_GT(store->blocks(), 1u);
 
   auto snap = h.freeze();
-  for (Index i = 0; i < 4096; ++i)
-    (void)snap.extract_element((1u << 19) + i, 0);  // far from demoted rows
-  const auto& dir = h.tier().directory();
-  EXPECT_GT(dir.probes(), 4000u);
-  // ~1% false positives configured; 4096 probes should overwhelmingly
-  // short-circuit. Loose bound: at least half.
-  EXPECT_GT(dir.bloom_negatives(), dir.probes() / 2);
+  const auto gets = store->stats().gets;
+  for (Index i = 0; i < 4096; ++i)  // far from the demoted rows
+    EXPECT_FALSE(snap.extract_element((1u << 19) + i, 0).has_value());
+  for (Index i = 1; i < 1024; i += 2)  // between demoted rows
+    EXPECT_FALSE(snap.extract_element(i, i).has_value());
+  EXPECT_EQ(store->stats().gets, gets);
+
+  // A present row still reads back its value.
+  EXPECT_EQ(snap.extract_element(512, 512).value(), 1);
+  EXPECT_GT(store->stats().gets, gets);
 }
 
 }  // namespace
