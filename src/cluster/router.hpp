@@ -13,8 +13,9 @@
 //
 //   * A client batch is split by part and each sub-batch queued one-way
 //     on its worker connection; client batches are held while a worker's
-//     unsent backlog is over the cap (the full-lane park, one hop up) or
-//     it owes a kFlush ack (a flush waits only for what came before it).
+//     unsent backlog is over the cap (the full-lane park, one hop up).
+//     A worker acks a kFlush once the batches sent before it on the
+//     connection are done, so batches fed in behind it never delay it.
 //   * kFlush and queries are continuations: each worker connection keeps
 //     a FIFO of the replies it owes, and the asking client pauses until
 //     its last one is in.
@@ -26,7 +27,8 @@
 //     is acted on, so one stitch runs at a time and per-connection FIFO
 //     puts every client batch on the same side of the read on every
 //     worker: no stitch sees a torn batch. (A read never follows an
-//     unacked flush: a worker answers a query before a pending flush ack.)
+//     unacked flush: a worker acks a connection's flushes in order, and
+//     it answers a query before a pending flush ack.)
 //   * Failure is LOUD and sticky: a worker whose connection fails, that
 //     answers kReplyError, or that owes a reply past
 //     worker_recv_timeout_ms is dead; its waiting clients get kReplyError
@@ -150,7 +152,6 @@ class Router final : private net::FrameHandler {
     Worker(net::Fd f, std::size_t w) : FrameSession(std::move(f)), index(w) {}
     std::size_t index;
     std::deque<Owed> owed;
-    std::size_t flushes = 0;  ///< kFlush entries in `owed`
   };
 
   /// The one stitched query in flight. Its owner's `awaiting` counts the
@@ -226,15 +227,13 @@ class Router final : private net::FrameHandler {
   /// Act on the session's held frame once the cut allows: nothing moves
   /// while a stitch is in flight (its read round included, which keeps
   /// batch work off the loop while the replies come in). Batches also
-  /// wait while a worker's unsent backlog is over the cap or it owes a
-  /// kFlush ack: it acks once its lane is idle, which batches fed in
-  /// behind the flush could put off for ever.
+  /// wait while a worker's unsent backlog is over the cap.
   void admit(Session& s) GBX_REQUIRES(loop_role_) {
     const net::MsgType t = net::tag_type(s.held->epoch);
     if (stitch_ ||
         (t == net::MsgType::kInsert &&
          std::any_of(workers_.begin(), workers_.end(), [this](Worker* w) {
-           return w != nullptr && (w->backlog() > max_out_ || w->flushes > 0);
+           return w != nullptr && w->backlog() > max_out_;
          })))
       return;
     store::LogRecord rec = std::move(*s.held);
@@ -466,7 +465,6 @@ class Router final : private net::FrameHandler {
       GBX_REQUIRES(loop_role_) {
     workers_[w]->send(verb, prov ? net::kWantProvenance : 0, payload, size);
     workers_[w]->owed.push_back(Owed{verb, &client, Clock::now()});
-    workers_[w]->flushes += verb == net::MsgType::kFlush;
     ++client.awaiting;
   }
 
@@ -486,7 +484,6 @@ class Router final : private net::FrameHandler {
                                                           rec.payload.size()));
     const Owed o = wk.owed.front();
     wk.owed.pop_front();
-    wk.flushes -= o.verb == net::MsgType::kFlush;
     if (o.client == nullptr) return;  // nobody waits for it any more
     Session& s = *o.client;
     const bool last = --s.awaiting == 0;

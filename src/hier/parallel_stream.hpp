@@ -188,6 +188,7 @@ class ParallelStream {
       lane.cv_space.wait(lane.m);
     GBX_CHECK(!lane.closed, "submit raced ParallelStream::stop");
     lane.queue.push_back(std::move(batch));
+    ++lane.submitted;
     lane.cv_work.notify_one();
   }
 
@@ -206,7 +207,10 @@ class ParallelStream {
   /// reading the connection that fed it — instead of blocking an event
   /// loop, and a producer racing stop() gets a defined kStopped result
   /// instead of blocking forever on a queue no worker will ever drain.
-  SubmitResult try_submit(std::size_t p, gbx::Tuples<T>& batch) {
+  /// An accepted batch's lane ticket (1, 2, ... over the engine's life)
+  /// goes to `*ticket`; the batch is done once lane_done(p) reaches it.
+  SubmitResult try_submit(std::size_t p, gbx::Tuples<T>& batch,
+                          std::uint64_t* ticket = nullptr) {
     GBX_CHECK_INDEX(p < lanes_.size(), "lane index out of range");
     if (!running_) return SubmitResult::kStopped;
     Lane& lane = *lanes_[p];
@@ -214,26 +218,19 @@ class ParallelStream {
     if (lane.closed) return SubmitResult::kStopped;
     if (lane.queue.size() >= opt_.queue_capacity) return SubmitResult::kLaneFull;
     lane.queue.push_back(std::move(batch));
+    ++lane.submitted;
+    if (ticket != nullptr) *ticket = lane.submitted;
     lane.cv_work.notify_one();
     return SubmitResult::kAccepted;
   }
 
-  /// True when lane `p` has applied everything submitted to it (queue
-  /// empty and no batch mid-application). A non-blocking drain() probe,
-  /// one lane at a time — the flush barrier of the network server.
-  bool lane_idle(std::size_t p) const {
+  /// Batches lane `p` has finished, applied or failed: every ticket up
+  /// to this one. The network server's flush barrier polls it.
+  std::uint64_t lane_done(std::size_t p) const {
     GBX_CHECK_INDEX(p < lanes_.size(), "lane index out of range");
     Lane& lane = *lanes_[p];
     gbx::ScopedLock lk(lane.m);
-    return lane.queue.empty() && !lane.applying;
-  }
-
-  /// Batches currently queued on lane `p` (monitoring / load balancing).
-  std::size_t lane_queue_depth(std::size_t p) const {
-    GBX_CHECK_INDEX(p < lanes_.size(), "lane index out of range");
-    Lane& lane = *lanes_[p];
-    gbx::ScopedLock lk(lane.m);
-    return lane.queue.size();
+    return lane.done;
   }
 
   /// Install a hook the lane workers fire after every applied batch
@@ -244,13 +241,13 @@ class ParallelStream {
     write_observer_ = std::move(observer);
   }
 
-  /// Block until every queued batch has been applied.
+  /// Block until every queued batch is done (applied or failed).
   void drain() {
     GBX_CHECK(running_, "ParallelStream not started");
     for (auto& lptr : lanes_) {
       Lane& lane = *lptr;
       gbx::ScopedLock lk(lane.m);
-      while (!lane.queue.empty() || lane.applying) lane.cv_space.wait(lane.m);
+      while (lane.done != lane.submitted) lane.cv_space.wait(lane.m);
     }
   }
 
@@ -374,7 +371,8 @@ class ParallelStream {
     gbx::CondVar cv_frozen;  ///< freeze published or worker exited
     std::deque<gbx::Tuples<T>> queue GBX_GUARDED_BY(m);
     bool closed GBX_GUARDED_BY(m) = false;
-    bool applying GBX_GUARDED_BY(m) = false;
+    std::uint64_t submitted GBX_GUARDED_BY(m) = 0;  ///< batches ever queued
+    std::uint64_t done GBX_GUARDED_BY(m) = 0;  ///< ... applied or failed
     bool worker_alive GBX_GUARDED_BY(m) = false;
     LaneCounters counters GBX_GUARDED_BY(m);
     // Freeze handshake: readers take a ticket; the worker freezes its
@@ -427,10 +425,9 @@ class ParallelStream {
         }
         batch = std::move(lane.queue.front());
         lane.queue.pop_front();
-        lane.applying = true;
         // A slot is free the moment the batch is popped: wake producers
         // now so production overlaps the update below. drain() is not
-        // fooled — its predicate also requires !applying.
+        // fooled — it waits for `done`, not for an empty queue.
         lane.cv_space.notify_all();
       }
       const auto b0 = std::chrono::steady_clock::now();
@@ -438,7 +435,7 @@ class ParallelStream {
       // whole process, so no batch — however malformed — may throw past
       // this point. Producers validate coordinates up front; this catch
       // is the backstop that turns a bad batch into a dropped batch
-      // (counted in failed_batches) instead of a dead engine.
+      // (done, and counted in failed_batches) instead of a dead engine.
       bool applied = true;
       // Test hook: a kStall/kDelay holds this lane busy (disarmed: one
       // relaxed load), so a test can saturate it deterministically.
@@ -453,7 +450,7 @@ class ParallelStream {
       const double dt = detail::seconds_since(b0);
       {
         gbx::ScopedLock lk(lane.m);
-        lane.applying = false;
+        ++lane.done;
         if (applied) {
           ++lane.counters.batches;
           lane.counters.entries += batch.size();

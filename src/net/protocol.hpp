@@ -21,7 +21,7 @@
 //   * kInsert frames stream one-way; no per-batch ack. Back-pressure is
 //     TCP's: a server whose target lane is full simply stops reading.
 //   * kFlush is the barrier: the server replies kReplyOk only once every
-//     lane this session ever touched has applied everything it queued.
+//     batch this session sent before it is done (applied or failed).
 //   * Query frames get exactly one reply frame each (kReplyOk with the
 //     request type echoed in the arg bits, payload the reply struct
 //     below; or kReplyError with a diagnostic string payload).
@@ -48,7 +48,7 @@ inline constexpr std::uint64_t kMaxFrameBytes = 64u << 20;
 /// Message type, high 16 bits of the frame tag.
 enum class MsgType : std::uint16_t {
   kInsert = 1,        ///< payload: gbx::Entry<double>[]; arg: lane hint
-  kFlush = 2,         ///< barrier over the session's used lanes
+  kFlush = 2,         ///< barrier over the session's earlier batches
   kQuerySum = 3,      ///< reply payload: SumReply
   kQueryElements = 4, ///< payload: ElementQuery[]; reply: ElementReply[]
   kQuerySummary = 5,  ///< reply payload: SummaryReply

@@ -15,10 +15,11 @@
 //     When the target lane is full the batch is PARKED and the session
 //     paused, so TCP flow control pushes back on that client while every
 //     other session streams on. The park is retried each loop pass.
-//   * kFlush is the session barrier: acknowledged once the session has
-//     nothing parked and every lane it ever touched is idle (queue empty,
-//     no batch mid-application), so a client that flushes then queries
-//     observes its own writes. Pipelined flushes are each acknowledged.
+//   * kFlush is the session barrier: acknowledged once every batch the
+//     session submitted before it is done on its lane (and durable, when
+//     replicating), so a client that flushes then queries observes its
+//     own writes; later batches, from any client, never delay it.
+//     Pipelined flushes are each acknowledged, in order.
 //   * Queries never block writers: they read a governed snapshot
 //     (freeze waits at most one in-flight batch per lane) through the
 //     handle's pin. kQuerySummary / kQueryRefresh run the incremental
@@ -34,6 +35,7 @@
 #ifdef __linux__
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -58,17 +60,20 @@ namespace net {
 /// own WAL; the interface lives here so net never depends on repl). Both
 /// methods run on the loop thread:
 ///   * on_batch() fires immediately after a lane accepts the batch, in
-///     the single loop thread's total order — the sink's log order IS
-///     the per-lane apply order, which is what makes a replica's replay
+///     the single loop thread's total order, and returns the batch's
+///     sequence number (1, 2, ...) in it — the sink's log order IS the
+///     per-lane apply order, which is what makes a replica's replay
 ///     bit-exact.
-///   * all_durable() gates the flush barrier: kFlush is only acked once
-///     every batch the sink has seen is durably replicated, so an acked
-///     batch can never be lost by a primary crash (acked ⊆ replicated).
+///   * durable(seq) gates the flush barrier: kFlush is only acked once
+///     the session's last batch before it is durably replicated, so an
+///     acked batch can never be lost by a primary crash (acked ⊆
+///     replicated). seq 0 (the session logged nothing) is durable.
 class ReplicationSink {
  public:
   virtual ~ReplicationSink() = default;
-  virtual void on_batch(std::size_t lane, gbx::Tuples<double> batch) = 0;
-  virtual bool all_durable() = 0;
+  virtual std::uint64_t on_batch(std::size_t lane,
+                                 gbx::Tuples<double> batch) = 0;
+  virtual bool durable(std::uint64_t seq) = 0;
 };
 
 /// IngestServer knobs (IngestServer::Options).
@@ -85,7 +90,7 @@ struct IngestOptions {
   analytics::IncrementalOptions analytics = default_analytics();
   /// Optional replication sink (primary-side WAL shipping). When set,
   /// every accepted insert batch is handed to the sink in acceptance
-  /// order and flush acks additionally wait for all_durable(). Must
+  /// order and flush acks additionally wait for durable(). Must
   /// outlive the server.
   ReplicationSink* replication = nullptr;
 
@@ -105,15 +110,21 @@ class IngestHandlers final : public FrameHandler {
   using Governor = hier::MemoryGovernor<Stream>;
   using Analytics = analytics::IncrementalEngine<Governor>;
 
+  /// What a kFlush waits for: the session's last lane tickets and seq.
+  struct FlushMark {
+    std::vector<std::uint64_t> tickets;
+    std::uint64_t sink_seq = 0;
+  };
+
   /// Per-session ingest state; a front end that runs these handlers
   /// next to its own verbs derives its sessions from this.
   struct Session : FrameSession {
     using FrameSession::FrameSession;
     std::size_t home_lane = 0;
     std::size_t parked_lane = 0;
-    gbx::Tuples<double> parked_batch;   ///< insert waiting for lane space
-    std::vector<bool> used_lanes;       ///< lanes this session ever fed
-    std::uint64_t pending_flushes = 0;  ///< kFlush frames awaiting their ack
+    gbx::Tuples<double> parked_batch;  ///< insert waiting for lane space
+    FlushMark last;                    ///< where the session's batches reach
+    std::deque<FlushMark> pending_flushes;  ///< kFlush frames awaiting acks
   };
 
   IngestHandlers(Stream& stream, Governor& governor, const IngestOptions& opt,
@@ -135,7 +146,7 @@ class IngestHandlers final : public FrameHandler {
     gbx::ScopedThreadRole role(loop_role_);  // a loop-thread entry point
     auto s = std::make_unique<S>(std::move(fd));
     s->home_lane = next_lane_++ % stream_->instances();
-    s->used_lanes.assign(stream_->instances(), false);
+    s->last.tickets.assign(stream_->instances(), 0);
     return s;
   }
 
@@ -154,9 +165,9 @@ class IngestHandlers final : public FrameHandler {
         handle_insert(s, arg, rec);
         return;
       case MsgType::kFlush:
-        // A counter, not a flag: pipelined flushes each get their own
-        // ack (a client blocking per-flush would otherwise hang).
-        ++s.pending_flushes;
+        // One mark per flush: pipelined flushes each get their own ack
+        // (a client blocking per-flush would otherwise hang).
+        s.pending_flushes.push_back(s.last);
         check_flush(s);
         return;
       case MsgType::kQuerySum: {
@@ -271,12 +282,12 @@ class IngestHandlers final : public FrameHandler {
           break;
       }
     }
-    if (s.pending_flushes > 0) check_flush(s);
+    check_flush(s);
   }
 
   bool pending(const FrameSession& fs) const override {
     const auto& s = static_cast<const Session&>(fs);
-    return s.paused || s.pending_flushes > 0;
+    return s.paused || !s.pending_flushes.empty();
   }
 
  private:
@@ -315,29 +326,26 @@ class IngestHandlers final : public FrameHandler {
     const std::size_t n = batch.size();
     gbx::Tuples<double> shipped;
     if (sink_ != nullptr) shipped = batch;
-    const auto r = stream_->try_submit(lane, batch);
+    const auto r = stream_->try_submit(lane, batch, &s.last.tickets[lane]);
     if (r == hier::SubmitResult::kAccepted) {
-      if (sink_ != nullptr) sink_->on_batch(lane, std::move(shipped));
-      s.used_lanes[lane] = true;
+      if (sink_ != nullptr)
+        s.last.sink_seq = sink_->on_batch(lane, std::move(shipped));
       stats_->insert_frames.fetch_add(1, std::memory_order_relaxed);
       stats_->entries_ingested.fetch_add(n, std::memory_order_relaxed);
     }
     return r;
   }
 
-  /// Flush barrier: everything this session submitted has been applied.
-  /// Every flush received before the barrier cleared gets its own ack.
+  /// Flush barrier: ack each flush, oldest first, once its mark is done
+  /// and durable. A parked batch came after every pending flush, so it
+  /// holds none of them. The loop polls at 1ms while flushes pend.
   void check_flush(Session& s) GBX_REQUIRES(loop_role_) {
-    if (s.paused) return;
-    for (std::size_t p = 0; p < s.used_lanes.size(); ++p)
-      if (s.used_lanes[p] && !stream_->lane_idle(p)) return;
-    // Replication barrier (conservative, global): a flush ack promises
-    // the batches survive a primary crash, so it must also wait for the
-    // replica's cumulative durable ack to catch up with everything
-    // shipped. The loop polls at 1ms while flushes are pending.
-    if (sink_ != nullptr && !sink_->all_durable()) return;
-    while (s.pending_flushes > 0) {
-      --s.pending_flushes;
+    while (!s.pending_flushes.empty()) {
+      const FlushMark& m = s.pending_flushes.front();
+      for (std::size_t p = 0; p < m.tickets.size(); ++p)
+        if (m.tickets[p] > 0 && stream_->lane_done(p) < m.tickets[p]) return;
+      if (sink_ != nullptr && !sink_->durable(m.sink_seq)) return;
+      s.pending_flushes.pop_front();
       s.reply_ok(MsgType::kFlush, "", 0);
     }
   }

@@ -8,9 +8,10 @@
 //     sharding discipline the whole repo runs on). The replica's
 //     per-lane applied batch COUNT is then exactly "how many of MY
 //     batches arrived", which is the resume index.
-//   * Flush acks are durability promises (the primary holds them until
-//     the replica acked — see net::ReplicationSink), so the watermark
-//     of flushed batches can never exceed the replica's count.
+//   * Flush acks are durability promises (the primary holds each one
+//     until the replica acked every batch the session sent before it —
+//     see net::ReplicationSink), so the watermark of flushed batches can
+//     never exceed the replica's count.
 //
 // Failure detection is the satellite-1 primitive: every reply read
 // uses net::Client's poll-based recv timeout, so a silently dead or
@@ -51,10 +52,6 @@ struct FailoverOptions {
   int recv_timeout_ms = 2000;
   /// Flush (durability barrier) every this many batches.
   std::size_t flush_every = 8;
-  /// How long to keep polling the replica for promotion before giving
-  /// up, in attempts (one per backoff step).
-  int promote_poll_attempts = 4000;
-  int promote_poll_ms = 5;
   /// Sleep this long after each batch (0 = full speed). Torture tests
   /// pace senders so a kill scheduled mid-window reliably lands while
   /// the stream is still in flight.
@@ -115,6 +112,10 @@ class FailoverSender {
   }
 
  private:
+  /// Polls of the replica for promotion before giving up, and the sleep
+  /// between them.
+  static constexpr int kPromotePollAttempts = 4000, kPromotePollMs = 5;
+
   /// Dial the replica until it reports promoted; returns the batch
   /// index to resume from (the replica's applied count for our lane).
   std::size_t await_promotion(net::Client& client, FailoverReport& rep) {
@@ -122,7 +123,7 @@ class FailoverSender {
     copt.recv_timeout_ms = opt_.recv_timeout_ms;
     copt.connect_attempts = 20;
     copt.connect_backoff_ms = 10;
-    for (int a = 0; a < opt_.promote_poll_attempts; ++a) {
+    for (int a = 0; a < kPromotePollAttempts; ++a) {
       try {
         client = net::Client(copt);
         client.connect(opt_.replica_host, opt_.replica_port);
@@ -132,7 +133,7 @@ class FailoverSender {
         const bool promoted = words[0] != 0;
         if (!promoted) {
           std::this_thread::sleep_for(
-              std::chrono::milliseconds(opt_.promote_poll_ms));
+              std::chrono::milliseconds(kPromotePollMs));
           continue;
         }
         GBX_CHECK(2 + opt_.lane < words.size(),
@@ -145,8 +146,7 @@ class FailoverSender {
         return static_cast<std::size_t>(c);
       } catch (const gbx::Error&) {
         // Replica not up / mid-promotion: back off and retry.
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(opt_.promote_poll_ms));
+        std::this_thread::sleep_for(std::chrono::milliseconds(kPromotePollMs));
       }
     }
     GBX_CHECK(false, "failover: replica never promoted");

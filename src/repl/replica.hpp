@@ -26,7 +26,7 @@
 // net::IngestHandlers an IngestServer runs, over the replica's stream
 // and governor. The replica is its own net::ReplicationSink: on_batch
 // logs each accepted client batch to its WAL and counts it on its lane;
-// all_durable flushes the WAL, so a flush ack is a durability promise.
+// durable(seq) flushes the WAL, so a flush ack is a durability promise.
 //
 // Promotion: after lease_ms without shipper traffic (once a primary was
 // seen), the replica drains its stream — every shipped batch is applied
@@ -346,15 +346,17 @@ class ReplicaServer final : private net::FrameHandler,
   /// A lane accepted a client batch: log it under the next sequence
   /// number (flushed at the kFlush barrier — the only point an insert's
   /// durability is promised) and count it.
-  void on_batch(std::size_t lane, gbx::Tuples<double> batch) override {
+  std::uint64_t on_batch(std::size_t lane,
+                         gbx::Tuples<double> batch) override {
     gbx::ScopedThreadRole role(loop_role_);  // called on the loop thread
     const std::uint64_t seq = applied_seq_.load(std::memory_order_relaxed) + 1;
     const std::string payload = encode_batch_payload(lane, batch);
     append_wal(seq, payload.data(), payload.size());
     count_batch(seq, lane);
+    return seq;
   }
 
-  bool all_durable() override {
+  bool durable(std::uint64_t) override {
     gbx::ScopedThreadRole role(loop_role_);
     flush_wal();
     return true;

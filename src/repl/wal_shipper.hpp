@@ -7,14 +7,15 @@
 // repl::encode_batch_payload) and (b) lets a background shipper thread
 // tail that WAL and stream the records to a repl::ReplicaServer.
 //
-// Durability contract (what all_durable() means): a batch is durable
+// Durability contract (what durable(seq) means): a batch is durable
 // once the replica's cumulative kShipAck covers its sequence number —
 // the replica has appended it to its own WAL and flushed that, and
 // submitted it to a lane (persist-before-ack, replica.hpp); a lane
-// worker may not have applied it yet. The ingest server holds
-// flush acks until all_durable(), so a client that got its flush ack
-// can lose the primary wholesale and find every acked batch on the
-// promoted replica: acked ⊆ replicated, never lost. The converse
+// worker may not have applied it yet. The ingest server holds each
+// flush ack until durable() covers its session's batches before it, so
+// a client that got its flush ack can lose the primary wholesale and
+// find every acked batch on the promoted replica: acked ⊆ replicated,
+// never lost. The converse
 // (replicated but never acked) is legal and harmless — failover
 // clients resume from the replica's applied watermark, so nothing is
 // double-applied either.
@@ -28,19 +29,17 @@
 // shipper, because a promoted replica must never accept frames from a
 // deposed primary.
 //
-// Threading: on_batch()/all_durable() run on the ingest event-loop
+// Threading: on_batch()/durable() run on the ingest event-loop
 // thread, and on_batch() only seq-stamps the batch and enqueues it —
 // encoding, the WAL append, and the flush all happen on a dedicated
 // logger thread so replication never serializes the accept path (the
 // queue is bounded; a full queue blocks on_batch, which is the
 // back-pressure). ship() runs on the shipper thread and tails the WAL
-// file, so it only ever sees flushed frames; logged_/acked_ carry the
-// watermark arithmetic (logged_ counts ENQUEUED batches — a flush ack
-// still waits for the replica's ack to cover them, so the durability
-// contract is unchanged). A torn tail the tailer catches mid-append
-// reads as "caught up"; retry next poll. stop() drains the queue;
-// kill() abandons it (crash-shaped: unlogged batches were never acked,
-// so losing them is legal).
+// file, so it only ever sees flushed frames; durable() reads acked_,
+// and logged_ is the last sequence number ENQUEUED. A torn tail the
+// tailer catches mid-append reads as "caught up"; retry next poll.
+// stop() drains the queue; kill() abandons it (crash-shaped: unlogged
+// batches were never acked, so losing them is legal).
 #pragma once
 
 #ifdef __linux__
@@ -78,15 +77,8 @@ struct ShipperOptions {
   std::uint16_t port = 0;
   /// Replication WAL path (created/truncated by the replicator).
   std::string wal_path;
-  /// Max unacked frames in flight before the shipper waits for acks.
-  std::uint64_t window = 64;
   int heartbeat_ms = 20;
-  int reconnect_backoff_ms = 10;
-  int max_backoff_ms = 500;
   std::uint64_t generation = 1;
-  /// Max batches queued for the logger thread before on_batch blocks
-  /// the accept path (the replication back-pressure bound).
-  std::size_t log_queue_capacity = 256;
 };
 
 class PrimaryReplicator final : public net::ReplicationSink {
@@ -138,12 +130,7 @@ class PrimaryReplicator final : public net::ReplicationSink {
   void kill() {
     if (!running_) return;
     abandon_.store(true, std::memory_order_relaxed);
-    stop_.store(true, std::memory_order_relaxed);
-    wake_logger();
-    poke_socket();
-    logger_.join();
-    thread_.join();
-    running_ = false;
+    stop();
   }
 
   // --- net::ReplicationSink (ingest event-loop thread) ---------------------
@@ -151,22 +138,24 @@ class PrimaryReplicator final : public net::ReplicationSink {
   /// (encode + WAL append + flush) off the accept path. Blocks only
   /// when the queue is full — that stall IS the replication
   /// back-pressure reaching the ingest front end.
-  void on_batch(std::size_t lane, gbx::Tuples<double> batch) override {
+  std::uint64_t on_batch(std::size_t lane,
+                         gbx::Tuples<double> batch) override {
     gbx::ScopedLock lk(log_mu_);
     const std::uint64_t seq = logged_.load(std::memory_order_relaxed) + 1;
     GBX_CHECK(seq < (std::uint64_t{1} << 48),
               "replicator: sequence space exhausted");
-    while (log_q_.size() >= opt_.log_queue_capacity && !stopping())
+    while (log_q_.size() >= kLogQueueCapacity && !stopping())
       log_space_.wait(log_mu_);
-    if (stopping()) return;  // dying: the batch was never acked — droppable
+    // Dying: the batch is dropped, so a flush behind it is never acked.
+    if (stopping()) return ~std::uint64_t{0};
     log_q_.push_back(Pending{seq, lane, std::move(batch)});
     logged_.store(seq, std::memory_order_release);
     log_cv_.notify_one();
+    return seq;
   }
 
-  bool all_durable() override {
-    return acked_.load(std::memory_order_acquire) >=
-           logged_.load(std::memory_order_acquire);
+  bool durable(std::uint64_t seq) override {
+    return acked_.load(std::memory_order_acquire) >= seq;
   }
 
   // --- watermarks ----------------------------------------------------------
@@ -179,6 +168,12 @@ class PrimaryReplicator final : public net::ReplicationSink {
   bool fenced() const { return fenced_.load(std::memory_order_acquire); }
 
  private:
+  static constexpr std::uint64_t kWindow = 64;  ///< unacked frames in flight
+  static constexpr int kReconnectBackoffMs = 10, kMaxBackoffMs = 500;
+  /// Batches queued for the logger before on_batch blocks the accept
+  /// path (the replication back-pressure bound).
+  static constexpr std::size_t kLogQueueCapacity = 256;
+
   struct Pending {
     std::uint64_t seq = 0;
     std::size_t lane = 0;
@@ -227,7 +222,7 @@ class PrimaryReplicator final : public net::ReplicationSink {
   bool stopping() const { return stop_.load(std::memory_order_relaxed); }
 
   void ship() {
-    int backoff = opt_.reconnect_backoff_ms;
+    int backoff = kReconnectBackoffMs;
     while (!stopping() && !fenced_.load(std::memory_order_relaxed)) {
       net::Fd fd = net::dial(opt_.host, opt_.port);
       if (!fd.valid()) {
@@ -237,7 +232,7 @@ class PrimaryReplicator final : public net::ReplicationSink {
       set_ship_fd(fd.get());
       try {
         run_session(fd);
-        backoff = opt_.reconnect_backoff_ms;  // made progress; reset
+        backoff = kReconnectBackoffMs;  // made progress; reset
       } catch (const gbx::Error&) {
         // Socket died (peer reset, torn reply, injected EPIPE): fall
         // through to reconnect. The WAL has everything; the next
@@ -253,7 +248,7 @@ class PrimaryReplicator final : public net::ReplicationSink {
     // Sliced sleep so stop()/kill() never waits a whole backoff.
     for (int slept = 0; slept < backoff && !stopping(); slept += 5)
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    backoff = std::min(backoff * 2, opt_.max_backoff_ms);
+    backoff = std::min(backoff * 2, kMaxBackoffMs);
   }
 
   /// One connected incarnation: handshake, then tail-and-stream until
@@ -308,7 +303,7 @@ class PrimaryReplicator final : public net::ReplicationSink {
       const std::uint64_t inflight =
           last_sent - acked_.load(std::memory_order_relaxed);
       bool sent = false;
-      if (inflight < opt_.window) {
+      if (inflight < kWindow) {
         if (auto wrec = tailer.next()) {
           if (wrec->epoch >= next && wrec->epoch > last_sent) {
             out.clear();
@@ -390,7 +385,7 @@ class PrimaryReplicator final : public net::ReplicationSink {
 
   /// logged_ counts batches ENQUEUED for logging (seq-stamped in
   /// acceptance order); acked_ trails it through logger → shipper →
-  /// replica → ack, and all_durable() is their meeting point.
+  /// replica → ack, and durable(seq) asks whether it has reached seq.
   std::atomic<std::uint64_t> logged_{0};
   std::atomic<std::uint64_t> acked_{0};
   std::atomic<bool> fenced_{false};

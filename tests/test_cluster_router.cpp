@@ -366,12 +366,12 @@ TEST(ClusterRouter, HungWorkerFailsLoudlyAndSticky) {
 }
 
 TEST(ClusterRouter, FlushIsAckedWhileAnotherClientStreams) {
-  // A worker acks kFlush once its lane is idle. Client B streams
-  // open-loop (never flushing) twice as fast as the lanes apply — every
-  // apply is slowed by a failpoint — so the lanes would never go idle if
-  // B's batches kept flowing in behind A's flush. The router must hold
-  // them until the flush is acked, well inside the worker timeout,
-  // rather than declare a healthy worker dead.
+  // Client B streams open-loop (never flushing) twice as fast as the
+  // lanes apply — every apply is slowed by a failpoint — so the lanes
+  // never go idle while B streams. A worker acks kFlush once the batches
+  // the router sent before it are done, so B's batches flowing in behind
+  // A's flush must not put the ack off: it arrives well inside the
+  // worker timeout, and no healthy worker is declared dead.
   constexpr int kApplyMs = 20, kOfferMs = 10, kTimeoutMs = 1500;
   constexpr std::size_t kBatch = 100;
   cluster::LocalWorkerPool pool(2, ClusterHarness::config());

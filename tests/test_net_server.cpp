@@ -4,8 +4,10 @@
 // in-process ingest of the same batches — same Σ Ai (value-1 inserts
 // sum exactly in double regardless of arrival order), same nnz, same
 // per-coordinate counts. On top of that: lane back-pressure must
-// throttle only the connection feeding the full lane, and stop() must
-// come back cleanly with sessions still in flight. Malformed and
+// throttle only the connection feeding the full lane, a flush must wait
+// only for what its session sent before it (lane work and replication
+// alike), and stop() must come back cleanly with sessions still in
+// flight. Malformed and
 // truncated frames are test_frontend_hardening.cpp's, for every front
 // end.
 //
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -201,6 +204,150 @@ TEST(NetServer, PipelinedFlushesEachGetTheirOwnAck) {
 
   EXPECT_EQ(cl.query_sum().sum, 2000.0);
   cl.bye();
+}
+
+TEST(NetServer, FlushIsAckedWhileAnotherSessionFeedsTheSameLane) {
+  // Every apply is slowed, and session B offers batches to lane 0 twice
+  // as fast as the lane applies them, so the lane never goes idle while
+  // B streams. Session A's flush covers only A's batch, queued behind
+  // B's backlog: it must be acked long before B stops streaming.
+  constexpr int kApplyMs = 20, kOfferMs = 10;
+  constexpr auto kBound = std::chrono::milliseconds(2500);
+  constexpr auto kStreamFor = std::chrono::seconds(5);
+  hier::ParallelStream<double>::Options popt;
+  popt.queue_capacity = 1024;  // B's backlog queues; nobody parks
+  ServerHarness h(1, popt);
+
+  gbx::FailpointSpec slow;
+  slow.action = gbx::FailAction::kDelay;
+  slow.probability = 1.0;
+  slow.delay_ms = kApplyMs;
+  slow.max_fires = ~std::uint64_t{0};
+  gbx::failpoints().arm("hier.stream.apply", slow);
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> streaming{true};
+  std::size_t streamed = 0;
+  std::thread feeder([&] {
+    net::Client b;
+    b.connect("127.0.0.1", h.server->port());
+    std::mt19937_64 rng(5);
+    std::uniform_int_distribution<Index> coord(0, kDim - 2);  // not A's cell
+    const auto until = std::chrono::steady_clock::now() + kStreamFor;
+    while (!stop.load() && std::chrono::steady_clock::now() < until) {
+      Tuples<double> t;
+      for (int i = 0; i < 100; ++i) t.push_back(coord(rng), coord(rng), 1.0);
+      b.insert(t, 0);
+      ++streamed;
+      std::this_thread::sleep_for(std::chrono::milliseconds(kOfferMs));
+    }
+    streaming.store(false);
+    b.flush();
+    b.bye();
+  });
+  // Let B's backlog build on the lane first.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (h.server->stats().insert_frames.load() < 20 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  net::Client a;
+  a.connect("127.0.0.1", h.server->port());
+  Tuples<double> mine;
+  mine.push_back(kDim - 1, kDim - 1, 7.0);
+  a.insert(mine, 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  a.flush();
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_TRUE(streaming.load()) << "A's flush waited for B to stop";
+  EXPECT_LT(waited, kBound);
+  const auto rs = a.query_elements({net::ElementQuery{kDim - 1, kDim - 1}});
+  EXPECT_EQ(rs[0].present, 1u) << "flush acked before A's batch applied";
+  EXPECT_EQ(rs[0].value, 7.0);
+
+  stop.store(true);
+  feeder.join();
+  gbx::failpoints().clear();
+  EXPECT_EQ(a.query_sum().sum, static_cast<double>(streamed * 100) + 7.0);
+  a.bye();
+}
+
+/// A test-local replication sink: numbers batches 1, 2, ... and calls a
+/// batch durable once the test's watermark reaches it.
+class WatermarkSink final : public net::ReplicationSink {
+ public:
+  std::uint64_t on_batch(std::size_t, Tuples<double>) override {
+    return ++logged;
+  }
+  bool durable(std::uint64_t seq) override { return seq <= watermark.load(); }
+
+  std::atomic<std::uint64_t> logged{0};
+  std::atomic<std::uint64_t> watermark{0};
+};
+
+/// The next reply on `cl` if one arrives within `ms`, else nullopt
+/// (`cl` reads with a short recv timeout, retried to the deadline).
+std::optional<store::LogRecord> reply_within(net::Client& cl, int ms) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  while (std::chrono::steady_clock::now() < until) {
+    try {
+      return cl.read_reply();
+    } catch (const gbx::Error&) {
+      // recv timed out; keep waiting
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(NetServer, FlushWaitsForItsOwnSessionsDurability) {
+  // A's batch is the sink's seq 1 and B's is seq 2. Each flush is acked
+  // only once the sink calls its own session's last batch durable: never
+  // before (acked ⊆ replicated), and never later because of the other.
+  WatermarkSink sink;
+  net::IngestServer::Options sopt;
+  sopt.replication = &sink;
+  ServerHarness h(2, {}, sopt);
+
+  net::Client::Options copt;
+  copt.recv_timeout_ms = 20;
+  net::Client a(copt), b(copt);
+  a.connect("127.0.0.1", h.server->port());
+  b.connect("127.0.0.1", h.server->port());
+  const auto logged = [&](std::uint64_t n) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (sink.logged.load() < n && std::chrono::steady_clock::now() < until)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return sink.logged.load() == n;
+  };
+  auto g = kron(51);
+  a.insert(g.batch<double>(500), 0);
+  ASSERT_TRUE(logged(1));
+  b.insert(g.batch<double>(500), 1);
+  ASSERT_TRUE(logged(2));
+
+  std::string flush;
+  net::append_frame(flush, net::MsgType::kFlush);
+  a.send_raw(flush.data(), flush.size());
+  b.send_raw(flush.data(), flush.size());
+  h.stream.drain();  // both batches applied: only durability is missing
+
+  const auto acked = [](const std::optional<store::LogRecord>& rec) {
+    return rec && net::tag_type(rec->epoch) == net::MsgType::kReplyOk &&
+           net::tag_arg(rec->epoch) ==
+               static_cast<std::uint64_t>(net::MsgType::kFlush);
+  };
+  EXPECT_FALSE(reply_within(a, 300)) << "acked before A's batch was durable";
+  EXPECT_FALSE(reply_within(b, 300)) << "acked before B's batch was durable";
+
+  sink.watermark.store(1);
+  EXPECT_TRUE(acked(reply_within(a, 10000))) << "A's flush waited for B's";
+  EXPECT_FALSE(reply_within(b, 300)) << "acked before B's batch was durable";
+
+  sink.watermark.store(2);
+  EXPECT_TRUE(acked(reply_within(b, 10000)));
 }
 
 TEST(NetServer, ReplyBacklogIsBoundedAndEveryPipelinedQueryAnswered) {

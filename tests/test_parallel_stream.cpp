@@ -273,6 +273,35 @@ TEST(ParallelStream, TrySubmitRefusalLeavesBatchUntouched) {
   EXPECT_EQ(engine.try_submit(0, batch), hier::SubmitResult::kStopped);
 }
 
+// A batch whose update() throws is dropped but still done: drain()
+// returns, failed_batches counts it, and the lane goes on to apply the
+// next batch.
+TEST(ParallelStream, ThrowingBatchCountsAsDone) {
+  InstanceArray<double> array(1, kDim, kDim, CutPolicy::geometric(3, 512, 8));
+  ParallelStream<double> engine(array);
+  engine.start();
+
+  Tuples<double> bad;
+  bad.push_back(kDim, 0, 1.0);  // row out of range: update() throws
+  std::uint64_t ticket = 0;
+  ASSERT_EQ(engine.try_submit(0, bad, &ticket), hier::SubmitResult::kAccepted);
+  EXPECT_EQ(ticket, 1u);
+  engine.drain();
+  EXPECT_EQ(engine.lane_done(0), 1u);
+
+  Tuples<double> good;
+  good.push_back(3, 4, 2.0);
+  ASSERT_EQ(engine.try_submit(0, good, &ticket), hier::SubmitResult::kAccepted);
+  EXPECT_EQ(ticket, 2u);
+  engine.drain();
+  EXPECT_EQ(engine.lane_done(0), 2u);
+
+  const auto report = engine.stop();
+  EXPECT_EQ(report.lane[0].failed_batches, 1u);
+  EXPECT_EQ(report.lane[0].batches, 1u);
+  EXPECT_EQ(array.instance(0).snapshot().extract_element(3, 4), 2.0);
+}
+
 // Producers racing stop() get a defined kStopped instead of blocking on
 // a queue no worker will drain; every batch accepted before the close
 // is applied exactly once.
