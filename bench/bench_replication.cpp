@@ -7,9 +7,10 @@
 // live repl::ReplicaServer, applied there, and acked; the final flush
 // additionally waits for the replica to be durable (acked ⊆
 // replicated). rate_ratio = shipped_rate / baseline_rate is the gated
-// metric: replication is pipelined off the accept path (logger thread
-// on the primary, lane workers on the replica), so with cores to
-// pipeline on it may only cost a thin slice of ingest throughput.
+// metric: replication is pipelined off the accept path (the
+// replicator's loop thread on the primary, lane workers on the
+// replica), so with cores to pipeline on it may only cost a thin
+// slice of ingest throughput.
 // Exactness is checked on BOTH ends — the primary's served Σ Ai and
 // the stopped replica's per-lane Σ Ai must equal the streamed entry
 // count — so the ratio can never green a replica that lags or

@@ -19,12 +19,13 @@ Checks:
      src/net/frame_loop.hpp: every front end takes its listener and its
      accepted sockets from the one session core, so none can grow a
      private listener again.
-  5. No `std::thread`, `::recv(` or `::send(` under src/cluster: the
-     router is a handler on the session core, where its client sessions
-     and its worker connections share the one loop thread and the
-     core's nonblocking socket I/O. A thread or a blocking socket call
-     there would bring back a second session loop and the locks it
-     needs (the worker pool's forked processes need neither).
+  5. No `std::thread`, `::recv(`, `::send(`, `::poll(`, `send_all` or
+     `sleep_for` under src/cluster or in src/repl/wal_shipper.hpp: the
+     router and the WAL shipper are handlers on the session core, where
+     their sessions share one loop thread and the core's nonblocking
+     socket I/O. A thread, a blocking socket call or a sleep there would
+     bring back a second session loop and the locks it needs (the worker
+     pool's forked processes need neither).
   6. No file under src/hier includes store/btree_store.hpp,
      store/lsm_store.hpp or store/bloom.hpp: those are the Fig. 2
      database comparator models. The out-of-core tier's demoted runs
@@ -61,9 +62,11 @@ RAW_PRIMITIVE_RE = re.compile(
 LISTENER_HOME = "src/net/frame_loop.hpp"
 LISTENER_RE = re.compile(r"::(bind|listen|accept4)\(")
 
-# Session-core-only I/O for the cluster layer (check 5).
-CLUSTER_DIR = "src/cluster/"
-CLUSTER_BANNED_RE = re.compile(r"(\bstd::thread\b|::recv\(|::send\()")
+# Session-core-only I/O for the router and the WAL shipper (check 5).
+LOOP_ONLY = ("src/cluster/", "src/repl/wal_shipper.hpp")
+LOOP_BANNED_RE = re.compile(
+    r"(\bstd::thread\b|::recv\(|::send\(|::poll\(|\bsend_all\b|"
+    r"\bsleep_for\b)")
 
 # Fig. 2 comparator stores the hierarchy must not build on (check 6).
 HIER_DIR = "src/hier/"
@@ -196,17 +199,17 @@ def check_listeners(path: Path, code: str, errors: list) -> None:
                 f"core (net::FrameLoop)")
 
 
-def check_cluster_io(path: Path, code: str, errors: list) -> None:
+def check_loop_only_io(path: Path, code: str, errors: list) -> None:
     rel = str(path.relative_to(REPO))
-    if not rel.startswith(CLUSTER_DIR):
+    if not rel.startswith(LOOP_ONLY):
         return
     for ln, line in enumerate(code.splitlines(), 1):
-        m = CLUSTER_BANNED_RE.search(line)
+        m = LOOP_BANNED_RE.search(line)
         if m:
             errors.append(
-                f"{rel}:{ln}: {m.group(1)} under {CLUSTER_DIR} — the "
-                f"router runs on the session core's loop thread and its "
-                f"nonblocking I/O (net/frame_loop.hpp)")
+                f"{rel}:{ln}: {m.group(1)} in a session-core handler — "
+                f"the router and the WAL shipper run on the core's loop "
+                f"thread and its nonblocking I/O (net/frame_loop.hpp)")
 
 
 def check_hier_includes(path: Path, text: str, errors: list) -> None:
@@ -233,7 +236,7 @@ def main() -> int:
         check_naked_new(path, code, errors)
         check_raw_primitives(path, code, errors)
         check_listeners(path, code, errors)
-        check_cluster_io(path, code, errors)
+        check_loop_only_io(path, code, errors)
         check_hier_includes(path, text, errors)
     for e in errors:
         print(e, file=sys.stderr)

@@ -101,20 +101,23 @@ class Router final : private net::FrameHandler {
   /// Dial every worker, bind, listen, spawn the loop thread.
   void start() {
     GBX_CHECK(!running(), "Router already started");
-    std::vector<std::unique_ptr<net::FrameSession>> links;
+    std::vector<std::unique_ptr<Worker>> links;
+    for (std::size_t w = 0; w < map_.parts(); ++w) {
+      // Workers may still be binding when the router dials them.
+      net::Fd fd = net::dial(map_.worker(w).host, map_.worker(w).port,
+                             /*attempts=*/50);
+      GBX_CHECK(fd.valid(), "router: cannot reach " + name(w));
+      links.push_back(std::make_unique<Worker>(std::move(fd), w));
+    }
     {
       gbx::ScopedThreadRole role(loop_role_);  // no loop thread yet
       workers_.clear();
-      for (std::size_t w = 0; w < map_.parts(); ++w) {
-        // Workers may still be binding when the router dials them.
-        net::Fd fd = net::dial(map_.worker(w).host, map_.worker(w).port,
-                               /*attempts=*/50);
-        GBX_CHECK(fd.valid(), "router: cannot reach " + name(w));
-        links.push_back(std::make_unique<Worker>(std::move(fd), w));
-        workers_.push_back(static_cast<Worker*>(links.back().get()));
+      for (auto& link : links) {
+        workers_.push_back(link.get());
+        loop_.adopt(std::move(link));
       }
     }
-    loop_.start(opt_.port, std::move(links));
+    loop_.start(opt_.port);
   }
 
   /// Join the loop and close every socket: clients and workers see EOF.

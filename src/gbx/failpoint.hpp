@@ -19,7 +19,7 @@
 // sites sit at I/O boundaries (one syscall already paid).
 //
 // Thread safety: hit() may be called from any thread (lane workers,
-// event loops, shipper threads); a gbx::Mutex serializes trigger state.
+// event loops); a gbx::Mutex serializes trigger state.
 #pragma once
 
 #include <atomic>

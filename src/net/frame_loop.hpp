@@ -1,12 +1,16 @@
 // net/frame_loop.hpp — the one epoll session core under every front end
 // (Linux only).
 //
-// net::IngestServer, repl::ReplicaServer and cluster::Router speak one
-// frame protocol (net/protocol.hpp); a front end is just a FrameHandler,
-// a set of verb handlers. The core owns everything else about a session:
+// net::IngestServer, repl::ReplicaServer, cluster::Router and
+// repl::PrimaryReplicator speak one frame protocol (net/protocol.hpp); a
+// front end is just a FrameHandler, a set of verb handlers. The core owns
+// everything else about a session:
 //
-//   * the loopback listener, accept with TCP_NODELAY, and outbound
-//     sessions (sockets the front end connected, e.g. to its workers);
+//   * the loopback listener (optional: a loop started without a port,
+//     like the replicator's, serves only its outbound sessions), accept
+//     with TCP_NODELAY, and outbound sessions: sockets the front end
+//     connected itself and handed over through adopt(), before start()
+//     (the router's workers) or from a hook (the replicator's redials);
 //   * a store::RecordFrameDecoder per session (the WAL frame codec is
 //     the wire codec), capped at kMaxFrameBytes;
 //   * bounded read passes: at most kReadBurst recvs per session per
@@ -26,7 +30,9 @@
 //     once its replies are sent and its handler has nothing pending; the
 //     handler hears of every destroyed session through on_close();
 //   * one error path: corrupt bytes, or a gbx::Error thrown by a handler,
-//     earn one kReplyError with the diagnostic, then an orderly close.
+//     earn one kReplyError with the diagnostic, then an orderly close;
+//   * wake(): any thread can cut the loop's wait short, so a handler fed
+//     from outside (the replicator's batch queue) runs its on_tick() now.
 //
 // One loop thread runs every hook. run() claims role_, which guards the
 // session table; a session is reachable only through that table and the
@@ -45,10 +51,11 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -157,7 +164,7 @@ class FrameSession {
 
   /// Unsent outbound bytes.
   std::size_t backlog() const { return out_.size() - out_off_; }
-  /// Handed to FrameLoop::start() connected, rather than accepted.
+  /// Handed to FrameLoop::adopt() connected, rather than accepted.
   bool outbound() const { return outbound_; }
 
   bool paused = false;   ///< parked by the handler
@@ -242,7 +249,9 @@ class FrameLoop {
  public:
   FrameLoop(FrameHandler& handler, SessionStats& stats,
             std::size_t max_outbound_bytes)
-      : handler_(&handler), stats_(&stats), max_out_(max_outbound_bytes) {}
+      : handler_(&handler), stats_(&stats), max_out_(max_outbound_bytes) {
+    ep_.add(wake_.get(), EPOLLIN);
+  }
   FrameLoop(const FrameLoop&) = delete;
   FrameLoop& operator=(const FrameLoop&) = delete;
 
@@ -250,29 +259,33 @@ class FrameLoop {
     if (running_) stop();
   }
 
-  /// Bind, listen on `port` (0 = ephemeral), adopt the `outbound`
-  /// sessions (sockets the front end connected), spawn the loop thread.
-  void start(std::uint16_t port,
-             std::vector<std::unique_ptr<FrameSession>> outbound = {}) {
+  /// Spawn the loop thread, listening on `port` (0 = ephemeral) when one
+  /// is given; without one the loop serves only adopted sessions.
+  void start(std::optional<std::uint16_t> port = std::nullopt) {
     GBX_CHECK(!running_, "frame loop already started");
-    listen_ = listen_loopback(port, port_);
-    ep_ = std::make_unique<EventLoop>();
-    wake_ = std::make_unique<WakeFd>();
-    ep_->add(listen_.get(), EPOLLIN);
-    ep_->add(wake_->get(), EPOLLIN);
-    {
-      gbx::ScopedThreadRole role(role_);  // no loop thread yet
-      for (auto& s : outbound) {
-        const int fd = s->fd_.get();
-        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
-        s->outbound_ = true;
-        add(std::move(s));
-      }
+    if (port) {
+      listen_ = listen_loopback(*port, port_);
+      ep_.add(listen_.get(), EPOLLIN);
     }
     stop_.store(false, std::memory_order_relaxed);
     running_ = true;
     thread_ = std::thread([this] { run(); });
   }
+
+  /// Add an outbound session (a socket the front end connected; it is
+  /// made nonblocking here). Call it before start() or from a hook on
+  /// the loop thread — the only two places the session table is free.
+  void adopt(std::unique_ptr<FrameSession> s) {
+    gbx::ScopedThreadRole role(role_);  // the loop thread, or none yet
+    const int fd = s->fd_.get();
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+    s->outbound_ = true;
+    add(std::move(s));
+  }
+
+  /// Cut the loop's current wait short (any thread): the next pass, and
+  /// its on_tick(), run now.
+  void wake() { wake_.wake(); }
 
   /// Wake the loop, join it, close every socket. In-flight sessions
   /// (parked batches, pending barriers) are dropped with an EOF — the
@@ -282,21 +295,23 @@ class FrameLoop {
   void stop() {
     GBX_CHECK(running_, "frame loop not started");
     stop_.store(true, std::memory_order_relaxed);
-    wake_->wake();
+    wake_.wake();
     thread_.join();
     {
       // The loop thread is gone; join() hands its role to this thread
       // for the teardown.
       gbx::ScopedThreadRole role(role_);
+      // The epoll set outlives this run; unregister explicitly (a forked
+      // child may hold these sockets open past our close()).
+      for (const auto& [fd, s] : sessions_) ep_.del(fd);
       sessions_.clear();
     }
-    ep_.reset();
-    wake_.reset();
+    if (listen_.valid()) ep_.del(listen_.get());
     listen_.reset();
     running_ = false;
   }
 
-  /// Bound port (valid after start()).
+  /// Bound port (valid after a listening start()).
   std::uint16_t port() const { return port_; }
   bool running() const { return running_; }
 
@@ -334,10 +349,10 @@ class FrameLoop {
     while (!stop_.load(std::memory_order_relaxed)) {
       // Parked work and pending barriers have no wake event of their
       // own (lanes drain on worker threads); poll them briskly.
-      for (const auto& ev : ep_->wait(busy_ ? 1 : 10)) {
+      for (const auto& ev : ep_.wait(busy_ ? 1 : 10)) {
         if (stop_.load(std::memory_order_relaxed)) break;
-        if (ev.data.fd == wake_->get()) {
-          wake_->clear();
+        if (ev.data.fd == wake_.get()) {
+          wake_.clear();
         } else if (ev.data.fd == listen_.get()) {
           accept_all();
         } else {
@@ -367,11 +382,11 @@ class FrameLoop {
 
   void add(std::unique_ptr<FrameSession> s) GBX_REQUIRES(role_) {
     const int fd = s->fd_.get();
-    s->ep_ = ep_.get();
+    s->ep_ = &ep_;
     s->stats_ = stats_;
     s->max_out_ = max_out_;
     s->events_ = EPOLLIN | EPOLLRDHUP;
-    ep_->add(fd, s->events_);
+    ep_.add(fd, s->events_);
     sessions_.emplace(fd, std::move(s));
   }
 
@@ -459,7 +474,7 @@ class FrameLoop {
         handler_->on_close(s);
         if (!s.outbound_)
           stats_->sessions_closed.fetch_add(1, std::memory_order_relaxed);
-        ep_->del(it->first);
+        ep_.del(it->first);
         it = sessions_.erase(it);
       } else {
         ++it;
@@ -475,15 +490,17 @@ class FrameLoop {
   /// after join() for the teardown).
   gbx::ThreadRole role_;
 
+  EventLoop ep_;
+  WakeFd wake_;
   Fd listen_;
-  std::unique_ptr<EventLoop> ep_;
-  std::unique_ptr<WakeFd> wake_;
   std::thread thread_;
   std::atomic<bool> stop_{false};
   bool running_ = false;
   std::uint16_t port_ = 0;
   bool busy_ GBX_GUARDED_BY(role_) = false;  ///< poll-timeout hint
-  std::unordered_map<int, std::unique_ptr<FrameSession>> sessions_
+  /// By fd. Ordered: adopt() from a hook may insert mid-walk, which
+  /// leaves a std::map's iterators valid.
+  std::map<int, std::unique_ptr<FrameSession>> sessions_
       GBX_GUARDED_BY(role_);
 };
 

@@ -7,8 +7,8 @@
 // replicator stamps it with the next sequence number (1, 2, 3, ... —
 // a single event-loop thread accepts, so the order is total) and
 // appends it to a replication WAL whose record epoch IS the sequence
-// number. A shipper thread tails that WAL and streams each record to
-// the replica as a kShipBatch frame (arg48 = seq, payload = the WAL
+// number. The replicator's loop thread tails that WAL and streams each
+// record to the replica as a kShipBatch frame (arg48 = seq, payload = the WAL
 // record payload verbatim), windowed by the replica's cumulative
 // kShipAck. The per-lane subsequences of the total order are exactly
 // the per-lane apply orders, so a replica replaying in sequence order

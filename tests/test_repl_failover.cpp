@@ -22,6 +22,9 @@
 //     silences the shipper long enough for the lease to lapse; the
 //     replica promotes and FENCES the live primary's shipper
 //
+// Alongside: the shipper resumes exactly once across a replica restart,
+// and the primary's WAL holds every accepted batch, gap-free.
+//
 // Runs under the 3-seed property matrix (HHGBX_SEED) and the TSan/ASan
 // concurrency legs.
 #include <gtest/gtest.h>
@@ -31,6 +34,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <random>
@@ -47,6 +51,7 @@
 #include "net/net.hpp"
 #include "prop_util.hpp"
 #include "repl/repl.hpp"
+#include "store/wal.hpp"
 
 namespace {
 
@@ -334,6 +339,143 @@ TEST_F(ReplFailover, PromotedReplicaSumMatchesPrimaryOnLaneOverlap) {
   replica.stop();
   std::filesystem::remove(primary_wal);
   std::filesystem::remove(replica_wal);
+}
+
+repl::ReplicaOptions steady_replica(const std::string& wal) {
+  repl::ReplicaOptions ropt;
+  ropt.wal_path = wal;
+  ropt.lanes = kLanes;
+  ropt.nrows = kDim;
+  ropt.ncols = kDim;
+  ropt.cuts = cuts();
+  ropt.auto_promote = false;
+  return ropt;
+}
+
+// Batch b of the plan: lane b % kLanes, that lane's b-th batch.
+const Tuples<double>& plan_batch(
+    const std::vector<std::vector<Tuples<double>>>& work, std::size_t b) {
+  return work[b % kLanes][b];
+}
+
+// The replica goes away and comes back over its own WAL on the same
+// port: the shipper redials, resumes at the replica's next_seq, and
+// every batch, including those streamed while it was down, lands once.
+TEST_F(ReplFailover, ShipperResumesAfterReplicaRestart) {
+  constexpr std::size_t kBefore = 16, kWhileDown = 16;  // N, M
+  const std::string primary_wal = tmp_path("repl_resume_primary_wal");
+  const std::string replica_wal = tmp_path("repl_resume_replica_wal");
+  std::filesystem::remove(primary_wal);
+  std::filesystem::remove(replica_wal);
+  const auto work = make_work(rng_);
+
+  repl::ReplicaOptions ropt = steady_replica(replica_wal);
+  std::optional<repl::ReplicaServer> replica(std::in_place, ropt);
+  replica->start();
+  ropt.port = replica->port();  // the restart binds the same port
+  PrimaryRig rig(replica->port(), primary_wal);
+
+  proptest::DenseRef<double> ref;
+  std::vector<std::uint64_t> lane_count(kLanes, 0);
+  net::Client::Options copt;
+  copt.recv_timeout_ms = 5000;
+  net::Client cli(copt);
+  cli.connect("127.0.0.1", rig.server->port());
+  auto stream = [&](std::size_t from, std::size_t to) {
+    for (std::size_t b = from; b < to; ++b) {
+      cli.insert(plan_batch(work, b), b % kLanes);
+      ref.apply(plan_batch(work, b));
+      ++lane_count[b % kLanes];
+    }
+  };
+
+  stream(0, kBefore);
+  cli.flush();  // durable on the replica
+  replica->stop();
+  replica.reset();
+  stream(kBefore, kBefore + kWhileDown);
+  replica.emplace(ropt);
+  ASSERT_EQ(replica->applied_seq(), kBefore);
+  replica->start();
+  cli.flush();  // acked only once the shipper resumed on the new replica
+  EXPECT_EQ(rig.replicator->acked(), kBefore + kWhileDown);
+  rig.kill_now();
+  replica->stop();
+
+  EXPECT_EQ(replica->applied_seq(), kBefore + kWhileDown);
+  EXPECT_EQ(replica->lane_batches(), lane_count);
+  double sum = 0;
+  for (std::size_t p = 0; p < kLanes; ++p)
+    sum += replica->array().instance(p).freeze().reduce();
+  EXPECT_EQ(sum, ref.reduce());  // small integers: exact in any fold order
+  replica.reset();
+  std::filesystem::remove(primary_wal);
+  std::filesystem::remove(replica_wal);
+}
+
+// The primary's replication WAL is the ship source. After stop() it holds
+// every accepted batch as seq 1..n, each record the lane and entries the
+// server accepted; after kill() it holds a gap-free prefix of them.
+TEST_F(ReplFailover, PrimaryWalHoldsAcceptedBatchesGapFree) {
+  const auto work = make_work(rng_);
+  for (const bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "kill" : "stop");
+    const std::string primary_wal = tmp_path("repl_pin_primary_wal");
+    const std::string replica_wal = tmp_path("repl_pin_replica_wal");
+    std::filesystem::remove(primary_wal);
+    std::filesystem::remove(replica_wal);
+    repl::ReplicaServer replica(steady_replica(replica_wal));
+    replica.start();
+    std::uint64_t accepted = 0;
+    {
+      PrimaryRig rig(replica.port(), primary_wal);
+      net::Client::Options copt;
+      copt.recv_timeout_ms = 5000;
+      net::Client cli(copt);
+      cli.connect("127.0.0.1", rig.server->port());
+      // Half flushed (in the WAL for certain), half possibly still queued.
+      for (std::size_t b = 0; b < kBatches; ++b) {
+        cli.insert(plan_batch(work, b), b % kLanes);
+        if (b + 1 == kBatches / 2) cli.flush();
+      }
+      rig.server->stop();
+      accepted = rig.replicator->logged();
+      if (crash)
+        rig.replicator->kill();
+      else
+        rig.replicator->stop();
+    }
+    replica.stop();
+    ASSERT_GE(accepted, kBatches / 2);
+
+    std::ifstream in(primary_wal, std::ios::binary);
+    store::RecordLogReader reader(in);
+    std::uint64_t seq = 0;
+    while (auto rec = reader.next()) {
+      ASSERT_EQ(rec->epoch, ++seq) << "gap or reorder in the primary WAL";
+      std::uint64_t lane = 0;
+      Tuples<double> batch;
+      ASSERT_TRUE(repl::decode_batch_payload(rec->payload, lane, batch));
+      const auto& want = plan_batch(work, seq - 1);
+      ASSERT_EQ(lane, (seq - 1) % kLanes);
+      ASSERT_EQ(batch.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const auto& got = batch.entries()[i];
+        const auto& exp = want.entries()[i];
+        ASSERT_TRUE(got.row == exp.row && got.col == exp.col &&
+                    got.val == exp.val)
+            << "seq " << seq << " entry " << i;
+      }
+    }
+    if (crash) {
+      EXPECT_GE(seq, kBatches / 2) << "a flushed batch is missing";
+      EXPECT_LE(seq, accepted);
+    } else {
+      EXPECT_EQ(seq, accepted) << "stop() left accepted batches unlogged";
+    }
+    std::filesystem::remove(primary_wal);
+    std::filesystem::remove(replica_wal);
+  }
 }
 
 // Cold-restart of the replica: its own WAL replays to the exact state.
