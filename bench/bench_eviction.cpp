@@ -12,6 +12,9 @@
 //         must materialize-and-release the laggard.
 //
 // Gates (exit non-zero on violation):
+//   * drift — the OFF run ends with more pinned bytes than B: the
+//     laggard's superseded generations stay pinned for ever without a
+//     budget, which is the memory the ON run exists to remove.
 //   * bounded memory — ON peak identity-deduped pinned bytes stay
 //     ≤ B + slack, where slack is one block per shard (between two
 //     enforcement points each shard can supersede at most its current
@@ -204,7 +207,8 @@ int main() {
   const bool exact = on.identical && off.identical;
   const bool governed = on.stats.evictions >= 1;
   const bool fast = ratio >= min_ratio;
-  const bool pass = lag_ok && bounded && exact && governed && fast;
+  const bool drifts = off.end_pinned > budget;
+  const bool pass = lag_ok && drifts && bounded && exact && governed && fast;
 
   if (!bounded)
     std::printf("FAIL: pinned peak %llu exceeds budget %llu + slack %llu\n",
@@ -216,6 +220,11 @@ int main() {
   if (!fast)
     std::printf("FAIL: governed ingest rate ratio %.3f below %.2f\n", ratio,
                 min_ratio);
+  if (!drifts)
+    std::printf("FAIL: governor-off end pinned %llu does not exceed budget "
+                "%llu (no drift to remove)\n",
+                static_cast<unsigned long long>(off.end_pinned),
+                static_cast<unsigned long long>(budget));
   if (!lag_ok)
     std::printf("FAIL: reader lag %llu < 8 epochs (workload too small)\n",
                 static_cast<unsigned long long>(on.held_lag));

@@ -31,6 +31,12 @@ Checks:
      database comparator models. The out-of-core tier's demoted runs
      are immutable and sorted, and each run indexes its own rows, so
      the tier cannot grow a second index over them again.
+  7. The memory governor knows no source type: src/hier/memory_governor.hpp
+     includes none of hier/hier_matrix.hpp, hier/sharded_hier.hpp,
+     hier/parallel_stream.hpp or hier/instance_array.hpp, and no file
+     under src/ declares `set_write_observer`. The governor classifies
+     against the block identities of the image it just froze, so it
+     needs neither a per-source live-block peek nor a write hook.
 """
 
 import re
@@ -72,6 +78,13 @@ LOOP_BANNED_RE = re.compile(
 HIER_DIR = "src/hier/"
 COMPARATOR_INCLUDE_RE = re.compile(
     r'#\s*include\s*"(store/(?:btree_store|lsm_store|bloom)\.hpp)"')
+
+# The governor and the source headers it must not include (check 7).
+GOVERNOR_HEADER = "src/hier/memory_governor.hpp"
+SOURCE_INCLUDE_RE = re.compile(
+    r'#\s*include\s*"(hier/(?:hier_matrix|sharded_hier|parallel_stream|'
+    r'instance_array)\.hpp)"')
+WRITE_OBSERVER_RE = re.compile(r"\bset_write_observer\b")
 
 # `new` as an expression: preceded by start/space/punct, followed by a
 # type. Excludes placement-new forms used by containers (none in-repo)
@@ -225,6 +238,24 @@ def check_hier_includes(path: Path, text: str, errors: list) -> None:
                 f"models; demoted runs index their own rows (hier/tier.hpp)")
 
 
+def check_governor_source_free(path: Path, text: str, code: str,
+                               errors: list) -> None:
+    rel = str(path.relative_to(REPO))
+    if rel == GOVERNOR_HEADER:
+        for ln, line in enumerate(text.splitlines(), 1):
+            m = SOURCE_INCLUDE_RE.search(line)
+            if m:
+                errors.append(
+                    f"{rel}:{ln}: includes {m.group(1)} — the governor "
+                    f"classifies against the image it just froze and "
+                    f"needs no source type")
+    for ln, line in enumerate(code.splitlines(), 1):
+        if WRITE_OBSERVER_RE.search(line):
+            errors.append(
+                f"{rel}:{ln}: set_write_observer — the governor acts only "
+                f"at acquire() and enforce(); sources have no write hook")
+
+
 def main() -> int:
     errors: list = []
     for path in sorted(SRC.rglob("*")):
@@ -238,6 +269,7 @@ def main() -> int:
         check_listeners(path, code, errors)
         check_loop_only_io(path, code, errors)
         check_hier_includes(path, text, errors)
+        check_governor_source_free(path, text, code, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:

@@ -247,9 +247,9 @@ class Matrix {
   }
 
   /// The current compressed block WITHOUT folding the pending buffer —
-  /// a side-effect-free peek for identity tests and memory accounting
-  /// (hier::snapshot_memory). Unlike shared_storage(), the returned
-  /// block does not necessarily cover pending updates.
+  /// a side-effect-free peek for identity tests and snapshot
+  /// compaction. Unlike shared_storage(), the returned block does not
+  /// necessarily cover pending updates.
   std::shared_ptr<const Dcsr<T>> storage_handle() const { return stor_; }
 
   /// Adopt existing DCSR storage (kernel output assembly).

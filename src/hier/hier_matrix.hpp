@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -56,9 +55,7 @@ class HierMatrix {
   const CutPolicy& cut_policy() const { return cuts_; }
   const HierStats& stats() const { return stats_; }
 
-  /// Single-entry streaming update: A(i, j) ⊕= v. (Not observed by the
-  /// write hook — per-element notification would tax the paper's hot
-  /// path; governors enforce at batch granularity.)
+  /// Single-entry streaming update: A(i, j) ⊕= v.
   void update(gbx::Index i, gbx::Index j, T v) {
     levels_[0].set_element(i, j, v);
     ++stats_.updates;
@@ -72,7 +69,6 @@ class HierMatrix {
     ++stats_.updates;
     stats_.entries_appended += batch.size();
     cascade();
-    if (write_observer_) write_observer_();
   }
 
   void update(std::span<const gbx::Index> rows,
@@ -81,14 +77,6 @@ class HierMatrix {
     ++stats_.updates;
     stats_.entries_appended += rows.size();
     cascade();
-    if (write_observer_) write_observer_();
-  }
-
-  /// Install a hook fired after every ingested batch (the write-side
-  /// notification path of hier::MemoryGovernor). Owning-thread
-  /// discipline, like update() itself.
-  void set_write_observer(std::function<void()> observer) {
-    write_observer_ = std::move(observer);
   }
 
   /// Entry-count upper bound per level (compressed + buffered; never
@@ -108,8 +96,8 @@ class HierMatrix {
   /// Heap bytes across all levels (resident only — demoted runs live in
   /// the block store, counted by store_bytes()). Each demoted run's row
   /// index (8 B per row) stays on the heap and is not counted: demoting
-  /// cannot shrink it, so counting it would make enforce_residency()
-  /// flush and demote on every batch once it nears the budget.
+  /// cannot shrink it, so counting it would make every
+  /// enforce_residency() call flush and demote once it nears the budget.
   std::size_t memory_bytes() const {
     std::size_t n = 0;
     for (const auto& l : levels_) n += l.memory_bytes();
@@ -121,8 +109,8 @@ class HierMatrix {
   /// Attach a block store the bottom level may demote into. The store
   /// must outlive this matrix and every snapshot taken from it (run GC
   /// erases blocks on snapshot teardown). Demotion never happens
-  /// implicitly on the ingest path — only demote_now() and
-  /// enforce_residency() (the governor's write-observer hook) move data.
+  /// implicitly on the ingest path — only the caller's demote_now() and
+  /// enforce_residency() calls move data.
   void enable_demotion(store::BlockStore* store, DemotionConfig cfg = {}) {
     tier_ = std::make_shared<DemotedTier<T, AddMonoid>>(store, cfg, nrows_,
                                                         ncols_);
@@ -205,8 +193,7 @@ class HierMatrix {
     std::vector<gbx::MatrixView<T>> views;
     views.reserve(levels_.size());
     for (const auto& l : levels_) views.push_back(l.view());
-    // Deduped compressed bytes at this epoch (pinned-vs-live accounting
-    // against later epochs: hier::snapshot_memory).
+    // Deduped compressed bytes at this epoch.
     std::vector<const gbx::Dcsr<T>*> blocks;
     for (const auto& v : views)
       if (v.shared_storage()) blocks.push_back(v.shared_storage().get());
@@ -259,16 +246,6 @@ class HierMatrix {
   /// views, no copy) and counts the distinct coordinates with the
   /// snapshot's merge count — Σ Ai is never materialized.
   std::size_t nvals() const { return freeze().nvals(); }
-
-  /// Append the blocks currently backing the live levels (side-effect-
-  /// free peek, pending buffers not folded) — the "live" side of
-  /// pinned-vs-live accounting (hier::snapshot_memory, MemoryGovernor).
-  /// Call on the owning thread or while the matrix is quiescent: the
-  /// peek is not synchronized against a concurrent writer.
-  void collect_live_blocks(std::vector<const gbx::Dcsr<T>*>& out) const {
-    for (const auto& l : levels_)
-      if (auto h = l.storage_handle()) out.push_back(h.get());
-  }
 
   /// Re-establish the cut invariants after external level surgery
   /// (hier/merge.hpp). Shallowest-first: folding level i only adds to
@@ -329,7 +306,6 @@ class HierMatrix {
   gbx::Index ncols_;
   CutPolicy cuts_;
   std::vector<matrix_type> levels_;
-  std::function<void()> write_observer_;  ///< see set_write_observer
   // shared_ptr keeps HierMatrix copyable (copies share the tier; attach
   // one tier per logically distinct matrix, as enable_demotion's
   // lifetime contract implies).

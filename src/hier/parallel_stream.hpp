@@ -42,7 +42,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -231,14 +230,6 @@ class ParallelStream {
     Lane& lane = *lanes_[p];
     gbx::ScopedLock lk(lane.m);
     return lane.done;
-  }
-
-  /// Install a hook the lane workers fire after every applied batch
-  /// (outside the lane lock — the hook may freeze/enforce freely). The
-  /// write-side notification path of hier::MemoryGovernor. Install
-  /// before start(); workers read it unsynchronized.
-  void set_write_observer(std::function<void()> observer) {
-    write_observer_ = std::move(observer);
   }
 
   /// Block until every queued batch is done (applied or failed).
@@ -460,16 +451,12 @@ class ParallelStream {
         }
         lane.cv_space.notify_all();
       }
-      // Outside the lane lock: the observer (a governor's write-side
-      // enforcement) may take snapshots or walk live blocks freely.
-      if (write_observer_) write_observer_();
     }
   }
 
   array_type* array_;
   Options opt_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::function<void()> write_observer_;  ///< set before start(); see setter
   std::vector<std::thread> threads_;
   std::atomic<std::size_t> rr_{0};
   std::chrono::steady_clock::time_point t0_{};

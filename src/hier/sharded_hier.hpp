@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -63,7 +62,6 @@ class ShardedHier {
       sh.matrix.update(i, j, v);
     }
     epoch_.fetch_add(1, std::memory_order_relaxed);
-    if (write_observer_) write_observer_();
   }
 
   /// Thread-safe batched update: the batch is split by shard once, then
@@ -77,11 +75,7 @@ class ShardedHier {
     gbx::ScopedReadLock batch_guard(writer_slot());
     // Admit the batch into the epoch up front: freeze() excludes all
     // in-flight batches via snap_mu_, so "admitted" == "applied"
-    // whenever a snapshot observes the counter. Incrementing before the
-    // shard loop means a snapshot acquired at epoch e already lags the
-    // very first fold of batch e+1 — the write observer below can evict
-    // it immediately instead of letting a whole batch of per-shard
-    // folds pile up pinned behind the newest-image guard.
+    // whenever a snapshot observes the counter.
     epoch_.fetch_add(1, std::memory_order_relaxed);
     static thread_local std::vector<gbx::Tuples<T>> parts;
     if (parts.size() < shards_.size()) parts.resize(shards_.size());
@@ -100,12 +94,6 @@ class ShardedHier {
       // the steady-state cap is handed back rather than retained.
       if (parts[s].entries().capacity() > kMaxRetainedPartCapacity)
         parts[s].reset();
-      // Per-shard notification, outside the shard lock: at most one
-      // shard's cascade can have folded since the previous call, so a
-      // write-side governor bounds transient pinned slack to ONE
-      // superseded generation total — not one per shard, which is what
-      // acquire-time-only enforcement degraded to.
-      if (write_observer_) write_observer_();
     }
   }
 
@@ -208,41 +196,6 @@ class ShardedHier {
         epoch_.load(std::memory_order_relaxed));
   }
 
-  /// Pinned-vs-live accounting of a sharded snapshot against this
-  /// matrix's current shard blocks (parts match shards by position).
-  /// Thread-safe: live blocks are peeked under the shard locks.
-  SnapshotMemory snapshot_memory(const ShardedSnapshot<T, AddMonoid>& snap) const {
-    std::vector<const gbx::Dcsr<T>*> snap_blocks, live_blocks;
-    snap.collect_blocks(snap_blocks);
-    collect_live_blocks(live_blocks);
-    return detail::account_blocks(std::move(snap_blocks),
-                                  std::move(live_blocks));
-  }
-
-  /// Append the blocks currently backing every shard's live levels.
-  /// Thread-safe (per-shard locks) — the "live" side of the governor's
-  /// pinned-vs-live classification, safe to call from reader threads
-  /// while writers stream.
-  void collect_live_blocks(std::vector<const gbx::Dcsr<T>*>& out) const {
-    for (const auto& shard : shards_) {
-      Shard& sh = *shard;
-      gbx::ScopedLock g(sh.mu);
-      sh.matrix.collect_live_blocks(out);
-    }
-  }
-
-  /// Install a hook fired by writers after every ingested sub-batch
-  /// (per shard touched, outside the shard lock but inside the writer's
-  /// shared snapshot slot) — the write-side notification path of
-  /// hier::MemoryGovernor, so budget enforcement runs at write time
-  /// instead of waiting for the next reader acquire(). Install before
-  /// writers start and clear only after they stop; writers read the
-  /// hook unsynchronized (same discipline as SnapshotEngine's
-  /// staleness hook).
-  void set_write_observer(std::function<void()> observer) {
-    write_observer_ = std::move(observer);
-  }
-
   /// Whole batches applied so far (the freeze() epoch source).
   std::uint64_t epoch() const {
     return epoch_.load(std::memory_order_relaxed);
@@ -283,12 +236,10 @@ class ShardedHier {
 
   /// Bring aggregate resident bytes at or under `budget_bytes` by
   /// demoting shard bottoms (budget split evenly across shards).
-  /// Thread-safe via the shard locks ONLY — deliberately NOT the writer
-  /// slot: the governor's write observer calls this while the writer
-  /// already holds a shared slot on snap_mu_ (re-acquiring it here would
-  /// be UB), and demotion preserves each shard's logical value, so a
-  /// concurrent freeze stitching shards mid-enforcement still reads
-  /// exactly the whole batches it always did. Returns demotions done.
+  /// Thread-safe via the shard locks only, not the writer slot:
+  /// demotion preserves each shard's logical value, so a concurrent
+  /// freeze stitching shards mid-enforcement still reads exactly the
+  /// whole batches it always did. Returns demotions done.
   std::size_t enforce_residency(std::size_t budget_bytes) {
     const std::size_t per_shard =
         std::max<std::size_t>(1, budget_bytes / shards_.size());
@@ -364,7 +315,6 @@ class ShardedHier {
   gbx::Index nrows_;
   gbx::Index ncols_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::function<void()> write_observer_;  ///< see set_write_observer
   // Writers shared, freeze() exclusive: whole-batch snapshot atomicity.
   mutable gbx::SharedMutex snap_mu_;
   mutable std::atomic<std::uint32_t> freeze_pending_{0};

@@ -250,26 +250,6 @@ std::size_t count_distinct_coords(std::vector<const gbx::Dcsr<T>*> bs) {
   return n;
 }
 
-/// Classify a snapshot's deduped blocks against the source's current
-/// (live) blocks: bytes still shared with the live structure cost the
-/// reader nothing extra; the rest is pinned solely for the snapshot.
-template <class T>
-SnapshotMemory account_blocks(std::vector<const gbx::Dcsr<T>*> snap_blocks,
-                              std::vector<const gbx::Dcsr<T>*> live_blocks) {
-  dedupe_blocks(snap_blocks);
-  dedupe_blocks(live_blocks);
-  SnapshotMemory m;
-  for (const auto* b : snap_blocks) {
-    const auto bytes = static_cast<std::uint64_t>(b->memory_bytes());
-    m.total_bytes += bytes;
-    if (std::binary_search(live_blocks.begin(), live_blocks.end(), b))
-      m.live_bytes += bytes;
-    else
-      m.pinned_bytes += bytes;
-  }
-  return m;
-}
-
 }  // namespace detail
 
 /// A consistent frozen image of one hierarchical matrix: one immutable
@@ -451,8 +431,8 @@ class HierSnapshot {
   /// Heap bytes this snapshot holds, deduplicated by block identity:
   /// a block aliased by several levels (plus_assign aliasing) is counted
   /// once. Resident only — demoted runs are store bytes (store_bytes()),
-  /// not heap. Whether those bytes are an *extra* cost depends on the
-  /// live source — see hier::snapshot_memory / SnapshotMemory for the
+  /// not heap. Whether those bytes are an *extra* cost depends on what
+  /// newer images still share — see hier::MemoryGovernor for the
   /// pinned-vs-live split.
   std::size_t memory_bytes() const {
     std::vector<const gbx::Dcsr<T>*> blocks;
@@ -651,7 +631,7 @@ class SnapshotEngine {
  public:
   /// Warning callback: a reader is holding epoch `held` while the engine
   /// has already seen `current` — the held snapshot pins blocks the
-  /// writer may long have folded past (see SnapshotMemory).
+  /// writer may long have folded past (see hier::MemoryGovernor).
   using StalenessHook =
       std::function<void(std::uint64_t held, std::uint64_t current)>;
 
@@ -719,45 +699,5 @@ class SnapshotEngine {
   std::uint64_t staleness_lag_ = ~std::uint64_t{0};  ///< default: never warn
   StalenessHook staleness_hook_;
 };
-
-template <class T, class AddMonoid>
-class HierMatrix;  // hier/hier_matrix.hpp
-template <class T, class AddMonoid>
-class InstanceArray;  // hier/instance_array.hpp
-
-/// Pinned-vs-live accounting of a snapshot against the matrix it froze:
-/// blocks still referenced by the live levels are "live" (holding the
-/// snapshot costs nothing extra); blocks the writer has folded past are
-/// "pinned" (retained solely for this reader). Call on the matrix's
-/// owning thread (or while it is quiescent): the live block peek is
-/// side-effect-free but not synchronized against a concurrent writer.
-template <class T, class M>
-SnapshotMemory snapshot_memory(const HierSnapshot<T, M>& snap,
-                               const HierMatrix<T, M>& source) {
-  std::vector<const gbx::Dcsr<T>*> snap_blocks, live_blocks;
-  snap.collect_blocks(snap_blocks);
-  for (std::size_t i = 0; i < source.num_levels(); ++i)
-    if (auto h = source.level(i).storage_handle())
-      live_blocks.push_back(h.get());
-  return detail::account_blocks(std::move(snap_blocks),
-                                std::move(live_blocks));
-}
-
-/// Set-level accounting: one SnapshotSet (ParallelStream lanes) against
-/// the InstanceArray backing it, parts matched to instances by position.
-/// Same threading caveat as the single-matrix overload.
-template <class T, class M>
-SnapshotMemory snapshot_memory(const SnapshotSet<T, M>& snap,
-                               const InstanceArray<T, M>& source) {
-  std::vector<const gbx::Dcsr<T>*> snap_blocks, live_blocks;
-  snap.collect_blocks(snap_blocks);
-  for (std::size_t p = 0; p < source.size(); ++p) {
-    const auto& m = source.instance(p);
-    for (std::size_t i = 0; i < m.num_levels(); ++i)
-      if (auto h = m.level(i).storage_handle()) live_blocks.push_back(h.get());
-  }
-  return detail::account_blocks(std::move(snap_blocks),
-                                std::move(live_blocks));
-}
 
 }  // namespace hier

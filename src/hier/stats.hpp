@@ -18,17 +18,6 @@ struct LevelStats {
   std::uint64_t max_entries = 0;     ///< high-water mark of entry count
 };
 
-/// Heap accounting of one snapshot relative to its (live) source.
-/// Blocks shared between several levels/parts — and with the live
-/// matrix — are deduplicated by identity and counted once.
-struct SnapshotMemory {
-  std::uint64_t total_bytes = 0;   ///< deduped bytes the snapshot holds
-  std::uint64_t live_bytes = 0;    ///< subset still shared with the source's
-                                   ///< current level blocks (no extra cost)
-  std::uint64_t pinned_bytes = 0;  ///< subset retained only for the snapshot
-                                   ///< (the source has folded past these)
-};
-
 struct HierStats {
   std::uint64_t updates = 0;          ///< update() calls
   std::uint64_t entries_appended = 0; ///< raw entries streamed in

@@ -34,8 +34,8 @@
 // is internally locked.
 //
 // The ingest hot path is untouched: cascade folds never consult the
-// tier, and demotion runs only from explicit calls (demote_now,
-// enforce_residency — the MemoryGovernor's batch-granularity hook).
+// tier, and demotion runs only from the caller's explicit demote_now
+// and enforce_residency calls.
 #pragma once
 
 #include <algorithm>

@@ -292,53 +292,6 @@ TEST(OutOfCore, CollapsePromotesTierBackAndReleasesStore) {
   ASSERT_TRUE(ref.matches(h.freeze()));
 }
 
-// ---------------------------------------------------------------------------
-// MemoryGovernor live budget: streaming ingest with enforce_on_write
-// keeps resident bytes near the budget by demoting, and the stream's
-// value survives untouched.
-// ---------------------------------------------------------------------------
-
-TEST(OutOfCore, GovernorLiveBudgetDemotesDuringIngest) {
-  HHGBX_PROP_SEED(seed, 301);
-  const Index dim = 1u << 16;
-  std::mt19937_64 rng(seed);
-
-  auto store = store::make_mem_block_store();
-  HierMatrix<std::int64_t> h(dim, dim, CutPolicy({256, 2048}));
-  h.enable_demotion(store.get(),
-                    small_segments());
-
-  // First pass (no governor) to learn the stream's natural footprint.
-  proptest::DenseRef<std::int64_t> ref;
-  std::vector<Tuples<std::int64_t>> batches;
-  for (int s = 0; s < 30; ++s) {
-    batches.push_back(proptest::random_batch<std::int64_t>(rng, 8192, 1500));
-    ref.apply(batches.back());
-  }
-
-  hier::GovernorConfig cfg;
-  cfg.live_budget_bytes = 256u << 10;
-  cfg.enforce_on_write = true;
-  hier::MemoryGovernor<HierMatrix<std::int64_t>> gov(h, cfg);
-
-  for (const auto& b : batches) h.update(b);
-
-  const auto st = gov.stats();
-  EXPECT_GT(st.demotions, 0u);
-  EXPECT_GT(h.store_bytes(), 0u);
-  // The budget holds at batch granularity: after the last enforcement
-  // either the resident side fits, or everything compressible has been
-  // demoted and only warm-capacity buffers remain (enforce_residency's
-  // floor — capacity is retained so the hot levels stay fast).
-  gov.enforce();
-  EXPECT_TRUE(h.memory_bytes() <=
-                  static_cast<std::size_t>(cfg.live_budget_bytes) ||
-              h.level(h.num_levels() - 1).empty())
-      << "resident " << h.memory_bytes() << " over budget with a non-empty "
-      << "bottom level still resident";
-  ASSERT_TRUE(ref.matches(h.freeze()));
-}
-
 TEST(OutOfCore, ShardedHierDemotionMatchesSingleMatrix) {
   HHGBX_PROP_SEED(seed, 302);
   const Index dim = 1u << 16;

@@ -9,6 +9,9 @@
 //     under a budget (materialize-and-release), reads through the
 //     governed handle stay bit-identical before/after eviction, and
 //     block use counts actually drop (the memory really frees).
+//   * Accounting: the newest acquired image is never evicted, and over
+//     HierMatrix, ShardedHier and a running ParallelStream the held
+//     image splits exactly into live + pinned against the newest image.
 //   * Property (stress label, 3-seed rerun): random update/acquire/
 //     evict interleavings re-queried against the dense-replay oracle
 //     across the four fold monoids, over HierMatrix and over
@@ -20,9 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -48,7 +49,8 @@ constexpr std::uint64_t kSeedEvict = 0x60C0002;
 constexpr std::uint64_t kSeedOracle = 0x60C0003;
 constexpr std::uint64_t kSeedSharded = 0x60C0005;
 constexpr std::uint64_t kSeedIncr = 0x60C0006;
-constexpr std::uint64_t kSeedWriteSide = 0x60C0007;
+constexpr std::uint64_t kSeedNewest = 0x60C0008;
+constexpr std::uint64_t kSeedAccounting = 0x60C0009;
 
 /// Entry-for-entry bitwise comparison of two materialized images.
 template <class T, class M>
@@ -203,127 +205,119 @@ TEST(MemoryGovernor, BudgetEvictsLaggingReaderExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Write-side enforcement: the budget holds DURING ingest, not only at the
-// next acquire. Control phase shows the failure mode being regressed
-// against — with acquire-time-only enforcement and no reader activity,
-// every shard's fold leaves the held snapshot's generation pinned (one
-// block per shard); with enforce_on_write the per-shard notification
-// evicts after the FIRST shard folds, so peak pinned never exceeds the
-// budget plus what one shard sub-update can supersede — bounded by that
-// shard's frozen part, i.e. "one block total, not one per shard".
+// The sources under test, each with how to feed it: HierMatrix and
+// ShardedHier take batches directly; ParallelStream runs its lanes and
+// is drained before each acquire, so every image is deterministic.
 // ---------------------------------------------------------------------------
-TEST(MemoryGovernor, WriteSideEnforcementBoundsPinnedToOneGeneration) {
-  HHGBX_PROP_SEED(seed, kSeedWriteSide);
-  const Index dim = 1u << 13;
-  const std::size_t kShards = 4;
-  const int kWarmup = 8;
-  const int kStream = 48;
-  const std::size_t kBatch = 600;
+constexpr Index kSourceDim = 1u << 12;
 
-  // Both phases ingest the identical batch sequence.
-  auto make_batches = [&] {
-    std::mt19937_64 rng(seed);
-    std::vector<Tuples<double>> bs;
-    for (int k = 0; k < kWarmup + kStream; ++k)
-      bs.push_back(proptest::random_batch<double>(rng, dim, kBatch));
-    return bs;
-  };
-  const auto batches = make_batches();
+struct HierSource {
+  using Source = HierMatrix<double>;
+  Source src{kSourceDim, kSourceDim, CutPolicy({64, 1024, 16384})};
+  void ingest(const Tuples<double>& b) { src.update(b); }
+  void settle() {}
+};
 
-  // --- Control: acquire-time-only governor, no reader activity during
-  // the stream. Nothing ever tells the governor that writers folded, so
-  // the held snapshot drifts to one superseded generation PER SHARD.
-  std::uint64_t control_pinned = 0;
-  std::uint64_t control_max_part = 0;
-  {
-    ShardedHier<double> sh(kShards, dim, dim, CutPolicy({256, 4096}));
-    GovernorConfig cfg;
-    cfg.budget_bytes = 0;
-    MemoryGovernor<ShardedHier<double>> gov(sh, cfg);
+struct ShardedSource {
+  using Source = ShardedHier<double>;
+  Source src{4, kSourceDim, kSourceDim, CutPolicy({64, 1024, 16384})};
+  void ingest(const Tuples<double>& b) { src.update(b); }
+  void settle() {}
+};
 
-    for (int k = 0; k < kWarmup; ++k) sh.update(batches[k]);
-    auto held = gov.acquire();
-    {
-      auto image = held.pin();
-      for (std::size_t p = 0; p < image.size(); ++p)
-        control_max_part = std::max<std::uint64_t>(
-            control_max_part, image.part(p).memory_bytes());
-    }
-    for (int k = kWarmup; k < kWarmup + kStream; ++k) sh.update(batches[k]);
+struct StreamSource {
+  using Source = hier::ParallelStream<double>;
+  hier::InstanceArray<double> array{2, kSourceDim, kSourceDim,
+                                    CutPolicy({64, 1024, 16384})};
+  Source src{array};
+  StreamSource() { src.start(); }
+  ~StreamSource() { (void)src.stop(); }
+  void ingest(const Tuples<double>& b) { src.submit(b); }
+  void settle() { src.drain(); }
+};
 
-    const auto mem = gov.memory();
-    control_pinned = mem.pinned_bytes;
-    EXPECT_FALSE(held.evicted());  // nobody enforced while writers ran
-  }
-  ASSERT_GT(control_max_part, 0u);
-  // Pinned drift spans several shards' generations: strictly more than
-  // the largest single frozen part could account for.
-  EXPECT_GT(control_pinned, control_max_part);
+template <class Fixture>
+void churn(Fixture& f, std::mt19937_64& rng, int batches) {
+  for (int k = 0; k < batches; ++k)
+    f.ingest(proptest::random_batch<double>(rng, kSourceDim, 300));
+  f.settle();
+}
 
-  // --- Enforced: same stream, enforce_on_write. A concurrent reader
-  // thread keeps probing the held handle and the accounting while the
-  // writer ingests (reads race eviction; both must stay exact).
-  ShardedHier<double> sh(kShards, dim, dim, CutPolicy({256, 4096}));
+// ---------------------------------------------------------------------------
+// The newest acquired image stays, however far the writer has moved on:
+// its blocks are live by definition, and an explicit enforce() at
+// budget 0 leaves it alone.
+// ---------------------------------------------------------------------------
+template <class Fixture>
+void expect_newest_image_survives(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  Fixture f;
   GovernorConfig cfg;
-  cfg.budget_bytes = 0;  // any pinned byte is over budget
-  cfg.enforce_on_write = true;
-  MemoryGovernor<ShardedHier<double>> gov(sh, cfg);
-
-  for (int k = 0; k < kWarmup; ++k) sh.update(batches[k]);
+  cfg.budget_bytes = 0;
+  MemoryGovernor<typename Fixture::Source> gov(f.src, cfg);
+  churn(f, rng, 8);
   auto held = gov.acquire();
-  const auto ref = held.pin().to_matrix();
-  std::uint64_t max_part = 0;
+  churn(f, rng, 8);
+  EXPECT_EQ(gov.enforce(), 0u);
+  EXPECT_FALSE(held.evicted());
+  EXPECT_EQ(gov.stats().evictions, 0u);
+}
+
+TEST(MemoryGovernor, NewestImageIsNeverEvicted) {
+  HHGBX_PROP_SEED(seed, kSeedNewest);
   {
-    auto image = held.pin();
-    for (std::size_t p = 0; p < image.size(); ++p)
-      max_part =
-          std::max<std::uint64_t>(max_part, image.part(p).memory_bytes());
+    SCOPED_TRACE("HierMatrix");
+    expect_newest_image_survives<HierSource>(seed);
   }
+  {
+    SCOPED_TRACE("ShardedHier");
+    expect_newest_image_survives<ShardedSource>(seed);
+  }
+}
 
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      (void)gov.memory();
-      auto got = held.extract_element(0, 0);
-      auto want = ref.extract_element(0, 0);
-      if (got.has_value() != want.has_value() ||
-          (got.has_value() && *got != *want))
-        ADD_FAILURE() << "handle read diverged mid-ingest";
-      std::this_thread::yield();
-    }
-  });
-  for (int k = kWarmup; k < kWarmup + kStream; ++k) sh.update(batches[k]);
-  stop.store(true, std::memory_order_relaxed);
-  reader.join();
+// ---------------------------------------------------------------------------
+// One accounting property over every source: right after acquire() the
+// held image is all live; once churn and a newer acquire supersede some
+// of its blocks, live + pinned still add up to the image; and at budget
+// 0 that newer acquire compacts it, so pinned returns to 0.
+// ---------------------------------------------------------------------------
+template <class Fixture>
+class GovernorAccounting : public ::testing::Test {};
+using AccountingSources =
+    ::testing::Types<HierSource, ShardedSource, StreamSource>;
+TYPED_TEST_SUITE(GovernorAccounting, AccountingSources);
 
-  // The write observer fired per shard sub-update and evicted the held
-  // snapshot as soon as the first fold superseded any of its blocks.
-  const auto st = gov.stats();
-  EXPECT_TRUE(held.evicted());
-  EXPECT_GE(st.evictions, 1u);
-  EXPECT_GE(st.enforcements, static_cast<std::uint64_t>(kStream));
-  EXPECT_GT(st.peak_pinned_bytes, 0u);
-  // The bound under test: budget + one shard's generation. Between two
-  // write notifications exactly one shard sub-update ran, so only that
-  // shard's slice of the held image can have become pinned before the
-  // eviction — never one block per shard (the control's drift).
-  EXPECT_LE(st.peak_pinned_bytes, cfg.budget_bytes + max_part);
-  EXPECT_LT(st.peak_pinned_bytes, control_pinned);
-  EXPECT_EQ(gov.memory().pinned_bytes, 0u);
+TYPED_TEST(GovernorAccounting, LivePlusPinnedIsTheHeldImage) {
+  HHGBX_PROP_SEED(seed, kSeedAccounting);
+  for (const std::uint64_t budget :
+       {GovernorConfig::kNever, std::uint64_t{0}}) {
+    SCOPED_TRACE(::testing::Message() << "budget " << budget);
+    std::mt19937_64 rng(seed);
+    TypeParam f;
+    GovernorConfig cfg;
+    cfg.budget_bytes = budget;
+    MemoryGovernor<typename TypeParam::Source> gov(f.src, cfg);
 
-  // Reads through the evicted handle stay bit-identical to the image
-  // frozen at acquire time.
-  EXPECT_TRUE(same_matrix(held.to_matrix(), ref));
-  EXPECT_EQ(held.nvals(), ref.nvals());
-  std::mt19937_64 probe_rng(seed ^ 0x9E3779B97F4A7C15ull);
-  for (int q = 0; q < 64; ++q) {
-    const Index i = static_cast<Index>(probe_rng() % dim);
-    const Index j = static_cast<Index>(probe_rng() % dim);
-    auto got = held.extract_element(i, j);
-    auto want = ref.extract_element(i, j);
-    ASSERT_EQ(got.has_value(), want.has_value());
-    if (got) {
-      EXPECT_EQ(*got, *want);
+    churn(f, rng, 8);
+    auto held = gov.acquire();
+    const std::uint64_t held_bytes = held.pin().memory_bytes();
+    ASSERT_GT(held_bytes, 0u);
+    auto mem = gov.memory();
+    EXPECT_EQ(mem.pinned_bytes, 0u);
+    EXPECT_EQ(mem.live_bytes, held_bytes);
+
+    churn(f, rng, 24);
+    gov.acquire();  // dropped at once: only its block identities stay
+    mem = gov.memory();
+    if (budget == GovernorConfig::kNever) {
+      EXPECT_FALSE(held.evicted());
+      EXPECT_GT(mem.pinned_bytes, 0u);
+      EXPECT_EQ(mem.live_bytes + mem.pinned_bytes, held_bytes);
+    } else {
+      EXPECT_TRUE(held.evicted());
+      EXPECT_EQ(gov.stats().evictions, 1u);
+      EXPECT_GT(gov.stats().peak_pinned_bytes, 0u);
+      EXPECT_EQ(mem.pinned_bytes, 0u);
     }
   }
 }

@@ -426,45 +426,13 @@ TEST(SnapshotMemory, DedupesAliasedBlocks) {
                                   1);
   EXPECT_EQ(snap.memory_bytes(), v.memory_bytes());
   EXPECT_GT(snap.memory_bytes(), 0u);
-}
 
-TEST(SnapshotMemory, PinnedVsLiveTracksFolds) {
   HierMatrix<double> h(1 << 10, 1 << 10, CutPolicy::geometric(3, 64, 4));
   std::mt19937_64 rng(31);
   for (int k = 0; k < 30; ++k) h.update(proptest::random_batch<double>(rng, 200, 80));
-  auto snap = h.freeze();
-  EXPECT_EQ(snap.stats().memory_bytes, snap.memory_bytes())
+  auto frozen = h.freeze();
+  EXPECT_EQ(frozen.stats().memory_bytes, frozen.memory_bytes())
       << "freeze records its deduped footprint in HierStats";
-
-  // Immediately after freeze every snapshot block is the live block.
-  auto m0 = hier::snapshot_memory(snap, h);
-  EXPECT_EQ(m0.total_bytes, snap.memory_bytes());
-  EXPECT_EQ(m0.pinned_bytes, 0u);
-  EXPECT_EQ(m0.live_bytes, m0.total_bytes);
-
-  // Stream enough churn that folds replace the frozen blocks: the
-  // snapshot now pins bytes the live matrix has moved past.
-  for (int k = 0; k < 60; ++k) h.update(proptest::random_batch<double>(rng, 200, 80));
-  h.flush();
-  auto m1 = hier::snapshot_memory(snap, h);
-  EXPECT_EQ(m1.total_bytes, m0.total_bytes) << "snapshot is immutable";
-  EXPECT_EQ(m1.live_bytes + m1.pinned_bytes, m1.total_bytes);
-  EXPECT_GT(m1.pinned_bytes, 0u) << "folded-past blocks are reader-pinned";
-}
-
-TEST(SnapshotMemory, ShardedAccountingCoversAllParts) {
-  hier::ShardedHier<double> sh(4, 1 << 10, 1 << 10,
-                               CutPolicy::geometric(3, 64, 4));
-  std::mt19937_64 rng(37);
-  for (int k = 0; k < 20; ++k) sh.update(proptest::random_batch<double>(rng, 300, 100));
-  auto snap = sh.freeze();
-  auto m0 = sh.snapshot_memory(snap);
-  EXPECT_EQ(m0.total_bytes, snap.memory_bytes());
-  EXPECT_EQ(m0.pinned_bytes, 0u);
-  for (int k = 0; k < 60; ++k) sh.update(proptest::random_batch<double>(rng, 300, 100));
-  auto m1 = sh.snapshot_memory(snap);
-  EXPECT_EQ(m1.live_bytes + m1.pinned_bytes, m1.total_bytes);
-  EXPECT_GT(m1.pinned_bytes, 0u);
 }
 
 TEST(SnapshotMemory, StalenessHookFiresForLaggingReaders) {
