@@ -103,7 +103,7 @@ SweepResult run_sweep(std::vector<cluster::SpawnedWorker>& procs,
 
   cluster::RouterClient probe;
   probe.connect("127.0.0.1", router.port());
-  const auto snap = hier::acquire_snapshot(probe);  // epoch-stitched Σ Ai
+  const auto snap = probe.freeze();  // epoch-stitched Σ Ai
   probe.bye();
   router.stop();
 

@@ -90,10 +90,10 @@ RunResult run(const std::vector<gbx::Tuples<double>>& batches,
     entries += batches[k].size();
 
     // Reader cadence (untimed): the slow analyst freezes once and then
-    // holds; every other epoch is acquired fresh and dropped, which is
+    // holds; every other epoch is frozen fresh and dropped, which is
     // also what drives enforcement.
     if (k == hold_at) {
-      held = gov.acquire();
+      held = gov.freeze();
       auto image = held.pin();
       ref = image.to_matrix();  // materialized BEFORE any eviction
       std::size_t want = 64;
@@ -101,7 +101,7 @@ RunResult run(const std::vector<gbx::Tuples<double>>& batches,
         if (probes.size() < want && (i ^ j) % 7 == 0) probes.emplace_back(i, j);
       });
     } else {
-      gov.acquire();
+      gov.freeze();
     }
 
     const auto mem = gov.memory();
@@ -123,7 +123,7 @@ RunResult run(const std::vector<gbx::Tuples<double>>& batches,
     auto final_img = held.to_matrix();
     r.identical = gbx::equal(final_img, ref) && held.nvals() == ref.nvals() &&
                   r.probe_mismatches == 0;
-    r.held_lag = gov.snapshots().last_epoch() - held.epoch();
+    r.held_lag = gov.newest_epoch() - held.epoch();
   }
   r.end_pinned = gov.memory().pinned_bytes;
   r.stats = gov.stats();

@@ -138,8 +138,8 @@ int main(int argc, char** argv) {
       cluster::RouterClient cli;
       cli.connect("127.0.0.1", router.port());
 
-      // The stitched snapshot through the unified SnapshotSource API.
-      auto snap = hier::acquire_snapshot(cli);
+      // The stitched snapshot: freeze(), the verb every source spells.
+      auto snap = cli.freeze();
       const double osum = truth.reduce();
       const std::uint64_t onvals = truth.nvals();
       std::printf("stitched  sum=%.1f nvals=%llu epoch=%llu (", snap.reduce(),

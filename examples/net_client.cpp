@@ -47,15 +47,14 @@ int main(int argc, char** argv) {
   const double expected =
       static_cast<double>(connections * batches * batch_size);
 
-  // Read through net::QueryInterface — the same surface a
-  // cluster::RouterClient implements, so this block would run verbatim
-  // against an N-worker router instead of one server.
+  // Read through net::Client's queries — a cluster::RouterClient is a
+  // net::Client, so this block would run verbatim against an N-worker
+  // router instead of one server.
   net::Client cli;
   cli.connect(host, port);
-  net::QueryInterface& q = cli;
-  const auto sum = q.query_sum();
-  const auto summary = q.query_summary();
-  const auto refresh = q.query_refresh();
+  const auto sum = cli.query_sum();
+  const auto summary = cli.query_summary();
+  const auto refresh = cli.query_refresh();
   cli.bye();
 
   std::printf("streamed %zu connections x %zu batches x %zu entries\n",

@@ -16,6 +16,11 @@
 // must surface. Every analyst pass prints the snapshot's epoch plus the
 // delta's block-reuse ratio: how little of the matrix each pass had to
 // touch.
+//
+// The example checks its own result and exits non-zero unless the final
+// pass saw every batch (epoch 16), the incrementally-maintained Σ Ai
+// equals a fresh freeze of the stream, and the planted channel ranks
+// first among the final anomalies.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -45,14 +50,6 @@ int main() {
   iopt.enable_pagerank = false;
   analytics::IncrementalEngine<hier::ParallelStream<double>> engine(stream,
                                                                     iopt);
-  // Surface readers that pin old epochs for too long (memory satellite).
-  engine.snapshots().set_staleness_hook(
-      1u << 20, [](std::uint64_t held, std::uint64_t cur) {
-        std::fprintf(stderr, "warning: analyst stale (held %llu, now %llu)\n",
-                     static_cast<unsigned long long>(held),
-                     static_cast<unsigned long long>(cur));
-      });
-
   // Two quiet hosts that will start a covert heavy flow at window 5.
   const gbx::Index covert_src = 0xC0A80042;  // 192.168.0.66
   const gbx::Index covert_dst = 0x2D4F3A19;
@@ -87,10 +84,12 @@ int main() {
   });
 
   // The feed: ten windows of continuous traffic; the stream never stops
-  // for the analyst.
-  for (int window = 1; window <= 10; ++window) {
+  // for the analyst. Windows 5-10 each add a covert batch: 16 in all.
+  constexpr int kWindows = 10, kCovertFrom = 5;
+  constexpr std::uint64_t kBatches = kWindows + (kWindows - kCovertFrom + 1);
+  for (int window = 1; window <= kWindows; ++window) {
     stream.submit(0, traffic.batch<double>(50000));
-    if (window >= 5) {
+    if (window >= kCovertFrom) {
       // The covert channel: large repeated transfers between two hosts
       // with no other traffic.
       gbx::Tuples<double> covert;
@@ -106,6 +105,7 @@ int main() {
   // Final incremental pass on the fully drained stream (epoch == every
   // batch): by now the delta is tiny, so this costs O(changed).
   const auto& final_rep = engine.refresh();
+  const bool sum_exact = gbx::equal(engine.sum(), stream.freeze().to_matrix());
   (void)stream.stop();
   auto final_anoms = analytics::gravity_anomalies(engine.sum(), 3, 3.0, 100.0);
   std::printf("\nfinal epoch %llu (%zu full recomputes over %llu passes) — "
@@ -121,5 +121,13 @@ int main() {
                 (a.src == covert_src && a.dst == covert_dst)
                     ? "   <-- planted covert channel"
                     : "");
-  return 0;
+
+  const bool epoch_ok = final_rep.epoch == kBatches;
+  const bool covert_first = !final_anoms.empty() &&
+                            final_anoms[0].src == covert_src &&
+                            final_anoms[0].dst == covert_dst;
+  std::printf("\ncheck: epoch %s, incremental sum %s, covert channel %s\n",
+              epoch_ok ? "ok" : "WRONG", sum_exact ? "exact" : "DIFFERS",
+              covert_first ? "ranked first" : "NOT FIRST");
+  return epoch_ok && sum_exact && covert_first ? 0 : 1;
 }

@@ -37,6 +37,13 @@ Checks:
      under src/ declares `set_write_observer`. The governor classifies
      against the block identities of the image it just froze, so it
      needs neither a per-source live-block peek nor a write hook.
+  8. One acquisition verb: every snapshot source spells it `freeze()`.
+     No file under src/ mentions `acquire_snapshot`, `SnapshotEngine` or
+     `QueryInterface` (comments included), and none of
+     hier/parallel_stream.hpp, hier/sharded_hier.hpp and
+     hier/memory_governor.hpp declares a `snapshot(` or `acquire(`
+     member, so a second spelling of the paper's "A = Σ Ai" step cannot
+     grow back beside freeze().
 """
 
 import re
@@ -85,6 +92,16 @@ SOURCE_INCLUDE_RE = re.compile(
     r'#\s*include\s*"(hier/(?:hier_matrix|sharded_hier|parallel_stream|'
     r'instance_array)\.hpp)"')
 WRITE_OBSERVER_RE = re.compile(r"\bset_write_observer\b")
+
+# One acquisition verb (check 8): retired names anywhere under src/, and
+# the sources that must not declare a second verb beside freeze().
+RETIRED_SNAPSHOT_NAMES_RE = re.compile(
+    r"\b(acquire_snapshot|SnapshotEngine|QueryInterface)\b")
+FREEZE_ONLY_SOURCES = ("src/hier/parallel_stream.hpp",
+                       "src/hier/sharded_hier.hpp",
+                       GOVERNOR_HEADER)
+# A declaration or definition, not a call through `.`, `->` or `::`.
+SECOND_VERB_RE = re.compile(r"(?<![.>:\w])(snapshot|acquire)\s*\(")
 
 # `new` as an expression: preceded by start/space/punct, followed by a
 # type. Excludes placement-new forms used by containers (none in-repo)
@@ -253,7 +270,26 @@ def check_governor_source_free(path: Path, text: str, code: str,
         if WRITE_OBSERVER_RE.search(line):
             errors.append(
                 f"{rel}:{ln}: set_write_observer — the governor acts only "
-                f"at acquire() and enforce(); sources have no write hook")
+                f"at freeze() and enforce(); sources have no write hook")
+
+
+def check_one_acquisition_verb(path: Path, text: str, code: str,
+                               errors: list) -> None:
+    rel = str(path.relative_to(REPO))
+    for ln, line in enumerate(text.splitlines(), 1):
+        m = RETIRED_SNAPSHOT_NAMES_RE.search(line)
+        if m:
+            errors.append(
+                f"{rel}:{ln}: {m.group(1)} — snapshots are taken with the "
+                f"source's own freeze(); the name is retired")
+    if rel not in FREEZE_ONLY_SOURCES:
+        return
+    for ln, line in enumerate(code.splitlines(), 1):
+        m = SECOND_VERB_RE.search(line)
+        if m:
+            errors.append(
+                f"{rel}:{ln}: declares {m.group(1)}() — freeze() is the one "
+                f"acquisition verb of a snapshot source")
 
 
 def main() -> int:
@@ -270,6 +306,7 @@ def main() -> int:
         check_loop_only_io(path, code, errors)
         check_hier_includes(path, text, errors)
         check_governor_source_free(path, text, code, errors)
+        check_one_acquisition_verb(path, text, code, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:

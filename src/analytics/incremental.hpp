@@ -8,12 +8,12 @@
 // pattern where delta-driven recompute turns O(nnz) per pass into
 // O(changed).
 //
-// IncrementalEngine layers on hier::SnapshotEngine: it keeps the
-// previous snapshot plus derived state (materialized Σ Ai, traffic/
-// degree summary, triangle adjacency, PageRank), and on refresh() diffs
-// the new snapshot against the previous one (hier::snapshot_diff, block
-// identity reuse) and patches the derived state from the delta instead
-// of recomputing it.
+// IncrementalEngine holds a snapshot source (anything with freeze()),
+// keeps the previous snapshot plus derived state (materialized Σ Ai,
+// traffic/degree summary, triangle adjacency, PageRank), and on
+// refresh() diffs the new snapshot against the previous one
+// (hier::snapshot_diff, block identity reuse) and patches the derived
+// state from the delta instead of recomputing it.
 //
 // Exactness contract per quantity (asserted by tests/bench):
 //   * Σ Ai          — bit-identical to snapshot.to_matrix(): the delta
@@ -39,12 +39,13 @@
 // source restarted) falls back to a full recompute and says so in the
 // report — incrementality is an optimization, never a correctness bet.
 //
-// Memory-governed sources (hier::MemoryGovernor): the engine layers on
-// them unchanged — snapshot_type becomes the governed handle. When the
-// governor has evicted the engine's cached previous snapshot between
-// refreshes (its levels compacted, so no block-identity diff
-// exists any more), try_snapshot_diff reports the image unavailable and
-// the refresh falls back to the same counted full recompute, with
+// Memory-governed sources (hier::MemoryGovernor): the governor spells
+// freeze() too, so the engine layers on it unchanged — snapshot_type
+// becomes the governed handle. When the governor has evicted the
+// engine's cached previous snapshot between refreshes (its levels
+// compacted, so no block-identity diff exists any more),
+// try_snapshot_diff reports the image unavailable and the refresh falls
+// back to the same counted full recompute, with
 // report.prev_unavailable set. Delta semantics are unchanged either
 // way; results stay exactly as specified above.
 #pragma once
@@ -100,17 +101,14 @@ class IncrementalEngine {
   using T = value_type;
 
   explicit IncrementalEngine(Source& source, IncrementalOptions opt = {})
-      : snapper_(source), opt_(std::move(opt)) {}
+      : source_(&source), opt_(std::move(opt)) {}
 
-  /// The underlying snapshot engine (epoch counters, staleness hook).
-  hier::SnapshotEngine<Source>& snapshots() { return snapper_; }
-
-  /// Acquire a fresh snapshot and bring every derived quantity up to
+  /// Freeze a fresh snapshot and bring every derived quantity up to
   /// date — incrementally when the delta allows it. Returns the report
   /// for this pass. Single-analyst discipline: one thread calls
   /// refresh(); the results are plain members readable between calls.
   const IncrementalReport& refresh() {
-    auto snap = snapper_.acquire();
+    auto snap = source_->freeze();
     report_ = IncrementalReport{};
     report_.epoch = snap.epoch();
     ++refreshes_;
@@ -118,9 +116,6 @@ class IncrementalEngine {
     if (!has_state_) {
       full_recompute(snap);
     } else {
-      // The reader held prev_ since the last pass — warn if it pinned
-      // blocks for too many epochs (hook set via snapshots()).
-      snapper_.check_staleness(prev_.epoch());
       // Unqualified: ADL resolves the governed-handle overload (which
       // reports nullopt once eviction took the diffable structure away)
       // as well as the plain-snapshot wrapper in hier/delta.hpp.
@@ -342,7 +337,7 @@ class IncrementalEngine {
     return n;
   }
 
-  hier::SnapshotEngine<Source> snapper_;
+  Source* source_;
   IncrementalOptions opt_;
   bool has_state_ = false;
   snapshot_type prev_;

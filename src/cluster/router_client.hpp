@@ -11,14 +11,12 @@
 //
 //   * freeze() → ClusterSnapshot: one stitched read (kQuerySum with the
 //     revision-2 provenance trailer) packaged as a snapshot image with
-//     the epoch()/reduce()/nvals() reads of hier's snapshot types. That
-//     makes a remote cluster a hier::SnapshotSource like any in-process
-//     engine: `hier::acquire_snapshot(router_client)` compiles and means
-//     "take an epoch-stitched distributed snapshot".
+//     the epoch()/reduce()/nvals() reads of hier's snapshot types — the
+//     same verb every in-process source spells, meaning "take an
+//     epoch-stitched distributed snapshot".
 //
-// Inherits QueryInterface through net::Client, so code written against
-// net::QueryInterface runs against a single server or a whole cluster
-// without caring which.
+// Code written against net::Client runs against a single server or a
+// whole cluster without caring which.
 #pragma once
 
 #ifdef __linux__
@@ -29,7 +27,6 @@
 
 #include "gbx/error.hpp"
 #include "hier/partition.hpp"
-#include "hier/snapshot_source.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 
@@ -37,7 +34,7 @@ namespace cluster {
 
 /// The stitched-snapshot image: scalar reads at one consistent cut
 /// across every worker, plus the per-worker epoch vector that names the
-/// cut. Satisfies the image half of the hier::SnapshotSource contract.
+/// cut. Offers the epoch()/reduce()/nvals() reads of hier's snapshots.
 class ClusterSnapshot {
  public:
   ClusterSnapshot() = default;
@@ -106,19 +103,6 @@ class RouterClient : public net::Client {
   net::MapReply map_{};
   bool have_map_ = false;
 };
-
-/// ADL customization of hier::acquire_snapshot for RouterClient —
-/// redundant with the member-freeze() default on purpose: it pins the
-/// customization-point mechanics (call sites that do the two-step
-/// `using hier::acquire_snapshot; acquire_snapshot(src)` find this
-/// overload) and is where a future remote source without a freeze()
-/// member would hook in.
-inline ClusterSnapshot acquire_snapshot(RouterClient& rc) {
-  return rc.freeze();
-}
-
-static_assert(hier::is_snapshot_source_v<RouterClient>,
-              "RouterClient must satisfy the SnapshotSource contract");
 
 }  // namespace cluster
 

@@ -13,6 +13,5 @@
 #include "hier/partition.hpp"
 #include "hier/sharded_hier.hpp"
 #include "hier/snapshot.hpp"
-#include "hier/snapshot_source.hpp"
 #include "hier/stats.hpp"
 #include "hier/tier.hpp"

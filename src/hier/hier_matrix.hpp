@@ -193,11 +193,6 @@ class HierMatrix {
     std::vector<gbx::MatrixView<T>> views;
     views.reserve(levels_.size());
     for (const auto& l : levels_) views.push_back(l.view());
-    // Deduped compressed bytes at this epoch.
-    std::vector<const gbx::Dcsr<T>*> blocks;
-    for (const auto& v : views)
-      if (v.shared_storage()) blocks.push_back(v.shared_storage().get());
-    stats_.memory_bytes = detail::deduped_bytes(std::move(blocks));
     return HierSnapshot<T, AddMonoid>(
         nrows_, ncols_, std::move(views), cuts_.cuts(), stats_,
         stats_.updates,

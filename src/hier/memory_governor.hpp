@@ -1,8 +1,8 @@
 // hier/memory_governor.hpp — budget-driven eviction of reader snapshots.
 //
 // The hierarchical design sustains its insert rate because old state is
-// folded down the hierarchy instead of accumulating — but the snapshot
-// engine lets a lagging reader pin arbitrary amounts of superseded
+// folded down the hierarchy instead of accumulating — but a frozen
+// snapshot lets a lagging reader pin arbitrary amounts of superseded
 // blocks: every fold under a pin copies instead of recycling (gbx
 // copy-on-fold), so one slow analytics consumer grows resident memory
 // without bound while ingest streams on. The fix is a *governor*, not
@@ -11,8 +11,9 @@
 //
 // MemoryGovernor wraps a snapshot source (HierMatrix, ShardedHier,
 // ParallelStream — anything with freeze()) and hands out
-// GovernedSnapshot *handles* instead of raw snapshots. At each
-// acquire() it records the block identities of the image it just froze
+// GovernedSnapshot *handles* instead of raw snapshots. Its own freeze()
+// is the same verb, so generic readers layer on it unchanged. At each
+// freeze() it records the block identities of the image it just froze
 // (the newest image); every outstanding handle's blocks are classified,
 // identity-deduped, against that record:
 //
@@ -24,13 +25,13 @@
 //             the reader's bit-exactness contract; bounded by Σ Ai at
 //             the reader's epoch).
 //
-// The governor acts only inside acquire(), right after the freeze, and
-// in explicit enforce() calls, so the classification needs nothing from
-// the source. Between acquires, memory() reports pinned bytes as of the
-// last acquire. The recorded identities do not own their blocks (the
-// writer keeps recycling in place); pointer equality is still identity,
-// because every block an outstanding handle holds was alive when the
-// newest image was frozen.
+// The governor acts only inside freeze(), right after the source's
+// freeze, and in explicit enforce() calls, so the classification needs
+// nothing from the source. Between freezes, memory() reports pinned
+// bytes as of the last freeze. The recorded identities do not own their
+// blocks (the writer keeps recycling in place); pointer equality is
+// still identity, because every block an outstanding handle holds was
+// alive when the newest image was frozen.
 //
 // When pinned bytes exceed the budget, the governor *materializes and
 // releases*, laggiest reader first: the snapshot's levels are folded
@@ -42,11 +43,11 @@
 // bit-identical: the compact block carries to_matrix()'s own
 // per-coordinate left-fold values, the order every read path already
 // defines as THE value. That is the only eviction form: the newest
-// acquired image is never evicted (its blocks are live by definition,
+// frozen image is never evicted (its blocks are live by definition,
 // so pinned is exactly what an eviction can free), and an evicted image
 // stays compact until its last handle drops.
 //
-// Threading: acquire() is as thread-safe as the source's freeze()
+// Threading: freeze() is as thread-safe as the source's freeze()
 // (ShardedHier/ParallelStream: any thread; HierMatrix: the owning
 // thread); enforce() and memory() touch only governor state and are
 // safe from any thread. Handles are safe to read from any thread,
@@ -232,7 +233,7 @@ class MemoryGovernor {
   using value_type = typename snapshot_type::value_type;
 
   /// Hook fired after each eviction: the evicted epoch, the newest
-  /// acquired epoch, and the pinned-class total before the eviction.
+  /// frozen epoch, and the pinned-class total before the eviction.
   /// Fired after the enforcement pass releases the registry lock, so the
   /// hook may call back into this governor freely.
   using EvictionHook = std::function<void(
@@ -240,7 +241,7 @@ class MemoryGovernor {
       std::uint64_t pinned_before)>;
 
   explicit MemoryGovernor(Source& source, GovernorConfig cfg = {})
-      : cfg_(cfg), engine_(source) {}
+      : cfg_(cfg), source_(&source) {}
 
   MemoryGovernor(const MemoryGovernor&) = delete;
   MemoryGovernor& operator=(const MemoryGovernor&) = delete;
@@ -248,8 +249,8 @@ class MemoryGovernor {
   /// Freeze a new snapshot, register it with the governor, record its
   /// blocks as the newest image, and run an enforcement pass.
   /// Thread-safety: that of the source's freeze().
-  handle_type acquire() {
-    auto snap = engine_.acquire();
+  handle_type freeze() {
+    auto snap = source_->freeze();
     const std::uint64_t e = snap.epoch();
     std::vector<Block> blocks;
     snap.collect_blocks(blocks);
@@ -258,7 +259,7 @@ class MemoryGovernor {
     {
       gbx::ScopedLock lk(mu_);
       slots_.push_back(slot);
-      // A concurrent acquire may register an older image after a newer
+      // A concurrent freeze may register an older image after a newer
       // one; the record only moves forward.
       if (e >= newest_epoch_) {
         newest_epoch_ = e;
@@ -268,11 +269,6 @@ class MemoryGovernor {
     enforce();
     return handle_type(std::move(slot));
   }
-
-  /// Snapshot-source facade: a MemoryGovernor is itself freezable, so
-  /// SnapshotEngine / analytics::IncrementalEngine layer on top of it
-  /// unchanged (their snapshot_type becomes the governed handle).
-  handle_type freeze() { return acquire(); }
 
   /// One enforcement pass: laggiest-first materialize-and-release until
   /// pinned bytes fit the budget. Returns snapshots compacted. Safe from
@@ -313,14 +309,13 @@ class MemoryGovernor {
         // Loop: re-account (shared generations may need several drops).
       }
     }
-    for (const auto& [epoch, pinned_before] : evicted_epochs) {
-      engine_.check_staleness(epoch);  // laggard warning, if installed
-      if (hook) hook(epoch, newest, pinned_before);
-    }
+    if (hook)
+      for (const auto& [epoch, pinned_before] : evicted_epochs)
+        hook(epoch, newest, pinned_before);
     return evicted_epochs.size();
   }
 
-  /// Accounting snapshot as of the last acquire (also updates the
+  /// Accounting snapshot as of the last freeze (also updates the
   /// pinned high-water mark). Safe from any thread.
   GovernorMemory memory() const {
     gbx::ScopedLock lk(mu_);
@@ -339,14 +334,11 @@ class MemoryGovernor {
     return s;
   }
 
-  /// The underlying snapshot engine (epoch counters, staleness hook —
-  /// eviction fires check_staleness for the victim, so an installed
-  /// staleness hook also learns about every evicted laggard).
-  SnapshotEngine<Source>& snapshots() { return engine_; }
-
-  void set_staleness_hook(std::uint64_t max_epoch_lag,
-                          typename SnapshotEngine<Source>::StalenessHook hook) {
-    engine_.set_staleness_hook(max_epoch_lag, std::move(hook));
+  /// Highest epoch frozen through this governor (0 before the first);
+  /// never goes back, even with concurrent readers. Safe from any thread.
+  std::uint64_t newest_epoch() const {
+    gbx::ScopedLock lk(mu_);
+    return newest_epoch_;
   }
 
   void set_eviction_hook(EvictionHook hook) {
@@ -440,11 +432,11 @@ class MemoryGovernor {
   }
 
   const GovernorConfig cfg_;
-  SnapshotEngine<Source> engine_;
+  Source* source_;
   mutable detail::GovernorCounters counters_;
   mutable gbx::Mutex mu_;  ///< registry + enforcement serialization
   mutable std::vector<std::weak_ptr<Slot>> slots_ GBX_GUARDED_BY(mu_);
-  /// The newest acquired image: its epoch and its sorted, deduplicated
+  /// The newest frozen image: its epoch and its sorted, deduplicated
   /// block identities (non-owning — compared, never dereferenced).
   std::uint64_t newest_epoch_ GBX_GUARDED_BY(mu_) = 0;
   std::vector<Block> newest_blocks_ GBX_GUARDED_BY(mu_);

@@ -28,7 +28,7 @@
 // std::chrono::steady_clock; the aggregate rate is Σ_p entries_p /
 // busy_p, exactly the quantity Fig. 2 plots.
 //
-// snapshot() captures an epoch-consistent image WITHOUT stopping the
+// freeze() captures an epoch-consistent image WITHOUT stopping the
 // workers: each lane is asked to freeze its matrix at its next batch
 // boundary (a ticketed handshake through the lane mutex), so every
 // lane's contribution is exactly the monoid-sum of a prefix of the
@@ -273,7 +273,7 @@ class ParallelStream {
   /// posted to every lane up front so the lanes freeze concurrently;
   /// the caller then collects the published views. Safe from any
   /// thread, any number of readers, stream running or not.
-  StreamSnapshot<T, AddMonoid> snapshot() {
+  SnapshotSet<T, AddMonoid> freeze() {
     std::vector<std::uint64_t> tickets(lanes_.size(), 0);
     for (std::size_t p = 0; p < lanes_.size(); ++p) {
       Lane& lane = *lanes_[p];
@@ -293,7 +293,7 @@ class ParallelStream {
       Lane& lane = *lanes_[p];
       gbx::ScopedLock lk(lane.m);
       // A worker may have started between the ticketing pass and now
-      // (start() racing snapshot()): post the missed ticket here rather
+      // (start() racing freeze()): post the missed ticket here rather
       // than freezing under a live worker's feet.
       if (tickets[p] == 0 && lane.worker_alive) {
         tickets[p] = ++lane.freeze_ticket;
@@ -321,12 +321,9 @@ class ParallelStream {
       }
       epoch += marks.back().batches;
     }
-    return StreamSnapshot<T, AddMonoid>(std::move(parts), std::move(marks),
-                                        epoch);
+    return SnapshotSet<T, AddMonoid>(std::move(parts), std::move(marks),
+                                     epoch);
   }
-
-  /// SnapshotEngine-compatible alias.
-  StreamSnapshot<T, AddMonoid> freeze() { return snapshot(); }
 
   /// Paper-shape run through the lanes: one producer thread per lane
   /// builds its own generator with make_gen(p) and submits `sets`

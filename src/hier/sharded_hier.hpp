@@ -16,9 +16,7 @@
 // frozen image contains only whole batches — for each writer thread, a
 // prefix of the batches it submitted (writers complete their batches in
 // program order). freeze() is cheap (per-shard pending fold + view
-// publication, no data copy), so the exclusive window is tiny; the
-// legacy snapshot() keeps the old per-shard-consistent, never-blocking
-// behaviour.
+// publication, no data copy), so the exclusive window is tiny.
 #pragma once
 
 #include <algorithm>
@@ -38,8 +36,6 @@ namespace hier {
 template <class T, class AddMonoid = gbx::PlusMonoid<T>>
 class ShardedHier {
  public:
-  using matrix_type = gbx::Matrix<T, AddMonoid>;
-
   ShardedHier(std::size_t shards, gbx::Index nrows, gbx::Index ncols,
               const CutPolicy& cuts)
       : nrows_(nrows), ncols_(ncols) {
@@ -97,19 +93,6 @@ class ShardedHier {
     }
   }
 
-  /// Logical value: monoid sum across shards (each shard snapshot is
-  /// taken under its lock; the result is a consistent-per-shard union,
-  /// the streaming-analytics consistency model of the paper).
-  matrix_type snapshot() const {
-    matrix_type acc(nrows_, ncols_);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& sh = *shards_[s];
-      gbx::ScopedLock g(sh.mu);
-      acc.plus_assign(sh.matrix.snapshot());
-    }
-    return acc;
-  }
-
   /// Epoch-consistent snapshot: freeze every shard inside one exclusive
   /// section. The result contains only whole batches — for each writer
   /// thread a prefix of its submitted batches — with per-shard epochs
@@ -123,7 +106,7 @@ class ShardedHier {
   /// SnapshotSet::total_batches() is NOT the whole-batch count here;
   /// epoch() is. (ParallelStream lanes, by contrast, partition batches,
   /// so there the two coincide.)
-  ShardedSnapshot<T, AddMonoid> freeze() const {
+  SnapshotSet<T, AddMonoid> freeze() const {
     // Announce the pending freeze first: std::shared_mutex gives no
     // fairness guarantee (glibc's rwlock prefers readers by default), so
     // under sustained ingest new writers could otherwise be admitted
@@ -143,8 +126,9 @@ class ShardedHier {
     // count rather than growing linearly, and writers get the lock back
     // sooner. Each worker owns a disjoint stripe of shards; the shard
     // mutex is still taken per shard (same order as writers: snap_mu_
-    // first, shard lock second) because the legacy snapshot() path
-    // takes shard locks without snap_mu_.
+    // first, shard lock second) because enforce_residency() and the
+    // accounting reads (entries_appended, memory_bytes, store_bytes,
+    // has_demoted) take shard locks without snap_mu_.
     const auto freeze_shard = [&](std::size_t s) {
       Shard& sh = *shards_[s];
       gbx::ScopedLock g(sh.mu);
@@ -154,7 +138,7 @@ class ShardedHier {
     };
     // Spawning threads costs ~0.1 ms each; only go parallel when the
     // pending fold work plausibly dwarfs that. The peek takes the shard
-    // locks (legacy snapshot() readers may be folding concurrently).
+    // locks (enforce_residency() may be demoting concurrently).
     std::size_t pending = 0;
     for (std::size_t s = 0; s < n; ++s) {
       Shard& sh = *shards_[s];
@@ -191,7 +175,7 @@ class ShardedHier {
       for (const auto& e : errors)
         if (e) std::rethrow_exception(e);
     }
-    return ShardedSnapshot<T, AddMonoid>(
+    return SnapshotSet<T, AddMonoid>(
         std::move(parts), std::move(marks),
         epoch_.load(std::memory_order_relaxed));
   }

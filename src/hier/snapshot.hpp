@@ -10,23 +10,21 @@
 // publication, so analytics run on them while ingest keeps streaming —
 // the same immutable-version discipline as an MVCC storage engine.
 //
-// Three sources produce snapshots:
-//   * HierMatrix::freeze()      — single matrix, caller's thread.
-//   * ParallelStream::snapshot()— per-lane freeze at each lane's next
+// Every source spells the acquisition freeze():
+//   * HierMatrix::freeze()     — single matrix, caller's thread.
+//   * ParallelStream::freeze() — per-lane freeze at each lane's next
 //     batch boundary, workers never stop (lane watermarks record the
 //     exact submitted-batch prefix each lane contributed).
-//   * ShardedHier::freeze()     — all shards frozen inside one exclusive
+//   * ShardedHier::freeze()    — all shards frozen inside one exclusive
 //     section, so the result contains only whole cross-shard batches.
-//
-// SnapshotEngine wraps any of the three behind one acquire() facade and
-// tracks epochs across successive snapshots.
+// Generic readers (hier::MemoryGovernor, analytics::IncrementalEngine)
+// hold a Source* and call freeze() on it; the governor's own freeze()
+// returns a handle with the same read surface, so they stack.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <utility>
@@ -38,7 +36,6 @@
 #include "gbx/reduce.hpp"
 #include "gbx/tsan_omp.hpp"
 #include "gbx/view.hpp"
-#include "hier/snapshot_source.hpp"
 #include "hier/stats.hpp"
 #include "hier/tier.hpp"
 
@@ -56,8 +53,8 @@ void dedupe_blocks(std::vector<const gbx::Dcsr<T>*>& blocks) {
 }
 
 /// Identity-deduped heap bytes of a block list — THE definition of a
-/// snapshot footprint (HierSnapshot/SnapshotSet::memory_bytes and the
-/// HierStats.memory_bytes freeze() records all share it).
+/// snapshot footprint (HierSnapshot and SnapshotSet::memory_bytes share
+/// it).
 template <class T>
 std::size_t deduped_bytes(std::vector<const gbx::Dcsr<T>*> blocks) {
   dedupe_blocks(blocks);
@@ -613,91 +610,6 @@ class SnapshotSet {
   std::vector<part_type> parts_;
   std::vector<SnapshotWatermark> marks_;
   std::uint64_t epoch_ = 0;
-};
-
-/// Snapshot of a ParallelStream: one part per lane.
-template <class T, class AddMonoid = gbx::PlusMonoid<T>>
-using StreamSnapshot = SnapshotSet<T, AddMonoid>;
-
-/// Snapshot of a ShardedHier: one part per shard.
-template <class T, class AddMonoid = gbx::PlusMonoid<T>>
-using ShardedSnapshot = SnapshotSet<T, AddMonoid>;
-
-/// Uniform reader facade over every snapshot source (HierMatrix,
-/// ShardedHier, ParallelStream — anything with freeze()). Reader threads
-/// share one engine; acquire() is as thread-safe as the source's freeze.
-template <class Source>
-class SnapshotEngine {
- public:
-  /// Warning callback: a reader is holding epoch `held` while the engine
-  /// has already seen `current` — the held snapshot pins blocks the
-  /// writer may long have folded past (see hier::MemoryGovernor).
-  using StalenessHook =
-      std::function<void(std::uint64_t held, std::uint64_t current)>;
-
-  explicit SnapshotEngine(Source& source) : source_(&source) {}
-
-  /// Take a fresh consistent snapshot and record its epoch. Routed
-  /// through the unified SnapshotSource entry point (unqualified, so a
-  /// source's own ADL overload wins — see hier/snapshot_source.hpp).
-  auto acquire() {
-    static_assert(is_snapshot_source_v<Source>,
-                  "SnapshotEngine requires a SnapshotSource "
-                  "(see hier/snapshot_source.hpp)");
-    auto snap = acquire_snapshot(*source_);
-    snapshots_.fetch_add(1, std::memory_order_relaxed);
-    // CAS-max: with concurrent readers, a slower thread's older epoch
-    // must not overwrite a newer one — last_epoch() never goes back.
-    std::uint64_t seen = last_epoch_.load(std::memory_order_relaxed);
-    while (seen < snap.epoch() &&
-           !last_epoch_.compare_exchange_weak(seen, snap.epoch(),
-                                              std::memory_order_relaxed)) {
-    }
-    return snap;
-  }
-
-  /// Install the staleness warning: whenever check_staleness() observes a
-  /// held epoch more than `max_epoch_lag` behind the newest acquired
-  /// epoch, `hook` fires. Install before readers start (not synchronized
-  /// against concurrent check_staleness calls).
-  void set_staleness_hook(std::uint64_t max_epoch_lag, StalenessHook hook) {
-    staleness_lag_ = max_epoch_lag;
-    staleness_hook_ = std::move(hook);
-  }
-
-  /// Readers holding a snapshot call this to self-report; fires the hook
-  /// (and returns true) when the held epoch lags too far behind the
-  /// engine's newest. IncrementalEngine calls it on every refresh for
-  /// the snapshot it carried between passes.
-  bool check_staleness(std::uint64_t held_epoch) const {
-    const std::uint64_t current = last_epoch_.load(std::memory_order_relaxed);
-    if (current <= held_epoch) return false;
-    if (current - held_epoch <= staleness_lag_) return false;
-    if (staleness_hook_) staleness_hook_(held_epoch, current);
-    return true;
-  }
-
-  template <class Snap>
-  bool check_staleness(const Snap& held) const {
-    return check_staleness(held.epoch());
-  }
-
-  std::uint64_t snapshots_taken() const {
-    return snapshots_.load(std::memory_order_relaxed);
-  }
-
-  /// Highest epoch among acquired snapshots (0 before the first);
-  /// monotone even with concurrent readers.
-  std::uint64_t last_epoch() const {
-    return last_epoch_.load(std::memory_order_relaxed);
-  }
-
- private:
-  Source* source_;
-  std::atomic<std::uint64_t> snapshots_{0};
-  std::atomic<std::uint64_t> last_epoch_{0};
-  std::uint64_t staleness_lag_ = ~std::uint64_t{0};  ///< default: never warn
-  StalenessHook staleness_hook_;
 };
 
 }  // namespace hier

@@ -22,9 +22,6 @@ struct HierStats {
   std::uint64_t updates = 0;          ///< update() calls
   std::uint64_t entries_appended = 0; ///< raw entries streamed in
   std::uint64_t queries = 0;          ///< snapshot()/collapse() calls
-  std::uint64_t memory_bytes = 0;     ///< deduped heap bytes at capture time
-                                      ///< (filled by freeze(); the live
-                                      ///< matrix updates it on each freeze)
   std::vector<LevelStats> level;      ///< one per hierarchy level
 
   /// Fraction of appended entries that were ever moved past level `k`

@@ -28,11 +28,10 @@
 #include "gbx/failpoint.hpp"
 #include "net/event_loop.hpp"
 #include "net/protocol.hpp"
-#include "net/query.hpp"
 
 namespace net {
 
-class Client : public QueryInterface {
+class Client {
  public:
   struct Options {
     /// Reply-read timeout, milliseconds; a blocked recv past this
@@ -50,6 +49,11 @@ class Client : public QueryInterface {
   // nested-class member initializers (same workaround as IngestServer).
   Client() = default;
   explicit Client(Options opt) : opt_(opt) {}
+  // Virtual: cluster::RouterClient derives from Client, and callers own
+  // either through a Client pointer.
+  virtual ~Client() = default;
+  Client(Client&&) = default;
+  Client& operator=(Client&&) = default;
 
   /// Connect to a server (dotted-quad host, e.g. "127.0.0.1"), retrying
   /// per Options — so a failover client can reach a promoting replica.
@@ -77,19 +81,20 @@ class Client : public QueryInterface {
   /// session submitted (not merely received it).
   void flush() { call(MsgType::kFlush); }
 
-  // The QueryInterface surface. Passing a non-null ReplyProvenance
-  // requests the revision-2 provenance trailer (kWantProvenance arg
-  // bit); nullptr keeps the revision-1 wire shape byte-for-byte.
-  using QueryInterface::query_sum;
-  using QueryInterface::query_elements;
-  using QueryInterface::query_summary;
+  // The queries. A single server and a cluster::RouterClient answer
+  // them alike. Passing a non-null ReplyProvenance requests the
+  // revision-2 provenance trailer (kWantProvenance arg bit); nullptr
+  // keeps the revision-1 wire shape byte-for-byte.
 
-  SumReply query_sum(ReplyProvenance* prov) override {
+  /// Σ Ai scalar reduce + nvals at one consistent snapshot.
+  SumReply query_sum(ReplyProvenance* prov = nullptr) {
     return reply_as<SumReply>(call(MsgType::kQuerySum, prov));
   }
 
+  /// Batched element probes of the logical Σ Ai; one reply per probe,
+  /// in probe order.
   std::vector<ElementReply> query_elements(const std::vector<ElementQuery>& qs,
-                                           ReplyProvenance* prov) override {
+                                           ReplyProvenance* prov = nullptr) {
     auto rs = reply_as<std::vector<ElementReply>>(
         call(MsgType::kQueryElements, prov, qs.data(),
              qs.size() * sizeof(ElementQuery)));
@@ -97,11 +102,13 @@ class Client : public QueryInterface {
     return rs;
   }
 
-  SummaryReply query_summary(ReplyProvenance* prov) override {
+  /// analytics::TrafficSummary of Σ Ai.
+  SummaryReply query_summary(ReplyProvenance* prov = nullptr) {
     return reply_as<SummaryReply>(call(MsgType::kQuerySummary, prov));
   }
 
-  RefreshReply query_refresh() override {
+  /// Incremental-analytics refresh outcome.
+  RefreshReply query_refresh() {
     return reply_as<RefreshReply>(call(MsgType::kQueryRefresh));
   }
 

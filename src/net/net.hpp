@@ -6,7 +6,6 @@
 #pragma once
 
 #include "net/protocol.hpp"
-#include "net/query.hpp"
 
 #ifdef __linux__
 #include "net/client.hpp"

@@ -212,7 +212,10 @@ bool payload_as(const std::vector<std::byte>& payload, std::vector<Pod>& out) {
   static_assert(std::is_trivially_copyable_v<Pod>);
   if (payload.size() % sizeof(Pod) != 0) return false;
   out.resize(payload.size() / sizeof(Pod));
-  std::memcpy(out.data(), payload.data(), payload.size());
+  // An empty payload (a zero-probe batch) has null data(): memcpy must
+  // not see it even for zero bytes.
+  if (!payload.empty())
+    std::memcpy(out.data(), payload.data(), payload.size());
   return true;
 }
 

@@ -48,7 +48,6 @@
 #include "gbx/thread_annotations.hpp"
 #include "hier/memory_governor.hpp"
 #include "hier/parallel_stream.hpp"
-#include "hier/snapshot_source.hpp"
 #include "net/frame_loop.hpp"
 #include "net/protocol.hpp"
 
@@ -172,9 +171,7 @@ class IngestHandlers final : public FrameHandler {
         return;
       case MsgType::kQuerySum: {
         stats_->queries.fetch_add(1, std::memory_order_relaxed);
-        // The unified snapshot-acquisition entry point (the governed
-        // handle is "just another source" — hier/snapshot_source.hpp).
-        auto handle = hier::acquire_snapshot(*governor_);
+        auto handle = governor_->freeze();
         auto img = handle.pin();
         SumReply r;
         r.sum = img.reduce();
@@ -186,7 +183,7 @@ class IngestHandlers final : public FrameHandler {
       case MsgType::kQueryElements: {
         stats_->queries.fetch_add(1, std::memory_order_relaxed);
         const auto qs = checked_probes(rec.payload, nrows_, ncols_);
-        auto handle = hier::acquire_snapshot(*governor_);
+        auto handle = governor_->freeze();
         auto img = handle.pin();  // one pin, batched probes
         std::vector<ElementReply> rs(qs.size());
         for (std::size_t i = 0; i < qs.size(); ++i) {
@@ -204,7 +201,7 @@ class IngestHandlers final : public FrameHandler {
         // Sorted distinct columns of Σ Ai: the destination set. Heavy
         // (materializes the snapshot) — exists so a router can stitch
         // exact destination counts across row-disjoint workers.
-        auto handle = hier::acquire_snapshot(*governor_);
+        auto handle = governor_->freeze();
         auto img = handle.pin();
         const auto m = img.to_matrix();
         const auto colv = gbx::reduce_cols<gbx::PlusMonoid<double>>(m.view());

@@ -220,7 +220,7 @@ TEST(ClusterRouter, SingleClientStitchIsBitIdenticalOnArbitraryDoubles) {
   for (const auto& b : plan) oracle.update(b);
   auto truth = oracle.freeze();
 
-  const auto snap = cli.freeze();  // = hier::acquire_snapshot(cli)
+  const auto snap = cli.freeze();
   EXPECT_EQ(snap.reduce(), truth.reduce());  // bitwise: == on doubles
   EXPECT_EQ(snap.nvals(), truth.nvals());
 

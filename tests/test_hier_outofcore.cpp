@@ -311,7 +311,7 @@ TEST(OutOfCore, ShardedHierDemotionMatchesSingleMatrix) {
   }
   EXPECT_TRUE(sharded.has_demoted());
   EXPECT_GT(sharded.store_bytes(), 0u);
-  EXPECT_TRUE(gbx::equal(sharded.snapshot(), single.snapshot()));
+  EXPECT_TRUE(gbx::equal(sharded.freeze().to_matrix(), single.snapshot()));
 
   // SnapshotSet point reads continue one flat fold chain across parts
   // and the demoted runs inside each part.

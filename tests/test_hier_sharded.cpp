@@ -30,7 +30,7 @@ TEST(Sharded, MatchesSingleHierarchy) {
     sharded.update(batch);
     single.update(batch);
   }
-  EXPECT_TRUE(gbx::equal(sharded.snapshot(), single.snapshot()));
+  EXPECT_TRUE(gbx::equal(sharded.freeze().to_matrix(), single.snapshot()));
   EXPECT_EQ(sharded.entries_appended(), single.stats().entries_appended);
 }
 
@@ -38,7 +38,7 @@ TEST(Sharded, SingleShardDegenerate) {
   ShardedHier<double> one(1, 100, 100, CutPolicy({10}));
   one.update(3, 4, 1.5);
   one.update(3, 4, 2.5);
-  EXPECT_DOUBLE_EQ(one.snapshot().extract_element(3, 4).value(), 4.0);
+  EXPECT_DOUBLE_EQ(one.freeze().to_matrix().extract_element(3, 4).value(), 4.0);
   EXPECT_THROW(ShardedHier<double>(0, 100, 100, CutPolicy({10})),
                gbx::InvalidValue);
 }
@@ -66,7 +66,7 @@ TEST(Sharded, ConcurrentWritersProduceExactTotal) {
   EXPECT_EQ(m.entries_appended(),
             static_cast<std::uint64_t>(threads) * per_thread);
   // Total packet mass is exactly #updates (each carries weight 1).
-  auto snap = m.snapshot();
+  auto snap = m.freeze().to_matrix();
   const double total = gbx::reduce_scalar<gbx::PlusMonoid<double>>(snap);
   EXPECT_DOUBLE_EQ(total, static_cast<double>(threads) * per_thread);
 }
@@ -97,7 +97,7 @@ TEST(Sharded, ConcurrentBatchesMatchSerialReplay) {
   }
   for (const auto& b : all) serial.update(b);
 
-  EXPECT_TRUE(gbx::equal(concurrent.snapshot(), serial.snapshot()));
+  EXPECT_TRUE(gbx::equal(concurrent.freeze().to_matrix(), serial.snapshot()));
 }
 
 TEST(Sharded, BoundsChecked) {

@@ -9,10 +9,10 @@
 //     under a budget (materialize-and-release), reads through the
 //     governed handle stay bit-identical before/after eviction, and
 //     block use counts actually drop (the memory really frees).
-//   * Accounting: the newest acquired image is never evicted, and over
+//   * Accounting: the newest frozen image is never evicted, and over
 //     HierMatrix, ShardedHier and a running ParallelStream the held
 //     image splits exactly into live + pinned against the newest image.
-//   * Property (stress label, 3-seed rerun): random update/acquire/
+//   * Property (stress label, 3-seed rerun): random update/freeze/
 //     evict interleavings re-queried against the dense-replay oracle
 //     across the four fold monoids, over HierMatrix and over
 //     ShardedHier (whose evictions collapse the whole set; watermarks
@@ -155,9 +155,6 @@ TEST(MemoryGovernor, BudgetEvictsLaggingReaderExactly) {
     // from a hook must not deadlock (regression guard).
     EXPECT_GE(gov.memory().snapshots, 1u);
   });
-  std::vector<std::uint64_t> stale_epochs;
-  gov.set_staleness_hook(
-      0, [&](std::uint64_t held, std::uint64_t) { stale_epochs.push_back(held); });
 
   MemoryGovernor<HierMatrix<double>>::handle_type held;
   gbx::Matrix<double> ref(1, 1);
@@ -166,11 +163,11 @@ TEST(MemoryGovernor, BudgetEvictsLaggingReaderExactly) {
     auto b = proptest::random_batch<double>(rng, dim, 300);
     h.update(b);
     if (k == 6) {
-      held = gov.acquire();
+      held = gov.freeze();
       ref = held.pin().to_matrix();  // the unevicted baseline
       old_image = held.pin();        // keeps the original blocks alive
     } else {
-      gov.acquire();  // fresh handle, dropped immediately
+      gov.freeze();  // fresh handle, dropped immediately
     }
   }
 
@@ -178,7 +175,6 @@ TEST(MemoryGovernor, BudgetEvictsLaggingReaderExactly) {
   EXPECT_TRUE(held.evicted());
   EXPECT_FALSE(evictions.empty());
   EXPECT_EQ(evictions.front().first, held.epoch());
-  EXPECT_FALSE(stale_epochs.empty());
 
   // Pinned class back to zero: the only outstanding snapshot is compact.
   const auto mem = gov.memory();
@@ -207,7 +203,7 @@ TEST(MemoryGovernor, BudgetEvictsLaggingReaderExactly) {
 // ---------------------------------------------------------------------------
 // The sources under test, each with how to feed it: HierMatrix and
 // ShardedHier take batches directly; ParallelStream runs its lanes and
-// is drained before each acquire, so every image is deterministic.
+// is drained before each freeze, so every image is deterministic.
 // ---------------------------------------------------------------------------
 constexpr Index kSourceDim = 1u << 12;
 
@@ -244,7 +240,7 @@ void churn(Fixture& f, std::mt19937_64& rng, int batches) {
 }
 
 // ---------------------------------------------------------------------------
-// The newest acquired image stays, however far the writer has moved on:
+// The newest frozen image stays, however far the writer has moved on:
 // its blocks are live by definition, and an explicit enforce() at
 // budget 0 leaves it alone.
 // ---------------------------------------------------------------------------
@@ -256,7 +252,7 @@ void expect_newest_image_survives(std::uint64_t seed) {
   cfg.budget_bytes = 0;
   MemoryGovernor<typename Fixture::Source> gov(f.src, cfg);
   churn(f, rng, 8);
-  auto held = gov.acquire();
+  auto held = gov.freeze();
   churn(f, rng, 8);
   EXPECT_EQ(gov.enforce(), 0u);
   EXPECT_FALSE(held.evicted());
@@ -276,10 +272,10 @@ TEST(MemoryGovernor, NewestImageIsNeverEvicted) {
 }
 
 // ---------------------------------------------------------------------------
-// One accounting property over every source: right after acquire() the
-// held image is all live; once churn and a newer acquire supersede some
+// One accounting property over every source: right after freeze() the
+// held image is all live; once churn and a newer freeze supersede some
 // of its blocks, live + pinned still add up to the image; and at budget
-// 0 that newer acquire compacts it, so pinned returns to 0.
+// 0 that newer freeze compacts it, so pinned returns to 0.
 // ---------------------------------------------------------------------------
 template <class Fixture>
 class GovernorAccounting : public ::testing::Test {};
@@ -299,7 +295,7 @@ TYPED_TEST(GovernorAccounting, LivePlusPinnedIsTheHeldImage) {
     MemoryGovernor<typename TypeParam::Source> gov(f.src, cfg);
 
     churn(f, rng, 8);
-    auto held = gov.acquire();
+    auto held = gov.freeze();
     const std::uint64_t held_bytes = held.pin().memory_bytes();
     ASSERT_GT(held_bytes, 0u);
     auto mem = gov.memory();
@@ -307,7 +303,7 @@ TYPED_TEST(GovernorAccounting, LivePlusPinnedIsTheHeldImage) {
     EXPECT_EQ(mem.live_bytes, held_bytes);
 
     churn(f, rng, 24);
-    gov.acquire();  // dropped at once: only its block identities stay
+    gov.freeze();  // dropped at once: only its block identities stay
     mem = gov.memory();
     if (budget == GovernorConfig::kNever) {
       EXPECT_FALSE(held.evicted());
@@ -354,7 +350,7 @@ void run_evict_requery_oracle(Source& src, std::uint64_t seed) {
     src.update(b);
     ref.apply(b);
     if (step % 5 == 2) {
-      auto handle = gov.acquire();
+      auto handle = gov.freeze();
       auto marks = marks_of(handle.pin());
       held.push_back({std::move(handle), ref, std::move(marks)});
     }

@@ -516,7 +516,7 @@ TEST(NetServer, StopWithInFlightSessionsComesBackClean) {
   const auto accepted =
       h->server->stats().entries_ingested.load(std::memory_order_relaxed);
   h->stream.drain();
-  auto snap = h->stream.snapshot();
+  auto snap = h->stream.freeze();
   EXPECT_EQ(snap.reduce(), static_cast<double>(accepted));
   h.reset();  // harness teardown after an explicit stop must be a no-op
 }

@@ -1,12 +1,11 @@
-// Tests for the unified query/snapshot API surface (PR 10's redesign
-// satellites): net::QueryInterface as the one query contract, the
-// revision-2 provenance trailer (negotiated per query, old wire shape
-// untouched), the hier::SnapshotSource concept + acquire_snapshot
-// customization point, and the kQueryColumns/kQueryMap RPCs the
-// router's stitches are built on.
+// Tests for the query API surface: the revision-2 provenance trailer
+// (negotiated per query, old wire shape untouched), net::Client's
+// ownership contract (cluster::RouterClient is owned through a Client
+// pointer), and the kQueryColumns/kQueryMap RPCs the router's stitches
+// are built on.
 //
-// The protocol/provenance/concept halves are portable; the live-server
-// RPC tests ride the Linux-only epoll stack.
+// The protocol/provenance half is portable; the live-server RPC tests
+// ride the Linux-only epoll stack.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +16,6 @@
 #include "gbx/coo.hpp"
 #include "hier/hier.hpp"
 #include "net/protocol.hpp"
-#include "net/query.hpp"
 
 #ifdef __linux__
 #include <algorithm>
@@ -25,6 +23,7 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <type_traits>
 
 #include "net/net.hpp"
 #endif
@@ -33,58 +32,6 @@ namespace {
 
 using gbx::Index;
 using gbx::Tuples;
-
-// --- QueryInterface: one polymorphic query contract.
-
-/// Canned implementation: pins what the interface requires (and that
-/// the nullptr-forwarding conveniences reach the virtual overloads).
-class FakeQueries : public net::QueryInterface {
- public:
-  using net::QueryInterface::query_sum;
-  using net::QueryInterface::query_elements;
-  using net::QueryInterface::query_summary;
-
-  net::SumReply query_sum(net::ReplyProvenance* prov) override {
-    ++sum_calls;
-    if (prov != nullptr) prov->revision = net::kProtocolRevision;
-    net::SumReply r;
-    r.sum = 42.0;
-    r.nvals = 7;
-    r.epoch = 3;
-    return r;
-  }
-
-  std::vector<net::ElementReply> query_elements(
-      const std::vector<net::ElementQuery>& qs,
-      net::ReplyProvenance* prov) override {
-    (void)prov;
-    return std::vector<net::ElementReply>(qs.size());
-  }
-
-  net::SummaryReply query_summary(net::ReplyProvenance*) override {
-    return net::SummaryReply{};
-  }
-
-  net::RefreshReply query_refresh() override { return net::RefreshReply{}; }
-
-  int sum_calls = 0;
-};
-
-TEST(QueryInterface, ConveniencesForwardThroughTheVirtuals) {
-  FakeQueries fake;
-  net::QueryInterface& q = fake;  // callers hold the interface
-
-  EXPECT_EQ(q.query_sum().sum, 42.0);        // nullptr-provenance path
-  net::ReplyProvenance prov;
-  EXPECT_EQ(q.query_sum(&prov).nvals, 7u);   // provenance path
-  EXPECT_EQ(prov.revision, net::kProtocolRevision);
-  EXPECT_EQ(fake.sum_calls, 2);
-
-  const std::vector<net::ElementQuery> qs(3);
-  EXPECT_EQ(q.query_elements(qs).size(), 3u);
-  q.query_summary();
-  q.query_refresh();
-}
 
 // --- Revision-2 provenance trailer: encode/decode and compatibility.
 
@@ -173,33 +120,6 @@ TEST(Provenance, RevisionOneRepliesStayByteIdentical) {
             static_cast<std::uint64_t>(net::MsgType::kQuerySum));
 }
 
-// --- SnapshotSource: one freeze contract for every engine.
-
-TEST(SnapshotSource, InProcessEnginesSatisfyTheConcept) {
-  static_assert(hier::is_snapshot_source_v<hier::HierMatrix<double>>);
-  static_assert(hier::is_snapshot_source_v<hier::ShardedHier<double>>);
-  static_assert(hier::is_snapshot_source_v<hier::ParallelStream<double>>);
-  static_assert(hier::is_snapshot_source_v<
-                hier::MemoryGovernor<hier::ParallelStream<double>>>);
-  static_assert(!hier::is_snapshot_source_v<int>);
-  static_assert(!hier::is_snapshot_source_v<std::vector<double>>);
-  SUCCEED();
-}
-
-TEST(SnapshotSource, AcquireSnapshotIsFreeze) {
-  hier::ShardedHier<double> sharded(3, 64, 64,
-                                    hier::CutPolicy::geometric(2, 256, 4));
-  Tuples<double> batch;
-  for (Index i = 0; i < 50; ++i) batch.push_back(i % 64, (i * 7) % 64, 1.0);
-  sharded.update(batch);
-
-  auto via_cp = hier::acquire_snapshot(sharded);
-  auto via_member = sharded.freeze();
-  EXPECT_EQ(via_cp.reduce(), via_member.reduce());
-  EXPECT_EQ(via_cp.nvals(), via_member.nvals());
-  EXPECT_EQ(via_cp.epoch(), via_member.epoch());
-}
-
 }  // namespace
 
 #ifdef __linux__
@@ -207,6 +127,11 @@ TEST(SnapshotSource, AcquireSnapshotIsFreeze) {
 namespace {
 
 using hier::CutPolicy;
+
+// cluster::RouterClient derives from net::Client and callers own either
+// through std::unique_ptr<net::Client>: deleting through the base must
+// run the derived destructor.
+static_assert(std::has_virtual_destructor_v<net::Client>);
 
 /// Minimal live-server fixture (2 lanes, small dim).
 struct Harness {

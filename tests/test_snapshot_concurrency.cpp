@@ -11,6 +11,9 @@
 //     snapshot/reduce/summarize against live workers.
 //   * ShardedHier: concurrent writers + freezes observe only whole
 //     batches, and per-writer prefixes (batch atomicity + order).
+//   * MemoryGovernor: evictions racing re-queries stay exact, and the
+//     governor's newest-epoch record never goes back under concurrent
+//     freezes.
 //
 // All sizes are kept small: these tests run under TSan in CI (label
 // `concurrency`), where every operation costs ~10x.
@@ -100,12 +103,12 @@ TEST(SnapshotConcurrency, SnapshotUnderIngestIsPrefixExact) {
   }
 
   // Reader: snapshots while the producers are mid-flight.
-  std::vector<hier::StreamSnapshot<double>> snaps;
-  for (int s = 0; s < 10; ++s) snaps.push_back(engine.snapshot());
+  std::vector<hier::SnapshotSet<double>> snaps;
+  for (int s = 0; s < 10; ++s) snaps.push_back(engine.freeze());
 
   for (auto& t : producers) t.join();
   engine.drain();
-  snaps.push_back(engine.snapshot());  // final: must contain everything
+  snaps.push_back(engine.freeze());  // final: must contain everything
   auto report = engine.stop();
   ASSERT_EQ(report.entries, lanes * per_lane * batch_len);
 
@@ -157,9 +160,9 @@ TEST(SnapshotConcurrency, SnapshotDuringPumpIsPrefixExact) {
   InstanceArray<double> array(lanes, dim, dim, CutPolicy({128, 2048}));
   ParallelStream<double> engine(array);
 
-  std::vector<hier::StreamSnapshot<double>> snaps;
+  std::vector<hier::SnapshotSet<double>> snaps;
   std::thread reader([&] {
-    for (int s = 0; s < 8; ++s) snaps.push_back(engine.snapshot());
+    for (int s = 0; s < 8; ++s) snaps.push_back(engine.freeze());
   });
 
   auto report = engine.pump(sets, set_size, [&](std::size_t p) {
@@ -200,7 +203,7 @@ TEST(SnapshotConcurrency, CheckpointFromLiveSnapshotRestoresIdentically) {
 
   // Freeze mid-ingest, checkpoint the frozen image on this (reader)
   // thread while the worker keeps inserting behind it.
-  auto snap = engine.snapshot();
+  auto snap = engine.freeze();
   std::ostringstream os;
   hier::checkpoint(os, snap.part(0));
 
@@ -232,7 +235,6 @@ TEST(SnapshotConcurrency, ReadersRacingPumpTsanStress) {
 
   InstanceArray<double> array(lanes, dim, dim, CutPolicy({32, 512}));
   ParallelStream<double> engine(array);
-  hier::SnapshotEngine<ParallelStream<double>> reader_engine(engine);
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
@@ -241,7 +243,7 @@ TEST(SnapshotConcurrency, ReadersRacingPumpTsanStress) {
     readers.emplace_back([&] {
       std::uint64_t last_epoch = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        auto snap = reader_engine.acquire();
+        auto snap = engine.freeze();
         // Epochs never go backwards for a single reader.
         EXPECT_GE(snap.epoch(), last_epoch);
         last_epoch = snap.epoch();
@@ -264,7 +266,7 @@ TEST(SnapshotConcurrency, ReadersRacingPumpTsanStress) {
   EXPECT_EQ(report.entries, lanes * sets * set_size);
   EXPECT_GT(reads.load(), 0u);
   // Post-run: a quiescent snapshot equals the full dense replay.
-  auto final_snap = engine.snapshot();
+  auto final_snap = engine.freeze();
   for (std::size_t p = 0; p < lanes; ++p)
     EXPECT_TRUE(script.prefix_ref[p][sets].matches(final_snap.part(p)));
 }
@@ -295,7 +297,7 @@ TEST(SnapshotConcurrency, NvalsDuringPumpIsExact) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto snap = engine.snapshot();
+        const auto snap = engine.freeze();
         EXPECT_EQ(snap.nvals(), snap.to_matrix().nvals())
             << "epoch " << snap.epoch();
         std::size_t bound = 0;
@@ -318,7 +320,7 @@ TEST(SnapshotConcurrency, NvalsDuringPumpIsExact) {
   if (above_cutoff.load() == 0)
     GTEST_LOG_(INFO) << "no live image passed the serial cutoff (fast machine)";
 
-  const auto final_snap = engine.snapshot();
+  const auto final_snap = engine.freeze();
   EXPECT_EQ(final_snap.nvals(), final_snap.to_matrix().nvals());
 }
 
@@ -350,7 +352,7 @@ TEST(SnapshotConcurrency, ShardedFreezeSeesWholeBatchPrefixes) {
     });
   }
 
-  std::vector<hier::ShardedSnapshot<double>> snaps;
+  std::vector<hier::SnapshotSet<double>> snaps;
   for (int s = 0; s < 12; ++s) snaps.push_back(sharded.freeze());
   for (auto& t : writers) t.join();
   snaps.push_back(sharded.freeze());
@@ -402,9 +404,9 @@ TEST(SnapshotConcurrency, DiffDuringPumpPatchesExactly) {
   ParallelStream<double> engine(array);
 
   std::thread analyst([&] {
-    auto prev = engine.snapshot();
+    auto prev = engine.freeze();
     for (int s = 0; s < 6; ++s) {
-      auto cur = engine.snapshot();
+      auto cur = engine.freeze();
       EXPECT_GE(cur.epoch(), prev.epoch());
       auto d = hier::snapshot_diff(prev, cur);
       EXPECT_TRUE(d.removed.empty())
@@ -437,18 +439,18 @@ TEST(SnapshotConcurrency, DiffDuringPumpPatchesExactly) {
   ASSERT_EQ(report.entries, lanes * sets * set_size);
 
   // Post-run sanity: final quiescent image equals the dense replay.
-  auto final_snap = engine.snapshot();
+  auto final_snap = engine.freeze();
   for (std::size_t p = 0; p < lanes; ++p)
     EXPECT_TRUE(script.prefix_ref[p][sets].matches(final_snap.part(p)));
 }
 
 // ---------------------------------------------------------------------------
 // Memory-governed readers evicted mid-query under a live pump(). Each
-// reader materializes an unevicted baseline the moment it acquires a
+// reader materializes an unevicted baseline the moment it freezes a
 // handle, keeps re-querying that handle while a zero-budget governor
 // compacts/evicts it from other threads, and checks every re-query
 // bit-identical to the baseline. TSan coverage of the slot handshake:
-// reader pins race governor evictions race further acquires, all while
+// reader pins race governor evictions race further freezes, all while
 // the lanes keep folding.
 // ---------------------------------------------------------------------------
 TEST(SnapshotConcurrency, EvictionDuringPumpKeepsReadsExact) {
@@ -474,7 +476,7 @@ TEST(SnapshotConcurrency, EvictionDuringPumpKeepsReadsExact) {
       gbx::Matrix<double> ref(1, 1);
       while (!stop.load(std::memory_order_relaxed)) {
         if (!held.valid()) {
-          held = gov.acquire();
+          held = gov.freeze();
           ref = held.pin().to_matrix();  // unevicted baseline of the image
           continue;
         }
@@ -484,7 +486,7 @@ TEST(SnapshotConcurrency, EvictionDuringPumpKeepsReadsExact) {
         EXPECT_EQ(held.epoch(), held.pin().epoch());
         exact_requeries.fetch_add(1, std::memory_order_relaxed);
         // Rotate so later epochs get held (and evicted) too.
-        held = gov.acquire();
+        held = gov.freeze();
         ref = held.pin().to_matrix();
       }
     });
@@ -500,10 +502,57 @@ TEST(SnapshotConcurrency, EvictionDuringPumpKeepsReadsExact) {
 
   // Post-run: quiescent truth still matches the dense replay, and a
   // final governed read of a fresh handle matches it too.
-  auto final_handle = gov.acquire();
+  auto final_handle = gov.freeze();
   auto final_image = final_handle.pin();
   for (std::size_t p = 0; p < lanes; ++p)
     EXPECT_TRUE(script.prefix_ref[p][sets].matches(final_image.part(p)));
+}
+
+// ---------------------------------------------------------------------------
+// The governor's newest-epoch record only moves forward: four readers
+// freeze through one governor while pump() runs, and after each freeze
+// newest_epoch() covers both the handle just taken and everything that
+// reader saw before. Once the pump is over, a final freeze is the
+// newest epoch.
+// ---------------------------------------------------------------------------
+TEST(SnapshotConcurrency, GovernorNewestEpochIsMonotone) {
+  HHGBX_PROP_SEED(seed, kSeedPump ^ 0xE90C);
+  const std::size_t lanes = 2, sets = 25, set_size = 300;
+  const Index dim = 1u << 14;
+  LaneScript script(proptest::mix(seed), lanes, sets, set_size, dim);
+
+  InstanceArray<double> array(lanes, dim, dim, CutPolicy({64, 1024}));
+  ParallelStream<double> engine(array);
+  hier::MemoryGovernor<ParallelStream<double>> gov(engine);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> freezes{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      std::uint64_t seen = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto handle = gov.freeze();
+        const std::uint64_t newest = gov.newest_epoch();
+        EXPECT_GE(newest, handle.epoch());
+        EXPECT_GE(newest, seen);
+        seen = newest;
+        freezes.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  auto report = engine.pump(sets, set_size, [&](std::size_t p) {
+    return ScriptGen{&script.batches[p]};
+  });
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  ASSERT_EQ(report.entries, lanes * sets * set_size);
+  EXPECT_GT(freezes.load(), 0u);
+
+  const auto final_handle = gov.freeze();
+  EXPECT_EQ(final_handle.epoch(), gov.newest_epoch());
+  EXPECT_EQ(final_handle.epoch(), lanes * sets);
 }
 
 }  // namespace

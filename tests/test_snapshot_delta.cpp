@@ -11,9 +11,7 @@
 //     summarize / triangles / PageRank against from-scratch recomputes,
 //     in both exact (bit-identical) and warm-start (tolerance) modes.
 //   * SnapshotSet diffs over ShardedHier parts.
-//   * Pinned-memory accounting: identity-deduped snapshot bytes and the
-//     pinned-vs-live split against a live matrix, plus the staleness
-//     warning hook.
+//   * Snapshot memory accounting: identity-deduped snapshot bytes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -374,7 +372,7 @@ TEST(DeltaProperties, ShardedSetDiffPatchesExactly) {
   std::mt19937_64 rng(seed);
   hier::ShardedHier<double> sh(4, 1 << 10, 1 << 10,
                                CutPolicy::geometric(3, 128, 8));
-  std::vector<hier::ShardedSnapshot<double>> snaps;
+  std::vector<hier::SnapshotSet<double>> snaps;
   for (int k = 0; k < 30; ++k) {
     sh.update(proptest::random_batch<double>(rng, 300, 120));
     if (k % 6 == 0 || k == 29) snaps.push_back(sh.freeze());
@@ -414,7 +412,7 @@ TEST(IncrementalAnalytics, WorksOverShardedSource) {
 }
 
 // ---------------------------------------------------------------------------
-// Pinned-memory accounting + staleness hook (ISSUE 3 satellite)
+// Snapshot memory accounting
 // ---------------------------------------------------------------------------
 
 TEST(SnapshotMemory, DedupesAliasedBlocks) {
@@ -426,43 +424,6 @@ TEST(SnapshotMemory, DedupesAliasedBlocks) {
                                   1);
   EXPECT_EQ(snap.memory_bytes(), v.memory_bytes());
   EXPECT_GT(snap.memory_bytes(), 0u);
-
-  HierMatrix<double> h(1 << 10, 1 << 10, CutPolicy::geometric(3, 64, 4));
-  std::mt19937_64 rng(31);
-  for (int k = 0; k < 30; ++k) h.update(proptest::random_batch<double>(rng, 200, 80));
-  auto frozen = h.freeze();
-  EXPECT_EQ(frozen.stats().memory_bytes, frozen.memory_bytes())
-      << "freeze records its deduped footprint in HierStats";
-}
-
-TEST(SnapshotMemory, StalenessHookFiresForLaggingReaders) {
-  HierMatrix<double> h(256, 256, CutPolicy::geometric(2, 32, 4));
-  hier::SnapshotEngine<HierMatrix<double>> eng(h);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> warnings;
-  eng.set_staleness_hook(3, [&](std::uint64_t held, std::uint64_t cur) {
-    warnings.emplace_back(held, cur);
-  });
-
-  h.update(1, 1, 1.0);
-  auto held = eng.acquire();
-  EXPECT_FALSE(eng.check_staleness(held)) << "fresh snapshot is not stale";
-
-  for (int k = 0; k < 10; ++k) h.update(k % 9, k % 7, 1.0);
-  (void)eng.acquire();
-  EXPECT_TRUE(eng.check_staleness(held));
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_EQ(warnings[0].first, held.epoch());
-  EXPECT_EQ(warnings[0].second, eng.last_epoch());
-
-  // The incremental engine self-reports the snapshot it carries.
-  analytics::IncrementalEngine<HierMatrix<double>> inc(h);
-  std::size_t inc_warnings = 0;
-  inc.snapshots().set_staleness_hook(
-      0, [&](std::uint64_t, std::uint64_t) { ++inc_warnings; });
-  inc.refresh();
-  h.update(2, 3, 1.0);
-  inc.refresh();
-  EXPECT_EQ(inc_warnings, 1u);
 }
 
 }  // namespace

@@ -183,24 +183,21 @@ TEST(SnapshotProperties, SnapshotCheckpointMatchesMatrixCheckpoint) {
   EXPECT_TRUE(gbx::equal(restored.snapshot(), snap.to_matrix()));
 }
 
-// SnapshotEngine facade: epochs recorded across successive acquires are
-// exactly the matrix's update counter at each freeze.
+// Epochs of successive freezes are exactly the matrix's update counter
+// at each freeze.
 TEST(SnapshotProperties, EngineTracksEpochs) {
   HHGBX_PROP_SEED(seed, kSeedEngine);
   std::mt19937_64 rng(proptest::mix(seed));
   HierMatrix<double> h(64, 64, CutPolicy({4}));
-  hier::SnapshotEngine<HierMatrix<double>> engine(h);
 
   std::uint64_t expected_updates = 0;
   for (int k = 0; k < 25; ++k) {
     const int n = 1 + static_cast<int>(rng() % 5);
     for (int u = 0; u < n; ++u) h.update(proptest::random_batch<double>(rng, 64, 8));
     expected_updates += static_cast<std::uint64_t>(n);
-    auto snap = engine.acquire();
+    auto snap = h.freeze();
     EXPECT_EQ(snap.epoch(), expected_updates);
-    EXPECT_EQ(engine.last_epoch(), expected_updates);
   }
-  EXPECT_EQ(engine.snapshots_taken(), 25u);
 }
 
 // Single-threaded ShardedHier freeze: with no concurrency, every freeze
