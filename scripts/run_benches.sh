@@ -45,13 +45,6 @@
 #                           shrink the workload for CI; OOC_DIR points
 #                           the store at a specific filesystem (e.g.
 #                           tmpfs).
-#   bench_net_ingest      — loopback ingest through net::IngestServer,
-#                           1..N concurrent clients: the server's Σ Ai
-#                           must equal the streamed entry count exactly
-#                           at every sweep point (the bench exits
-#                           non-zero otherwise); aggregate insert_rate
-#                           feeds the perf trajectory. NET_CLIENTS /
-#                           NET_SETS / NET_SET_SIZE shrink for CI.
 #   bench_replication     — WAL shipping to a live replica: ingest rate
 #                           with the replication chain armed vs off,
 #                           with Σ Ai checked exactly on BOTH ends.

@@ -1,13 +1,9 @@
 // algo/algo.hpp — umbrella header for graph algorithms over gbx.
 //
-// The standard GraphBLAS algorithm set the paper's authors exercise their
-// library with (BFS, PageRank, triangle counting, k-truss, components),
-// all expressed over hypersparse matrices — including live snapshots of
-// hierarchical traffic matrices.
+// PageRank and triangle counting over hypersparse matrices — including
+// live snapshots of hierarchical traffic matrices, which is how
+// analytics::IncrementalEngine and the snapshot benches use them.
 #pragma once
 
-#include "algo/bfs.hpp"
-#include "algo/connected_components.hpp"
-#include "algo/ktruss.hpp"
 #include "algo/pagerank.hpp"
 #include "algo/triangle_count.hpp"

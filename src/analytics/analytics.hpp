@@ -2,10 +2,5 @@
 #pragma once
 
 #include "analytics/background.hpp"
-#include "analytics/concentration.hpp"
-#include "analytics/flow_reader.hpp"
 #include "analytics/incremental.hpp"
-#include "analytics/ip.hpp"
-#include "analytics/prefix.hpp"
 #include "analytics/traffic.hpp"
-#include "analytics/window.hpp"

@@ -55,14 +55,11 @@ struct RankedVertex {
   double value;
 };
 
-/// Top-k rows by out-traffic (the paper's "supernodes"). `by_links` ranks
-/// by distinct peers (out-degree) instead of packet volume.
-template <class T, class M>
-std::vector<RankedVertex> top_sources(const gbx::Matrix<T, M>& A, std::size_t k,
-                                      bool by_links = false) {
-  gbx::SparseVector<T> v =
-      by_links ? gbx::reduce_rows<gbx::PlusMonoid<T>>(gbx::apply<gbx::One<T>>(A))
-               : gbx::reduce_rows<gbx::PlusMonoid<T>>(A);
+namespace detail {
+
+/// The k largest entries of a per-vertex reduction, heaviest first.
+template <class T>
+std::vector<RankedVertex> top_k(const gbx::SparseVector<T>& v, std::size_t k) {
   std::vector<RankedVertex> all;
   all.reserve(v.nvals());
   v.for_each([&](gbx::Index i, T x) {
@@ -77,26 +74,28 @@ std::vector<RankedVertex> top_sources(const gbx::Matrix<T, M>& A, std::size_t k,
   return all;
 }
 
+}  // namespace detail
+
+/// Top-k rows by out-traffic (the paper's "supernodes"). `by_links` ranks
+/// by distinct peers (out-degree) instead of packet volume.
+template <class T, class M>
+std::vector<RankedVertex> top_sources(const gbx::Matrix<T, M>& A, std::size_t k,
+                                      bool by_links = false) {
+  return detail::top_k(
+      by_links ? gbx::reduce_rows<gbx::PlusMonoid<T>>(gbx::apply<gbx::One<T>>(A))
+               : gbx::reduce_rows<gbx::PlusMonoid<T>>(A),
+      k);
+}
+
 /// Top-k columns by in-traffic.
 template <class T, class M>
 std::vector<RankedVertex> top_destinations(const gbx::Matrix<T, M>& A,
                                            std::size_t k,
                                            bool by_links = false) {
-  gbx::SparseVector<T> v =
+  return detail::top_k(
       by_links ? gbx::reduce_cols<gbx::PlusMonoid<T>>(gbx::apply<gbx::One<T>>(A))
-               : gbx::reduce_cols<gbx::PlusMonoid<T>>(A);
-  std::vector<RankedVertex> all;
-  all.reserve(v.nvals());
-  v.for_each([&](gbx::Index j, T x) {
-    all.push_back({j, static_cast<double>(x)});
-  });
-  const std::size_t kk = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(kk),
-                    all.end(), [](const RankedVertex& a, const RankedVertex& b) {
-                      return a.value > b.value;
-                    });
-  all.resize(kk);
-  return all;
+               : gbx::reduce_cols<gbx::PlusMonoid<T>>(A),
+      k);
 }
 
 /// Degree distribution: histogram[d] = #vertices with out-degree d,

@@ -2,7 +2,5 @@
 #pragma once
 
 #include "assoc/assoc_array.hpp"
-#include "assoc/assoc_ops.hpp"
 #include "assoc/hier_assoc.hpp"
 #include "assoc/string_pool.hpp"
-#include "assoc/tsv.hpp"

@@ -1,9 +1,7 @@
 // gen/gen.hpp — umbrella header for workload generation.
 #pragma once
 
-#include "gen/burst.hpp"
 #include "gen/kronecker.hpp"
 #include "gen/power_law.hpp"
 #include "gen/rng.hpp"
-#include "gen/stream.hpp"
 #include "gen/uniform.hpp"

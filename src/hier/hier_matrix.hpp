@@ -242,20 +242,6 @@ class HierMatrix {
   /// snapshot's merge count — Σ Ai is never materialized.
   std::size_t nvals() const { return freeze().nvals(); }
 
-  /// Re-establish the cut invariants after external level surgery
-  /// (hier/merge.hpp). Shallowest-first: folding level i only adds to
-  /// level i+1, which is checked next, so one pass suffices.
-  void recascade() {
-    for (std::size_t i = 0; i + 1 < levels_.size(); ++i) {
-      if (levels_[i].nvals_bound() > cuts_.cut(i)) fold(i);
-    }
-  }
-
-  /// Reset every level to empty (consumed-source state after a merge).
-  void reset_levels() {
-    for (auto& l : levels_) l.reset();
-  }
-
   /// Checkpoint/restore hooks (hier/checkpoint.hpp): replace one level's
   /// matrix / the statistics block wholesale. Dimensions must match.
   void restore_level(std::size_t i, matrix_type m) {

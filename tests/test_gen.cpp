@@ -187,41 +187,4 @@ TEST(Kronecker, Validation) {
   EXPECT_THROW(gen::KroneckerGenerator{p}, gbx::InvalidValue);
 }
 
-TEST(Stream, PaperPlanShape) {
-  auto plan = gen::StreamPlan::paper();
-  EXPECT_EQ(plan.sets, 1000u);
-  EXPECT_EQ(plan.set_size, 100000u);
-  EXPECT_EQ(plan.total_entries(), 100000000u);
-}
-
-TEST(Stream, EmitsExactlyPlannedSets) {
-  gen::PowerLawParams p;
-  p.scale = 8;
-  gen::PowerLawGenerator g(p);
-  gen::EdgeStream<gen::PowerLawGenerator, double> stream(
-      g, gen::StreamPlan::scaled(5, 100));
-  std::size_t sets = 0, entries = 0;
-  while (!stream.done()) {
-    auto batch = stream.next();
-    entries += batch.size();
-    ++sets;
-  }
-  EXPECT_EQ(sets, 5u);
-  EXPECT_EQ(entries, 500u);
-  EXPECT_THROW(stream.next(), gbx::Error);
-}
-
-TEST(Stream, ReusableBuffer) {
-  gen::PowerLawParams p;
-  p.scale = 8;
-  gen::PowerLawGenerator g(p);
-  gen::EdgeStream<gen::PowerLawGenerator, double> stream(
-      g, gen::StreamPlan::scaled(3, 50));
-  gbx::Tuples<double> buf;
-  while (!stream.done()) {
-    stream.next(buf);
-    EXPECT_EQ(buf.size(), 50u);
-  }
-}
-
 }  // namespace

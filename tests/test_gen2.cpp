@@ -1,10 +1,9 @@
-// Tests for the second-wave generators: uniform control workload and
-// temporal burst model.
+// Tests for the uniform control workload generator.
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "analytics/analytics.hpp"
+#include "gbx/monoid.hpp"
 #include "gen/gen.hpp"
 
 namespace {
@@ -58,75 +57,6 @@ TEST(Uniform, MuchLowerDuplicationThanPowerLaw) {
   pb.sort_dedup<gbx::PlusMonoid<double>>();
   // Uniform has near-zero duplication; the power-law collapses heavily.
   EXPECT_GT(ub.size(), pb.size());
-}
-
-TEST(Burst, QuietOutsideWindow) {
-  gen::PowerLawParams bg;
-  bg.scale = 10;
-  bg.dim = 1u << 16;
-  bg.seed = 9;
-  const Index src = 60000, dst = 60001;
-  gen::BurstGenerator g(bg, {{3, 5, src, dst, 0, 0.5}});
-
-  for (int b = 0; b < 8; ++b) {
-    auto batch = g.batch<double>(2000);
-    std::size_t hits = 0;
-    for (const auto& e : batch)
-      if (e.row == src && e.col == dst) ++hits;
-    if (b >= 3 && b < 5) {
-      EXPECT_GE(hits, 900u) << "batch " << b;  // ~50% quota
-    } else {
-      EXPECT_LT(hits, 5u) << "batch " << b;  // background only
-    }
-  }
-}
-
-TEST(Burst, SpreadFansOut) {
-  gen::PowerLawParams bg;
-  bg.scale = 10;
-  bg.dim = 1u << 16;
-  const Index src = 50000, dst0 = 50010;
-  gen::BurstGenerator g(bg, {{0, 1, src, dst0, 9, 0.5}});
-  auto batch = g.batch<double>(4000);
-  std::map<Index, int> targets;
-  for (const auto& e : batch)
-    if (e.row == src) ++targets[e.col];
-  // scan-like fan-out: several distinct targets within [dst0, dst0+9]
-  EXPECT_GE(targets.size(), 5u);
-  for (const auto& [t, c] : targets) {
-    EXPECT_GE(t, dst0);
-    EXPECT_LE(t, dst0 + 9);
-  }
-}
-
-TEST(Burst, Validation) {
-  gen::PowerLawParams bg;
-  bg.scale = 10;
-  bg.dim = 1u << 16;
-  EXPECT_THROW(gen::BurstGenerator(bg, {{5, 5, 0, 0, 0, 0.5}}),
-               gbx::InvalidValue);
-  EXPECT_THROW(gen::BurstGenerator(bg, {{0, 1, 0, 0, 0, 0.0}}),
-               gbx::InvalidValue);
-  EXPECT_THROW(gen::BurstGenerator(bg, {{0, 1, 1u << 16, 0, 0, 0.5}}),
-               gbx::IndexOutOfBounds);
-}
-
-TEST(Burst, DetectableByGravityModel) {
-  // End-to-end: a planted burst between quiet hosts must surface as the
-  // top gravity anomaly of the accumulated window.
-  gen::PowerLawParams bg;
-  bg.scale = 12;
-  bg.dim = gbx::kIPv4Dim;
-  bg.seed = 21;
-  const Index src = 0xC0A80101, dst = 0x08080404;
-  gen::BurstGenerator g(bg, {{2, 6, src, dst, 0, 0.1}});
-
-  hier::HierMatrix<double> h(bg.dim, bg.dim, hier::CutPolicy::geometric(3, 1024, 8));
-  for (int b = 0; b < 6; ++b) h.update(g.batch<double>(5000));
-  auto anomalies = analytics::gravity_anomalies(h.snapshot(), 3, 2.0, 50.0);
-  ASSERT_FALSE(anomalies.empty());
-  EXPECT_EQ(anomalies[0].src, src);
-  EXPECT_EQ(anomalies[0].dst, dst);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 
 #include <omp.h>
 
-#include "analytics/analytics.hpp"
 #include "cluster/cluster.hpp"
 #include "gen/gen.hpp"
 #include "hier/hier.hpp"
@@ -82,27 +81,6 @@ TEST(Stress, ManyInstancesSaturated) {
   EXPECT_EQ(r.entries, threads * w.entries_per_instance());
   EXPECT_GT(r.aggregate_rate, 0.0);
   EXPECT_GT(r.wall_rate, 0.0);
-}
-
-TEST(Stress, LongWindowRotation) {
-  // Hundreds of window rotations: ring indexing and recycling stay sound.
-  HHGBX_PROP_SEED(seed, 9);
-  analytics::TumblingWindows<double> w(5, 1u << 20, 1u << 20,
-                                       hier::CutPolicy({256}));
-  gen::PowerLawParams pp;
-  pp.scale = 10;
-  pp.dim = 1u << 20;
-  pp.seed = seed;
-  gen::PowerLawGenerator g(pp);
-  for (int epoch = 0; epoch < 200; ++epoch) {
-    w.update(g.batch<double>(200));
-    if (epoch % 2 == 1) w.advance();
-  }
-  EXPECT_EQ(w.epoch(), 100u);
-  auto occ = w.occupancy();
-  EXPECT_EQ(occ.size(), 5u);
-  // Only live windows contribute; the union is queryable and valid.
-  EXPECT_TRUE(w.total().validate());
 }
 
 TEST(Stress, SnapshotUnderContinuousQueries) {
