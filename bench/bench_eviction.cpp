@@ -1,13 +1,14 @@
 // Experiment E9 — memory-governed snapshot eviction under a slow reader.
 //
 // The scenario the governor exists for: Fig. 2-style batched Kronecker
-// ingest into a ShardedHier while one analytics reader freezes an early
-// epoch and then lags ≥8 epochs behind, pinning superseded block
-// generations. Two identical single-driver runs:
+// ingest, split by row over InstanceArray parts (update_rows) and frozen
+// through MemoryGovernor<ParallelStream>, while one analytics reader
+// freezes an early batch and then lags ≥8 batches behind, pinning
+// superseded block generations. Two identical single-driver runs:
 //
 //   OFF — governor present but with an unlimited budget (same code path,
 //         no evictions): measures how many pinned bytes the laggard
-//         accumulates, and the baseline update() throughput.
+//         accumulates, and the baseline update_rows() throughput.
 //   ON  — budget B (default: a quarter of the OFF peak): the governor
 //         must materialize-and-release the laggard.
 //
@@ -24,8 +25,10 @@
 //     its final full materialization, is BIT-IDENTICAL to the baseline
 //     materialized from the same frozen image before any eviction.
 //   * governed — the ON run evicts at least once.
-//   * throughput — ON ingest rate (measured strictly inside update(),
-//     like Fig. 2) stays ≥ EVICT_MIN_RATE_RATIO (default 0.9) of OFF.
+//   * throughput — ON ingest rate (measured strictly inside
+//     update_rows(), like Fig. 2) stays ≥ EVICT_MIN_RATE_RATIO (default
+//     0.9) of OFF.
+//   * lag — the reader ends ≥ 8 batches behind the newest freeze.
 //
 // Env knobs: EVICT_SETS, EVICT_SET_SIZE, EVICT_SHARDS, EVICT_SCALE,
 // EVICT_BUDGET_BYTES, EVICT_MIN_RATE_RATIO, EVICT_SLACK_BLOCKS.
@@ -55,12 +58,12 @@ double env_or_d(const char* name, double dflt) {
 }
 
 struct RunResult {
-  double ingest_rate = 0;          ///< entries / seconds inside update()
+  double ingest_rate = 0;          ///< entries / seconds inside update_rows()
   double ingest_seconds = 0;
   std::uint64_t peak_pinned = 0;   ///< governor stats high-water mark
   std::uint64_t end_pinned = 0;    ///< pinned bytes after the final enforce
   std::uint64_t largest_block = 0;
-  std::uint64_t held_lag = 0;      ///< epochs the slow reader lagged
+  std::uint64_t held_lag = 0;      ///< batches the slow reader lagged
   std::uint64_t probe_mismatches = 0;
   bool identical = false;          ///< final full read == baseline image
   hier::GovernorStats stats;
@@ -69,13 +72,15 @@ struct RunResult {
 RunResult run(const std::vector<gbx::Tuples<double>>& batches,
               std::size_t shards, gbx::Index dim, std::uint64_t budget,
               std::size_t hold_at) {
-  hier::ShardedHier<double> sharded(shards, dim, dim,
+  using Stream = hier::ParallelStream<double>;
+  hier::InstanceArray<double> parts(shards, dim, dim,
                                     hier::CutPolicy::geometric(4, 1u << 13, 8));
+  Stream stream(parts);
   hier::GovernorConfig cfg;
   cfg.budget_bytes = budget;
-  hier::MemoryGovernor<hier::ShardedHier<double>> gov(sharded, cfg);
+  hier::MemoryGovernor<Stream> gov(stream, cfg);
 
-  using Handle = hier::MemoryGovernor<hier::ShardedHier<double>>::handle_type;
+  using Handle = hier::MemoryGovernor<Stream>::handle_type;
   Handle held;
   gbx::Matrix<double> ref(1, 1);  // the unevicted baseline image
   std::vector<std::pair<gbx::Index, gbx::Index>> probes;
@@ -84,13 +89,13 @@ RunResult run(const std::vector<gbx::Tuples<double>>& batches,
   std::uint64_t entries = 0;
   for (std::size_t k = 0; k < batches.size(); ++k) {
     const auto t0 = Clock::now();
-    sharded.update(batches[k]);
+    parts.update_rows(batches[k]);
     r.ingest_seconds +=
         std::chrono::duration<double>(Clock::now() - t0).count();
     entries += batches[k].size();
 
     // Reader cadence (untimed): the slow analyst freezes once and then
-    // holds; every other epoch is frozen fresh and dropped, which is
+    // holds; every other batch is frozen fresh and dropped, which is
     // also what drives enforcement.
     if (k == hold_at) {
       held = gov.freeze();
@@ -102,6 +107,7 @@ RunResult run(const std::vector<gbx::Tuples<double>>& batches,
       });
     } else {
       gov.freeze();
+      if (held.valid()) ++r.held_lag;  // one more batch past the reader
     }
 
     const auto mem = gov.memory();
@@ -123,7 +129,6 @@ RunResult run(const std::vector<gbx::Tuples<double>>& batches,
     auto final_img = held.to_matrix();
     r.identical = gbx::equal(final_img, ref) && held.nvals() == ref.nvals() &&
                   r.probe_mismatches == 0;
-    r.held_lag = gov.newest_epoch() - held.epoch();
   }
   r.end_pinned = gov.memory().pinned_bytes;
   r.stats = gov.stats();
@@ -146,7 +151,7 @@ int main() {
 
   benchutil::header(
       "E9 — memory-governed snapshot eviction (hier::MemoryGovernor)",
-      "bounded pinned bytes + bit-exact reads for a reader lagging >= 8 epochs");
+      "bounded pinned bytes + bit-exact reads for a reader lagging >= 8 batches");
   benchutil::note("workload: " + std::to_string(sets) + " sets x " +
                   std::to_string(set_size) + " entries, Kronecker scale-" +
                   std::to_string(scale) + ", " + std::to_string(shards) +
@@ -185,7 +190,7 @@ int main() {
               on.identical ? "yes" : "NO");
   std::printf("\nbudget B = %llu bytes (off-peak/4 unless EVICT_BUDGET_BYTES)"
               "\nslack    = %llu bytes (%llu blocks x largest %llu)"
-              "\nreader lag at end: %llu epochs (need >= 8)"
+              "\nreader lag at end: %llu batches (need >= 8)"
               "\nthroughput ratio on/off: %.3f (floor %.2f)\n",
               static_cast<unsigned long long>(budget),
               static_cast<unsigned long long>(slack),
@@ -226,7 +231,7 @@ int main() {
                 static_cast<unsigned long long>(off.end_pinned),
                 static_cast<unsigned long long>(budget));
   if (!lag_ok)
-    std::printf("FAIL: reader lag %llu < 8 epochs (workload too small)\n",
+    std::printf("FAIL: reader lag %llu < 8 batches (workload too small)\n",
                 static_cast<unsigned long long>(on.held_lag));
 
   std::string json =

@@ -13,9 +13,10 @@
 //
 // Default mode verifies the tentpole claim end to end: the router's
 // epoch-stitched Σ Ai / nvals / element probes are compared against an
-// in-process hier::ShardedHier with the SAME part count fed the SAME
-// batches — values are small integers, so sums are exact and the
-// comparison is ==, not a tolerance.
+// in-process hier::InstanceArray with the SAME part count fed the SAME
+// batches through update_rows (the router's row split) and frozen
+// through an unstarted hier::ParallelStream — values are small
+// integers, so sums are exact and the comparison is ==, not a tolerance.
 //
 // --kill mode verifies the failure contract: SIGKILL one worker
 // mid-stream and the next stitched query MUST fail loudly (kReplyError
@@ -130,10 +131,10 @@ int main(int argc, char** argv) {
       std::printf("dead-worker drill: %s\n", loud ? "PASS" : "FAIL");
     } else {
       // Single-process oracle: same part count, same batches.
-      hier::ShardedHier<double> oracle(workers, kDim, kDim, cuts());
+      hier::InstanceArray<double> oracle(workers, kDim, kDim, cuts());
       for (std::size_t c = 0; c < kClients; ++c)
-        for (const auto& b : make_plan(c)) oracle.update(b);
-      auto truth = oracle.freeze();
+        for (const auto& b : make_plan(c)) oracle.update_rows(b);
+      auto truth = hier::ParallelStream<double>(oracle).freeze();
 
       cluster::RouterClient cli;
       cli.connect("127.0.0.1", router.port());
@@ -191,7 +192,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(summary.destinations));
 
       cli.bye();
-      std::printf("round-trip vs single-process ShardedHier(%zu): %s\n",
+      std::printf("round-trip vs single-process InstanceArray(%zu): %s\n",
                   workers, exact ? "EXACT" : "DIVERGED");
       rc = exact ? 0 : 1;
     }

@@ -12,9 +12,9 @@ Checks:
   3. Annotated subsystems (src/hier, src/store, src/net, src/repl,
      src/cluster) must not declare raw std::mutex / std::shared_mutex /
      std::condition_variable members or locals: they use gbx::Mutex /
-     gbx::SharedMutex / gbx::CondVar from gbx/thread_annotations.hpp so
-     the thread-safety analysis sees every acquisition (the wrapper
-     header itself is the one allowed user of the std primitives).
+     gbx::CondVar from gbx/thread_annotations.hpp so the thread-safety
+     analysis sees every acquisition (the wrapper header itself is the
+     one allowed user of the std primitives).
   4. `::bind(`, `::listen(` and `::accept4(` appear only in
      src/net/frame_loop.hpp: every front end takes its listener and its
      accepted sockets from the one session core, so none can grow a
@@ -32,18 +32,25 @@ Checks:
      are immutable and sorted, and each run indexes its own rows, so
      the tier cannot grow a second index over them again.
   7. The memory governor knows no source type: src/hier/memory_governor.hpp
-     includes none of hier/hier_matrix.hpp, hier/sharded_hier.hpp,
-     hier/parallel_stream.hpp or hier/instance_array.hpp, and no file
-     under src/ declares `set_write_observer`. The governor classifies
+     includes none of hier/hier_matrix.hpp, hier/parallel_stream.hpp
+     or hier/instance_array.hpp, and no file under src/ declares
+     `set_write_observer`. The governor classifies
      against the block identities of the image it just froze, so it
      needs neither a per-source live-block peek nor a write hook.
   8. One acquisition verb: every snapshot source spells it `freeze()`.
      No file under src/ mentions `acquire_snapshot`, `SnapshotEngine` or
-     `QueryInterface` (comments included), and none of
-     hier/parallel_stream.hpp, hier/sharded_hier.hpp and
-     hier/memory_governor.hpp declares a `snapshot(` or `acquire(`
-     member, so a second spelling of the paper's "A = Σ Ai" step cannot
-     grow back beside freeze().
+     `QueryInterface` (comments included), and neither
+     hier/parallel_stream.hpp nor hier/memory_governor.hpp declares a
+     `snapshot(` or `acquire(` member, so a second spelling of the
+     paper's "A = Σ Ai" step cannot grow back beside freeze().
+  9. One multi-part source: no file under src/ mentions `ShardedHier`,
+     `SharedMutex`, `ScopedReadLock`, `ScopedWriteLock` or
+     `update_parallel` (comments included). ParallelStream over an
+     InstanceArray is the one multi-part source; an in-process mirror
+     of the router feeds the array with InstanceArray::update_rows and
+     reads it through the stream's freeze(), so neither a second
+     thread-safe multi-part type nor the shared-lock layer it needed can
+     grow back.
 """
 
 import re
@@ -89,7 +96,7 @@ COMPARATOR_INCLUDE_RE = re.compile(
 # The governor and the source headers it must not include (check 7).
 GOVERNOR_HEADER = "src/hier/memory_governor.hpp"
 SOURCE_INCLUDE_RE = re.compile(
-    r'#\s*include\s*"(hier/(?:hier_matrix|sharded_hier|parallel_stream|'
+    r'#\s*include\s*"(hier/(?:hier_matrix|parallel_stream|'
     r'instance_array)\.hpp)"')
 WRITE_OBSERVER_RE = re.compile(r"\bset_write_observer\b")
 
@@ -97,11 +104,14 @@ WRITE_OBSERVER_RE = re.compile(r"\bset_write_observer\b")
 # the sources that must not declare a second verb beside freeze().
 RETIRED_SNAPSHOT_NAMES_RE = re.compile(
     r"\b(acquire_snapshot|SnapshotEngine|QueryInterface)\b")
-FREEZE_ONLY_SOURCES = ("src/hier/parallel_stream.hpp",
-                       "src/hier/sharded_hier.hpp",
-                       GOVERNOR_HEADER)
+FREEZE_ONLY_SOURCES = ("src/hier/parallel_stream.hpp", GOVERNOR_HEADER)
 # A declaration or definition, not a call through `.`, `->` or `::`.
 SECOND_VERB_RE = re.compile(r"(?<![.>:\w])(snapshot|acquire)\s*\(")
+
+# One multi-part source (check 9): retired names anywhere under src/.
+RETIRED_MULTIPART_NAMES_RE = re.compile(
+    r"\b(ShardedHier|SharedMutex|ScopedReadLock|ScopedWriteLock|"
+    r"update_parallel)\b")
 
 # `new` as an expression: preceded by start/space/punct, followed by a
 # type. Excludes placement-new forms used by containers (none in-repo)
@@ -211,8 +221,8 @@ def check_raw_primitives(path: Path, code: str, errors: list) -> None:
         if m:
             errors.append(
                 f"{rel}:{ln}: raw std::{m.group(1)} in an annotated "
-                f"subsystem — use gbx::Mutex / gbx::SharedMutex / "
-                f"gbx::CondVar / gbx::Scoped*Lock "
+                f"subsystem — use gbx::Mutex / gbx::CondVar / "
+                f"gbx::ScopedLock "
                 f"(gbx/thread_annotations.hpp)")
 
 
@@ -292,6 +302,17 @@ def check_one_acquisition_verb(path: Path, text: str, code: str,
                 f"acquisition verb of a snapshot source")
 
 
+def check_one_multipart_source(path: Path, text: str, errors: list) -> None:
+    rel = str(path.relative_to(REPO))
+    for ln, line in enumerate(text.splitlines(), 1):
+        m = RETIRED_MULTIPART_NAMES_RE.search(line)
+        if m:
+            errors.append(
+                f"{rel}:{ln}: {m.group(1)} — ParallelStream over an "
+                f"InstanceArray is the one multi-part source (feed it by "
+                f"row with InstanceArray::update_rows); the name is retired")
+
+
 def main() -> int:
     errors: list = []
     for path in sorted(SRC.rglob("*")):
@@ -307,6 +328,7 @@ def main() -> int:
         check_hier_includes(path, text, errors)
         check_governor_source_free(path, text, code, errors)
         check_one_acquisition_verb(path, text, code, errors)
+        check_one_multipart_source(path, text, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:

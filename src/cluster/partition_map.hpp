@@ -4,10 +4,10 @@
 // of worker endpoints (part index = list position = the part-major
 // order every stitched read folds in) and a version number that bumps
 // whenever membership changes. Placement is hier::row_partition — the
-// SAME function ShardedHier uses for its in-process shards — so a row
-// lands on worker w exactly when a single-process ShardedHier with the
-// same part count would put it in shard w. That agreement is the
-// bit-identity contract of the stitched snapshot.
+// SAME function hier::split_rows splits by for the router and for
+// InstanceArray::update_rows — so a row lands on worker w exactly when
+// an InstanceArray with the same part count puts it in instance w.
+// That agreement is the bit-identity contract of the stitched snapshot.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +39,8 @@ class PartitionMap {
   std::uint64_t version() const { return version_; }
   const WorkerEndpoint& worker(std::size_t p) const { return workers_[p]; }
 
-  /// Owning part of `row` — identical to ShardedHier::shard_of for the
-  /// same part count (pinned by a randomized equivalence test).
+  /// Owning part of `row` — the part hier::split_rows puts it in for
+  /// the same part count (pinned by a randomized equivalence test).
   std::size_t part_of(gbx::Index row) const {
     return hier::row_partition(row, workers_.size());
   }

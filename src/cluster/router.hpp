@@ -2,10 +2,10 @@
 // worker IngestServer processes (Linux only).
 //
 // It speaks the net/protocol.hpp frame protocol to clients, exactly like
-// one IngestServer, and to each worker. Inserts fan out by ShardedHier's
-// row hash (hier/partition.hpp), so worker w holds exactly the rows of
-// shard w: rows are DISJOINT across workers, which makes stitched reads
-// exact (a probe has one owner, nvals adds, Σ Ai folds part-major).
+// one IngestServer, and to each worker. Inserts fan out by the row split
+// (hier::split_rows), so worker w holds exactly the rows of part w: rows
+// are DISJOINT across workers, which makes stitched reads exact (a probe
+// has one owner, nvals adds, Σ Ai folds part-major).
 //
 // The router is a FrameHandler on the net/frame_loop.hpp session core:
 // client sessions and worker connections share one loop thread, and no
@@ -307,15 +307,14 @@ class Router final : private net::FrameHandler {
                        "); re-fetch kQueryMap and reconnect");
     }
 
-    // Split part-major — the same per-entry walk as ShardedHier::update,
-    // preserving within-batch order inside every sub-batch.
-    std::vector<std::vector<gbx::Entry<double>>> parts(workers_.size());
-    for (const auto& e : entries) parts[map_.part_of(e.row)].push_back(e);
+    // Split part-major — the one split InstanceArray::update_rows also
+    // uses, preserving within-batch order inside every sub-batch.
+    const auto parts = hier::split_rows(entries, map_.parts());
     for (std::size_t w = 0; w < parts.size(); ++w)
       if (!parts[w].empty()) live(w);  // all targets, before any is fed
     // Lane 0 on every worker: one lane per worker keeps its part
-    // bit-identical to the matching ShardedHier shard (sub-batches apply
-    // in forwarding order to one HierMatrix).
+    // bit-identical to the matching update_rows instance (sub-batches
+    // apply in forwarding order to one HierMatrix).
     for (std::size_t w = 0; w < parts.size(); ++w) {
       if (parts[w].empty()) continue;
       workers_[w]->send(net::MsgType::kInsert, 0, parts[w].data(),
@@ -378,7 +377,8 @@ class Router final : private net::FrameHandler {
   }
 
   /// The read round folded in map order — the canonical SnapshotSet
-  /// order, so a stitched Σ is bit-identical to ShardedHier's reduce().
+  /// order, so a stitched Σ is bit-identical to an update_rows-fed
+  /// InstanceArray's reduce().
   std::string fold(const Stitch& st) const {
     const std::size_t n = st.replies.size();
     switch (st.verb) {

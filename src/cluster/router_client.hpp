@@ -44,8 +44,8 @@ class ClusterSnapshot {
   /// Stitched epoch: Σ of per-worker snapshot epochs — the same rule
   /// SnapshotSet::epoch() applies to in-process parts.
   std::uint64_t epoch() const { return prov_.snapshot_epoch; }
-  /// Σ Ai folded part-major across workers (bit-identical to a
-  /// single-process ShardedHier fed the same batches).
+  /// Σ Ai folded part-major across workers (bit-identical to an
+  /// InstanceArray fed the same batches through update_rows).
   double reduce() const { return sum_.sum; }
   /// Distinct coordinates across workers (rows are disjoint, so the
   /// per-worker counts add exactly).

@@ -5,10 +5,10 @@
 // InstanceArray → ParallelStream → MemoryGovernor → IngestServer —
 // configured with exactly ONE lane. One lane per worker is the
 // bit-identity contract: the router forwards worker w precisely the
-// sub-batches ShardedHier(N) would hand shard w, in order, so worker
-// w's single HierMatrix replays the identical fold history as that
-// shard and every stitched read matches the single-process oracle
-// bitwise.
+// sub-batches InstanceArray(N)::update_rows would hand instance w, in
+// order, so worker w's single HierMatrix replays the identical fold
+// history as that instance and every stitched read matches the
+// single-process oracle bitwise.
 //
 // Two packagings of the same stack:
 //

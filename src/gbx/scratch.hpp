@@ -12,9 +12,8 @@
 // allocation-free (see tests/test_ingest_hotpath.cpp's counting hook).
 //
 // Pools are intended to be thread-local (ScratchPool::local()): gbx
-// matrices are single-writer, ParallelStream gives each lane its own
-// worker thread, and ShardedHier folds under per-shard locks on the
-// writer's thread, so a per-thread pool is never contended and needs no
+// matrices are single-writer and ParallelStream gives each lane its own
+// worker thread, so a per-thread pool is never contended and needs no
 // locking. A lane's pool dies with its worker thread.
 #pragma once
 

@@ -1,7 +1,7 @@
 // gbx/thread_annotations.hpp — Clang Thread Safety Analysis surface.
 //
 // Every hand-rolled locking protocol in the engine (ParallelStream lane
-// queues, ShardedHier's freeze slot, the governor registry, tier image
+// queues and freeze handshake, the governor registry, tier image
 // publication, the BlockStore cache) states invariants of the form "X is
 // only touched with M held" or "F must not be called with M held". This
 // header turns those comments into compiler-checked contracts: under
@@ -23,14 +23,12 @@
 // The two are complements; CI runs both.
 //
 // Usage rules (see README "Static analysis" for the longer version):
-//   * Declare mutexes as gbx::Mutex / gbx::SharedMutex, never raw
-//     std::mutex, in annotated subsystems (scripts/lint_invariants.py
-//     enforces this for src/hier, src/store, src/net, src/repl,
-//     src/cluster).
+//   * Declare mutexes as gbx::Mutex, never raw std::mutex, in annotated
+//     subsystems (scripts/lint_invariants.py enforces this for
+//     src/hier, src/store, src/net, src/repl, src/cluster).
 //   * Annotate every member the mutex protects with GBX_GUARDED_BY(mu).
-//   * Lock with gbx::ScopedLock (exclusive), gbx::ScopedReadLock /
-//     gbx::ScopedWriteLock (shared mutexes). Helpers called with the
-//     lock already held take GBX_REQUIRES(mu).
+//   * Lock with gbx::ScopedLock. Helpers called with the lock already
+//     held take GBX_REQUIRES(mu).
 //   * Condition waits go through gbx::CondVar::wait(mu) inside an
 //     explicit `while (!predicate)` loop — the analysis can follow that
 //     (the lock is held before and after), which it cannot do for
@@ -43,7 +41,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // Clang implements the attributes unconditionally; keying on __clang__
 // alone (rather than the HHGBX_THREAD_SAFETY build mode) means plain
@@ -65,23 +62,14 @@
   GBX_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 #define GBX_REQUIRES(...) \
   GBX_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define GBX_REQUIRES_SHARED(...) \
-  GBX_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define GBX_ACQUIRE(...) \
   GBX_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define GBX_ACQUIRE_SHARED(...) \
-  GBX_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define GBX_RELEASE(...) \
   GBX_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define GBX_RELEASE_SHARED(...) \
-  GBX_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define GBX_TRY_ACQUIRE(...) \
   GBX_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define GBX_TRY_ACQUIRE_SHARED(...) \
-  GBX_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
 #define GBX_EXCLUDES(...) GBX_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define GBX_ASSERT_CAPABILITY(x) GBX_THREAD_ANNOTATION(assert_capability(x))
-#define GBX_RETURN_CAPABILITY(x) GBX_THREAD_ANNOTATION(lock_returned(x))
 #define GBX_NO_THREAD_SAFETY_ANALYSIS \
   GBX_THREAD_ANNOTATION(no_thread_safety_analysis)
 
@@ -104,26 +92,6 @@ class GBX_CAPABILITY("mutex") Mutex {
   std::mutex m_;
 };
 
-/// std::shared_mutex with shared/exclusive capability annotations.
-class GBX_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() GBX_ACQUIRE() { m_.lock(); }
-  void unlock() GBX_RELEASE() { m_.unlock(); }
-  bool try_lock() GBX_TRY_ACQUIRE(true) { return m_.try_lock(); }
-  void lock_shared() GBX_ACQUIRE_SHARED() { m_.lock_shared(); }
-  void unlock_shared() GBX_RELEASE_SHARED() { m_.unlock_shared(); }
-  bool try_lock_shared() GBX_TRY_ACQUIRE_SHARED(true) {
-    return m_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex m_;
-};
-
 /// RAII exclusive lock on a gbx::Mutex (std::lock_guard shape).
 class GBX_SCOPED_CAPABILITY ScopedLock {
  public:
@@ -134,34 +102,6 @@ class GBX_SCOPED_CAPABILITY ScopedLock {
 
  private:
   Mutex& m_;
-};
-
-/// RAII exclusive lock on a gbx::SharedMutex (writer side).
-class GBX_SCOPED_CAPABILITY ScopedWriteLock {
- public:
-  explicit ScopedWriteLock(SharedMutex& m) GBX_ACQUIRE(m) : m_(m) {
-    m_.lock();
-  }
-  ScopedWriteLock(const ScopedWriteLock&) = delete;
-  ScopedWriteLock& operator=(const ScopedWriteLock&) = delete;
-  ~ScopedWriteLock() GBX_RELEASE() { m_.unlock(); }
-
- private:
-  SharedMutex& m_;
-};
-
-/// RAII shared lock on a gbx::SharedMutex (reader side).
-class GBX_SCOPED_CAPABILITY ScopedReadLock {
- public:
-  explicit ScopedReadLock(SharedMutex& m) GBX_ACQUIRE_SHARED(m) : m_(m) {
-    m_.lock_shared();
-  }
-  ScopedReadLock(const ScopedReadLock&) = delete;
-  ScopedReadLock& operator=(const ScopedReadLock&) = delete;
-  ~ScopedReadLock() GBX_RELEASE() { m_.unlock_shared(); }
-
- private:
-  SharedMutex& m_;
 };
 
 /// Condition variable whose wait() carries the REQUIRES contract. Waits

@@ -155,9 +155,9 @@ SnapshotDelta<T> snapshot_diff(const HierSnapshot<T, M>& a,
       a.epoch(), b.epoch());
 }
 
-/// Diff two stitched snapshots (ParallelStream lanes / ShardedHier
-/// shards), parts aligned by position. Union values are read with the
-/// set's part-major fold, matching SnapshotSet::to_matrix bit-for-bit.
+/// Diff two stitched snapshots (ParallelStream parts), parts aligned by
+/// position. Union values are read with the set's part-major fold,
+/// matching SnapshotSet::to_matrix bit-for-bit.
 template <class T, class M>
 SnapshotDelta<T> snapshot_diff(const SnapshotSet<T, M>& a,
                                const SnapshotSet<T, M>& b) {

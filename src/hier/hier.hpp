@@ -9,7 +9,6 @@
 #include "hier/memory_governor.hpp"
 #include "hier/parallel_stream.hpp"
 #include "hier/partition.hpp"
-#include "hier/sharded_hier.hpp"
 #include "hier/snapshot.hpp"
 #include "hier/stats.hpp"
 #include "hier/tier.hpp"

@@ -85,14 +85,6 @@ class HierMatrix {
     return levels_[i].nvals_bound();
   }
 
-  /// Sum of per-level entry bounds (counts duplicate coordinates that
-  /// live in different levels once per level).
-  std::size_t total_entries_bound() const {
-    std::size_t n = 0;
-    for (const auto& l : levels_) n += l.nvals_bound();
-    return n;
-  }
-
   /// Heap bytes across all levels (resident only — demoted runs live in
   /// the block store, counted by store_bytes()). Each demoted run's row
   /// index (8 B per row) stays on the heap and is not counted: demoting

@@ -3,19 +3,20 @@
 // The paper's scaling experiment runs one hierarchical hypersparse matrix
 // per *process* ("31,000 instances ... on 1,100 server nodes"), with no
 // communication between instances. InstanceArray reproduces that shape on
-// one node: P fully independent HierMatrix instances, updated in parallel
-// with one OpenMP thread per instance. Aggregate throughput is the sum of
-// per-instance rates, exactly the quantity Fig. 2 plots.
+// one node: P fully independent HierMatrix instances, fed either per
+// instance (ParallelStream lanes, pump()) or by row (update_rows, the
+// in-process mirror of the cluster router's placement). Aggregate
+// throughput is the sum of per-instance rates, exactly the quantity
+// Fig. 2 plots.
 #pragma once
 
-#include <omp.h>
-
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "gbx/error.hpp"
-#include "gbx/tsan_omp.hpp"
 #include "hier/hier_matrix.hpp"
+#include "hier/partition.hpp"
 
 namespace hier {
 
@@ -40,41 +41,21 @@ class InstanceArray {
   gbx::Index nrows() const { return instances_.front().nrows(); }
   gbx::Index ncols() const { return instances_.front().ncols(); }
 
-  /// Stream per-instance batches in parallel: batches[p] goes to instance
-  /// p, one thread per instance (matching the paper's process model —
-  /// instances never share state, so this is lock-free by construction).
-  void update_parallel(const std::vector<gbx::Tuples<T>>& batches) {
-    GBX_CHECK_DIM(batches.size() == instances_.size(),
-                  "one batch per instance required");
-    const std::size_t n = instances_.size();
-    GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel
-    {
-      gbx::OmpRegionGuard tsan_region;
-#pragma omp for schedule(static)
-      for (std::size_t p = 0; p < n; ++p) {
-        instances_[p].update(batches[p]);
-      }
-    }
+  /// Row-partitioned update, the same placement as the cluster router:
+  /// split the batch with split_rows and apply one update() per touched
+  /// instance, in part order. Instance p then holds exactly what worker p
+  /// of an equally sized cluster holds after the same batches.
+  void update_rows(const gbx::Tuples<T>& batch) {
+    auto parts = split_rows(batch.entries(), instances_.size());
+    for (std::size_t p = 0; p < parts.size(); ++p)
+      if (!parts[p].empty())
+        instances_[p].update(gbx::Tuples<T>(std::move(parts[p])));
   }
 
   /// Total raw entries appended across instances.
   std::uint64_t total_entries_appended() const {
     std::uint64_t n = 0;
     for (const auto& m : instances_) n += m.stats().entries_appended;
-    return n;
-  }
-
-  /// Sum of per-level entry bounds across instances.
-  std::size_t total_entries_bound() const {
-    std::size_t n = 0;
-    for (const auto& m : instances_) n += m.total_entries_bound();
-    return n;
-  }
-
-  std::size_t memory_bytes() const {
-    std::size_t n = 0;
-    for (const auto& m : instances_) n += m.memory_bytes();
     return n;
   }
 

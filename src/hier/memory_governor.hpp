@@ -9,13 +9,13 @@
 // ad-hoc frees — the same discipline as a database page cache evicting
 // under a configurable memory budget.
 //
-// MemoryGovernor wraps a snapshot source (HierMatrix, ShardedHier,
-// ParallelStream — anything with freeze()) and hands out
-// GovernedSnapshot *handles* instead of raw snapshots. Its own freeze()
-// is the same verb, so generic readers layer on it unchanged. At each
-// freeze() it records the block identities of the image it just froze
-// (the newest image); every outstanding handle's blocks are classified,
-// identity-deduped, against that record:
+// MemoryGovernor wraps a snapshot source (HierMatrix, ParallelStream —
+// anything with freeze()) and hands out GovernedSnapshot *handles*
+// instead of raw snapshots. Its own freeze() is the same verb, so
+// generic readers layer on it unchanged. At each freeze() it records
+// the block identities of the image it just froze (the newest image);
+// every outstanding handle's blocks are classified, identity-deduped,
+// against that record:
 //
 //   live    — shared with the newest image: holding the snapshot costs
 //             nothing extra.
@@ -36,7 +36,7 @@
 // When pinned bytes exceed the budget, the governor *materializes and
 // releases*, laggiest reader first: the snapshot's levels are folded
 // into one privately-owned compact gbx::Matrix (HierSnapshot::compacted,
-// or SnapshotSet::compacted's whole-set collapse for lane and shard
+// or SnapshotSet::compacted's whole-set collapse for multi-part
 // sources) and the shared-block pins are dropped — so the writer's
 // spare-block recycling goes back to zero allocations, and the freed
 // generations return their heap. Reads through the handle stay
@@ -48,8 +48,7 @@
 // stays compact until its last handle drops.
 //
 // Threading: freeze() is as thread-safe as the source's freeze()
-// (ShardedHier/ParallelStream: any thread; HierMatrix: the owning
-// thread); enforce() and memory() touch only governor state and are
+// (ParallelStream: any thread; HierMatrix: the owning thread); enforce() and memory() touch only governor state and are
 // safe from any thread. Handles are safe to read from any thread,
 // including while the governor evicts them mid-query — a read pins a
 // copy of the current image first and operates on that. Handles may

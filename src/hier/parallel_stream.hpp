@@ -2,11 +2,10 @@
 //
 // The paper's scaling result (Fig. 2) comes from running P independent
 // hierarchical hypersparse matrices and summing their per-instance update
-// rates. InstanceArray::update_parallel covers the lock-step case where
-// every instance's batch is ready at once; ParallelStream generalizes it
-// to a continuously-fed engine: one worker thread per instance, each with
-// a bounded batch queue, so producers (parsers, collectors, generators)
-// and inserters overlap and back-pressure propagates to the feed when a
+// rates. ParallelStream is that shape as a continuously-fed engine over
+// an InstanceArray: one worker thread per instance, each with a bounded
+// batch queue, so producers (parsers, collectors, generators) and
+// inserters overlap and back-pressure propagates to the feed when a
 // lane falls behind — the shape of a real network-telemetry ingest node.
 //
 // Two entry points:
@@ -288,7 +287,6 @@ class ParallelStream {
     std::vector<SnapshotWatermark> marks;
     parts.reserve(lanes_.size());
     marks.reserve(lanes_.size());
-    std::uint64_t epoch = 0;
     for (std::size_t p = 0; p < lanes_.size(); ++p) {
       Lane& lane = *lanes_[p];
       gbx::ScopedLock lk(lane.m);
@@ -319,10 +317,8 @@ class ParallelStream {
         marks.push_back(SnapshotWatermark{
             parts.back().epoch(), parts.back().stats().entries_appended});
       }
-      epoch += marks.back().batches;
     }
-    return SnapshotSet<T, AddMonoid>(std::move(parts), std::move(marks),
-                                     epoch);
+    return SnapshotSet<T, AddMonoid>(std::move(parts), std::move(marks));
   }
 
   /// Paper-shape run through the lanes: one producer thread per lane

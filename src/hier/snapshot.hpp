@@ -14,9 +14,8 @@
 //   * HierMatrix::freeze()     — single matrix, caller's thread.
 //   * ParallelStream::freeze() — per-lane freeze at each lane's next
 //     batch boundary, workers never stop (lane watermarks record the
-//     exact submitted-batch prefix each lane contributed).
-//   * ShardedHier::freeze()    — all shards frozen inside one exclusive
-//     section, so the result contains only whole cross-shard batches.
+//     exact submitted-batch prefix each lane contributed). Over an
+//     unstarted stream it freezes the quiescent parts directly.
 // Generic readers (hier::MemoryGovernor, analytics::IncrementalEngine)
 // hold a Source* and call freeze() on it; the governor's own freeze()
 // returns a handle with the same read surface, so they stack.
@@ -478,8 +477,9 @@ struct SnapshotWatermark {
 };
 
 /// A stitched snapshot over several independent hierarchical matrices
-/// (ParallelStream lanes, ShardedHier shards): one HierSnapshot per part
-/// plus the watermark saying which submitted-batch prefix it represents.
+/// (ParallelStream lanes, or row-split InstanceArray parts frozen through
+/// an unstarted stream): one HierSnapshot per part plus the watermark
+/// saying which submitted-batch prefix it represents.
 template <class T, class AddMonoid = gbx::PlusMonoid<T>>
 class SnapshotSet {
  public:
@@ -490,8 +490,8 @@ class SnapshotSet {
   SnapshotSet() = default;
 
   SnapshotSet(std::vector<part_type> parts,
-              std::vector<SnapshotWatermark> marks, std::uint64_t epoch)
-      : parts_(std::move(parts)), marks_(std::move(marks)), epoch_(epoch) {
+              std::vector<SnapshotWatermark> marks)
+      : parts_(std::move(parts)), marks_(std::move(marks)) {
     GBX_CHECK_DIM(parts_.size() == marks_.size(),
                   "snapshot parts/watermarks size mismatch");
   }
@@ -500,11 +500,10 @@ class SnapshotSet {
   const part_type& part(std::size_t p) const { return parts_[p]; }
   const SnapshotWatermark& watermark(std::size_t p) const { return marks_[p]; }
 
-  /// Source-wide epoch: for ShardedHier the number of whole batches the
-  /// snapshot contains; for ParallelStream the sum of lane watermarks.
-  std::uint64_t epoch() const { return epoch_; }
-
-  std::uint64_t total_batches() const {
+  /// Source-wide epoch: the sum of the part watermarks, i.e. every
+  /// update batch any part applied before the freeze. A batch split
+  /// across k parts counts k times.
+  std::uint64_t epoch() const {
     std::uint64_t n = 0;
     for (const auto& m : marks_) n += m.batches;
     return n;
@@ -562,9 +561,9 @@ class SnapshotSet {
   /// epoch. Reads stay bit-identical by construction — to_matrix() IS
   /// the definition of the logical value, and the part-major
   /// extract_element over [compact, empty, ...] reads that block
-  /// verbatim — whether the parts overlap (ParallelStream lanes) or are
-  /// coordinate-disjoint (ShardedHier shards). Watermarks and the set
-  /// epoch survive.
+  /// verbatim — whether the parts overlap (round-robin lanes) or are
+  /// coordinate-disjoint (row-split parts). Watermarks, and with them
+  /// the set epoch, survive.
   SnapshotSet compacted() const {
     if (parts_.empty()) return *this;
     matrix_type m = to_matrix();
@@ -589,7 +588,7 @@ class SnapshotSet {
                                 std::move(lv), parts_[p].cuts(),
                                 parts_[p].stats(), parts_[p].epoch()));
     }
-    return SnapshotSet(std::move(parts), marks_, epoch_);
+    return SnapshotSet(std::move(parts), marks_);
   }
 
   /// Heap bytes held by the whole set, deduplicated by block identity
@@ -609,7 +608,6 @@ class SnapshotSet {
  private:
   std::vector<part_type> parts_;
   std::vector<SnapshotWatermark> marks_;
-  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace hier

@@ -2,12 +2,13 @@
 // central oracle is the tentpole claim itself: batches streamed by
 // concurrent clients through the router into N worker servers must
 // produce epoch-stitched reads IDENTICAL to a single-process
-// hier::ShardedHier with the same part count fed the same batches —
+// hier::InstanceArray with the same part count fed the same batches
+// through update_rows and frozen through an unstarted ParallelStream —
 // same Σ Ai (bit-identical for a deterministic single client, exactly
 // equal for concurrent integer-valued clients), same nvals, same
 // per-coordinate element probes, same stitched traffic summary. On top
-// of that: placement must agree with ShardedHier::shard_of coordinate-
-// for-coordinate, stitched snapshots must never observe a torn client
+// of that: placement must agree with hier::split_rows coordinate-for-
+// coordinate, stitched snapshots must never observe a torn client
 // batch, a dead or hung worker must surface as a loud kReplyError
 // (never a silent partial sum or a hang), a client's flush must be acked
 // while another client streams, and a stale placement hint must be
@@ -87,6 +88,15 @@ struct ClusterHarness {
   cluster::Router router;
 };
 
+/// The single-process oracle: `parts` row-split instances fed `plan`
+/// through update_rows, frozen part-major by an unstarted stream.
+hier::SnapshotSet<double> oracle_freeze(
+    std::size_t parts, const std::vector<Tuples<double>>& plan) {
+  hier::InstanceArray<double> oracle(parts, kDim, kDim, cuts());
+  for (const auto& b : plan) oracle.update_rows(b);
+  return hier::ParallelStream<double>(oracle).freeze();
+}
+
 std::vector<Tuples<double>> integer_batches(std::uint64_t seed,
                                             std::size_t batches,
                                             std::size_t batch_size) {
@@ -100,9 +110,9 @@ std::vector<Tuples<double>> integer_batches(std::uint64_t seed,
   return plan;
 }
 
-// --- placement: the cluster map IS the in-process shard map.
+// --- placement: the cluster map IS the in-process row split.
 
-TEST(ClusterRouter, PartitionAgreesWithShardedHierPlacement) {
+TEST(ClusterRouter, PartitionAgreesWithSplitRows) {
   const std::uint64_t kPinned = 0x9a17ed5eed5ULL;
   const std::uint64_t seed = proptest::seed_or_env(kPinned);
   std::cout << proptest::seed_banner(seed, kPinned) << "\n";
@@ -112,16 +122,28 @@ TEST(ClusterRouter, PartitionAgreesWithShardedHierPlacement) {
   for (std::size_t parts : {1u, 2u, 3u, 4u, 7u, 16u}) {
     std::vector<cluster::WorkerEndpoint> eps(parts);
     cluster::PartitionMap map(eps);
-    hier::ShardedHier<double> sharded(parts, kDim, kDim, cuts());
-    for (int i = 0; i < 2000; ++i) {
-      const Index r = row(rng);
-      EXPECT_EQ(map.part_of(r), hier::row_partition(r, parts));
+    // Every entry lands in split_rows(...)[map.part_of(row)], and each
+    // part keeps the batch's order (the column is the batch position).
+    std::vector<gbx::Entry<double>> batch;
+    for (Index k = 0; k < 2000; ++k) batch.push_back({row(rng), k, 1.0});
+    const auto split = hier::split_rows(batch, parts);
+    ASSERT_EQ(split.size(), parts);
+    std::vector<std::size_t> next(parts, 0);
+    for (const auto& e : batch) {
+      const std::size_t p = map.part_of(e.row);
+      ASSERT_LT(next[p], split[p].size());
+      EXPECT_EQ(split[p][next[p]].row, e.row);
+      EXPECT_EQ(split[p][next[p]].col, e.col);
+      ++next[p];
     }
-    // And against actual shard placement: a single-row batch must land
-    // in the shard the map names (observed via per-part nvals).
+    for (std::size_t p = 0; p < parts; ++p)
+      EXPECT_EQ(next[p], split[p].size()) << "part " << p;
+    // And against actual placement: a single-row update_rows must land
+    // in the instance the map names (observed via per-part nvals).
     const Index r = row(rng) % kDim;
-    sharded.update(r, 0, 1.0);
-    auto snap = sharded.freeze();
+    Tuples<double> one;
+    one.push_back(r, 0, 1.0);
+    auto snap = oracle_freeze(parts, {one});
     for (std::size_t p = 0; p < parts; ++p)
       EXPECT_EQ(snap.part(p).nvals(), p == map.part_of(r) ? 1u : 0u);
   }
@@ -147,11 +169,11 @@ TEST(ClusterRouter, ConcurrentClientsMatchShardedOracleExactly) {
 
   // The oracle sees the same batches; integer values make Σ exact
   // under any interleaving (the repo's standing convention).
-  hier::ShardedHier<double> oracle(workers, kDim, kDim, cuts());
+  std::vector<Tuples<double>> all;
   for (std::size_t c = 0; c < clients; ++c)
-    for (const auto& b : integer_batches(0xBEEF + c, batches, batch_size))
-      oracle.update(b);
-  auto truth = oracle.freeze();
+    for (auto& b : integer_batches(0xBEEF + c, batches, batch_size))
+      all.push_back(std::move(b));
+  auto truth = oracle_freeze(workers, all);
 
   auto cli = h.client();
   net::ReplyProvenance prov;
@@ -216,9 +238,7 @@ TEST(ClusterRouter, SingleClientStitchIsBitIdenticalOnArbitraryDoubles) {
   for (const auto& b : plan) cli.insert(b);
   cli.flush();
 
-  hier::ShardedHier<double> oracle(workers, kDim, kDim, cuts());
-  for (const auto& b : plan) oracle.update(b);
-  auto truth = oracle.freeze();
+  auto truth = oracle_freeze(workers, plan);
 
   const auto snap = cli.freeze();
   EXPECT_EQ(snap.reduce(), truth.reduce());  // bitwise: == on doubles

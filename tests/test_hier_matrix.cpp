@@ -164,25 +164,50 @@ TEST(HierMatrix, UpdateBoundsChecked) {
   EXPECT_THROW(h.update(10, 0, 1.0), gbx::IndexOutOfBounds);
 }
 
-TEST(InstanceArray, IndependentInstances) {
-  hier::InstanceArray<double> arr(4, 100, 100, CutPolicy({10}));
-  std::vector<Tuples<double>> batches(4);
-  for (std::size_t p = 0; p < 4; ++p)
-    for (Index k = 0; k < 5; ++k)
-      batches[p].push_back(k, static_cast<Index>(p), 1.0);
-  arr.update_parallel(batches);
-  EXPECT_EQ(arr.total_entries_appended(), 20u);
-  for (std::size_t p = 0; p < 4; ++p) {
-    auto snap = arr.instance(p).snapshot();
-    EXPECT_EQ(snap.nvals(), 5u);
-    EXPECT_TRUE(snap.extract_element(0, p).has_value());
+// update_rows splits each batch by row: the parts' Σ equals one
+// HierMatrix fed the same batches (integer values keep the sum exact in
+// any fold order), and every part holds only the rows it owns.
+TEST(InstanceArray, UpdateRowsPartsSumToOneMatrix) {
+  constexpr std::size_t kParts = 4;
+  constexpr Index kDim = Index{1} << 12;
+  hier::InstanceArray<double> arr(kParts, kDim, kDim, CutPolicy({64, 512}));
+  HierMatrix<double> single(kDim, kDim, CutPolicy({64, 512}));
+  std::mt19937_64 rng(5);
+  std::uniform_int_distribution<Index> coord(0, kDim - 1);
+  std::uniform_int_distribution<int> val(1, 9);
+  for (int s = 0; s < 10; ++s) {
+    Tuples<double> batch;
+    for (int k = 0; k < 2000; ++k)
+      batch.push_back(coord(rng), coord(rng), static_cast<double>(val(rng)));
+    arr.update_rows(batch);
+    single.update(batch);
   }
+  EXPECT_EQ(arr.total_entries_appended(), single.stats().entries_appended);
+  for (std::size_t p = 0; p < kParts; ++p) {
+    EXPECT_EQ(arr.instance(p).stats().updates, 10u) << "part " << p;
+    arr.instance(p).snapshot().for_each([&](Index i, Index, double) {
+      EXPECT_EQ(hier::row_partition(i, kParts), p);
+    });
+  }
+  auto parts = hier::ParallelStream<double>(arr).freeze();
+  EXPECT_TRUE(gbx::equal(parts.to_matrix(), single.snapshot()));
 }
 
-TEST(InstanceArray, BatchCountMismatchThrows) {
-  hier::InstanceArray<double> arr(2, 10, 10, CutPolicy({5}));
-  std::vector<Tuples<double>> batches(3);
-  EXPECT_THROW(arr.update_parallel(batches), gbx::DimensionMismatch);
+// One instance is the degenerate split: update_rows is a plain update.
+TEST(InstanceArray, UpdateRowsOnOneInstanceIsPlainUpdate) {
+  hier::InstanceArray<double> one(1, 100, 100, CutPolicy({10}));
+  Tuples<double> batch;
+  batch.push_back(3, 4, 1.5);
+  batch.push_back(3, 4, 2.5);
+  one.update_rows(batch);
+  EXPECT_EQ(one.instance(0).stats().updates, 1u);
+  EXPECT_DOUBLE_EQ(one.instance(0).snapshot().extract_element(3, 4).value(),
+                   4.0);
+  Tuples<double> out_of_range;
+  out_of_range.push_back(100, 0, 1.0);
+  EXPECT_THROW(one.update_rows(out_of_range), gbx::IndexOutOfBounds);
+  EXPECT_THROW(hier::InstanceArray<double>(0, 100, 100, CutPolicy({10})),
+               gbx::InvalidValue);
 }
 
 }  // namespace

@@ -33,7 +33,6 @@ using gbx::Tuples;
 using hier::CutPolicy;
 using hier::DemotionConfig;
 using hier::HierMatrix;
-using hier::ShardedHier;
 
 // Visit every stored entry of a materialized matrix as f(i, j, v).
 template <class T, class M, class F>
@@ -292,30 +291,49 @@ TEST(OutOfCore, CollapsePromotesTierBackAndReleasesStore) {
   ASSERT_TRUE(ref.matches(h.freeze()));
 }
 
-TEST(OutOfCore, ShardedHierDemotionMatchesSingleMatrix) {
+// Several row-split parts demote into ONE shared block store (distinct
+// tiers over distinct block ids), each held to an even share of the
+// budget; the stitched image still equals a single matrix.
+TEST(OutOfCore, RowSplitPartsDemotionMatchesSingleMatrix) {
   HHGBX_PROP_SEED(seed, 302);
   const Index dim = 1u << 16;
+  constexpr std::size_t kParts = 8;
   std::mt19937_64 rng(seed);
 
   auto store = store::make_mem_block_store();
-  ShardedHier<std::int64_t> sharded(8, dim, dim, CutPolicy({64, 512}));
-  sharded.enable_demotion(store.get(),
-                          small_segments());
+  hier::InstanceArray<std::int64_t> parts(kParts, dim, dim,
+                                          CutPolicy({64, 512}));
+  for (std::size_t p = 0; p < kParts; ++p)
+    parts.instance(p).enable_demotion(store.get(), small_segments());
+  hier::ParallelStream<std::int64_t> stream(parts);
   HierMatrix<std::int64_t> single(dim, dim, CutPolicy({64, 512}));
 
   for (int s = 0; s < 20; ++s) {
     auto b = proptest::random_batch<std::int64_t>(rng, 8192, 1200);
-    sharded.update(b);
+    parts.update_rows(b);
     single.update(b);
-    if (s % 4 == 3) sharded.enforce_residency(sharded.memory_bytes() / 2);
+    if (s % 4 == 3) {
+      std::size_t budget = 0;
+      for (std::size_t p = 0; p < kParts; ++p)
+        budget += parts.instance(p).memory_bytes();
+      budget /= 2;
+      for (std::size_t p = 0; p < kParts; ++p)
+        parts.instance(p).enforce_residency(budget / kParts);
+    }
   }
-  EXPECT_TRUE(sharded.has_demoted());
-  EXPECT_GT(sharded.store_bytes(), 0u);
-  EXPECT_TRUE(gbx::equal(sharded.freeze().to_matrix(), single.snapshot()));
+  bool demoted = false;
+  std::uint64_t store_bytes = 0;
+  for (std::size_t p = 0; p < kParts; ++p) {
+    demoted = demoted || parts.instance(p).has_demoted();
+    store_bytes += parts.instance(p).store_bytes();
+  }
+  EXPECT_TRUE(demoted);
+  EXPECT_GT(store_bytes, 0u);
+  EXPECT_TRUE(gbx::equal(stream.freeze().to_matrix(), single.snapshot()));
 
   // SnapshotSet point reads continue one flat fold chain across parts
   // and the demoted runs inside each part.
-  auto set = sharded.freeze();
+  auto set = stream.freeze();
   auto m = single.snapshot();
   std::size_t n = 0;
   for_each_entry(m, [&](Index i, Index j, std::int64_t v) {

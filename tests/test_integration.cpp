@@ -113,7 +113,7 @@ TEST(CrossSystem, HarnessInstancesMatchReplays) {
       for (std::size_t skip = 0; skip < s; ++skip) (void)g.batch<double>(w.set_size);
       batches[p] = g.batch<double>(w.set_size);
     }
-    arr.update_parallel(batches);
+    for (std::size_t p = 0; p < P; ++p) arr.instance(p).update(batches[p]);
   }
   for (std::size_t p = 0; p < P; ++p)
     EXPECT_TRUE(gbx::equal(arr.instance(p).snapshot(), replays[p]));

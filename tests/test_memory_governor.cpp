@@ -10,13 +10,14 @@
 //     governed handle stay bit-identical before/after eviction, and
 //     block use counts actually drop (the memory really frees).
 //   * Accounting: the newest frozen image is never evicted, and over
-//     HierMatrix, ShardedHier and a running ParallelStream the held
-//     image splits exactly into live + pinned against the newest image.
+//     HierMatrix, row-split parts read through an unstarted
+//     ParallelStream and a running ParallelStream the held image splits
+//     exactly into live + pinned against the newest image.
 //   * Property (stress label, 3-seed rerun): random update/freeze/
 //     evict interleavings re-queried against the dense-replay oracle
-//     across the four fold monoids, over HierMatrix and over
-//     ShardedHier (whose evictions collapse the whole set; watermarks
-//     and epochs preserved).
+//     across the four fold monoids, over HierMatrix and over row-split
+//     parts (whose evictions collapse the whole set; watermarks and
+//     epochs preserved).
 //   * analytics::IncrementalEngine over a governed source: eviction of
 //     the cached previous snapshot falls back to a counted full
 //     recompute; a generous budget keeps the incremental path intact.
@@ -41,7 +42,6 @@ using hier::CutPolicy;
 using hier::GovernorConfig;
 using hier::HierMatrix;
 using hier::MemoryGovernor;
-using hier::ShardedHier;
 using proptest::DenseRef;
 
 constexpr std::uint64_t kSeedCompact = 0x60C0001;
@@ -121,7 +121,7 @@ TEST(MemoryGovernor, SetCollapseIsBitExactForOverlappingParts) {
   std::vector<gbx::MatrixView<double>> lv1{c.view()};
   hier::HierSnapshot<double> p0(dim, dim, std::move(lv0), {}, {}, 1);
   hier::HierSnapshot<double> p1(dim, dim, std::move(lv1), {}, {}, 1);
-  hier::SnapshotSet<double> set({p0, p1}, {{1, 2}, {1, 1}}, 2);
+  hier::SnapshotSet<double> set({p0, p1}, {{1, 2}, {1, 1}});
 
   auto collapsed = set.compacted();
   ASSERT_EQ(collapsed.size(), set.size());
@@ -201,9 +201,11 @@ TEST(MemoryGovernor, BudgetEvictsLaggingReaderExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// The sources under test, each with how to feed it: HierMatrix and
-// ShardedHier take batches directly; ParallelStream runs its lanes and
-// is drained before each freeze, so every image is deterministic.
+// The sources under test, each with how to feed it: HierMatrix takes
+// batches directly; the sharded source splits them by row over four
+// instances read through an unstarted ParallelStream; StreamSource runs
+// its lanes and is drained before each freeze, so every image is
+// deterministic.
 // ---------------------------------------------------------------------------
 constexpr Index kSourceDim = 1u << 12;
 
@@ -215,9 +217,11 @@ struct HierSource {
 };
 
 struct ShardedSource {
-  using Source = ShardedHier<double>;
-  Source src{4, kSourceDim, kSourceDim, CutPolicy({64, 1024, 16384})};
-  void ingest(const Tuples<double>& b) { src.update(b); }
+  using Source = hier::ParallelStream<double>;
+  hier::InstanceArray<double> parts{4, kSourceDim, kSourceDim,
+                                    CutPolicy({64, 1024, 16384})};
+  Source src{parts};
+  void ingest(const Tuples<double>& b) { parts.update_rows(b); }
   void settle() {}
 };
 
@@ -266,7 +270,7 @@ TEST(MemoryGovernor, NewestImageIsNeverEvicted) {
     expect_newest_image_survives<HierSource>(seed);
   }
   {
-    SCOPED_TRACE("ShardedHier");
+    SCOPED_TRACE("row-split parts");
     expect_newest_image_survives<ShardedSource>(seed);
   }
 }
@@ -320,10 +324,10 @@ TYPED_TEST(GovernorAccounting, LivePlusPinnedIsTheHeldImage) {
 
 // ---------------------------------------------------------------------------
 // Property: evict → re-query equals the dense-replay oracle (4 monoids,
-// HierMatrix and ShardedHier sources).
+// HierMatrix and row-split parts as sources). `feed` applies one batch.
 // ---------------------------------------------------------------------------
-template <class T, class M, class Source>
-void run_evict_requery_oracle(Source& src, std::uint64_t seed) {
+template <class T, class M, class Source, class Feed>
+void run_evict_requery_oracle(Source& src, Feed feed, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   const Index dim = src.nrows();
 
@@ -347,7 +351,7 @@ void run_evict_requery_oracle(Source& src, std::uint64_t seed) {
   std::vector<Held> held;
   for (int step = 0; step < 40; ++step) {
     auto b = proptest::random_batch<T>(rng, dim, 120);
-    src.update(b);
+    feed(b);
     ref.apply(b);
     if (step % 5 == 2) {
       auto handle = gov.freeze();
@@ -382,13 +386,17 @@ void run_evict_requery_oracle(Source& src, std::uint64_t seed) {
 template <class T, class M>
 void run_evict_requery_oracle_hier(std::uint64_t seed) {
   HierMatrix<T, M> h(1u << 11, 1u << 11, CutPolicy({32, 512, 4096}));
-  run_evict_requery_oracle<T, M>(h, seed);
+  run_evict_requery_oracle<T, M>(
+      h, [&](const Tuples<T>& b) { h.update(b); }, seed);
 }
 
 template <class T, class M>
 void run_evict_requery_oracle_sharded(std::uint64_t seed) {
-  ShardedHier<T, M> sh(4, 1u << 11, 1u << 11, CutPolicy({32, 512, 4096}));
-  run_evict_requery_oracle<T, M>(sh, seed);
+  hier::InstanceArray<T, M> parts(4, 1u << 11, 1u << 11,
+                                  CutPolicy({32, 512, 4096}));
+  hier::ParallelStream<T, M> stream(parts);
+  run_evict_requery_oracle<T, M>(
+      stream, [&](const Tuples<T>& b) { parts.update_rows(b); }, seed);
 }
 
 TEST(MemoryGovernorProperty, EvictRequeryOracle_PlusDouble) {

@@ -64,7 +64,6 @@ using hier::CutPolicy;
 using hier::InstanceArray;
 using hier::MemoryGovernor;
 using hier::ParallelStream;
-using hier::ShardedHier;
 
 constexpr int kScale = 16;
 constexpr Index kDim = Index{1} << kScale;
@@ -113,11 +112,12 @@ TEST(NetServer, ConcurrentClientsMatchDirectIngestExactly) {
       work[c].push_back(g.batch<double>(batch_size));
   }
 
-  // Direct in-process oracle: same batches through a ShardedHier.
-  ShardedHier<double> oracle(8, kDim, kDim, CutPolicy::geometric(3, 2048, 8));
+  // Direct in-process oracle: the same batches split by row over eight
+  // instances, frozen through an unstarted stream.
+  InstanceArray<double> oracle(8, kDim, kDim, CutPolicy::geometric(3, 2048, 8));
   for (const auto& cw : work)
-    for (const auto& b : cw) oracle.update(b);
-  auto oracle_snap = oracle.freeze();
+    for (const auto& b : cw) oracle.update_rows(b);
+  auto oracle_snap = ParallelStream<double>(oracle).freeze();
   const double oracle_sum = oracle_snap.reduce();
   const std::size_t oracle_nvals = oracle_snap.nvals();
   ASSERT_EQ(oracle_sum, static_cast<double>(clients * batches * batch_size));

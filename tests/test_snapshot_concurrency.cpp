@@ -9,8 +9,6 @@
 //     image while ingest continues restores to exactly that image.
 //   * Readers racing pump(): a TSan-clean stress of concurrent
 //     snapshot/reduce/summarize against live workers.
-//   * ShardedHier: concurrent writers + freezes observe only whole
-//     batches, and per-writer prefixes (batch atomicity + order).
 //   * MemoryGovernor: evictions racing re-queries stay exact, and the
 //     governor's newest-epoch record never goes back under concurrent
 //     freezes.
@@ -41,7 +39,6 @@ using proptest::DenseRef;
 constexpr std::uint64_t kSeedLinear = 0xC0C0001;
 constexpr std::uint64_t kSeedPump = 0xC0C0002;
 constexpr std::uint64_t kSeedCkpt = 0xC0C0003;
-constexpr std::uint64_t kSeedSharded = 0xC0C0004;
 
 /// Generator adapter replaying a pre-scripted batch sequence through the
 /// member pump() interface (ignores the requested size; batch k of the
@@ -322,69 +319,6 @@ TEST(SnapshotConcurrency, NvalsDuringPumpIsExact) {
 
   const auto final_snap = engine.freeze();
   EXPECT_EQ(final_snap.nvals(), final_snap.to_matrix().nvals());
-}
-
-// ---------------------------------------------------------------------------
-// ShardedHier: concurrent writers, freeze sees only whole batches and a
-// per-writer prefix. Batch k of writer w holds kRowsPerBatch entries in
-// column (w * kMaxBatches + k), rows spread across shards — so a frozen
-// image reveals exactly which batches it contains: each (w, k) column
-// must hold all of its rows or none (atomicity), and for fixed w the
-// set of present k must be a prefix (order).
-// ---------------------------------------------------------------------------
-TEST(SnapshotConcurrency, ShardedFreezeSeesWholeBatchPrefixes) {
-  HHGBX_PROP_SEED(seed, kSeedSharded);
-  constexpr std::size_t kWriters = 3, kMaxBatches = 60, kRowsPerBatch = 24;
-  const Index dim = 1u << 16;
-  hier::ShardedHier<double> sharded(4, dim, dim, CutPolicy({16, 128}));
-
-  std::vector<std::thread> writers;
-  for (std::size_t w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      std::mt19937_64 rng(proptest::mix(seed + w));
-      for (std::size_t k = 0; k < kMaxBatches; ++k) {
-        Tuples<double> batch;
-        const Index col = static_cast<Index>(w * kMaxBatches + k);
-        for (std::size_t r = 0; r < kRowsPerBatch; ++r)
-          batch.push_back(static_cast<Index>(rng() % dim), col, 1.0);
-        sharded.update(batch);
-      }
-    });
-  }
-
-  std::vector<hier::SnapshotSet<double>> snaps;
-  for (int s = 0; s < 12; ++s) snaps.push_back(sharded.freeze());
-  for (auto& t : writers) t.join();
-  snaps.push_back(sharded.freeze());
-
-  for (std::size_t s = 0; s < snaps.size(); ++s) {
-    SCOPED_TRACE(::testing::Message() << "freeze " << s << ", epoch "
-                                      << snaps[s].epoch());
-    auto m = snaps[s].to_matrix();
-    auto per_col = gbx::reduce_cols<gbx::PlusMonoid<double>>(m);
-    std::uint64_t whole_batches = 0;
-    for (std::size_t w = 0; w < kWriters; ++w) {
-      bool ended = false;  // once a batch is absent, all later ones must be
-      for (std::size_t k = 0; k < kMaxBatches; ++k) {
-        const Index col = static_cast<Index>(w * kMaxBatches + k);
-        const double count = per_col.get(col).value_or(0.0);
-        if (count == static_cast<double>(kRowsPerBatch)) {
-          EXPECT_FALSE(ended) << "writer " << w << " batch " << k
-                              << " present after a gap (not a prefix)";
-          ++whole_batches;
-        } else {
-          EXPECT_DOUBLE_EQ(count, 0.0)
-              << "writer " << w << " batch " << k << " torn: " << count
-              << " of " << kRowsPerBatch << " rows";
-          ended = true;
-        }
-      }
-    }
-    // Epoch == number of whole batches the image contains.
-    EXPECT_EQ(snaps[s].epoch(), whole_batches);
-  }
-  // Final freeze holds everything.
-  EXPECT_EQ(snaps.back().epoch(), kWriters * kMaxBatches);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@
 //   * Incremental-vs-full equivalence: IncrementalEngine's Σ Ai /
 //     summarize / triangles / PageRank against from-scratch recomputes,
 //     in both exact (bit-identical) and warm-start (tolerance) modes.
-//   * SnapshotSet diffs over ShardedHier parts.
+//   * SnapshotSet diffs over row-split InstanceArray parts.
 //   * Snapshot memory accounting: identity-deduped snapshot bytes.
 #include <gtest/gtest.h>
 
@@ -364,17 +364,19 @@ TEST(IncrementalAnalytics, IdleRefreshReusesEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// SnapshotSet diffs (ShardedHier parts) + incremental engine over shards
+// SnapshotSet diffs (row-split InstanceArray parts, frozen through an
+// unstarted ParallelStream) + incremental engine over such parts
 // ---------------------------------------------------------------------------
 
 TEST(DeltaProperties, ShardedSetDiffPatchesExactly) {
   HHGBX_PROP_SEED(seed, kSeedSharded);
   std::mt19937_64 rng(seed);
-  hier::ShardedHier<double> sh(4, 1 << 10, 1 << 10,
-                               CutPolicy::geometric(3, 128, 8));
+  hier::InstanceArray<double> parts(4, 1 << 10, 1 << 10,
+                                    CutPolicy::geometric(3, 128, 8));
+  hier::ParallelStream<double> sh(parts);
   std::vector<hier::SnapshotSet<double>> snaps;
   for (int k = 0; k < 30; ++k) {
-    sh.update(proptest::random_batch<double>(rng, 300, 120));
+    parts.update_rows(proptest::random_batch<double>(rng, 300, 120));
     if (k % 6 == 0 || k == 29) snaps.push_back(sh.freeze());
   }
   for (std::size_t i = 0; i + 1 < snaps.size(); ++i) {
@@ -383,7 +385,7 @@ TEST(DeltaProperties, ShardedSetDiffPatchesExactly) {
     auto patched = apply_patch(snaps[i].to_matrix(), d);
     EXPECT_TRUE(gbx::equal(patched, snaps[i + 1].to_matrix()));
   }
-  // Quiescent back-to-back freezes reuse every shard's blocks.
+  // Quiescent back-to-back freezes reuse every part's blocks.
   auto a = sh.freeze();
   auto b = sh.freeze();
   auto d = hier::snapshot_diff(a, b);
@@ -393,16 +395,18 @@ TEST(DeltaProperties, ShardedSetDiffPatchesExactly) {
 
 TEST(IncrementalAnalytics, WorksOverShardedSource) {
   std::mt19937_64 rng(23);
-  hier::ShardedHier<double> sh(3, 1 << 10, 1 << 10,
-                               CutPolicy::geometric(3, 128, 8));
+  hier::InstanceArray<double> parts(3, 1 << 10, 1 << 10,
+                                    CutPolicy::geometric(3, 128, 8));
+  hier::ParallelStream<double> sh(parts);
   analytics::IncrementalOptions opt;
   opt.pagerank_warm_start = false;  // assert the bit-identical mode
   opt.pagerank.tol = 1e-12;
-  analytics::IncrementalEngine<hier::ShardedHier<double>> eng(sh, opt);
-  for (int k = 0; k < 15; ++k) sh.update(proptest::random_batch<double>(rng, 200, 150));
+  analytics::IncrementalEngine<hier::ParallelStream<double>> eng(sh, opt);
+  for (int k = 0; k < 15; ++k)
+    parts.update_rows(proptest::random_batch<double>(rng, 200, 150));
   eng.refresh();
   for (int w = 0; w < 3; ++w) {
-    sh.update(proptest::random_batch<double>(rng, 200, 20));
+    parts.update_rows(proptest::random_batch<double>(rng, 200, 20));
     eng.refresh();
     auto full = eng.snapshot().to_matrix();
     EXPECT_TRUE(gbx::equal(eng.sum(), full));

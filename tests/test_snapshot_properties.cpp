@@ -6,6 +6,7 @@
 // (immutability is the property that makes query-while-ingest sound).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -200,20 +201,30 @@ TEST(SnapshotProperties, EngineTracksEpochs) {
   }
 }
 
-// Single-threaded ShardedHier freeze: with no concurrency, every freeze
-// must contain exactly the submitted batches (the prefix is "all of
-// them") and the stitched epoch equals the batch count.
+// Row-split parts frozen through an unstarted ParallelStream: with no
+// concurrency, every freeze must contain exactly the submitted batches
+// (the prefix is "all of them"), and the stitched epoch counts one
+// update per part each batch touched.
 TEST(SnapshotProperties, ShardedFreezeIsExactWhenQuiesced) {
   HHGBX_PROP_SEED(seed, kSeedSharded);
   std::mt19937_64 rng(seed);
-  hier::ShardedHier<double> sharded(4, 1u << 20, 1u << 20, CutPolicy({16, 256}));
+  constexpr std::size_t kParts = 4;
+  hier::InstanceArray<double> parts(kParts, 1u << 20, 1u << 20,
+                                    CutPolicy({16, 256}));
+  hier::ParallelStream<double> stream(parts);
   DenseRef<double> ref;
+  std::uint64_t part_updates = 0;
   for (int k = 0; k < 30; ++k) {
     auto b = proptest::random_batch<double>(rng, 1u << 20, 25);
-    sharded.update(b);
+    parts.update_rows(b);
     ref.apply(b);
-    auto snap = sharded.freeze();
-    EXPECT_EQ(snap.epoch(), static_cast<std::uint64_t>(k + 1));
+    std::vector<bool> touched(kParts, false);
+    for (const auto& e : b) touched[hier::row_partition(e.row, kParts)] = true;
+    part_updates += static_cast<std::uint64_t>(
+        std::count(touched.begin(), touched.end(), true));
+    auto snap = stream.freeze();
+    EXPECT_EQ(snap.epoch(), part_updates);
+    EXPECT_EQ(snap.total_entries(), static_cast<std::uint64_t>(k + 1) * 25);
     EXPECT_TRUE(ref.matches(snap.to_matrix()));
     EXPECT_EQ(snap.reduce(), ref.reduce());
   }
