@@ -51,6 +51,12 @@ Checks:
      reads it through the stream's freeze(), so neither a second
      thread-safe multi-part type nor the shared-lock layer it needed can
      grow back.
+ 10. One output sizing: in gbx/ewise.hpp and gbx/fold.hpp no code calls
+     `.reserve(` or `.resize(` on a Dcsr output's `mutable_*()` array,
+     directly or through a reference bound to one. Every kernel sizes
+     its output with Dcsr::prepare() (recycled capacity reused, 1.5x
+     regrowth, no zero-fill), so an exact-fit reserve or a zero-filling
+     resize cannot creep back onto a fold.
 """
 
 import re
@@ -112,6 +118,12 @@ SECOND_VERB_RE = re.compile(r"(?<![.>:\w])(snapshot|acquire)\s*\(")
 RETIRED_MULTIPART_NAMES_RE = re.compile(
     r"\b(ShardedHier|SharedMutex|ScopedReadLock|ScopedWriteLock|"
     r"update_parallel)\b")
+
+# One output sizing (check 10): the kernels' files, a direct call on a
+# mutable_*() array, and a reference bound to one.
+SIZING_KERNELS = ("src/gbx/ewise.hpp", "src/gbx/fold.hpp")
+DIRECT_SIZING_RE = re.compile(r"\bmutable_\w+\(\)\s*\.\s*(reserve|resize)\(")
+OUTPUT_ALIAS_RE = re.compile(r"&\s*(\w+)\s*=\s*[\w.>-]*\bmutable_\w+\(\)")
 
 # `new` as an expression: preceded by start/space/punct, followed by a
 # type. Excludes placement-new forms used by containers (none in-repo)
@@ -313,6 +325,25 @@ def check_one_multipart_source(path: Path, text: str, errors: list) -> None:
                 f"row with InstanceArray::update_rows); the name is retired")
 
 
+def check_one_output_sizing(path: Path, code: str, errors: list) -> None:
+    rel = str(path.relative_to(REPO))
+    if rel not in SIZING_KERNELS:
+        return
+    aliases = set(OUTPUT_ALIAS_RE.findall(code))
+    alias_re = (re.compile(r"\b(" + "|".join(sorted(aliases)) +
+                           r")\s*\.\s*(reserve|resize)\(")
+                if aliases else None)
+    for ln, line in enumerate(code.splitlines(), 1):
+        m = DIRECT_SIZING_RE.search(line) or (alias_re and
+                                              alias_re.search(line))
+        if m:
+            errors.append(
+                f"{rel}:{ln}: sizes a Dcsr output array with "
+                f".{m.group(m.lastindex)}() — size kernel output with "
+                f"Dcsr::prepare() (reuses capacity, 1.5x regrowth, no "
+                f"zero-fill)")
+
+
 def main() -> int:
     errors: list = []
     for path in sorted(SRC.rglob("*")):
@@ -329,6 +360,7 @@ def main() -> int:
         check_governor_source_free(path, text, code, errors)
         check_one_acquisition_verb(path, text, code, errors)
         check_one_multipart_source(path, text, errors)
+        check_one_output_sizing(path, code, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:

@@ -6,12 +6,22 @@
 // which is what makes a 2^64 x 2^64 IPv6 traffic matrix practical. This
 // is the same structural idea as SuiteSparse:GraphBLAS's hypersparse
 // format (Davis, ACM TOMS 2019).
+//
+// The four arrays use a default-initialising allocator, and every kernel
+// that writes a block sizes it through Dcsr::prepare(): recycled
+// capacity is reused, a short array grows by 1.5x, and new slots are
+// left unwritten, so a block's pages are first touched by the kernel's
+// own fill rather than by a zero-fill it would overwrite.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <optional>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "gbx/coo.hpp"
@@ -19,6 +29,30 @@
 #include "gbx/types.hpp"
 
 namespace gbx {
+
+/// std::allocator whose value-less construct() default-initialises: for
+/// the trivially constructible index and value types, resize() then
+/// leaves the new slots unwritten instead of zero-filling them.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using value_type = T;
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
+/// One of a Dcsr's four arrays.
+template <class T>
+using BlockVec = std::vector<T, DefaultInitAllocator<T>>;
 
 template <class T>
 class Dcsr {
@@ -33,26 +67,24 @@ class Dcsr {
   /// instead; this remains the one-shot constructor and the legacy fold
   /// path's delta assembly.)
   static Dcsr from_sorted_unique(std::span<const Entry<T>> entries) {
-    Dcsr d;
-    d.ptr_.clear();
-    // One pre-scan for the exact row count: all four arrays land at
-    // final capacity in a single allocation each, no push_back regrowth.
+    // One pre-scan for the exact row count, so a fresh block is sized
+    // exactly.
     std::size_t nrows = 0;
     for (std::size_t i = 0; i < entries.size(); ++i)
       if (i == 0 || entries[i].row != entries[i - 1].row) ++nrows;
-    d.rows_.reserve(nrows);
-    d.ptr_.reserve(nrows + 1);
-    d.cols_.reserve(entries.size());
-    d.vals_.reserve(entries.size());
-    for (const auto& e : entries) {
-      if (d.rows_.empty() || d.rows_.back() != e.row) {
-        d.rows_.push_back(e.row);
-        d.ptr_.push_back(d.cols_.size());
+    Dcsr d;
+    d.prepare(nrows, entries.size());
+    std::size_t k = 0;
+    for (std::size_t p = 0; p < entries.size(); ++p) {
+      const auto& e = entries[p];
+      if (k == 0 || d.rows_[k - 1] != e.row) {
+        d.rows_[k] = e.row;
+        d.ptr_[k++] = p;
       }
-      d.cols_.push_back(e.col);
-      d.vals_.push_back(e.val);
+      d.cols_[p] = e.col;
+      d.vals_[p] = e.val;
     }
-    d.ptr_.push_back(d.cols_.size());  // ptr_ == {0} for empty input
+    d.ptr_[k] = entries.size();  // ptr_ == {0} for empty input
     return d;
   }
 
@@ -70,11 +102,35 @@ class Dcsr {
 
   /// Release all heap memory.
   void reset() {
-    std::vector<Index>().swap(rows_);
-    std::vector<Offset> p(1, 0);
+    BlockVec<Index>().swap(rows_);
+    BlockVec<Offset> p(1, 0);
     ptr_.swap(p);
-    std::vector<Index>().swap(cols_);
-    std::vector<T>().swap(vals_);
+    BlockVec<Index>().swap(cols_);
+    BlockVec<T>().swap(vals_);
+  }
+
+  /// The one output-sizing step of every kernel that writes a block:
+  /// size it to `nrows` non-empty rows and `nnz` entries, to be filled
+  /// by index (a kernel that sized an upper bound then calls trim()).
+  /// Recycled capacity is reused when it fits. An array that is short
+  /// is released and regrown to max(need, 1.5 x its capacity), so a
+  /// level that keeps growing reallocates O(log growth) times, not once
+  /// per fold. New slots are not initialised and the old contents are
+  /// unspecified: the kernel's own fill is the first touch.
+  void prepare(std::size_t nrows, std::size_t nnz) {
+    fit(rows_, nrows);
+    fit(ptr_, nrows + 1);
+    fit(cols_, nnz);
+    fit(vals_, nnz);
+  }
+
+  /// Cut a prepare()d block down to the `nrows` rows and `nnz` entries
+  /// the kernel wrote (at most what prepare() sized; never reallocates).
+  void trim(std::size_t nrows, std::size_t nnz) {
+    rows_.resize(nrows);
+    ptr_.resize(nrows + 1);
+    cols_.resize(nnz);
+    vals_.resize(nnz);
   }
 
   /// Value lookup; nullopt when the coordinate holds no entry.
@@ -122,6 +178,9 @@ class Dcsr {
     return true;
   }
 
+  /// Heap bytes the block holds: capacity, not size. After a prepare()
+  /// growth step that includes up to the 1.5x headroom, which is address
+  /// space that typically is not resident until a later fill touches it.
   std::size_t memory_bytes() const {
     return rows_.capacity() * sizeof(Index) + ptr_.capacity() * sizeof(Offset) +
            cols_.capacity() * sizeof(Index) + vals_.capacity() * sizeof(T);
@@ -134,10 +193,10 @@ class Dcsr {
   std::span<const T> vals() const { return vals_; }
 
   /// Direct (mutating) access for kernel output assembly.
-  std::vector<Index>& mutable_rows() { return rows_; }
-  std::vector<Offset>& mutable_ptr() { return ptr_; }
-  std::vector<Index>& mutable_cols() { return cols_; }
-  std::vector<T>& mutable_vals() { return vals_; }
+  BlockVec<Index>& mutable_rows() { return rows_; }
+  BlockVec<Offset>& mutable_ptr() { return ptr_; }
+  BlockVec<Index>& mutable_cols() { return cols_; }
+  BlockVec<T>& mutable_vals() { return vals_; }
 
   friend bool operator==(const Dcsr& a, const Dcsr& b) {
     return a.rows_ == b.rows_ && a.ptr_ == b.ptr_ && a.cols_ == b.cols_ &&
@@ -145,10 +204,20 @@ class Dcsr {
   }
 
  private:
-  std::vector<Index> rows_;   // non-empty row ids, strictly increasing
-  std::vector<Offset> ptr_;   // size rows_.size()+1, offsets into cols_/vals_
-  std::vector<Index> cols_;   // column ids, strictly increasing per row
-  std::vector<T> vals_;
+  template <class V>
+  static void fit(V& v, std::size_t n) {
+    if (v.capacity() < n) {
+      const std::size_t grown = v.capacity() + v.capacity() / 2;
+      V().swap(v);  // the old contents are dead: free before regrowing
+      v.reserve(std::max(n, grown));
+    }
+    v.resize(n);
+  }
+
+  BlockVec<Index> rows_;   // non-empty row ids, strictly increasing
+  BlockVec<Offset> ptr_;   // size rows_.size()+1, offsets into cols_/vals_
+  BlockVec<Index> cols_;   // column ids, strictly increasing per row
+  BlockVec<T> vals_;
 };
 
 }  // namespace gbx

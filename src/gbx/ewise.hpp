@@ -7,10 +7,11 @@
 // (parallel), so the output DCSR is assembled without locks or
 // reallocation. ewise_add_into is the arena variant the fold pipeline
 // uses: row-merge scratch comes from a ScratchPool and the output lands
-// in a caller-recycled Dcsr, so steady-state cascade folds touch the
-// heap only when capacities grow.
+// in a caller-recycled Dcsr sized by Dcsr::prepare(), so cascade folds
+// touch the heap only when a growing level outgrows its capacity.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -105,17 +106,20 @@ inline void merge_row_lists(std::span<const Index> ra, std::span<const Index> rb
   }
 }
 
-/// Count the union size of two sorted column segments.
-inline std::size_t union_count(std::span<const Index> ca,
-                               std::span<const Index> cb) {
-  std::size_t i = 0, j = 0, n = 0;
-  while (i < ca.size() && j < cb.size()) {
-    if (ca[i] < cb[j]) ++i;
-    else if (cb[j] < ca[i]) ++j;
-    else { ++i; ++j; }
-    ++n;
+/// |a ∪ b| of two sorted column segments, as |a| + |b| − |a∩b| from a
+/// branch-free two-pointer walk: the interleaving of two blocks' columns
+/// does not predict. Both the merge's count pass and a snapshot's
+/// nvals() are mostly this walk.
+inline std::size_t union_count(std::span<const Index> a,
+                               std::span<const Index> b) {
+  std::size_t i = 0, j = 0, common = 0;
+  while (i < a.size() && j < b.size()) {
+    const Index x = a[i], y = b[j];
+    common += static_cast<std::size_t>(x == y);
+    i += static_cast<std::size_t>(x <= y);
+    j += static_cast<std::size_t>(y <= x);
   }
-  return n + (ca.size() - i) + (cb.size() - j);
+  return a.size() + b.size() - common;
 }
 
 /// Count the intersection size of two sorted column segments.
@@ -133,12 +137,13 @@ inline std::size_t intersect_count(std::span<const Index> ca,
 }  // namespace detail
 
 /// C = A ⊕ B (set union; both-present entries combined with Op), built
-/// into a caller-recycled output block: C's vectors are resized, never
-/// reallocated once their capacity has plateaued, and the row-merge
-/// scratch leases from `pool`. This is the cascade-fold merge — called
-/// every time a level folds into the next — so it must not allocate at
-/// steady state. Preconditions: A and B non-empty, C aliases neither.
-/// Op must be commutative when used from order-agnostic callers.
+/// into a caller-recycled output block: C is sized once by
+/// Dcsr::prepare() (capacity reused, no zero-fill; pass 2 is the first
+/// touch) and the row-merge scratch leases from `pool`. This is the
+/// cascade-fold merge — called every time a level folds into the next —
+/// so it must not allocate at steady state. Preconditions: A and B
+/// non-empty, C aliases neither. Op must be commutative when used from
+/// order-agnostic callers.
 template <class Op, class T>
 void ewise_add_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& C,
                     ScratchPool& pool) {
@@ -146,13 +151,12 @@ void ewise_add_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& C,
   auto rows = pool.acquire<Index>(maxr);
   auto ia = pool.acquire<std::size_t>(maxr);
   auto ib = pool.acquire<std::size_t>(maxr);
+  auto off = pool.acquire<Offset>(maxr + 1);
   const std::size_t nr = detail::merge_row_lists_into(
       A.rows(), B.rows(), rows.data(), ia.data(), ib.data());
 
-  // Pass 1: exact per-row output counts.
-  auto& cp = C.mutable_ptr();
-  cp.resize(nr + 1);
-  cp[0] = 0;
+  // Pass 1: exact per-row output counts, then their prefix sum.
+  off[0] = 0;
   GBX_OMP_CAPTURE_HANDOFF;
 #pragma omp parallel
   {
@@ -170,14 +174,14 @@ void ewise_add_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& C,
             A.cols().subspan(A.ptr()[a], A.ptr()[a + 1] - A.ptr()[a]),
             B.cols().subspan(B.ptr()[b], B.ptr()[b + 1] - B.ptr()[b]));
       }
-      cp[k + 1] = cnt;
+      off[k + 1] = cnt;
     }
   }
-  for (std::size_t k = 0; k < nr; ++k) cp[k + 1] += cp[k];
+  for (std::size_t k = 0; k < nr; ++k) off[k + 1] += off[k];
 
-  C.mutable_rows().assign(rows.data(), rows.data() + nr);
-  C.mutable_cols().resize(cp[nr]);
-  C.mutable_vals().resize(cp[nr]);
+  C.prepare(nr, off[nr]);
+  std::copy_n(rows.data(), nr, C.mutable_rows().data());
+  std::copy_n(off.data(), nr + 1, C.mutable_ptr().data());
 
   // Pass 2: fill.
   auto& cc = C.mutable_cols();
@@ -188,7 +192,7 @@ void ewise_add_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& C,
     gbx::OmpRegionGuard tsan_region;
 #pragma omp for schedule(guided)
     for (std::size_t k = 0; k < nr; ++k) {
-      Offset w = cp[k];
+      Offset w = off[k];
       const std::size_t a = ia[k], b = ib[k];
       if (a == detail::kNoRow) {
         for (Offset p = B.ptr()[b]; p < B.ptr()[b + 1]; ++p, ++w) {
@@ -269,24 +273,26 @@ Dcsr<T> ewise_mult(const Dcsr<T>& A, const Dcsr<T>& B) {
   }
 
   // Compact away empty output rows while building ptr.
-  std::vector<Index> out_rows;
-  std::vector<std::size_t> oia, oib;
-  std::vector<Offset> ptr{0};
+  std::size_t onr = 0;
+  Offset total = 0;
   for (std::size_t k = 0; k < nr; ++k) {
-    if (cnt[k] == 0) continue;
-    out_rows.push_back(rows[k]);
-    oia.push_back(ia[k]);
-    oib.push_back(ib[k]);
-    ptr.push_back(ptr.back() + cnt[k]);
+    onr += static_cast<std::size_t>(cnt[k] != 0);
+    total += cnt[k];
   }
-  const std::size_t onr = out_rows.size();
-
-  C.mutable_rows() = std::move(out_rows);
-  C.mutable_ptr() = std::move(ptr);
-  C.mutable_cols().resize(C.mutable_ptr()[onr]);
-  C.mutable_vals().resize(C.mutable_ptr()[onr]);
-
+  C.prepare(onr, total);
+  auto& cr = C.mutable_rows();
   auto& cp = C.mutable_ptr();
+  std::vector<std::size_t> oia(onr), oib(onr);
+  cp[0] = 0;
+  for (std::size_t k = 0, o = 0; k < nr; ++k) {
+    if (cnt[k] == 0) continue;
+    cr[o] = rows[k];
+    oia[o] = ia[k];
+    oib[o] = ib[k];
+    cp[o + 1] = cp[o] + cnt[k];
+    ++o;
+  }
+
   auto& cc = C.mutable_cols();
   auto& cv = C.mutable_vals();
   GBX_OMP_CAPTURE_HANDOFF;

@@ -8,8 +8,10 @@
 //   pending entries ── radix sort (packed keys, SoA, scratch-backed)
 //                   ── dedup during the final scatter pass
 //                   ── one streaming merge straight into the destination
-//                      level's DCSR (no intermediate Dcsr, exact-capacity
-//                      reserve into a recycled spare block)
+//                      level's DCSR (no intermediate Dcsr; the recycled
+//                      spare block is sized by Dcsr::prepare(), which
+//                      reuses its capacity, grows a short array by 1.5x
+//                      and never zero-fills)
 //
 // `with_fold_run` produces the sorted unique run (zero-copy view over
 // ScratchPool buffers on the packed fast path, over the pending vector
@@ -208,71 +210,67 @@ void with_fold_run(std::vector<Entry<T>>& pending, ScratchPool& pool, F&& f) {
 }
 
 /// Build `out` from a sorted unique run alone (empty-destination fold).
-/// Reuses out's vector capacity; no other allocation.
+/// Reuses out's capacity (Dcsr::prepare); no other allocation. One scan
+/// of the run's rows first sizes the row arrays exactly: a dense-row
+/// run holds far fewer rows than entries.
 template <class T, class Run>
 void build_from_run(const Run& run, Dcsr<T>& out) {
+  const std::size_t n = run.size();
+  std::size_t nrows = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    nrows += static_cast<std::size_t>(i == 0 || run.row(i) != run.row(i - 1));
+  out.prepare(nrows, n);
   auto& rows = out.mutable_rows();
   auto& ptr = out.mutable_ptr();
   auto& cols = out.mutable_cols();
   auto& vals = out.mutable_vals();
-  rows.clear();
-  ptr.clear();
-  cols.clear();
-  vals.clear();
-  const std::size_t n = run.size();
-  cols.reserve(n);
-  vals.reserve(n);
+  std::size_t k = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Index r = run.row(i);
-    if (rows.empty() || rows.back() != r) {
-      rows.push_back(r);
-      ptr.push_back(static_cast<Offset>(cols.size()));
+    if (k == 0 || rows[k - 1] != r) {
+      rows[k] = r;
+      ptr[k++] = static_cast<Offset>(i);
     }
-    cols.push_back(run.col(i));
-    vals.push_back(run.val(i));
+    cols[i] = run.col(i);
+    vals[i] = run.val(i);
   }
-  ptr.push_back(static_cast<Offset>(cols.size()));
+  ptr[k] = static_cast<Offset>(n);
 }
 
-/// C = A ⊕ B in ONE serial streaming pass (exact-capacity reserve, no
-/// counting pass, no zero-fill): the serial complement of
-/// ewise_add_into's parallel counts-then-fill. With one thread the
-/// counting pass would just double the reads of both blocks, so the
-/// fold pipeline picks this variant whenever the parallel fill cannot
-/// actually run in parallel (or the blocks are small). `out` must not
-/// alias A or B; A and B non-empty.
+/// C = A ⊕ B in ONE serial streaming pass (sized to the upper bound
+/// |A| + |B| by Dcsr::prepare, no counting pass, no zero-fill): the
+/// serial complement of ewise_add_into's parallel counts-then-fill.
+/// With one thread the counting pass would just double the reads of
+/// both blocks, so the fold pipeline picks this variant whenever the
+/// parallel fill cannot actually run in parallel (or the blocks are
+/// small). `out` must not alias A or B; A and B non-empty.
 template <class Op, class T>
 void merge_blocks_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& out) {
-  auto& orows = out.mutable_rows();
-  auto& optr = out.mutable_ptr();
-  auto& ocols = out.mutable_cols();
-  auto& ovals = out.mutable_vals();
-  orows.clear();
-  optr.clear();
-  ocols.clear();
-  ovals.clear();
-
   const auto ar = A.rows(), ac = A.cols();
   const auto br = B.rows(), bc = B.cols();
   const auto ap = A.ptr(), bp = B.ptr();
   const auto av = A.vals(), bv = B.vals();
   const std::size_t nra = ar.size(), nrb = br.size();
-  orows.reserve(nra + nrb);
-  optr.reserve(nra + nrb + 1);
-  ocols.reserve(ac.size() + bc.size());
-  ovals.reserve(ac.size() + bc.size());
+  out.prepare(nra + nrb, ac.size() + bc.size());
+  auto& orows = out.mutable_rows();
+  auto& optr = out.mutable_ptr();
+  auto& ocols = out.mutable_cols();
+  auto& ovals = out.mutable_vals();
+  std::size_t k = 0;
+  Offset w = 0;
 
   auto open_row = [&](Index row) {
-    orows.push_back(row);
-    optr.push_back(static_cast<Offset>(ocols.size()));
+    orows[k] = row;
+    optr[k++] = w;
+  };
+  auto emit = [&](Index col, const T& val) {
+    ocols[w] = col;
+    ovals[w++] = val;
   };
   auto copy_row = [&](Index row, std::span<const Index> cols,
                       std::span<const T> vals, Offset lo, Offset hi) {
     open_row(row);
-    for (Offset p = lo; p < hi; ++p) {
-      ocols.push_back(cols[p]);
-      ovals.push_back(vals[p]);
-    }
+    for (Offset p = lo; p < hi; ++p) emit(cols[p], vals[p]);
   };
 
   std::size_t ka = 0, kb = 0;
@@ -290,31 +288,23 @@ void merge_blocks_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& out) {
       while (pa < ea && pb < eb) {
         const Index caI = ac[pa], cbI = bc[pb];
         if (caI < cbI) {
-          ocols.push_back(caI);
-          ovals.push_back(av[pa++]);
+          emit(caI, av[pa++]);
         } else if (cbI < caI) {
-          ocols.push_back(cbI);
-          ovals.push_back(bv[pb++]);
+          emit(cbI, bv[pb++]);
         } else {
-          ocols.push_back(caI);
-          ovals.push_back(Op::apply(av[pa++], bv[pb++]));
+          emit(caI, Op::apply(av[pa++], bv[pb++]));
         }
       }
-      for (; pa < ea; ++pa) {
-        ocols.push_back(ac[pa]);
-        ovals.push_back(av[pa]);
-      }
-      for (; pb < eb; ++pb) {
-        ocols.push_back(bc[pb]);
-        ovals.push_back(bv[pb]);
-      }
+      for (; pa < ea; ++pa) emit(ac[pa], av[pa]);
+      for (; pb < eb; ++pb) emit(bc[pb], bv[pb]);
       ++ka;
       ++kb;
     }
   }
   for (; ka < nra; ++ka) copy_row(ar[ka], ac, av, ap[ka], ap[ka + 1]);
   for (; kb < nrb; ++kb) copy_row(br[kb], bc, bv, bp[kb], bp[kb + 1]);
-  optr.push_back(static_cast<Offset>(ocols.size()));
+  optr[k] = w;
+  out.trim(k, w);
 }
 
 namespace detail {
@@ -324,43 +314,44 @@ inline constexpr std::size_t kParallelMergeCutoff = std::size_t{1} << 20;
 }  // namespace detail
 
 /// C = A ⊕ run in ONE streaming pass: walk A's rows and the run
-/// simultaneously, emitting merged rows straight into `out` (capacity
-/// reserved to the exact upper bound up front, so no reallocation and no
-/// counting pass). Values present on both sides combine as
-/// Op::apply(A value, run value) — the same order as ewise_add(A, delta).
-/// `out` must not alias A.
+/// simultaneously, emitting merged rows straight into `out` (sized to
+/// the upper bound |A| + |run| by Dcsr::prepare up front, so no
+/// reallocation mid-merge and no counting pass). Values present on both
+/// sides combine as Op::apply(A value, run value) — the same order as
+/// ewise_add(A, delta). `out` must not alias A.
 template <class Op, class T, class Run>
 void merge_run_into(const Dcsr<T>& A, const Run& run, Dcsr<T>& out) {
-  auto& orows = out.mutable_rows();
-  auto& optr = out.mutable_ptr();
-  auto& ocols = out.mutable_cols();
-  auto& ovals = out.mutable_vals();
-  orows.clear();
-  optr.clear();
-  ocols.clear();
-  ovals.clear();
-
   const auto ar = A.rows();
   const auto ap = A.ptr();
   const auto ac = A.cols();
   const auto av = A.vals();
   const std::size_t nra = ar.size();
   const std::size_t nr = run.size();
-  orows.reserve(nra + nr);
-  optr.reserve(nra + nr + 1);
-  ocols.reserve(ac.size() + nr);
-  ovals.reserve(ac.size() + nr);
+  out.prepare(nra + nr, ac.size() + nr);
+  auto& orows = out.mutable_rows();
+  auto& optr = out.mutable_ptr();
+  auto& ocols = out.mutable_cols();
+  auto& ovals = out.mutable_vals();
+  std::size_t k = 0;
+  Offset w = 0;
 
   auto open_row = [&](Index row) {
-    orows.push_back(row);
-    optr.push_back(static_cast<Offset>(ocols.size()));
+    orows[k] = row;
+    optr[k++] = w;
   };
-  auto copy_a_row = [&](std::size_t k) {
-    open_row(ar[k]);
-    for (Offset p = ap[k]; p < ap[k + 1]; ++p) {
-      ocols.push_back(ac[p]);
-      ovals.push_back(av[p]);
-    }
+  auto emit = [&](Index col, const T& val) {
+    ocols[w] = col;
+    ovals[w++] = val;
+  };
+  auto copy_a_row = [&](std::size_t ka) {
+    open_row(ar[ka]);
+    for (Offset p = ap[ka]; p < ap[ka + 1]; ++p) emit(ac[p], av[p]);
+  };
+  // Emits the run's entries of row `row` starting at r; returns the
+  // position past them.
+  auto copy_run_row = [&](std::size_t r, Index row) {
+    for (; r < nr && run.row(r) == row; ++r) emit(run.col(r), run.val(r));
+    return r;
   };
 
   std::size_t ka = 0, r = 0;
@@ -371,35 +362,22 @@ void merge_run_into(const Dcsr<T>& A, const Run& run, Dcsr<T>& out) {
       copy_a_row(ka++);
     } else if (rowr < rowa) {
       open_row(rowr);
-      do {
-        ocols.push_back(run.col(r));
-        ovals.push_back(run.val(r));
-        ++r;
-      } while (r < nr && run.row(r) == rowr);
+      r = copy_run_row(r, rowr);
     } else {
       open_row(rowa);
       Offset pa = ap[ka], ea = ap[ka + 1];
       while (pa < ea && r < nr && run.row(r) == rowa) {
         const Index caI = ac[pa], crI = run.col(r);
         if (caI < crI) {
-          ocols.push_back(caI);
-          ovals.push_back(av[pa++]);
+          emit(caI, av[pa++]);
         } else if (crI < caI) {
-          ocols.push_back(crI);
-          ovals.push_back(run.val(r++));
+          emit(crI, run.val(r++));
         } else {
-          ocols.push_back(caI);
-          ovals.push_back(Op::apply(av[pa++], run.val(r++)));
+          emit(caI, Op::apply(av[pa++], run.val(r++)));
         }
       }
-      for (; pa < ea; ++pa) {
-        ocols.push_back(ac[pa]);
-        ovals.push_back(av[pa]);
-      }
-      for (; r < nr && run.row(r) == rowa; ++r) {
-        ocols.push_back(run.col(r));
-        ovals.push_back(run.val(r));
-      }
+      for (; pa < ea; ++pa) emit(ac[pa], av[pa]);
+      r = copy_run_row(r, rowa);
       ++ka;
     }
   }
@@ -407,13 +385,10 @@ void merge_run_into(const Dcsr<T>& A, const Run& run, Dcsr<T>& out) {
   while (r < nr) {
     const Index rowr = run.row(r);
     open_row(rowr);
-    do {
-      ocols.push_back(run.col(r));
-      ovals.push_back(run.val(r));
-      ++r;
-    } while (r < nr && run.row(r) == rowr);
+    r = copy_run_row(r, rowr);
   }
-  optr.push_back(static_cast<Offset>(ocols.size()));
+  optr[k] = w;
+  out.trim(k, w);
 }
 
 }  // namespace gbx

@@ -151,7 +151,8 @@ class Matrix {
   /// Copy-on-fold: when anyone else holds the block (a published view),
   /// the merged result lands in a *new* block, so views published before
   /// the fold are never disturbed; a sole owner merges into the recycled
-  /// spare block and swaps — zero heap traffic at steady state.
+  /// spare block and swaps — zero heap traffic at steady state, and
+  /// amortized regrowth (Dcsr::prepare) while the matrix grows.
   void materialize() const {
     if (pending_.empty()) return;
     with_fold_run<AddMonoid>(pending_.entries(), ScratchPool::local(),
@@ -202,7 +203,8 @@ class Matrix {
   /// plus_assign(src) which first folds src's pending into src's own
   /// storage. The hierarchical cascade calls this once per level fold,
   /// so at steady state (capacities plateaued, no snapshot pinning the
-  /// blocks) it performs zero heap allocations.
+  /// blocks) it performs zero heap allocations; while this level grows,
+  /// its blocks regrow by 1.5x, O(log growth) times in all.
   void fold_from(Matrix& src) {
     GBX_CHECK_DIM(nrows_ == src.nrows_ && ncols_ == src.ncols_,
                   "fold_from dimension mismatch");
@@ -316,7 +318,10 @@ class Matrix {
 
   /// Install the spare block as the new storage. Sole owner: swap the
   /// vectors, so the old block's capacity becomes the next fold's output
-  /// buffer (this is what makes steady-state folds allocation-free).
+  /// buffer (this is what makes steady-state folds allocation-free; on a
+  /// growing level that buffer is two folds old and short, and
+  /// Dcsr::prepare regrows it by 1.5x, so a fold only occasionally
+  /// reallocates).
   /// Shared (a view pins the old block): move the spare into a fresh
   /// refcounted block — copy-on-fold, the pinned views stay frozen.
   void publish_spare() const {
@@ -373,7 +378,8 @@ class Matrix {
   mutable Tuples<T> pending_;
   // Recycled fold output block: merges build here, then swap with the
   // current block (sole owner) so both capacity pools ping-pong across
-  // folds. Logically empty between folds; holds capacity only.
+  // folds. Logically empty between folds; holds capacity only (counted
+  // by memory_bytes(), growth headroom included).
   mutable Dcsr<T> spare_;
 };
 

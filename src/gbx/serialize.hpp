@@ -54,24 +54,24 @@ void write_vec(std::ostream& os, const std::vector<T>& v) {
              static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
-template <class T>
-std::vector<T> read_vec(std::istream& is) {
+/// Read a length-prefixed array into `v` (replacing its contents).
+template <class V>
+void read_vec_into(std::istream& is, V& v) {
   const auto n = read_pod<std::uint64_t>(is);
   // Grow incrementally so a corrupted length field cannot trigger an
   // enormous up-front allocation: memory stays bounded by the bytes the
   // stream actually delivers.
   constexpr std::uint64_t kChunkElems = (1u << 20);
-  std::vector<T> v;
+  v.clear();
   std::uint64_t done = 0;
   while (done < n) {
     const std::uint64_t take = std::min<std::uint64_t>(kChunkElems, n - done);
     v.resize(static_cast<std::size_t>(done + take));
     is.read(reinterpret_cast<char*>(v.data() + done),
-            static_cast<std::streamsize>(take * sizeof(T)));
+            static_cast<std::streamsize>(take * sizeof(*v.data())));
     GBX_CHECK(is.good(), "serialize: truncated array");
     done += take;
   }
-  return v;
 }
 
 /// Shared writer: header + raw DCSR arrays for a materialized block.
@@ -163,16 +163,11 @@ Matrix<T, M> deserialize(std::istream& is) {
   const Index nrows = detail::read_pod<Index>(is);
   const Index ncols = detail::read_pod<Index>(is);
 
-  auto rows = detail::read_vec<Index>(is);
-  auto ptr = detail::read_vec<Offset>(is);
-  auto cols = detail::read_vec<Index>(is);
-  auto vals = detail::read_vec<T>(is);
-
   Dcsr<T> d;
-  d.mutable_rows() = std::move(rows);
-  d.mutable_ptr() = std::move(ptr);
-  d.mutable_cols() = std::move(cols);
-  d.mutable_vals() = std::move(vals);
+  detail::read_vec_into(is, d.mutable_rows());
+  detail::read_vec_into(is, d.mutable_ptr());
+  detail::read_vec_into(is, d.mutable_cols());
+  detail::read_vec_into(is, d.mutable_vals());
   GBX_CHECK(d.validate(), "deserialize: corrupt DCSR payload");
   return Matrix<T, M>::adopt(nrows, ncols, std::move(d));
 }

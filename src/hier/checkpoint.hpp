@@ -120,7 +120,8 @@ HierMatrix<T, M> restore(std::istream& is) {
             "restore: bad magic (not an hhgbx checkpoint)");
   const auto nrows = gbx::detail::read_pod<gbx::Index>(is);
   const auto ncols = gbx::detail::read_pod<gbx::Index>(is);
-  auto cuts64 = gbx::detail::read_vec<std::uint64_t>(is);
+  std::vector<std::uint64_t> cuts64;
+  gbx::detail::read_vec_into(is, cuts64);
   CutPolicy cuts(std::vector<std::size_t>(cuts64.begin(), cuts64.end()));
 
   HierMatrix<T, M> h(nrows, ncols, std::move(cuts));

@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "gbx/ewise.hpp"
 #include "gbx/matrix.hpp"
 #include "gbx/monoid.hpp"
 #include "gbx/parallel.hpp"
@@ -81,27 +82,9 @@ std::span<const gbx::Index> row_segment(const gbx::Dcsr<T>& b,
   return b.cols().subspan(b.ptr()[k], b.ptr()[k + 1] - b.ptr()[k]);
 }
 
-/// |a ∪ b| of two sorted column segments, as |a| + |b| − |a∩b| from a
-/// branch-free two-pointer walk: the interleaving of two blocks' columns
-/// does not predict, and this count is most of a query's nvals() time.
-/// The cascade's ewise_add_into keeps its branchy gbx::detail::
-/// union_count: swapping this walk in there speeds lane apply enough
-/// that NetServer.BackPressureThrottlesOnlyTheSaturatedLane stops
-/// saturating its lane on a loaded 4-thread host.
-inline std::size_t union_size(std::span<const gbx::Index> a,
-                              std::span<const gbx::Index> b) {
-  std::size_t i = 0, j = 0, common = 0;
-  while (i < a.size() && j < b.size()) {
-    const gbx::Index x = a[i], y = b[j];
-    common += static_cast<std::size_t>(x == y);
-    i += static_cast<std::size_t>(x <= y);
-    j += static_cast<std::size_t>(y <= x);
-  }
-  return a.size() + b.size() - common;
-}
-
 /// Write the sorted union of a and b to out (room for |a| + |b|) with
-/// the same branch-free walk as union_size; returns its size.
+/// the same branch-free walk as gbx::detail::union_count; returns its
+/// size.
 inline std::size_t union_into(std::span<const gbx::Index> a,
                               std::span<const gbx::Index> b,
                               gbx::Index* out) {
@@ -141,7 +124,8 @@ std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
       } else if (rb < ra) {
         n += row_segment(*b, kb++).size();
       } else {
-        n += union_size(row_segment(*a, ka++), row_segment(*b, kb++));
+        n += gbx::detail::union_count(row_segment(*a, ka++),
+                                      row_segment(*b, kb++));
       }
     }
     return n + static_cast<std::size_t>(a->ptr()[ea] - a->ptr()[ka]) +
@@ -170,7 +154,7 @@ std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
     if (na == 1) {
       n += seg(0).size();
     } else if (na == 2) {
-      n += union_size(seg(0), seg(1));
+      n += gbx::detail::union_count(seg(0), seg(1));
     } else {
       // Smallest first: the largest segment is only counted, never copied.
       std::sort(active.begin(), active.end(),
@@ -184,7 +168,7 @@ std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
         tmp.resize(union_into(acc, seg(a), tmp.data()));
         acc.swap(tmp);
       }
-      n += union_size(acc, seg(na - 1));
+      n += gbx::detail::union_count(acc, seg(na - 1));
     }
     for (const std::size_t i : active) ++cs[i].k;
   }

@@ -1,7 +1,9 @@
 // Differential and allocation tests for the fused ingest hot path:
 // radix sort vs comparison oracles, fused fold vs a comparison-sort
-// oracle vs dense replay, parallel-dedup chunk boundaries, and the
-// zero-allocation steady-state guarantee of the scratch arenas.
+// oracle vs dense replay, parallel-dedup chunk boundaries, the fold
+// kernels writing into poisoned recycled blocks, and the allocation
+// profile of cascade folds: none at steady state, amortized (log of the
+// growth) while the bottom level grows.
 //
 // This translation unit replaces the global operator new/delete with
 // counting wrappers (malloc-backed, so sanitizer interception still
@@ -20,9 +22,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <map>
+#include <memory>
 #include <new>
 #include <random>
 #include <vector>
@@ -319,6 +324,155 @@ TEST(FusedFold, AdversarialBatchShapes) {
                              std::move(all), dim)));
 }
 
+// -------------- fold kernels into poisoned recycled blocks ------------
+
+using Block = gbx::Dcsr<double>;
+using PlusD = gbx::Plus<double>;
+
+constexpr Index kPoisonIndex = gbx::kIndexMax - 3;
+constexpr double kPoisonValue = -7.25e300;
+
+/// Sort and fold duplicates. The generators' values are integers, so
+/// Plus is exact in any order and every kernel can be compared bit for
+/// bit.
+std::vector<Entry<double>> sorted_unique(std::vector<Entry<double>> v) {
+  std::sort(v.begin(), v.end(), gbx::entry_less<double>);
+  gbx::dedup_sorted_entries<gbx::PlusMonoid<double>>(v);
+  return v;
+}
+
+/// A block whose four arrays are sized (and filled) to `rows` and `nnz`
+/// slots of sentinels — the stale contents of a recycled spare.
+Block poisoned_block(std::size_t rows, std::size_t nnz) {
+  Block b;
+  b.prepare(rows, nnz);
+  std::fill(b.mutable_rows().begin(), b.mutable_rows().end(), kPoisonIndex);
+  std::fill(b.mutable_ptr().begin(), b.mutable_ptr().end(), kPoisonIndex);
+  std::fill(b.mutable_cols().begin(), b.mutable_cols().end(), kPoisonIndex);
+  std::fill(b.mutable_vals().begin(), b.mutable_vals().end(), kPoisonValue);
+  return b;
+}
+
+/// Reference Σ of sorted unique entry lists, via the one-shot builder.
+Block reference_sum(std::vector<Entry<double>> a,
+                    const std::vector<Entry<double>>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return Block::from_sorted_unique(sorted_unique(std::move(a)));
+}
+
+/// The four kernels that size their output through Dcsr::prepare(),
+/// each with the (rows, nnz) it asks prepare() for.
+struct FoldKernelCase {
+  const char* name;
+  std::function<void(Block&)> run;
+  Block reference;
+  std::size_t need_rows;
+  std::size_t need_nnz;
+};
+
+std::vector<FoldKernelCase> fold_kernel_cases(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const Index span = Index{1} << 12;
+  auto ea = sorted_unique(gen_random(rng, 3000, span - 1));
+  // B and the run reuse some of A's coordinates so both-present entries
+  // combine, and add fresh ones so rows interleave.
+  auto mixed = [&](std::size_t fresh) {
+    auto v = gen_random(rng, fresh, span - 1);
+    for (std::size_t i = 0; i < ea.size(); i += 3)
+      v.push_back({ea[i].row, ea[i].col, 2.0});
+    return sorted_unique(std::move(v));
+  };
+  auto eb = mixed(2000);
+  auto er = mixed(1500);
+  auto A = std::make_shared<Block>(Block::from_sorted_unique(ea));
+  auto B = std::make_shared<Block>(Block::from_sorted_unique(eb));
+  auto R = std::make_shared<std::vector<Entry<double>>>(er);
+  auto run = [R] { return gbx::detail::AosRun<double>{R->data(), R->size()}; };
+
+  std::vector<FoldKernelCase> cases;
+  Block ab = reference_sum(ea, eb);
+  const std::size_t ab_rows = ab.nrows_nonempty(), ab_nnz = ab.nnz();
+  cases.push_back({"ewise_add_into",
+                   [A, B](Block& out) {
+                     gbx::ewise_add_into<PlusD>(*A, *B, out,
+                                                gbx::ScratchPool::local());
+                   },
+                   std::move(ab), ab_rows, ab_nnz});
+  cases.push_back({"merge_blocks_into",
+                   [A, B](Block& out) {
+                     gbx::merge_blocks_into<PlusD>(*A, *B, out);
+                   },
+                   reference_sum(ea, eb),
+                   A->nrows_nonempty() + B->nrows_nonempty(),
+                   A->nnz() + B->nnz()});
+  cases.push_back({"merge_run_into",
+                   [A, run](Block& out) {
+                     gbx::merge_run_into<PlusD>(*A, run(), out);
+                   },
+                   reference_sum(ea, er), A->nrows_nonempty() + er.size(),
+                   A->nnz() + er.size()});
+  Block r = Block::from_sorted_unique(er);
+  const std::size_t r_rows = r.nrows_nonempty();
+  cases.push_back({"build_from_run",
+                   [run](Block& out) { gbx::build_from_run(run(), out); },
+                   std::move(r), r_rows, er.size()});
+  return cases;
+}
+
+TEST(RecycledOutput, PoisonedSpareMatchesFreshOutputForEveryKernel) {
+  HHGBX_PROP_SEED(seed, 28001ull);
+  for (auto& c : fold_kernel_cases(seed)) {
+    SCOPED_TRACE(c.name);
+    Block fresh;
+    c.run(fresh);
+    ASSERT_TRUE(fresh.validate());
+    ASSERT_TRUE(fresh == c.reference);
+
+    // Stale contents longer than the result: still sized (as a block
+    // handed back uncleared) and cleared (as publish_spare leaves it).
+    for (const bool cleared : {false, true}) {
+      SCOPED_TRACE(cleared ? "cleared" : "uncleared");
+      Block spare = poisoned_block(3 * c.need_rows, 3 * c.need_nnz);
+      if (cleared) spare.clear();
+      const Index* cols_before = spare.cols().data();
+      c.run(spare);
+      EXPECT_TRUE(spare.validate());
+      EXPECT_TRUE(spare == c.reference);
+      EXPECT_EQ(spare.cols().data(), cols_before)
+          << "a spare with room to spare was reallocated";
+    }
+  }
+}
+
+TEST(RecycledOutput, ShortSpareGrowsToAtMostHalfAgainTheNeed) {
+  HHGBX_PROP_SEED(seed, 28002ull);
+  for (auto& c : fold_kernel_cases(seed)) {
+    SCOPED_TRACE(c.name);
+    // 0.9 of the need: 1.5x regrowth overshoots it (headroom for the next
+    // fold); 0.1 of the need: regrowth lands on the need itself.
+    for (const std::size_t tenths : {9u, 1u}) {
+      SCOPED_TRACE(tenths);
+      Block spare =
+          poisoned_block(c.need_rows * tenths / 10, c.need_nnz * tenths / 10);
+      c.run(spare);
+      EXPECT_TRUE(spare.validate());
+      EXPECT_TRUE(spare == c.reference);
+      const std::pair<std::size_t, std::size_t> cap_need[] = {
+          {spare.mutable_rows().capacity(), c.need_rows},
+          {spare.mutable_ptr().capacity(), c.need_rows + 1},
+          {spare.mutable_cols().capacity(), c.need_nnz},
+          {spare.mutable_vals().capacity(), c.need_nnz}};
+      for (const auto& [cap, need] : cap_need) {
+        EXPECT_GE(cap, need);
+        EXPECT_LE(cap, need + need / 2);
+        if (tenths == 9) {
+          EXPECT_GT(cap, need) << "regrowth was exact-fit";
+        }
+      }
+    }
+  }
+}
+
 // -------------------- freeze-backed queries ---------------------------
 
 TEST(HierQueries, NvalsMatchesDenseReplayWithoutMaterializing) {
@@ -425,6 +579,49 @@ TEST(ZeroAlloc, SteadyStateCascadeFoldsDoNotTouchTheHeap) {
       << "scratch arenas grew after warmup";
   // The folds above really did run (sanity that the window was hot).
   EXPECT_GT(m.stats().level[0].folds, 60u);
+}
+
+TEST(ZeroAlloc, GrowingBottomLevelAllocatesAmortized) {
+#if defined(__SANITIZE_THREAD__) || GBX_HAS_FEATURE_TSAN
+  GTEST_SKIP() << "in-place block reuse disabled under TSan";
+#endif
+  ThreadsGuard threads(1);
+
+  // Every batch is fresh coordinates, so the bottom level grows with
+  // every fold into it (merge_blocks_into from the middle level).
+  const Index dim = Index{1} << 40;
+  hier::HierMatrix<double> m(dim, dim, hier::CutPolicy::geometric(3, 1024, 8));
+  const std::size_t bottom_in = m.num_levels() - 2;  // folds INTO the bottom
+  std::mt19937_64 rng(2801);
+  std::vector<gbx::Tuples<double>> batches;
+  for (int b = 0; b < 800; ++b)
+    batches.push_back(proptest::random_batch<double>(rng, dim, 512));
+
+  // Warm up: the upper levels' blocks and the scratch arenas plateau.
+  std::size_t next = 0;
+  while (m.stats().level[bottom_in].folds < 8) m.update(batches[next++]);
+
+  const auto folds_before = m.stats().level[bottom_in].folds;
+  const auto& bottom = m.level(m.num_levels() - 1);
+  const double first = static_cast<double>(bottom.nvals_bound());
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  while (next < batches.size()) m.update(batches[next++]);
+  g_count_allocs.store(false, std::memory_order_relaxed);
+  const auto allocs = g_alloc_count.load(std::memory_order_relaxed);
+  const auto folds = m.stats().level[bottom_in].folds - folds_before;
+  const double last = static_cast<double>(bottom.nvals_bound());
+
+  ASSERT_GE(folds, 32u) << "the window must cover many bottom folds";
+  ASSERT_GT(last, 2 * first) << "the bottom level must really grow";
+  // Two ping-ponged blocks (current + spare), four arrays each; an array
+  // regrows by 1.5x, so it reallocates at most log_1.5(growth) + 1 times.
+  // An exact-fit output reallocates every array on every fold instead.
+  const auto regrowths =
+      static_cast<std::uint64_t>(std::ceil(std::log(last / first) / std::log(1.5)));
+  EXPECT_LE(allocs, 2 * 4 * (regrowths + 1))
+      << folds << " bottom folds, bottom " << first << " -> " << last
+      << " entries";
 }
 
 }  // namespace
