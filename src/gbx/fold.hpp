@@ -63,31 +63,21 @@ struct AosRun {
   const T& val(std::size_t i) const { return e[i].val; }
 };
 
-/// Radix sort + fused dedup of n (key, value) pairs. Serially the dedup
-/// happens inside the final scatter pass: LSD stability makes equal keys
+/// Serial radix sort + fused dedup of n (key, value) pairs: the dedup
+/// happens inside the final scatter pass. LSD stability makes equal keys
 /// arrive consecutively per bucket, so the scatter folds into the
 /// bucket's last written slot instead of advancing, and a short
-/// bucket-compaction walk closes the gaps. The parallel path sorts with
-/// per-thread histograms and dedups in one linear SoA pass. Returns the
-/// number of unique keys; *out_flip says which ping-pong buffer holds
-/// them.
+/// bucket-compaction walk closes the gaps. Returns the number of unique
+/// keys; *out_flip says which ping-pong buffer holds them.
 template <class MonoidT, class T>
-std::size_t radix_sort_dedup_pairs(std::uint64_t* k0, T* v0,
-                                   std::uint64_t* k1, T* v1, std::size_t n,
-                                   int total_bits, ScratchPool& pool,
-                                   bool* out_flip) {
+std::size_t radix_sort_dedup_pairs_serial(std::uint64_t* k0, T* v0,
+                                          std::uint64_t* k1, T* v1,
+                                          std::size_t n, int total_bits,
+                                          ScratchPool& pool, bool* out_flip) {
   *out_flip = false;
   if (n == 0) return 0;
-  const int threads = max_threads();
 
-  if (threads > 1 && n >= kParallelSortCutoff) {
-    *out_flip = radix_sort_pairs(k0, v0, k1, v1, n, total_bits, pool);
-    std::uint64_t* k = *out_flip ? k1 : k0;
-    T* v = *out_flip ? v1 : v0;
-    return dedup_pairs<MonoidT>(k, v, n);
-  }
-
-  // Serial: all per-pass histograms in one read (shared radix helpers);
+  // All per-pass histograms in one read (shared radix helpers);
   // the last non-constant pass doubles as the dedup pass.
   const int digit_bits = total_bits == 0 ? 1 : radix_digit_bits(total_bits);
   const int buckets = 1 << digit_bits;
@@ -165,6 +155,33 @@ std::size_t radix_sort_dedup_pairs(std::uint64_t* k0, T* v0,
     *out_flip = flip;
     return w;
   }
+}
+
+/// Forked radix sort (radix_sort_pairs_forked), then one linear dedup
+/// pass over the sorted run. Equal keys fold in the same stable order as
+/// on the serial engine, so both return bit-identical runs.
+template <class MonoidT, class T>
+std::size_t radix_sort_dedup_pairs_forked(std::uint64_t* k0, T* v0,
+                                          std::uint64_t* k1, T* v1,
+                                          std::size_t n, int total_bits,
+                                          ScratchPool& pool, bool* out_flip) {
+  *out_flip = radix_sort_pairs_forked(k0, v0, k1, v1, n, total_bits, pool);
+  return dedup_pairs<MonoidT>(*out_flip ? k1 : k0, *out_flip ? v1 : v0, n);
+}
+
+/// Radix sort + fused dedup of a pending run: the calling thread sorts
+/// it alone below kParallelSortCutoff (every batch-sized run, whatever
+/// the thread budget); only a larger run forks a team.
+template <class MonoidT, class T>
+std::size_t radix_sort_dedup_pairs(std::uint64_t* k0, T* v0,
+                                   std::uint64_t* k1, T* v1, std::size_t n,
+                                   int total_bits, ScratchPool& pool,
+                                   bool* out_flip) {
+  if (max_threads() > 1 && n >= kParallelSortCutoff)
+    return radix_sort_dedup_pairs_forked<MonoidT>(k0, v0, k1, v1, n,
+                                                   total_bits, pool, out_flip);
+  return radix_sort_dedup_pairs_serial<MonoidT>(k0, v0, k1, v1, n,
+                                                 total_bits, pool, out_flip);
 }
 
 }  // namespace detail

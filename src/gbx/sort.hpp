@@ -10,12 +10,15 @@
 //     word, key = (row << col_bits) | col, whose integer order equals the
 //     lexicographic (row, col) order. Keys and values are split into SoA
 //     ping-pong buffers (ScratchPool-backed, so steady-state folds never
-//     allocate) and sorted with 8-bit digits, least significant first;
-//     constant digits are skipped, so a scale-17 Kronecker batch needs
-//     ~4 passes instead of n log n comparisons. Per-thread histograms
-//     parallelize the counting and scatter passes when OpenMP has
-//     threads to offer. LSD radix is stable, which the fused
-//     dedup-during-final-scatter in gbx/fold.hpp relies on.
+//     allocate) and sorted least significant digit first, with digits of
+//     up to 12 bits spread evenly over the key's significant bits;
+//     constant digits are skipped, so a scale-17 Kronecker batch (~36
+//     significant bits) takes 3 passes instead of n log n comparisons.
+//     Runs below kParallelSortCutoff sort serially on the calling
+//     thread; only larger runs fork an OpenMP team with per-thread
+//     histograms for the counting and scatter passes. LSD radix is
+//     stable, which the fused dedup-during-final-scatter in
+//     gbx/fold.hpp relies on.
 //
 //   * Comparison sample sort (the fallback). Entries whose coordinates
 //     cannot pack into 64 bits (full IPv6-scale row AND column spaces in
@@ -68,9 +71,30 @@ constexpr bool entry_key_equal(const Entry<T>& a, const Entry<T>& b) {
 
 namespace detail {
 
-/// Serial cutoff: below this, std::sort wins over parallel scatter
-/// machinery (both sample sort and parallel radix passes).
-inline constexpr std::size_t kParallelSortCutoff = 1u << 15;
+/// Fork cutoff: runs shorter than this sort (and dedup) on the calling
+/// thread — the radix engine serially, the comparison engine with
+/// std::sort — even when OpenMP offers threads. It is the served
+/// shape's crossover: each ParallelStream lane folds its own batch, so
+/// two lanes sort at once and each forked team competes with the other
+/// lane for the same cores. bench_ingest_hotpath prints the table that
+/// places it (fold sort + dedup, aggregate entries/s, best of 3; 4-thread
+/// x86 host, teams of 4):
+///
+///   entries  lanes  serial  forked  forked/serial
+///   2^15     2      73.7M   22.7M   0.31
+///   2^16     2      60.2M   30.0M   0.50
+///   2^17     2      60.3M   56.1M   0.93
+///   2^18     2      29.3M   45.8M   1.56
+///
+/// Six of seven runs put the two-lane crossover at 2^18 (forked/serial
+/// 0.74-0.98 at 2^17, 1.29-1.58 at 2^18); the seventh, on a loaded host,
+/// found none up to 2^18. At 2^18 one lane's 8 MB of ping-pong buffers
+/// outgrow a core's 2 MB L2, and a team spreads them over four. So a
+/// 50K-entry batch (36 significant bits, 3 passes) never forks, while
+/// one-shot sort_entries calls and large pending runs still take the
+/// forked radix, sample-sort and dedup engines. One lane alone on idle
+/// cores crosses earlier (forked/serial 1.16-1.42 at 2^17).
+inline constexpr std::size_t kParallelSortCutoff = std::size_t{1} << 18;
 
 /// Below this the constant costs of pack/unpack + histograms exceed the
 /// comparison savings and sort_entries uses std::sort.
@@ -268,21 +292,54 @@ void radix_scatter_pass(const std::uint64_t* ka, const T* va,
   }
 }
 
-/// Stable LSD radix sort of n (key, value) pairs by key. (k0, v0) hold
-/// the input; (k1, v1) are equal-sized scratch. Digits that are
-/// constant across every key are skipped (a scale-17 stream has ~30
-/// constant bits). Counting and scatter go parallel with per-thread
-/// chunk histograms when OpenMP offers threads and n is large. Returns
-/// true when the sorted sequence ended in (k1, v1).
+/// Stable serial LSD radix sort of n (key, value) pairs by key. (k0, v0)
+/// hold the input; (k1, v1) are equal-sized scratch. All per-pass digit
+/// histograms come from one read, and digits that are constant across
+/// every key are skipped (a scale-17 stream has ~30 constant bits).
+/// Returns true when the sorted sequence ended in (k1, v1).
 template <class T>
-bool radix_sort_pairs(std::uint64_t* k0, T* v0, std::uint64_t* k1, T* v1,
-                      std::size_t n, int total_bits, ScratchPool& pool) {
+bool radix_sort_pairs_serial(std::uint64_t* k0, T* v0, std::uint64_t* k1,
+                             T* v1, std::size_t n, int total_bits,
+                             ScratchPool& pool) {
   if (n < 2 || total_bits == 0) return false;
   const int digit_bits = radix_digit_bits(total_bits);
   const int buckets = 1 << digit_bits;
   const std::uint64_t mask = static_cast<std::uint64_t>(buckets - 1);
   const int npasses = (total_bits + digit_bits - 1) / digit_bits;
-  const int threads = max_threads();
+
+  std::uint64_t* ka = k0;
+  T* va = v0;
+  std::uint64_t* kb = k1;
+  T* vb = v1;
+  bool flip = false;
+  auto hist = pool.acquire<Offset>(static_cast<std::size_t>(npasses) *
+                                   static_cast<std::size_t>(buckets));
+  radix_histograms(k0, n, npasses, digit_bits, buckets, mask, hist.data());
+  for (int p = 0; p < npasses; ++p) {
+    const Offset* h = hist.data() + static_cast<std::size_t>(p) * buckets;
+    if (radix_digit_constant(h, buckets, n)) continue;
+    radix_scatter_pass(ka, va, kb, vb, n, p * digit_bits, mask, h, buckets);
+    std::swap(ka, kb);
+    std::swap(va, vb);
+    flip = !flip;
+  }
+  return flip;
+}
+
+/// The forked engine: the same stable sort, with an OpenMP team of
+/// max_threads() running each pass's counting read and its scatter.
+/// radix_sort_pairs and the fold's radix_sort_dedup_pairs take it above
+/// kParallelSortCutoff; bench_ingest_hotpath times it against the serial
+/// engine to place that cutoff.
+template <class T>
+bool radix_sort_pairs_forked(std::uint64_t* k0, T* v0, std::uint64_t* k1,
+                             T* v1, std::size_t n, int total_bits,
+                             ScratchPool& pool) {
+  if (n < 2 || total_bits == 0) return false;
+  const int digit_bits = radix_digit_bits(total_bits);
+  const int buckets = 1 << digit_bits;
+  const std::uint64_t mask = static_cast<std::uint64_t>(buckets - 1);
+  const int npasses = (total_bits + digit_bits - 1) / digit_bits;
 
   std::uint64_t* ka = k0;
   T* va = v0;
@@ -290,26 +347,11 @@ bool radix_sort_pairs(std::uint64_t* k0, T* v0, std::uint64_t* k1, T* v1,
   T* vb = v1;
   bool flip = false;
 
-  if (threads == 1 || n < kParallelSortCutoff) {
-    auto hist = pool.acquire<Offset>(static_cast<std::size_t>(npasses) *
-                                     static_cast<std::size_t>(buckets));
-    radix_histograms(k0, n, npasses, digit_bits, buckets, mask, hist.data());
-    for (int p = 0; p < npasses; ++p) {
-      const Offset* h = hist.data() + static_cast<std::size_t>(p) * buckets;
-      if (radix_digit_constant(h, buckets, n)) continue;
-      radix_scatter_pass(ka, va, kb, vb, n, p * digit_bits, mask, h, buckets);
-      std::swap(ka, kb);
-      std::swap(va, vb);
-      flip = !flip;
-    }
-    return flip;
-  }
-
-  // Parallel: per pass, a per-chunk counting read of the pass's actual
-  // input (chunk contents change after every scatter, so counts cannot
-  // be precomputed), then bucket-major / chunk-major cursors (stable,
-  // like the sample sort's scatter) and a parallel scatter.
-  const auto chunks = block_ranges(n, threads);
+  // Per pass, a per-chunk counting read of the pass's actual input
+  // (chunk contents change after every scatter, so counts cannot be
+  // precomputed), then bucket-major / chunk-major cursors (stable, like
+  // the sample sort's scatter) and a parallel scatter.
+  const auto chunks = block_ranges(n, max_threads());
   const int nchunks = static_cast<int>(chunks.size()) - 1;
   auto hist = pool.acquire<Offset>(static_cast<std::size_t>(nchunks) *
                                    static_cast<std::size_t>(buckets));
@@ -374,6 +416,17 @@ bool radix_sort_pairs(std::uint64_t* k0, T* v0, std::uint64_t* k1, T* v1,
     flip = !flip;
   }
   return flip;
+}
+
+/// Stable LSD radix sort of n (key, value) pairs by key: serial below
+/// kParallelSortCutoff or with one thread, forked above it. Returns true
+/// when the sorted sequence ended in (k1, v1).
+template <class T>
+bool radix_sort_pairs(std::uint64_t* k0, T* v0, std::uint64_t* k1, T* v1,
+                      std::size_t n, int total_bits, ScratchPool& pool) {
+  if (max_threads() == 1 || n < kParallelSortCutoff)
+    return radix_sort_pairs_serial(k0, v0, k1, v1, n, total_bits, pool);
+  return radix_sort_pairs_forked(k0, v0, k1, v1, n, total_bits, pool);
 }
 
 /// Split entries into packed-key / value SoA arrays (the ONE definition

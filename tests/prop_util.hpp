@@ -17,6 +17,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -58,6 +59,14 @@ inline std::string seed_banner(std::uint64_t effective, std::uint64_t pinned) {
      << "; replay by exporting the same HHGBX_SEED)";
   return os.str();
 }
+
+/// Pin the OpenMP thread count for a scope (e.g. 4, so the forked
+/// kernels run whatever the host has); restores it on exit.
+struct ThreadsGuard {
+  int saved = omp_get_max_threads();
+  explicit ThreadsGuard(int n) { omp_set_num_threads(n); }
+  ~ThreadsGuard() { omp_set_num_threads(saved); }
+};
 
 /// Declare the test's rng seed and make failures print it.
 #define HHGBX_PROP_SEED(var, pinned)                        \

@@ -8,11 +8,16 @@
 
 #include "gbx/monoid.hpp"
 #include "gbx/sort.hpp"
+#include "prop_util.hpp"
 
 namespace {
 
 using gbx::Entry;
 using gbx::Index;
+
+/// Runs at least this long fork a sort team when threads allow.
+constexpr std::size_t kCutoff = gbx::detail::kParallelSortCutoff;
+using proptest::ThreadsGuard;
 
 std::vector<Entry<double>> random_entries(std::size_t n, Index max_coord,
                                           std::uint64_t seed) {
@@ -55,8 +60,10 @@ TEST(Sort, SmallSerialPath) {
 }
 
 TEST(Sort, LargeParallelPath) {
-  auto v = random_entries(1u << 18, 1u << 20, 2);
+  ThreadsGuard threads(4);
+  auto v = random_entries(kCutoff, 1u << 20, 2);
   const std::size_t n = v.size();
+  ASSERT_GE(n, kCutoff);
   gbx::sort_entries(v);
   EXPECT_EQ(v.size(), n);
   EXPECT_TRUE(is_sorted_by_key(v));
@@ -66,7 +73,9 @@ TEST(Sort, ParallelPathSkewedRows) {
   // Heavy skew: 90% of entries in one row exercises bucket imbalance.
   std::mt19937_64 rng(3);
   std::uniform_int_distribution<Index> coord(0, 1u << 20);
-  std::vector<Entry<double>> v(1u << 17);
+  ThreadsGuard threads(4);
+  std::vector<Entry<double>> v(kCutoff + 123);
+  ASSERT_GE(v.size(), kCutoff);
   for (std::size_t i = 0; i < v.size(); ++i) {
     const Index r = (i % 10 == 0) ? coord(rng) : Index{42};
     v[i] = {r, coord(rng), 1.0};

@@ -11,7 +11,6 @@
 // arenas are verified against. Counting is off except inside the
 // measured windows.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 // The counting operator new below is malloc-backed (so sanitizer malloc
 // interception keeps working underneath); GCC flags every matching
@@ -61,12 +60,11 @@ namespace {
 using gbx::Entry;
 using gbx::Index;
 
-/// Restore the OpenMP thread count on scope exit.
-struct ThreadsGuard {
-  int saved = omp_get_max_threads();
-  explicit ThreadsGuard(int n) { omp_set_num_threads(n); }
-  ~ThreadsGuard() { omp_set_num_threads(saved); }
-};
+/// Runs at least this long fork a sort team when threads allow; the
+/// parallel-path tests size their inputs from it.
+constexpr std::size_t kCutoff = gbx::detail::kParallelSortCutoff;
+
+using proptest::ThreadsGuard;
 
 // -------------------- entry generators (the adversarial shapes) -------
 
@@ -177,7 +175,8 @@ TEST(RadixSort, MatchesOracleAllShapesParallel) {
   HHGBX_PROP_SEED(seed, 20260729ull);
   ThreadsGuard threads(4);
   std::mt19937_64 rng(seed);
-  const std::size_t n = (std::size_t{1} << 16) + 123;  // parallel passes
+  const std::size_t n = kCutoff + 123;  // forked radix passes
+  ASSERT_GE(n, kCutoff);
   check_sort_matches_oracle(gen_random(rng, n, Index{1} << 20));
   check_sort_matches_oracle(gen_skewed(rng, n));
   check_sort_matches_oracle(gen_all_duplicate(n));
@@ -207,7 +206,8 @@ void check_dedup_matches_map(std::vector<Entry<double>> v) {
 
 TEST(DedupParallel, LongRunsAcrossChunkBoundaries) {
   ThreadsGuard threads(4);
-  const std::size_t n = (std::size_t{1} << 15) + 7;  // >= parallel cutoff
+  const std::size_t n = kCutoff + 7;
+  ASSERT_GE(n, kCutoff);
   // 5 distinct keys, each repeated ~n/5 times: every chunk boundary
   // lands deep inside an equal-key run, and the compaction must shift
   // the few survivors across near-empty chunks.
@@ -220,13 +220,15 @@ TEST(DedupParallel, LongRunsAcrossChunkBoundaries) {
 
 TEST(DedupParallel, SingleRunSwallowsEveryBoundary) {
   ThreadsGuard threads(4);
-  const std::size_t n = (std::size_t{1} << 15) + 31;
+  const std::size_t n = kCutoff + 31;
+  ASSERT_GE(n, kCutoff);
   check_dedup_matches_map(gen_all_duplicate(n));
 }
 
 TEST(DedupParallel, RunsAlignedAtChunkEdges) {
   ThreadsGuard threads(4);
-  const std::size_t n = std::size_t{1} << 15;
+  const std::size_t n = kCutoff;
+  ASSERT_GE(n, kCutoff);
   // Run length exactly n/4 == the chunk size at 4 threads: boundaries
   // land exactly at run starts, the degenerate alignment case.
   std::vector<Entry<double>> v;
@@ -239,7 +241,9 @@ TEST(DedupParallel, MixedRunsRandom) {
   HHGBX_PROP_SEED(seed, 771020ull);
   ThreadsGuard threads(4);
   std::mt19937_64 rng(seed);
-  check_dedup_matches_map(gen_random(rng, (std::size_t{1} << 15) + 11, 40));
+  const std::size_t n = kCutoff + 11;
+  ASSERT_GE(n, kCutoff);
+  check_dedup_matches_map(gen_random(rng, n, 40));
 }
 
 // ------------- fused fold vs comparison-sort oracle vs dense replay ---
@@ -293,6 +297,41 @@ TEST(FusedFold, MatchesComparisonOracleAndDenseRefMaxInt64) {
   HHGBX_PROP_SEED(seed, 41004ull);
   run_fold_differential<std::int64_t, gbx::MaxMonoid<std::int64_t>>(seed, 80,
                                                                     20, 600);
+}
+
+/// One pending run of cutoff + 1 entries, which the fold sorts with the
+/// forked radix engine and dedups with dedup_pairs, then one of
+/// cutoff - 1, which it sorts serially with the dedup fused into the
+/// last scatter; 4 threads, and a 512 x 512 key space so both runs fold
+/// many duplicates.
+template <class T, class M>
+void run_fold_across_sort_cutoff(std::uint64_t seed) {
+  ThreadsGuard threads(4);
+  const Index dim = 512;
+  hier::HierMatrix<T, M> fused(dim, dim, hier::CutPolicy::geometric(3, 1024, 8));
+  proptest::DenseRef<T, M> ref;
+  std::vector<Entry<T>> all;
+  std::mt19937_64 rng(seed);
+  for (const std::size_t n : {kCutoff + 1, kCutoff - 1}) {
+    const auto batch = proptest::random_batch<T>(rng, dim, n);
+    fused.update(batch);
+    ref.apply(batch);
+    all.insert(all.end(), batch.begin(), batch.end());
+  }
+  ASSERT_TRUE(ref.matches(fused.freeze()));
+  EXPECT_TRUE(gbx::equal(fused.snapshot(),
+                         comparison_oracle<T, M>(std::move(all), dim)));
+}
+
+TEST(FusedFold, ForkedAndSerialRunsAcrossCutoffPlusDouble) {
+  HHGBX_PROP_SEED(seed, 41006ull);
+  run_fold_across_sort_cutoff<double, gbx::PlusMonoid<double>>(seed);
+}
+
+TEST(FusedFold, ForkedAndSerialRunsAcrossCutoffMinInt64) {
+  HHGBX_PROP_SEED(seed, 41007ull);
+  run_fold_across_sort_cutoff<std::int64_t, gbx::MinMonoid<std::int64_t>>(
+      seed);
 }
 
 TEST(FusedFold, AdversarialBatchShapes) {
