@@ -18,17 +18,10 @@
 //     perf trajectory (scripts/check_perf.py gates them against perf/;
 //     the Fig. 2 shape bench remains bench_parallel_stream).
 //
-// It also prints, ungated, the crossover table that places
-// gbx::detail::kParallelSortCutoff: the fold sort's serial and forked
-// engines at 2^15..2^18 entries, on one lane and on two lanes sorting at
-// once (the served shape: each ParallelStream lane folds its own batch).
-//
 // Workload: the paper's set granularity (100K-entry batches; INGEST_SETS
 // and INGEST_SET_SIZE adjust for CI scale), scale-17 Kronecker stream,
 // geometric cuts — the same shape bench_parallel_stream measures.
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +31,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "gbx/fold.hpp"
 #include "gbx/reduce.hpp"
 #include "gen/kronecker.hpp"
 #include "hier/hier.hpp"
@@ -128,96 +120,6 @@ double checksum_over_memcpy(const gbx::Tuples<double>& batch) {
   std::printf("frame_sum\t%.2f GB/s\nmemcpy\t\t%.2f GB/s\n", sum_bps / 1e9,
               copy_bps / 1e9);
   return sum_bps / copy_bps;
-}
-
-/// Aggregate entries/s of `lanes` threads sorting at once, each radix-
-/// sorting and deduplicating its own copy of `batch` through the fold's
-/// serial engine or its forked one (a team of max_threads()). Only the
-/// sort calls are timed, not restoring the unsorted input; the lanes
-/// start together behind a spin barrier after one warm-up sort each.
-double fold_sort_rate(const gbx::Tuples<double>& batch, std::size_t lanes,
-                      bool forked) {
-  const auto& es = batch.entries();
-  const std::size_t n = es.size();
-  const auto layout = gbx::detail::radix_layout(es.data(), n);
-  std::vector<std::uint64_t> keys(n);
-  std::vector<double> vals(n);
-  gbx::detail::pack_keys(es.data(), n, layout, keys.data(), vals.data());
-  const std::size_t reps =
-      std::max<std::size_t>(4, (std::size_t{1} << 22) / n);
-
-  std::vector<double> lane_rate(lanes, 0);
-  std::atomic<std::size_t> ready{0};
-  std::vector<std::jthread> threads;
-  for (std::size_t l = 0; l < lanes; ++l)
-    threads.emplace_back([&, l] {
-      auto& pool = gbx::ScratchPool::local();
-      std::vector<std::uint64_t> k0(n), k1(n);
-      std::vector<double> v0(n), v1(n);
-      auto sort_once = [&] {
-        std::copy(keys.begin(), keys.end(), k0.begin());
-        std::copy(vals.begin(), vals.end(), v0.begin());
-        bool flip = false;
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::size_t m =
-            forked ? gbx::detail::radix_sort_dedup_pairs_forked<
-                         gbx::PlusMonoid<double>>(k0.data(), v0.data(),
-                                                  k1.data(), v1.data(), n,
-                                                  layout.total_bits, pool,
-                                                  &flip)
-                   : gbx::detail::radix_sort_dedup_pairs_serial<
-                         gbx::PlusMonoid<double>>(k0.data(), v0.data(),
-                                                  k1.data(), v1.data(), n,
-                                                  layout.total_bits, pool,
-                                                  &flip);
-        const double s = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-        asm volatile("" : : "r"(m) : "memory");
-        return s;
-      };
-      sort_once();
-      ready.fetch_add(1);
-      while (ready.load() < lanes) std::this_thread::yield();
-      double busy = 0;
-      for (std::size_t r = 0; r < reps; ++r) busy += sort_once();
-      lane_rate[l] = static_cast<double>(n * reps) / busy;
-    });
-  threads.clear();  // joins every lane
-  double agg = 0;
-  for (const double r : lane_rate) agg += r;
-  return agg;
-}
-
-/// The kParallelSortCutoff crossover table (ungated): per size and lane
-/// count, the best of 3 alternating serial/forked measurements.
-void print_sort_crossover(std::uint64_t seed) {
-  std::printf(
-      "\n-- fold sort crossover: serial vs forked engine (team of %d), "
-      "aggregate entries/s, best of 3 --\n",
-      gbx::max_threads());
-  std::printf("entries\tlanes\tserial\tforked\tforked/serial\n");
-  int crossover = 0;  // log2 of the first size where 2 forked lanes win
-  for (int log2n = 15; log2n <= 18; ++log2n) {
-    const std::size_t n = std::size_t{1} << log2n;
-    auto gen = make_generator(0, seed + 555);
-    const auto batch = gen.batch<double>(n);
-    for (std::size_t lanes = 1; lanes <= 2; ++lanes) {
-      double serial = 0, forked = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        serial = std::max(serial, fold_sort_rate(batch, lanes, false));
-        forked = std::max(forked, fold_sort_rate(batch, lanes, true));
-      }
-      std::printf("2^%d\t%zu\t%s\t%s\t%.2f\n", log2n, lanes,
-                  benchutil::rate(serial).c_str(),
-                  benchutil::rate(forked).c_str(), forked / serial);
-      if (lanes == 2 && crossover == 0 && forked > serial) crossover = log2n;
-    }
-  }
-  const std::string at =
-      crossover ? "2^" + std::to_string(crossover) : "above 2^18";
-  std::printf("two-lane crossover: %s (kParallelSortCutoff = 2^%d)\n",
-              at.c_str(), std::countr_zero(gbx::detail::kParallelSortCutoff));
 }
 
 }  // namespace
@@ -312,8 +214,6 @@ int main() {
                   std::to_string(fr.aggregate_rate) + "}";
   }
   lanes_json += "]";
-
-  print_sort_crossover(seed);
 
   const bool pass = identical && scratch_grows == 0 && sum_ok;
   std::printf(

@@ -57,6 +57,15 @@ Checks:
      its output with Dcsr::prepare() (recycled capacity reused, 1.5x
      regrowth, no zero-fill), so an exact-fit reserve or a zero-filling
      resize cannot creep back onto a fold.
+ 11. One thread per sort: gbx/sort.hpp and gbx/fold.hpp mention none of
+     `#pragma omp`, `omp.h`, `tsan_omp` or `max_threads` (comments
+     included), and no file under src/ mentions `sample_sort`,
+     `radix_sort_pairs_forked`, `dedup_sorted_entries_parallel`,
+     `sort_entries_comparison` or `kParallelSortCutoff` (comments
+     included). Every sort and dedup runs on the calling thread, one
+     engine per key form (packed-key LSD radix, else std::sort):
+     parallelism comes from independent instances, one per lane, so a
+     forked sort engine and the cutoff that picked it cannot grow back.
 """
 
 import re
@@ -124,6 +133,15 @@ RETIRED_MULTIPART_NAMES_RE = re.compile(
 SIZING_KERNELS = ("src/gbx/ewise.hpp", "src/gbx/fold.hpp")
 DIRECT_SIZING_RE = re.compile(r"\bmutable_\w+\(\)\s*\.\s*(reserve|resize)\(")
 OUTPUT_ALIAS_RE = re.compile(r"&\s*(\w+)\s*=\s*[\w.>-]*\bmutable_\w+\(\)")
+
+# One thread per sort (check 11): the sort kernels' files and the OpenMP
+# spellings they must not contain, and retired engine names under src/.
+SERIAL_SORT_KERNELS = ("src/gbx/sort.hpp", "src/gbx/fold.hpp")
+SORT_OMP_RE = re.compile(r"(#\s*pragma\s+omp\b|\bomp\.h\b|\btsan_omp\b|"
+                         r"\bmax_threads\b)")
+RETIRED_SORT_NAMES_RE = re.compile(
+    r"\b(sample_sort|radix_sort_pairs_forked|dedup_sorted_entries_parallel|"
+    r"sort_entries_comparison|kParallelSortCutoff)\b")
 
 # `new` as an expression: preceded by start/space/punct, followed by a
 # type. Excludes placement-new forms used by containers (none in-repo)
@@ -344,6 +362,24 @@ def check_one_output_sizing(path: Path, code: str, errors: list) -> None:
                 f"zero-fill)")
 
 
+def check_one_thread_per_sort(path: Path, text: str, errors: list) -> None:
+    rel = str(path.relative_to(REPO))
+    for ln, line in enumerate(text.splitlines(), 1):
+        m = RETIRED_SORT_NAMES_RE.search(line)
+        if m:
+            errors.append(
+                f"{rel}:{ln}: {m.group(1)} — every sort runs on the calling "
+                f"thread (packed-key radix, else std::sort); the forked "
+                f"engines and their cutoff are retired")
+        if rel in SERIAL_SORT_KERNELS:
+            m = SORT_OMP_RE.search(line)
+            if m:
+                errors.append(
+                    f"{rel}:{ln}: {m.group(1)} in a sort kernel — sorts run "
+                    f"on the calling thread; parallelism comes from "
+                    f"independent instances, one per lane")
+
+
 def main() -> int:
     errors: list = []
     for path in sorted(SRC.rglob("*")):
@@ -361,6 +397,7 @@ def main() -> int:
         check_one_acquisition_verb(path, text, code, errors)
         check_one_multipart_source(path, text, errors)
         check_one_output_sizing(path, code, errors)
+        check_one_thread_per_sort(path, text, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:

@@ -62,7 +62,7 @@ class Tuples {
   template <class MonoidT>
   void sort_dedup() {
     sort_entries(entries_);
-    dedup_sorted_entries_parallel<MonoidT>(entries_);
+    dedup_sorted_entries<MonoidT>(entries_);
   }
 
   std::vector<entry_type>& entries() { return entries_; }

@@ -15,11 +15,14 @@
 //
 // `with_fold_run` produces the sorted unique run (zero-copy view over
 // ScratchPool buffers on the packed fast path, over the pending vector
-// itself on the comparison fallback); `merge_run_into` / `build_from_run`
-// consume it. gbx::Matrix drives the pipeline from materialize(),
-// plus_assign() and fold_from().
+// itself on the std::sort fallback); `merge_run_into` / `build_from_run`
+// consume it. The sort and its dedup run on the calling thread, like
+// every sort in gbx/sort.hpp: a ParallelStream lane folds its own batch.
+// gbx::Matrix drives the pipeline from materialize(), plus_assign() and
+// fold_from().
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -63,17 +66,18 @@ struct AosRun {
   const T& val(std::size_t i) const { return e[i].val; }
 };
 
-/// Serial radix sort + fused dedup of n (key, value) pairs: the dedup
-/// happens inside the final scatter pass. LSD stability makes equal keys
-/// arrive consecutively per bucket, so the scatter folds into the
-/// bucket's last written slot instead of advancing, and a short
-/// bucket-compaction walk closes the gaps. Returns the number of unique
-/// keys; *out_flip says which ping-pong buffer holds them.
+/// Radix sort + fused dedup of n (key, value) pairs on the calling
+/// thread: the dedup happens inside the final scatter pass. LSD
+/// stability makes equal keys arrive consecutively per bucket, so the
+/// scatter folds into the bucket's last written slot instead of
+/// advancing, and a short bucket-compaction walk closes the gaps.
+/// Returns the number of unique keys; *out_flip says which ping-pong
+/// buffer holds them.
 template <class MonoidT, class T>
-std::size_t radix_sort_dedup_pairs_serial(std::uint64_t* k0, T* v0,
-                                          std::uint64_t* k1, T* v1,
-                                          std::size_t n, int total_bits,
-                                          ScratchPool& pool, bool* out_flip) {
+std::size_t radix_sort_dedup_pairs(std::uint64_t* k0, T* v0,
+                                   std::uint64_t* k1, T* v1, std::size_t n,
+                                   int total_bits, ScratchPool& pool,
+                                   bool* out_flip) {
   *out_flip = false;
   if (n == 0) return 0;
 
@@ -157,58 +161,23 @@ std::size_t radix_sort_dedup_pairs_serial(std::uint64_t* k0, T* v0,
   }
 }
 
-/// Forked radix sort (radix_sort_pairs_forked), then one linear dedup
-/// pass over the sorted run. Equal keys fold in the same stable order as
-/// on the serial engine, so both return bit-identical runs.
-template <class MonoidT, class T>
-std::size_t radix_sort_dedup_pairs_forked(std::uint64_t* k0, T* v0,
-                                          std::uint64_t* k1, T* v1,
-                                          std::size_t n, int total_bits,
-                                          ScratchPool& pool, bool* out_flip) {
-  *out_flip = radix_sort_pairs_forked(k0, v0, k1, v1, n, total_bits, pool);
-  return dedup_pairs<MonoidT>(*out_flip ? k1 : k0, *out_flip ? v1 : v0, n);
-}
-
-/// Radix sort + fused dedup of a pending run: the calling thread sorts
-/// it alone below kParallelSortCutoff (every batch-sized run, whatever
-/// the thread budget); only a larger run forks a team.
-template <class MonoidT, class T>
-std::size_t radix_sort_dedup_pairs(std::uint64_t* k0, T* v0,
-                                   std::uint64_t* k1, T* v1, std::size_t n,
-                                   int total_bits, ScratchPool& pool,
-                                   bool* out_flip) {
-  if (max_threads() > 1 && n >= kParallelSortCutoff)
-    return radix_sort_dedup_pairs_forked<MonoidT>(k0, v0, k1, v1, n,
-                                                   total_bits, pool, out_flip);
-  return radix_sort_dedup_pairs_serial<MonoidT>(k0, v0, k1, v1, n,
-                                                 total_bits, pool, out_flip);
-}
-
 }  // namespace detail
 
 /// Sort `pending` by (row, col), fold duplicate keys with MonoidT, and
 /// invoke f(run) with a zero-copy view of the sorted unique run. The run
 /// lives in ScratchPool buffers (packed radix fast path) or in `pending`
-/// itself (std::sort below the cutoff, comparison sample sort when the
-/// coordinates cannot pack into 64 bits) and is valid only inside f.
-/// `pending`'s contents are consumed (left unspecified).
+/// itself (std::sort below the cutoff or when the coordinates cannot
+/// pack into 64 bits) and is valid only inside f. `pending`'s contents
+/// are consumed (left unspecified).
 template <class MonoidT, class T, class F>
 void with_fold_run(std::vector<Entry<T>>& pending, ScratchPool& pool, F&& f) {
   const std::size_t n = pending.size();
-  if (n == 0) {
-    f(detail::AosRun<T>{pending.data(), 0});
-    return;
-  }
-  if (n < detail::kRadixSortCutoff) {
+  const auto layout = n < detail::kRadixSortCutoff
+                          ? detail::RadixLayout{}
+                          : detail::radix_layout(pending.data(), n);
+  if (!layout.packable) {
     std::sort(pending.begin(), pending.end(), entry_less<T>);
     const std::size_t m = dedup_sorted_entries<MonoidT>(pending);
-    f(detail::AosRun<T>{pending.data(), m});
-    return;
-  }
-  const auto layout = detail::radix_layout(pending.data(), n);
-  if (!layout.packable) {
-    sort_entries_comparison(pending);
-    const std::size_t m = dedup_sorted_entries_parallel<MonoidT>(pending);
     f(detail::AosRun<T>{pending.data(), m});
     return;
   }

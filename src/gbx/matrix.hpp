@@ -34,6 +34,7 @@
 #include "gbx/ewise.hpp"
 #include "gbx/fold.hpp"
 #include "gbx/monoid.hpp"
+#include "gbx/parallel.hpp"
 #include "gbx/scratch.hpp"
 #include "gbx/types.hpp"
 #include "gbx/view.hpp"

@@ -1,44 +1,11 @@
-// gbx/parallel.hpp — small OpenMP utilities shared by gbx kernels.
+// gbx/parallel.hpp — the OpenMP thread budget shared by gbx kernels.
 #pragma once
 
 #include <omp.h>
-
-#include <cstddef>
-#include <utility>
-#include <vector>
-
-#include "gbx/types.hpp"
 
 namespace gbx {
 
 /// Number of threads gbx kernels will use (the OpenMP max).
 inline int max_threads() { return omp_get_max_threads(); }
-
-/// Split [0, n) into at most `parts` contiguous blocks of near-equal size.
-/// Returns the boundary offsets (size parts+1, first 0, last n). Fewer
-/// blocks are produced when n < parts.
-inline std::vector<Offset> block_ranges(Offset n, int parts) {
-  if (parts < 1) parts = 1;
-  auto p = static_cast<Offset>(parts);
-  if (p > n && n > 0) p = n;
-  if (n == 0) p = 1;
-  std::vector<Offset> bounds(p + 1);
-  for (Offset i = 0; i <= p; ++i) bounds[i] = n * i / p;
-  return bounds;
-}
-
-/// Exclusive prefix sum in place: v[i] becomes sum of original v[0..i).
-/// Returns the total. Serial — callers use it on per-thread histograms
-/// whose length is O(threads), not O(n).
-template <class V>
-typename V::value_type exclusive_scan_inplace(V& v) {
-  typename V::value_type sum{};
-  for (auto& x : v) {
-    auto next = static_cast<typename V::value_type>(sum + x);
-    x = sum;
-    sum = next;
-  }
-  return sum;
-}
 
 }  // namespace gbx

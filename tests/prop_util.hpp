@@ -60,8 +60,8 @@ inline std::string seed_banner(std::uint64_t effective, std::uint64_t pinned) {
   return os.str();
 }
 
-/// Pin the OpenMP thread count for a scope (e.g. 4, so the forked
-/// kernels run whatever the host has); restores it on exit.
+/// Pin the OpenMP thread count for a scope (e.g. 1, so the block merge
+/// takes its serial engine whatever the host has); restores it on exit.
 struct ThreadsGuard {
   int saved = omp_get_max_threads();
   explicit ThreadsGuard(int n) { omp_set_num_threads(n); }

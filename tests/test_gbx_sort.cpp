@@ -1,4 +1,4 @@
-// Tests for the parallel sample sort and duplicate folding.
+// Tests for the entry sort engines and duplicate folding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,16 +8,14 @@
 
 #include "gbx/monoid.hpp"
 #include "gbx/sort.hpp"
-#include "prop_util.hpp"
 
 namespace {
 
 using gbx::Entry;
 using gbx::Index;
 
-/// Runs at least this long fork a sort team when threads allow.
-constexpr std::size_t kCutoff = gbx::detail::kParallelSortCutoff;
-using proptest::ThreadsGuard;
+/// 2^18 entries: a one-shot sort several times a served batch (~50K).
+constexpr std::size_t kLarge = std::size_t{1} << 18;
 
 std::vector<Entry<double>> random_entries(std::size_t n, Index max_coord,
                                           std::uint64_t seed) {
@@ -59,23 +57,19 @@ TEST(Sort, SmallSerialPath) {
   EXPECT_DOUBLE_EQ(sv, sr);
 }
 
-TEST(Sort, LargeParallelPath) {
-  ThreadsGuard threads(4);
-  auto v = random_entries(kCutoff, 1u << 20, 2);
+TEST(Sort, LargeRadixPath) {
+  auto v = random_entries(kLarge, 1u << 20, 2);
   const std::size_t n = v.size();
-  ASSERT_GE(n, kCutoff);
   gbx::sort_entries(v);
   EXPECT_EQ(v.size(), n);
   EXPECT_TRUE(is_sorted_by_key(v));
 }
 
-TEST(Sort, ParallelPathSkewedRows) {
+TEST(Sort, LargeSkewedRows) {
   // Heavy skew: 90% of entries in one row exercises bucket imbalance.
   std::mt19937_64 rng(3);
   std::uniform_int_distribution<Index> coord(0, 1u << 20);
-  ThreadsGuard threads(4);
-  std::vector<Entry<double>> v(kCutoff + 123);
-  ASSERT_GE(v.size(), kCutoff);
+  std::vector<Entry<double>> v(kLarge + 123);
   for (std::size_t i = 0; i < v.size(); ++i) {
     const Index r = (i % 10 == 0) ? coord(rng) : Index{42};
     v[i] = {r, coord(rng), 1.0};
@@ -121,7 +115,7 @@ TEST(Dedup, EmptyAndSingleton) {
   EXPECT_DOUBLE_EQ(v[0].val, 1.5);
 }
 
-// Property: sort+dedup(parallel or serial) == std::map reference.
+// Property: sort_entries + dedup_sorted_entries == std::map reference.
 class SortDedupProperty : public ::testing::TestWithParam<
                               std::tuple<std::size_t, Index, std::uint64_t>> {};
 
@@ -133,7 +127,7 @@ TEST_P(SortDedupProperty, MatchesMapModel) {
   for (const auto& e : v) model[{e.row, e.col}] += e.val;
 
   gbx::sort_entries(v);
-  gbx::dedup_sorted_entries_parallel<gbx::PlusMonoid<double>>(v);
+  gbx::dedup_sorted_entries<gbx::PlusMonoid<double>>(v);
 
   ASSERT_EQ(v.size(), model.size());
   std::size_t k = 0;

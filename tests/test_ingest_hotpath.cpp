@@ -1,6 +1,6 @@
 // Differential and allocation tests for the fused ingest hot path:
 // radix sort vs comparison oracles, fused fold vs a comparison-sort
-// oracle vs dense replay, parallel-dedup chunk boundaries, the fold
+// oracle vs dense replay, dedup over long equal-key runs, the fold
 // kernels writing into poisoned recycled blocks, and the allocation
 // profile of cascade folds: none at steady state, amortized (log of the
 // growth) while the bottom level grows.
@@ -60,9 +60,9 @@ namespace {
 using gbx::Entry;
 using gbx::Index;
 
-/// Runs at least this long fork a sort team when threads allow; the
-/// parallel-path tests size their inputs from it.
-constexpr std::size_t kCutoff = gbx::detail::kParallelSortCutoff;
+/// 2^18 entries: a pending run several times a served batch (~50K); the
+/// large-input tests size their inputs from it.
+constexpr std::size_t kLarge = std::size_t{1} << 18;
 
 using proptest::ThreadsGuard;
 
@@ -107,7 +107,7 @@ std::vector<Entry<double>> gen_reversed(std::mt19937_64& rng, std::size_t n) {
 std::vector<Entry<double>> gen_near_index_max(std::mt19937_64& rng,
                                               std::size_t n) {
   // Rows AND cols near 2^64: combined significant bits exceed 64, so the
-  // packed-key radix path must fall back to the comparison engine.
+  // packed-key radix path must fall back to std::sort.
   std::uniform_int_distribution<Index> coord(gbx::kIndexMax - 4096,
                                              gbx::kIndexMax - 1);
   std::vector<Entry<double>> v(n);
@@ -118,7 +118,7 @@ std::vector<Entry<double>> gen_near_index_max(std::mt19937_64& rng,
 std::vector<Entry<double>> gen_zero_rows_full_cols(std::mt19937_64& rng,
                                                    std::size_t n) {
   // Every row 0, columns spanning all 64 bits: col_bits == 64 must not
-  // pack (shift-by-64 guard) — comparison fallback territory.
+  // pack (shift-by-64 guard) — std::sort fallback territory.
   std::uniform_int_distribution<Index> coord(gbx::kIndexMax / 2,
                                              gbx::kIndexMax - 1);
   std::vector<Entry<double>> v(n);
@@ -159,7 +159,7 @@ void check_sort_matches_oracle(std::vector<Entry<double>> v) {
 TEST(RadixSort, MatchesOracleAllShapesSerial) {
   HHGBX_PROP_SEED(seed, 0x16e57011ull);
   std::mt19937_64 rng(seed);
-  const std::size_t n = 6000;  // above the radix cutoff, below parallel
+  const std::size_t n = 6000;  // above the radix cutoff
   check_sort_matches_oracle(gen_random(rng, n, Index{1} << 17));
   check_sort_matches_oracle(gen_random(rng, n, 30));  // dup-heavy
   check_sort_matches_oracle(gen_skewed(rng, n));
@@ -171,12 +171,10 @@ TEST(RadixSort, MatchesOracleAllShapesSerial) {
   check_sort_matches_oracle(gen_packed_64_exact(rng, n));
 }
 
-TEST(RadixSort, MatchesOracleAllShapesParallel) {
+TEST(RadixSort, MatchesOracleAllShapesLarge) {
   HHGBX_PROP_SEED(seed, 20260729ull);
-  ThreadsGuard threads(4);
   std::mt19937_64 rng(seed);
-  const std::size_t n = kCutoff + 123;  // forked radix passes
-  ASSERT_GE(n, kCutoff);
+  const std::size_t n = kLarge + 123;
   check_sort_matches_oracle(gen_random(rng, n, Index{1} << 20));
   check_sort_matches_oracle(gen_skewed(rng, n));
   check_sort_matches_oracle(gen_all_duplicate(n));
@@ -185,14 +183,13 @@ TEST(RadixSort, MatchesOracleAllShapesParallel) {
   check_sort_matches_oracle(gen_packed_64_exact(rng, n));
 }
 
-// -------------------- parallel dedup chunk boundaries -----------------
+// -------------------- dedup over long equal-key runs -----------------
 
 void check_dedup_matches_map(std::vector<Entry<double>> v) {
   std::map<std::pair<Index, Index>, double> model;
   for (const auto& e : v) model[{e.row, e.col}] += e.val;
   std::sort(v.begin(), v.end(), gbx::entry_less<double>);
-  const std::size_t m =
-      gbx::dedup_sorted_entries_parallel<gbx::PlusMonoid<double>>(v);
+  const std::size_t m = gbx::dedup_sorted_entries<gbx::PlusMonoid<double>>(v);
   ASSERT_EQ(m, model.size());
   ASSERT_EQ(v.size(), model.size());
   std::size_t k = 0;
@@ -204,46 +201,30 @@ void check_dedup_matches_map(std::vector<Entry<double>> v) {
   }
 }
 
-TEST(DedupParallel, LongRunsAcrossChunkBoundaries) {
-  ThreadsGuard threads(4);
-  const std::size_t n = kCutoff + 7;
-  ASSERT_GE(n, kCutoff);
-  // 5 distinct keys, each repeated ~n/5 times: every chunk boundary
-  // lands deep inside an equal-key run, and the compaction must shift
-  // the few survivors across near-empty chunks.
-  std::vector<Entry<double>> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    v.push_back({i % 5, 1, 1.0});
-  check_dedup_matches_map(std::move(v));
-}
-
-TEST(DedupParallel, SingleRunSwallowsEveryBoundary) {
-  ThreadsGuard threads(4);
-  const std::size_t n = kCutoff + 31;
-  ASSERT_GE(n, kCutoff);
-  check_dedup_matches_map(gen_all_duplicate(n));
-}
-
-TEST(DedupParallel, RunsAlignedAtChunkEdges) {
-  ThreadsGuard threads(4);
-  const std::size_t n = kCutoff;
-  ASSERT_GE(n, kCutoff);
-  // Run length exactly n/4 == the chunk size at 4 threads: boundaries
-  // land exactly at run starts, the degenerate alignment case.
-  std::vector<Entry<double>> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) v.push_back({i / (n / 4), 2, 0.5});
-  check_dedup_matches_map(std::move(v));
-}
-
-TEST(DedupParallel, MixedRunsRandom) {
+TEST(DedupSorted, MatchesMapModelOnRunShapes) {
   HHGBX_PROP_SEED(seed, 771020ull);
-  ThreadsGuard threads(4);
   std::mt19937_64 rng(seed);
-  const std::size_t n = kCutoff + 11;
-  ASSERT_GE(n, kCutoff);
-  check_dedup_matches_map(gen_random(rng, n, 40));
+  // 5 distinct keys, each repeated ~n/5 times: a few survivors of long
+  // equal-key runs.
+  {
+    const std::size_t n = kLarge + 7;
+    std::vector<Entry<double>> v;
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) v.push_back({i % 5, 1, 1.0});
+    check_dedup_matches_map(std::move(v));
+  }
+  // One run holds every entry.
+  check_dedup_matches_map(gen_all_duplicate(kLarge + 31));
+  // Four runs of exactly n/4 entries each.
+  {
+    const std::size_t n = kLarge;
+    std::vector<Entry<double>> v;
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) v.push_back({i / (n / 4), 2, 0.5});
+    check_dedup_matches_map(std::move(v));
+  }
+  // Mixed run lengths over a 41 x 41 key space.
+  check_dedup_matches_map(gen_random(rng, kLarge + 11, 40));
 }
 
 // ------------- fused fold vs comparison-sort oracle vs dense replay ---
@@ -252,7 +233,7 @@ TEST(DedupParallel, MixedRunsRandom) {
 /// the whole stream, one dedup, one block — no radix, no cascade.
 template <class T, class M>
 gbx::Matrix<T, M> comparison_oracle(std::vector<Entry<T>> all, Index dim) {
-  gbx::sort_entries_comparison(all);
+  std::sort(all.begin(), all.end(), gbx::entry_less<T>);
   gbx::dedup_sorted_entries<M>(all);
   return gbx::Matrix<T, M>::adopt(dim, dim,
                                   gbx::Dcsr<T>::from_sorted_unique(all));
@@ -299,20 +280,17 @@ TEST(FusedFold, MatchesComparisonOracleAndDenseRefMaxInt64) {
                                                                     20, 600);
 }
 
-/// One pending run of cutoff + 1 entries, which the fold sorts with the
-/// forked radix engine and dedups with dedup_pairs, then one of
-/// cutoff - 1, which it sorts serially with the dedup fused into the
-/// last scatter; 4 threads, and a 512 x 512 key space so both runs fold
-/// many duplicates.
+/// One pending run of 2^18 + 1 entries, then one of 2^18 - 1, each radix
+/// sorted with the dedup fused into the last scatter; a 512 x 512 key
+/// space so both runs fold many duplicates.
 template <class T, class M>
-void run_fold_across_sort_cutoff(std::uint64_t seed) {
-  ThreadsGuard threads(4);
+void run_large_fold_runs(std::uint64_t seed) {
   const Index dim = 512;
   hier::HierMatrix<T, M> fused(dim, dim, hier::CutPolicy::geometric(3, 1024, 8));
   proptest::DenseRef<T, M> ref;
   std::vector<Entry<T>> all;
   std::mt19937_64 rng(seed);
-  for (const std::size_t n : {kCutoff + 1, kCutoff - 1}) {
+  for (const std::size_t n : {kLarge + 1, kLarge - 1}) {
     const auto batch = proptest::random_batch<T>(rng, dim, n);
     fused.update(batch);
     ref.apply(batch);
@@ -323,15 +301,40 @@ void run_fold_across_sort_cutoff(std::uint64_t seed) {
                          comparison_oracle<T, M>(std::move(all), dim)));
 }
 
-TEST(FusedFold, ForkedAndSerialRunsAcrossCutoffPlusDouble) {
+TEST(FusedFold, LargePendingRunsPlusDouble) {
   HHGBX_PROP_SEED(seed, 41006ull);
-  run_fold_across_sort_cutoff<double, gbx::PlusMonoid<double>>(seed);
+  run_large_fold_runs<double, gbx::PlusMonoid<double>>(seed);
 }
 
-TEST(FusedFold, ForkedAndSerialRunsAcrossCutoffMinInt64) {
+TEST(FusedFold, LargePendingRunsMinInt64) {
   HHGBX_PROP_SEED(seed, 41007ull);
-  run_fold_across_sort_cutoff<std::int64_t, gbx::MinMonoid<std::int64_t>>(
-      seed);
+  run_large_fold_runs<std::int64_t, gbx::MinMonoid<std::int64_t>>(seed);
+}
+
+/// One unpackable pending run of 2^18 + 1 entries (rows and columns near
+/// 2^64, so the key cannot pack and the fold takes std::sort plus
+/// dedup_sorted_entries) over a 64 x 64 key set, so duplicates fold.
+TEST(FusedFold, LargeUnpackableRunPlusDouble) {
+  HHGBX_PROP_SEED(seed, 41008ull);
+  std::mt19937_64 rng(seed);
+  const Index dim = gbx::kIPv6Dim;
+  hier::HierMatrix<double> fused(dim, dim,
+                                 hier::CutPolicy::geometric(3, 1024, 8));
+  proptest::DenseRef<double> ref;
+  std::uniform_int_distribution<Index> offset(1, 64);
+  std::uniform_int_distribution<int> val(-5, 5);
+  gbx::Tuples<double> batch;
+  for (std::size_t i = 0; i < kLarge + 1; ++i)
+    batch.push_back(gbx::kIndexMax - offset(rng), gbx::kIndexMax - offset(rng),
+                    static_cast<double>(val(rng)));
+  const auto& es = batch.entries();
+  ASSERT_FALSE(gbx::detail::radix_layout(es.data(), es.size()).packable);
+  fused.update(batch);
+  ref.apply(batch);
+  ASSERT_TRUE(ref.matches(fused.freeze()));
+  EXPECT_TRUE(gbx::equal(
+      fused.snapshot(),
+      comparison_oracle<double, gbx::PlusMonoid<double>>(es, dim)));
 }
 
 TEST(FusedFold, AdversarialBatchShapes) {
