@@ -140,8 +140,8 @@ int main() {
   for (std::size_t sets : {5u, 20u, 60u}) row(4, 1u << 13, sets);
   benchutil::note(
       "expected shape: query latency grows with accumulated nnz (the top "
-      "level dominates) and is insensitive to c1; update rate is the "
-      "inverse trade as in bench_cut_sweep. The exact count never "
+      "level dominates) and is insensitive to c1; the update_rate column "
+      "shows the inverse trade over the same sweep. The exact count never "
       "materializes, so it stays several times cheaper than "
       "materialize-then-count at every point.");
   std::printf("BENCH_JSON {\"bench\":\"query_cost\",\"threads\":%d,"

@@ -1,8 +1,8 @@
 // bench/bench_util.hpp — shared output helpers for the experiment benches.
 //
 // Each experiment bench prints a self-describing table to stdout so that
-// `for b in build/bench/*; do $b; done` regenerates every figure of the
-// paper in text form. Formatting is deliberately plain (tab-separated)
+// scripts/run_benches.sh regenerates every figure of the paper in text
+// form. Formatting is deliberately plain (tab-separated)
 // for downstream plotting.
 #pragma once
 

@@ -66,6 +66,17 @@ Checks:
      engine per key form (packed-key LSD radix, else std::sort):
      parallelism comes from independent instances, one per lane, so a
      forked sort engine and the cutoff that picked it cannot grow back.
+ 12. Forks only where a workload runs them: `#pragma omp` appears in
+     code under src/ only in gbx/ewise.hpp, gbx/reduce.hpp,
+     gbx/mxm_masked.hpp, gbx/apply.hpp, hier/snapshot.hpp,
+     cluster/scaling_harness.hpp and gbx/tsan_omp.hpp, and in
+     gbx/ewise.hpp only inside ewise_add_into, which holds exactly two
+     parallel regions (the block merge's count and fill passes). Each
+     allowed site sits on a workload's or a gated bench's timed path;
+     every other kernel (mxm, mxv, vxm, ewise_mult, ...) runs on the
+     calling thread, as the paper's single-threaded instances do, so a
+     fork that no measurement pays for cannot grow back. The allowlist
+     only shrinks as each remaining site is measured.
 """
 
 import re
@@ -142,6 +153,23 @@ SORT_OMP_RE = re.compile(r"(#\s*pragma\s+omp\b|\bomp\.h\b|\btsan_omp\b|"
 RETIRED_SORT_NAMES_RE = re.compile(
     r"\b(sample_sort|radix_sort_pairs_forked|dedup_sorted_entries_parallel|"
     r"sort_entries_comparison|kParallelSortCutoff)\b")
+
+# Forks only where a workload runs them (check 12): the files allowed a
+# `#pragma omp`, and the one function in gbx/ewise.hpp that may fork.
+OMP_ALLOWLIST = {
+    "src/gbx/ewise.hpp",
+    "src/gbx/reduce.hpp",
+    "src/gbx/mxm_masked.hpp",
+    "src/gbx/apply.hpp",
+    "src/hier/snapshot.hpp",
+    "src/cluster/scaling_harness.hpp",
+    "src/gbx/tsan_omp.hpp",
+}
+OMP_PRAGMA_RE = re.compile(r"#\s*pragma\s+omp\b")
+OMP_PARALLEL_RE = re.compile(r"#\s*pragma\s+omp\s+parallel\b")
+EWISE_FORK_FILE = "src/gbx/ewise.hpp"
+EWISE_FORK_FN_RE = re.compile(r"\bvoid\s+ewise_add_into\s*\(")
+EWISE_FORK_REGIONS = 2
 
 # `new` as an expression: preceded by start/space/punct, followed by a
 # type. Excludes placement-new forms used by containers (none in-repo)
@@ -380,6 +408,59 @@ def check_one_thread_per_sort(path: Path, text: str, errors: list) -> None:
                     f"independent instances, one per lane")
 
 
+def function_body_lines(code: str, sig_re: re.Pattern):
+    """1-based (first, last) line span of the body of the function whose
+    signature matches sig_re, found by brace matching; None if absent."""
+    m = sig_re.search(code)
+    if not m:
+        return None
+    open_at = code.find("{", m.end())
+    if open_at < 0:
+        return None
+    depth = 0
+    for i in range(open_at, len(code)):
+        if code[i] == "{":
+            depth += 1
+        elif code[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return (code.count("\n", 0, open_at) + 1,
+                        code.count("\n", 0, i) + 1)
+    return None
+
+
+def check_forks_where_measured(path: Path, code: str, errors: list) -> None:
+    rel = str(path.relative_to(REPO))
+    lines = code.splitlines()
+    pragmas = [ln for ln, line in enumerate(lines, 1)
+               if OMP_PRAGMA_RE.search(line)]
+    if not pragmas:
+        return
+    if rel not in OMP_ALLOWLIST:
+        for ln in pragmas:
+            errors.append(
+                f"{rel}:{ln}: #pragma omp outside the fork allowlist — "
+                f"kernels run on the calling thread unless a workload or "
+                f"gated bench times the fork (scripts/lint_invariants.py "
+                f"check 12)")
+        return
+    if rel != EWISE_FORK_FILE:
+        return
+    span = function_body_lines(code, EWISE_FORK_FN_RE)
+    for ln in pragmas:
+        if span is None or not span[0] <= ln <= span[1]:
+            errors.append(
+                f"{rel}:{ln}: #pragma omp outside ewise_add_into — only "
+                f"the block merge forks in this file")
+    regions = sum(1 for ln in pragmas
+                  if OMP_PARALLEL_RE.search(lines[ln - 1]))
+    if regions != EWISE_FORK_REGIONS:
+        errors.append(
+            f"{rel}:1: {regions} parallel region(s), expected exactly "
+            f"{EWISE_FORK_REGIONS} (ewise_add_into's count and fill "
+            f"passes)")
+
+
 def main() -> int:
     errors: list = []
     for path in sorted(SRC.rglob("*")):
@@ -398,6 +479,7 @@ def main() -> int:
         check_one_multipart_source(path, text, errors)
         check_one_output_sizing(path, code, errors)
         check_one_thread_per_sort(path, text, errors)
+        check_forks_where_measured(path, code, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Run every built benchmark and emit one BENCH_<name>.json per bench for
-# the perf trajectory. Each JSON records the exit code, wall seconds, the
-# bench's own machine-readable "BENCH_JSON {...}" line when it prints
-# one, and the path of the captured stdout.
+# Run one benchmark per bench/bench_*.cpp source and emit one
+# BENCH_<name>.json per bench for the perf trajectory. A source whose
+# binary is missing from the build fails the sweep: every bench builds
+# unconditionally, so a missing one is a build error, and a stale binary
+# whose source is gone is never run. Each JSON records the exit code,
+# wall seconds, the bench's own machine-readable "BENCH_JSON {...}" line
+# when it prints one, and the path of the captured stdout.
 #
 # Gating benches in the sweep:
 #   bench_parallel_stream — Fig. 2 shape (monotone aggregate rate).
@@ -79,6 +82,7 @@
 # Usage: scripts/run_benches.sh [build-dir] [output-dir]
 set -u
 
+BENCH_SRC_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/../bench" && pwd)"
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-${BUILD_DIR}/bench_results}"
 PER_BENCH_TIMEOUT="${BENCH_TIMEOUT:-900}"
@@ -108,12 +112,17 @@ fi
 mkdir -p "${OUT_DIR}"
 overall=0
 
-for exe in "${BUILD_DIR}"/bench/bench_*; do
-  [ -x "${exe}" ] || continue
-  name="$(basename "${exe}")"
+for src in "${BENCH_SRC_DIR}"/bench_*.cpp; do
+  name="$(basename "${src}" .cpp)"
+  exe="${BUILD_DIR}/bench/${name}"
   case " ${BENCH_SKIP} " in
     *" ${name} "*) echo "== ${name} (skipped via BENCH_SKIP)"; continue ;;
   esac
+  if [ ! -x "${exe}" ]; then
+    echo "== ${name}: no binary at ${exe} — rebuild ${BUILD_DIR}" >&2
+    overall=1
+    continue
+  fi
   log="${OUT_DIR}/${name}.txt"
   json="${OUT_DIR}/BENCH_${name}.json"
 

@@ -2,13 +2,14 @@
 //
 // eWiseAdd over a commutative monoid is *the* operation of the paper:
 // every cascade fold (A_{i+1} += A_i) and every query (A = Σ A_i) is one
-// of these merges. The kernel is a two-pass rowwise merge: pass 1 counts
-// the union/intersection size per output row (parallel), pass 2 fills
+// of these merges. The union kernel is a two-pass rowwise merge: pass 1
+// counts the union size per output row (parallel), pass 2 fills
 // (parallel), so the output DCSR is assembled without locks or
-// reallocation. ewise_add_into is the arena variant the fold pipeline
-// uses: row-merge scratch comes from a ScratchPool and the output lands
-// in a caller-recycled Dcsr sized by Dcsr::prepare(), so cascade folds
-// touch the heap only when a growing level outgrows its capacity.
+// reallocation. The intersection (ewise_mult) is one pass on the calling
+// thread. ewise_add_into is the arena variant the fold pipeline uses:
+// row-merge scratch comes from a ScratchPool and the output lands in a
+// caller-recycled Dcsr sized by Dcsr::prepare(), so cascade folds touch
+// the heap only when a growing level outgrows its capacity.
 #pragma once
 
 #include <algorithm>
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "gbx/dcsr.hpp"
-#include "gbx/parallel.hpp"
 #include "gbx/scratch.hpp"
 #include "gbx/tsan_omp.hpp"
 
@@ -64,7 +64,7 @@ inline std::size_t merge_row_lists_into(std::span<const Index> ra,
   return k;
 }
 
-/// Vector-output variant (delta.hpp and ewise_mult still use it).
+/// Vector-output variant (delta.hpp uses it).
 /// reserve + push_back: resize() would zero-fill three O(rows) arrays
 /// that the merge immediately overwrites — real bandwidth on
 /// hypersparse blocks where rows ≈ nnz.
@@ -120,18 +120,6 @@ inline std::size_t union_count(std::span<const Index> a,
     j += static_cast<std::size_t>(y <= x);
   }
   return a.size() + b.size() - common;
-}
-
-/// Count the intersection size of two sorted column segments.
-inline std::size_t intersect_count(std::span<const Index> ca,
-                                   std::span<const Index> cb) {
-  std::size_t i = 0, j = 0, n = 0;
-  while (i < ca.size() && j < cb.size()) {
-    if (ca[i] < cb[j]) ++i;
-    else if (cb[j] < ca[i]) ++j;
-    else { ++i; ++j; ++n; }
-  }
-  return n;
 }
 
 }  // namespace detail
@@ -248,73 +236,50 @@ Dcsr<T> ewise_add(const Dcsr<T>& A, const Dcsr<T>& B) {
 
 /// C = A ⊗ B (set intersection; values combined with Op). Rows present in
 /// only one operand vanish, as do rows whose column intersection is empty.
+/// One pass into a block sized for the smaller operand (an upper bound),
+/// trimmed to what the intersection wrote.
 template <class Op, class T>
 Dcsr<T> ewise_mult(const Dcsr<T>& A, const Dcsr<T>& B) {
   Dcsr<T> C;
   if (A.empty() || B.empty()) return C;
-
-  std::vector<Index> rows;
-  std::vector<std::size_t> ia, ib;
-  detail::merge_row_lists(A.rows(), B.rows(), rows, ia, ib);
-  const std::size_t nr = rows.size();
-
-  std::vector<Offset> cnt(nr, 0);
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel
-  {
-    gbx::OmpRegionGuard tsan_region;
-#pragma omp for schedule(guided)
-    for (std::size_t k = 0; k < nr; ++k) {
-      if (ia[k] == detail::kNoRow || ib[k] == detail::kNoRow) continue;
-      cnt[k] = detail::intersect_count(
-          A.cols().subspan(A.ptr()[ia[k]], A.ptr()[ia[k] + 1] - A.ptr()[ia[k]]),
-          B.cols().subspan(B.ptr()[ib[k]], B.ptr()[ib[k] + 1] - B.ptr()[ib[k]]));
-    }
-  }
-
-  // Compact away empty output rows while building ptr.
-  std::size_t onr = 0;
-  Offset total = 0;
-  for (std::size_t k = 0; k < nr; ++k) {
-    onr += static_cast<std::size_t>(cnt[k] != 0);
-    total += cnt[k];
-  }
-  C.prepare(onr, total);
+  const auto ra = A.rows();
+  const auto rb = B.rows();
+  C.prepare(std::min(ra.size(), rb.size()), std::min(A.nnz(), B.nnz()));
   auto& cr = C.mutable_rows();
   auto& cp = C.mutable_ptr();
-  std::vector<std::size_t> oia(onr), oib(onr);
-  cp[0] = 0;
-  for (std::size_t k = 0, o = 0; k < nr; ++k) {
-    if (cnt[k] == 0) continue;
-    cr[o] = rows[k];
-    oia[o] = ia[k];
-    oib[o] = ib[k];
-    cp[o + 1] = cp[o] + cnt[k];
-    ++o;
-  }
-
   auto& cc = C.mutable_cols();
   auto& cv = C.mutable_vals();
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel
-  {
-    gbx::OmpRegionGuard tsan_region;
-#pragma omp for schedule(guided)
-    for (std::size_t k = 0; k < onr; ++k) {
-      Offset w = cp[k];
-      Offset pa = A.ptr()[oia[k]], ea = A.ptr()[oia[k] + 1];
-      Offset pb = B.ptr()[oib[k]], eb = B.ptr()[oib[k] + 1];
-      while (pa < ea && pb < eb) {
-        const Index caI = A.cols()[pa], cbI = B.cols()[pb];
-        if (caI < cbI) ++pa;
-        else if (cbI < caI) ++pb;
-        else {
-          cc[w] = caI;
-          cv[w++] = Op::apply(A.vals()[pa++], B.vals()[pb++]);
-        }
+  cp[0] = 0;
+  std::size_t a = 0, b = 0, o = 0;
+  Offset w = 0;
+  while (a < ra.size() && b < rb.size()) {
+    if (ra[a] < rb[b]) {
+      ++a;
+      continue;
+    }
+    if (rb[b] < ra[a]) {
+      ++b;
+      continue;
+    }
+    Offset pa = A.ptr()[a], ea = A.ptr()[a + 1];
+    Offset pb = B.ptr()[b], eb = B.ptr()[b + 1];
+    while (pa < ea && pb < eb) {
+      const Index caI = A.cols()[pa], cbI = B.cols()[pb];
+      if (caI < cbI) ++pa;
+      else if (cbI < caI) ++pb;
+      else {
+        cc[w] = caI;
+        cv[w++] = Op::apply(A.vals()[pa++], B.vals()[pb++]);
       }
     }
+    if (w != cp[o]) {
+      cr[o] = ra[a];
+      cp[++o] = w;
+    }
+    ++a;
+    ++b;
   }
+  C.trim(o, w);
   return C;
 }
 

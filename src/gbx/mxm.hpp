@@ -1,6 +1,6 @@
 // gbx/mxm.hpp — sparse matrix-matrix multiply over a semiring.
 //
-// Gustavson's algorithm with a per-row hash accumulator, parallel over
+// Gustavson's algorithm with a per-row hash accumulator, row by row over
 // the non-empty rows of A. Rows of B are located through a one-time hash
 // index of B's hyper row list, so the inner loop costs O(1) per term —
 // this is the hypersparse analogue of SuiteSparse's hash SpGEMM.
@@ -12,7 +12,6 @@
 
 #include "gbx/matrix.hpp"
 #include "gbx/semiring.hpp"
-#include "gbx/tsan_omp.hpp"
 
 namespace gbx {
 
@@ -29,53 +28,33 @@ Matrix<T, M> mxm(const Matrix<T, M>& A, const Matrix<T, M>& B) {
   for (std::size_t k = 0; k < sb.nrows_nonempty(); ++k)
     brow.emplace(sb.rows()[k], k);
 
-  const std::size_t nra = sa.nrows_nonempty();
-  // Per-output-row results, assembled independently then concatenated.
-  std::vector<std::vector<std::pair<Index, T>>> rowbuf(nra);
-
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel
-  {
-    gbx::OmpRegionGuard tsan_region;
-    std::unordered_map<Index, T> acc;
-#pragma omp for schedule(dynamic, 16)
-    for (std::size_t k = 0; k < nra; ++k) {
-      acc.clear();
-      for (Offset p = sa.ptr()[k]; p < sa.ptr()[k + 1]; ++p) {
-        const Index kk = sa.cols()[p];
-        const T va = sa.vals()[p];
-        auto it = brow.find(kk);
-        if (it == brow.end()) continue;
-        const std::size_t kb = it->second;
-        for (Offset q = sb.ptr()[kb]; q < sb.ptr()[kb + 1]; ++q) {
-          const T prod = S::mul(va, sb.vals()[q]);
-          auto [slot, fresh] = acc.try_emplace(sb.cols()[q], prod);
-          if (!fresh) slot->second = S::add(slot->second, prod);
-        }
-      }
-      if (acc.empty()) continue;
-      auto& out = rowbuf[k];
-      out.assign(acc.begin(), acc.end());
-      std::sort(out.begin(), out.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-    }
-  }
-
-  // Assemble the DCSR output.
   Dcsr<T> c;
   auto& rows = c.mutable_rows();
   auto& ptr = c.mutable_ptr();
   auto& cols = c.mutable_cols();
   auto& vals = c.mutable_vals();
   ptr.assign(1, 0);
-  std::size_t total = 0;
-  for (const auto& rb : rowbuf) total += rb.size();
-  cols.reserve(total);
-  vals.reserve(total);
-  for (std::size_t k = 0; k < nra; ++k) {
-    if (rowbuf[k].empty()) continue;
+  std::unordered_map<Index, T> acc;
+  std::vector<std::pair<Index, T>> out;
+  for (std::size_t k = 0; k < sa.nrows_nonempty(); ++k) {
+    acc.clear();
+    for (Offset p = sa.ptr()[k]; p < sa.ptr()[k + 1]; ++p) {
+      auto it = brow.find(sa.cols()[p]);
+      if (it == brow.end()) continue;
+      const T va = sa.vals()[p];
+      const std::size_t kb = it->second;
+      for (Offset q = sb.ptr()[kb]; q < sb.ptr()[kb + 1]; ++q) {
+        const T prod = S::mul(va, sb.vals()[q]);
+        auto [slot, fresh] = acc.try_emplace(sb.cols()[q], prod);
+        if (!fresh) slot->second = S::add(slot->second, prod);
+      }
+    }
+    if (acc.empty()) continue;
+    out.assign(acc.begin(), acc.end());
+    std::sort(out.begin(), out.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     rows.push_back(sa.rows()[k]);
-    for (const auto& [j, v] : rowbuf[k]) {
+    for (const auto& [j, v] : out) {
       cols.push_back(j);
       vals.push_back(v);
     }

@@ -7,64 +7,51 @@
 
 #include "gbx/matrix.hpp"
 #include "gbx/semiring.hpp"
-#include "gbx/tsan_omp.hpp"
 #include "gbx/vector.hpp"
 
 namespace gbx {
 
 /// y = A ⊕.⊗ x. Sparse-dot per stored row of A (two-pointer intersection
-/// of the row pattern with x's index list), parallel over rows.
+/// of the row pattern with x's index list).
 template <class S, class T, class M>
 SparseVector<T> mxv(const Matrix<T, M>& A, const SparseVector<T>& x) {
   GBX_CHECK_DIM(A.ncols() == x.size(), "mxv dimension mismatch");
   const Dcsr<T>& s = A.storage();
   const auto xi = x.indices();
   const auto xv = x.values();
-  const std::size_t nr = s.nrows_nonempty();
-
-  std::vector<T> acc(nr, S::zero());
-  std::vector<char> hit(nr, 0);
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel
-  {
-    gbx::OmpRegionGuard tsan_region;
-#pragma omp for schedule(guided)
-    for (std::size_t k = 0; k < nr; ++k) {
-      Offset p = s.ptr()[k];
-      const Offset e = s.ptr()[k + 1];
-      std::size_t q = 0;
-      T a = S::zero();
-      bool any = false;
-      while (p < e && q < xi.size()) {
-        const Index cj = s.cols()[p];
-        if (cj < xi[q]) ++p;
-        else if (xi[q] < cj) ++q;
-        else {
-          a = S::add(a, S::mul(s.vals()[p], xv[q]));
-          any = true;
-          ++p;
-          ++q;
-        }
-      }
-      acc[k] = a;
-      hit[k] = any ? 1 : 0;
-    }
-  }
 
   std::vector<Index> oi;
   std::vector<T> ov;
-  for (std::size_t k = 0; k < nr; ++k)
-    if (hit[k]) {
-      oi.push_back(s.rows()[k]);
-      ov.push_back(acc[k]);
+  for (std::size_t k = 0; k < s.nrows_nonempty(); ++k) {
+    Offset p = s.ptr()[k];
+    const Offset e = s.ptr()[k + 1];
+    std::size_t q = 0;
+    T a = S::zero();
+    bool any = false;
+    while (p < e && q < xi.size()) {
+      const Index cj = s.cols()[p];
+      if (cj < xi[q]) ++p;
+      else if (xi[q] < cj) ++q;
+      else {
+        a = S::add(a, S::mul(s.vals()[p], xv[q]));
+        any = true;
+        ++p;
+        ++q;
+      }
     }
+    if (any) {
+      oi.push_back(s.rows()[k]);
+      ov.push_back(a);
+    }
+  }
   SparseVector<T> y(A.nrows());
   y.adopt(std::move(oi), std::move(ov));
   return y;
 }
 
 /// y = x ⊕.⊗ A (row vector times matrix). Scatter-accumulate per column
-/// into per-thread hash maps, then monoid-merge the maps.
+/// into one hash map, in x's index order: each column sums its terms in
+/// the same order as mxv over Aᵀ.
 template <class S, class T, class M>
 SparseVector<T> vxm(const SparseVector<T>& x, const Matrix<T, M>& A) {
   GBX_CHECK_DIM(x.size() == A.nrows(), "vxm dimension mismatch");
@@ -73,36 +60,19 @@ SparseVector<T> vxm(const SparseVector<T>& x, const Matrix<T, M>& A) {
   const auto xv = x.values();
   const auto rows = s.rows();
 
-  const int threads = max_threads();
-  std::vector<std::unordered_map<Index, T>> local(
-      static_cast<std::size_t>(threads));
-
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel num_threads(threads)
-  {
-    gbx::OmpRegionGuard tsan_region;
-    auto& acc = local[static_cast<std::size_t>(omp_get_thread_num())];
-#pragma omp for schedule(guided)
-    for (std::size_t q = 0; q < xi.size(); ++q) {
-      auto rit = std::lower_bound(rows.begin(), rows.end(), xi[q]);
-      if (rit == rows.end() || *rit != xi[q]) continue;
-      const std::size_t k = static_cast<std::size_t>(rit - rows.begin());
-      for (Offset p = s.ptr()[k]; p < s.ptr()[k + 1]; ++p) {
-        const T prod = S::mul(xv[q], s.vals()[p]);
-        auto [slot, fresh] = acc.try_emplace(s.cols()[p], prod);
-        if (!fresh) slot->second = S::add(slot->second, prod);
-      }
+  std::unordered_map<Index, T> acc;
+  for (std::size_t q = 0; q < xi.size(); ++q) {
+    auto rit = std::lower_bound(rows.begin(), rows.end(), xi[q]);
+    if (rit == rows.end() || *rit != xi[q]) continue;
+    const std::size_t k = static_cast<std::size_t>(rit - rows.begin());
+    for (Offset p = s.ptr()[k]; p < s.ptr()[k + 1]; ++p) {
+      const T prod = S::mul(xv[q], s.vals()[p]);
+      auto [slot, fresh] = acc.try_emplace(s.cols()[p], prod);
+      if (!fresh) slot->second = S::add(slot->second, prod);
     }
   }
 
-  std::unordered_map<Index, T> merged;
-  for (auto& m : local)
-    for (const auto& [j, v] : m) {
-      auto [slot, fresh] = merged.try_emplace(j, v);
-      if (!fresh) slot->second = S::add(slot->second, v);
-    }
-
-  std::vector<std::pair<Index, T>> out(merged.begin(), merged.end());
+  std::vector<std::pair<Index, T>> out(acc.begin(), acc.end());
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<Index> oi(out.size());

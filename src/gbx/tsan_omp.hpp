@@ -110,12 +110,6 @@
 // builds only — non-TSan builds compile everything here to nothing
 // (and the split `parallel`+`for` is codegen-identical to the combined
 // form).
-//
-// Fallback: if a region cannot take the guards (e.g. third-party
-// code), or an instrumented OpenMP runtime surfaces, configure with
-// -DHHGBX_TSAN_OPENMP=OFF to restore the old behaviour (OpenMP
-// disabled under HHGBX_SANITIZE=thread; pragmas degrade to serial
-// loops).
 #pragma once
 
 #if defined(__SANITIZE_THREAD__)

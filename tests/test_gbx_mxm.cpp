@@ -171,6 +171,13 @@ TEST(Vxm, KnownProduct) {
 
 TEST(VxmVsMxvTranspose, Agree) {
   auto a = random_matrix(40, 40, 300, 17);
+  // Column 39 gets 1e16, 1.0 and -1e16 from x entries 0, 15 and 39
+  // (x = 1, 16, 40): in x order the 1.0 is absorbed and the column sums
+  // to 0, while adding the two 1e16 terms first leaves 1.0.
+  a.set_element(0, 39, 1e16);
+  a.set_element(15, 39, 0.0625);
+  a.set_element(39, 39, -2.5e14);
+  a.materialize();
   SparseVector<double> x(40);
   std::vector<Index> xi;
   std::vector<double> xv;
@@ -182,8 +189,9 @@ TEST(VxmVsMxvTranspose, Agree) {
   auto y1 = gbx::vxm<gbx::PlusTimes<double>>(x, a);
   auto at = gbx::transpose(a);
   auto y2 = gbx::mxv<gbx::PlusTimes<double>>(at, x);
+  // Both sum each column in x's index order, so they agree exactly.
   ASSERT_EQ(y1.nvals(), y2.nvals());
-  y1.for_each([&](Index i, double v) { EXPECT_NEAR(y2.get(i).value(), v, 1e-9); });
+  y1.for_each([&](Index i, double v) { EXPECT_EQ(y2.get(i).value(), v); });
 }
 
 TEST(Vector, BuildDedupAndReduce) {
