@@ -20,12 +20,14 @@ Checks:
      accepted sockets from the one session core, so none can grow a
      private listener again.
   5. No `std::thread`, `::recv(`, `::send(`, `::poll(`, `send_all` or
-     `sleep_for` under src/cluster or in src/repl/wal_shipper.hpp: the
-     router and the WAL shipper are handlers on the session core, where
-     their sessions share one loop thread and the core's nonblocking
-     socket I/O. A thread, a blocking socket call or a sleep there would
-     bring back a second session loop and the locks it needs (the worker
-     pool's forked processes need neither).
+     `sleep_for` under src/cluster (except the Fig. 2 scaling harness,
+     which is no handler and runs one thread per instance) or in
+     src/repl/wal_shipper.hpp: the router and the WAL shipper are
+     handlers on the session core, where their sessions share one loop
+     thread and the core's nonblocking socket I/O. A thread, a blocking
+     socket call or a sleep there would bring back a second session
+     loop and the locks it needs (the worker pool's forked processes
+     need neither).
   6. No file under src/hier includes store/btree_store.hpp,
      store/lsm_store.hpp or store/bloom.hpp: those are the Fig. 2
      database comparator models. The out-of-core tier's demoted runs
@@ -66,17 +68,14 @@ Checks:
      engine per key form (packed-key LSD radix, else std::sort):
      parallelism comes from independent instances, one per lane, so a
      forked sort engine and the cutoff that picked it cannot grow back.
- 12. Forks only where a workload runs them: `#pragma omp` appears in
-     code under src/ only in gbx/ewise.hpp, gbx/reduce.hpp,
-     gbx/mxm_masked.hpp, gbx/apply.hpp, hier/snapshot.hpp,
-     cluster/scaling_harness.hpp and gbx/tsan_omp.hpp, and in
-     gbx/ewise.hpp only inside ewise_add_into, which holds exactly two
-     parallel regions (the block merge's count and fill passes). Each
-     allowed site sits on a workload's or a gated bench's timed path;
-     every other kernel (mxm, mxv, vxm, ewise_mult, ...) runs on the
-     calling thread, as the paper's single-threaded instances do, so a
-     fork that no measurement pays for cannot grow back. The allowlist
-     only shrinks as each remaining site is measured.
+ 12. One fork primitive: under src/, `#pragma omp` appears only in
+     gbx/parallel.hpp and gbx/tsan_omp.hpp, src/ holds exactly one
+     `#pragma omp parallel` (the one in gbx::parallel_for), and
+     `OmpRegionGuard` and `GBX_OMP_CAPTURE_HANDOFF` are named only in
+     those two files. A kernel that forks calls gbx::parallel_for;
+     every other kernel runs on the calling thread, as the paper's
+     single-threaded instances do, so neither a hand-rolled region nor
+     its TSan boilerplate can grow back.
 """
 
 import re
@@ -110,6 +109,7 @@ LISTENER_RE = re.compile(r"::(bind|listen|accept4)\(")
 
 # Session-core-only I/O for the router and the WAL shipper (check 5).
 LOOP_ONLY = ("src/cluster/", "src/repl/wal_shipper.hpp")
+LOOP_EXEMPT = ("src/cluster/scaling_harness.hpp",)
 LOOP_BANNED_RE = re.compile(
     r"(\bstd::thread\b|::recv\(|::send\(|::poll\(|\bsend_all\b|"
     r"\bsleep_for\b)")
@@ -154,22 +154,12 @@ RETIRED_SORT_NAMES_RE = re.compile(
     r"\b(sample_sort|radix_sort_pairs_forked|dedup_sorted_entries_parallel|"
     r"sort_entries_comparison|kParallelSortCutoff)\b")
 
-# Forks only where a workload runs them (check 12): the files allowed a
-# `#pragma omp`, and the one function in gbx/ewise.hpp that may fork.
-OMP_ALLOWLIST = {
-    "src/gbx/ewise.hpp",
-    "src/gbx/reduce.hpp",
-    "src/gbx/mxm_masked.hpp",
-    "src/gbx/apply.hpp",
-    "src/hier/snapshot.hpp",
-    "src/cluster/scaling_harness.hpp",
-    "src/gbx/tsan_omp.hpp",
-}
+# One fork primitive (check 12): the files that may hold `#pragma omp`
+# or name the TSan fork bridge, and the one parallel region under src/.
+FORK_HOME = {"src/gbx/parallel.hpp", "src/gbx/tsan_omp.hpp"}
 OMP_PRAGMA_RE = re.compile(r"#\s*pragma\s+omp\b")
 OMP_PARALLEL_RE = re.compile(r"#\s*pragma\s+omp\s+parallel\b")
-EWISE_FORK_FILE = "src/gbx/ewise.hpp"
-EWISE_FORK_FN_RE = re.compile(r"\bvoid\s+ewise_add_into\s*\(")
-EWISE_FORK_REGIONS = 2
+FORK_BRIDGE_RE = re.compile(r"\b(OmpRegionGuard|GBX_OMP_CAPTURE_HANDOFF)\b")
 
 # `new` as an expression: preceded by start/space/punct, followed by a
 # type. Excludes placement-new forms used by containers (none in-repo)
@@ -299,7 +289,7 @@ def check_listeners(path: Path, code: str, errors: list) -> None:
 
 def check_loop_only_io(path: Path, code: str, errors: list) -> None:
     rel = str(path.relative_to(REPO))
-    if not rel.startswith(LOOP_ONLY):
+    if not rel.startswith(LOOP_ONLY) or rel in LOOP_EXEMPT:
         return
     for ln, line in enumerate(code.splitlines(), 1):
         m = LOOP_BANNED_RE.search(line)
@@ -408,61 +398,25 @@ def check_one_thread_per_sort(path: Path, text: str, errors: list) -> None:
                     f"independent instances, one per lane")
 
 
-def function_body_lines(code: str, sig_re: re.Pattern):
-    """1-based (first, last) line span of the body of the function whose
-    signature matches sig_re, found by brace matching; None if absent."""
-    m = sig_re.search(code)
-    if not m:
-        return None
-    open_at = code.find("{", m.end())
-    if open_at < 0:
-        return None
-    depth = 0
-    for i in range(open_at, len(code)):
-        if code[i] == "{":
-            depth += 1
-        elif code[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return (code.count("\n", 0, open_at) + 1,
-                        code.count("\n", 0, i) + 1)
-    return None
-
-
-def check_forks_where_measured(path: Path, code: str, errors: list) -> None:
+def check_one_fork_primitive(path: Path, code: str, errors: list,
+                             regions: list) -> None:
     rel = str(path.relative_to(REPO))
-    lines = code.splitlines()
-    pragmas = [ln for ln, line in enumerate(lines, 1)
-               if OMP_PRAGMA_RE.search(line)]
-    if not pragmas:
-        return
-    if rel not in OMP_ALLOWLIST:
-        for ln in pragmas:
+    for ln, line in enumerate(code.splitlines(), 1):
+        if OMP_PARALLEL_RE.search(line):
+            regions.append(f"{rel}:{ln}")
+        if rel in FORK_HOME:
+            continue
+        m = OMP_PRAGMA_RE.search(line) or FORK_BRIDGE_RE.search(line)
+        if m:
             errors.append(
-                f"{rel}:{ln}: #pragma omp outside the fork allowlist — "
-                f"kernels run on the calling thread unless a workload or "
-                f"gated bench times the fork (scripts/lint_invariants.py "
-                f"check 12)")
-        return
-    if rel != EWISE_FORK_FILE:
-        return
-    span = function_body_lines(code, EWISE_FORK_FN_RE)
-    for ln in pragmas:
-        if span is None or not span[0] <= ln <= span[1]:
-            errors.append(
-                f"{rel}:{ln}: #pragma omp outside ewise_add_into — only "
-                f"the block merge forks in this file")
-    regions = sum(1 for ln in pragmas
-                  if OMP_PARALLEL_RE.search(lines[ln - 1]))
-    if regions != EWISE_FORK_REGIONS:
-        errors.append(
-            f"{rel}:1: {regions} parallel region(s), expected exactly "
-            f"{EWISE_FORK_REGIONS} (ewise_add_into's count and fill "
-            f"passes)")
+                f"{rel}:{ln}: {m.group(0)} outside gbx/parallel.hpp and "
+                f"gbx/tsan_omp.hpp — a kernel forks only through "
+                f"gbx::parallel_for (scripts/lint_invariants.py check 12)")
 
 
 def main() -> int:
     errors: list = []
+    regions: list = []
     for path in sorted(SRC.rglob("*")):
         if path.suffix not in (".hpp", ".cpp"):
             continue
@@ -479,7 +433,12 @@ def main() -> int:
         check_one_multipart_source(path, text, errors)
         check_one_output_sizing(path, code, errors)
         check_one_thread_per_sort(path, text, errors)
-        check_forks_where_measured(path, code, errors)
+        check_one_fork_primitive(path, code, errors, regions)
+    if len(regions) != 1:
+        errors.append(
+            f"src: {len(regions)} `#pragma omp parallel` region(s) "
+            f"({', '.join(regions)}), expected exactly one, in "
+            f"gbx::parallel_for")
     for e in errors:
         print(e, file=sys.stderr)
     if errors:

@@ -3,7 +3,7 @@
 // The paper's experiment: P independent processes, each streaming
 // power-law edge sets into its own hierarchical hypersparse matrix;
 // the reported metric is the sum of per-process update rates. This
-// harness reproduces that shape with one OpenMP thread per instance on
+// harness reproduces that shape with one std::thread per instance on
 // the local node (instances share nothing, exactly like the paper's
 // processes), and measures per-instance busy time around update calls
 // only — generation happens between timed windows, playing the role of
@@ -12,13 +12,14 @@
 
 #include <omp.h>
 
+#include <chrono>
 #include <cstddef>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include "assoc/assoc.hpp"
 #include "cluster/workload.hpp"
-#include "gbx/tsan_omp.hpp"
 #include "gen/gen.hpp"
 #include "hier/hier.hpp"
 #include "store/store.hpp"
@@ -35,34 +36,31 @@ struct RunResult {
 };
 
 /// Generic multi-instance runner. `make(p)` builds instance p's state;
-/// `update(state, batch)` applies one batch. One OpenMP thread drives one
+/// `update(state, batch)` applies one batch. One std::thread drives one
 /// instance (the paper's process model).
 template <class State>
 RunResult run_instances(
     std::size_t instances, const WorkloadSpec& w,
     const std::function<State(std::size_t)>& make,
     const std::function<void(State&, const gbx::Tuples<double>&)>& update) {
+  using Clock = std::chrono::steady_clock;
+  auto seconds = [](Clock::duration d) {
+    return std::chrono::duration<double>(d).count();
+  };
   RunResult r;
   r.instances = instances;
   r.entries = static_cast<std::uint64_t>(instances) * w.entries_per_instance();
 
   std::vector<double> busy(instances, 0.0);
-  // The per-instance omp_set_num_threads(1) below also sticks to the
-  // primary thread once the region ends; remember the ambient setting.
-  const int ambient_threads = omp_get_max_threads();
-  const double t0 = omp_get_wtime();
-
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel num_threads(static_cast<int>(instances))
-  {
-    gbx::OmpRegionGuard tsan_region;
-#pragma omp for schedule(static)
-    for (std::size_t p = 0; p < instances; ++p) {
-      // Each instance is strictly single-threaded, like one of the paper's
-      // processes: gbx kernels called from here must not spawn nested
-      // teams (they would for P=1, where the enclosing one-thread region
-      // counts as inactive), or per-instance rates would not be comparable
-      // across instance counts.
+  const auto t0 = Clock::now();
+  std::vector<std::thread> threads;
+  threads.reserve(instances);
+  for (std::size_t p = 0; p < instances; ++p) {
+    threads.emplace_back([&, p] {
+      // Each instance is strictly single-threaded, like one of the
+      // paper's processes: gbx kernels called from here must not fork
+      // teams, or per-instance rates would not be comparable across
+      // instance counts. The setting belongs to this thread alone.
       omp_set_num_threads(1);
       gen::PowerLawParams pp;
       pp.scale = w.scale;
@@ -75,15 +73,15 @@ RunResult run_instances(
       for (std::size_t s = 0; s < w.sets; ++s) {
         batch.clear();
         g.batch(w.set_size, batch);          // untimed: workload generation
-        const double b0 = omp_get_wtime();
+        const auto b0 = Clock::now();
         update(state, batch);                // timed: the streaming insert
-        busy[p] += omp_get_wtime() - b0;
+        busy[p] += seconds(Clock::now() - b0);
       }
-    }
+    });
   }
+  for (auto& t : threads) t.join();
+  r.wall_seconds = seconds(Clock::now() - t0);
 
-  r.wall_seconds = omp_get_wtime() - t0;
-  omp_set_num_threads(ambient_threads);
   double agg = 0, bsum = 0;
   for (std::size_t p = 0; p < instances; ++p) {
     agg += static_cast<double>(w.entries_per_instance()) / busy[p];

@@ -7,25 +7,14 @@
 
 #include "gbx/matrix.hpp"
 #include "gbx/ops.hpp"
-#include "gbx/tsan_omp.hpp"
 
 namespace gbx {
 
 /// C = op(A) for a stateless unary op type (apply<One<T>>, ...).
 template <class UnaryOpT, class T, class M>
 Matrix<T, M> apply(const Matrix<T, M>& A) {
-  const Dcsr<T>& s = A.storage();
-  Dcsr<T> c = s;
-  auto& vals = c.mutable_vals();
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel
-  {
-    gbx::OmpRegionGuard tsan_region;
-#pragma omp for schedule(static)
-    for (std::size_t p = 0; p < vals.size(); ++p) {
-      vals[p] = UnaryOpT::apply(vals[p]);
-    }
-  }
+  Dcsr<T> c = A.storage();
+  for (auto&& v : c.mutable_vals()) v = UnaryOpT::apply(v);
   return Matrix<T, M>::adopt(A.nrows(), A.ncols(), std::move(c));
 }
 
@@ -33,18 +22,8 @@ Matrix<T, M> apply(const Matrix<T, M>& A) {
 /// (Bind1st/Bind2nd instances, lambdas wrapped in a struct, ...).
 template <class T, class M, class F>
 Matrix<T, M> apply_fn(const Matrix<T, M>& A, const F& f) {
-  const Dcsr<T>& s = A.storage();
-  Dcsr<T> c = s;
-  auto& vals = c.mutable_vals();
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel
-  {
-    gbx::OmpRegionGuard tsan_region;
-#pragma omp for schedule(static)
-    for (std::size_t p = 0; p < vals.size(); ++p) {
-      vals[p] = f.apply(vals[p]);
-    }
-  }
+  Dcsr<T> c = A.storage();
+  for (auto&& v : c.mutable_vals()) v = f.apply(v);
   return Matrix<T, M>::adopt(A.nrows(), A.ncols(), std::move(c));
 }
 

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "gbx/dcsr.hpp"
+#include "gbx/parallel.hpp"
 #include "gbx/scratch.hpp"
-#include "gbx/tsan_omp.hpp"
 
 namespace gbx {
 
@@ -145,12 +145,8 @@ void ewise_add_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& C,
 
   // Pass 1: exact per-row output counts, then their prefix sum.
   off[0] = 0;
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel
-  {
-    gbx::OmpRegionGuard tsan_region;
-#pragma omp for schedule(guided)
-    for (std::size_t k = 0; k < nr; ++k) {
+  parallel_for(nr, true, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
       const std::size_t a = ia[k], b = ib[k];
       std::size_t cnt;
       if (a == detail::kNoRow) {
@@ -164,7 +160,7 @@ void ewise_add_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& C,
       }
       off[k + 1] = cnt;
     }
-  }
+  });
   for (std::size_t k = 0; k < nr; ++k) off[k + 1] += off[k];
 
   C.prepare(nr, off[nr]);
@@ -174,12 +170,8 @@ void ewise_add_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& C,
   // Pass 2: fill.
   auto& cc = C.mutable_cols();
   auto& cv = C.mutable_vals();
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel
-  {
-    gbx::OmpRegionGuard tsan_region;
-#pragma omp for schedule(guided)
-    for (std::size_t k = 0; k < nr; ++k) {
+  parallel_for(nr, true, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
       Offset w = off[k];
       const std::size_t a = ia[k], b = ib[k];
       if (a == detail::kNoRow) {
@@ -220,7 +212,7 @@ void ewise_add_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& C,
         cv[w] = B.vals()[pb];
       }
     }
-  }
+  });
 }
 
 /// C = A ⊕ B returning a fresh block. Delegates to ewise_add_into with

@@ -12,7 +12,6 @@
 #include "gbx/matrix.hpp"
 #include "gbx/semiring.hpp"
 #include "gbx/transpose.hpp"
-#include "gbx/tsan_omp.hpp"
 
 namespace gbx {
 
@@ -40,51 +39,36 @@ Matrix<T, M> mxm_masked(const Matrix<TM, MM>& mask, const Matrix<T, M>& A,
   for (std::size_t k = 0; k < sbt.nrows_nonempty(); ++k)
     btrow.emplace(sbt.rows()[k], k);
 
-  const std::size_t nmr = sm.nrows_nonempty();
-  std::vector<std::vector<Entry<T>>> rowbuf(nmr);
+  std::vector<Entry<T>> ent;
+  for (std::size_t mk = 0; mk < sm.nrows_nonempty(); ++mk) {
+    const Index i = sm.rows()[mk];
+    auto ait = arow.find(i);
+    if (ait == arow.end()) continue;
+    const std::size_t ka = ait->second;
+    const Offset abeg = sa.ptr()[ka], aend = sa.ptr()[ka + 1];
 
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel
-  {
-    gbx::OmpRegionGuard tsan_region;
-#pragma omp for schedule(dynamic, 8)
-    for (std::size_t mk = 0; mk < nmr; ++mk) {
-      const Index i = sm.rows()[mk];
-      auto ait = arow.find(i);
-      if (ait == arow.end()) continue;
-      const std::size_t ka = ait->second;
-      const Offset abeg = sa.ptr()[ka], aend = sa.ptr()[ka + 1];
-
-      auto& out = rowbuf[mk];
-      for (Offset mp = sm.ptr()[mk]; mp < sm.ptr()[mk + 1]; ++mp) {
-        const Index j = sm.cols()[mp];
-        auto bit = btrow.find(j);
-        if (bit == btrow.end()) continue;
-        const std::size_t kb = bit->second;
-        // Sparse dot of A(i,:) with B(:,j) == B^T(j,:).
-        Offset pa = abeg, pb = sbt.ptr()[kb];
-        const Offset eb = sbt.ptr()[kb + 1];
-        T acc = S::zero();
-        bool any = false;
-        while (pa < aend && pb < eb) {
-          const Index ca = sa.cols()[pa], cb = sbt.cols()[pb];
-          if (ca < cb) ++pa;
-          else if (cb < ca) ++pb;
-          else {
-            acc = S::add(acc, S::mul(sa.vals()[pa++], sbt.vals()[pb++]));
-            any = true;
-          }
+    for (Offset mp = sm.ptr()[mk]; mp < sm.ptr()[mk + 1]; ++mp) {
+      const Index j = sm.cols()[mp];
+      auto bit = btrow.find(j);
+      if (bit == btrow.end()) continue;
+      const std::size_t kb = bit->second;
+      // Sparse dot of A(i,:) with B(:,j) == B^T(j,:).
+      Offset pa = abeg, pb = sbt.ptr()[kb];
+      const Offset eb = sbt.ptr()[kb + 1];
+      T acc = S::zero();
+      bool any = false;
+      while (pa < aend && pb < eb) {
+        const Index ca = sa.cols()[pa], cb = sbt.cols()[pb];
+        if (ca < cb) ++pa;
+        else if (cb < ca) ++pb;
+        else {
+          acc = S::add(acc, S::mul(sa.vals()[pa++], sbt.vals()[pb++]));
+          any = true;
         }
-        if (any) out.push_back({i, j, acc});
       }
+      if (any) ent.push_back({i, j, acc});
     }
   }
-
-  std::vector<Entry<T>> ent;
-  std::size_t total = 0;
-  for (const auto& rb : rowbuf) total += rb.size();
-  ent.reserve(total);
-  for (auto& rb : rowbuf) ent.insert(ent.end(), rb.begin(), rb.end());
   // Mask rows were walked in order and columns within a mask row are
   // sorted, so ent is already (row, col) sorted.
   return Matrix<T, M>::adopt(A.nrows(), B.ncols(),

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "gbx/matrix.hpp"
-#include "gbx/tsan_omp.hpp"
+#include "gbx/parallel.hpp"
 #include "gbx/vector.hpp"
 #include "gbx/view.hpp"
 
@@ -12,29 +12,32 @@ namespace gbx {
 
 namespace detail {
 
-/// Below this many stored entries a row reduction runs on the calling
-/// thread: forking a team costs more than the scan it would split (a
-/// query over a near-empty snapshot otherwise spins every core). The
-/// per-row partials make the result independent of the team size.
+/// Below this many stored entries a scalar reduction runs on the
+/// calling thread: forking a team costs more than the scan it would
+/// split (a query over a near-empty snapshot otherwise spins every
+/// core). The per-row partials make the result independent of the team
+/// size.
 inline constexpr std::size_t kParallelReduceCutoff = std::size_t{1} << 16;
+
+/// Sum of one stored row, in column order.
+template <class MonoidT, class T>
+T reduce_row(const Dcsr<T>& s, std::size_t k) {
+  T acc = MonoidT::identity();
+  for (Offset p = s.ptr()[k]; p < s.ptr()[k + 1]; ++p)
+    acc = MonoidT::apply(acc, s.vals()[p]);
+  return acc;
+}
 
 /// Shared reduction core over raw DCSR storage.
 template <class MonoidT, class T>
 T reduce_scalar_dcsr(const Dcsr<T>& s) {
   const auto nr = s.nrows_nonempty();
   std::vector<T> partial(nr, MonoidT::identity());
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel if (s.nnz() >= kParallelReduceCutoff)
-  {
-    gbx::OmpRegionGuard tsan_region;
-#pragma omp for schedule(guided)
-    for (std::size_t k = 0; k < nr; ++k) {
-      T acc = MonoidT::identity();
-      for (Offset p = s.ptr()[k]; p < s.ptr()[k + 1]; ++p)
-        acc = MonoidT::apply(acc, s.vals()[p]);
-      partial[k] = acc;
-    }
-  }
+  parallel_for(nr, s.nnz() >= kParallelReduceCutoff,
+               [&](std::size_t begin, std::size_t end) {
+                 for (std::size_t k = begin; k < end; ++k)
+                   partial[k] = reduce_row<MonoidT>(s, k);
+               });
   T acc = MonoidT::identity();
   for (const T& v : partial) acc = MonoidT::apply(acc, v);
   return acc;
@@ -60,21 +63,9 @@ namespace detail {
 template <class MonoidT, class T>
 SparseVector<T> reduce_rows_dcsr(const Dcsr<T>& s, Index nrows) {
   const auto nr = s.nrows_nonempty();
-  std::vector<Index> idx(nr);
+  std::vector<Index> idx(s.rows().begin(), s.rows().end());
   std::vector<T> val(nr);
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel if (s.nnz() >= kParallelReduceCutoff)
-  {
-    gbx::OmpRegionGuard tsan_region;
-#pragma omp for schedule(guided)
-    for (std::size_t k = 0; k < nr; ++k) {
-      T acc = MonoidT::identity();
-      for (Offset p = s.ptr()[k]; p < s.ptr()[k + 1]; ++p)
-        acc = MonoidT::apply(acc, s.vals()[p]);
-      idx[k] = s.rows()[k];
-      val[k] = acc;
-    }
-  }
+  for (std::size_t k = 0; k < nr; ++k) val[k] = reduce_row<MonoidT>(s, k);
   SparseVector<T> out(nrows);
   out.adopt(std::move(idx), std::move(val));
   return out;

@@ -5,9 +5,8 @@
 // order an OpenMP fork/join are invisible to the race detector: every
 // master-writes-then-workers-read handoff (chunk tables, histograms,
 // scatter cursors) and every workers-write-then-master-reads join looks
-// like an unsynchronized race. Historically the TSan preset simply
-// disabled OpenMP, leaving kernel-internal parallelism unchecked — the
-// standing ROADMAP residual.
+// like an unsynchronized race. The one OpenMP region in src/,
+// gbx::parallel_for (gbx/parallel.hpp), carries both mechanisms below.
 //
 // Two mechanisms cooperate, one per direction of the fork handoff:
 //
@@ -63,21 +62,12 @@
 //    through thread 0's accesses. Racing WRITES into a region are
 //    caught on any thread.
 //
-// Usage — split a combined `parallel for` so the guard can live inside
-// the region, and declare the capture handoff just before the pragma:
-//
-//   GBX_OMP_CAPTURE_HANDOFF;
-//   #pragma omp parallel
-//     {
-//       gbx::OmpRegionGuard tsan_region;
-//   #pragma omp for schedule(static)
-//       for (int c = 0; c < nchunks; ++c) { ... }
-//     }
-//
-// Every team thread must construct OmpRegionGuard (all threads must
-// reach both barriers), so declare it unconditionally as the FIRST
-// statement of the parallel block — never under an `if`, and before
-// any other local so its destructor runs last.
+// The region splits `parallel` from `for` so the guard can live inside
+// it, with the capture handoff declared just before the pragma. Every
+// team thread must construct OmpRegionGuard (all threads must reach
+// both barriers), so it is the FIRST statement of the parallel block —
+// never under an `if`, and before any other local so its destructor
+// runs last.
 //
 // Ignore bookkeeping (each pair on one thread, never nested, so the
 // counters always balance):
@@ -126,9 +116,7 @@
 
 #if GBX_TSAN_ENABLED
 
-#ifdef _OPENMP
 #include <omp.h>
-#endif
 
 // Provided by the TSan runtime (tsan_interface.h / dynamic_annotations,
 // which ship with the compiler only in some distributions — declaring
@@ -154,14 +142,6 @@ namespace detail {
 // comment for the cross-team precision trade-off of globals.
 inline char tsan_omp_entry_sync = 0;
 inline char tsan_omp_exit_sync = 0;
-
-inline bool omp_team_master() {
-#ifdef _OPENMP
-  return omp_get_thread_num() == 0;
-#else
-  return true;
-#endif
-}
 
 // Tracks whether this pool worker's lifetime read-ignore window is
 // open (set once at its first region's exit), and closes it when the
@@ -189,13 +169,11 @@ inline thread_local TsanOmpReadsIgnored tsan_omp_reads_ignored;
 class OmpRegionGuard {
  public:
   OmpRegionGuard() {
-    if (detail::omp_team_master()) {
+    if (omp_get_thread_num() == 0) {
       AnnotateIgnoreWritesEnd(__FILE__, __LINE__);
     }
     __tsan_release(&detail::tsan_omp_entry_sync);
-#ifdef _OPENMP
 #pragma omp barrier
-#endif
     __tsan_acquire(&detail::tsan_omp_entry_sync);
     // Compiler-level fence: keeps body accesses (and their TSan
     // instrumentation calls) from scheduling above the acquire.
@@ -207,11 +185,9 @@ class OmpRegionGuard {
     // Mirror image: keep body writes from sinking below the release.
     __asm__ __volatile__("" ::: "memory");
     __tsan_release(&detail::tsan_omp_exit_sync);
-#ifdef _OPENMP
 #pragma omp barrier
-#endif
     __tsan_acquire(&detail::tsan_omp_exit_sync);
-    if (!detail::omp_team_master() && !detail::tsan_omp_reads_ignored.on) {
+    if (omp_get_thread_num() != 0 && !detail::tsan_omp_reads_ignored.on) {
       AnnotateIgnoreReadsBegin(__FILE__, __LINE__);
       detail::tsan_omp_reads_ignored.on = true;
     }
@@ -220,8 +196,8 @@ class OmpRegionGuard {
 
 // Opens the fork's write-ignore window; the region's OmpRegionGuard
 // ctor closes it on thread 0. Place as the statement immediately
-// before `#pragma omp parallel` — nothing may intervene, or its writes
-// go unrecorded too.
+// before the parallel pragma — nothing may intervene, or its writes go
+// unrecorded too.
 #define GBX_OMP_CAPTURE_HANDOFF \
   ::AnnotateIgnoreWritesBegin(__FILE__, __LINE__)
 

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -34,7 +35,6 @@
 #include "gbx/monoid.hpp"
 #include "gbx/parallel.hpp"
 #include "gbx/reduce.hpp"
-#include "gbx/tsan_omp.hpp"
 #include "gbx/view.hpp"
 #include "hier/stats.hpp"
 #include "hier/tier.hpp"
@@ -175,13 +175,13 @@ std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
 }
 
 /// Exact number of distinct coordinates across a set of frozen blocks —
-/// nothing is materialized. The row space is cut into chunks at
-/// quantiles of the block with the most rows; each chunk locates its
-/// row range in every block by binary search and counts independently
-/// (dynamic schedule, about four chunks per thread), and the per-chunk
-/// counts are summed serially, so the result is exact and independent
-/// of the team size. The single definition behind HierSnapshot::nvals
-/// AND SnapshotSet::nvals.
+/// nothing is materialized. The row space is cut into chunks at the
+/// gbx::parallel_for ranges over the rows of the block with the most
+/// rows; each chunk locates its row range in every block by binary
+/// search and counts independently, and the integer per-chunk counts
+/// are summed, so the result is exact and independent of the team size.
+/// The single definition behind HierSnapshot::nvals AND
+/// SnapshotSet::nvals.
 template <class T>
 std::size_t count_distinct_coords(std::vector<const gbx::Dcsr<T>*> bs) {
   dedupe_blocks(bs);  // aliased blocks contribute one copy
@@ -196,37 +196,25 @@ std::size_t count_distinct_coords(std::vector<const gbx::Dcsr<T>*> bs) {
     if (b->nrows_nonempty() > widest->nrows_nonempty()) widest = b;
   }
   const auto split = widest->rows();
-  const std::size_t nchunks =
-      total < kParallelCountCutoff
-          ? 1
-          : std::min(split.size(),
-                     4 * static_cast<std::size_t>(gbx::max_threads()));
-  // Chunk c owns rows [split[c·S/n], split[(c+1)·S/n]), with the first
-  // and last chunks open-ended; a row equal to a splitter lands at the
-  // start of the same chunk in every block.
+  // The chunk over splitter range [q0, q1) owns rows [split[q0],
+  // split[q1]), with the first and last chunks open-ended; a row equal
+  // to a splitter lands at the start of the same chunk in every block.
   auto bound = [&](std::span<const gbx::Index> rows, std::size_t q) {
     if (q == 0) return std::size_t{0};
-    if (q == nchunks) return rows.size();
-    const gbx::Index s = split[q * split.size() / nchunks];
+    if (q == split.size()) return rows.size();
     return static_cast<std::size_t>(
-        std::lower_bound(rows.begin(), rows.end(), s) - rows.begin());
+        std::lower_bound(rows.begin(), rows.end(), split[q]) - rows.begin());
   };
-  std::vector<std::size_t> counts(nchunks, 0);
-  GBX_OMP_CAPTURE_HANDOFF;
-#pragma omp parallel if (nchunks > 1)
-  {
-    gbx::OmpRegionGuard tsan_region;
-#pragma omp for schedule(dynamic, 1)
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      std::vector<RowCursor<T>> cs;
-      cs.reserve(bs.size());
-      for (const auto* b : bs)
-        cs.push_back({b, bound(b->rows(), c), bound(b->rows(), c + 1)});
-      counts[c] = count_chunk(std::move(cs));
-    }
-  }
-  std::size_t n = 0;
-  for (const std::size_t x : counts) n += x;
+  std::atomic<std::size_t> n{0};
+  gbx::parallel_for(
+      split.size(), total >= kParallelCountCutoff,
+      [&](std::size_t q0, std::size_t q1) {
+        std::vector<RowCursor<T>> cs;
+        cs.reserve(bs.size());
+        for (const auto* b : bs)
+          cs.push_back({b, bound(b->rows(), q0), bound(b->rows(), q1)});
+        n.fetch_add(count_chunk(std::move(cs)), std::memory_order_relaxed);
+      });
   return n;
 }
 

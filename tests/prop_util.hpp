@@ -68,6 +68,18 @@ struct ThreadsGuard {
   ~ThreadsGuard() { omp_set_num_threads(saved); }
 };
 
+/// Runs `body` once at each team size (1, then 4 OpenMP threads) and
+/// restores the ambient setting after, so a kernel forking through
+/// gbx::parallel_for is checked on its serial and its split path.
+template <class F>
+void for_team_sizes(F&& body) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "omp threads " << threads);
+    ThreadsGuard guard(threads);
+    body();
+  }
+}
+
 /// Declare the test's rng seed and make failures print it.
 #define HHGBX_PROP_SEED(var, pinned)                        \
   const std::uint64_t var = ::proptest::seed_or_env(pinned); \

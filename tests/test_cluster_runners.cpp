@@ -4,6 +4,9 @@
 
 #include <omp.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 
 namespace {
@@ -44,6 +47,21 @@ TEST(Runners, AmbientThreadCountRestored) {
   const int before = omp_get_max_threads();
   (void)cluster::run_hier_gbx(2, tiny(), hier::CutPolicy({1000}));
   EXPECT_EQ(omp_get_max_threads(), before);
+}
+
+TEST(Runners, EveryInstanceIsSingleThreaded) {
+  // The paper's instances are single-threaded processes: every gbx
+  // kernel an instance calls must see a team of one.
+  for (const std::size_t instances : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "instances " << instances);
+    std::vector<int> seen(instances, 0);
+    (void)cluster::run_instances<std::size_t>(
+        instances, tiny(), [](std::size_t p) { return p; },
+        [&](std::size_t& p, const gbx::Tuples<double>&) {
+          seen[p] = std::max(seen[p], gbx::max_threads());
+        });
+    for (std::size_t p = 0; p < instances; ++p) EXPECT_EQ(seen[p], 1) << p;
+  }
 }
 
 TEST(Runners, RelativeOrderingHolds) {

@@ -12,7 +12,6 @@
 //   * coordinates next to the top of a 2^60-dimension index space;
 //   * demoted-tier segments decoded into the count.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <algorithm>
 #include <map>
@@ -31,22 +30,11 @@ namespace {
 using gbx::Index;
 using Block = std::shared_ptr<const gbx::Dcsr<double>>;
 using Cells = std::map<std::pair<Index, Index>, double>;
+using proptest::for_team_sizes;
 
 constexpr std::uint64_t kSeedBlockSets = 0xC0DE0001;
 constexpr std::uint64_t kSeedSplitters = 0xC0DE0002;
 constexpr std::uint64_t kSeedDemoted = 0xC0DE0003;
-
-/// Runs `body` once per team size, restoring the ambient setting after.
-template <class F>
-void for_team_sizes(F&& body) {
-  const int ambient = omp_get_max_threads();
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE(::testing::Message() << "omp threads " << threads);
-    omp_set_num_threads(threads);
-    body();
-  }
-  omp_set_num_threads(ambient);
-}
 
 Block make_block(const Cells& cells) {
   std::vector<gbx::Entry<double>> es;

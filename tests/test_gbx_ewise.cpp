@@ -5,6 +5,7 @@
 #include <random>
 
 #include "gbx/gbx.hpp"
+#include "prop_util.hpp"
 
 namespace {
 
@@ -72,6 +73,34 @@ TEST(EwiseAdd, MinOpSelectsSmaller) {
   b.set_element(0, 0, 3.0);
   auto c = gbx::ewise_add<gbx::Min<double>>(a, b);
   EXPECT_DOUBLE_EQ(c.extract_element(0, 0).value(), 3.0);
+}
+
+TEST(EwiseAddInto, MatchesSerialMergeAtEveryTeamSize) {
+  // Thousands of rows, so a 4-thread team splits both passes into
+  // several ranges; rows held by one block and by both, and few columns,
+  // so many coordinates combine. The output must equal the one-pass
+  // serial merge bit for bit.
+  std::mt19937_64 rng(11);
+  auto block = [&](Index first_row) {
+    std::uniform_int_distribution<Index> row(first_row, first_row + 4999);
+    std::uniform_int_distribution<Index> col(0, 31);
+    std::uniform_real_distribution<double> val(-1, 1);
+    std::map<std::pair<Index, Index>, double> cells;
+    while (cells.size() < 20000) cells[{row(rng), col(rng)}] = val(rng);
+    std::vector<gbx::Entry<double>> es;
+    for (const auto& [k, v] : cells) es.push_back({k.first, k.second, v});
+    return gbx::Dcsr<double>::from_sorted_unique(es);
+  };
+  const auto a = block(0), b = block(2500);
+  gbx::Dcsr<double> want;
+  gbx::merge_blocks_into<gbx::Plus<double>>(a, b, want);
+
+  proptest::for_team_sizes([&] {
+    gbx::Dcsr<double> got;
+    gbx::ewise_add_into<gbx::Plus<double>>(a, b, got,
+                                           gbx::ScratchPool::local());
+    EXPECT_EQ(got, want);
+  });
 }
 
 TEST(EwiseMult, IntersectionOnly) {

@@ -1,9 +1,11 @@
 // Tests for reductions, apply, select and transpose.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 
 #include "gbx/gbx.hpp"
+#include "prop_util.hpp"
 
 namespace {
 
@@ -40,6 +42,40 @@ TEST(Reduce, ScalarMinMax) {
 TEST(Reduce, ScalarEmptyIsIdentity) {
   Matrix<double> m(4, 4);
   EXPECT_DOUBLE_EQ((gbx::reduce_scalar<gbx::PlusMonoid<double>>(m)), 0.0);
+}
+
+TEST(Reduce, ScalarIsBitIdenticalAtEveryTeamSize) {
+  // Above the fork cutoff, with values whose sum depends on its order:
+  // 1e16 + 1 rounds back to 1e16, so each middle row sums to 0 or 1 by
+  // where its 1 sits, and the lone 1e16 and -1e16 of the first and last
+  // rows absorb those row sums only when they are folded in row order.
+  constexpr double kBig = 1e16;
+  constexpr std::array<double, 3> kTriple{kBig, 1.0, -kBig};
+  constexpr Index kRows = 40000;
+  Matrix<double> m(kRows + 2, 3);
+  m.set_element(0, 0, kBig);
+  for (Index i = 1; i <= kRows; ++i)
+    for (Index j = 0; j < 3; ++j) m.set_element(i, j, kTriple[(i + j) % 3]);
+  m.set_element(kRows + 1, 0, -kBig);
+  m.materialize();
+  ASSERT_GE(m.nvals(), gbx::detail::kParallelReduceCutoff);
+
+  // Each row folded in column order, then the row sums in row order.
+  double want = 0, row_sum = 0;
+  Index row = 0;
+  m.for_each([&](Index i, Index, double v) {
+    if (i != row) {
+      want += row_sum;
+      row_sum = 0;
+      row = i;
+    }
+    row_sum += v;
+  });
+  want += row_sum;
+
+  proptest::for_team_sizes([&] {
+    EXPECT_EQ((gbx::reduce_scalar<gbx::PlusMonoid<double>>(m)), want);
+  });
 }
 
 TEST(Reduce, Rows) {
