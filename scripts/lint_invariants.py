@@ -76,6 +76,15 @@ Checks:
      every other kernel runs on the calling thread, as the paper's
      single-threaded instances do, so neither a hand-rolled region nor
      its TSan boilerplate can grow back.
+ 13. One codec per byte format: under src/, `kRecordMagic`, `frame_sum`,
+     `FrameHeader` and the magic's hex literal appear only in
+     store/wal.hpp (comments included), `payload_as` is defined only
+     there, and no file mentions `serialize_dcsr`,
+     `frame_payload_offset` or `end_before_last_`. The record frame has
+     one encoder and one parser and its payloads one POD decoder, all in
+     store/wal.hpp, and gbx::serialize_rows is the one matrix writer, so
+     a module cannot grow a hand-written frame or a second matrix writer
+     again.
 """
 
 import re
@@ -160,6 +169,16 @@ FORK_HOME = {"src/gbx/parallel.hpp", "src/gbx/tsan_omp.hpp"}
 OMP_PRAGMA_RE = re.compile(r"#\s*pragma\s+omp\b")
 OMP_PARALLEL_RE = re.compile(r"#\s*pragma\s+omp\s+parallel\b")
 FORK_BRIDGE_RE = re.compile(r"\b(OmpRegionGuard|GBX_OMP_CAPTURE_HANDOFF)\b")
+
+# One codec per byte format (check 13): the one home of the record
+# frame, the names and literal only it may spell, a payload_as
+# definition (a type before the name, not a call), and retired names.
+FRAME_HOME = "src/store/wal.hpp"
+FRAME_NAMES_RE = re.compile(r"\b(kRecordMagic|frame_sum|FrameHeader)\b")
+FRAME_MAGIC_RE = re.compile(r"0x48485741'?4C30303\d", re.IGNORECASE)
+PAYLOAD_AS_DEF_RE = re.compile(r"\b(?!return\b)\w+[\s>]+payload_as\s*\(")
+RETIRED_CODEC_NAMES_RE = re.compile(
+    r"\b(serialize_dcsr|frame_payload_offset|end_before_last_)\b")
 
 # `new` as an expression: preceded by start/space/punct, followed by a
 # type. Excludes placement-new forms used by containers (none in-repo)
@@ -414,6 +433,31 @@ def check_one_fork_primitive(path: Path, code: str, errors: list,
                 f"gbx::parallel_for (scripts/lint_invariants.py check 12)")
 
 
+def check_one_codec(path: Path, text: str, code: str, errors: list) -> None:
+    rel = str(path.relative_to(REPO))
+    for ln, line in enumerate(text.splitlines(), 1):
+        m = RETIRED_CODEC_NAMES_RE.search(line)
+        if m:
+            errors.append(
+                f"{rel}:{ln}: {m.group(1)} — the record frame and the matrix "
+                f"container each have one writer; the name is retired")
+        if rel == FRAME_HOME:
+            continue
+        m = FRAME_NAMES_RE.search(line) or FRAME_MAGIC_RE.search(line)
+        if m:
+            errors.append(
+                f"{rel}:{ln}: {m.group(0)} outside store/wal.hpp — write "
+                f"frames with store::append_frame / RecordLogWriter and read "
+                f"them with store::parse_frame (check 13)")
+    if rel == FRAME_HOME:
+        return
+    for ln, line in enumerate(code.splitlines(), 1):
+        if PAYLOAD_AS_DEF_RE.search(line):
+            errors.append(
+                f"{rel}:{ln}: defines payload_as outside store/wal.hpp — "
+                f"decode record payloads with store::payload_as (check 13)")
+
+
 def main() -> int:
     errors: list = []
     regions: list = []
@@ -434,6 +478,7 @@ def main() -> int:
         check_one_output_sizing(path, code, errors)
         check_one_thread_per_sort(path, text, errors)
         check_one_fork_primitive(path, code, errors, regions)
+        check_one_codec(path, text, code, errors)
     if len(regions) != 1:
         errors.append(
             f"src: {len(regions)} `#pragma omp parallel` region(s) "

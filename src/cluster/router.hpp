@@ -433,9 +433,10 @@ class Router final : private net::FrameHandler {
           r.full_recompute |= wr.full_recompute;
           r.added += wr.added;
           r.changed += wr.changed;
-          // Caveat (README): triangle counts only stitch when disabled on
-          // the workers (their default, every count 0) — a triangle can
-          // span workers, so a nonzero sum would undercount.
+          // Caveat (README): triangle counts only stitch because the
+          // workers never count them (IngestHandlers::kAnalytics, every
+          // count 0) — a triangle can span workers, so a nonzero sum
+          // would undercount.
           r.triangles += wr.triangles;
           r.sum += wr.sum;
         }

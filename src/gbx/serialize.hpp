@@ -74,30 +74,14 @@ void read_vec_into(std::istream& is, V& v) {
   }
 }
 
-/// Shared writer: header + raw DCSR arrays for a materialized block.
-template <class T>
-void serialize_dcsr(std::ostream& os, Index nrows, Index ncols,
-                    const Dcsr<T>& s) {
-  write_pod(os, kSerializeMagic);
-  write_pod(os, kSerializeVersion);
-  write_pod(os, type_tag<T>());
-  write_pod<std::uint32_t>(os, 0);  // reserved/padding
-  write_pod<Index>(os, nrows);
-  write_pod<Index>(os, ncols);
-  write_vec(os, std::vector<Index>(s.rows().begin(), s.rows().end()));
-  write_vec(os, std::vector<Offset>(s.ptr().begin(), s.ptr().end()));
-  write_vec(os, std::vector<Index>(s.cols().begin(), s.cols().end()));
-  write_vec(os, std::vector<T>(s.vals().begin(), s.vals().end()));
-  GBX_CHECK(os.good(), "serialize: write failure");
-}
-
-/// Row-subrange writer: the same container as serialize_dcsr, holding
-/// only the rows in positions [row_begin, row_end) of s.rows() (ptr
-/// rebased to start at 0). Each slice is a complete, independently
-/// deserializable matrix of the full dims — the out-of-core tier packs
-/// a level into block-sized segments with it, and a reader that
-/// plus_assigns the slices back together reconstructs the level
-/// bit-exactly (row ranges are disjoint, so no fold reassociation).
+/// The one matrix writer: header + raw DCSR arrays holding the rows in
+/// positions [row_begin, row_end) of s.rows() (ptr rebased to start at
+/// 0). serialize() writes every row; each slice is a complete,
+/// independently deserializable matrix of the full dims — the
+/// out-of-core tier packs a level into block-sized segments with it,
+/// and a reader that plus_assigns the slices back together reconstructs
+/// the level bit-exactly (row ranges are disjoint, so no fold
+/// reassociation).
 template <class T>
 void serialize_rows(std::ostream& os, Index nrows, Index ncols,
                     const Dcsr<T>& s, std::size_t row_begin,
@@ -130,24 +114,16 @@ void serialize_rows(std::ostream& os, Index nrows, Index ncols,
 /// Write A (canonicalized) to the stream.
 template <class T, class M>
 void serialize(std::ostream& os, const Matrix<T, M>& A) {
-  detail::serialize_dcsr(os, A.nrows(), A.ncols(), A.storage());
+  const Dcsr<T>& s = A.storage();
+  detail::serialize_rows(os, A.nrows(), A.ncols(), s, 0, s.rows().size());
 }
 
 /// Write an immutable view — views are already canonical, so this never
 /// touches the owning matrix (live-snapshot checkpoints use it).
 template <class T>
 void serialize(std::ostream& os, const MatrixView<T>& A) {
-  detail::serialize_dcsr(os, A.nrows(), A.ncols(), A.storage());
-}
-
-/// Write positions [row_begin, row_end) of s's row list as a complete,
-/// independently deserializable matrix of the given dims (the
-/// out-of-core tier's segment writer — see detail::serialize_rows).
-template <class T>
-void serialize_rows(std::ostream& os, Index nrows, Index ncols,
-                    const Dcsr<T>& s, std::size_t row_begin,
-                    std::size_t row_end) {
-  detail::serialize_rows(os, nrows, ncols, s, row_begin, row_end);
+  const Dcsr<T>& s = A.storage();
+  detail::serialize_rows(os, A.nrows(), A.ncols(), s, 0, s.rows().size());
 }
 
 /// Read a matrix previously written by serialize<T>.
@@ -169,6 +145,13 @@ Matrix<T, M> deserialize(std::istream& is) {
   detail::read_vec_into(is, d.mutable_cols());
   detail::read_vec_into(is, d.mutable_vals());
   GBX_CHECK(d.validate(), "deserialize: corrupt DCSR payload");
+  // Rows ascend, and columns ascend within a row, so the last row and
+  // each row's last column bound every coordinate.
+  GBX_CHECK(d.rows().empty() || d.rows().back() < nrows,
+            "deserialize: row outside the matrix dimensions");
+  for (std::size_t k = 0; k < d.rows().size(); ++k)
+    GBX_CHECK(d.cols()[d.ptr()[k + 1] - 1] < ncols,
+              "deserialize: column outside the matrix dimensions");
   return Matrix<T, M>::adopt(nrows, ncols, std::move(d));
 }
 

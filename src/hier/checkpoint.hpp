@@ -19,7 +19,6 @@
 // a silently-wrong matrix.
 #pragma once
 
-#include <cstring>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -255,15 +254,10 @@ HierMatrix<T, M> recover(std::istream& ckpt, std::istream& wal,
       ++rep.skipped_records;
       continue;
     }
-    GBX_CHECK(rec->payload.size() % sizeof(gbx::Entry<T>) == 0,
+    std::vector<gbx::Entry<T>> entries;
+    GBX_CHECK(store::payload_as(rec->payload, entries),
               "recover: WAL record payload is not a whole entry array");
-    const std::size_t n = rec->payload.size() / sizeof(gbx::Entry<T>);
-    gbx::Tuples<T> batch;
-    if (n > 0) {
-      std::vector<gbx::Entry<T>> entries(n);
-      std::memcpy(entries.data(), rec->payload.data(), rec->payload.size());
-      batch = gbx::Tuples<T>(std::move(entries));
-    }
+    const gbx::Tuples<T> batch(std::move(entries));
     rep.replayed_entries += batch.size();
     h.update(batch);
     ++rep.replayed_records;

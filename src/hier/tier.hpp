@@ -322,7 +322,7 @@ class DemotedTier {
         ++e;
       }
       std::ostringstream os;
-      gbx::serialize_rows(os, nrows_, ncols_, s, b, e);
+      gbx::detail::serialize_rows(os, nrows_, ncols_, s, b, e);
       const std::string payload = std::move(os).str();
       const store::BlockId id = store_->allocate();
       run->blocks.push_back(id);  // before put: erase of an unwritten

@@ -4,8 +4,8 @@
 //
 //   [magic u64 "HHWAL002"][tag u64][size u64][payload bytes][XXH64]
 //
-// reusing the WAL's frame layout verbatim — same magic, same checksum,
-// same torn/corrupt classification — so the server's session codec IS
+// reusing the WAL's frame verbatim — store::append_frame writes it and
+// store::parse_frame reads it — so the server's session codec IS
 // store::RecordFrameDecoder, and a capture of an ingest session replays
 // through the same machinery as a crash log. The record's epoch field
 // becomes the message `tag`: the high 16 bits carry the message type,
@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "gbx/error.hpp"
@@ -181,51 +180,14 @@ struct RefreshReply {
   double sum = 0;  ///< reduce over the maintained Σ Ai
 };
 
-/// Append one wire frame to `out` (the socket send buffer). Same bytes
-/// as store::RecordLogWriter::append would produce for (tag, payload).
+/// Append one wire frame to `out` (the socket send buffer).
 inline void append_frame(std::string& out, MsgType type,
                          std::uint64_t arg48 = 0, const void* payload = "",
                          std::size_t size = 0) {
-  // An empty POD array legitimately arrives as (nullptr, 0) — e.g.
-  // vector::data() of an empty reply set. Substitute a non-null
-  // sentinel so neither frame_sum nor string::append ever sees a null
-  // pointer (formally UB even for zero lengths).
-  const char* body =
-      size > 0 ? static_cast<const char*>(payload) : "";
-  const std::uint64_t tag = make_tag(type, arg48);
-  const std::uint64_t size64 = size;
-  const std::uint64_t sum = store::detail::frame_sum(tag, size64, body);
-  const auto put = [&out](const void* p, std::size_t n) {
-    out.append(static_cast<const char*>(p), n);
-  };
-  put(&store::detail::kRecordMagic, sizeof(std::uint64_t));
-  put(&tag, sizeof tag);
-  put(&size64, sizeof size64);
-  if (size > 0) put(body, size);
-  put(&sum, sizeof sum);
+  store::append_frame(out, make_tag(type, arg48), payload, size);
 }
 
-/// Reinterpret a decoded payload as a POD array; false when the byte
-/// count is not a whole number of elements (a malformed frame).
-template <class Pod>
-bool payload_as(const std::vector<std::byte>& payload, std::vector<Pod>& out) {
-  static_assert(std::is_trivially_copyable_v<Pod>);
-  if (payload.size() % sizeof(Pod) != 0) return false;
-  out.resize(payload.size() / sizeof(Pod));
-  // An empty payload (a zero-probe batch) has null data(): memcpy must
-  // not see it even for zero bytes.
-  if (!payload.empty())
-    std::memcpy(out.data(), payload.data(), payload.size());
-  return true;
-}
-
-template <class Pod>
-bool payload_as(const std::vector<std::byte>& payload, Pod& out) {
-  static_assert(std::is_trivially_copyable_v<Pod>);
-  if (payload.size() != sizeof(Pod)) return false;
-  std::memcpy(&out, payload.data(), sizeof(Pod));
-  return true;
-}
+using store::payload_as;
 
 /// A reply payload as a POD, or a vector of PODs; throws when malformed.
 template <class Reply>

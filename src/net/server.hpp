@@ -83,22 +83,11 @@ struct IngestOptions {
   /// drains below half the cap (see out_throttles). Bounds the memory a
   /// client can pin by pipelining queries without reading replies.
   std::size_t max_outbound_bytes = 4u << 20;
-  /// Analytics knobs for the refresh/summary RPCs. Triangle counting and
-  /// PageRank are opt-in: they are superlinear in the snapshot and would
-  /// stall the event loop on big graphs.
-  analytics::IncrementalOptions analytics = default_analytics();
   /// Optional replication sink (primary-side WAL shipping). When set,
   /// every accepted insert batch is handed to the sink in acceptance
   /// order and flush acks additionally wait for durable(). Must
   /// outlive the server.
   ReplicationSink* replication = nullptr;
-
-  static analytics::IncrementalOptions default_analytics() {
-    analytics::IncrementalOptions a;
-    a.enable_pagerank = false;
-    a.enable_triangles = false;
-    return a;
-  }
 };
 
 /// The client verb set — kInsert, kFlush, kQuery*, kBye — over one
@@ -108,6 +97,16 @@ class IngestHandlers final : public FrameHandler {
   using Stream = hier::ParallelStream<double>;
   using Governor = hier::MemoryGovernor<Stream>;
   using Analytics = analytics::IncrementalEngine<Governor>;
+
+  /// What the refresh/summary RPCs run: PageRank and triangle counting
+  /// are off, as both are superlinear in the snapshot and would stall
+  /// the event loop on big graphs.
+  inline static const analytics::IncrementalOptions kAnalytics = [] {
+    analytics::IncrementalOptions a;
+    a.enable_pagerank = false;
+    a.enable_triangles = false;
+    return a;
+  }();
 
   /// What a kFlush waits for: the session's last lane tickets and seq.
   struct FlushMark {
@@ -132,7 +131,7 @@ class IngestHandlers final : public FrameHandler {
         governor_(&governor),
         sink_(opt.replication),
         stats_(&stats),
-        analytics_(governor, opt.analytics),
+        analytics_(governor, kAnalytics),
         nrows_(stream.nrows()),
         ncols_(stream.ncols()) {}
   IngestHandlers(const IngestHandlers&) = delete;

@@ -20,8 +20,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gbx/coo.hpp"
@@ -69,13 +70,12 @@ inline std::string encode_batch_payload(std::size_t lane,
 inline bool decode_batch_payload(const std::vector<std::byte>& payload,
                                  std::uint64_t& lane,
                                  gbx::Tuples<double>& batch) {
-  if (payload.size() < sizeof(std::uint64_t)) return false;
-  std::memcpy(&lane, payload.data(), sizeof lane);
-  const std::size_t body = payload.size() - sizeof lane;
-  if (body % sizeof(gbx::Entry<double>) != 0) return false;
-  std::vector<gbx::Entry<double>> entries(body / sizeof(gbx::Entry<double>));
-  if (body > 0)
-    std::memcpy(entries.data(), payload.data() + sizeof lane, body);
+  if (payload.size() < sizeof lane) return false;
+  const std::span<const std::byte> bytes(payload);
+  std::vector<gbx::Entry<double>> entries;
+  if (!store::payload_as(bytes.first(sizeof lane), lane) ||
+      !store::payload_as(bytes.subspan(sizeof lane), entries))
+    return false;
   batch = gbx::Tuples<double>(std::move(entries));
   return true;
 }

@@ -7,9 +7,9 @@
 //   BlockBackend — the minimal durable surface (write/read/erase/ids),
 //     so tests can wrap it with failpoints and the tier never knows.
 //   MemBackend   — an in-memory map (tests, ephemeral tiers).
-//   FileBackend  — a single append-only file of store::RecordLog frames
-//     (okon's single-file layout): the frame epoch carries the block id,
-//     the payload is the block, and reopening scans the frames to
+//   FileBackend  — a single append-only file of record frames (okon's
+//     single-file layout): the frame epoch carries the block id, the
+//     payload is the block, and reopening scans the frames to
 //     rebuild the catalog — a torn tail (crash mid-append) is truncated
 //     away, exactly the WAL's recovery rule. Rewrites append a
 //     superseding frame; erases append a zero-length tombstone frame.
@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <list>
@@ -117,21 +116,30 @@ class MemBackend final : public BlockBackend {
   std::unordered_map<BlockId, std::string> blocks_;
 };
 
-/// Single-file append-only backend. Every mutation is one RecordLog
-/// frame `[magic][block id][size][payload][frame_sum(id, size, payload)]`
-/// (the WAL's XXH64 trailer, so a decoder replay and a vacuum rewrite
-/// agree with a direct append); a zero-size payload is a tombstone. open() replays the frames into an offset catalog and
-/// truncates the file at the first torn or corrupt frame — the crash-
-/// recovery rule of the WAL, applied to block storage: whatever a crash
-/// tore off simply reverts to "unknown block", never to wrong bytes.
+/// Single-file append-only backend. Every mutation appends one record
+/// frame (store/wal.hpp) whose epoch is the block id; a zero-size
+/// payload is a tombstone. open() replays the frames into an offset
+/// catalog and truncates the file at the first torn or corrupt frame —
+/// the crash-recovery rule of the WAL, applied to block storage:
+/// whatever a crash tore off simply reverts to "unknown block", never
+/// to wrong bytes.
 class FileBackend final : public BlockBackend {
  public:
   explicit FileBackend(std::string path) : path_(std::move(path)) { open(); }
 
   void write(BlockId id, const void* data, std::size_t size) override {
-    append_frame(id, data, size);
-    catalog_[id] = Extent{frame_payload_offset(end_before_last_), size};
-    if (size == 0) catalog_.erase(id);  // tombstone
+    file_.clear();
+    file_.seekp(static_cast<std::streamoff>(end_));
+    writer_.append(id, data, size);
+    file_.flush();
+    GBX_CHECK(file_.good(), "block file: append failure");
+    const std::uint64_t at = end_;
+    end_ += frame_bytes(size);
+    if (size == 0) {
+      catalog_.erase(id);  // tombstone
+    } else {
+      catalog_[id] = Extent{at, size};
+    }
   }
 
   bool read(BlockId id, std::string& out) override {
@@ -139,28 +147,24 @@ class FileBackend final : public BlockBackend {
     if (it == catalog_.end()) return false;
     const Extent& e = it->second;
     file_.clear();
-    file_.seekg(static_cast<std::streamoff>(e.offset - kHeaderBytes));
-    std::string frame(kHeaderBytes + e.size + sizeof(std::uint64_t), '\0');
+    file_.seekg(static_cast<std::streamoff>(e.offset));
+    std::string frame(frame_bytes(e.size), '\0');
     file_.read(frame.data(), static_cast<std::streamsize>(frame.size()));
-    GBX_CHECK(file_.gcount() == static_cast<std::streamsize>(frame.size()),
+    const FrameView f =
+        parse_frame(reinterpret_cast<const std::byte*>(frame.data()),
+                    static_cast<std::size_t>(file_.gcount()), e.size);
+    GBX_CHECK(f.status != FrameStatus::kNeedMore,
               "block file: short read (truncated block frame)");
-    std::uint64_t magic = 0, fid = 0, fsize = 0, sum = 0;
-    std::memcpy(&magic, frame.data(), 8);
-    std::memcpy(&fid, frame.data() + 8, 8);
-    std::memcpy(&fsize, frame.data() + 16, 8);
-    std::memcpy(&sum, frame.data() + kHeaderBytes + e.size, 8);
-    GBX_CHECK(magic == detail::kRecordMagic && fid == id && fsize == e.size,
-              "block file: frame header mismatch (corrupt block file)");
-    GBX_CHECK(sum == detail::frame_sum(fid, fsize, frame.data() + kHeaderBytes),
-              "block file: block checksum mismatch (corrupt block file)");
-    out.assign(frame.data() + kHeaderBytes, static_cast<std::size_t>(e.size));
+    GBX_CHECK(f.status == FrameStatus::kFrame, f.error);
+    GBX_CHECK(f.epoch == id && f.payload.size() == e.size,
+              "block file: frame holds another block (corrupt block file)");
+    out.assign(reinterpret_cast<const char*>(f.payload.data()),
+               f.payload.size());
     return true;
   }
 
   void erase(BlockId id) override {
-    if (catalog_.find(id) == catalog_.end()) return;
-    append_frame(id, nullptr, 0);
-    catalog_.erase(id);
+    if (catalog_.find(id) != catalog_.end()) write(id, nullptr, 0);
   }
 
   std::vector<std::pair<BlockId, std::uint64_t>> entries() const override {
@@ -200,15 +204,9 @@ class FileBackend final : public BlockBackend {
 
  private:
   struct Extent {
-    std::uint64_t offset = 0;  ///< payload offset in the file
+    std::uint64_t offset = 0;  ///< frame offset in the file
     std::uint64_t size = 0;    ///< payload bytes
   };
-
-  static constexpr std::uint64_t kHeaderBytes = 3 * sizeof(std::uint64_t);
-
-  static std::uint64_t frame_payload_offset(std::uint64_t frame_start) {
-    return frame_start + kHeaderBytes;
-  }
 
   /// Scan the file, rebuild the catalog, truncate at the first frame the
   /// decoder cannot complete (torn tail) or rejects (corruption: from
@@ -224,30 +222,19 @@ class FileBackend final : public BlockBackend {
     {
       std::ifstream in(path_, std::ios::binary);
       GBX_CHECK(in.good(), "block file: cannot open for scan");
-      RecordFrameDecoder dec;
-      LogRecord rec;
-      bool eof = false;
-      for (;;) {
-        const auto st = dec.next(rec);
-        if (st == RecordFrameDecoder::Status::kFrame) {
-          good_end += kHeaderBytes + rec.payload.size() + sizeof(std::uint64_t);
-          if (rec.payload.empty()) {
-            catalog_.erase(rec.epoch);
+      RecordLogTailer tail(in);
+      try {
+        while (auto rec = tail.next()) {
+          const std::uint64_t at = good_end;
+          good_end += frame_bytes(rec->payload.size());
+          if (rec->payload.empty()) {
+            catalog_.erase(rec->epoch);
           } else {
-            catalog_[rec.epoch] =
-                Extent{frame_payload_offset(good_end - kHeaderBytes -
-                                            rec.payload.size() -
-                                            sizeof(std::uint64_t)),
-                       rec.payload.size()};
+            catalog_[rec->epoch] = Extent{at, rec->payload.size()};
           }
-          continue;
         }
-        if (st == RecordFrameDecoder::Status::kCorrupt || eof) break;
-        char chunk[1u << 16];
-        in.read(chunk, sizeof chunk);
-        const auto got = static_cast<std::size_t>(in.gcount());
-        if (got > 0) dec.feed(chunk, got);
-        else eof = true;
+      } catch (const gbx::Error&) {
+        // A corrupt frame: the scan stops, as it does at a torn tail.
       }
     }
     if (std::filesystem::file_size(path_) != good_end)
@@ -257,29 +244,10 @@ class FileBackend final : public BlockBackend {
     GBX_CHECK(file_.good(), "block file: cannot open for read/write");
   }
 
-  void append_frame(BlockId id, const void* data, std::size_t size) {
-    file_.clear();
-    file_.seekp(static_cast<std::streamoff>(end_));
-    end_before_last_ = end_;
-    const std::uint64_t magic = detail::kRecordMagic;
-    const std::uint64_t sz = size;
-    const std::uint64_t sum = detail::frame_sum(id, sz, data);
-    file_.write(reinterpret_cast<const char*>(&magic), 8);
-    file_.write(reinterpret_cast<const char*>(&id), 8);
-    file_.write(reinterpret_cast<const char*>(&sz), 8);
-    if (size > 0)
-      file_.write(static_cast<const char*>(data),
-                  static_cast<std::streamsize>(size));
-    file_.write(reinterpret_cast<const char*>(&sum), 8);
-    file_.flush();
-    GBX_CHECK(file_.good(), "block file: append failure");
-    end_ += kHeaderBytes + size + sizeof(std::uint64_t);
-  }
-
   std::string path_;
   std::fstream file_;
-  std::uint64_t end_ = 0;              ///< logical end (append point)
-  std::uint64_t end_before_last_ = 0;  ///< frame start of the last append
+  RecordLogWriter writer_{file_};
+  std::uint64_t end_ = 0;  ///< logical end (append point)
   std::unordered_map<BlockId, Extent> catalog_;
 };
 

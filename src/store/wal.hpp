@@ -7,16 +7,21 @@
 // comparison is against in-memory-buffered ingest too). The buffer
 // recycles at `capacity` to bound footprint, counting total bytes logged.
 //
-// RecordLogWriter/RecordLogReader: a durable, *replayable* framed log
-// for crash recovery (hier::recover). Each record is
+// The record frame: the one byte format of the update stream — the
+// replayable WAL (hier::recover), the wire protocol (net/protocol.hpp)
+// and the block file (store/block_store.hpp) all carry it. Each frame is
 //   [magic u64 "HHWAL002"][epoch u64][size u64][payload bytes]
 //   [XXH64 of the payload, seeded with the epoch (frame_sum)]
 // so a reader can (a) skip records by epoch without deserializing the
 // payload, (b) detect a torn tail — a crash mid-append leaves a frame
 // the checksum/size cannot complete — and (c) reject bit corruption
-// anywhere past the magic word, header fields included.
-// Epoch semantics (which records may follow which) belong to the
-// replayer, not the container.
+// anywhere past the magic word, header fields included. This header is
+// the only code that knows the layout: detail::encode_frame writes it
+// (append_frame into a buffer, RecordLogWriter into a stream),
+// parse_frame reads it (RecordFrameDecoder and the stream readers on
+// top of it, FileBackend::read in place), and payload_as maps a
+// payload to PODs. Epoch semantics (which records may follow which)
+// belong to the replayer, not the container.
 #pragma once
 
 #include <algorithm>
@@ -27,7 +32,9 @@
 #include <istream>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "gbx/error.hpp"
@@ -148,7 +155,44 @@ inline std::uint64_t frame_sum(std::uint64_t epoch, std::uint64_t size,
   return xxh64(payload, static_cast<std::size_t>(size), epoch);
 }
 
+/// The header every frame starts with; the payload and then its
+/// frame_sum trailer follow it.
+struct FrameHeader {
+  std::uint64_t magic;
+  std::uint64_t epoch;
+  std::uint64_t size;  ///< payload bytes
+};
+static_assert(sizeof(FrameHeader) == 3 * sizeof(std::uint64_t));
+
+/// The one frame encoder: hands the header, the payload and the trailer
+/// to `put(bytes, n)` in that order. A zero-size payload may be null.
+template <class Put>
+void encode_frame(Put&& put, std::uint64_t epoch, const void* data,
+                  std::size_t size) {
+  const FrameHeader h{kRecordMagic, epoch, size};
+  const std::uint64_t sum = frame_sum(epoch, size, data);
+  put(&h, sizeof h);
+  if (size > 0) put(data, size);
+  put(&sum, sizeof sum);
+}
+
 }  // namespace detail
+
+/// Bytes of one frame carrying `size` payload bytes.
+inline constexpr std::uint64_t frame_bytes(std::uint64_t size) {
+  return sizeof(detail::FrameHeader) + size + sizeof(std::uint64_t);
+}
+
+/// Append one frame to a byte buffer (a socket send buffer): the same
+/// bytes RecordLogWriter::append writes to a stream.
+inline void append_frame(std::string& out, std::uint64_t epoch,
+                         const void* data, std::size_t size) {
+  detail::encode_frame(
+      [&out](const void* p, std::size_t n) {
+        out.append(static_cast<const char*>(p), n);
+      },
+      epoch, data, size);
+}
 
 /// Appends framed, epoch-stamped, checksummed records to a stream (a
 /// file in real deployments; tests use stringstreams). One writer per
@@ -158,30 +202,85 @@ class RecordLogWriter {
   explicit RecordLogWriter(std::ostream& os) : os_(&os) {}
 
   void append(std::uint64_t epoch, const void* data, std::size_t size) {
-    write_pod(detail::kRecordMagic);
-    write_pod(epoch);
-    write_pod(static_cast<std::uint64_t>(size));
-    os_->write(static_cast<const char*>(data),
-               static_cast<std::streamsize>(size));
-    write_pod(detail::frame_sum(epoch, size, data));
+    detail::encode_frame(
+        [this](const void* p, std::size_t n) {
+          os_->write(static_cast<const char*>(p),
+                     static_cast<std::streamsize>(n));
+        },
+        epoch, data, size);
     GBX_CHECK(os_->good(), "record log: write failure");
     ++records_;
-    bytes_ += 4 * sizeof(std::uint64_t) + size;
+    bytes_ += frame_bytes(size);
   }
 
   std::uint64_t records() const { return records_; }
   std::uint64_t bytes_logged() const { return bytes_; }
 
  private:
-  template <class T>
-  void write_pod(const T& v) {
-    os_->write(reinterpret_cast<const char*>(&v), sizeof v);
-  }
-
   std::ostream* os_;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;
 };
+
+/// What parse_frame found at the front of a buffer:
+///
+///   kFrame    — one whole, checksum-verified frame.
+///   kNeedMore — the bytes form a prefix of a valid frame (or nothing
+///               at all): not an error, just not done arriving. Only
+///               end-of-input turns a non-empty kNeedMore into a torn
+///               tail — a judgment that belongs to the caller, because
+///               only the caller knows the input ended.
+///   kCorrupt  — the bytes can NEVER complete a valid frame: bad magic,
+///               a size above the caller's limit, or a checksum
+///               mismatch.
+enum class FrameStatus { kNeedMore, kFrame, kCorrupt };
+
+/// One frame parsed in place; `payload` points into the parsed buffer.
+struct FrameView {
+  FrameStatus status = FrameStatus::kNeedMore;
+  std::uint64_t epoch = 0;
+  std::span<const std::byte> payload;
+  const char* error = nullptr;  ///< why, when kCorrupt
+};
+
+/// The one frame parser, over the contiguous bytes [p, p + n). The
+/// magic is checked as soon as 8 bytes are present (not only once the
+/// whole header is), so garbage is classified as corruption, not
+/// mistaken for a frame that never finished arriving. A size field
+/// above `max_payload` is corruption too, so no consumer buffers toward
+/// an absurd frame.
+inline FrameView parse_frame(const std::byte* p, std::size_t n,
+                             std::uint64_t max_payload) {
+  FrameView f;
+  const auto corrupt = [&f](const char* why) {
+    f.status = FrameStatus::kCorrupt;
+    f.error = why;
+    return f;
+  };
+  detail::FrameHeader h{};
+  if (n < sizeof h.magic) return f;
+  std::memcpy(&h.magic, p, sizeof h.magic);
+  if (h.magic != detail::kRecordMagic)
+    return corrupt("record log: bad record magic (corrupt or misaligned log)");
+  if (n < sizeof h) return f;
+  std::memcpy(&h, p, sizeof h);
+  if (h.size > max_payload)
+    return corrupt("record log: frame size exceeds decoder limit");
+  // Compared without forming frame_bytes(h.size), which a corrupt size
+  // field could overflow.
+  const std::size_t body = n - sizeof h;
+  if (body < sizeof(std::uint64_t) || h.size > body - sizeof(std::uint64_t))
+    return f;
+  const std::byte* payload = p + sizeof h;
+  std::uint64_t sum = 0;
+  std::memcpy(&sum, payload + h.size, sizeof sum);
+  if (sum != detail::frame_sum(h.epoch, h.size, payload))
+    return corrupt("record log: frame checksum mismatch (header or payload)");
+  f.status = FrameStatus::kFrame;
+  f.epoch = h.epoch;
+  f.payload = {payload, static_cast<std::size_t>(h.size)};
+  return f;
+}
 
 /// One record read back from a RecordLog stream.
 struct LogRecord {
@@ -189,29 +288,44 @@ struct LogRecord {
   std::vector<std::byte> payload;
 };
 
-/// Incremental (push-style) decoder of the RecordLog frame layout.
-/// feed() appends whatever bytes happen to be available — a short read
-/// from a nonblocking socket, one stream chunk, a torn file tail — and
-/// next() yields complete frames as soon as the buffer covers them:
+/// Reinterpret a record payload as a POD array; false when the byte
+/// count is not a whole number of elements (a malformed payload).
+template <class Pod>
+bool payload_as(std::span<const std::byte> payload, std::vector<Pod>& out) {
+  static_assert(std::is_trivially_copyable_v<Pod>);
+  if (payload.size() % sizeof(Pod) != 0) return false;
+  out.resize(payload.size() / sizeof(Pod));
+  // An empty payload (a zero-probe batch) has null data(): memcpy must
+  // not see it even for zero bytes.
+  if (!payload.empty())
+    std::memcpy(out.data(), payload.data(), payload.size());
+  return true;
+}
+
+/// Reinterpret a record payload as exactly one POD.
+template <class Pod>
+bool payload_as(std::span<const std::byte> payload, Pod& out) {
+  static_assert(std::is_trivially_copyable_v<Pod>);
+  if (payload.size() != sizeof(Pod)) return false;
+  std::memcpy(&out, payload.data(), sizeof(Pod));
+  return true;
+}
+
+/// Incremental (push-style) decoder of the frame layout. feed() appends
+/// whatever bytes happen to be available — a short read from a
+/// nonblocking socket, one stream chunk, a torn file tail — and next()
+/// runs parse_frame over them, yielding complete frames as soon as the
+/// buffer covers them (see FrameStatus). After kCorrupt the decoder is
+/// poisoned; error() says why.
 ///
-///   kFrame    — one whole record decoded and consumed; call again.
-///   kNeedMore — the buffered bytes form a prefix of a valid frame (or
-///               nothing at all): not an error, just not done arriving.
-///               Only end-of-input turns a non-empty kNeedMore into a
-///               torn tail — a judgment that belongs to the caller,
-///               because only the caller knows the input ended.
-///   kCorrupt  — the bytes can NEVER complete a valid frame: bad magic,
-///               checksum mismatch, or a size above max_payload_bytes.
-///               The decoder is poisoned; error() says why.
-///
-/// This is the shared core of RecordLogReader (seekable streams, where
-/// kNeedMore at EOF means a torn tail) and the network server's session
-/// codec (where kNeedMore means keep the connection reading). Memory
-/// discipline: the buffer only ever holds bytes actually fed, so a
-/// corrupted size field cannot trigger an enormous up-front allocation.
+/// This is the shared core of the stream readers below and of the
+/// network session codec (where kNeedMore means keep the connection
+/// reading). Memory discipline: the buffer only ever holds bytes
+/// actually fed, so a corrupted size field cannot trigger an enormous
+/// up-front allocation.
 class RecordFrameDecoder {
  public:
-  enum class Status { kNeedMore, kFrame, kCorrupt };
+  using Status = FrameStatus;
 
   static constexpr std::uint64_t kNoLimit = ~std::uint64_t{0};
 
@@ -229,27 +343,16 @@ class RecordFrameDecoder {
 
   Status next(LogRecord& out) {
     if (corrupt_) return Status::kCorrupt;
-    const std::size_t have = buf_.size() - off_;
-    // Magic is checked the moment 8 bytes are buffered (not only once
-    // the whole header is), so garbage is classified as corruption, not
-    // mistaken for a frame that never finished arriving.
-    if (have < sizeof(std::uint64_t)) return Status::kNeedMore;
-    if (peek_u64(0) != detail::kRecordMagic)
-      return fail("record log: bad record magic (corrupt or misaligned log)");
-    if (have < kHeaderBytes) return Status::kNeedMore;
-    const std::uint64_t size = peek_u64(2 * sizeof(std::uint64_t));
-    if (size > max_payload_)
-      return fail("record log: frame size exceeds decoder limit");
-    const std::uint64_t total = kHeaderBytes + size + sizeof(std::uint64_t);
-    if (have < total) return Status::kNeedMore;
-
-    const std::byte* payload = buf_.data() + off_ + kHeaderBytes;
-    const std::uint64_t epoch = peek_u64(sizeof(std::uint64_t));
-    if (peek_u64(kHeaderBytes + size) != detail::frame_sum(epoch, size, payload))
-      return fail("record log: frame checksum mismatch (header or payload)");
-    out.epoch = epoch;
-    out.payload.assign(payload, payload + size);
-    off_ += static_cast<std::size_t>(total);
+    const FrameView f =
+        parse_frame(buf_.data() + off_, buf_.size() - off_, max_payload_);
+    if (f.status == Status::kCorrupt) {
+      corrupt_ = true;
+      error_ = f.error;
+    }
+    if (f.status != Status::kFrame) return f.status;
+    out.epoch = f.epoch;
+    out.payload.assign(f.payload.begin(), f.payload.end());
+    off_ += static_cast<std::size_t>(frame_bytes(f.payload.size()));
     ++frames_;
     // Compact once the consumed prefix dominates, amortized O(1)/byte.
     if (off_ > buf_.size() / 2) {
@@ -268,20 +371,6 @@ class RecordFrameDecoder {
   const std::string& error() const { return error_; }
 
  private:
-  static constexpr std::size_t kHeaderBytes = 3 * sizeof(std::uint64_t);
-
-  std::uint64_t peek_u64(std::size_t at) const {
-    std::uint64_t v = 0;
-    std::memcpy(&v, buf_.data() + off_ + at, sizeof v);
-    return v;
-  }
-
-  Status fail(const char* why) {
-    corrupt_ = true;
-    error_ = why;
-    return Status::kCorrupt;
-  }
-
   std::vector<std::byte> buf_;
   std::size_t off_ = 0;  ///< consumed prefix of buf_
   std::uint64_t max_payload_;
@@ -290,56 +379,15 @@ class RecordFrameDecoder {
   std::string error_;
 };
 
-/// Sequential reader over a RecordLog stream. next() returns nullopt at
-/// a clean end-of-log (stream exhausted exactly at a frame boundary)
-/// and throws gbx::Error on a torn tail (truncated frame), a corrupt
-/// frame magic, or a checksum mismatch. Built on RecordFrameDecoder:
-/// stream chunks are fed until a frame completes, and only end-of-input
-/// with a partial frame buffered is classified as torn — so the same
-/// decoder serves nonblocking sockets, where a short read just means
-/// "need more bytes", without misclassifying it as corruption.
-class RecordLogReader {
- public:
-  explicit RecordLogReader(std::istream& is) : is_(&is) {}
-
-  std::optional<LogRecord> next() {
-    for (;;) {
-      LogRecord rec;
-      switch (dec_.next(rec)) {
-        case RecordFrameDecoder::Status::kFrame:
-          return rec;
-        case RecordFrameDecoder::Status::kCorrupt:
-          GBX_CHECK(false, dec_.error());
-          break;
-        case RecordFrameDecoder::Status::kNeedMore:
-          break;
-      }
-      char chunk[1u << 16];
-      is_->read(chunk, sizeof chunk);
-      const auto got = static_cast<std::size_t>(is_->gcount());
-      if (got > 0) {
-        dec_.feed(chunk, got);
-        continue;
-      }
-      if (dec_.buffered() == 0) return std::nullopt;  // clean end
-      GBX_CHECK(false, "record log: torn record (stream ended mid-frame)");
-    }
-  }
-
- private:
-  std::istream* is_;
-  RecordFrameDecoder dec_;
-};
-
 /// Tailing reader over a *growing* RecordLog stream (the replication
 /// shipper follows the primary's live WAL file with one of these).
-/// Unlike RecordLogReader, end-of-input is never a verdict: a partial
-/// frame at the current end just means the writer has not finished
-/// appending it yet, so next() returns nullopt ("caught up, poll
-/// again") and a later call resumes from the same byte. The stream's
-/// eofbit is cleared between polls so an ifstream keeps picking up
-/// bytes appended after a previous read hit EOF. Corruption still
-/// throws — a bad frame in a live WAL is a real fault, not a race.
+/// End-of-input is never a verdict here: a partial frame at the current
+/// end just means the writer has not finished appending it yet, so
+/// next() returns nullopt ("caught up, poll again") and a later call
+/// resumes from the same byte. The stream's eofbit is cleared between
+/// polls so an ifstream keeps picking up bytes appended after a
+/// previous read hit EOF. Corruption throws — a bad frame in a live WAL
+/// is a real fault, not a race.
 class RecordLogTailer {
  public:
   explicit RecordLogTailer(std::istream& is,
@@ -352,15 +400,9 @@ class RecordLogTailer {
   std::optional<LogRecord> next() {
     for (;;) {
       LogRecord rec;
-      switch (dec_.next(rec)) {
-        case RecordFrameDecoder::Status::kFrame:
-          return rec;
-        case RecordFrameDecoder::Status::kCorrupt:
-          GBX_CHECK(false, dec_.error());
-          break;
-        case RecordFrameDecoder::Status::kNeedMore:
-          break;
-      }
+      const FrameStatus st = dec_.next(rec);
+      if (st == FrameStatus::kFrame) return rec;
+      GBX_CHECK(st == FrameStatus::kNeedMore, dec_.error());
       if (is_->eof()) is_->clear();  // the file may have grown since
       char chunk[1u << 16];
       is_->read(chunk, sizeof chunk);
@@ -376,6 +418,26 @@ class RecordLogTailer {
  private:
   std::istream* is_;
   RecordFrameDecoder dec_;
+};
+
+/// Sequential reader over a finished RecordLog stream: a RecordLogTailer
+/// whose end-of-input is final. next() returns nullopt at a clean
+/// end-of-log (stream exhausted exactly at a frame boundary) and throws
+/// gbx::Error on a torn tail (bytes still buffered when the input ran
+/// out), a corrupt frame magic, or a checksum mismatch.
+class RecordLogReader {
+ public:
+  explicit RecordLogReader(std::istream& is) : tail_(is) {}
+
+  std::optional<LogRecord> next() {
+    auto rec = tail_.next();
+    GBX_CHECK(rec || tail_.buffered() == 0,
+              "record log: torn record (stream ended mid-frame)");
+    return rec;
+  }
+
+ private:
+  RecordLogTailer tail_;
 };
 
 }  // namespace store

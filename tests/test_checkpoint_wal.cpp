@@ -7,19 +7,24 @@
 // indistinguishable from the uninterrupted one: identical Σ Ai, identical
 // per-level structure, identical cascade statistics.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gbx/matrix_ops.hpp"
 #include "gen/kronecker.hpp"
 #include "hier/hier.hpp"
 #include "legacy_frame.hpp"
+#include "net/protocol.hpp"
+#include "store/block_store.hpp"
 #include "store/wal.hpp"
 
 namespace {
@@ -579,6 +584,78 @@ TEST(FrameSum, PreviousFormatIsRejectedByMagic) {
     std::istringstream is(v1);
     store::RecordLogTailer t(is);
     expect_magic_error(t);
+  }
+}
+
+// --- one frame layout: the wire, the WAL and the block file write the
+// same bytes, pinned against literals captured before their three
+// encoders became one.
+
+std::string to_hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 15];
+  }
+  return out;
+}
+
+TEST(FrameLayout, EveryWriterEmitsTheGoldenBytes) {
+  unsigned char payload[24];
+  for (int i = 0; i < 24; ++i)
+    payload[i] = static_cast<unsigned char>(i * 37 + 1);
+  const struct {
+    std::uint64_t epoch;
+    const void* data;
+    std::size_t size;
+    const char* hex;
+  } cases[] = {
+      {7, payload, sizeof payload,
+       "3230304c415748480700000000000000180000000000000001264b7095badf04"
+       "294e7398bde2072c51769bc0e50a2f547067099e7612a4ec"},
+      {0, nullptr, 0,
+       "3230304c415748480000000000000000000000000000000099e9d85137db46ef"},
+  };
+  const std::string path = testing::TempDir() + std::to_string(::getpid()) +
+                           "_hhgbx_golden_frame.bin";
+  for (const auto& c : cases) {
+    std::string store_frame;
+    store::append_frame(store_frame, c.epoch, c.data, c.size);
+
+    const auto type = static_cast<net::MsgType>(0);
+    ASSERT_EQ(net::make_tag(type, c.epoch), c.epoch);
+    std::string net_frame;
+    net::append_frame(net_frame, type, c.epoch, c.data, c.size);
+
+    std::ostringstream wal;
+    store::RecordLogWriter(wal).append(c.epoch, c.data, c.size);
+
+    std::remove(path.c_str());
+    store::FileBackend(path).write(c.epoch, c.data, c.size);
+    std::ifstream in(path, std::ios::binary);
+    const std::string file_frame{std::istreambuf_iterator<char>(in), {}};
+    in.close();
+    std::remove(path.c_str());
+
+    for (const auto& [writer, bytes] :
+         {std::pair{"store::append_frame", store_frame},
+          std::pair{"net::append_frame", net_frame},
+          std::pair{"RecordLogWriter", wal.str()},
+          std::pair{"FileBackend", file_frame}}) {
+      EXPECT_EQ(to_hex(bytes), c.hex) << writer;
+      store::RecordFrameDecoder dec;
+      dec.feed(bytes.data(), bytes.size());
+      store::LogRecord rec;
+      ASSERT_EQ(dec.next(rec), store::FrameStatus::kFrame) << writer;
+      EXPECT_EQ(rec.epoch, c.epoch) << writer;
+      ASSERT_EQ(rec.payload.size(), c.size) << writer;
+      if (c.size > 0) {
+        EXPECT_EQ(std::memcmp(rec.payload.data(), c.data, c.size), 0)
+            << writer;
+      }
+      EXPECT_EQ(dec.buffered(), 0u) << writer;
+    }
   }
 }
 

@@ -361,4 +361,65 @@ TEST(FileBackendFaults, StoreOverReopenedFileFailsLoudOnLostBlocks) {
   EXPECT_EQ(*st->get(id1), std::string(500, 'a'));
 }
 
+// A live backend verifies every frame it reads, not only the ones a
+// reopen scanned: the file can change under an open FileBackend.
+
+void overwrite(const std::string& path, std::uint64_t at,
+               const std::string& bytes) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(static_cast<std::streamoff>(at));
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string read_at(const std::string& path, std::uint64_t at,
+                    std::size_t n) {
+  std::ifstream f(path, std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(at));
+  std::string out(n, '\0');
+  f.read(out.data(), static_cast<std::streamsize>(n));
+  return out;
+}
+
+TEST(FileBackendFaults, LiveReadRejectsEveryByteFlip) {
+  TempFile tf("hhgbx_faults_live_flip.bin");
+  const std::string p1(100, 'a'), p2(40, 'b');
+  store::FileBackend fb(tf.path);
+  fb.write(1, p1.data(), p1.size());
+  const std::uint64_t at = fb.file_bytes();
+  fb.write(2, p2.data(), p2.size());
+  const std::size_t frame = fb.file_bytes() - at;
+  ASSERT_EQ(frame, store::frame_bytes(p2.size()));
+  std::string out;
+  for (std::size_t i = 0; i < frame; ++i) {
+    const std::string good = read_at(tf.path, at + i, 1);
+    const char flipped = static_cast<char>(good[0] ^ 0x5A);
+    overwrite(tf.path, at + i, std::string(1, flipped));
+    EXPECT_THROW(fb.read(2, out), gbx::Error) << "byte " << i;
+    overwrite(tf.path, at + i, good);
+  }
+  ASSERT_TRUE(fb.read(2, out));
+  EXPECT_EQ(out, p2);
+  ASSERT_TRUE(fb.read(1, out));
+  EXPECT_EQ(out, p1);
+}
+
+TEST(FileBackendFaults, LiveReadRejectsAnotherBlocksFrame) {
+  // Two equal-size frames swapped on disk each pass magic, size and
+  // checksum: only the id check tells them apart.
+  TempFile tf("hhgbx_faults_live_swap.bin");
+  const std::string pa(64, 'a'), pb(64, 'b');
+  store::FileBackend fb(tf.path);
+  fb.write(1, pa.data(), pa.size());
+  const std::uint64_t b_at = fb.file_bytes();
+  fb.write(2, pb.data(), pb.size());
+  const std::string fa = read_at(tf.path, 0, b_at);
+  const std::string fb_bytes = read_at(tf.path, b_at, b_at);
+  ASSERT_EQ(fa.size(), fb_bytes.size());
+  overwrite(tf.path, 0, fb_bytes);
+  overwrite(tf.path, b_at, fa);
+  std::string out;
+  EXPECT_THROW(fb.read(1, out), gbx::Error);
+  EXPECT_THROW(fb.read(2, out), gbx::Error);
+}
+
 }  // namespace

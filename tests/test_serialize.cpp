@@ -2,8 +2,10 @@
 // checkpoint/restore.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 #include <sstream>
+#include <string>
 
 #include "gbx/gbx.hpp"
 #include "gen/gen.hpp"
@@ -82,6 +84,73 @@ TEST(Serialize, TruncationRejected) {
   EXPECT_THROW(gbx::deserialize<double>(cut), gbx::Error);
 }
 
+TEST(Serialize, ContainerBytesArePinned) {
+  // The one matrix writer, against a literal captured before the
+  // whole-matrix and row-range writers became one.
+  Matrix<double> m(16, 20);
+  m.set_element(1, 2, 0.5);
+  m.set_element(1, 5, -2.0);
+  m.set_element(9, 3, 4.25);
+  const std::string want =
+      "3130305842474848010000000100000000000000100000000000000014000000"
+      "0000000002000000000000000100000000000000090000000000000003000000"
+      "0000000000000000000000000200000000000000030000000000000003000000"
+      "0000000002000000000000000500000000000000030000000000000003000000"
+      "00000000000000000000e03f00000000000000c00000000000001140";
+  const auto to_hex = [](const std::string& bytes) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (const unsigned char c : bytes) {
+      out += kDigits[c >> 4];
+      out += kDigits[c & 15];
+    }
+    return out;
+  };
+  std::stringstream from_matrix, from_view;
+  gbx::serialize(from_matrix, m);
+  gbx::serialize(from_view, m.view());
+  EXPECT_EQ(to_hex(from_matrix.str()), want);
+  EXPECT_EQ(to_hex(from_view.str()), want);
+  auto back = gbx::deserialize<double>(from_matrix);
+  EXPECT_EQ(back.nrows(), 16u);
+  EXPECT_EQ(back.ncols(), 20u);
+  EXPECT_TRUE(gbx::equal(back, m));
+}
+
+TEST(Serialize, CoordinateOutsideDimensionsRejected) {
+  // validate() sees a well-formed DCSR either way: only the decoder's
+  // own bound check stands between these bytes and a stored (3, 1000)
+  // in a 16 x 16 matrix.
+  Matrix<double> m(16, 16);
+  m.set_element(0, 1, 1.0);
+  m.set_element(2, 4, 2.0);
+  m.set_element(3, 7, 3.0);
+  std::stringstream ss;
+  gbx::serialize(ss, m);
+  const std::string full = ss.str();
+  const auto rewritten = [&](std::size_t at, Index v) {
+    std::string bytes = full;
+    std::memcpy(bytes.data() + at, &v, sizeof v);
+    return std::stringstream(bytes);
+  };
+  // The arrays end [cols: len, 3 x u64][vals: len, 3 x f64]; rows start
+  // after the 36-byte header and their length word.
+  const std::size_t last_col = full.size() - (8 + 3 * 8) - 8;
+  const std::size_t last_row = 36 + 8 + 2 * 8;
+  {
+    auto in = rewritten(last_col, 7);
+    EXPECT_TRUE(gbx::equal(gbx::deserialize<double>(in), m));  // control
+  }
+  {
+    auto in = rewritten(last_col, 1000);
+    EXPECT_THROW(gbx::deserialize<double>(in), gbx::Error);
+  }
+  {
+    auto in = rewritten(last_row, 16);
+    EXPECT_THROW(gbx::deserialize<double>(in), gbx::Error);
+  }
+}
+
 TEST(Checkpoint, RoundTripPreservesLevelsAndStats) {
   gen::PowerLawParams pp;
   pp.scale = 12;
@@ -125,6 +194,27 @@ TEST(Checkpoint, StreamingResumesSeamlessly) {
 
   EXPECT_TRUE(gbx::equal(a.snapshot(), b2.snapshot()));
   EXPECT_EQ(a.stats().entries_appended, b2.stats().entries_appended);
+}
+
+TEST(Checkpoint, CoordinateOutsideDimensionsRejected) {
+  hier::HierMatrix<double> h(16, 16, hier::CutPolicy({100}));
+  gbx::Tuples<double> batch;
+  batch.push_back(1, 9, 1.0);
+  batch.push_back(2, 3, 2.0);
+  h.update(batch);
+  std::stringstream ss;
+  hier::checkpoint(ss, h);
+  std::string bytes = ss.str();
+  // Column 9 is the only u64 9 in the container.
+  const Index nine = 9;
+  const std::string pattern(reinterpret_cast<const char*>(&nine), sizeof nine);
+  const std::size_t at = bytes.find(pattern);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(pattern, at + 1), std::string::npos);
+  const Index far = Index{1} << 20;
+  std::memcpy(bytes.data() + at, &far, sizeof far);
+  std::stringstream corrupt(bytes);
+  EXPECT_THROW(hier::restore<double>(corrupt), gbx::Error);
 }
 
 TEST(Checkpoint, GarbageRejected) {
