@@ -63,12 +63,22 @@ class HierMatrix {
     cascade();
   }
 
-  /// Batched streaming update (the paper streams 100K-entry sets).
+  /// Batched streaming update (the paper streams 100K-entry sets):
+  /// stage() then cascade().
   void update(const gbx::Tuples<T>& batch) {
+    stage(batch);
+    cascade();
+  }
+
+  /// The first half of update(): A1 = A1 + A, the paper's update proper.
+  /// Bounds-checks every entry before appending any (a throw leaves the
+  /// matrix untouched), then counts the batch: epoch() includes it and
+  /// every freeze() from here on contains it. Level 1 may sit over its
+  /// cut until cascade() runs; the matrix's value is the same either way.
+  void stage(const gbx::Tuples<T>& batch) {
     levels_[0].append(batch);
     ++stats_.updates;
     stats_.entries_appended += batch.size();
-    cascade();
   }
 
   void update(std::span<const gbx::Index> rows,
@@ -191,7 +201,7 @@ class HierMatrix {
         tier_ ? tier_->view() : TierView<T, AddMonoid>());
   }
 
-  /// Epoch watermark: update() calls applied so far.
+  /// Epoch watermark: update() and stage() calls applied so far.
   std::uint64_t epoch() const { return stats_.updates; }
 
   /// Destructive query: folds every level into the top one and returns a
@@ -218,6 +228,16 @@ class HierMatrix {
     }
     top.materialize();
     return top;
+  }
+
+  /// The second half of update(), the paper's cascade loop: fold while a
+  /// level exceeds its cut. Bookkeeping only — it never changes the
+  /// matrix's value.
+  void cascade() {
+    for (std::size_t i = 0; i + 1 < levels_.size(); ++i) {
+      if (levels_[i].nvals_bound() <= cuts_.cut(i)) break;
+      fold(i);
+    }
   }
 
   /// Force the full cascade regardless of thresholds (e.g. before
@@ -249,14 +269,6 @@ class HierMatrix {
   }
 
  private:
-  /// The paper's cascade loop: fold while a level exceeds its cut.
-  void cascade() {
-    for (std::size_t i = 0; i + 1 < levels_.size(); ++i) {
-      if (levels_[i].nvals_bound() <= cuts_.cut(i)) break;
-      fold(i);
-    }
-  }
-
   /// A_{i+1} += A_i; A_i cleared to an empty hypersparse matrix (with
   /// capacity retained — the fast level stays warm). The fused pipeline
   /// sorts, dedups, and merges A_i's pending run straight into A_{i+1}'s

@@ -27,13 +27,22 @@
 // std::chrono::steady_clock; the aggregate rate is Σ_p entries_p /
 // busy_p, exactly the quantity Fig. 2 plots.
 //
+// A lane works each batch in three steps: stage it (HierMatrix::stage,
+// the paper's A1 = A1 + A), mark it done, then cascade. A batch is done
+// once it is in the matrix's value, so a flush barrier (lane_done) is
+// released while its cascade still runs, and the cascade overlaps the
+// next batch's trip to the lane. drain() waits for the cascades too.
+//
 // freeze() captures an epoch-consistent image WITHOUT stopping the
 // workers: each lane is asked to freeze its matrix at its next batch
 // boundary (a ticketed handshake through the lane mutex), so every
 // lane's contribution is exactly the monoid-sum of a prefix of the
 // batches submitted to that lane, and the watermark records the prefix
-// length. Readers wait at most one in-flight batch per lane; ingest
-// never drains, never pauses globally.
+// length. A lane serves a freeze between a stage and its cascade, or
+// when idle; a ticket posted during a cascade waits for the next queued
+// batch's stage, so the image includes that batch. A reader thus waits
+// at most for one lane's in-flight cascade plus one stage; ingest never
+// drains, never pauses globally.
 #pragma once
 
 #include <atomic>
@@ -41,6 +50,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -66,8 +76,8 @@ enum class SubmitResult {
 struct LaneCounters {
   std::uint64_t batches = 0;
   std::uint64_t entries = 0;
-  std::uint64_t failed_batches = 0;  ///< dropped: update() threw (bad coords)
-  double busy_seconds = 0;  ///< time spent inside HierMatrix::update
+  std::uint64_t failed_batches = 0;  ///< dropped: stage() threw (bad coords)
+  double busy_seconds = 0;  ///< time spent in HierMatrix::stage and cascade
 };
 
 /// Whole-run summary, one per start()/stop() cycle or pump() call.
@@ -222,8 +232,10 @@ class ParallelStream {
     return SubmitResult::kAccepted;
   }
 
-  /// Batches lane `p` has finished, applied or failed: every ticket up
-  /// to this one. The network server's flush barrier polls it.
+  /// Batches lane `p` has finished, staged or failed: every ticket up
+  /// to this one. A staged batch is in the lane matrix's value, and every
+  /// later freeze() includes it, though its cascade may still be running.
+  /// The network server's flush barrier polls it.
   std::uint64_t lane_done(std::size_t p) const {
     GBX_CHECK_INDEX(p < lanes_.size(), "lane index out of range");
     Lane& lane = *lanes_[p];
@@ -231,13 +243,26 @@ class ParallelStream {
     return lane.done;
   }
 
-  /// Block until every queued batch is done (applied or failed).
+  /// Block until every queued batch is settled: staged with its cascade
+  /// finished, or failed.
   void drain() {
     GBX_CHECK(running_, "ParallelStream not started");
     for (auto& lptr : lanes_) {
       Lane& lane = *lptr;
       gbx::ScopedLock lk(lane.m);
-      while (lane.done != lane.submitted) lane.cv_space.wait(lane.m);
+      while (lane.settled != lane.submitted) lane.cv_space.wait(lane.m);
+    }
+  }
+
+  /// Call `hook` each time a lane marks a batch done (see lane_done), so
+  /// a flush barrier need not poll. It runs on the lane's worker thread
+  /// under the lane mutex: it must be quick and must not call into this
+  /// stream. One hook per stream; an empty function clears it, and once
+  /// this returns no lane calls the previous hook again.
+  void set_done_hook(const std::function<void()>& hook) {
+    for (auto& lptr : lanes_) {
+      gbx::ScopedLock lk(lptr->m);
+      lptr->on_done = hook;
     }
   }
 
@@ -268,7 +293,9 @@ class ParallelStream {
   /// first `watermark(p).batches` update batches the lane's matrix has
   /// ever applied (lanes apply in submission order, and the count
   /// survives stop()/start() restarts because it is the matrix's own
-  /// epoch), frozen at that lane's next batch boundary. Tickets are
+  /// epoch), frozen at that lane's next batch boundary: after the stage
+  /// of the batch it is working on, or of the next queued one when its
+  /// cascade is already running. Tickets are
   /// posted to every lane up front so the lanes freeze concurrently;
   /// the caller then collects the published views. Safe from any
   /// thread, any number of readers, stream running or not.
@@ -324,8 +351,9 @@ class ParallelStream {
   /// Paper-shape run through the lanes: one producer thread per lane
   /// builds its own generator with make_gen(p) and submits `sets`
   /// batches of `set_size` entries to lane p; workers apply them with
-  /// only HierMatrix::update timed. Unlike the free pump(), snapshots
-  /// can be taken concurrently while this runs — that is its purpose.
+  /// only HierMatrix::stage and cascade timed. Unlike the free pump(),
+  /// snapshots can be taken concurrently while this runs — that is its
+  /// purpose.
   /// Returns the run summary (the engine is stopped on return).
   template <class MakeGen>
   ParallelStreamReport pump(std::size_t sets, std::size_t set_size,
@@ -351,12 +379,14 @@ class ParallelStream {
   struct Lane {
     gbx::Mutex m;
     gbx::CondVar cv_work;    ///< batch queued, lane closed, or freeze asked
-    gbx::CondVar cv_space;   ///< batch applied / queue shrank
+    gbx::CondVar cv_space;   ///< batch settled / queue shrank
     gbx::CondVar cv_frozen;  ///< freeze published or worker exited
     std::deque<gbx::Tuples<T>> queue GBX_GUARDED_BY(m);
     bool closed GBX_GUARDED_BY(m) = false;
     std::uint64_t submitted GBX_GUARDED_BY(m) = 0;  ///< batches ever queued
-    std::uint64_t done GBX_GUARDED_BY(m) = 0;  ///< ... applied or failed
+    std::uint64_t done GBX_GUARDED_BY(m) = 0;  ///< ... staged or failed
+    std::uint64_t settled GBX_GUARDED_BY(m) = 0;  ///< ... cascaded or failed
+    std::function<void()> on_done GBX_GUARDED_BY(m);  ///< set_done_hook
     bool worker_alive GBX_GUARDED_BY(m) = false;
     LaneCounters counters GBX_GUARDED_BY(m);
     // Freeze handshake: readers take a ticket; the worker freezes its
@@ -371,19 +401,52 @@ class ParallelStream {
     SnapshotWatermark frozen_mark GBX_GUARDED_BY(m);
   };
 
-  /// Freeze the lane's matrix and publish it into the lane. Called by
-  /// the lane's worker, holding lane.m. The watermark is derived from
-  /// the frozen matrix itself (lifetime update count, one per batch), so
-  /// it stays exact across stop()/start() restarts — lane counters are
+  /// Serve the lane's pending freeze tickets, if any: freeze the matrix
+  /// and publish the result into the lane. Called by the lane's worker.
+  /// The freeze sorts level 1's staged run, so it runs outside the lane
+  /// mutex; the next cascade folds that sorted block without sorting it
+  /// again. No batch is staged meanwhile, so the image also answers any
+  /// ticket posted while it was taken. The watermark is derived from the
+  /// frozen matrix itself (lifetime update count, one per batch), so it
+  /// stays exact across stop()/start() restarts — lane counters are
   /// per-run for reporting, but a restarted engine's matrices retain
   /// their data and the watermark must cover it.
-  static void do_freeze(Lane& lane, const HierMatrix<T, AddMonoid>& matrix)
-      GBX_REQUIRES(lane.m) {
-    lane.frozen = matrix.freeze();
-    lane.frozen_mark = SnapshotWatermark{
-        lane.frozen.epoch(), lane.frozen.stats().entries_appended};
+  static void serve_freeze(Lane& lane,
+                           const HierMatrix<T, AddMonoid>& matrix) {
+    {
+      gbx::ScopedLock lk(lane.m);
+      if (lane.freeze_done >= lane.freeze_ticket) return;
+    }
+    auto frozen = matrix.freeze();
+    gbx::ScopedLock lk(lane.m);
+    lane.frozen_mark =
+        SnapshotWatermark{frozen.epoch(), frozen.stats().entries_appended};
+    lane.frozen = std::move(frozen);
     lane.freeze_done = lane.freeze_ticket;
     lane.cv_frozen.notify_all();
+  }
+
+  /// Test hook `hier.stream.cascade`: hold the staged batch's cascade
+  /// for `delay_ms`, as a slow cascade would. The staged batch is already
+  /// in the value, so the lane answers freezes meanwhile while nothing
+  /// is queued; a ticket posted with a batch queued waits for that
+  /// batch's stage, as it would behind a real cascade.
+  static void stall_cascade(Lane& lane, const HierMatrix<T, AddMonoid>& matrix,
+                            int delay_ms) {
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(delay_ms);
+    for (;;) {
+      {
+        gbx::ScopedLock lk(lane.m);
+        while (!lane.queue.empty() ||
+               lane.freeze_done >= lane.freeze_ticket) {
+          const auto now = std::chrono::steady_clock::now();
+          if (now >= until) return;
+          lane.cv_work.wait_for(lane.m, until - now);
+        }
+      }
+      serve_freeze(lane, matrix);
+    }
   }
 
   void worker(std::size_t p) {
@@ -391,57 +454,82 @@ class ParallelStream {
     auto& matrix = array_->instance(p);
     for (;;) {
       gbx::Tuples<T> batch;
+      bool popped = false;
       {
         gbx::ScopedLock lk(lane.m);
         while (lane.queue.empty() && !lane.closed &&
                lane.freeze_done >= lane.freeze_ticket)
           lane.cv_work.wait(lane.m);
-        // Serve freezes first so readers never wait behind a deep queue:
-        // a freeze between batches is exactly a batch-boundary snapshot.
-        if (lane.freeze_done < lane.freeze_ticket) {
-          do_freeze(lane, matrix);
-          continue;
-        }
-        if (lane.queue.empty()) {  // closed and fully drained
-          lane.worker_alive = false;
+        if (lane.queue.empty() && lane.freeze_done >= lane.freeze_ticket) {
+          lane.worker_alive = false;  // closed and fully drained
           lane.cv_frozen.notify_all();
           return;
         }
-        batch = std::move(lane.queue.front());
-        lane.queue.pop_front();
-        // A slot is free the moment the batch is popped: wake producers
-        // now so production overlaps the update below. drain() is not
-        // fooled — it waits for `done`, not for an empty queue.
-        lane.cv_space.notify_all();
+        if (!lane.queue.empty()) {
+          batch = std::move(lane.queue.front());
+          lane.queue.pop_front();
+          popped = true;
+          // A slot is free the moment the batch is popped: wake producers
+          // now so production overlaps the work below. drain() is not
+          // fooled — it waits for `settled`, not for an empty queue.
+          lane.cv_space.notify_all();
+        }
       }
+      if (!popped) {  // woken for a freeze with nothing queued
+        serve_freeze(lane, matrix);
+        continue;
+      }
+      // 1. Stage. An exception escaping a std::thread is std::terminate
+      // for the whole process, so no batch — however malformed — may
+      // throw past this point. Producers validate coordinates up front;
+      // this catch is the backstop that turns a bad batch into a dropped
+      // batch (done, and counted in failed_batches) instead of a dead
+      // engine.
       const auto b0 = std::chrono::steady_clock::now();
-      // An exception escaping a std::thread is std::terminate for the
-      // whole process, so no batch — however malformed — may throw past
-      // this point. Producers validate coordinates up front; this catch
-      // is the backstop that turns a bad batch into a dropped batch
-      // (done, and counted in failed_batches) instead of a dead engine.
-      bool applied = true;
       // Test hook: a kStall/kDelay holds this lane busy (disarmed: one
       // relaxed load), so a test can saturate it deterministically.
       if (gbx::failpoints().armed())
         if (auto fp = gbx::failpoints().hit("hier.stream.apply"))
           std::this_thread::sleep_for(std::chrono::milliseconds(fp->delay_ms));
+      bool staged = true;
       try {
-        matrix.update(batch);
+        matrix.stage(batch);
       } catch (const std::exception&) {
-        applied = false;
+        staged = false;
       }
-      const double dt = detail::seconds_since(b0);
+      double busy = detail::seconds_since(b0);
+      // 2. Done: the batch is in the value (or dropped).
       {
         gbx::ScopedLock lk(lane.m);
         ++lane.done;
-        if (applied) {
-          ++lane.counters.batches;
-          lane.counters.entries += batch.size();
-          lane.counters.busy_seconds += dt;
-        } else {
+        if (!staged) {
+          ++lane.settled;
           ++lane.counters.failed_batches;
+          lane.cv_space.notify_all();
         }
+        // Called under the mutex so that set_done_hook({}) fences it.
+        if (lane.on_done) lane.on_done();
+      }
+      if (!staged) continue;
+      // 3. Freezes asked for before the stage now include the batch.
+      serve_freeze(lane, matrix);
+      // 4. Cascade. A throw here (allocation failure) must not escape
+      // the thread either.
+      if (gbx::failpoints().armed())
+        if (auto fp = gbx::failpoints().hit("hier.stream.cascade"))
+          stall_cascade(lane, matrix, fp->delay_ms);
+      const auto c0 = std::chrono::steady_clock::now();
+      try {
+        matrix.cascade();
+      } catch (const std::exception&) {
+      }
+      busy += detail::seconds_since(c0);
+      {
+        gbx::ScopedLock lk(lane.m);
+        ++lane.settled;
+        ++lane.counters.batches;
+        lane.counters.entries += batch.size();
+        lane.counters.busy_seconds += busy;
         lane.cv_space.notify_all();
       }
     }

@@ -19,7 +19,7 @@ struct LevelStats {
 };
 
 struct HierStats {
-  std::uint64_t updates = 0;          ///< update() calls
+  std::uint64_t updates = 0;          ///< update() and stage() calls
   std::uint64_t entries_appended = 0; ///< raw entries streamed in
   std::uint64_t queries = 0;          ///< snapshot()/collapse() calls
   std::vector<LevelStats> level;      ///< one per hierarchy level
@@ -27,6 +27,11 @@ struct HierStats {
   /// Fraction of appended entries that were ever moved past level `k`
   /// (0-based). level 0 folds / appends measures slow-memory pressure:
   /// with a working hierarchy, deeper levels see far fewer entries.
+  /// A fold moves a level's entry count as it stands, so a level that a
+  /// freeze() sorted and deduplicated before its fold moves fewer
+  /// entries than were appended to it: a ParallelStream lane serves
+  /// freezes between stage() and cascade(), so its level-0 ratio can
+  /// read just under 1.0 even when every batch passes the first cut.
   double fold_ratio(std::size_t k) const {
     if (entries_appended == 0 || k >= level.size()) return 0.0;
     return static_cast<double>(level[k].entries_folded) /

@@ -347,8 +347,10 @@ class FrameLoop {
     // method below REQUIRES it.
     gbx::ScopedThreadRole role(role_);
     while (!stop_.load(std::memory_order_relaxed)) {
-      // Parked work and pending barriers have no wake event of their
-      // own (lanes drain on worker threads); poll them briskly.
+      // Parked work and pending barriers may have no wake event of
+      // their own (IngestServer's lanes wake the loop when a batch is
+      // done; a parked batch and other front ends' barriers do not), so
+      // poll them briskly.
       for (const auto& ev : ep_.wait(busy_ ? 1 : 10)) {
         if (stop_.load(std::memory_order_relaxed)) break;
         if (ev.data.fd == wake_.get()) {

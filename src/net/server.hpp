@@ -16,14 +16,18 @@
 //     paused, so TCP flow control pushes back on that client while every
 //     other session streams on. The park is retried each loop pass.
 //   * kFlush is the session barrier: acknowledged once every batch the
-//     session submitted before it is done on its lane (and durable, when
-//     replicating), so a client that flushes then queries observes its
-//     own writes; later batches, from any client, never delay it.
-//     Pipelined flushes are each acknowledged, in order.
+//     session submitted before it is done on its lane, i.e. staged into
+//     level 1 and so in the lane matrix's value, its cascade possibly
+//     still running (and durable, when replicating). A client that
+//     flushes then queries observes its own writes; later batches, from
+//     any client, never delay it. Pipelined flushes are each
+//     acknowledged, in order. IngestServer hooks the lanes' done event
+//     to FrameLoop::wake(), so an ack does not wait for the loop's poll.
 //   * Queries never block writers: they read a governed snapshot
-//     (freeze waits at most one in-flight batch per lane) through the
-//     handle's pin. kQuerySummary / kQueryRefresh run the incremental
-//     analytics engine on the loop thread (the single-analyst model).
+//     (freeze waits per lane for at most the in-flight cascade plus one
+//     stage) through the handle's pin. kQuerySummary / kQueryRefresh
+//     run the incremental analytics engine on the loop thread (the
+//     single-analyst model).
 //   * A malformed request (checked_insert / checked_probes, the
 //     validator every front end shares) throws; the core answers
 //     kReplyError and closes, so it never reaches a lane.
@@ -334,7 +338,8 @@ class IngestHandlers final : public FrameHandler {
 
   /// Flush barrier: ack each flush, oldest first, once its mark is done
   /// and durable. A parked batch came after every pending flush, so it
-  /// holds none of them. The loop polls at 1ms while flushes pend.
+  /// holds none of them. The loop polls at 1ms while flushes pend; under
+  /// IngestServer a lane's done hook also wakes it.
   void check_flush(Session& s) GBX_REQUIRES(loop_role_) {
     while (!s.pending_flushes.empty()) {
       const FlushMark& m = s.pending_flushes.front();
@@ -377,6 +382,7 @@ class IngestServer {
 
   IngestServer(Stream& stream, Governor& governor, Options opt = {})
       : opt_(opt),
+        stream_(&stream),
         handlers_(stream, governor, opt_, stats_),
         loop_(handlers_, stats_, opt_.max_outbound_bytes) {}
   IngestServer(const IngestServer&) = delete;
@@ -388,10 +394,19 @@ class IngestServer {
 
   /// Bind, listen, and spawn the event-loop thread. The stream must
   /// already be start()ed (inserts would otherwise bounce as kStopped).
-  void start() { loop_.start(opt_.port); }
+  /// Each batch a lane marks done wakes the loop, so flush barriers
+  /// settle at once.
+  void start() {
+    loop_.start(opt_.port);
+    stream_->set_done_hook([this] { loop_.wake(); });
+  }
 
-  /// Wake the loop, join it, close every socket (see FrameLoop::stop).
-  void stop() { loop_.stop(); }
+  /// Unhook the lanes, then wake the loop, join it and close every
+  /// socket (see FrameLoop::stop).
+  void stop() {
+    stream_->set_done_hook({});
+    loop_.stop();
+  }
 
   /// Bound port (valid after start()).
   std::uint16_t port() const { return loop_.port(); }
@@ -400,6 +415,7 @@ class IngestServer {
 
  private:
   Options opt_;
+  Stream* stream_;
   ServerStats stats_;
   IngestHandlers handlers_;
   FrameLoop loop_;

@@ -273,6 +273,41 @@ TEST(NetServer, FlushIsAckedWhileAnotherSessionFeedsTheSameLane) {
   a.bye();
 }
 
+TEST(NetServer, FlushIsAckedBeforeTheCascade) {
+  // The batch's cascade is held for 2 s. Its flush is acked once the
+  // batch is staged in level 1, and a query sees it there, both well
+  // before the cascade runs.
+  constexpr auto kCascade = std::chrono::milliseconds(2000);
+  ServerHarness h(1);
+  gbx::FailpointSpec stall;
+  stall.action = gbx::FailAction::kDelay;
+  stall.at_op = 1;
+  stall.delay_ms = static_cast<int>(kCascade.count());
+  gbx::failpoints().arm("hier.stream.cascade", stall);
+
+  net::Client cl;
+  cl.connect("127.0.0.1", h.server->port());
+  auto batch = kron(51).batch<double>(4000);  // over the first cut
+  batch.push_back(kDim - 1, kDim - 1, 7.0);   // the marker
+  const auto t0 = std::chrono::steady_clock::now();
+  cl.insert(batch, 0);
+  cl.flush();
+  const auto acked = std::chrono::steady_clock::now() - t0;
+  const auto rs = cl.query_elements({net::ElementQuery{kDim - 1, kDim - 1}});
+  const auto seen = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(rs[0].present, 1u) << "the acked batch is not in the value";
+  EXPECT_EQ(rs[0].value, 7.0);
+  EXPECT_LT(acked, kCascade / 2);
+  EXPECT_LT(seen, kCascade / 2);
+
+  h.stream.drain();  // returns once the held cascade has run
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, kCascade)
+      << "the cascade was never held";
+  gbx::failpoints().clear();
+  EXPECT_EQ(cl.query_sum().sum, 4007.0);
+  cl.bye();
+}
+
 /// A test-local replication sink: numbers batches 1, 2, ... and calls a
 /// batch durable once the test's watermark reaches it.
 class WatermarkSink final : public net::ReplicationSink {

@@ -9,14 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "gbx/failpoint.hpp"
 #include "gbx/matrix_ops.hpp"
 #include "gen/kronecker.hpp"
 #include "gen/power_law.hpp"
 #include "hier/hier.hpp"
+#include "prop_util.hpp"
 
 namespace {
 
@@ -34,6 +37,24 @@ gen::KroneckerGenerator kron(std::uint64_t seed, int scale = 17) {
   kp.scale = scale;
   kp.seed = seed;
   return gen::KroneckerGenerator(kp);
+}
+
+/// Hold the next batch's cascade on any lane for `ms` (test failpoint).
+void stall_next_cascade(int ms) {
+  gbx::FailpointSpec stall;
+  stall.action = gbx::FailAction::kDelay;
+  stall.at_op = 1;
+  stall.delay_ms = ms;
+  gbx::failpoints().arm("hier.stream.cascade", stall);
+}
+
+/// Wait (up to 30 s) until the armed failpoint has fired: it disarms
+/// itself on its one fire, and it is the only one armed.
+bool wait_for_fire() {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (gbx::failpoints().armed() && std::chrono::steady_clock::now() < until)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return !gbx::failpoints().armed();
 }
 
 double total_sum(const Matrix<double>& m) {
@@ -300,6 +321,54 @@ TEST(ParallelStream, ThrowingBatchCountsAsDone) {
   EXPECT_EQ(report.lane[0].failed_batches, 1u);
   EXPECT_EQ(report.lane[0].batches, 1u);
   EXPECT_EQ(array.instance(0).snapshot().extract_element(3, 4), 2.0);
+}
+
+// A freeze asked for while a lane cascades is served once the next
+// queued batch is staged, so a batch that queued behind a slow cascade
+// is in the image.
+TEST(ParallelStream, FreezeIncludesABatchQueuedBehindASlowCascade) {
+  InstanceArray<double> array(1, kDim, kDim, CutPolicy::geometric(3, 512, 8));
+  ParallelStream<double> engine(array);
+  auto g = kron(41);
+  const auto b1 = g.batch<double>(2000);
+  const auto b2 = g.batch<double>(2000);
+  proptest::DenseRef<double> ref;
+  ref.apply(b1);
+  ref.apply(b2);
+
+  stall_next_cascade(500);
+  engine.start();
+  engine.submit(0, b1);
+  ASSERT_TRUE(wait_for_fire()) << "batch 1's cascade never stalled";
+  engine.submit(0, b2);  // queued behind the stalled cascade
+  const auto snap = engine.freeze();
+  EXPECT_EQ(snap.watermark(0).batches, 2u);
+  EXPECT_EQ(snap.watermark(0).entries, 4000u);
+  EXPECT_TRUE(ref.matches(snap.part(0)));
+
+  const auto report = engine.stop();
+  EXPECT_EQ(report.lane[0].batches, 2u);  // each batch counted once
+  EXPECT_EQ(report.lane[0].entries, 4000u);
+  EXPECT_EQ(report.lane[0].failed_batches, 0u);
+  gbx::failpoints().clear();
+}
+
+// drain() returns only once every cascade has finished: the matrix read
+// here, from the test thread, is the settled one (and, under TSan, no
+// fold races the read).
+TEST(ParallelStream, DrainWaitsForTheCascade) {
+  InstanceArray<double> array(1, kDim, kDim, CutPolicy::geometric(3, 512, 8));
+  ParallelStream<double> engine(array);
+  stall_next_cascade(300);
+  engine.start();
+  engine.submit(0, kron(43).batch<double>(2000));  // over the first cut
+  engine.drain();
+  EXPECT_FALSE(gbx::failpoints().armed()) << "the cascade never stalled";
+  const auto& m = array.instance(0);
+  EXPECT_EQ(m.level_entries(0), 0u);
+  EXPECT_EQ(m.stats().level[0].folds, 1u);
+  engine.stop();
+  gbx::failpoints().clear();
 }
 
 // Producers racing stop() get a defined kStopped instead of blocking on
