@@ -40,19 +40,16 @@ Checks:
      against the block identities of the image it just froze, so it
      needs neither a per-source live-block peek nor a write hook.
   8. One acquisition verb: every snapshot source spells it `freeze()`.
-     No file under src/ mentions `acquire_snapshot`, `SnapshotEngine` or
-     `QueryInterface` (comments included), and neither
-     hier/parallel_stream.hpp nor hier/memory_governor.hpp declares a
-     `snapshot(` or `acquire(` member, so a second spelling of the
-     paper's "A = Σ Ai" step cannot grow back beside freeze().
-  9. One multi-part source: no file under src/ mentions `ShardedHier`,
-     `SharedMutex`, `ScopedReadLock`, `ScopedWriteLock` or
-     `update_parallel` (comments included). ParallelStream over an
-     InstanceArray is the one multi-part source; an in-process mirror
-     of the router feeds the array with InstanceArray::update_rows and
-     reads it through the stream's freeze(), so neither a second
-     thread-safe multi-part type nor the shared-lock layer it needed can
-     grow back.
+     Neither hier/parallel_stream.hpp nor hier/memory_governor.hpp
+     declares a `snapshot(` or `acquire(` member, so a second spelling
+     of the paper's "A = Σ Ai" step cannot grow back beside freeze().
+  9. Retired names: no file under src/ mentions a pattern of the
+     RETIRED table (comments included). Each row is a pattern and the
+     design that replaced it: a second snapshot verb, the shared-lock
+     multi-part source (ParallelStream over an InstanceArray is the one
+     multi-part source), the forked sort engines, the second frame and
+     matrix writers, and the gbx/gbx.hpp umbrella. A deletion that must
+     not grow back adds a row.
  10. One output sizing: in gbx/ewise.hpp and gbx/fold.hpp no code calls
      `.reserve(` or `.resize(` on a Dcsr output's `mutable_*()` array,
      directly or through a reference bound to one. Every kernel sizes
@@ -61,13 +58,9 @@ Checks:
      resize cannot creep back onto a fold.
  11. One thread per sort: gbx/sort.hpp and gbx/fold.hpp mention none of
      `#pragma omp`, `omp.h`, `tsan_omp` or `max_threads` (comments
-     included), and no file under src/ mentions `sample_sort`,
-     `radix_sort_pairs_forked`, `dedup_sorted_entries_parallel`,
-     `sort_entries_comparison` or `kParallelSortCutoff` (comments
      included). Every sort and dedup runs on the calling thread, one
      engine per key form (packed-key LSD radix, else std::sort):
-     parallelism comes from independent instances, one per lane, so a
-     forked sort engine and the cutoff that picked it cannot grow back.
+     parallelism comes from independent instances, one per lane.
  12. One fork primitive: under src/, `#pragma omp` appears only in
      gbx/parallel.hpp and gbx/tsan_omp.hpp, src/ holds exactly one
      `#pragma omp parallel` (the one in gbx::parallel_for), and
@@ -78,13 +71,10 @@ Checks:
      its TSan boilerplate can grow back.
  13. One codec per byte format: under src/, `kRecordMagic`, `frame_sum`,
      `FrameHeader` and the magic's hex literal appear only in
-     store/wal.hpp (comments included), `payload_as` is defined only
-     there, and no file mentions `serialize_dcsr`,
-     `frame_payload_offset` or `end_before_last_`. The record frame has
-     one encoder and one parser and its payloads one POD decoder, all in
-     store/wal.hpp, and gbx::serialize_rows is the one matrix writer, so
-     a module cannot grow a hand-written frame or a second matrix writer
-     again.
+     store/wal.hpp (comments included), and `payload_as` is defined only
+     there. The record frame has one encoder and one parser and its
+     payloads one POD decoder, all in store/wal.hpp, so a module cannot
+     grow a hand-written frame again.
 """
 
 import re
@@ -135,18 +125,31 @@ SOURCE_INCLUDE_RE = re.compile(
     r'instance_array)\.hpp)"')
 WRITE_OBSERVER_RE = re.compile(r"\bset_write_observer\b")
 
-# One acquisition verb (check 8): retired names anywhere under src/, and
-# the sources that must not declare a second verb beside freeze().
-RETIRED_SNAPSHOT_NAMES_RE = re.compile(
-    r"\b(acquire_snapshot|SnapshotEngine|QueryInterface)\b")
+# One acquisition verb (check 8): the sources that must not declare a
+# second verb beside freeze().
 FREEZE_ONLY_SOURCES = ("src/hier/parallel_stream.hpp", GOVERNOR_HEADER)
 # A declaration or definition, not a call through `.`, `->` or `::`.
 SECOND_VERB_RE = re.compile(r"(?<![.>:\w])(snapshot|acquire)\s*\(")
 
-# One multi-part source (check 9): retired names anywhere under src/.
-RETIRED_MULTIPART_NAMES_RE = re.compile(
-    r"\b(ShardedHier|SharedMutex|ScopedReadLock|ScopedWriteLock|"
-    r"update_parallel)\b")
+# Retired names (check 9): (pattern, what replaced it), matched against
+# the raw text of every file under src/, comments included.
+RETIRED = [(re.compile(p), why) for p, why in (
+    (r"\b(acquire_snapshot|SnapshotEngine|QueryInterface)\b",
+     "snapshots are taken with the source's own freeze()"),
+    (r"\b(ShardedHier|SharedMutex|ScopedReadLock|ScopedWriteLock|"
+     r"update_parallel)\b",
+     "ParallelStream over an InstanceArray is the one multi-part source "
+     "(feed it by row with InstanceArray::update_rows)"),
+    (r"\b(sample_sort|radix_sort_pairs_forked|dedup_sorted_entries_parallel|"
+     r"sort_entries_comparison|kParallelSortCutoff)\b",
+     "every sort runs on the calling thread (packed-key radix, else "
+     "std::sort); the forked engines and their cutoff are gone"),
+    (r"\b(serialize_dcsr|frame_payload_offset|end_before_last_)\b",
+     "the record frame and the matrix container each have one writer "
+     "(store::append_frame, gbx::serialize_rows)"),
+    (r'#\s*include\s*"gbx/gbx\.hpp"',
+     "the gbx umbrella is gone; include the gbx/*.hpp headers you use"),
+)]
 
 # One output sizing (check 10): the kernels' files, a direct call on a
 # mutable_*() array, and a reference bound to one.
@@ -155,13 +158,10 @@ DIRECT_SIZING_RE = re.compile(r"\bmutable_\w+\(\)\s*\.\s*(reserve|resize)\(")
 OUTPUT_ALIAS_RE = re.compile(r"&\s*(\w+)\s*=\s*[\w.>-]*\bmutable_\w+\(\)")
 
 # One thread per sort (check 11): the sort kernels' files and the OpenMP
-# spellings they must not contain, and retired engine names under src/.
+# spellings they must not contain.
 SERIAL_SORT_KERNELS = ("src/gbx/sort.hpp", "src/gbx/fold.hpp")
 SORT_OMP_RE = re.compile(r"(#\s*pragma\s+omp\b|\bomp\.h\b|\btsan_omp\b|"
                          r"\bmax_threads\b)")
-RETIRED_SORT_NAMES_RE = re.compile(
-    r"\b(sample_sort|radix_sort_pairs_forked|dedup_sorted_entries_parallel|"
-    r"sort_entries_comparison|kParallelSortCutoff)\b")
 
 # One fork primitive (check 12): the files that may hold `#pragma omp`
 # or name the TSan fork bridge, and the one parallel region under src/.
@@ -171,14 +171,12 @@ OMP_PARALLEL_RE = re.compile(r"#\s*pragma\s+omp\s+parallel\b")
 FORK_BRIDGE_RE = re.compile(r"\b(OmpRegionGuard|GBX_OMP_CAPTURE_HANDOFF)\b")
 
 # One codec per byte format (check 13): the one home of the record
-# frame, the names and literal only it may spell, a payload_as
-# definition (a type before the name, not a call), and retired names.
+# frame, the names and literal only it may spell, and a payload_as
+# definition (a type before the name, not a call).
 FRAME_HOME = "src/store/wal.hpp"
 FRAME_NAMES_RE = re.compile(r"\b(kRecordMagic|frame_sum|FrameHeader)\b")
 FRAME_MAGIC_RE = re.compile(r"0x48485741'?4C30303\d", re.IGNORECASE)
 PAYLOAD_AS_DEF_RE = re.compile(r"\b(?!return\b)\w+[\s>]+payload_as\s*\(")
-RETIRED_CODEC_NAMES_RE = re.compile(
-    r"\b(serialize_dcsr|frame_payload_offset|end_before_last_)\b")
 
 # `new` as an expression: preceded by start/space/punct, followed by a
 # type. Excludes placement-new forms used by containers (none in-repo)
@@ -350,15 +348,8 @@ def check_governor_source_free(path: Path, text: str, code: str,
                 f"at freeze() and enforce(); sources have no write hook")
 
 
-def check_one_acquisition_verb(path: Path, text: str, code: str,
-                               errors: list) -> None:
+def check_one_acquisition_verb(path: Path, code: str, errors: list) -> None:
     rel = str(path.relative_to(REPO))
-    for ln, line in enumerate(text.splitlines(), 1):
-        m = RETIRED_SNAPSHOT_NAMES_RE.search(line)
-        if m:
-            errors.append(
-                f"{rel}:{ln}: {m.group(1)} — snapshots are taken with the "
-                f"source's own freeze(); the name is retired")
     if rel not in FREEZE_ONLY_SOURCES:
         return
     for ln, line in enumerate(code.splitlines(), 1):
@@ -369,15 +360,14 @@ def check_one_acquisition_verb(path: Path, text: str, code: str,
                 f"acquisition verb of a snapshot source")
 
 
-def check_one_multipart_source(path: Path, text: str, errors: list) -> None:
+def check_retired_names(path: Path, text: str, errors: list) -> None:
     rel = str(path.relative_to(REPO))
     for ln, line in enumerate(text.splitlines(), 1):
-        m = RETIRED_MULTIPART_NAMES_RE.search(line)
-        if m:
-            errors.append(
-                f"{rel}:{ln}: {m.group(1)} — ParallelStream over an "
-                f"InstanceArray is the one multi-part source (feed it by "
-                f"row with InstanceArray::update_rows); the name is retired")
+        for pattern, why in RETIRED:
+            m = pattern.search(line)
+            if m:
+                errors.append(f"{rel}:{ln}: {m.group(0)} — {why}; the name "
+                              f"is retired (check 9)")
 
 
 def check_one_output_sizing(path: Path, code: str, errors: list) -> None:
@@ -401,20 +391,15 @@ def check_one_output_sizing(path: Path, code: str, errors: list) -> None:
 
 def check_one_thread_per_sort(path: Path, text: str, errors: list) -> None:
     rel = str(path.relative_to(REPO))
+    if rel not in SERIAL_SORT_KERNELS:
+        return
     for ln, line in enumerate(text.splitlines(), 1):
-        m = RETIRED_SORT_NAMES_RE.search(line)
+        m = SORT_OMP_RE.search(line)
         if m:
             errors.append(
-                f"{rel}:{ln}: {m.group(1)} — every sort runs on the calling "
-                f"thread (packed-key radix, else std::sort); the forked "
-                f"engines and their cutoff are retired")
-        if rel in SERIAL_SORT_KERNELS:
-            m = SORT_OMP_RE.search(line)
-            if m:
-                errors.append(
-                    f"{rel}:{ln}: {m.group(1)} in a sort kernel — sorts run "
-                    f"on the calling thread; parallelism comes from "
-                    f"independent instances, one per lane")
+                f"{rel}:{ln}: {m.group(1)} in a sort kernel — sorts run on "
+                f"the calling thread; parallelism comes from independent "
+                f"instances, one per lane")
 
 
 def check_one_fork_primitive(path: Path, code: str, errors: list,
@@ -435,22 +420,15 @@ def check_one_fork_primitive(path: Path, code: str, errors: list,
 
 def check_one_codec(path: Path, text: str, code: str, errors: list) -> None:
     rel = str(path.relative_to(REPO))
+    if rel == FRAME_HOME:
+        return
     for ln, line in enumerate(text.splitlines(), 1):
-        m = RETIRED_CODEC_NAMES_RE.search(line)
-        if m:
-            errors.append(
-                f"{rel}:{ln}: {m.group(1)} — the record frame and the matrix "
-                f"container each have one writer; the name is retired")
-        if rel == FRAME_HOME:
-            continue
         m = FRAME_NAMES_RE.search(line) or FRAME_MAGIC_RE.search(line)
         if m:
             errors.append(
                 f"{rel}:{ln}: {m.group(0)} outside store/wal.hpp — write "
                 f"frames with store::append_frame / RecordLogWriter and read "
                 f"them with store::parse_frame (check 13)")
-    if rel == FRAME_HOME:
-        return
     for ln, line in enumerate(code.splitlines(), 1):
         if PAYLOAD_AS_DEF_RE.search(line):
             errors.append(
@@ -473,8 +451,8 @@ def main() -> int:
         check_loop_only_io(path, code, errors)
         check_hier_includes(path, text, errors)
         check_governor_source_free(path, text, code, errors)
-        check_one_acquisition_verb(path, text, code, errors)
-        check_one_multipart_source(path, text, errors)
+        check_one_acquisition_verb(path, code, errors)
+        check_retired_names(path, text, errors)
         check_one_output_sizing(path, code, errors)
         check_one_thread_per_sort(path, text, errors)
         check_one_fork_primitive(path, code, errors, regions)

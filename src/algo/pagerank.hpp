@@ -11,7 +11,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "gbx/gbx.hpp"
+#include "gbx/apply.hpp"
+#include "gbx/matrix.hpp"
+#include "gbx/ops.hpp"
+#include "gbx/reduce.hpp"
 
 namespace algo {
 

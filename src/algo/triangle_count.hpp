@@ -9,7 +9,14 @@
 
 #include <cstdint>
 
-#include "gbx/gbx.hpp"
+#include "gbx/apply.hpp"
+#include "gbx/matrix_ops.hpp"
+#include "gbx/mxm_masked.hpp"
+#include "gbx/ops.hpp"
+#include "gbx/reduce.hpp"
+#include "gbx/select.hpp"
+#include "gbx/semiring.hpp"
+#include "gbx/transpose.hpp"
 
 namespace algo {
 

@@ -11,7 +11,8 @@
 #include <cmath>
 #include <vector>
 
-#include "gbx/gbx.hpp"
+#include "gbx/matrix.hpp"
+#include "gbx/reduce.hpp"
 
 namespace analytics {
 

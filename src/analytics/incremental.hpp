@@ -61,7 +61,9 @@
 #include "algo/pagerank.hpp"
 #include "algo/triangle_count.hpp"
 #include "analytics/traffic.hpp"
-#include "gbx/gbx.hpp"
+#include "gbx/ewise.hpp"
+#include "gbx/ops.hpp"
+#include "gbx/reduce.hpp"
 #include "hier/delta.hpp"
 #include "hier/snapshot.hpp"
 

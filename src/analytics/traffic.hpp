@@ -14,7 +14,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "gbx/gbx.hpp"
+#include "gbx/apply.hpp"
+#include "gbx/matrix.hpp"
+#include "gbx/ops.hpp"
+#include "gbx/reduce.hpp"
 
 namespace analytics {
 

@@ -13,7 +13,8 @@
 #include <string_view>
 #include <vector>
 
-#include "gbx/gbx.hpp"
+#include "gbx/matrix.hpp"
+#include "gbx/reduce.hpp"
 #include "assoc/string_pool.hpp"
 
 namespace assoc {

@@ -1,12 +1,11 @@
-// gbx/ewise.hpp — element-wise union (add) and intersection (mult) merges.
+// gbx/ewise.hpp — element-wise union (add) merges.
 //
 // eWiseAdd over a commutative monoid is *the* operation of the paper:
 // every cascade fold (A_{i+1} += A_i) and every query (A = Σ A_i) is one
 // of these merges. The union kernel is a two-pass rowwise merge: pass 1
 // counts the union size per output row (parallel), pass 2 fills
 // (parallel), so the output DCSR is assembled without locks or
-// reallocation. The intersection (ewise_mult) is one pass on the calling
-// thread. ewise_add_into is the arena variant the fold pipeline uses:
+// reallocation. ewise_add_into is the arena variant the fold pipeline uses:
 // row-merge scratch comes from a ScratchPool and the output lands in a
 // caller-recycled Dcsr sized by Dcsr::prepare(), so cascade folds touch
 // the heap only when a growing level outgrows its capacity.
@@ -223,55 +222,6 @@ Dcsr<T> ewise_add(const Dcsr<T>& A, const Dcsr<T>& B) {
   if (B.empty()) return A;
   Dcsr<T> C;
   ewise_add_into<Op>(A, B, C, ScratchPool::local());
-  return C;
-}
-
-/// C = A ⊗ B (set intersection; values combined with Op). Rows present in
-/// only one operand vanish, as do rows whose column intersection is empty.
-/// One pass into a block sized for the smaller operand (an upper bound),
-/// trimmed to what the intersection wrote.
-template <class Op, class T>
-Dcsr<T> ewise_mult(const Dcsr<T>& A, const Dcsr<T>& B) {
-  Dcsr<T> C;
-  if (A.empty() || B.empty()) return C;
-  const auto ra = A.rows();
-  const auto rb = B.rows();
-  C.prepare(std::min(ra.size(), rb.size()), std::min(A.nnz(), B.nnz()));
-  auto& cr = C.mutable_rows();
-  auto& cp = C.mutable_ptr();
-  auto& cc = C.mutable_cols();
-  auto& cv = C.mutable_vals();
-  cp[0] = 0;
-  std::size_t a = 0, b = 0, o = 0;
-  Offset w = 0;
-  while (a < ra.size() && b < rb.size()) {
-    if (ra[a] < rb[b]) {
-      ++a;
-      continue;
-    }
-    if (rb[b] < ra[a]) {
-      ++b;
-      continue;
-    }
-    Offset pa = A.ptr()[a], ea = A.ptr()[a + 1];
-    Offset pb = B.ptr()[b], eb = B.ptr()[b + 1];
-    while (pa < ea && pb < eb) {
-      const Index caI = A.cols()[pa], cbI = B.cols()[pb];
-      if (caI < cbI) ++pa;
-      else if (cbI < caI) ++pb;
-      else {
-        cc[w] = caI;
-        cv[w++] = Op::apply(A.vals()[pa++], B.vals()[pb++]);
-      }
-    }
-    if (w != cp[o]) {
-      cr[o] = ra[a];
-      cp[++o] = w;
-    }
-    ++a;
-    ++b;
-  }
-  C.trim(o, w);
   return C;
 }
 

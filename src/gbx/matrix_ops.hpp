@@ -15,15 +15,6 @@ Matrix<T, M> ewise_add(const Matrix<T, M>& A, const Matrix<T, M>& B) {
                              ewise_add<Op>(A.storage(), B.storage()));
 }
 
-/// C = A ⊗ B (intersection) over binary op Op.
-template <class Op, class T, class M>
-Matrix<T, M> ewise_mult(const Matrix<T, M>& A, const Matrix<T, M>& B) {
-  GBX_CHECK_DIM(A.nrows() == B.nrows() && A.ncols() == B.ncols(),
-                "eWiseMult dimension mismatch");
-  return Matrix<T, M>::adopt(A.nrows(), A.ncols(),
-                             ewise_mult<Op>(A.storage(), B.storage()));
-}
-
 /// Default-monoid sum: C = A + B over the matrices' fold monoid.
 template <class T, class M>
 Matrix<T, M> operator+(const Matrix<T, M>& A, const Matrix<T, M>& B) {

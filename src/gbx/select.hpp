@@ -1,8 +1,8 @@
 // gbx/select.hpp — entry selection (GxB_select analogue).
 //
 // Keeps the subset of entries satisfying a predicate over (row, col,
-// value). Common structural selectors (tril/triu/diag/offdiag) and value
-// selectors (nonzero, thresholds) are provided as helpers.
+// value). The structural selectors triangle counting uses (tril, triu,
+// offdiag) are provided as helpers.
 #pragma once
 
 #include <vector>
@@ -42,28 +42,10 @@ Matrix<T, M> triu(const Matrix<T, M>& A, std::int64_t k = 0) {
   });
 }
 
-/// Diagonal entries only.
-template <class T, class M>
-Matrix<T, M> diag(const Matrix<T, M>& A) {
-  return select(A, [](Index i, Index j, T) { return i == j; });
-}
-
 /// Off-diagonal entries only (GraphBLAS offdiag; removes self-loops).
 template <class T, class M>
 Matrix<T, M> offdiag(const Matrix<T, M>& A) {
   return select(A, [](Index i, Index j, T) { return i != j; });
-}
-
-/// Drop explicit zeros.
-template <class T, class M>
-Matrix<T, M> prune_zeros(const Matrix<T, M>& A) {
-  return select(A, [](Index, Index, T v) { return v != T{}; });
-}
-
-/// Keep entries with value strictly greater than a threshold.
-template <class T, class M>
-Matrix<T, M> select_gt(const Matrix<T, M>& A, T thresh) {
-  return select(A, [thresh](Index, Index, T v) { return v > thresh; });
 }
 
 }  // namespace gbx

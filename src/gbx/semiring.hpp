@@ -1,8 +1,8 @@
 // gbx/semiring.hpp — semirings for matrix multiplication.
 //
 // A semiring pairs an additive monoid with a multiplicative binary op,
-// exactly as in the GraphBLAS math spec (Kepner et al., HPEC 2016). mxm,
-// mxv and vxm are parameterized over these.
+// exactly as in the GraphBLAS math spec (Kepner et al., HPEC 2016). mxm
+// and mxm_masked are parameterized over these.
 #pragma once
 
 #include "gbx/monoid.hpp"

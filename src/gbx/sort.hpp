@@ -239,7 +239,7 @@ void radix_sort_entries(std::vector<Entry<T>>& v, const RadixLayout& layout,
 /// only commutative folds are order-insensitive across engines.
 ///
 /// Scratch is a LOCAL pool, freed on return: callers of the public API
-/// are one-shot nnz-scale sorts (transpose, kron, structure), and
+/// are one-shot nnz-scale sorts (transpose, Tuples::sort_dedup), and
 /// caching ~32 bytes/entry per thread forever would dwarf the sort
 /// itself. The fold pipeline, which genuinely re-sorts every batch,
 /// goes through gbx::with_fold_run with the thread-local pool instead.

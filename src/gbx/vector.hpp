@@ -1,8 +1,8 @@
 // gbx/vector.hpp — sparse vectors (GrB_Vector analogue).
 //
 // Stored as parallel sorted-unique (index, value) arrays. Vectors appear
-// as the results of row/column reductions and as mxv/vxm operands; they
-// follow the same hypersparse discipline as matrices (storage ∝ nvals).
+// as the results of row/column reductions; they follow the same
+// hypersparse discipline as matrices (storage ∝ nvals).
 #pragma once
 
 #include <algorithm>

@@ -26,7 +26,8 @@
 #include <sstream>
 #include <utility>
 
-#include "gbx/gbx.hpp"
+#include "gbx/matrix.hpp"
+#include "gbx/parallel.hpp"
 #include "hier/hier.hpp"
 
 namespace proptest {

@@ -20,7 +20,8 @@
 #include <random>
 #include <vector>
 
-#include "gbx/gbx.hpp"
+#include "gbx/dcsr.hpp"
+#include "gbx/view.hpp"
 #include "hier/hier.hpp"
 #include "prop_util.hpp"
 #include "store/block_store.hpp"

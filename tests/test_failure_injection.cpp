@@ -1,13 +1,14 @@
-// Failure-injection tests: corrupted serialization payloads, hostile
-// MatrixMarket input, and resource-exhaustion guards. A storage layer
-// must fail with a diagnosable exception, never crash or silently
-// deliver wrong data.
+// Failure-injection tests: corrupted serialization payloads and
+// resource-exhaustion guards. A storage layer must fail with a
+// diagnosable exception, never crash or silently deliver wrong data.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <sstream>
 
-#include "gbx/gbx.hpp"
+#include "gbx/error.hpp"
+#include "gbx/matrix.hpp"
+#include "gbx/serialize.hpp"
 #include "hier/hier.hpp"
 
 namespace {
@@ -61,23 +62,6 @@ TEST(Truncation, EveryPrefixRejectedOrValid) {
     std::istringstream is(good.substr(0, n));
     EXPECT_THROW(gbx::deserialize<double>(is), gbx::Error) << "prefix " << n;
   }
-}
-
-TEST(HostileMatrixMarket, LiesAboutCounts) {
-  // Header claims more entries than the body provides.
-  std::stringstream ss;
-  ss << "%%MatrixMarket matrix coordinate real general\n"
-     << "10 10 1000000\n"
-     << "1 1 1.0\n";
-  EXPECT_THROW(gbx::read_matrix_market<double>(ss), gbx::Error);
-}
-
-TEST(HostileMatrixMarket, CoordinatesBeyondHeaderDims) {
-  std::stringstream ss;
-  ss << "%%MatrixMarket matrix coordinate real general\n"
-     << "4 4 1\n"
-     << "9 9 1.0\n";
-  EXPECT_THROW(gbx::read_matrix_market<double>(ss), gbx::Error);
 }
 
 TEST(CheckpointCorruption, LevelCountMismatchRejected) {

@@ -1,10 +1,13 @@
-// Tests for eWiseAdd / eWiseMult merges and structural masks.
+// Tests for the eWiseAdd union merge.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <random>
 
-#include "gbx/gbx.hpp"
+#include "gbx/ewise.hpp"
+#include "gbx/fold.hpp"
+#include "gbx/matrix.hpp"
+#include "gbx/matrix_ops.hpp"
 #include "prop_util.hpp"
 
 namespace {
@@ -103,51 +106,7 @@ TEST(EwiseAddInto, MatchesSerialMergeAtEveryTeamSize) {
   });
 }
 
-TEST(EwiseMult, IntersectionOnly) {
-  Matrix<double> a(10, 10), b(10, 10);
-  a.set_element(1, 1, 2.0);
-  a.set_element(1, 2, 3.0);
-  b.set_element(1, 1, 4.0);
-  b.set_element(2, 2, 5.0);
-  auto c = gbx::ewise_mult<gbx::Times<double>>(a, b);
-  EXPECT_EQ(c.nvals(), 1u);
-  EXPECT_DOUBLE_EQ(c.extract_element(1, 1).value(), 8.0);
-}
-
-TEST(EwiseMult, EmptyIntersection) {
-  Matrix<double> a(10, 10), b(10, 10);
-  a.set_element(1, 1, 2.0);
-  b.set_element(2, 2, 4.0);
-  auto c = gbx::ewise_mult<gbx::Times<double>>(a, b);
-  EXPECT_EQ(c.nvals(), 0u);
-  EXPECT_TRUE(c.validate());
-}
-
-TEST(Mask, KeepAndDrop) {
-  Matrix<double> a(10, 10);
-  a.set_element(1, 1, 1.0);
-  a.set_element(2, 2, 2.0);
-  a.set_element(3, 3, 3.0);
-  Matrix<double> m(10, 10);
-  m.set_element(1, 1, 1.0);
-  m.set_element(3, 3, 0.0);  // structural: value irrelevant
-
-  auto kept = gbx::mask_keep(a, m);
-  EXPECT_EQ(kept.nvals(), 2u);
-  EXPECT_TRUE(kept.extract_element(1, 1).has_value());
-  EXPECT_TRUE(kept.extract_element(3, 3).has_value());
-
-  auto dropped = gbx::mask_drop(a, m);
-  EXPECT_EQ(dropped.nvals(), 1u);
-  EXPECT_TRUE(dropped.extract_element(2, 2).has_value());
-}
-
-TEST(Mask, DimMismatchThrows) {
-  Matrix<double> a(10, 10), m(9, 10);
-  EXPECT_THROW(gbx::mask_keep(a, m), gbx::DimensionMismatch);
-}
-
-// Properties of the union/intersection merges against map models, over a
+// Properties of the union merge against map models, over a
 // sweep of densities and dimension scales (including the parallel paths).
 class EwiseProperty
     : public ::testing::TestWithParam<std::tuple<Index, std::size_t, std::uint64_t>> {};
@@ -188,24 +147,6 @@ TEST_P(EwiseProperty, AddAssociates) {
   auto ml = to_map(left), mr = to_map(right);
   ASSERT_EQ(ml.size(), mr.size());
   for (const auto& [k, v] : ml) EXPECT_NEAR(mr.at(k), v, 1e-9);
-}
-
-TEST_P(EwiseProperty, MultMatchesModel) {
-  const auto [dim, n, seed] = GetParam();
-  auto a = random_matrix(dim, n, seed);
-  auto b = random_matrix(dim, n, seed + 5000);
-  auto c = gbx::ewise_mult<gbx::Times<double>>(a, b);
-
-  auto ma = to_map(a), mb = to_map(b), mc = to_map(c);
-  std::size_t expect = 0;
-  for (const auto& [k, v] : ma) {
-    auto it = mb.find(k);
-    if (it == mb.end()) continue;
-    ++expect;
-    EXPECT_NEAR(mc.at(k), v * it->second, 1e-9);
-  }
-  EXPECT_EQ(mc.size(), expect);
-  EXPECT_TRUE(c.validate());
 }
 
 INSTANTIATE_TEST_SUITE_P(

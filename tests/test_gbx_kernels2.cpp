@@ -1,16 +1,17 @@
-// Tests for the second wave of gbx kernels: masked mxm, eWiseUnion,
-// outer products, row/col extraction, element removal, iterators.
+// Tests for masked mxm (the triangle-count kernel) against the unmasked
+// gbx::mxm oracle.
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "gbx/gbx.hpp"
+#include "gbx/matrix.hpp"
+#include "gbx/mxm.hpp"
+#include "gbx/mxm_masked.hpp"
 
 namespace {
 
 using gbx::Index;
 using gbx::Matrix;
-using gbx::SparseVector;
 
 Matrix<double> random_matrix(Index dim, std::size_t n, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -62,147 +63,6 @@ TEST(MxmMasked, DimValidation) {
   Matrix<double> mask(4, 6);
   EXPECT_THROW((gbx::mxm_masked<gbx::PlusTimes<double>>(mask, a, b2)),
                gbx::DimensionMismatch);
-}
-
-TEST(EwiseUnion, MinusWithDefaults) {
-  Matrix<double> a(10, 10), b(10, 10);
-  a.set_element(1, 1, 5.0);   // only in A: 5 - beta(0) = 5
-  b.set_element(2, 2, 3.0);   // only in B: alpha(0) - 3 = -3
-  a.set_element(3, 3, 10.0);  // both: 10 - 4 = 6
-  b.set_element(3, 3, 4.0);
-  auto c = gbx::subtract(a, b);
-  EXPECT_DOUBLE_EQ(c.extract_element(1, 1).value(), 5.0);
-  EXPECT_DOUBLE_EQ(c.extract_element(2, 2).value(), -3.0);
-  EXPECT_DOUBLE_EQ(c.extract_element(3, 3).value(), 6.0);
-}
-
-TEST(EwiseUnion, CustomDefaults) {
-  Matrix<double> a(4, 4), b(4, 4);
-  a.set_element(0, 0, 10.0);
-  b.set_element(1, 1, 20.0);
-  // op = div, alpha = 100 (missing A), beta = 2 (missing B)
-  auto c = gbx::ewise_union<gbx::Div<double>>(a, 100.0, b, 2.0);
-  EXPECT_DOUBLE_EQ(c.extract_element(0, 0).value(), 5.0);   // 10 / 2
-  EXPECT_DOUBLE_EQ(c.extract_element(1, 1).value(), 5.0);   // 100 / 20
-}
-
-TEST(EwiseUnion, DiffersFromEwiseAddForMinus) {
-  // eWiseAdd(minus) passes B through at B-only coordinates (wrong sign);
-  // eWiseUnion fixes that. This pins the semantic difference.
-  Matrix<double> a(4, 4), b(4, 4);
-  b.set_element(0, 0, 7.0);
-  auto add = gbx::ewise_add<gbx::Minus<double>>(a, b);
-  auto uni = gbx::subtract(a, b);
-  EXPECT_DOUBLE_EQ(add.extract_element(0, 0).value(), 7.0);   // pass-through
-  EXPECT_DOUBLE_EQ(uni.extract_element(0, 0).value(), -7.0);  // 0 - 7
-}
-
-TEST(Outer, RankOneProduct) {
-  SparseVector<double> u(1000), v(1000);
-  std::vector<Index> ui{2, 500};
-  std::vector<double> uv{3.0, 5.0};
-  u.build(ui, uv);
-  std::vector<Index> vi{7, 999};
-  std::vector<double> vv{10.0, 100.0};
-  v.build(vi, vv);
-  auto m = gbx::outer<gbx::Times<double>>(u, v);
-  EXPECT_EQ(m.nvals(), 4u);
-  EXPECT_DOUBLE_EQ(m.extract_element(2, 7).value(), 30.0);
-  EXPECT_DOUBLE_EQ(m.extract_element(500, 999).value(), 500.0);
-  EXPECT_TRUE(m.validate());
-}
-
-TEST(Outer, GravityIdentity) {
-  // gravity model expectation == outer(rowsums, colsums) / total.
-  auto a = random_matrix(30, 200, 9);
-  auto r = gbx::reduce_rows<gbx::PlusMonoid<double>>(a);
-  auto c = gbx::reduce_cols<gbx::PlusMonoid<double>>(a);
-  auto g = gbx::outer<gbx::Times<double>>(r, c);
-  const double total = gbx::reduce_scalar<gbx::PlusMonoid<double>>(a);
-  // Sum over the full outer product = total * total.
-  EXPECT_NEAR(gbx::reduce_scalar<gbx::PlusMonoid<double>>(g), total * total,
-              1e-6 * total * total);
-}
-
-TEST(ExtractRowCol, KnownValues) {
-  Matrix<double> m(100, 100);
-  m.set_element(5, 1, 10.0);
-  m.set_element(5, 7, 20.0);
-  m.set_element(9, 7, 30.0);
-  auto row5 = gbx::extract_row(m, 5);
-  EXPECT_EQ(row5.nvals(), 2u);
-  EXPECT_DOUBLE_EQ(row5.get(1).value(), 10.0);
-  EXPECT_DOUBLE_EQ(row5.get(7).value(), 20.0);
-  auto row0 = gbx::extract_row(m, 0);
-  EXPECT_EQ(row0.nvals(), 0u);
-  auto col7 = gbx::extract_col(m, 7);
-  EXPECT_EQ(col7.nvals(), 2u);
-  EXPECT_DOUBLE_EQ(col7.get(9).value(), 30.0);
-  EXPECT_THROW(gbx::extract_row(m, 100), gbx::IndexOutOfBounds);
-  EXPECT_THROW(gbx::extract_col(m, 100), gbx::IndexOutOfBounds);
-}
-
-TEST(RemoveElement, RemovesAndNoops) {
-  Matrix<double> m(10, 10);
-  m.set_element(1, 1, 1.0);
-  m.set_element(2, 2, 2.0);
-  gbx::remove_element(m, 1, 1);
-  EXPECT_EQ(m.nvals(), 1u);
-  EXPECT_FALSE(m.extract_element(1, 1).has_value());
-  gbx::remove_element(m, 5, 5);  // absent: no-op
-  EXPECT_EQ(m.nvals(), 1u);
-  EXPECT_THROW(gbx::remove_element(m, 10, 0), gbx::IndexOutOfBounds);
-}
-
-TEST(Iterator, WalksInOrder) {
-  Matrix<double> m(100, 100);
-  m.set_element(3, 4, 1.0);
-  m.set_element(3, 9, 2.0);
-  m.set_element(50, 0, 3.0);
-  gbx::MatrixIterator<double> it(m);
-  ASSERT_FALSE(it.done());
-  EXPECT_EQ(it.row(), 3u);
-  EXPECT_EQ(it.col(), 4u);
-  ASSERT_TRUE(it.next());
-  EXPECT_EQ(it.col(), 9u);
-  ASSERT_TRUE(it.next());
-  EXPECT_EQ(it.row(), 50u);
-  EXPECT_DOUBLE_EQ(it.value(), 3.0);
-  EXPECT_FALSE(it.next());
-  EXPECT_TRUE(it.done());
-}
-
-TEST(Iterator, SeekAndRewind) {
-  Matrix<double> m(1000, 1000);
-  for (Index k = 0; k < 100; k += 10) m.set_element(k, k, static_cast<double>(k));
-  gbx::MatrixIterator<double> it(m);
-  ASSERT_TRUE(it.seek_row(35));
-  EXPECT_EQ(it.row(), 40u);
-  ASSERT_TRUE(it.seek_row(90));
-  EXPECT_EQ(it.row(), 90u);
-  EXPECT_FALSE(it.seek_row(91));
-  it.rewind();
-  EXPECT_EQ(it.row(), 0u);
-}
-
-TEST(Iterator, EmptyMatrix) {
-  Matrix<double> m(10, 10);
-  gbx::MatrixIterator<double> it(m);
-  EXPECT_TRUE(it.done());
-  EXPECT_FALSE(it.next());
-}
-
-TEST(Iterator, MatchesForEach) {
-  auto m = random_matrix(64, 500, 21);
-  std::vector<std::tuple<Index, Index, double>> a, b;
-  m.for_each([&](Index i, Index j, double v) { a.emplace_back(i, j, v); });
-  gbx::MatrixIterator<double> it(m);
-  if (!it.done()) {
-    do {
-      b.emplace_back(it.row(), it.col(), it.value());
-    } while (it.next());
-  }
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

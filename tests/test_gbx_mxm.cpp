@@ -1,11 +1,13 @@
-// Tests for mxm / mxv / vxm over semirings, against dense reference
-// multiplication on small matrices and structural identities on large.
+// Tests for mxm over semirings, against dense reference multiplication
+// on small matrices and structural identities on large; and SparseVector.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <vector>
 
-#include "gbx/gbx.hpp"
+#include "gbx/matrix.hpp"
+#include "gbx/mxm.hpp"
+#include "gbx/vector.hpp"
 
 namespace {
 
@@ -129,70 +131,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(Index{16}, std::size_t{40}, std::uint64_t{2}),
                       std::make_tuple(Index{48}, std::size_t{300}, std::uint64_t{3}),
                       std::make_tuple(Index{64}, std::size_t{2000}, std::uint64_t{4})));
-
-TEST(Mxv, KnownProduct) {
-  Matrix<double> a(3, 3);
-  a.set_element(0, 0, 1);
-  a.set_element(0, 2, 2);
-  a.set_element(2, 1, 3);
-  SparseVector<double> x(3);
-  std::vector<Index> xi{0, 2};
-  std::vector<double> xv{10, 20};
-  x.build(xi, xv);
-  auto y = gbx::mxv<gbx::PlusTimes<double>>(a, x);
-  // y0 = 1*10 + 2*20 = 50; y2 = 3*x1 = absent (x1 empty)
-  EXPECT_EQ(y.nvals(), 1u);
-  EXPECT_DOUBLE_EQ(y.get(0).value(), 50.0);
-  EXPECT_FALSE(y.get(2).has_value());
-}
-
-TEST(Mxv, DimMismatchThrows) {
-  Matrix<double> a(3, 3);
-  SparseVector<double> x(4);
-  EXPECT_THROW((gbx::mxv<gbx::PlusTimes<double>>(a, x)),
-               gbx::DimensionMismatch);
-}
-
-TEST(Vxm, KnownProduct) {
-  Matrix<double> a(3, 3);
-  a.set_element(0, 1, 2);
-  a.set_element(2, 1, 4);
-  a.set_element(2, 2, 5);
-  SparseVector<double> x(3);
-  std::vector<Index> xi{0, 2};
-  std::vector<double> xv{10, 100};
-  x.build(xi, xv);
-  auto y = gbx::vxm<gbx::PlusTimes<double>>(x, a);
-  // y1 = x0*2 + x2*4 = 20 + 400 = 420; y2 = x2*5 = 500
-  EXPECT_EQ(y.nvals(), 2u);
-  EXPECT_DOUBLE_EQ(y.get(1).value(), 420.0);
-  EXPECT_DOUBLE_EQ(y.get(2).value(), 500.0);
-}
-
-TEST(VxmVsMxvTranspose, Agree) {
-  auto a = random_matrix(40, 40, 300, 17);
-  // Column 39 gets 1e16, 1.0 and -1e16 from x entries 0, 15 and 39
-  // (x = 1, 16, 40): in x order the 1.0 is absorbed and the column sums
-  // to 0, while adding the two 1e16 terms first leaves 1.0.
-  a.set_element(0, 39, 1e16);
-  a.set_element(15, 39, 0.0625);
-  a.set_element(39, 39, -2.5e14);
-  a.materialize();
-  SparseVector<double> x(40);
-  std::vector<Index> xi;
-  std::vector<double> xv;
-  for (Index i = 0; i < 40; i += 3) {
-    xi.push_back(i);
-    xv.push_back(static_cast<double>(i) + 1);
-  }
-  x.build(xi, xv);
-  auto y1 = gbx::vxm<gbx::PlusTimes<double>>(x, a);
-  auto at = gbx::transpose(a);
-  auto y2 = gbx::mxv<gbx::PlusTimes<double>>(at, x);
-  // Both sum each column in x's index order, so they agree exactly.
-  ASSERT_EQ(y1.nvals(), y2.nvals());
-  y1.for_each([&](Index i, double v) { EXPECT_EQ(y2.get(i).value(), v); });
-}
 
 TEST(Vector, BuildDedupAndReduce) {
   SparseVector<double> v(100);

@@ -8,7 +8,12 @@
 #include <map>
 #include <random>
 
-#include "gbx/gbx.hpp"
+#include "gbx/matrix.hpp"
+#include "gbx/matrix_ops.hpp"
+#include "gbx/mxm.hpp"
+#include "gbx/reduce.hpp"
+#include "gbx/serialize.hpp"
+#include "gbx/transpose.hpp"
 #include "hier/hier.hpp"
 
 namespace {

@@ -21,7 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "gbx/gbx.hpp"
+#include "gbx/matrix.hpp"
+#include "gbx/reduce.hpp"
 #include "hier/hier.hpp"
 #include "prop_util.hpp"
 

@@ -20,7 +20,8 @@
 #include <utility>
 #include <vector>
 
-#include "gbx/gbx.hpp"
+#include "gbx/error.hpp"
+#include "gbx/failpoint.hpp"
 #include "hier/hier.hpp"
 #include "prop_util.hpp"
 #include "store/failpoint_backend.hpp"

@@ -31,7 +31,11 @@
 #include <random>
 #include <vector>
 
-#include "gbx/gbx.hpp"
+#include "gbx/ewise.hpp"
+#include "gbx/fold.hpp"
+#include "gbx/matrix.hpp"
+#include "gbx/scratch.hpp"
+#include "gbx/sort.hpp"
 #include "hier/hier.hpp"
 #include "prop_util.hpp"
 

@@ -32,7 +32,8 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "gbx/gbx.hpp"
+#include "gbx/coo.hpp"
+#include "gbx/error.hpp"
 #include "hier/memory_governor.hpp"
 #include "net/net.hpp"
 #include "prop_util.hpp"

@@ -7,7 +7,9 @@
 #include <sstream>
 #include <string>
 
-#include "gbx/gbx.hpp"
+#include "gbx/error.hpp"
+#include "gbx/matrix.hpp"
+#include "gbx/serialize.hpp"
 #include "gen/gen.hpp"
 #include "hier/hier.hpp"
 
