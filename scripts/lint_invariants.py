@@ -48,8 +48,8 @@ Checks:
      design that replaced it: a second snapshot verb, the shared-lock
      multi-part source (ParallelStream over an InstanceArray is the one
      multi-part source), the forked sort engines, the second frame and
-     matrix writers, and the gbx/gbx.hpp umbrella. A deletion that must
-     not grow back adds a row.
+     matrix writers, the gbx/gbx.hpp umbrella and the raw checkpoint
+     container. A deletion that must not grow back adds a row.
  10. One output sizing: in gbx/ewise.hpp and gbx/fold.hpp no code calls
      `.reserve(` or `.resize(` on a Dcsr output's `mutable_*()` array,
      directly or through a reference bound to one. Every kernel sizes
@@ -74,7 +74,10 @@ Checks:
      store/wal.hpp (comments included), and `payload_as` is defined only
      there. The record frame has one encoder and one parser and its
      payloads one POD decoder, all in store/wal.hpp, so a module cannot
-     grow a hand-written frame again.
+     grow a hand-written frame again. Likewise the matrix container's
+     raw section helpers (`write_pod`, `read_pod`, `write_vec`,
+     `read_vec_into`) appear only in gbx/serialize.hpp: every other
+     persisted byte, the checkpoint included, is a record frame.
 """
 
 import re
@@ -149,6 +152,9 @@ RETIRED = [(re.compile(p), why) for p, why in (
      "(store::append_frame, gbx::serialize_rows)"),
     (r'#\s*include\s*"gbx/gbx\.hpp"',
      "the gbx umbrella is gone; include the gbx/*.hpp headers you use"),
+    (r"\b(kCkptMagic|HHGRCP01|materialized_level)\b",
+     "a checkpoint is record frames over a frozen image (one writer, "
+     "hier::detail::write_checkpoint)"),
 )]
 
 # One output sizing (check 10): the kernels' files, a direct call on a
@@ -177,6 +183,9 @@ FRAME_HOME = "src/store/wal.hpp"
 FRAME_NAMES_RE = re.compile(r"\b(kRecordMagic|frame_sum|FrameHeader)\b")
 FRAME_MAGIC_RE = re.compile(r"0x48485741'?4C30303\d", re.IGNORECASE)
 PAYLOAD_AS_DEF_RE = re.compile(r"\b(?!return\b)\w+[\s>]+payload_as\s*\(")
+# ... and the one home of the matrix container's raw section helpers.
+CONTAINER_HOME = "src/gbx/serialize.hpp"
+POD_SECTION_RE = re.compile(r"\b(write_pod|read_pod|write_vec|read_vec_into)\b")
 
 # `new` as an expression: preceded by start/space/punct, followed by a
 # type. Excludes placement-new forms used by containers (none in-repo)
@@ -420,6 +429,14 @@ def check_one_fork_primitive(path: Path, code: str, errors: list,
 
 def check_one_codec(path: Path, text: str, code: str, errors: list) -> None:
     rel = str(path.relative_to(REPO))
+    if rel != CONTAINER_HOME:
+        for ln, line in enumerate(text.splitlines(), 1):
+            m = POD_SECTION_RE.search(line)
+            if m:
+                errors.append(
+                    f"{rel}:{ln}: {m.group(0)} outside gbx/serialize.hpp — "
+                    f"persist bytes as record frames (store::RecordLogWriter, "
+                    f"store::payload_as) or gbx::serialize (check 13)")
     if rel == FRAME_HOME:
         return
     for ln, line in enumerate(text.splitlines(), 1):

@@ -6,6 +6,19 @@
 // the restart is invisible to both ingest and query paths. Cut schedule
 // and cascade statistics ride along.
 //
+// A checkpoint is a run of store record frames (store/wal.hpp), every
+// one stamped with the image's epoch and checksummed:
+//   * one header frame of u64 words — nrows, ncols, the updates /
+//     entries_appended / queries counters, the cut count c, the c cuts,
+//     then (folds, entries_folded, max_entries) for each of the c + 1
+//     levels;
+//   * c + 1 level frames, shallowest first, each one gbx::serialize
+//     matrix. A demoted bottom level is written with its on-disk tier
+//     folded back in, so the file needs no block store.
+// The depth follows from the header's cut count. restore() reads the
+// whole stream as one checkpoint: a missing, extra, torn, corrupt or
+// foreign-epoch frame throws gbx::Error.
+//
 // Crash recovery: BatchWal logs every update batch to a store::RecordLog
 // stream stamped with the epoch it produced (HierMatrix::epoch counts
 // update() calls, so record k carries epoch k). recover() stitches the
@@ -19,8 +32,10 @@
 // a silently-wrong matrix.
 #pragma once
 
+#include <cstdint>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,117 +49,99 @@ namespace hier {
 
 namespace detail {
 
-inline constexpr std::uint64_t kCkptMagic = 0x48484752'43503031ull;  // "HHGRCP01"
+/// The one checkpoint writer, over a frozen image. `st` is the
+/// statistics block persisted with it. A compacted image (one level
+/// under the same cuts) is written as empty upper levels above its
+/// compact block, so every checkpoint holds cuts + 1 levels.
+template <class T, class M>
+void write_checkpoint(std::ostream& os, const HierSnapshot<T, M>& snap,
+                      const HierStats& st) {
+  const auto& cuts = snap.cuts();
+  const std::size_t levels = cuts.size() + 1;
+  GBX_CHECK_VALUE(snap.num_levels() == levels || snap.num_levels() == 1,
+                  "checkpoint: image has neither cuts + 1 levels nor one");
+  GBX_CHECK_VALUE(st.level.size() == levels,
+                  "checkpoint: stats level count mismatch");
+  std::vector<std::uint64_t> words{snap.nrows(), snap.ncols(), st.updates,
+                                   st.entries_appended, st.queries,
+                                   cuts.size()};
+  words.insert(words.end(), cuts.begin(), cuts.end());
+  for (const auto& ls : st.level)
+    words.insert(words.end(), {ls.folds, ls.entries_folded, ls.max_entries});
 
-/// The single definition of the checkpoint container. Both public
-/// overloads feed it; `emit_level(os, i)` writes level i (a Matrix or a
-/// frozen MatrixView — gbx::serialize produces identical bytes for
-/// both, so restore() cannot tell the sources apart).
-template <class EmitLevel>
-void write_checkpoint(std::ostream& os, gbx::Index nrows, gbx::Index ncols,
-                      const std::vector<std::size_t>& cuts,
-                      std::size_t num_levels, const HierStats& st,
-                      EmitLevel&& emit_level) {
-  gbx::detail::write_pod(os, kCkptMagic);
-  gbx::detail::write_pod<gbx::Index>(os, nrows);
-  gbx::detail::write_pod<gbx::Index>(os, ncols);
-
-  gbx::detail::write_vec(os, std::vector<std::uint64_t>(cuts.begin(), cuts.end()));
-
-  gbx::detail::write_pod<std::uint64_t>(os, num_levels);
-  for (std::size_t i = 0; i < num_levels; ++i) emit_level(os, i);
-
-  // Statistics (so monitoring survives restarts).
-  gbx::detail::write_pod(os, st.updates);
-  gbx::detail::write_pod(os, st.entries_appended);
-  gbx::detail::write_pod(os, st.queries);
-  gbx::detail::write_pod<std::uint64_t>(os, st.level.size());
-  for (const auto& ls : st.level) {
-    gbx::detail::write_pod(os, ls.folds);
-    gbx::detail::write_pod(os, ls.entries_folded);
-    gbx::detail::write_pod(os, ls.max_entries);
+  store::RecordLogWriter out(os);
+  out.append(snap.epoch(), words.data(), words.size() * sizeof words[0]);
+  const std::size_t skip = levels - snap.num_levels();
+  for (std::size_t i = 0; i < levels; ++i) {
+    std::ostringstream level;
+    gbx::Matrix<T, M> m(snap.nrows(), snap.ncols());
+    if (i + 1 == levels && snap.has_demoted()) {
+      // Tier runs fold oldest-first, resident view last — the canonical
+      // read order, so the bytes match a checkpoint of the equivalent
+      // never-demoted matrix whenever the fold is bit-associative.
+      snap.tier_view().materialize_into(m);
+      m.plus_assign(snap.level(i - skip));
+      gbx::serialize(level, m);
+    } else if (i >= skip) {
+      gbx::serialize(level, snap.level(i - skip));
+    } else {
+      gbx::serialize(level, m);
+    }
+    const std::string bytes = std::move(level).str();
+    out.append(snap.epoch(), bytes.data(), bytes.size());
   }
-  GBX_CHECK(os.good(), "checkpoint: write failure");
 }
 
 }  // namespace detail
 
-template <class T, class M>
-void checkpoint(std::ostream& os, const HierMatrix<T, M>& h) {
-  detail::write_checkpoint(
-      os, h.nrows(), h.ncols(), h.cut_policy().cuts(), h.num_levels(),
-      h.stats(), [&](std::ostream& o, std::size_t i) {
-        // A demoted bottom level's resident matrix is only a fragment of
-        // the level's logical value — fold the on-disk tier back in so
-        // the checkpoint is self-contained (restore() needs no block
-        // store, and recover() stays store-agnostic).
-        if (i + 1 == h.num_levels() && h.has_demoted()) {
-          gbx::serialize(o, h.materialized_level(i));
-        } else {
-          gbx::serialize(o, h.level(i));
-        }
-      });
-}
-
-/// Checkpoint a live epoch snapshot: byte-for-byte the same container as
-/// the HierMatrix overload (restore() reads either), but sourced from
-/// immutable frozen views — so it can run on a reader thread while the
-/// origin matrix keeps ingesting, and the file is guaranteed to be the
-/// consistent image the snapshot's epoch names.
+/// Checkpoint a live epoch snapshot from immutable frozen views — so it
+/// can run on a reader thread while the origin matrix keeps ingesting,
+/// and the file is the consistent image the snapshot's epoch names.
 template <class T, class M>
 void checkpoint(std::ostream& os, const HierSnapshot<T, M>& snap) {
-  detail::write_checkpoint(
-      os, snap.nrows(), snap.ncols(), snap.cuts(), snap.num_levels(),
-      snap.stats(), [&](std::ostream& o, std::size_t i) {
-        // Same demoted-bottom rule as the HierMatrix overload: fold the
-        // snapshot's pinned tier image into the bottom level so the file
-        // is self-contained. Tier runs fold oldest-first, resident view
-        // last — the canonical read order, so the bytes match a
-        // checkpoint of the equivalent never-demoted matrix whenever the
-        // monoid's fold is bit-associative.
-        if (i + 1 == snap.num_levels() && snap.has_demoted()) {
-          gbx::Matrix<T, M> bottom(snap.nrows(), snap.ncols());
-          snap.tier_view().materialize_into(bottom);
-          bottom.plus_assign(snap.level(i));
-          gbx::serialize(o, bottom);
-        } else {
-          gbx::serialize(o, snap.level(i));
-        }
-      });
+  detail::write_checkpoint(os, snap, snap.stats());
+}
+
+/// Checkpoint a matrix: the snapshot writer over h.freeze(). It writes
+/// the statistics from before that freeze, so the file does not count
+/// its own freeze as a query, and the bytes equal a checkpoint of the
+/// caller's last freeze() when nothing changed since.
+template <class T, class M>
+void checkpoint(std::ostream& os, const HierMatrix<T, M>& h) {
+  const HierStats st = h.stats();
+  detail::write_checkpoint(os, h.freeze(), st);
 }
 
 template <class T, class M = gbx::PlusMonoid<T>>
 HierMatrix<T, M> restore(std::istream& is) {
-  GBX_CHECK(gbx::detail::read_pod<std::uint64_t>(is) == detail::kCkptMagic,
-            "restore: bad magic (not an hhgbx checkpoint)");
-  const auto nrows = gbx::detail::read_pod<gbx::Index>(is);
-  const auto ncols = gbx::detail::read_pod<gbx::Index>(is);
-  std::vector<std::uint64_t> cuts64;
-  gbx::detail::read_vec_into(is, cuts64);
-  CutPolicy cuts(std::vector<std::size_t>(cuts64.begin(), cuts64.end()));
+  store::RecordLogReader in(is);
+  const auto head = in.next();
+  GBX_CHECK(head.has_value(), "restore: empty stream (no header frame)");
+  std::vector<std::uint64_t> w;
+  // Word 5 is the cut count c; the header holds 9 + 4c words.
+  GBX_CHECK(store::payload_as(head->payload, w) && w.size() > 5 &&
+                w[5] < w.size() && w.size() == 9 + 4 * w[5],
+            "restore: malformed header frame");
+  GBX_CHECK(w[2] == head->epoch,
+            "restore: header epoch is not its update count");
+  const auto cuts = w.begin() + 6;
+  HierMatrix<T, M> h(w[0], w[1],
+                     CutPolicy(std::vector<std::size_t>(cuts, cuts + w[5])));
+  HierStats st{w[2], w[3], w[4], {}};
+  for (auto p = cuts + w[5]; p != w.end(); p += 3)
+    st.level.push_back({p[0], p[1], p[2]});
 
-  HierMatrix<T, M> h(nrows, ncols, std::move(cuts));
-  const auto levels = gbx::detail::read_pod<std::uint64_t>(is);
-  GBX_CHECK(levels == h.num_levels(), "restore: level count mismatch");
-  for (std::size_t i = 0; i < levels; ++i) {
-    auto m = gbx::deserialize<T, M>(is);
-    GBX_CHECK(m.nrows() == nrows && m.ncols() == ncols,
-              "restore: level dimension mismatch");
-    h.restore_level(i, std::move(m));
+  for (std::size_t i = 0; i < h.num_levels(); ++i) {
+    const auto rec = in.next();
+    GBX_CHECK(rec.has_value(), "restore: missing level frame");
+    GBX_CHECK(rec->epoch == head->epoch,
+              "restore: level frame of another epoch");
+    std::istringstream level(
+        std::string(reinterpret_cast<const char*>(rec->payload.data()),
+                    rec->payload.size()));
+    h.restore_level(i, gbx::deserialize<T, M>(level));
   }
-
-  HierStats st;
-  st.updates = gbx::detail::read_pod<std::uint64_t>(is);
-  st.entries_appended = gbx::detail::read_pod<std::uint64_t>(is);
-  st.queries = gbx::detail::read_pod<std::uint64_t>(is);
-  const auto nls = gbx::detail::read_pod<std::uint64_t>(is);
-  GBX_CHECK(nls == levels, "restore: stats level count mismatch");
-  st.level.resize(nls);
-  for (auto& ls : st.level) {
-    ls.folds = gbx::detail::read_pod<std::uint64_t>(is);
-    ls.entries_folded = gbx::detail::read_pod<std::uint64_t>(is);
-    ls.max_entries = gbx::detail::read_pod<std::uint64_t>(is);
-  }
+  GBX_CHECK(!in.next(), "restore: frame after the last level");
   h.restore_stats(std::move(st));
   return h;
 }

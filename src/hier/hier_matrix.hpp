@@ -159,18 +159,6 @@ class HierMatrix {
     return tier_ ? tier_->store_bytes() : 0;
   }
 
-  /// Level i's full logical value as a standalone matrix — for the
-  /// bottom level this folds the demoted runs (oldest first) back under
-  /// the resident remainder, the checkpoint writer's view of a demoted
-  /// matrix. Other levels are plain copies.
-  matrix_type materialized_level(std::size_t i) const {
-    GBX_CHECK_INDEX(i < levels_.size(), "materialized_level out of range");
-    matrix_type acc(nrows_, ncols_);
-    if (i + 1 == levels_.size() && tier_) tier_->view().materialize_into(acc);
-    acc.plus_assign(levels_[i].view());
-    return acc;
-  }
-
   /// Point query of the logical matrix Σ Ai across resident levels AND
   /// demoted runs (freeze() publishes views without copying a block).
   std::optional<T> extract_element(gbx::Index i, gbx::Index j) const {

@@ -8,8 +8,9 @@
 // recycles at `capacity` to bound footprint, counting total bytes logged.
 //
 // The record frame: the one byte format of the update stream — the
-// replayable WAL (hier::recover), the wire protocol (net/protocol.hpp)
-// and the block file (store/block_store.hpp) all carry it. Each frame is
+// replayable WAL (hier::recover), the wire protocol (net/protocol.hpp),
+// the block file (store/block_store.hpp) and the checkpoint
+// (hier/checkpoint.hpp) all carry it. Each frame is
 //   [magic u64 "HHWAL002"][epoch u64][size u64][payload bytes]
 //   [XXH64 of the payload, seeded with the epoch (frame_sum)]
 // so a reader can (a) skip records by epoch without deserializing the

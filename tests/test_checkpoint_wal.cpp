@@ -253,6 +253,29 @@ TEST(CheckpointWal, RestoreRejectsCorruptMagic) {
   EXPECT_THROW(hier::restore<double>(bad), gbx::Error);
 }
 
+// A compacted snapshot (the memory governor's eviction form) keeps the
+// cuts but holds one level: its checkpoint writes the compact block as
+// the bottom level under empty upper levels, and restores to the same
+// Σ Ai, epoch and cuts.
+TEST(CheckpointWal, CompactedSnapshotRestoresToTheSameSum) {
+  HierMatrix<double> h(100, 100, CutPolicy({4, 16}));
+  for (int k = 0; k < 30; ++k)
+    h.update(static_cast<gbx::Index>(k * 7 % 100),
+             static_cast<gbx::Index>(k * 13 % 100), 1.0 + k);
+  const auto compact = h.freeze().compacted();
+  ASSERT_EQ(compact.num_levels(), 1u);
+
+  std::stringstream ss;
+  hier::checkpoint(ss, compact);
+  auto restored = hier::restore<double>(ss);
+  EXPECT_TRUE(gbx::equal(restored.snapshot(), h.snapshot()));
+  EXPECT_EQ(restored.epoch(), h.epoch());
+  EXPECT_EQ(restored.num_levels(), 3u);
+  EXPECT_EQ(restored.cut_policy().cuts(), h.cut_policy().cuts());
+  EXPECT_EQ(restored.level_entries(0), 0u);
+  EXPECT_EQ(restored.level_entries(1), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Out-of-core tier vs crash recovery (ISSUE 7 satellite). Demotion moves
 // the cold bottom level's bytes into a block store, but durability still

@@ -27,6 +27,19 @@ std::string serialized_fixture() {
   return os.str();
 }
 
+/// A small hierarchical checkpoint: 100 x 100, cuts {4, 16}, 32
+/// single-entry updates, so every level holds entries.
+std::string checkpoint_fixture() {
+  hier::HierMatrix<double> h(100, 100, hier::CutPolicy({4, 16}));
+  std::mt19937_64 rng(7);
+  std::uniform_int_distribution<Index> coord(0, 99);
+  for (int k = 0; k < 32; ++k)
+    h.update(coord(rng), coord(rng), static_cast<double>(k));
+  std::ostringstream os;
+  hier::checkpoint(os, h);
+  return os.str();
+}
+
 // Parameterized over corruption position (as a fraction of the payload):
 // a single flipped byte anywhere must either round-trip to an equal
 // matrix (benign value-bit flip in a double) or throw — never crash,
@@ -64,20 +77,35 @@ TEST(Truncation, EveryPrefixRejectedOrValid) {
   }
 }
 
-TEST(CheckpointCorruption, LevelCountMismatchRejected) {
-  hier::HierMatrix<double> h(100, 100, hier::CutPolicy({10, 100}));
-  h.update(1, 1, 1.0);
-  std::stringstream ss;
-  hier::checkpoint(ss, h);
-  std::string payload = ss.str();
-  // Flip a byte in the cuts region (just after the two dim fields).
-  payload[8 + 8 + 8 + 2] ^= 0x01;
-  std::istringstream is(payload);
-  try {
-    auto restored = hier::restore<double>(is);
-    EXPECT_TRUE(restored.snapshot().validate());
-  } catch (const gbx::Error&) {
+// Every proper prefix of a checkpoint — mid-frame or exactly at a frame
+// boundary — is a torn file, for restore() and for recover() alike.
+TEST(Truncation, EveryCheckpointPrefixRejected) {
+  const std::string good = checkpoint_fixture();
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    std::istringstream ckpt(good.substr(0, n));
+    EXPECT_THROW(hier::restore<double>(ckpt), gbx::Error) << "prefix " << n;
+    std::istringstream ckpt2(good.substr(0, n)), wal;
+    EXPECT_THROW(hier::recover<double>(ckpt2, wal), gbx::Error)
+        << "prefix " << n;
   }
+}
+
+// Every byte of a checkpoint is covered by a frame checksum or the frame
+// magic: no single-bit flip restores without an error.
+TEST(CheckpointCorruption, EveryBitFlipRejected) {
+  const std::string good = checkpoint_fixture();
+  std::size_t silent = 0;
+  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::string bad = good;
+    bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+    std::istringstream is(bad);
+    try {
+      (void)hier::restore<double>(is);
+      ++silent;
+    } catch (const gbx::Error&) {
+    }
+  }
+  EXPECT_EQ(silent, 0u) << "of " << good.size() * 8 << " single-bit flips";
 }
 
 TEST(Guards, CutOverflowRejected) {

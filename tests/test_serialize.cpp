@@ -225,4 +225,15 @@ TEST(Checkpoint, GarbageRejected) {
   EXPECT_THROW(hier::restore<double>(ss), gbx::Error);
 }
 
+// restore() reads the whole stream as one checkpoint: a frame after the
+// last level (here a second checkpoint) is rejected, not left unread.
+TEST(Checkpoint, TrailingFrameRejected) {
+  hier::HierMatrix<double> h(16, 16, hier::CutPolicy({4}));
+  h.update(1, 2, 3.0);
+  std::stringstream ss;
+  hier::checkpoint(ss, h);
+  hier::checkpoint(ss, h);
+  EXPECT_THROW(hier::restore<double>(ss), gbx::Error);
+}
+
 }  // namespace
