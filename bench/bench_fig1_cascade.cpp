@@ -35,7 +35,9 @@ int main() {
 
   benchutil::note("cuts: c1=" + std::to_string(cuts.cut(0)) +
                   " c2=" + std::to_string(cuts.cut(1)) +
-                  " c3=" + std::to_string(cuts.cut(2)) + " (top unbounded)");
+                  " c3=" + std::to_string(cuts.cut(2)) +
+                  " (the starting depth: a level goes in above the bottom "
+                  "once it passes c3 x 2)");
   std::printf(
       "set\tentries_in\tL1_entries\tL2_entries\tL3_entries\tL4_entries"
       "\tL1_folds\tL2_folds\tL3_folds\n");

@@ -223,74 +223,168 @@ void build_from_run(const Run& run, Dcsr<T>& out) {
   ptr[k] = static_cast<Offset>(n);
 }
 
-/// C = A ⊕ B in ONE serial streaming pass (sized to the upper bound
-/// |A| + |B| by Dcsr::prepare, no counting pass, no zero-fill): the
-/// serial complement of ewise_add_into's parallel counts-then-fill.
-/// With one thread the counting pass would just double the reads of
-/// both blocks, so the fold pipeline picks this variant whenever the
-/// parallel fill cannot actually run in parallel (or the blocks are
-/// small). `out` must not alias A or B; A and B non-empty.
+/// C = A ⊕ B as ONE serial streaming pass that can stop and resume:
+/// each step(budget) writes at most `budget` more output entries (it may
+/// stop inside a row) and returns true once the merge is complete, with
+/// `out` trimmed to the result. The constructor sizes `out` to the upper
+/// bound |A| + |B| by Dcsr::prepare (no counting pass, no zero-fill), so
+/// the output never reallocates mid-merge. A, B and `out` must stay put
+/// and unchanged by anyone else until the merge completes; `out` must not
+/// alias A or B. A HierMatrix runs its grown bottom merge in slices this
+/// way; merge_blocks_into is the same kernel run to completion.
 template <class Op, class T>
-void merge_blocks_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& out) {
-  const auto ar = A.rows(), ac = A.cols();
-  const auto br = B.rows(), bc = B.cols();
-  const auto ap = A.ptr(), bp = B.ptr();
-  const auto av = A.vals(), bv = B.vals();
-  const std::size_t nra = ar.size(), nrb = br.size();
-  out.prepare(nra + nrb, ac.size() + bc.size());
-  auto& orows = out.mutable_rows();
-  auto& optr = out.mutable_ptr();
-  auto& ocols = out.mutable_cols();
-  auto& ovals = out.mutable_vals();
-  std::size_t k = 0;
-  Offset w = 0;
+class BlockMerge {
+ public:
+  BlockMerge(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& out)
+      : a_(&A), b_(&B), out_(&out) {
+    out.prepare(A.nrows_nonempty() + B.nrows_nonempty(), A.nnz() + B.nnz());
+  }
 
-  auto open_row = [&](Index row) {
-    orows[k] = row;
-    optr[k++] = w;
-  };
-  auto emit = [&](Index col, const T& val) {
-    ocols[w] = col;
-    ovals[w++] = val;
-  };
-  auto copy_row = [&](Index row, std::span<const Index> cols,
-                      std::span<const T> vals, Offset lo, Offset hi) {
-    open_row(row);
-    for (Offset p = lo; p < hi; ++p) emit(cols[p], vals[p]);
-  };
+  bool done() const { return done_; }
 
-  std::size_t ka = 0, kb = 0;
-  while (ka < nra && kb < nrb) {
-    if (ar[ka] < br[kb]) {
-      copy_row(ar[ka], ac, av, ap[ka], ap[ka + 1]);
-      ++ka;
-    } else if (br[kb] < ar[ka]) {
-      copy_row(br[kb], bc, bv, bp[kb], bp[kb + 1]);
-      ++kb;
-    } else {
-      open_row(ar[ka]);
-      Offset pa = ap[ka], ea = ap[ka + 1];
-      Offset pb = bp[kb], eb = bp[kb + 1];
-      while (pa < ea && pb < eb) {
-        const Index caI = ac[pa], cbI = bc[pb];
-        if (caI < cbI) {
-          emit(caI, av[pa++]);
-        } else if (cbI < caI) {
-          emit(cbI, bv[pb++]);
+  bool step(std::size_t budget) {
+    if (done_) return true;
+    const auto ar = a_->rows(), ac = a_->cols();
+    const auto br = b_->rows(), bc = b_->cols();
+    const auto ap = a_->ptr(), bp = b_->ptr();
+    const auto av = a_->vals(), bv = b_->vals();
+    const std::size_t nra = ar.size(), nrb = br.size();
+    auto& orows = out_->mutable_rows();
+    auto& optr = out_->mutable_ptr();
+    auto& ocols = out_->mutable_cols();
+    auto& ovals = out_->mutable_vals();
+    std::size_t ka = ka_, kb = kb_, k = k_;
+    Offset w = w_;
+    const Offset stop =
+        budget >= ocols.size() - w ? ocols.size() : w + budget;
+
+    auto open_row = [&](Index row) {
+      orows[k] = row;
+      optr[k++] = w;
+    };
+    auto emit = [&](Index col, const T& val) {
+      ocols[w] = col;
+      ovals[w++] = val;
+    };
+    auto copy_row = [&](Index row, std::span<const Index> cols,
+                        std::span<const T> vals, Offset lo, Offset hi) {
+      open_row(row);
+      for (Offset p = lo; p < hi; ++p) emit(cols[p], vals[p]);
+    };
+
+    for (;;) {
+      if (partial_) {
+        // The row that did not fit: merge it entry by entry up to stop.
+        Offset pa = pa_, ea = ea_, pb = pb_, eb = eb_;
+        while (pa < ea && pb < eb && w < stop) {
+          const Index caI = ac[pa], cbI = bc[pb];
+          if (caI < cbI) {
+            emit(caI, av[pa++]);
+          } else if (cbI < caI) {
+            emit(cbI, bv[pb++]);
+          } else {
+            emit(caI, Op::apply(av[pa++], bv[pb++]));
+          }
+        }
+        if (pb == eb)
+          for (; pa < ea && w < stop; ++pa) emit(ac[pa], av[pa]);
+        if (pa == ea)
+          for (; pb < eb && w < stop; ++pb) emit(bc[pb], bv[pb]);
+        pa_ = pa;
+        pb_ = pb;
+        if (pa != ea || pb != eb) break;  // out of budget inside the row
+        partial_ = false;
+      }
+      // Whole rows, as long as each fits under stop: the hot path, so it
+      // repeats the row merge above without the per-entry budget checks.
+      while (ka < nra && kb < nrb) {
+        if (ar[ka] < br[kb]) {
+          if (ap[ka + 1] - ap[ka] > stop - w) break;
+          copy_row(ar[ka], ac, av, ap[ka], ap[ka + 1]);
+          ++ka;
+        } else if (br[kb] < ar[ka]) {
+          if (bp[kb + 1] - bp[kb] > stop - w) break;
+          copy_row(br[kb], bc, bv, bp[kb], bp[kb + 1]);
+          ++kb;
         } else {
-          emit(caI, Op::apply(av[pa++], bv[pb++]));
+          Offset pa = ap[ka], ea = ap[ka + 1];
+          Offset pb = bp[kb], eb = bp[kb + 1];
+          if ((ea - pa) + (eb - pb) > stop - w) break;
+          open_row(ar[ka]);
+          while (pa < ea && pb < eb) {
+            const Index caI = ac[pa], cbI = bc[pb];
+            if (caI < cbI) {
+              emit(caI, av[pa++]);
+            } else if (cbI < caI) {
+              emit(cbI, bv[pb++]);
+            } else {
+              emit(caI, Op::apply(av[pa++], bv[pb++]));
+            }
+          }
+          for (; pa < ea; ++pa) emit(ac[pa], av[pa]);
+          for (; pb < eb; ++pb) emit(bc[pb], bv[pb]);
+          ++ka;
+          ++kb;
         }
       }
-      for (; pa < ea; ++pa) emit(ac[pa], av[pa]);
-      for (; pb < eb; ++pb) emit(bc[pb], bv[pb]);
-      ++ka;
-      ++kb;
+      for (; kb == nrb && ka < nra; ++ka) {
+        if (ap[ka + 1] - ap[ka] > stop - w) break;
+        copy_row(ar[ka], ac, av, ap[ka], ap[ka + 1]);
+      }
+      for (; ka == nra && kb < nrb; ++kb) {
+        if (bp[kb + 1] - bp[kb] > stop - w) break;
+        copy_row(br[kb], bc, bv, bp[kb], bp[kb + 1]);
+      }
+      if (ka == nra && kb == nrb) {
+        optr[k] = w;
+        out_->trim(k, w);
+        done_ = true;
+        break;
+      }
+      // The next row does not fit: open it and merge what does.
+      const bool take_a = ka < nra && (kb == nrb || ar[ka] <= br[kb]);
+      const bool take_b = kb < nrb && (ka == nra || br[kb] <= ar[ka]);
+      open_row(take_a ? ar[ka] : br[kb]);
+      pa_ = ea_ = pb_ = eb_ = 0;
+      if (take_a) {
+        pa_ = ap[ka];
+        ea_ = ap[++ka];
+      }
+      if (take_b) {
+        pb_ = bp[kb];
+        eb_ = bp[++kb];
+      }
+      partial_ = true;
     }
+    ka_ = ka;
+    kb_ = kb;
+    k_ = k;
+    w_ = w;
+    return done_;
   }
-  for (; ka < nra; ++ka) copy_row(ar[ka], ac, av, ap[ka], ap[ka + 1]);
-  for (; kb < nrb; ++kb) copy_row(br[kb], bc, bv, bp[kb], bp[kb + 1]);
-  optr[k] = w;
-  out.trim(k, w);
+
+ private:
+  const Dcsr<T>* a_;
+  const Dcsr<T>* b_;
+  Dcsr<T>* out_;
+  std::size_t ka_ = 0, kb_ = 0;  ///< next row of A / of B
+  std::size_t k_ = 0;            ///< output rows opened
+  Offset w_ = 0;                 ///< output entries written
+  bool partial_ = false;         ///< a row is open, partly written
+  Offset pa_ = 0, ea_ = 0;       ///< A's rest of that row
+  Offset pb_ = 0, eb_ = 0;       ///< B's rest of that row
+  bool done_ = false;
+};
+
+/// C = A ⊕ B in one serial streaming pass: BlockMerge run to completion.
+/// The serial complement of ewise_add_into's parallel counts-then-fill:
+/// with one thread the counting pass would just double the reads of
+/// both blocks, so the fold pipeline picks this variant whenever the
+/// parallel fill cannot actually run in parallel (or the blocks are
+/// small). `out` must not alias A or B.
+template <class Op, class T>
+void merge_blocks_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& out) {
+  BlockMerge<Op, T>(A, B, out).step(static_cast<std::size_t>(-1));
 }
 
 namespace detail {

@@ -104,6 +104,9 @@ class Matrix {
     spare_.reset();
   }
 
+  /// Release the recycled spare block only; the value is untouched.
+  void drop_spare() { spare_.reset(); }
+
   /// Single-element update: A(i,j) ⊕= v. O(1) append.
   void set_element(Index i, Index j, T v) {
     check_bounds(i, j);

@@ -133,23 +133,39 @@ SnapshotDelta<T> diff_core(EachPair&& each_pair, GetOld&& get_old,
   return out;
 }
 
+/// Pair the levels of two images for the diff: bottom with bottom, the
+/// upper levels shallowest first, and the shallower image padded with
+/// empty views above its bottom. Depths differ across a growth event (a
+/// level goes in above the bottom) and against a compacted() image (its
+/// one level is its bottom).
+template <class T, class M, class F>
+void each_level_pair(const HierSnapshot<T, M>& a, const HierSnapshot<T, M>& b,
+                     F&& f) {
+  const std::size_t n = std::max(a.num_levels(), b.num_levels());
+  const gbx::MatrixView<T> none;
+  auto at = [&](const HierSnapshot<T, M>& s,
+                std::size_t i) -> const gbx::MatrixView<T>& {
+    const std::size_t ns = s.num_levels();
+    if (ns == 0) return none;
+    if (i + 1 == n) return s.level(ns - 1);
+    return i + 1 < ns ? s.level(i) : none;
+  };
+  for (std::size_t i = 0; i < n; ++i) f(at(a, i), at(b, i));
+}
+
 }  // namespace detail
 
 /// Diff two epoch snapshots of one HierMatrix (b taken at or after a
 /// for the prefix guarantee; arbitrary pairs work but may report
-/// removals). O(changed blocks + touched·levels·log), not O(nnz).
+/// removals). O(changed blocks + touched·levels·log), not O(nnz). The
+/// two may differ in depth (detail::each_level_pair).
 template <class T, class M>
 SnapshotDelta<T> snapshot_diff(const HierSnapshot<T, M>& a,
                                const HierSnapshot<T, M>& b) {
   GBX_CHECK_DIM(a.nrows() == b.nrows() && a.ncols() == b.ncols(),
                 "snapshot_diff dimension mismatch");
-  GBX_CHECK_DIM(a.num_levels() == b.num_levels(),
-                "snapshot_diff level count mismatch");
   return detail::diff_core<T>(
-      [&](auto&& f) {
-        for (std::size_t i = 0; i < a.num_levels(); ++i)
-          f(a.level(i), b.level(i));
-      },
+      [&](auto&& f) { detail::each_level_pair(a, b, f); },
       [&](gbx::Index i, gbx::Index j) { return a.extract_element(i, j); },
       [&](gbx::Index i, gbx::Index j) { return b.extract_element(i, j); },
       a.epoch(), b.epoch());
@@ -164,14 +180,8 @@ SnapshotDelta<T> snapshot_diff(const SnapshotSet<T, M>& a,
   GBX_CHECK_DIM(a.size() == b.size(), "snapshot_diff part count mismatch");
   return detail::diff_core<T>(
       [&](auto&& f) {
-        for (std::size_t p = 0; p < a.size(); ++p) {
-          const auto& pa = a.part(p);
-          const auto& pb = b.part(p);
-          GBX_CHECK_DIM(pa.num_levels() == pb.num_levels(),
-                        "snapshot_diff level count mismatch");
-          for (std::size_t i = 0; i < pa.num_levels(); ++i)
-            f(pa.level(i), pb.level(i));
-        }
+        for (std::size_t p = 0; p < a.size(); ++p)
+          detail::each_level_pair(a.part(p), b.part(p), f);
       },
       [&](gbx::Index i, gbx::Index j) { return a.extract_element(i, j); },
       [&](gbx::Index i, gbx::Index j) { return b.extract_element(i, j); },

@@ -19,10 +19,22 @@
 // and deduplicates that small buffer and merges it into the next level,
 // so the expensive merge work touches each stored entry only
 // O(log_r(total)) times instead of once per update.
+//
+// Depth grows with the state: the schedule a matrix is built with is its
+// starting depth, and once the bottom passes CutPolicy::next_cut() (the
+// last cut times the schedule's last ratio) an empty level with that cut
+// goes in above it. A grown matrix folds into its bottom with a
+// resumable merge into a fresh block (gbx::BlockMerge), run in slices of
+// kMergeSlice output entries by cascade(yield): while it is in flight
+// both inputs stay in their levels, so stage() and freeze() work and a
+// ParallelStream lane serves freezes between slices. At the starting
+// depth every fold is the recycling fold of gbx::Matrix::fold_from.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -41,8 +53,14 @@ class HierMatrix {
   using matrix_type = gbx::Matrix<T, AddMonoid>;
   using value_type = T;
 
+  /// Output entries a grown bottom merge writes between two yield() calls.
+  static constexpr std::size_t kMergeSlice = std::size_t{1} << 16;
+
   HierMatrix(gbx::Index nrows, gbx::Index ncols, CutPolicy cuts)
-      : nrows_(nrows), ncols_(ncols), cuts_(std::move(cuts)) {
+      : nrows_(nrows),
+        ncols_(ncols),
+        cuts_(std::move(cuts)),
+        base_levels_(cuts_.levels()) {
     levels_.reserve(cuts_.levels());
     for (std::size_t i = 0; i < cuts_.levels(); ++i)
       levels_.emplace_back(nrows_, ncols_);
@@ -53,6 +71,10 @@ class HierMatrix {
   gbx::Index ncols() const { return ncols_; }
   std::size_t num_levels() const { return levels_.size(); }
   const CutPolicy& cut_policy() const { return cuts_; }
+
+  /// True while a grown bottom merge is in flight (cascade(yield) paused
+  /// it); the next cascade() resumes it.
+  bool merging() const { return merge_.has_value(); }
   const HierStats& stats() const { return stats_; }
 
   /// Single-entry streaming update: A(i, j) ⊕= v.
@@ -95,13 +117,14 @@ class HierMatrix {
     return levels_[i].nvals_bound();
   }
 
-  /// Heap bytes across all levels (resident only — demoted runs live in
+  /// Heap bytes across all levels, and the output block of a grown
+  /// bottom merge in flight (resident only — demoted runs live in
   /// the block store, counted by store_bytes()). Each demoted run's row
   /// index (8 B per row) stays on the heap and is not counted: demoting
   /// cannot shrink it, so counting it would make every
   /// enforce_residency() call flush and demote once it nears the budget.
   std::size_t memory_bytes() const {
-    std::size_t n = 0;
+    std::size_t n = merge_ ? merge_->out->memory_bytes() : 0;
     for (const auto& l : levels_) n += l.memory_bytes();
     return n;
   }
@@ -131,6 +154,7 @@ class HierMatrix {
   /// whether anything moved.
   bool demote_now() {
     if (!tier_) return false;
+    finish_merge();
     const bool moved = tier_->demote(levels_.back());
     tier_->maybe_compact();
     return moved;
@@ -143,6 +167,7 @@ class HierMatrix {
   /// Returns the number of demotions performed. No-op without a tier.
   std::size_t enforce_residency(std::size_t budget_bytes) {
     if (!tier_) return 0;
+    finish_merge();
     std::size_t demoted = 0;
     if (memory_bytes() > budget_bytes && tier_->demote(levels_.back()))
       ++demoted;
@@ -196,6 +221,7 @@ class HierMatrix {
   /// reference to it. Cheaper than snapshot when streaming is finished.
   /// Streaming is over, so the emptied levels release their memory too.
   const matrix_type& collapse() {
+    finish_merge();
     ++stats_.queries;
     // Promote the demoted runs back under the resident bottom first, so
     // the fold below sees the bottom level's full logical value (runs
@@ -219,19 +245,35 @@ class HierMatrix {
   }
 
   /// The second half of update(), the paper's cascade loop: fold while a
-  /// level exceeds its cut. Bookkeeping only — it never changes the
-  /// matrix's value.
-  void cascade() {
+  /// level exceeds its cut, then add a level while the bottom passes
+  /// next_cut(). Bookkeeping only — it never changes the matrix's value.
+  /// A grown bottom merge asks yield() after each slice and pauses when
+  /// it returns true: cascade() then returns false, and the next call
+  /// resumes that merge before it folds anything else. The default never
+  /// yields.
+  template <class Yield>
+  bool cascade(Yield&& yield) {
+    if (merge_ && !run_merge(yield)) return false;
     for (std::size_t i = 0; i + 1 < levels_.size(); ++i) {
       if (levels_[i].nvals_bound() <= cuts_.cut(i)) break;
-      fold(i);
+      if (!fold(i, yield)) return false;
     }
+    while (cuts_.next_cut() > 0 &&
+           levels_.back().nvals_bound() > cuts_.next_cut()) {
+      cuts_.grow();
+      levels_.emplace(levels_.end() - 1, nrows_, ncols_);
+      stats_.level.emplace(stats_.level.end() - 1);
+    }
+    return true;
   }
+
+  void cascade() { cascade(never_yield); }
 
   /// Force the full cascade regardless of thresholds (e.g. before
   /// checkpointing), preserving the level structure.
   void flush() {
-    for (std::size_t i = 0; i + 1 < levels_.size(); ++i) fold(i);
+    finish_merge();
+    for (std::size_t i = 0; i + 1 < levels_.size(); ++i) fold(i, never_yield);
   }
 
   /// Direct (read-only) access to a level, for instrumentation and tests.
@@ -245,27 +287,80 @@ class HierMatrix {
   /// Checkpoint/restore hooks (hier/checkpoint.hpp): replace one level's
   /// matrix / the statistics block wholesale. Dimensions must match.
   void restore_level(std::size_t i, matrix_type m) {
+    finish_merge();
     GBX_CHECK_INDEX(i < levels_.size(), "restore_level index out of range");
     GBX_CHECK_DIM(m.nrows() == nrows_ && m.ncols() == ncols_,
                   "restore_level dimension mismatch");
     levels_[i] = std::move(m);
   }
   void restore_stats(HierStats st) {
+    finish_merge();
     GBX_CHECK_DIM(st.level.size() == levels_.size(),
                   "restore_stats level count mismatch");
     stats_ = std::move(st);
   }
 
  private:
+  using add_op = typename matrix_type::add_op;
+
+  /// A grown bottom merge in flight: both input blocks pinned (their
+  /// levels still hold them, so freeze() publishes them) and the fresh
+  /// output block the kernel fills. A copy of the matrix restarts it.
+  struct GrownMerge {
+    GrownMerge(std::shared_ptr<const gbx::Dcsr<T>> bottom_block,
+               std::shared_ptr<const gbx::Dcsr<T>> upper_block)
+        : bottom(std::move(bottom_block)),
+          upper(std::move(upper_block)),
+          kernel(*bottom, *upper, *out) {}
+    GrownMerge(const GrownMerge& o) : GrownMerge(o.bottom, o.upper) {}
+    GrownMerge& operator=(const GrownMerge& o) { return *this = GrownMerge(o); }
+    GrownMerge(GrownMerge&&) = default;
+    GrownMerge& operator=(GrownMerge&&) = default;
+
+    std::shared_ptr<const gbx::Dcsr<T>> bottom, upper;
+    std::unique_ptr<gbx::Dcsr<T>> out = std::make_unique<gbx::Dcsr<T>>();
+    gbx::BlockMerge<add_op, T> kernel;
+  };
+
+  static bool never_yield() { return false; }
+
   /// A_{i+1} += A_i; A_i cleared to an empty hypersparse matrix (with
   /// capacity retained — the fast level stays warm). The fused pipeline
   /// sorts, dedups, and merges A_i's pending run straight into A_{i+1}'s
-  /// block without materializing an intermediate Dcsr in A_i.
-  void fold(std::size_t i) {
+  /// block without materializing an intermediate Dcsr in A_i. Once the
+  /// matrix has grown, the fold into the bottom is a grown bottom merge
+  /// instead: both levels drop their spares and the merge writes a fresh
+  /// block. Returns false when yield() paused that merge.
+  template <class Yield>
+  bool fold(std::size_t i, Yield& yield) {
     auto& lo = levels_[i];
-    if (lo.empty()) return;
+    if (lo.empty()) return true;
     record_fold(i, lo.nvals_bound());
-    levels_[i + 1].fold_from(lo);
+    if (i + 2 < levels_.size() || levels_.size() == base_levels_) {
+      levels_[i + 1].fold_from(lo);
+      return true;
+    }
+    lo.drop_spare();
+    levels_.back().drop_spare();
+    merge_.emplace(levels_.back().shared_storage(), lo.shared_storage());
+    return run_merge(yield);
+  }
+
+  /// Step the merge in flight slice by slice; install its block when it
+  /// completes. Returns false when yield() paused it.
+  template <class Yield>
+  bool run_merge(Yield& yield) {
+    while (!merge_->kernel.step(kMergeSlice))
+      if (yield()) return false;
+    auto out = std::move(merge_->out);
+    merge_.reset();  // unpin the inputs
+    levels_.back() = matrix_type::adopt(nrows_, ncols_, std::move(*out));
+    levels_[levels_.size() - 2].reset();
+    return true;
+  }
+
+  void finish_merge() {
+    if (merge_) run_merge(never_yield);
   }
 
   void record_fold(std::size_t i, std::size_t entries) {
@@ -278,7 +373,9 @@ class HierMatrix {
   gbx::Index nrows_;
   gbx::Index ncols_;
   CutPolicy cuts_;
+  std::size_t base_levels_;  ///< the starting depth
   std::vector<matrix_type> levels_;
+  std::optional<GrownMerge> merge_;
   // shared_ptr keeps HierMatrix copyable (copies share the tier; attach
   // one tier per logically distinct matrix, as enable_demotion's
   // lifetime contract implies).

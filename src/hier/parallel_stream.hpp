@@ -31,7 +31,8 @@
 // the paper's A1 = A1 + A), mark it done, then cascade. A batch is done
 // once it is in the matrix's value, so a flush barrier (lane_done) is
 // released while its cascade still runs, and the cascade overlaps the
-// next batch's trip to the lane. drain() waits for the cascades too.
+// next batch's trip to the lane. drain() waits for the cascades too,
+// a grown bottom merge's install included.
 //
 // freeze() captures an epoch-consistent image WITHOUT stopping the
 // workers: each lane is asked to freeze its matrix at its next batch
@@ -40,9 +41,14 @@
 // batches submitted to that lane, and the watermark records the prefix
 // length. A lane serves a freeze between a stage and its cascade, or
 // when idle; a ticket posted during a cascade waits for the next queued
-// batch's stage, so the image includes that batch. A reader thus waits
-// at most for one lane's in-flight cascade plus one stage; ingest never
-// drains, never pauses globally.
+// batch's stage, so the image includes that batch. A grown bottom merge
+// (HierMatrix::cascade(yield)) does not make it wait for the whole
+// merge: the merge pauses at its next slice, the lane stages the batch
+// at the head of its queue, marks it done, serves the freeze and
+// resumes; every batch staged meanwhile settles with that cascade. A
+// reader thus waits at most for one lane's folds above the bottom or one
+// slice of its bottom merge, plus one stage; ingest never drains, never
+// pauses globally.
 #pragma once
 
 #include <atomic>
@@ -449,6 +455,64 @@ class ParallelStream {
     }
   }
 
+  /// The yield() a lane's cascade passes: pause a grown bottom merge
+  /// when a freeze ticket is pending. Test hook `hier.stream.merge`:
+  /// delay each slice by `delay_ms`, as a larger merge would.
+  static bool freeze_pending(Lane& lane) {
+    if (gbx::failpoints().armed())
+      if (auto fp = gbx::failpoints().hit("hier.stream.merge"))
+        std::this_thread::sleep_for(std::chrono::milliseconds(fp->delay_ms));
+    gbx::ScopedLock lk(lane.m);
+    return lane.freeze_done < lane.freeze_ticket;
+  }
+
+  /// Move the batch at the head of the queue into `out`, if any.
+  static bool pop_batch(Lane& lane, gbx::Tuples<T>& out) GBX_REQUIRES(lane.m) {
+    if (lane.queue.empty()) return false;
+    out = std::move(lane.queue.front());
+    lane.queue.pop_front();
+    // A slot is free the moment the batch is popped: wake producers now
+    // so production overlaps the work that follows. drain() is not
+    // fooled — it waits for `settled`, not for an empty queue.
+    lane.cv_space.notify_all();
+    return true;
+  }
+
+  /// Stage one batch (HierMatrix::stage, the paper's A1 = A1 + A) and
+  /// mark it done; its time goes to `busy`. Returns false when the batch
+  /// was dropped, which also settles it. An exception escaping a
+  /// std::thread is std::terminate for the whole process, so no batch —
+  /// however malformed — may throw past this point. Producers validate
+  /// coordinates up front; this catch is the backstop that turns a bad
+  /// batch into a dropped batch (done, and counted in failed_batches)
+  /// instead of a dead engine.
+  static bool apply(Lane& lane, HierMatrix<T, AddMonoid>& matrix,
+                    const gbx::Tuples<T>& batch, double& busy) {
+    const auto b0 = std::chrono::steady_clock::now();
+    // Test hook: a kStall/kDelay holds this lane busy (disarmed: one
+    // relaxed load), so a test can saturate it deterministically.
+    if (gbx::failpoints().armed())
+      if (auto fp = gbx::failpoints().hit("hier.stream.apply"))
+        std::this_thread::sleep_for(std::chrono::milliseconds(fp->delay_ms));
+    bool staged = true;
+    try {
+      matrix.stage(batch);
+    } catch (const std::exception&) {
+      staged = false;
+    }
+    busy += detail::seconds_since(b0);
+    gbx::ScopedLock lk(lane.m);
+    ++lane.done;
+    if (!staged) {
+      ++lane.settled;
+      ++lane.counters.failed_batches;
+      lane.cv_space.notify_all();
+    }
+    // Called under the mutex so that set_done_hook({}) fences it.
+    if (lane.on_done) lane.on_done();
+    return staged;
+  }
+
   void worker(std::size_t p) {
     Lane& lane = *lanes_[p];
     auto& matrix = array_->instance(p);
@@ -465,70 +529,51 @@ class ParallelStream {
           lane.cv_frozen.notify_all();
           return;
         }
-        if (!lane.queue.empty()) {
-          batch = std::move(lane.queue.front());
-          lane.queue.pop_front();
-          popped = true;
-          // A slot is free the moment the batch is popped: wake producers
-          // now so production overlaps the work below. drain() is not
-          // fooled — it waits for `settled`, not for an empty queue.
-          lane.cv_space.notify_all();
-        }
+        popped = pop_batch(lane, batch);
       }
       if (!popped) {  // woken for a freeze with nothing queued
         serve_freeze(lane, matrix);
         continue;
       }
-      // 1. Stage. An exception escaping a std::thread is std::terminate
-      // for the whole process, so no batch — however malformed — may
-      // throw past this point. Producers validate coordinates up front;
-      // this catch is the backstop that turns a bad batch into a dropped
-      // batch (done, and counted in failed_batches) instead of a dead
-      // engine.
-      const auto b0 = std::chrono::steady_clock::now();
-      // Test hook: a kStall/kDelay holds this lane busy (disarmed: one
-      // relaxed load), so a test can saturate it deterministically.
-      if (gbx::failpoints().armed())
-        if (auto fp = gbx::failpoints().hit("hier.stream.apply"))
-          std::this_thread::sleep_for(std::chrono::milliseconds(fp->delay_ms));
-      bool staged = true;
-      try {
-        matrix.stage(batch);
-      } catch (const std::exception&) {
-        staged = false;
-      }
-      double busy = detail::seconds_since(b0);
-      // 2. Done: the batch is in the value (or dropped).
-      {
-        gbx::ScopedLock lk(lane.m);
-        ++lane.done;
-        if (!staged) {
-          ++lane.settled;
-          ++lane.counters.failed_batches;
-          lane.cv_space.notify_all();
-        }
-        // Called under the mutex so that set_done_hook({}) fences it.
-        if (lane.on_done) lane.on_done();
-      }
-      if (!staged) continue;
+      // 1-2. Stage, and done: the batch is in the value (or dropped).
+      double busy = 0;
+      if (!apply(lane, matrix, batch, busy)) continue;
       // 3. Freezes asked for before the stage now include the batch.
       serve_freeze(lane, matrix);
-      // 4. Cascade. A throw here (allocation failure) must not escape
-      // the thread either.
+      // 4. Cascade. A grown bottom merge pauses when a freeze is asked
+      // for: the lane stages the next queued batch, so the image
+      // includes it, serves the freeze and resumes. Every batch staged
+      // meanwhile settles with this cascade. A throw here (allocation
+      // failure) must not escape the thread either.
       if (gbx::failpoints().armed())
         if (auto fp = gbx::failpoints().hit("hier.stream.cascade"))
           stall_cascade(lane, matrix, fp->delay_ms);
-      const auto c0 = std::chrono::steady_clock::now();
-      try {
-        matrix.cascade();
-      } catch (const std::exception&) {
+      std::uint64_t batches = 1, entries = batch.size();
+      for (;;) {
+        const auto c0 = std::chrono::steady_clock::now();
+        bool finished = true;
+        try {
+          finished = matrix.cascade([&lane] { return freeze_pending(lane); });
+        } catch (const std::exception&) {
+        }
+        busy += detail::seconds_since(c0);
+        if (finished) break;
+        bool more = false;
+        {
+          gbx::ScopedLock lk(lane.m);
+          more = pop_batch(lane, batch);
+        }
+        if (more && apply(lane, matrix, batch, busy)) {
+          ++batches;
+          entries += batch.size();
+        }
+        serve_freeze(lane, matrix);
       }
-      busy += detail::seconds_since(c0);
       {
         gbx::ScopedLock lk(lane.m);
-        ++lane.settled;
-        ++lane.counters.batches;
-        lane.counters.entries += batch.size();
+        lane.settled += batches;
+        lane.counters.batches += batches;
+        lane.counters.entries += entries;
         lane.counters.busy_seconds += busy;
         lane.cv_space.notify_all();
       }

@@ -12,10 +12,13 @@
 
 #include <map>
 #include <random>
+#include <sstream>
+#include <vector>
 
 #include "gen/gen.hpp"
 #include "hier/hier.hpp"
 #include "prop_util.hpp"
+#include "store/block_store.hpp"
 
 namespace {
 
@@ -203,6 +206,132 @@ TEST(HierMemory, LowLevelsBounded) {
     EXPECT_LE(h.level_entries(1), c1 * ratio + c1 + 2000);
   }
   EXPECT_GT(h.stats().level[0].folds, 5u);
+}
+
+// Depth grows with the state: under cuts {4, 16} a level with 4x the
+// last cut goes in above the bottom each time the bottom passes it. The
+// grown matrix equals the dense replay after every update, folds each
+// cut level at most once per cut's worth of appended entries, and
+// checkpoints and restores with its grown cuts.
+TEST(HierGrowth, GrowthIsExactAndPersists) {
+  HHGBX_PROP_SEED(seed, 41001);
+  std::mt19937_64 rng(seed);
+  const Index dim = 64;
+  HierMatrix<double> h(dim, dim, CutPolicy({4, 16}));
+  proptest::DenseRef<double> ref;
+
+  auto expect_exact = [&](const HierMatrix<double>& m) {
+    const auto snap = m.freeze();
+    ASSERT_TRUE(ref.matches(snap));
+    ASSERT_EQ(m.nvals(), ref.nvals());
+    for (Index i = 0; i < dim; ++i)
+      for (Index j = 0; j < dim; ++j) {
+        const auto it = ref.cells().find({i, j});
+        const auto got = snap.extract_element(i, j);
+        ASSERT_EQ(got.has_value(), it != ref.cells().end()) << i << "," << j;
+        if (got) {
+          ASSERT_EQ(*got, it->second) << i << "," << j;
+        }
+      }
+  };
+  auto stream = [&](HierMatrix<double>& m, std::size_t k) {
+    const auto batch = proptest::random_batch<double>(rng, dim, 1 + k % 24);
+    m.update(batch);
+    ref.apply(batch);
+  };
+
+  for (std::size_t k = 0; h.num_levels() < 6; ++k) {
+    ASSERT_LT(k, 20000u) << "the matrix never grew to 6 levels";
+    stream(h, k);
+    ASSERT_NO_FATAL_FAILURE(expect_exact(h));
+    const auto& cuts = h.cut_policy().cuts();
+    ASSERT_EQ(cuts.size() + 1, h.num_levels());
+    ASSERT_EQ(h.stats().level.size(), h.num_levels());
+    for (std::size_t l = 0; l < cuts.size(); ++l) {
+      ASSERT_EQ(cuts[l], std::size_t{4} << (2 * l));
+      ASSERT_LE(h.stats().level[l].folds,
+                h.stats().entries_appended / cuts[l]);
+    }
+  }
+
+  std::stringstream ckpt;
+  hier::checkpoint(ckpt, h);
+  auto restored = hier::restore<double>(ckpt);
+  EXPECT_EQ(restored.cut_policy().cuts(), h.cut_policy().cuts());
+  ASSERT_NO_FATAL_FAILURE(expect_exact(restored));
+  for (std::size_t k = 0; k < 300; ++k) {
+    stream(restored, k);
+    ASSERT_NO_FATAL_FAILURE(expect_exact(restored));
+  }
+}
+
+// A grown bottom merge that yield() paused stays in flight: stage() and
+// freeze() work and read the exact value, memory_bytes() counts the
+// output block, cascade() resumes the merge and folds nothing else, a
+// copy restarts it, and every call that reshapes the levels finishes it
+// first.
+TEST(HierGrowth, PausedMergeSemantics) {
+  HHGBX_PROP_SEED(seed, 41002);
+  std::mt19937_64 rng(seed);
+  const Index dim = Index{1} << 20;
+  // The bottom passes 16 x 8192 and a level with cut 131072 goes in;
+  // the first grown bottom merge then writes more than 2 x 131072
+  // entries, four slices or more, so it pauses at least three times.
+  HierMatrix<double> h(dim, dim, CutPolicy({512, 8192}));
+  proptest::DenseRef<double> ref;
+  auto batch = [&] {
+    auto b = proptest::random_batch<double>(rng, dim, 4096);
+    ref.apply(b);
+    return b;
+  };
+  auto pause = [] { return true; };
+  for (int k = 0; !h.merging(); ++k) {
+    ASSERT_LT(k, 400) << "no grown bottom merge was paused";
+    h.stage(batch());
+    h.cascade(pause);
+  }
+  ASSERT_EQ(h.num_levels(), 4u);
+  std::size_t level_bytes = 0;
+  for (std::size_t i = 0; i < h.num_levels(); ++i)
+    level_bytes += h.level(i).memory_bytes();
+  EXPECT_GT(h.memory_bytes(), level_bytes) << "output block not counted";
+  ASSERT_TRUE(ref.matches(h.freeze()));
+
+  std::vector<std::size_t> entries;
+  entries.reserve(h.num_levels());
+  for (std::size_t i = 0; i < h.num_levels(); ++i)
+    entries.push_back(h.level_entries(i));
+  h.stage(batch());
+  EXPECT_FALSE(h.cascade(pause));
+  EXPECT_TRUE(h.merging());
+  EXPECT_EQ(h.level_entries(0), entries[0] + 4096) << "level 1 folded";
+  for (std::size_t i = 1; i < h.num_levels(); ++i)
+    EXPECT_EQ(h.level_entries(i), entries[i]) << "level " << i + 1 << " moved";
+  ASSERT_TRUE(ref.matches(h.freeze()));
+
+  const auto want = h.snapshot();
+  auto store = store::make_mem_block_store();
+  auto finishes = [&](const char* name, auto&& call) {
+    SCOPED_TRACE(name);
+    HierMatrix<double> m = h;
+    ASSERT_TRUE(m.merging()) << "a copy restarts the merge";
+    call(m);
+    EXPECT_FALSE(m.merging());
+    EXPECT_TRUE(gbx::equal(m.snapshot(), want));
+  };
+  finishes("flush", [](auto& m) { m.flush(); });
+  finishes("collapse", [](auto& m) { m.collapse(); });
+  finishes("demote_now", [&](auto& m) {
+    m.enable_demotion(store.get());
+    m.demote_now();
+  });
+  finishes("enforce_residency", [&](auto& m) {
+    m.enable_demotion(store.get());
+    m.enforce_residency(0);
+  });
+  finishes("restore_level", [](auto& m) { m.restore_level(0, m.level(0)); });
+  finishes("restore_stats", [](auto& m) { m.restore_stats(m.stats()); });
+  finishes("cascade", [](auto& m) { m.cascade(); });
 }
 
 }  // namespace

@@ -406,8 +406,9 @@ Block reference_sum(std::vector<Entry<double>> a,
   return Block::from_sorted_unique(sorted_unique(std::move(a)));
 }
 
-/// The four kernels that size their output through Dcsr::prepare(),
-/// each with the (rows, nnz) it asks prepare() for.
+/// The kernels that size their output through Dcsr::prepare(), each
+/// with the (rows, nnz) it asks prepare() for; BlockMerge runs in slices
+/// of 1 and of 7 output entries.
 struct FoldKernelCase {
   const char* name;
   std::function<void(Block&)> run;
@@ -451,6 +452,17 @@ std::vector<FoldKernelCase> fold_kernel_cases(std::uint64_t seed) {
                    reference_sum(ea, eb),
                    A->nrows_nonempty() + B->nrows_nonempty(),
                    A->nnz() + B->nnz()});
+  for (const std::size_t budget : {1u, 7u}) {
+    cases.push_back({budget == 1 ? "BlockMerge, budget 1" : "BlockMerge, budget 7",
+                     [A, B, budget](Block& out) {
+                       gbx::BlockMerge<PlusD, double> m(*A, *B, out);
+                       while (!m.step(budget)) {
+                       }
+                     },
+                     reference_sum(ea, eb),
+                     A->nrows_nonempty() + B->nrows_nonempty(),
+                     A->nnz() + B->nnz()});
+  }
   cases.push_back({"merge_run_into",
                    [A, run](Block& out) {
                      gbx::merge_run_into<PlusD>(*A, run(), out);
@@ -514,6 +526,40 @@ TEST(RecycledOutput, ShortSpareGrowsToAtMostHalfAgainTheNeed) {
         if (tenths == 9) {
           EXPECT_GT(cap, need) << "regrowth was exact-fit";
         }
+      }
+    }
+  }
+}
+
+// A merge stopped every 1 or 7 output entries, inside rows too, writes
+// the block merge_blocks_into writes, in ceil(entries / budget) steps.
+TEST(BlockMerge, SlicedMatchesMergeBlocksInto) {
+  HHGBX_PROP_SEED(seed, 28003ull);
+  std::mt19937_64 rng(seed);
+  // Skewed blocks: most entries in one shared row, so slices end inside
+  // a row both blocks hold.
+  const auto a = Block::from_sorted_unique(sorted_unique(gen_skewed(rng, 3000)));
+  const auto b = Block::from_sorted_unique(sorted_unique(gen_skewed(rng, 2000)));
+  const Block empty;
+  for (const auto& [x, y] : {std::pair{&a, &b}, std::pair{&b, &a},
+                             std::pair{&a, &empty}, std::pair{&empty, &b},
+                             std::pair{&empty, &empty}}) {
+    Block want;
+    gbx::merge_blocks_into<PlusD>(*x, *y, want);
+    for (const std::size_t budget : {std::size_t{1}, std::size_t{7},
+                                     static_cast<std::size_t>(-1)}) {
+      SCOPED_TRACE(budget);
+      Block out;
+      gbx::BlockMerge<PlusD, double> m(*x, *y, out);
+      std::size_t steps = 1;
+      while (!m.step(budget)) ++steps;
+      EXPECT_TRUE(m.done());
+      EXPECT_TRUE(m.step(budget)) << "a done merge stays done";
+      EXPECT_TRUE(out.validate());
+      EXPECT_TRUE(out == want);
+      if (budget != static_cast<std::size_t>(-1)) {
+        EXPECT_EQ(steps,
+                  std::max<std::size_t>(1, (want.nnz() + budget - 1) / budget));
       }
     }
   }
@@ -634,9 +680,11 @@ TEST(ZeroAlloc, GrowingBottomLevelAllocatesAmortized) {
   ThreadsGuard threads(1);
 
   // Every batch is fresh coordinates, so the bottom level grows with
-  // every fold into it (merge_blocks_into from the middle level).
+  // every fold into it (merge_blocks_into from the middle level). The
+  // ratio 64 keeps the bottom under 64 x the last cut, so the matrix
+  // stays at its starting depth and every fold is the recycling fold.
   const Index dim = Index{1} << 40;
-  hier::HierMatrix<double> m(dim, dim, hier::CutPolicy::geometric(3, 1024, 8));
+  hier::HierMatrix<double> m(dim, dim, hier::CutPolicy::geometric(3, 128, 64));
   const std::size_t bottom_in = m.num_levels() - 2;  // folds INTO the bottom
   std::mt19937_64 rng(2801);
   std::vector<gbx::Tuples<double>> batches;
@@ -660,6 +708,7 @@ TEST(ZeroAlloc, GrowingBottomLevelAllocatesAmortized) {
 
   ASSERT_GE(folds, 32u) << "the window must cover many bottom folds";
   ASSERT_GT(last, 2 * first) << "the bottom level must really grow";
+  ASSERT_EQ(m.num_levels(), 3u) << "the matrix grew a level";
   // Two ping-ponged blocks (current + spare), four arrays each; an array
   // regrows by 1.5x, so it reallocates at most log_1.5(growth) + 1 times.
   // An exact-fit output reallocates every array on every fold instead.
@@ -668,6 +717,67 @@ TEST(ZeroAlloc, GrowingBottomLevelAllocatesAmortized) {
   EXPECT_LE(allocs, 2 * 4 * (regrowths + 1))
       << folds << " bottom folds, bottom " << first << " -> " << last
       << " entries";
+}
+
+TEST(ZeroAlloc, GrownBottomTakesOneBlockPerMerge) {
+#if defined(__SANITIZE_THREAD__) || GBX_HAS_FEATURE_TSAN
+  GTEST_SKIP() << "in-place block reuse disabled under TSan";
+#endif
+  ThreadsGuard threads(1);
+
+  // Fresh coordinates: the bottom passes 8 x 8192 and a level with cut
+  // 65536 goes in above it; from then on every fold into the bottom is
+  // a grown bottom merge into a fresh block.
+  const Index dim = Index{1} << 40;
+  hier::HierMatrix<double> m(dim, dim, hier::CutPolicy::geometric(3, 1024, 8));
+  std::mt19937_64 rng(2802);
+  std::vector<gbx::Tuples<double>> batches;
+  batches.reserve(900);
+  for (int b = 0; b < 900; ++b)
+    batches.push_back(proptest::random_batch<double>(rng, dim, 512));
+
+  std::size_t next = 0;
+  auto merges = [&] {
+    return m.num_levels() < 4 ? 0 : m.stats().level[2].folds;
+  };
+  while (merges() < 1) m.update(batches[next++]);  // warm: one merge
+  ASSERT_EQ(m.num_levels(), 4u);
+
+  constexpr int kWindows = 4;
+  std::vector<std::uint64_t> allocs;
+  std::vector<std::size_t> bottoms;
+  allocs.reserve(kWindows);
+  bottoms.reserve(kWindows);
+  for (int window = 0; window < kWindows; ++window) {
+    const auto before = merges();
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    while (merges() == before) m.update(batches[next++]);
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    allocs.push_back(g_alloc_count.load(std::memory_order_relaxed));
+
+    // The bottom holds one block, filled to capacity: no spare beside
+    // it and no regrowth headroom (the merge sizes its output to |A| +
+    // |B|, which fresh coordinates fill exactly).
+    const auto& bottom = m.level(m.num_levels() - 1);
+    const auto& b = bottom.storage();
+    bottoms.push_back(b.nnz());
+    EXPECT_EQ(bottom.memory_bytes(), b.memory_bytes() + Block().memory_bytes());
+    EXPECT_EQ(b.memory_bytes(),
+              (b.rows().size() + b.cols().size()) * sizeof(Index) +
+                  b.ptr().size() * sizeof(gbx::Offset) +
+                  b.vals().size() * sizeof(double));
+  }
+  ASSERT_EQ(m.num_levels(), 4u);
+  ASSERT_GE(bottoms.back(), 2 * bottoms.front())
+      << "the bottom must double over the windows";
+  // Each merge cycle allocates the same: the merge's one output block
+  // (four arrays, its holder and the level wrapping it) and the level
+  // above regrowing from its dropped spare, whatever the bottom's size.
+  for (const auto a : allocs) {
+    EXPECT_EQ(a, allocs.front()) << "allocations grew with the bottom";
+    EXPECT_LE(a, 64u);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -368,6 +369,86 @@ TEST(ParallelStream, DrainWaitsForTheCascade) {
   EXPECT_EQ(m.level_entries(0), 0u);
   EXPECT_EQ(m.stats().level[0].folds, 1u);
   engine.stop();
+  gbx::failpoints().clear();
+}
+
+// A freeze asked for during a lane's grown bottom merge pauses the merge
+// at its next slice: the lane stages the batch queued behind it, serves
+// the freeze and resumes. The freeze returns before the merge ends (its
+// image still holds the old bottom) and includes the queued batch;
+// drain() waits for the install.
+TEST(ParallelStream, FreezeDoesNotWaitForTheGrownBottomMerge) {
+  const Index dim = Index{1} << 40;
+  InstanceArray<double> array(1, dim, dim, CutPolicy::geometric(3, 1024, 8));
+  auto& m = array.instance(0);
+  std::mt19937_64 rng(4101);
+  proptest::DenseRef<double> ref;
+  auto fresh = [&] { return proptest::random_batch<double>(rng, dim, 4096); };
+
+  // Grow the matrix, quiescent, to one batch short of a grown bottom
+  // merge that writes at least 4 slices; `after` is that batch applied.
+  const std::size_t merged_levels = 4;
+  gbx::Tuples<double> trigger;
+  hier::HierMatrix<double> after = m;
+  for (;;) {
+    trigger = fresh();
+    after = m;
+    after.update(trigger);
+    if (after.num_levels() == merged_levels &&
+        m.num_levels() == merged_levels &&
+        after.stats().level[2].folds > m.stats().level[2].folds &&
+        m.level_entries(3) >= 2 * hier::HierMatrix<double>::kMergeSlice)
+      break;
+    ASSERT_LT(m.stats().updates, 1000u) << "no grown bottom merge found";
+    m.update(trigger);
+    ref.apply(trigger);
+  }
+  const std::size_t old_bottom = m.level_entries(3);
+  const std::uint64_t prefix = m.epoch();
+
+  gbx::FailpointSpec slow;
+  slow.action = gbx::FailAction::kDelay;
+  slow.probability = 1.0;
+  slow.max_fires = 1000;
+  slow.delay_ms = 200;
+  gbx::failpoints().arm("hier.stream.merge", slow);
+  ParallelStream<double> engine(array);
+  engine.start();
+  engine.submit(0, trigger);
+  ref.apply(trigger);
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (gbx::failpoints().ops("hier.stream.merge") == 0 &&
+         std::chrono::steady_clock::now() < until)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_GT(gbx::failpoints().ops("hier.stream.merge"), 0u)
+      << "the grown bottom merge never started";
+
+  const auto queued = fresh();
+  engine.submit(0, queued);  // queued behind the merge
+  ref.apply(queued);
+  const auto snap = engine.freeze();
+  const auto slices_at_freeze = gbx::failpoints().ops("hier.stream.merge");
+  const auto& part = snap.part(0);
+  ASSERT_EQ(part.num_levels(), merged_levels);
+  EXPECT_EQ(part.level(3).nvals(), old_bottom)
+      << "the freeze waited for the install";
+  // The merge writes the bottom `after` holds and asks yield() between
+  // slices, so one ask fewer than its slices.
+  const std::size_t slice = hier::HierMatrix<double>::kMergeSlice;
+  const std::size_t asks = (after.level_entries(3) + slice - 1) / slice - 1;
+  EXPECT_LT(slices_at_freeze, asks)
+      << "the freeze waited for the merge's last slice";
+  EXPECT_EQ(snap.watermark(0).batches, prefix + 2);
+  EXPECT_TRUE(ref.matches(part));
+
+  engine.drain();
+  EXPECT_FALSE(m.merging());
+  EXPECT_TRUE(m.level(3).storage() == after.level(3).storage())
+      << "drain() returned before the merge was installed";
+  EXPECT_TRUE(ref.matches(m.freeze()));
+  const auto report = engine.stop();
+  EXPECT_EQ(report.lane[0].batches, 2u);
+  EXPECT_EQ(report.lane[0].entries, 2 * 4096u);
   gbx::failpoints().clear();
 }
 

@@ -154,6 +154,65 @@ TEST(Delta, SnapshotDiffReusesUnchangedLevels) {
   EXPECT_TRUE(d1.removed.empty());
 }
 
+// Snapshots of different depths diff: a growth event adds a level above
+// the bottom, and a compacted() image has one level. Each pair, in both
+// directions, must give the oracle's difference, and patching the older
+// Σ Ai with it (removals dropped) must give the newer Σ Ai bit for bit.
+TEST(Delta, SnapshotDiffAcrossDepths) {
+  HHGBX_PROP_SEED(seed, kSeedOracle ^ 0x44);
+  std::mt19937_64 rng(seed);
+  HierMatrix<double> h(64, 64, CutPolicy({4, 16}));
+  DenseRef<double> ref;
+  auto step = [&] {
+    const auto batch = proptest::random_batch<double>(rng, 64, 12);
+    h.update(batch);
+    ref.apply(batch);
+  };
+  for (int k = 0; k < 20; ++k) step();
+  const auto before = h.freeze();
+  const auto map_before = ref.cells();
+  for (int k = 0; h.num_levels() == before.num_levels(); ++k) {
+    ASSERT_LT(k, 10000) << "the matrix never grew";
+    step();
+  }
+  const auto after = h.freeze();
+  const auto map_after = ref.cells();
+  ASSERT_GT(after.num_levels(), before.num_levels());
+
+  auto check = [](const hier::HierSnapshot<double>& a,
+                  const std::map<Key, double>& ma,
+                  const hier::HierSnapshot<double>& b,
+                  const std::map<Key, double>& mb) {
+    const auto d = hier::snapshot_diff(a, b);
+    expect_delta_matches_oracle(ma, mb, d);
+    std::map<Key, double> patched;
+    for (const auto& e : a.to_matrix().extract_tuples())
+      patched[{e.row, e.col}] = e.val;
+    for (const auto& e : d.added) patched[{e.row, e.col}] = e.val;
+    for (const auto& c : d.changed) patched[{c.row, c.col}] = c.new_val;
+    for (const auto& e : d.removed) patched.erase({e.row, e.col});
+    std::map<Key, double> want;
+    for (const auto& e : b.to_matrix().extract_tuples())
+      want[{e.row, e.col}] = e.val;
+    EXPECT_EQ(patched, want);
+  };
+  struct Image {
+    const char* name;
+    hier::HierSnapshot<double> snap;
+    const std::map<Key, double>* cells;
+  };
+  const Image b0{"before", before, &map_before};
+  const Image b1{"before, compacted", before.compacted(), &map_before};
+  const Image a0{"after", after, &map_after};
+  const Image a1{"after, compacted", after.compacted(), &map_after};
+  for (const auto& [x, y] : {std::pair{&b0, &a0}, std::pair{&b0, &b1},
+                             std::pair{&a0, &a1}, std::pair{&b1, &a0}}) {
+    SCOPED_TRACE(::testing::Message() << x->name << " vs " << y->name);
+    check(x->snap, *x->cells, y->snap, *y->cells);
+    check(y->snap, *y->cells, x->snap, *x->cells);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Property: randomized snapshot pairs vs dense-replay oracle
 // ---------------------------------------------------------------------------
