@@ -4,13 +4,13 @@
 // batches into net::IngestServer and flush (the applied barrier). The
 // second run arms the full PR-9 replication chain — every accepted
 // batch is seq-stamped into the primary's replication WAL, shipped to a
-// live repl::ReplicaServer, applied there, and acked; the final flush
-// additionally waits for the replica to be durable (acked ⊆
+// live repl::ReplicaServer, logged there and acked, then applied; the
+// final flush additionally waits for the replica to be durable (acked ⊆
 // replicated). rate_ratio = shipped_rate / baseline_rate is the gated
-// metric: replication is pipelined off the accept path (the
-// replicator's loop thread on the primary, lane workers on the
-// replica), so with cores to pipeline on it may only cost a thin
-// slice of ingest throughput.
+// metric. The shipper is a second handler on the primary's ingest loop,
+// and the replica's loop and lane workers run beside it, so with cores
+// to pipeline on replication may only cost a thin slice of ingest
+// throughput.
 // Exactness is checked on BOTH ends — the primary's served Σ Ai and
 // the stopped replica's per-lane Σ Ai must equal the streamed entry
 // count — so the ratio can never green a replica that lags or
@@ -35,7 +35,13 @@
 // BENCH_JSON: {"bench":"replication","rate_ratio":r,"exact_ratio":1|0,
 // "baseline_rate_ref":e/s,"shipped_rate_ref":e/s,...}. Gated metrics:
 // rate_ratio (same-host relative, comparable across machines) and
-// exact_ratio; absolute rates are _ref-suffixed (host-sensitive).
+// exact_ratio; absolute rates are _ref-suffixed (host-sensitive). So is
+// the ship-on run's CPU split: "cpu_s_<thread name>_ref", the CPU
+// seconds (on-CPU time, /proc/self/task/*/schedstat) each thread spent
+// between the clients' first batch and their last flush, summed over
+// the threads that share a name — hh-ingest (the primary's loop, the
+// shipper included), hh-replica, hh-lane-<p> (the lane p workers of
+// both ends, with any OpenMP team they fork), hh-client.
 #include <cstdio>
 #include <cstdlib>
 
@@ -43,10 +49,14 @@
 
 #include <filesystem>
 #include <chrono>
+#include <fstream>
+#include <latch>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <pthread.h>
 #include <unistd.h>
 
 #include "bench_util.hpp"
@@ -74,11 +84,40 @@ double now_seconds() {
       .count();
 }
 
+/// CPU seconds of every live thread (its on-CPU time, nanosecond
+/// resolution), by thread id, with the thread's name.
+std::map<std::string, std::pair<std::string, double>> thread_cpu() {
+  std::map<std::string, std::pair<std::string, double>> out;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm"), sched(task.path() / "schedstat");
+    std::string name;
+    double ns = 0;
+    if (std::getline(comm, name) && sched >> ns)
+      out[task.path().filename().string()] = {name, ns * 1e-9};
+  }
+  return out;
+}
+
+/// CPU seconds each thread name spent between two thread_cpu() samples.
+std::map<std::string, double> cpu_by_name(
+    const std::map<std::string, std::pair<std::string, double>>& before,
+    const std::map<std::string, std::pair<std::string, double>>& after) {
+  std::map<std::string, double> out;
+  for (const auto& [tid, named] : after) {
+    const auto it = before.find(tid);
+    out[named.first] +=
+        named.second - (it == before.end() ? 0.0 : it->second.second);
+  }
+  return out;
+}
+
 struct RunResult {
   double rate = 0;          ///< applied entries / wall seconds to barrier
   double server_sum = 0;    ///< primary's served Σ Ai
   double replica_sum = 0;   ///< stopped replica's Σ Ai (replicated only)
   bool exact = false;
+  std::map<std::string, double> cpu_s;  ///< by thread name, streaming phase
 };
 
 std::string tmp_wal(const char* stem) {
@@ -129,21 +168,32 @@ RunResult run_once(bool replicated,
   net::IngestServer server(stream, governor, sopt);
   server.start();
 
+  // Clients stay alive until the CPU sample after their last flush.
+  std::latch flushed(static_cast<std::ptrdiff_t>(clients)), sampled(1);
+  const auto cpu0 = thread_cpu();
   const double t0 = now_seconds();
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
+      ::pthread_setname_np(::pthread_self(), "hh-client");
       net::Client cli;
       cli.connect("127.0.0.1", server.port());
       for (const auto& b : work[c]) cli.insert(b, c);
       cli.flush();  // replicated: also waits for replica durability
+      flushed.count_down();
+      sampled.wait();
       cli.bye();
     });
   }
-  for (auto& t : threads) t.join();
-  const double wall = now_seconds() - t0;
-
+  flushed.wait();
   RunResult r;
+  const double sample_from = now_seconds();
+  r.cpu_s = cpu_by_name(cpu0, thread_cpu());
+  const double sample_s = now_seconds() - sample_from;
+  sampled.count_down();
+  for (auto& t : threads) t.join();
+  // Wall time to the last bye, as without the sample, which it excludes.
+  const double wall = now_seconds() - t0 - sample_s;
   r.rate = wall > 0 ? streamed / wall : 0;
 
   net::Client probe;
@@ -223,13 +273,20 @@ int main() {
               pass ? "PASS" : "FAIL", ratio,
               can_pipeline ? "pipelined" : "serial", min_ratio,
               exact ? "exact" : "DIVERGED");
+  std::printf("\nship-on CPU seconds by thread name\n");
+  std::string cpu_json;
+  for (const auto& [name, secs] : on.cpu_s) {
+    std::printf("%s\t%.3f\n", name.c_str(), secs);
+    cpu_json += ",\"cpu_s_" + name + "_ref\":" + std::to_string(secs);
+  }
   std::printf("BENCH_JSON {\"bench\":\"replication\",\"clients\":%zu,"
               "\"sets\":%zu,\"set_size\":%zu,\"rate_ratio\":%.6f,"
               "\"exact_ratio\":%.1f,\"baseline_rate_ref\":%.1f,"
               "\"shipped_rate_ref\":%.1f,\"min_rate_ratio_ref\":%.2f,"
-              "\"hw_threads_ref\":%u,\"pass\":%s}\n",
+              "\"hw_threads_ref\":%u%s,\"pass\":%s}\n",
               clients, sets, set_size, ratio, exact ? 1.0 : 0.0, off.rate,
-              on.rate, min_ratio, hw, pass ? "true" : "false");
+              on.rate, min_ratio, hw, cpu_json.c_str(),
+              pass ? "true" : "false");
   return pass ? 0 : 1;
 }
 

@@ -27,7 +27,12 @@ Checks:
      thread and the core's nonblocking socket I/O. A thread, a blocking
      socket call or a sleep there would bring back a second session
      loop and the locks it needs (the worker pool's forked processes
-     need neither).
+     need neither). The WAL shipper also declares no `net::FrameLoop`
+     member and names neither `gbx::Mutex` nor `gbx::CondVar`: it owns
+     no loop and no lock, because it is a second handler on the ingest
+     server's loop, which hands it each batch and reads the replica's
+     ack on the thread that settles the flush. A loop of its own would
+     bring back the cross-thread batch queue and its lock.
   6. No file under src/hier includes store/btree_store.hpp,
      store/lsm_store.hpp or store/bloom.hpp: those are the Fig. 2
      database comparator models. The out-of-core tier's demoted runs
@@ -115,6 +120,10 @@ LOOP_EXEMPT = ("src/cluster/scaling_harness.hpp",)
 LOOP_BANNED_RE = re.compile(
     r"(\bstd::thread\b|::recv\(|::send\(|::poll\(|\bsend_all\b|"
     r"\bsleep_for\b)")
+# ... and in the shipper, a loop or a lock of its own.
+SHIPPER = "src/repl/wal_shipper.hpp"
+SHIPPER_BANNED_RE = re.compile(
+    r"(\bnet::FrameLoop\s+[A-Za-z_]\w*|\bgbx::Mutex\b|\bgbx::CondVar\b)")
 
 # Fig. 2 comparator stores the hierarchy must not build on (check 6).
 HIER_DIR = "src/hier/"
@@ -324,6 +333,12 @@ def check_loop_only_io(path: Path, code: str, errors: list) -> None:
                 f"{rel}:{ln}: {m.group(1)} in a session-core handler — "
                 f"the router and the WAL shipper run on the core's loop "
                 f"thread and its nonblocking I/O (net/frame_loop.hpp)")
+        m = SHIPPER_BANNED_RE.search(line) if rel == SHIPPER else None
+        if m:
+            errors.append(
+                f"{rel}:{ln}: {m.group(1)} in the WAL shipper — it owns no "
+                f"loop and no lock: it is a handler on the ingest server's "
+                f"loop (check 5)")
 
 
 def check_hier_includes(path: Path, text: str, errors: list) -> None:

@@ -117,7 +117,7 @@ class Router final : private net::FrameHandler {
         loop_.adopt(std::move(link));
       }
     }
-    loop_.start(opt_.port);
+    loop_.start(opt_.port, "hh-router");
   }
 
   /// Join the loop and close every socket: clients and workers see EOF.

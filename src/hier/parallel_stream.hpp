@@ -51,6 +51,10 @@
 // pauses globally.
 #pragma once
 
+#ifdef __linux__
+#include <pthread.h>
+#endif
+
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -58,6 +62,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -514,6 +519,12 @@ class ParallelStream {
   }
 
   void worker(std::size_t p) {
+#ifdef __linux__
+    // Named for CPU-per-thread profiles; OpenMP team threads this lane
+    // spawns inherit the name.
+    const std::string name = "hh-lane-" + std::to_string(p);
+    ::pthread_setname_np(::pthread_self(), name.substr(0, 15).c_str());
+#endif
     Lane& lane = *lanes_[p];
     auto& matrix = array_->instance(p);
     for (;;) {

@@ -3,9 +3,9 @@
 // Thin RAII shims over the three kernel objects the session core
 // (net/frame_loop.hpp) needs: an epoll instance, an eventfd wake
 // channel (so stop() can interrupt a blocked epoll_wait from another
-// thread), and owned file descriptors — plus the blocking dial (with
-// retries) and send every socket user shares. No callback registry, no
-// timer wheel: these classes only keep the fd bookkeeping honest.
+// thread), and owned file descriptors — plus the dial and the blocking
+// send every socket user shares. No callback registry, no timer wheel:
+// these classes only keep the fd bookkeeping honest.
 #pragma once
 
 #ifdef __linux__
@@ -63,9 +63,10 @@ class Fd {
 /// Blocking TCP connect to `host` (dotted quad) : `port`, with
 /// TCP_NODELAY set; invalid when every attempt fails. A retry sleeps
 /// `backoff_ms` first, doubling up to 500 ms — so a caller can reach a
-/// peer that is still binding or promoting.
+/// peer that is still binding or promoting. With `block` false it comes
+/// back nonblocking, maybe still connecting (EPOLLOUT tells the outcome).
 inline Fd dial(const std::string& host, std::uint16_t port, int attempts = 1,
-               int backoff_ms = 20) {
+               int backoff_ms = 20, bool block = true) {
   constexpr int kMaxBackoffMs = 500;
   ::sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -76,9 +77,11 @@ inline Fd dial(const std::string& host, std::uint16_t port, int attempts = 1,
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
       backoff_ms = std::min(backoff_ms * 2, kMaxBackoffMs);
     }
-    Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-    if (fd.valid() && ::connect(fd.get(), reinterpret_cast<::sockaddr*>(&addr),
-                                sizeof addr) == 0) {
+    const int flags = SOCK_STREAM | SOCK_CLOEXEC | (block ? 0 : SOCK_NONBLOCK);
+    Fd fd(::socket(AF_INET, flags, 0));
+    if (fd.valid() && (::connect(fd.get(), reinterpret_cast<::sockaddr*>(&addr),
+                                 sizeof addr) == 0 ||
+                       (!block && errno == EINPROGRESS))) {
       const int one = 1;
       ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
       return fd;

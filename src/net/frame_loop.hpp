@@ -1,16 +1,15 @@
 // net/frame_loop.hpp — the one epoll session core under every front end
 // (Linux only).
 //
-// net::IngestServer, repl::ReplicaServer, cluster::Router and
-// repl::PrimaryReplicator speak one frame protocol (net/protocol.hpp); a
-// front end is just a FrameHandler, a set of verb handlers. The core owns
-// everything else about a session:
+// net::IngestServer, repl::ReplicaServer and cluster::Router speak one
+// frame protocol (net/protocol.hpp); a front end is just a FrameHandler,
+// a set of verb handlers. The core owns everything else about a session:
 //
-//   * the loopback listener (optional: a loop started without a port,
-//     like the replicator's, serves only its outbound sessions), accept
-//     with TCP_NODELAY, and outbound sessions: sockets the front end
-//     connected itself and handed over through adopt(), before start()
-//     (the router's workers) or from a hook (the replicator's redials);
+//   * the loopback listener, accept with TCP_NODELAY, and outbound
+//     sessions: sockets a front end connected itself and handed over
+//     through adopt(), before start() (the router's workers) or from a
+//     hook, with a handler of their own if need be (the WAL shipper, a
+//     second handler on the ingest loop, adopts its link to the replica);
 //   * a store::RecordFrameDecoder per session (the WAL frame codec is
 //     the wire codec), capped at kMaxFrameBytes;
 //   * bounded read passes: at most kReadBurst recvs per session per
@@ -31,13 +30,13 @@
 //     handler hears of every destroyed session through on_close();
 //   * one error path: corrupt bytes, or a gbx::Error thrown by a handler,
 //     earn one kReplyError with the diagnostic, then an orderly close;
-//   * wake(): any thread can cut the loop's wait short, so a handler fed
-//     from outside (the replicator's batch queue) runs its on_tick() now.
+//   * wake(): any thread can cut the loop's wait short, so work finished
+//     elsewhere (IngestServer's lanes marking a batch done) is seen now.
 //
-// One loop thread runs every hook. run() claims role_, which guards the
-// session table; a session is reachable only through that table and the
-// hooks, so its methods need no role of their own. Each hook is a
-// loop-thread entry point of its handler and claims the handler's role.
+// One loop thread, named for its front end, runs every hook. run() claims
+// role_, which guards the session table (a session's methods need no
+// role: it is reachable only through the table); each hook claims its
+// handler's role.
 #pragma once
 
 #ifdef __linux__
@@ -46,6 +45,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <fcntl.h>
+#include <pthread.h>
 #include <sys/socket.h>
 
 #include <atomic>
@@ -53,7 +53,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -84,6 +83,7 @@ struct ServerStats : SessionStats {
   std::atomic<std::uint64_t> parks{0};  ///< lane-full back-pressure events
 };
 
+class FrameHandler;
 class FrameLoop;
 
 /// One connection's core state. A front end derives its per-session
@@ -109,6 +109,16 @@ class FrameSession {
     reading_ = false;
     stats_->out_throttles.fetch_add(1, std::memory_order_relaxed);
     update_interest();
+  }
+
+  /// An outbound session's send() of an encoded frame (its handler
+  /// bounds the backlog), moved in whole when nothing is queued.
+  void send_frame(std::string&& frame) {
+    if (backlog() == 0)
+      out_.swap(frame);  // flush_out() emptied out_
+    else
+      out_.append(frame);
+    flush_out();
   }
 
   void reply_ok(MsgType request, const void* payload, std::size_t size) {
@@ -217,6 +227,7 @@ class FrameSession {
   bool backlog_ = false;        ///< decoded frames wait since an unpause
   bool outbound_ = false;       ///< see outbound()
   EventLoop* ep_ = nullptr;
+  FrameHandler* handler_ = nullptr;  ///< runs this session's hooks
   SessionStats* stats_ = nullptr;
   std::size_t max_out_ = 0;
 };
@@ -259,27 +270,28 @@ class FrameLoop {
     if (running_) stop();
   }
 
-  /// Spawn the loop thread, listening on `port` (0 = ephemeral) when one
-  /// is given; without one the loop serves only adopted sessions.
-  void start(std::optional<std::uint16_t> port = std::nullopt) {
+  /// Listen on `port` (0 = ephemeral); spawn the loop thread, `name`d
+  /// (at most 15 characters).
+  void start(std::uint16_t port, const char* name) {
     GBX_CHECK(!running_, "frame loop already started");
-    if (port) {
-      listen_ = listen_loopback(*port, port_);
-      ep_.add(listen_.get(), EPOLLIN);
-    }
+    listen_ = listen_loopback(port, port_);
+    ep_.add(listen_.get(), EPOLLIN);
     stop_.store(false, std::memory_order_relaxed);
     running_ = true;
-    thread_ = std::thread([this] { run(); });
+    thread_ = std::thread([this, name] { run(name); });
   }
 
-  /// Add an outbound session (a socket the front end connected; it is
-  /// made nonblocking here). Call it before start() or from a hook on
+  /// Add an outbound session (a socket the front end connected, or is
+  /// connecting; it is made nonblocking here), served by `handler` if
+  /// given, else the loop's. Call it before start() or from a hook on
   /// the loop thread — the only two places the session table is free.
-  void adopt(std::unique_ptr<FrameSession> s) {
+  void adopt(std::unique_ptr<FrameSession> s,
+             FrameHandler* handler = nullptr) {
     gbx::ScopedThreadRole role(role_);  // the loop thread, or none yet
     const int fd = s->fd_.get();
     ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
     s->outbound_ = true;
+    s->handler_ = handler;
     add(std::move(s));
   }
 
@@ -306,7 +318,7 @@ class FrameLoop {
       for (const auto& [fd, s] : sessions_) ep_.del(fd);
       sessions_.clear();
     }
-    if (listen_.valid()) ep_.del(listen_.get());
+    ep_.del(listen_.get());
     listen_.reset();
     running_ = false;
   }
@@ -342,10 +354,11 @@ class FrameLoop {
   }
 
 
-  void run() {
+  void run(const char* name) {
     // The loop thread's entry point claims the role; every loop-only
     // method below REQUIRES it.
     gbx::ScopedThreadRole role(role_);
+    ::pthread_setname_np(::pthread_self(), name);
     while (!stop_.load(std::memory_order_relaxed)) {
       // Parked work and pending barriers may have no wake event of
       // their own (IngestServer's lanes wake the loop when a batch is
@@ -385,6 +398,7 @@ class FrameLoop {
   void add(std::unique_ptr<FrameSession> s) GBX_REQUIRES(role_) {
     const int fd = s->fd_.get();
     s->ep_ = &ep_;
+    if (s->handler_ == nullptr) s->handler_ = handler_;
     s->stats_ = stats_;
     s->max_out_ = max_out_;
     s->events_ = EPOLLIN | EPOLLRDHUP;
@@ -421,7 +435,7 @@ class FrameLoop {
         s.close();
       break;
     }
-    if (!s.dead) handler_->on_read_pass(s);
+    if (!s.dead) s.handler_->on_read_pass(s);
     s.update_interest();
   }
 
@@ -439,7 +453,7 @@ class FrameLoop {
           break;
         case store::RecordFrameDecoder::Status::kFrame:
           try {
-            handler_->on_frame(s, rec);
+            s.handler_->on_frame(s, rec);
           } catch (const gbx::Error& e) {
             s.fail(tag_type(rec.epoch), e.what());
           }
@@ -456,7 +470,7 @@ class FrameLoop {
     busy_ = false;
     for (auto it = sessions_.begin(); it != sessions_.end();) {
       FrameSession& s = *it->second;
-      if (!s.dead) handler_->on_pass(s);
+      if (!s.dead) s.handler_->on_pass(s);
       // Reply-backlog throttle release: EPOLLOUT drains the queue on its
       // own wake-ups; once below half the cap, resume reading.
       if (s.out_throttled_ && !s.dead && s.backlog() <= max_out_ / 2) {
@@ -470,10 +484,10 @@ class FrameLoop {
         if (process_frames(s) && s.reading_) read_session(s);
       }
       s.update_interest();
-      const bool pending = !s.dead && handler_->pending(s);
+      const bool pending = !s.dead && s.handler_->pending(s);
       busy_ |= pending;
       if (s.dead || (s.closing && !pending && s.backlog() == 0)) {
-        handler_->on_close(s);
+        s.handler_->on_close(s);
         if (!s.outbound_)
           stats_->sessions_closed.fetch_add(1, std::memory_order_relaxed);
         ep_.del(it->first);

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,13 +61,16 @@ namespace net {
 /// Observer of every insert batch the server accepts, in acceptance
 /// order — the primary half of WAL shipping (repl::PrimaryReplicator
 /// implements it; a promoted repl::ReplicaServer implements it for its
-/// own WAL; the interface lives here so net never depends on repl). Both
-/// methods run on the loop thread:
+/// own WAL; the interface lives here so net never depends on repl).
+/// IngestServer attaches it to its loop (nullptr once the loop stopped),
+/// where it may adopt sessions; the rest runs on the loop thread, tick()
+/// once per pass:
 ///   * on_batch() fires immediately after a lane accepts the batch, in
-///     the single loop thread's total order, and returns the batch's
-///     sequence number (1, 2, ...) in it — the sink's log order IS the
-///     per-lane apply order, which is what makes a replica's replay
-///     bit-exact.
+///     the single loop thread's total order, with the insert's payload
+///     bytes, and returns the batch's sequence number (1, 2, ...) in it:
+///     the sink's log order IS the per-lane apply order, which makes a
+///     replica's replay bit-exact. An insert is refused, before a lane
+///     takes it, while can_log() is false.
 ///   * durable(seq) gates the flush barrier: kFlush is only acked once
 ///     the session's last batch before it is durably replicated, so an
 ///     acked batch can never be lost by a primary crash (acked ⊆
@@ -74,8 +78,11 @@ namespace net {
 class ReplicationSink {
  public:
   virtual ~ReplicationSink() = default;
+  virtual void attach(FrameLoop*) {}
+  virtual void tick() {}
+  virtual bool can_log() { return true; }
   virtual std::uint64_t on_batch(std::size_t lane,
-                                 gbx::Tuples<double> batch) = 0;
+                                 std::span<const std::byte> entries) = 0;
   virtual bool durable(std::uint64_t seq) = 0;
 };
 
@@ -125,6 +132,7 @@ class IngestHandlers final : public FrameHandler {
     std::size_t home_lane = 0;
     std::size_t parked_lane = 0;
     gbx::Tuples<double> parked_batch;  ///< insert waiting for lane space
+    std::vector<std::byte> parked_payload;  ///< its bytes, for the sink
     FlushMark last;                    ///< where the session's batches reach
     std::deque<FlushMark> pending_flushes;  ///< kFlush frames awaiting acks
   };
@@ -264,14 +272,19 @@ class IngestHandlers final : public FrameHandler {
     }
   }
 
+  void on_tick() override {
+    if (sink_ != nullptr) sink_->tick();
+  }
+
   /// Retry a parked batch; settle flush barriers.
   void on_pass(FrameSession& fs) override {
     gbx::ScopedThreadRole role(loop_role_);
     auto& s = static_cast<Session&>(fs);
     if (s.paused) {
-      switch (try_submit(s, s.parked_lane, s.parked_batch)) {
+      switch (try_submit(s, s.parked_lane, s.parked_batch, s.parked_payload)) {
         case hier::SubmitResult::kAccepted:
           s.parked_batch.clear();
+          s.parked_payload.clear();
           s.unpause();
           break;
         case hier::SubmitResult::kLaneFull:
@@ -300,36 +313,37 @@ class IngestHandlers final : public FrameHandler {
       lane = static_cast<std::size_t>(arg);
     }
     gbx::Tuples<double> batch(checked_insert(rec.payload, nrows_, ncols_));
-    switch (try_submit(s, lane, batch)) {
+    switch (try_submit(s, lane, batch, rec.payload)) {
       case hier::SubmitResult::kAccepted:
         return;
       case hier::SubmitResult::kLaneFull:
         // The back-pressure pivot: stop reading THIS connection only.
         s.parked_lane = lane;
         s.parked_batch = std::move(batch);
+        s.parked_payload = std::move(rec.payload);
         s.pause();
         stats_->parks.fetch_add(1, std::memory_order_relaxed);
         return;
       case hier::SubmitResult::kStopped:
-        throw gbx::Error("ingest engine is stopped");
+        throw gbx::Error("ingest engine is stopped or cannot log");
     }
   }
 
   /// try_submit plus the accounting of an accepted batch. The
   /// replication sink must only see batches that were actually accepted
   /// (a parked batch dropped by a dying session must never reach the
-  /// replica) — so copy first, hand over after. The copy is only paid
-  /// when replication is on.
+  /// replica), so it is handed the insert's bytes after the lane took
+  /// the batch; a sink that cannot log stops the insert before.
   hier::SubmitResult try_submit(Session& s, std::size_t lane,
-                                gbx::Tuples<double>& batch)
+                                gbx::Tuples<double>& batch,
+                                std::span<const std::byte> payload)
       GBX_REQUIRES(loop_role_) {
+    if (sink_ != nullptr && !sink_->can_log())
+      return hier::SubmitResult::kStopped;
     const std::size_t n = batch.size();
-    gbx::Tuples<double> shipped;
-    if (sink_ != nullptr) shipped = batch;
     const auto r = stream_->try_submit(lane, batch, &s.last.tickets[lane]);
     if (r == hier::SubmitResult::kAccepted) {
-      if (sink_ != nullptr)
-        s.last.sink_seq = sink_->on_batch(lane, std::move(shipped));
+      if (sink_ != nullptr) s.last.sink_seq = sink_->on_batch(lane, payload);
       stats_->insert_frames.fetch_add(1, std::memory_order_relaxed);
       stats_->entries_ingested.fetch_add(n, std::memory_order_relaxed);
     }
@@ -339,7 +353,8 @@ class IngestHandlers final : public FrameHandler {
   /// Flush barrier: ack each flush, oldest first, once its mark is done
   /// and durable. A parked batch came after every pending flush, so it
   /// holds none of them. The loop polls at 1ms while flushes pend; under
-  /// IngestServer a lane's done hook also wakes it.
+  /// IngestServer a lane's done hook also wakes it, and a replica's ack
+  /// arrives on this loop, settling its flush in the pass that reads it.
   void check_flush(Session& s) GBX_REQUIRES(loop_role_) {
     while (!s.pending_flushes.empty()) {
       const FlushMark& m = s.pending_flushes.front();
@@ -392,20 +407,22 @@ class IngestServer {
     if (running()) stop();
   }
 
-  /// Bind, listen, and spawn the event-loop thread. The stream must
-  /// already be start()ed (inserts would otherwise bounce as kStopped).
-  /// Each batch a lane marks done wakes the loop, so flush barriers
-  /// settle at once.
+  /// Attach the replication sink, bind, listen, spawn the loop thread.
+  /// The stream must already be start()ed (inserts would otherwise
+  /// bounce as kStopped). Each batch a lane marks done wakes the loop,
+  /// so flush barriers settle at once.
   void start() {
-    loop_.start(opt_.port);
+    if (opt_.replication != nullptr) opt_.replication->attach(&loop_);
+    loop_.start(opt_.port, "hh-ingest");
     stream_->set_done_hook([this] { loop_.wake(); });
   }
 
   /// Unhook the lanes, then wake the loop, join it and close every
-  /// socket (see FrameLoop::stop).
+  /// socket (see FrameLoop::stop); then detach the sink.
   void stop() {
     stream_->set_done_hook({});
     loop_.stop();
+    if (opt_.replication != nullptr) opt_.replication->attach(nullptr);
   }
 
   /// Bound port (valid after start()).

@@ -2,17 +2,14 @@
 // protocol (message types kShipHello/kShipBatch/kShipAck/kHeartbeat in
 // net/protocol.hpp; this header only defines what rides inside them).
 //
-// Shipping model: the primary's IngestServer hands every accepted
-// insert batch to a repl::PrimaryReplicator in acceptance order; the
-// replicator stamps it with the next sequence number (1, 2, 3, ... —
-// a single event-loop thread accepts, so the order is total) and
-// appends it to a replication WAL whose record epoch IS the sequence
-// number. The replicator's loop thread tails that WAL and streams each
-// record to the replica as a kShipBatch frame (arg48 = seq, payload = the WAL
-// record payload verbatim), windowed by the replica's cumulative
-// kShipAck. The per-lane subsequences of the total order are exactly
-// the per-lane apply orders, so a replica replaying in sequence order
-// reproduces every lane's matrix bit-for-bit.
+// Shipping model: a repl::PrimaryReplicator stamps every batch the
+// ingest loop accepts with the next sequence number (one loop thread
+// accepts, so the order is total), logs it in a replication WAL whose
+// record epoch IS the sequence number, and ships it as a kShipBatch frame
+// (arg48 = seq, payload = the WAL record payload verbatim), windowed by
+// the replica's cumulative kShipAck. The per-lane subsequences of the
+// total order are the per-lane apply orders, so a replica replaying in
+// sequence order reproduces every lane's matrix bit-for-bit.
 //
 // Batch payload layout (both the replication WAL record and the
 // kShipBatch frame): [lane u64][gbx::Entry<double> array].
@@ -50,17 +47,15 @@ struct ShipHelloReply {
   std::uint64_t next_seq = 1;
 };
 
-/// Serialize one accepted batch as a shipping payload.
+/// A shipping payload: the lane word, then the batch's entry bytes.
 inline std::string encode_batch_payload(std::size_t lane,
-                                        const gbx::Tuples<double>& batch) {
+                                        std::span<const std::byte> entries) {
   std::string out;
-  const auto& es = batch.entries();
   const std::uint64_t lane64 = lane;
-  out.reserve(sizeof lane64 + es.size() * sizeof(es[0]));
+  out.reserve(sizeof lane64 + entries.size());
   out.append(reinterpret_cast<const char*>(&lane64), sizeof lane64);
-  if (!es.empty())
-    out.append(reinterpret_cast<const char*>(es.data()),
-               es.size() * sizeof(es[0]));
+  if (!entries.empty())
+    out.append(reinterpret_cast<const char*>(entries.data()), entries.size());
   return out;
 }
 

@@ -1,23 +1,22 @@
-// repl/replica.hpp — the replica half of WAL shipping: validate,
-// persist, apply, ack; self-promote when the primary's lease lapses.
+// repl/replica.hpp — the replica half of WAL shipping: check, log,
+// ack, then apply; self-promote when the primary's lease lapses.
 //
 // A ReplicaServer owns a hier::InstanceArray<double> shaped like the
 // primary's (same lanes, dimensions, cut schedule) behind a
 // hier::ParallelStream and a hier::MemoryGovernor, and runs on the
-// session core (net/frame_loop.hpp). The loop thread validates,
-// persists, and sequences each shipped batch, then SUBMITS it to the
-// lane workers, so lanes apply in parallel while the loop stays on the
+// session core (net/frame_loop.hpp). The loop thread checks, logs and
+// sequences each shipped batch and acks it, then SUBMITS it to the lane
+// workers, so lanes apply in parallel while the loop stays on the
 // socket. The replica's own verbs:
 //
 //   kShipHello   check topology; once promoted, fence the caller (a
 //                deposed primary must never write); else reply
 //                ShipHelloReply{next_seq}, where the shipper resumes
 //   kShipBatch   admit via hier::ReplayCursor (gaps and overlaps are
-//                rejected loudly, never partially applied), append to
-//                the replica's WAL, submit to the lane. After each read
-//                pass ONE WAL flush and ONE cumulative kShipAck cover
-//                everything the pass admitted: persist-before-ack, so an
-//                acked batch survives a replica crash via cold replay.
+//                rejected loudly), check in place, log as received,
+//                count. A read pass ends with ONE WAL flush and ONE
+//                cumulative kShipAck (persist-before-ack: an acked batch
+//                survives a replica crash via cold replay), then applies.
 //   kHeartbeat   refresh the primary's lease
 //   kQueryLaneEpochs  [promoted][applied_seq][per-lane batch counts],
 //                all u64 — a failover client's resume point
@@ -29,11 +28,11 @@
 // durable(seq) flushes the WAL, so a flush ack is a durability promise.
 //
 // Promotion: after lease_ms without shipper traffic (once a primary was
-// seen), the replica drains its stream — every shipped batch is applied
-// before a client verb can see the lanes — then enables client verbs,
-// severs shipper sessions, and fences every later hello. Lane counts are
-// submit-time counts over shipped and client batches alike, so a
-// per-lane-exclusive writer resumes without doubling or dropping any.
+// seen), the replica applies every logged batch (as stop() does), then
+// enables client verbs, severs shipper sessions, and fences every later
+// hello. Lane counts are log-time counts over shipped and client batches
+// alike, so a per-lane-exclusive writer resumes without doubling or
+// dropping any.
 //
 // Cold start: an existing WAL at wal_path is replayed through the same
 // ReplayCursor before the socket opens, then appended to.
@@ -44,9 +43,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -117,17 +119,18 @@ class ReplicaServer final : private net::FrameHandler,
   void start() {
     GBX_CHECK(!running(), "ReplicaServer already started");
     stream_.start();
-    loop_.start(opt_.port);
+    loop_.start(opt_.port, "hh-replica");
   }
 
   void stop() {
     GBX_CHECK(running(), "ReplicaServer not started");
     loop_.stop();
-    // Drain the lane workers: every submitted batch is applied before
-    // stop() returns, so the post-stop array()/lane_batches() reads see
+    gbx::ScopedThreadRole role(loop_role_);  // the loop thread is gone
+    // Submit and drain: the post-stop array()/lane_batches() reads see
     // exactly the acked state. A failed apply is silent divergence —
     // refuse to pretend the replica is intact.
     if (stream_.running()) {
+      apply_taken();
       const auto report = stream_.stop();
       std::uint64_t failed = 0;
       for (const auto& lc : report.lane) failed += lc.failed_batches;
@@ -160,12 +163,7 @@ class ReplicaServer final : private net::FrameHandler,
     using net::IngestHandlers::Session::Session;
     /// Hello generation this session shipped under (0 = not a shipper).
     std::uint64_t shipper = 0;
-    /// Batched acks: ship frames admitted this read pass; one cumulative
-    /// kShipAck (preceded by a WAL flush) is sent when the pass drains.
-    bool ack_pending = false;
-    /// A kStall failpoint swallowed this pass's ack (the primary's
-    /// flush barrier must hold until a later pass re-covers it).
-    bool suppress_ack = false;
+    std::uint64_t acked = 0;  ///< the last seq acked on this session
   };
 
   // --- cold start ----------------------------------------------------------
@@ -179,7 +177,8 @@ class ReplicaServer final : private net::FrameHandler,
     while (auto rec = reader.next()) {
       GBX_CHECK(cursor.admit(rec->epoch),
                 "replica cold start: record below base");
-      apply_payload(rec->epoch, rec->payload, /*log=*/false);
+      take(rec->epoch, rec->payload, /*log=*/false);
+      apply_taken();
       cursor.mark_applied(rec->epoch);
     }
   }
@@ -222,24 +221,33 @@ class ReplicaServer final : private net::FrameHandler,
     }
   }
 
-  /// End of a read pass: everything admitted above is persisted by ONE
-  /// flush and covered by ONE cumulative ack — the write+fsync
-  /// amortization that keeps replication off the ingest critical path.
+  /// End of a read pass: everything logged above is persisted by ONE
+  /// flush and covered by ONE cumulative ack, then applied — the
+  /// primary's flush waits for the ack, not the apply. The
+  /// "repl.replica.ack" failpoint delays the ack (kDelay) or withholds it
+  /// (kStall: the flush barrier holds until a later pass re-covers it).
   void on_read_pass(net::FrameSession& fs) override {
     gbx::ScopedThreadRole role(loop_role_);
     auto& s = static_cast<Session&>(fs);
-    if (!s.ack_pending) return;
-    s.ack_pending = false;
-    if (!s.suppress_ack) {
-      flush_wal();
-      s.send(net::MsgType::kShipAck,
-             applied_seq_.load(std::memory_order_relaxed), "", 0);
+    const std::uint64_t seq = applied_seq_.load(std::memory_order_relaxed);
+    if (s.shipper != 0 && seq > s.acked) {
+      const auto fp = gbx::failpoints().armed()
+                          ? gbx::failpoints().hit("repl.replica.ack")
+                          : std::nullopt;
+      if (fp && fp->action == gbx::FailAction::kDelay)
+        std::this_thread::sleep_for(std::chrono::milliseconds(fp->delay_ms));
+      if (!fp || fp->action != gbx::FailAction::kStall) {
+        flush_wal();
+        s.send(net::MsgType::kShipAck, seq, "", 0);
+        s.acked = seq;
+      }
     }
-    s.suppress_ack = false;
+    apply_taken();
   }
 
   void on_tick() override {
     gbx::ScopedThreadRole role(loop_role_);
+    apply_taken();  // a shipper that died mid-pass left its batches
     check_lease();
   }
 
@@ -296,50 +304,53 @@ class ReplicaServer final : private net::FrameHandler,
     GBX_CHECK(!promoted_.load(std::memory_order_relaxed),
               "replica promoted: primary is fenced");
     touch_lease();
-    // Any ship frame — including a benign duplicate — earns the pass's
-    // cumulative ack (idempotent: it only ever re-states applied_seq_).
-    s.ack_pending = true;
     // ReplayCursor admission: <= base is a benign duplicate (resend
     // across a reconnect), a gap or regression throws — gapped and
     // overlapping suffixes are rejected loudly, exactly as recover()
     // rejects them on a crash log.
     if (!cursor_->admit(seq)) return;
-    apply_payload(seq, rec.payload, /*log=*/true);
+    take(seq, rec.payload, /*log=*/true);
     cursor_->mark_applied(seq);
-
-    if (gbx::failpoints().armed()) {
-      if (auto fp = gbx::failpoints().hit("repl.replica.ack")) {
-        if (fp->action == gbx::FailAction::kDelay)
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(fp->delay_ms));
-        if (fp->action == gbx::FailAction::kStall)
-          s.suppress_ack = true;  // ack withheld: flush barrier holds
-      }
-    }
   }
 
-  /// Decode, optionally persist, and hand one sequenced batch record to
-  /// its lane. Persist (WAL append) happens BEFORE the submit, and the
-  /// pass-end flush happens BEFORE its ack — an acked batch is always
-  /// recoverable from the WAL even if a lane worker had not applied it
-  /// when the replica died. Cold replay (log=false) applies directly:
-  /// the stream is not running yet.
-  void apply_payload(std::uint64_t seq, const std::vector<std::byte>& payload,
-                     bool log) GBX_REQUIRES(loop_role_) {
+  /// Check a batch record in place (a lane word below lanes, then whole
+  /// entries inside the matrix), then log it unless it comes from the
+  /// WAL, count it and keep it for apply_taken().
+  void take(std::uint64_t seq, std::vector<std::byte>& payload, bool log)
+      GBX_REQUIRES(loop_role_) {
+    using Entry = gbx::Entry<double>;
     std::uint64_t lane = 0;
-    gbx::Tuples<double> batch;
-    GBX_CHECK(decode_batch_payload(payload, lane, batch),
-              "replica: malformed shipped batch payload");
+    GBX_CHECK(payload.size() >= sizeof lane &&
+                  (payload.size() - sizeof lane) % sizeof(Entry) == 0,
+              "replica: shipped batch is not a lane word and whole entries");
+    std::memcpy(&lane, payload.data(), sizeof lane);
     GBX_CHECK(lane < opt_.lanes, "replica: shipped lane out of range");
-    for (const auto& e : batch.entries())
+    for (std::size_t at = sizeof lane; at < payload.size();
+         at += sizeof(Entry)) {
+      Entry e;
+      std::memcpy(&e, payload.data() + at, sizeof e);
       GBX_CHECK(e.row < opt_.nrows && e.col < opt_.ncols,
                 "replica: shipped coordinate out of range");
+    }
     if (log) append_wal(seq, payload.data(), payload.size());
-    if (stream_.running())
-      stream_.submit(static_cast<std::size_t>(lane), std::move(batch));
-    else
-      array_.instance(static_cast<std::size_t>(lane)).update(batch);
-    count_batch(seq, static_cast<std::size_t>(lane));
+    count_batch(seq, lane);
+    taken_.push_back(std::move(payload));
+  }
+
+  /// Decode and apply the taken batches in log order: submitted to their
+  /// lanes (this thread is the only submitter), or folded in directly
+  /// during the cold replay, before the lanes run.
+  void apply_taken() GBX_REQUIRES(loop_role_) {
+    for (const auto& payload : taken_) {
+      std::uint64_t lane = 0;
+      gbx::Tuples<double> batch;
+      decode_batch_payload(payload, lane, batch);  // checked by take()
+      if (stream_.running())
+        stream_.submit(lane, std::move(batch));
+      else
+        array_.instance(lane).update(batch);
+    }
+    taken_.clear();
   }
 
   // --- net::ReplicationSink: post-promotion client batches ----------------
@@ -347,10 +358,10 @@ class ReplicaServer final : private net::FrameHandler,
   /// number (flushed at the kFlush barrier — the only point an insert's
   /// durability is promised) and count it.
   std::uint64_t on_batch(std::size_t lane,
-                         gbx::Tuples<double> batch) override {
+                         std::span<const std::byte> entries) override {
     gbx::ScopedThreadRole role(loop_role_);  // called on the loop thread
     const std::uint64_t seq = applied_seq_.load(std::memory_order_relaxed) + 1;
-    const std::string payload = encode_batch_payload(lane, batch);
+    const std::string payload = encode_batch_payload(lane, entries);
     append_wal(seq, payload.data(), payload.size());
     count_batch(seq, lane);
     return seq;
@@ -367,7 +378,6 @@ class ReplicaServer final : private net::FrameHandler,
       GBX_REQUIRES(loop_role_) {
     writer_->append(seq, data, size);
     GBX_CHECK(wal_out_.good(), "replica: WAL write failed");
-    wal_dirty_ = true;
   }
 
   void count_batch(std::uint64_t seq, std::size_t lane)
@@ -380,10 +390,8 @@ class ReplicaServer final : private net::FrameHandler,
   /// ack, durability promise, or reported resume boundary leaves the
   /// process.
   void flush_wal() GBX_REQUIRES(loop_role_) {
-    if (!wal_dirty_) return;
     wal_out_.flush();
     GBX_CHECK(wal_out_.good(), "replica: WAL flush failed");
-    wal_dirty_ = false;
   }
 
   // --- lease / promotion ---------------------------------------------------
@@ -400,6 +408,7 @@ class ReplicaServer final : private net::FrameHandler,
       return;
     // Apply every shipped batch before client verbs see the lanes: this
     // thread is the only submitter, so drain() terminates.
+    apply_taken();
     stream_.drain();
     promoted_.store(true, std::memory_order_release);
   }
@@ -423,9 +432,10 @@ class ReplicaServer final : private net::FrameHandler,
   gbx::ThreadRole loop_role_;
   std::vector<std::uint64_t> lane_batches_ GBX_GUARDED_BY(loop_role_);
   std::ofstream wal_out_ GBX_GUARDED_BY(loop_role_);
-  bool wal_dirty_ GBX_GUARDED_BY(loop_role_) = false;
   std::unique_ptr<store::RecordLogWriter> writer_ GBX_GUARDED_BY(loop_role_);
   std::unique_ptr<hier::ReplayCursor> cursor_ GBX_GUARDED_BY(loop_role_);
+  /// Logged and counted, not yet applied.
+  std::vector<std::vector<std::byte>> taken_ GBX_GUARDED_BY(loop_role_);
 
   std::atomic<std::uint64_t> applied_seq_{0};
   std::atomic<bool> promoted_{false};

@@ -165,15 +165,20 @@ struct FrameHeader {
 };
 static_assert(sizeof(FrameHeader) == 3 * sizeof(std::uint64_t));
 
-/// The one frame encoder: hands the header, the payload and the trailer
-/// to `put(bytes, n)` in that order. A zero-size payload may be null.
-template <class Put>
-void encode_frame(Put&& put, std::uint64_t epoch, const void* data,
-                  std::size_t size) {
+/// The one frame encoder: hands the header, the payload (`head`, then
+/// `body`) and the trailer to `put(bytes, n)` in that order. The
+/// checksum needs the payload contiguous: `laid()` returns it once put()
+/// has taken it (a one-piece payload is its own `head`).
+template <class Put, class Laid>
+void encode_frame(Put&& put, std::uint64_t epoch,
+                  std::span<const std::byte> head,
+                  std::span<const std::byte> body, Laid&& laid) {
+  const std::uint64_t size = head.size() + body.size();
   const FrameHeader h{kRecordMagic, epoch, size};
-  const std::uint64_t sum = frame_sum(epoch, size, data);
   put(&h, sizeof h);
-  if (size > 0) put(data, size);
+  for (const auto part : {head, body})
+    if (!part.empty()) put(part.data(), part.size());  // data() may be null
+  const std::uint64_t sum = frame_sum(epoch, size, laid());
   put(&sum, sizeof sum);
 }
 
@@ -184,15 +189,27 @@ inline constexpr std::uint64_t frame_bytes(std::uint64_t size) {
   return sizeof(detail::FrameHeader) + size + sizeof(std::uint64_t);
 }
 
-/// Append one frame to a byte buffer (a socket send buffer): the same
-/// bytes RecordLogWriter::append writes to a stream.
-inline void append_frame(std::string& out, std::uint64_t epoch,
-                         const void* data, std::size_t size) {
+/// Append one frame whose payload is `head` then `body` (a lane word
+/// before a batch's entries) to a byte buffer (a socket send buffer):
+/// the same bytes RecordLogWriter::append writes to a stream. The
+/// payload is laid down once and hashed in place; returns its offset in
+/// `out`.
+inline std::size_t append_frame(std::string& out, std::uint64_t epoch,
+                                std::span<const std::byte> head,
+                                std::span<const std::byte> body = {}) {
+  out.reserve(out.size() + frame_bytes(head.size() + body.size()));
+  const std::size_t at = out.size() + sizeof(detail::FrameHeader);
   detail::encode_frame(
       [&out](const void* p, std::size_t n) {
         out.append(static_cast<const char*>(p), n);
       },
-      epoch, data, size);
+      epoch, head, body, [&out, at] { return out.data() + at; });
+  return at;
+}
+
+inline void append_frame(std::string& out, std::uint64_t epoch,
+                         const void* data, std::size_t size) {
+  append_frame(out, epoch, {static_cast<const std::byte*>(data), size});
 }
 
 /// Appends framed, epoch-stamped, checksummed records to a stream (a
@@ -208,7 +225,8 @@ class RecordLogWriter {
           os_->write(static_cast<const char*>(p),
                      static_cast<std::streamsize>(n));
         },
-        epoch, data, size);
+        epoch, {static_cast<const std::byte*>(data), size}, {},
+        [data] { return data; });
     GBX_CHECK(os_->good(), "record log: write failure");
     ++records_;
     bytes_ += frame_bytes(size);

@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -312,7 +313,7 @@ TEST(NetServer, FlushIsAckedBeforeTheCascade) {
 /// batch durable once the test's watermark reaches it.
 class WatermarkSink final : public net::ReplicationSink {
  public:
-  std::uint64_t on_batch(std::size_t, Tuples<double>) override {
+  std::uint64_t on_batch(std::size_t, std::span<const std::byte>) override {
     return ++logged;
   }
   bool durable(std::uint64_t seq) override { return seq <= watermark.load(); }

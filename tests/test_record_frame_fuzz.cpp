@@ -27,6 +27,7 @@
 #include <cstring>
 #include <filesystem>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -306,7 +307,8 @@ TEST_F(RecordFrameFuzz, ReplicaRejectsCorruptedShipStreamLoudly) {
     gbx::Tuples<double> b;
     b.push_back(static_cast<gbx::Index>(seq % 64),
                 static_cast<gbx::Index>((seq * 7) % 64), 1.0);
-    const std::string payload = repl::encode_batch_payload(seq % 2, b);
+    const std::string payload = repl::encode_batch_payload(
+        seq % 2, std::as_bytes(std::span(b.entries())));
     std::string f;
     net::append_frame(f, net::MsgType::kShipBatch, seq, payload.data(),
                       payload.size());

@@ -23,7 +23,10 @@
 //     replica promotes and FENCES the live primary's shipper
 //
 // Alongside: the shipper resumes exactly once across a replica restart,
-// and the primary's WAL holds every accepted batch, gap-free.
+// its catch-up crosses between the WAL file and memory without landing a
+// batch twice, the primary's WAL holds every accepted batch, gap-free,
+// a primary WAL that cannot be written fails loudly, and the replica
+// refuses a bad shipped payload before logging it.
 //
 // Runs under the 3-seed property matrix (HHGBX_SEED) and the TSan/ASan
 // concurrency legs.
@@ -33,11 +36,13 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -478,6 +483,278 @@ TEST_F(ReplFailover, PrimaryWalHoldsAcceptedBatchesGapFree) {
   }
 }
 
+// A replication WAL that cannot be written is loud: the insert that hit
+// the failure is applied but its flush is never acked, every later
+// insert earns kReplyError before a lane takes it, and durable() never
+// turns true again, so not even a flush behind no batch is acked.
+TEST_F(ReplFailover, PrimaryWalWriteFailureIsLoud) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string replica_wal = tmp_path("repl_full_replica_wal");
+  std::filesystem::remove(replica_wal);
+  repl::ReplicaServer replica(steady_replica(replica_wal));
+  replica.start();
+  PrimaryRig rig(replica.port(), "/dev/full");  // every write: ENOSPC
+  // Larger than the stream's buffer, so its write fails at once.
+  Tuples<double> batch;
+  for (Index i = 0; i < 1024; ++i) batch.push_back(i % kDim, i * 7 % kDim, 1);
+  net::Client::Options copt;
+  copt.recv_timeout_ms = 2000;
+  for (int insert = 0; insert < 2; ++insert) {
+    net::Client cli(copt);
+    cli.connect("127.0.0.1", rig.server->port());
+    cli.insert(batch, 0);
+    try {
+      cli.flush();
+      ADD_FAILURE() << "insert " << insert << " was acked";
+    } catch (const gbx::Error& e) {
+      if (insert == 1)  // refused, not timed out
+        EXPECT_NE(std::string(e.what()).find("cannot log"), std::string::npos)
+            << e.what();
+    }
+  }
+  EXPECT_EQ(rig.server->stats().insert_frames.load(), 1u)
+      << "a lane took a batch the WAL could not log";
+  copt.recv_timeout_ms = 300;
+  net::Client idle(copt);
+  idle.connect("127.0.0.1", rig.server->port());
+  EXPECT_THROW(idle.flush(), gbx::Error) << "a flush was acked";
+  EXPECT_EQ(rig.replicator->acked(), 0u);
+  rig.kill_now();
+  replica.stop();
+  EXPECT_EQ(replica.applied_seq(), 0u);
+  std::filesystem::remove(replica_wal);
+}
+
+// Batch b of a long stream (up to kLanes * kBatches): lane b % kLanes,
+// that lane's (b / kLanes)-th batch.
+const Tuples<double>& stream_batch(
+    const std::vector<std::vector<Tuples<double>>>& work, std::size_t b) {
+  return work[b % kLanes][b / kLanes];
+}
+
+std::string shipped_payload(std::size_t lane, const Tuples<double>& batch) {
+  return repl::encode_batch_payload(lane,
+                                    std::as_bytes(std::span(batch.entries())));
+}
+
+// The replica's WAL holds seq 1..n once each and in order, each record
+// the lane and entries of stream batch seq - 1.
+void expect_wal_holds_stream(
+    const std::string& wal,
+    const std::vector<std::vector<Tuples<double>>>& work, std::uint64_t n) {
+  std::ifstream in(wal, std::ios::binary);
+  store::RecordLogReader reader(in);
+  std::uint64_t seq = 0;
+  while (auto rec = reader.next()) {
+    ASSERT_EQ(rec->epoch, ++seq) << "a batch landed twice or out of order";
+    const std::string want =
+        shipped_payload((seq - 1) % kLanes, stream_batch(work, seq - 1));
+    ASSERT_TRUE(rec->payload.size() == want.size() &&
+                std::memcmp(rec->payload.data(), want.data(), want.size()) ==
+                    0)
+        << "seq " << seq << " is not the batch the primary accepted";
+  }
+  EXPECT_EQ(seq, n) << "a batch never landed";
+}
+
+// A window's worth of flushed batches ships from memory. Then acks are
+// held: the next kWindow frames still ship from memory, the rest is left
+// to the WAL file; once acks return, the link catches up from the file,
+// reading back exactly the frames past the window. Every batch lands
+// once, in sequence order.
+TEST_F(ReplFailover, CatchUpCrossesFromMemoryToTheFileWhileAcksAreHeld) {
+  constexpr std::uint64_t kWindow = repl::PrimaryReplicator::kWindow;
+  constexpr std::uint64_t kTotal = 2 * kWindow + 48;
+  constexpr std::uint64_t kWarm = 1 + kWindow;  // flushed one by one
+  static_assert(kTotal <= kLanes * kBatches);
+  const std::string primary_wal = tmp_path("repl_window_primary_wal");
+  const std::string replica_wal = tmp_path("repl_window_replica_wal");
+  std::filesystem::remove(primary_wal);
+  std::filesystem::remove(replica_wal);
+  const auto work = make_work(rng_);
+
+  repl::ReplicaServer replica(steady_replica(replica_wal));
+  replica.start();
+  PrimaryRig rig(replica.port(), primary_wal);
+  net::Client::Options copt;
+  copt.recv_timeout_ms = 10000;
+  net::Client cli(copt);
+  cli.connect("127.0.0.1", rig.server->port());
+  cli.insert(stream_batch(work, 0), 0);
+  cli.flush();  // the link is up and has acked seq 1
+  const std::uint64_t read_back = rig.replicator->read_back();
+  for (std::size_t b = 1; b < kWarm; ++b) {
+    cli.insert(stream_batch(work, b), b % kLanes);
+    cli.flush();
+  }
+  EXPECT_EQ(rig.replicator->read_back(), read_back)
+      << "a caught-up link read its WAL back";
+
+  gbx::FailpointSpec hold;
+  hold.action = gbx::FailAction::kStall;
+  hold.probability = 1.0;
+  hold.max_fires = ~std::uint64_t{0};
+  gbx::failpoints().arm("repl.replica.ack", hold);
+  for (std::size_t b = kWarm; b < kTotal; ++b)
+    cli.insert(stream_batch(work, b), b % kLanes);
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((rig.replicator->logged() < kTotal ||
+          replica.applied_seq() < kWarm + kWindow) &&
+         std::chrono::steady_clock::now() < until)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(rig.replicator->logged(), kTotal);
+  ASSERT_EQ(replica.applied_seq(), kWarm + kWindow)
+      << "the window did not hold";
+  EXPECT_EQ(rig.replicator->acked(), kWarm) << "an ack got through the stall";
+  EXPECT_EQ(rig.replicator->read_back(), read_back)
+      << "a frame inside the window was read back";
+
+  gbx::failpoints().clear();
+  cli.flush();  // acks return: the link catches up from the file
+  EXPECT_EQ(rig.replicator->acked(), kTotal);
+  EXPECT_EQ(rig.replicator->read_back() - read_back,
+            kTotal - kWarm - kWindow)
+      << "catch-up read more than the frames past the window";
+  rig.kill_now();
+  replica.stop();
+  EXPECT_EQ(replica.applied_seq(), kTotal);
+  expect_wal_holds_stream(replica_wal, work, kTotal);
+  std::filesystem::remove(primary_wal);
+  std::filesystem::remove(replica_wal);
+}
+
+// The replica restarts mid-stream: batches accepted while it is down
+// exist only in the WAL file, which the new link tails from the hello's
+// next_seq while more batches arrive; a batch accepted once the link has
+// caught up ships from memory. Every batch lands once, in sequence order.
+TEST_F(ReplFailover, CatchUpAfterAReplicaRestartMidStream) {
+  constexpr std::size_t kTotal = kLanes * kBatches;
+  constexpr std::size_t kBefore = kTotal / 4, kWhileDown = kTotal / 2;
+  const std::string primary_wal = tmp_path("repl_restart_primary_wal");
+  const std::string replica_wal = tmp_path("repl_restart_replica_wal");
+  std::filesystem::remove(primary_wal);
+  std::filesystem::remove(replica_wal);
+  const auto work = make_work(rng_);
+
+  repl::ReplicaOptions ropt = steady_replica(replica_wal);
+  std::optional<repl::ReplicaServer> replica(std::in_place, ropt);
+  replica->start();
+  ropt.port = replica->port();  // the restart binds the same port
+  PrimaryRig rig(replica->port(), primary_wal);
+  net::Client::Options copt;
+  copt.recv_timeout_ms = 10000;
+  net::Client cli(copt);
+  cli.connect("127.0.0.1", rig.server->port());
+  const auto stream = [&](std::size_t from, std::size_t to) {
+    for (std::size_t b = from; b < to; ++b)
+      cli.insert(stream_batch(work, b), b % kLanes);
+  };
+
+  stream(0, kBefore);
+  cli.flush();
+  replica->stop();
+  replica.reset();
+  stream(kBefore, kBefore + kWhileDown);
+  replica.emplace(ropt);
+  ASSERT_EQ(replica->applied_seq(), kBefore);
+  replica->start();
+  stream(kBefore + kWhileDown, kTotal);
+  cli.flush();
+  EXPECT_EQ(rig.replicator->acked(), kTotal);
+  rig.kill_now();
+  replica->stop();
+
+  EXPECT_EQ(replica->applied_seq(), kTotal);
+  EXPECT_EQ(replica->lane_batches(),
+            std::vector<std::uint64_t>(kLanes, kTotal / kLanes));
+  expect_wal_holds_stream(replica_wal, work, kTotal);
+  replica.reset();
+  std::filesystem::remove(primary_wal);
+  std::filesystem::remove(replica_wal);
+}
+
+// A shipped payload is checked in place before the replica logs, counts
+// or acks it. A coordinate out of range, a lane past the topology and a
+// fractional entry array each earn kReplyError and a close, and leave the
+// WAL, applied_seq() and lane_batches() as they were; no kShipAck covers
+// the bad frame.
+TEST_F(ReplFailover, ReplicaRefusesABadShippedPayloadBeforeLoggingIt) {
+  const std::string wal = tmp_path("repl_bad_payload_wal");
+  std::filesystem::remove(wal);
+  const auto work = make_work(rng_);
+  repl::ReplicaServer replica(steady_replica(wal));
+  replica.start();
+
+  net::Client::Options copt;
+  copt.recv_timeout_ms = 5000;
+  // A fresh shipper session; returns the hello's next_seq.
+  const auto hello = [&](net::Client& cli) {
+    cli.connect("127.0.0.1", replica.port());
+    repl::ShipHello h;
+    h.lanes = kLanes;
+    h.nrows = kDim;
+    h.ncols = kDim;
+    std::string f;
+    net::append_frame(f, net::MsgType::kShipHello, 0, &h, sizeof h);
+    cli.send_raw(f.data(), f.size());
+    return net::reply_as<repl::ShipHelloReply>(cli.read_reply()).next_seq;
+  };
+  const auto ship = [](net::Client& cli, std::uint64_t seq,
+                       const std::string& payload) {
+    std::string f;
+    net::append_frame(f, net::MsgType::kShipBatch, seq, payload.data(),
+                      payload.size());
+    cli.send_raw(f.data(), f.size());
+  };
+
+  {
+    net::Client cli(copt);
+    ASSERT_EQ(hello(cli), 1u);
+    for (std::uint64_t seq = 1; seq <= 2; ++seq) {
+      ship(cli, seq, shipped_payload(seq, work[0][seq]));
+      const auto ack = cli.read_reply();
+      ASSERT_EQ(net::tag_type(ack.epoch), net::MsgType::kShipAck);
+      ASSERT_EQ(net::tag_arg(ack.epoch), seq);
+    }
+  }
+  const auto wal_bytes = std::filesystem::file_size(wal);
+
+  Tuples<double> outside;
+  outside.push_back(1, kDim, 1.0);  // column kDim: out of range
+  std::string fractional = shipped_payload(0, work[0][3]);
+  fractional.pop_back();
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"coordinate out of range", shipped_payload(0, outside)},
+      {"lane out of range", shipped_payload(kLanes, work[0][3])},
+      {"fractional entry array", fractional}};
+  for (const auto& [what, payload] : bad) {
+    SCOPED_TRACE(what);
+    net::Client cli(copt);
+    ASSERT_EQ(hello(cli), 3u);
+    ship(cli, 3, payload);
+    bool refused = false;
+    try {
+      for (;;) {  // every reply until the replica closes the session
+        const auto r = cli.read_reply();
+        refused |= net::tag_type(r.epoch) == net::MsgType::kReplyError;
+        if (net::tag_type(r.epoch) == net::MsgType::kShipAck) {
+          EXPECT_LT(net::tag_arg(r.epoch), 3u) << "an ack covers the bad frame";
+        }
+      }
+    } catch (const gbx::Error&) {
+      // closed
+    }
+    EXPECT_TRUE(refused);
+    EXPECT_EQ(std::filesystem::file_size(wal), wal_bytes);
+    EXPECT_EQ(replica.applied_seq(), 2u);
+  }
+  replica.stop();
+  EXPECT_EQ(replica.applied_seq(), 2u);
+  EXPECT_EQ(replica.lane_batches(), (std::vector<std::uint64_t>{0, 1, 1, 0}));
+  EXPECT_EQ(std::filesystem::file_size(wal), wal_bytes);
+  std::filesystem::remove(wal);
+}
+
 // Cold-restart of the replica: its own WAL replays to the exact state.
 TEST_F(ReplFailover, ReplicaColdRestartReplaysItsWal) {
   const std::string wal = tmp_path("repl_cold_wal");
@@ -512,8 +789,7 @@ TEST_F(ReplFailover, ReplicaColdRestartReplaysItsWal) {
     ASSERT_EQ(net::tag_type(hr.epoch), net::MsgType::kReplyOk);
     std::uint64_t seq = 0;
     for (std::size_t b = 0; b < 8; ++b) {
-      const std::string payload =
-          repl::encode_batch_payload(b % kLanes, work[0][b]);
+      const std::string payload = shipped_payload(b % kLanes, work[0][b]);
       std::string f;
       net::append_frame(f, net::MsgType::kShipBatch, ++seq, payload.data(),
                         payload.size());
