@@ -80,8 +80,8 @@ QuerySample measure(std::size_t levels, std::size_t c1, std::size_t sets,
   omp_set_num_threads(query_threads);
   const auto img = h.freeze();
   std::size_t blocks = 0;
-  for (std::size_t l = 0; l < img.num_levels(); ++l)
-    blocks += img.level(l).empty() ? 0 : 1;
+  for (std::size_t l = 0; l < img.part(0).num_levels(); ++l)
+    blocks += img.part(0).level(l).empty() ? 0 : 1;
   std::size_t counted = 0, materialized = 0;
   const double nvals_ms = min_ms(9, [&] { counted = img.nvals(); });
   const double mat_ms =

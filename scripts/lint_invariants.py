@@ -54,7 +54,8 @@ Checks:
      multi-part source (ParallelStream over an InstanceArray is the one
      multi-part source), the forked sort engines, the second frame and
      matrix writers, the gbx/gbx.hpp umbrella and the raw checkpoint
-     container. A deletion that must not grow back adds a row.
+     container, and the stored per-part snapshot watermark. A deletion
+     that must not grow back adds a row.
  10. One output sizing: in gbx/ewise.hpp and gbx/fold.hpp no code calls
      `.reserve(` or `.resize(` on a Dcsr output's `mutable_*()` array,
      directly or through a reference bound to one. Every kernel sizes
@@ -164,6 +165,9 @@ RETIRED = [(re.compile(p), why) for p, why in (
     (r"\b(kCkptMagic|HHGRCP01|materialized_level)\b",
      "a checkpoint is record frames over a frozen image (one writer, "
      "hier::detail::write_checkpoint)"),
+    (r"\b(SnapshotWatermark|frozen_mark)\b",
+     "a part's prefix is its own epoch() and stats().entries_appended; "
+     "no watermark is stored beside it"),
 )]
 
 # One output sizing (check 10): the kernels' files, a direct call on a

@@ -94,12 +94,15 @@ void write_checkpoint(std::ostream& os, const HierSnapshot<T, M>& snap,
 
 }  // namespace detail
 
-/// Checkpoint a live epoch snapshot from immutable frozen views — so it
-/// can run on a reader thread while the origin matrix keeps ingesting,
-/// and the file is the consistent image the snapshot's epoch names.
+/// Checkpoint a live epoch snapshot of one matrix from immutable frozen
+/// views — so it can run on a reader thread while the origin matrix
+/// keeps ingesting, and the file is the consistent image the snapshot's
+/// epoch names. A set of several parts is refused before a byte is
+/// written: a checkpoint restores one HierMatrix.
 template <class T, class M>
-void checkpoint(std::ostream& os, const HierSnapshot<T, M>& snap) {
-  detail::write_checkpoint(os, snap, snap.stats());
+void checkpoint(std::ostream& os, const SnapshotSet<T, M>& snap) {
+  GBX_CHECK_VALUE(snap.size() == 1, "checkpoint: image is not one matrix");
+  detail::write_checkpoint(os, snap.part(0), snap.part(0).stats());
 }
 
 /// Checkpoint a matrix: the snapshot writer over h.freeze(). It writes
@@ -109,7 +112,7 @@ void checkpoint(std::ostream& os, const HierSnapshot<T, M>& snap) {
 template <class T, class M>
 void checkpoint(std::ostream& os, const HierMatrix<T, M>& h) {
   const HierStats st = h.stats();
-  detail::write_checkpoint(os, h.freeze(), st);
+  detail::write_checkpoint(os, h.freeze().part(0), st);
 }
 
 template <class T, class M = gbx::PlusMonoid<T>>

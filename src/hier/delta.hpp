@@ -155,29 +155,20 @@ void each_level_pair(const HierSnapshot<T, M>& a, const HierSnapshot<T, M>& b,
 
 }  // namespace detail
 
-/// Diff two epoch snapshots of one HierMatrix (b taken at or after a
-/// for the prefix guarantee; arbitrary pairs work but may report
-/// removals). O(changed blocks + touched·levels·log), not O(nnz). The
-/// two may differ in depth (detail::each_level_pair).
-template <class T, class M>
-SnapshotDelta<T> snapshot_diff(const HierSnapshot<T, M>& a,
-                               const HierSnapshot<T, M>& b) {
-  GBX_CHECK_DIM(a.nrows() == b.nrows() && a.ncols() == b.ncols(),
-                "snapshot_diff dimension mismatch");
-  return detail::diff_core<T>(
-      [&](auto&& f) { detail::each_level_pair(a, b, f); },
-      [&](gbx::Index i, gbx::Index j) { return a.extract_element(i, j); },
-      [&](gbx::Index i, gbx::Index j) { return b.extract_element(i, j); },
-      a.epoch(), b.epoch());
-}
-
-/// Diff two stitched snapshots (ParallelStream parts), parts aligned by
-/// position. Union values are read with the set's part-major fold,
-/// matching SnapshotSet::to_matrix bit-for-bit.
+/// Diff two epoch snapshots of one source (b taken at or after a for
+/// the prefix guarantee; arbitrary pairs work but may report removals),
+/// parts aligned by position. O(changed blocks + touched·levels·log),
+/// not O(nnz). Two images of a part may differ in depth
+/// (detail::each_level_pair). Union values are read with the set's
+/// part-major fold, matching SnapshotSet::to_matrix bit-for-bit.
 template <class T, class M>
 SnapshotDelta<T> snapshot_diff(const SnapshotSet<T, M>& a,
                                const SnapshotSet<T, M>& b) {
   GBX_CHECK_DIM(a.size() == b.size(), "snapshot_diff part count mismatch");
+  for (std::size_t p = 0; p < a.size(); ++p)
+    GBX_CHECK_DIM(a.part(p).nrows() == b.part(p).nrows() &&
+                      a.part(p).ncols() == b.part(p).ncols(),
+                  "snapshot_diff dimension mismatch");
   return detail::diff_core<T>(
       [&](auto&& f) {
         for (std::size_t p = 0; p < a.size(); ++p)

@@ -199,19 +199,22 @@ class HierMatrix {
 
   /// Epoch snapshot: swap out the level-1 pending buffer (fold it into
   /// level 1's compressed block) and publish one immutable view per
-  /// level. No entry data is copied — views share the compressed blocks,
-  /// and copy-on-fold keeps them frozen while streaming continues. The
-  /// caller may read the snapshot from any thread; further update()
-  /// calls on this matrix must stay on the owning thread as always.
-  HierSnapshot<T, AddMonoid> freeze() const {
+  /// level, as the one part of a SnapshotSet — the read surface every
+  /// source returns. No entry data is copied — views share the
+  /// compressed blocks, and copy-on-fold keeps them frozen while
+  /// streaming continues. The caller may read the snapshot from any
+  /// thread; further update() calls on this matrix must stay on the
+  /// owning thread as always.
+  SnapshotSet<T, AddMonoid> freeze() const {
     ++stats_.queries;
     std::vector<gbx::MatrixView<T>> views;
     views.reserve(levels_.size());
     for (const auto& l : levels_) views.push_back(l.view());
-    return HierSnapshot<T, AddMonoid>(
-        nrows_, ncols_, std::move(views), cuts_.cuts(), stats_,
-        stats_.updates,
-        tier_ ? tier_->view() : TierView<T, AddMonoid>());
+    std::vector<HierSnapshot<T, AddMonoid>> part;
+    part.emplace_back(nrows_, ncols_, std::move(views), cuts_.cuts(), stats_,
+                      stats_.updates,
+                      tier_ ? tier_->view() : TierView<T, AddMonoid>());
+    return SnapshotSet<T, AddMonoid>(std::move(part));
   }
 
   /// Epoch watermark: update() and stage() calls applied so far.

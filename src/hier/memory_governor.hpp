@@ -34,10 +34,10 @@
 // alive when the newest image was frozen.
 //
 // When pinned bytes exceed the budget, the governor *materializes and
-// releases*, laggiest reader first: the snapshot's levels are folded
-// into one privately-owned compact gbx::Matrix (HierSnapshot::compacted,
-// or SnapshotSet::compacted's whole-set collapse for multi-part
-// sources) and the shared-block pins are dropped — so the writer's
+// releases*, laggiest reader first: the snapshot's parts and levels are
+// folded into one privately-owned compact gbx::Matrix
+// (SnapshotSet::compacted — every source's freeze() returns a
+// SnapshotSet) and the shared-block pins are dropped — so the writer's
 // spare-block recycling goes back to zero allocations, and the freed
 // generations return their heap. Reads through the handle stay
 // bit-identical: the compact block carries to_matrix()'s own

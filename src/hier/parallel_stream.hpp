@@ -38,10 +38,10 @@
 // workers: each lane is asked to freeze its matrix at its next batch
 // boundary (a ticketed handshake through the lane mutex), so every
 // lane's contribution is exactly the monoid-sum of a prefix of the
-// batches submitted to that lane, and the watermark records the prefix
-// length. A lane serves a freeze between a stage and its cascade, or
-// when idle; a ticket posted during a cascade waits for the next queued
-// batch's stage, so the image includes that batch. A grown bottom merge
+// batches submitted to that lane, and the part's own epoch() is the
+// prefix length. A lane serves a freeze between a stage and its cascade,
+// or when idle; a ticket posted during a cascade waits for the next
+// queued batch's stage, so the image includes that batch. A grown bottom merge
 // (HierMatrix::cascade(yield)) does not make it wait for the whole
 // merge: the merge pauses at its next slice, the lane stages the batch
 // at the head of its queue, marks it done, serves the freeze and
@@ -301,7 +301,7 @@ class ParallelStream {
 
   /// Epoch-consistent snapshot of all lanes WITHOUT stopping the
   /// workers. Per lane, the image equals the monoid-sum of exactly the
-  /// first `watermark(p).batches` update batches the lane's matrix has
+  /// first `part(p).epoch()` update batches the lane's matrix has
   /// ever applied (lanes apply in submission order, and the count
   /// survives stop()/start() restarts because it is the matrix's own
   /// epoch), frozen at that lane's next batch boundary: after the stage
@@ -322,9 +322,7 @@ class ParallelStream {
       }
     }
     std::vector<HierSnapshot<T, AddMonoid>> parts;
-    std::vector<SnapshotWatermark> marks;
     parts.reserve(lanes_.size());
-    marks.reserve(lanes_.size());
     for (std::size_t p = 0; p < lanes_.size(); ++p) {
       Lane& lane = *lanes_[p];
       gbx::ScopedLock lk(lane.m);
@@ -340,23 +338,20 @@ class ParallelStream {
         // Workers serve every pending ticket before exiting, so on
         // wake-up freeze_done always covers our ticket.
         while (lane.freeze_done < tickets[p]) lane.cv_frozen.wait(lane.m);
-        parts.push_back(lane.frozen);
-        marks.push_back(lane.frozen_mark);
+        parts.push_back(lane.frozen.part(0));
         // Last collector with no newer ticket pending: release the
         // lane's pin on the frozen blocks (collectors keep them alive).
         if (--lane.freeze_waiters == 0 &&
             lane.freeze_done == lane.freeze_ticket)
-          lane.frozen = HierSnapshot<T, AddMonoid>();
+          lane.frozen = SnapshotSet<T, AddMonoid>();
       } else {
         // Worker not running (never started, stopped, or already
         // exited): the matrix is quiescent, freeze it directly under
         // the lane lock — nothing is published into the lane.
-        parts.push_back(array_->instance(p).freeze());
-        marks.push_back(SnapshotWatermark{
-            parts.back().epoch(), parts.back().stats().entries_appended});
+        parts.push_back(array_->instance(p).freeze().part(0));
       }
     }
-    return SnapshotSet<T, AddMonoid>(std::move(parts), std::move(marks));
+    return SnapshotSet<T, AddMonoid>(std::move(parts));
   }
 
   /// Paper-shape run through the lanes: one producer thread per lane
@@ -408,8 +403,7 @@ class ParallelStream {
     std::uint64_t freeze_ticket GBX_GUARDED_BY(m) = 0;
     std::uint64_t freeze_done GBX_GUARDED_BY(m) = 0;
     std::uint64_t freeze_waiters GBX_GUARDED_BY(m) = 0;
-    HierSnapshot<T, AddMonoid> frozen GBX_GUARDED_BY(m);
-    SnapshotWatermark frozen_mark GBX_GUARDED_BY(m);
+    SnapshotSet<T, AddMonoid> frozen GBX_GUARDED_BY(m);  ///< one part
   };
 
   /// Serve the lane's pending freeze tickets, if any: freeze the matrix
@@ -417,11 +411,11 @@ class ParallelStream {
   /// The freeze sorts level 1's staged run, so it runs outside the lane
   /// mutex; the next cascade folds that sorted block without sorting it
   /// again. No batch is staged meanwhile, so the image also answers any
-  /// ticket posted while it was taken. The watermark is derived from the
-  /// frozen matrix itself (lifetime update count, one per batch), so it
+  /// ticket posted while it was taken. The image's prefix is the frozen
+  /// matrix's own epoch (lifetime update count, one per batch), so it
   /// stays exact across stop()/start() restarts — lane counters are
   /// per-run for reporting, but a restarted engine's matrices retain
-  /// their data and the watermark must cover it.
+  /// their data and the prefix must cover it.
   static void serve_freeze(Lane& lane,
                            const HierMatrix<T, AddMonoid>& matrix) {
     {
@@ -430,8 +424,6 @@ class ParallelStream {
     }
     auto frozen = matrix.freeze();
     gbx::ScopedLock lk(lane.m);
-    lane.frozen_mark =
-        SnapshotWatermark{frozen.epoch(), frozen.stats().entries_appended};
     lane.frozen = std::move(frozen);
     lane.freeze_done = lane.freeze_ticket;
     lane.cv_frozen.notify_all();

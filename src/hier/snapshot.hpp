@@ -10,15 +10,19 @@
 // publication, so analytics run on them while ingest keeps streaming —
 // the same immutable-version discipline as an MVCC storage engine.
 //
-// Every source spells the acquisition freeze():
-//   * HierMatrix::freeze()     — single matrix, caller's thread.
-//   * ParallelStream::freeze() — per-lane freeze at each lane's next
-//     batch boundary, workers never stop (lane watermarks record the
-//     exact submitted-batch prefix each lane contributed). Over an
-//     unstarted stream it freezes the quiescent parts directly.
-// Generic readers (hier::MemoryGovernor, analytics::IncrementalEngine)
-// hold a Source* and call freeze() on it; the governor's own freeze()
-// returns a handle with the same read surface, so they stack.
+// Every source spells the acquisition freeze() and returns a SnapshotSet:
+//   * HierMatrix::freeze()     — a one-part set, caller's thread.
+//   * ParallelStream::freeze() — one part per lane, each frozen at that
+//     lane's next batch boundary, workers never stop (a part's epoch()
+//     and entries_appended are the exact submitted-batch prefix the
+//     lane contributed). Over an unstarted stream it freezes the
+//     quiescent parts directly.
+// A single matrix is the one-part case of A = Σ Ai, so SnapshotSet is
+// the one read surface; HierSnapshot is the per-matrix image it
+// composes. Generic readers (hier::MemoryGovernor,
+// analytics::IncrementalEngine) hold a Source* and call freeze() on it;
+// the governor's own freeze() returns a handle with the same read
+// surface, so they stack.
 #pragma once
 
 #include <algorithm>
@@ -50,17 +54,6 @@ void dedupe_blocks(std::vector<const gbx::Dcsr<T>*>& blocks) {
   blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
   blocks.erase(std::remove(blocks.begin(), blocks.end(), nullptr),
                blocks.end());
-}
-
-/// Identity-deduped heap bytes of a block list — THE definition of a
-/// snapshot footprint (HierSnapshot and SnapshotSet::memory_bytes share
-/// it).
-template <class T>
-std::size_t deduped_bytes(std::vector<const gbx::Dcsr<T>*> blocks) {
-  dedupe_blocks(blocks);
-  std::size_t n = 0;
-  for (const auto* b : blocks) n += b->memory_bytes();
-  return n;
 }
 
 /// Below this many stored entries (summed over the blocks) the distinct
@@ -180,8 +173,7 @@ std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
 /// rows; each chunk locates its row range in every block by binary
 /// search and counts independently, and the integer per-chunk counts
 /// are summed, so the result is exact and independent of the team size.
-/// The single definition behind HierSnapshot::nvals AND
-/// SnapshotSet::nvals.
+/// The definition behind SnapshotSet::nvals.
 template <class T>
 std::size_t count_distinct_coords(std::vector<const gbx::Dcsr<T>*> bs) {
   dedupe_blocks(bs);  // aliased blocks contribute one copy
@@ -222,7 +214,8 @@ std::size_t count_distinct_coords(std::vector<const gbx::Dcsr<T>*> bs) {
 
 /// A consistent frozen image of one hierarchical matrix: one immutable
 /// view per level plus the cut schedule, statistics, and epoch at the
-/// freeze point. All reads are safe concurrently with further streaming
+/// freeze point — one part of a SnapshotSet, which owns the reads of
+/// Σ Ai. All of it is safe to read concurrently with further streaming
 /// into the source matrix.
 template <class T, class AddMonoid = gbx::PlusMonoid<T>>
 class HierSnapshot {
@@ -259,20 +252,11 @@ class HierSnapshot {
   const std::vector<std::size_t>& cuts() const { return cuts_; }
   const HierStats& stats() const { return stats_; }
 
-  bool empty() const {
-    if (tier_.demoted()) return false;
-    for (const auto& v : levels_) if (!v.empty()) return false;
-    return true;
-  }
-
   /// True when this image carries demoted (out-of-core) runs.
   bool has_demoted() const { return tier_.demoted(); }
 
   /// The frozen demoted-run image (absent unless the source demoted).
   const TierView<T, AddMonoid>& tier_view() const { return tier_; }
-
-  /// Serialized bytes the frozen demoted runs pin in the block store.
-  std::uint64_t store_bytes() const { return tier_.store_bytes(); }
 
   /// Sum of per-level entry counts (coordinates living in several levels
   /// counted once per level) — the bound cut thresholds act on. Demoted
@@ -283,24 +267,11 @@ class HierSnapshot {
     return n;
   }
 
-  /// Exact number of distinct coordinates of Σ Ai, counted by the row-
-  /// chunked merge count (detail::count_distinct_coords) over the frozen
-  /// level blocks — no resident level is copied and the sum is never
-  /// materialized (the HierMatrix::nvals fast path). Demoted segments
-  /// are decoded transiently into the count.
-  std::size_t nvals() const {
-    std::vector<const gbx::Dcsr<T>*> bs;
-    std::vector<std::shared_ptr<const gbx::Dcsr<T>>> keepalive;
-    collect_count_blocks(bs, keepalive);
-    return detail::count_distinct_coords(std::move(bs));
-  }
-
   /// Continue a flat left fold of acc across THIS image's contributions
   /// in canonical order: upper levels shallowest-first, then the demoted
-  /// runs oldest-first, then the resident bottom. This single definition
-  /// is shared by extract_element here AND SnapshotSet::extract_element
-  /// (which must keep one flat chain across parts to stay bit-identical
-  /// with to_matrix's plus_assign order).
+  /// runs oldest-first, then the resident bottom. The set's
+  /// extract_element keeps one flat chain across parts with it, to stay
+  /// bit-identical with to_matrix's plus_assign order.
   void fold_element_into(std::optional<T>& acc, gbx::Index i,
                          gbx::Index j) const {
     auto fold = [&acc](std::optional<T> x) {
@@ -313,21 +284,13 @@ class HierSnapshot {
     if (nl > 0) fold(levels_[nl - 1].get(i, j));
   }
 
-  /// Entry lookup across levels (and demoted runs), duplicates combined
-  /// with the fold monoid: the value A(i,j) of the logical matrix Σ Ai.
-  std::optional<T> extract_element(gbx::Index i, gbx::Index j) const {
-    std::optional<T> acc;
-    fold_element_into(acc, i, j);
-    return acc;
-  }
-
   /// Fold every value of Σ Ai into one scalar with the snapshot's own
   /// monoid, without ever materializing the sum: reduce each frozen
   /// level, then combine the per-level results. This is only valid for
   /// the fold monoid itself — a coordinate split across levels holds
   /// partial values that AddMonoid recombines transparently here; any
   /// other reduction monoid would see the partials, so for those
-  /// materialize first (reduce_scalar over to_matrix()).
+  /// materialize first (reduce_scalar over SnapshotSet::to_matrix()).
   T reduce() const {
     auto acc = AddMonoid::identity();
     const std::size_t nl = levels_.size();
@@ -343,69 +306,12 @@ class HierSnapshot {
   }
 
   /// acc ⊕= this image in canonical order (the plus_assign twin of
-  /// fold_element_into; to_matrix here and in SnapshotSet share it).
+  /// fold_element_into; SnapshotSet::to_matrix folds every part with it).
   void fold_into(matrix_type& acc) const {
     const std::size_t nl = levels_.size();
     for (std::size_t l = 0; l + 1 < nl; ++l) acc.plus_assign(levels_[l]);
     tier_.materialize_into(acc);
     if (nl > 0) acc.plus_assign(levels_[nl - 1]);
-  }
-
-  /// Materialize A = Σ Ai as a standalone matrix. This is the bridge to
-  /// every existing algo/ and analytics/ kernel: the result is an
-  /// ordinary gbx::Matrix, fully detached from the streaming source
-  /// (demoted runs are read back through the checksummed store).
-  matrix_type to_matrix() const {
-    GBX_CHECK_VALUE(nrows_ > 0 && ncols_ > 0,
-                    "to_matrix on a default-constructed snapshot");
-    matrix_type acc(nrows_, ncols_);
-    fold_into(acc);
-    return acc;
-  }
-
-  /// Materialize-and-release (the hier::MemoryGovernor eviction step):
-  /// return an equivalent snapshot whose only level is a *privately
-  /// owned* copy of Σ Ai, so dropping the original releases every
-  /// shared-block pin this image held. Read-path exactness is preserved
-  /// bit-for-bit: the compact block carries to_matrix()'s own per-
-  /// coordinate left-fold values, which extract_element and the delta
-  /// machinery already define as THE value of the logical matrix.
-  /// (reduce() afterwards folds the compact block in coordinate order —
-  /// equal to reduce_scalar(to_matrix()), which for non-associative-in-
-  /// bits float folds may differ in final ulps from the levelwise
-  /// reduce(), exactly as the two read paths always could.)
-  /// Epoch, cuts, and stats ride along unchanged; num_levels becomes 1.
-  /// A demoted image compacts to a fully-resident one — the store pins
-  /// (and the blocks, once no other image references them) are released.
-  HierSnapshot compacted() const {
-    if (nrows_ == 0 || ncols_ == 0) return *this;  // default-constructed
-    matrix_type m = to_matrix();
-    // to_matrix aliases the block outright when a single level is
-    // non-empty; a compacted snapshot must OWN its block, else the
-    // "released" pin would silently survive inside the alias.
-    if (auto h = m.storage_handle()) {
-      for (const auto& v : levels_) {
-        if (v.shared_storage().get() == h.get()) {
-          m = matrix_type::adopt(nrows_, ncols_, gbx::Dcsr<T>(*h));
-          break;
-        }
-      }
-    }
-    std::vector<gbx::MatrixView<T>> lv;
-    lv.push_back(m.view());
-    return HierSnapshot(nrows_, ncols_, std::move(lv), cuts_, stats_, epoch_);
-  }
-
-  /// Heap bytes this snapshot holds, deduplicated by block identity:
-  /// a block aliased by several levels (plus_assign aliasing) is counted
-  /// once. Resident only — demoted runs are store bytes (store_bytes()),
-  /// not heap. Whether those bytes are an *extra* cost depends on what
-  /// newer images still share — see hier::MemoryGovernor for the
-  /// pinned-vs-live split.
-  std::size_t memory_bytes() const {
-    std::vector<const gbx::Dcsr<T>*> blocks;
-    collect_blocks(blocks);
-    return detail::deduped_bytes(std::move(blocks));
   }
 
   /// Append this snapshot's raw block pointers (for identity-based
@@ -418,7 +324,7 @@ class HierSnapshot {
   }
 
   /// Resident blocks PLUS transiently decoded demoted segments, for the
-  /// distinct-coordinate merge count (nvals here and in SnapshotSet).
+  /// distinct-coordinate merge count (SnapshotSet::nvals).
   /// `keepalive` owns the decoded blocks for as long as the pointers in
   /// `out` are used.
   void collect_count_blocks(
@@ -441,17 +347,12 @@ class HierSnapshot {
   TierView<T, AddMonoid> tier_;
 };
 
-/// Per-part watermark: how much of that part's submitted sequence the
-/// snapshot contains.
-struct SnapshotWatermark {
-  std::uint64_t batches = 0;  ///< update batches applied before the freeze
-  std::uint64_t entries = 0;  ///< raw entries inside that prefix
-};
-
-/// A stitched snapshot over several independent hierarchical matrices
-/// (ParallelStream lanes, or row-split InstanceArray parts frozen through
-/// an unstarted stream): one HierSnapshot per part plus the watermark
-/// saying which submitted-batch prefix it represents.
+/// The read surface of A = Σ Ai over one or more independent
+/// hierarchical matrices: one HierSnapshot per part. HierMatrix::freeze()
+/// returns one part; ParallelStream::freeze() one per lane (or per
+/// row-split InstanceArray part, frozen through an unstarted stream).
+/// A part's epoch() and stats().entries_appended say which prefix of
+/// its submitted batches it holds.
 template <class T, class AddMonoid = gbx::PlusMonoid<T>>
 class SnapshotSet {
  public:
@@ -461,28 +362,23 @@ class SnapshotSet {
 
   SnapshotSet() = default;
 
-  SnapshotSet(std::vector<part_type> parts,
-              std::vector<SnapshotWatermark> marks)
-      : parts_(std::move(parts)), marks_(std::move(marks)) {
-    GBX_CHECK_DIM(parts_.size() == marks_.size(),
-                  "snapshot parts/watermarks size mismatch");
-  }
+  explicit SnapshotSet(std::vector<part_type> parts)
+      : parts_(std::move(parts)) {}
 
   std::size_t size() const { return parts_.size(); }
   const part_type& part(std::size_t p) const { return parts_[p]; }
-  const SnapshotWatermark& watermark(std::size_t p) const { return marks_[p]; }
 
-  /// Source-wide epoch: the sum of the part watermarks, i.e. every
-  /// update batch any part applied before the freeze. A batch split
-  /// across k parts counts k times.
+  /// Source-wide epoch: the sum of the parts' epochs, i.e. every update
+  /// batch any part applied before the freeze. A batch split across k
+  /// parts counts k times.
   std::uint64_t epoch() const {
     std::uint64_t n = 0;
-    for (const auto& m : marks_) n += m.batches;
+    for (const auto& p : parts_) n += p.epoch();
     return n;
   }
   std::uint64_t total_entries() const {
     std::uint64_t n = 0;
-    for (const auto& m : marks_) n += m.entries;
+    for (const auto& p : parts_) n += p.stats().entries_appended;
     return n;
   }
 
@@ -500,10 +396,11 @@ class SnapshotSet {
   }
 
   /// Exact number of distinct coordinates of the whole union
-  /// Σ_p Σ_i A_{p,i}: the same merge count as HierSnapshot::nvals,
-  /// over every part's blocks at once — coordinates shared between
-  /// parts (overlapping ParallelStream lanes) are counted once, and
-  /// nothing is materialized.
+  /// Σ_p Σ_i A_{p,i}, counted by the row-chunked merge count
+  /// (detail::count_distinct_coords) over every part's frozen blocks at
+  /// once: coordinates shared between levels or parts (overlapping
+  /// ParallelStream lanes) are counted once, and nothing is materialized.
+  /// Demoted segments are decoded transiently into the count.
   std::size_t nvals() const {
     std::vector<const gbx::Dcsr<T>*> bs;
     std::vector<std::shared_ptr<const gbx::Dcsr<T>>> keepalive;
@@ -513,13 +410,18 @@ class SnapshotSet {
 
   /// Fold all parts' values into one scalar with the fold monoid (no
   /// materialization; same partial-value caveat as HierSnapshot::reduce).
+  /// Each part's reduce starts from the identity, so one part's value
+  /// passes through unchanged.
   T reduce() const {
     auto acc = AddMonoid::identity();
     for (const auto& p : parts_) acc = AddMonoid::apply(acc, p.reduce());
     return acc;
   }
 
-  /// Materialize the union Σ_p Σ_i A_{p,i} as one matrix.
+  /// Materialize the union Σ_p Σ_i A_{p,i} as one matrix. This is the
+  /// bridge to every algo/ and analytics/ kernel: the result is an
+  /// ordinary gbx::Matrix, detached from the streaming source (demoted
+  /// runs are read back through the checksummed store).
   matrix_type to_matrix() const {
     GBX_CHECK_VALUE(!parts_.empty(), "to_matrix on an empty snapshot set");
     matrix_type acc(parts_.front().nrows(), parts_.front().ncols());
@@ -527,15 +429,19 @@ class SnapshotSet {
     return acc;
   }
 
-  /// Materialize-and-release for the whole set: the exact Σ_p Σ_i image
-  /// is folded ONCE into a privately-owned block held by part 0, and
-  /// every other part becomes an empty shell that keeps its cuts/stats/
-  /// epoch. Reads stay bit-identical by construction — to_matrix() IS
-  /// the definition of the logical value, and the part-major
-  /// extract_element over [compact, empty, ...] reads that block
-  /// verbatim — whether the parts overlap (round-robin lanes) or are
-  /// coordinate-disjoint (row-split parts). Watermarks, and with them
-  /// the set epoch, survive.
+  /// Materialize-and-release (the hier::MemoryGovernor eviction step):
+  /// the exact Σ_p Σ_i image is folded ONCE into a privately-owned block
+  /// held by part 0, and every other part becomes an empty shell that
+  /// keeps its cuts/stats/epoch, so dropping the original releases every
+  /// shared-block pin (and every demoted-run store pin) it held. Reads
+  /// stay bit-identical by construction — to_matrix() IS the definition
+  /// of the logical value, and the part-major extract_element over
+  /// [compact, empty, ...] reads that block verbatim — whether the parts
+  /// overlap (round-robin lanes) or are coordinate-disjoint (row-split
+  /// parts). reduce() afterwards folds the compact block in coordinate
+  /// order, which for float folds may differ in final ulps from the
+  /// levelwise reduce(), as the two read paths always could. Each
+  /// part's epoch and stats, and with them the set epoch, survive.
   SnapshotSet compacted() const {
     if (parts_.empty()) return *this;
     matrix_type m = to_matrix();
@@ -560,16 +466,22 @@ class SnapshotSet {
                                 std::move(lv), parts_[p].cuts(),
                                 parts_[p].stats(), parts_[p].epoch()));
     }
-    return SnapshotSet(std::move(parts), marks_);
+    return SnapshotSet(std::move(parts));
   }
 
   /// Heap bytes held by the whole set, deduplicated by block identity
   /// across parts AND levels (blocks shared between parts — e.g. after
-  /// merge surgery — are counted once).
+  /// merge surgery — are counted once). Resident only: demoted runs are
+  /// store bytes, not heap. Whether those bytes are an *extra* cost
+  /// depends on what newer images still share — see hier::MemoryGovernor
+  /// for the pinned-vs-live split.
   std::size_t memory_bytes() const {
     std::vector<const gbx::Dcsr<T>*> blocks;
     collect_blocks(blocks);
-    return detail::deduped_bytes(std::move(blocks));
+    detail::dedupe_blocks(blocks);
+    std::size_t n = 0;
+    for (const auto* b : blocks) n += b->memory_bytes();
+    return n;
   }
 
   /// Append every part's raw block pointers (identity accounting).
@@ -579,7 +491,6 @@ class SnapshotSet {
 
  private:
   std::vector<part_type> parts_;
-  std::vector<SnapshotWatermark> marks_;
 };
 
 }  // namespace hier

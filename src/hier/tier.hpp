@@ -12,14 +12,14 @@
 //
 // Read model (the bit-exactness contract): the logical bottom level is
 // the left fold, in arrival order, of the demoted runs (oldest first)
-// followed by the resident bottom. extract/materialize/HierSnapshot all
-// use exactly that grouping, so every read path of a demoted matrix
-// agrees with every other bit-for-bit, unconditionally. Against a
-// never-demoted twin, demotion splits the per-coordinate fold chain at
-// demote boundaries — bit-identical whenever the fold is associative in
-// bits (integer plus/min/max, or float over exactly-representable
-// values, the suite's discipline): pre-folding a prefix of a fold chain
-// re-associates it.
+// followed by the resident bottom. extract/materialize and every
+// SnapshotSet read (through its HierSnapshot parts) use that grouping,
+// so every read path of a demoted matrix agrees with every other
+// bit-for-bit, unconditionally. Against a never-demoted twin, demotion
+// splits the per-coordinate fold chain at demote boundaries —
+// bit-identical whenever the fold is associative in bits (integer
+// plus/min/max, or float over exactly-representable values, the suite's
+// discipline): pre-folding a prefix of a fold chain re-associates it.
 //
 // Concurrency: demote()/compact() follow HierMatrix's owning-thread
 // discipline. Readers (snapshots on any thread) hold an immutable
@@ -172,7 +172,8 @@ class TierView {
   }
 
   /// Decode every segment block in fold order: f(const matrix_type&).
-  /// (HierSnapshot::nvals feeds the decoded blocks to its merge count.)
+  /// (SnapshotSet::nvals feeds the decoded blocks to its merge count,
+  /// through HierSnapshot::collect_count_blocks.)
   template <class F>
   void for_each_block(F&& f) const {
     if (!demoted()) return;

@@ -398,8 +398,10 @@ class RecordFrameDecoder {
   std::string error_;
 };
 
-/// Tailing reader over a *growing* RecordLog stream (the replication
-/// shipper follows the primary's live WAL file with one of these).
+/// Tailing reader over a RecordLog stream that may still be growing.
+/// It backs RecordLogReader and the block file's open() scan (which
+/// keeps the frames before a torn tail); the replication shipper reads
+/// its WAL frames at their offsets with parse_frame instead.
 /// End-of-input is never a verdict here: a partial frame at the current
 /// end just means the writer has not finished appending it yet, so
 /// next() returns nullopt ("caught up, poll again") and a later call

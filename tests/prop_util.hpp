@@ -137,7 +137,7 @@ class DenseRef {
   /// read through the snapshot's cross-level lookup AND the materialized
   /// Σ Ai, so the two snapshot read paths are differentially checked too.
   ::testing::AssertionResult matches(
-      const hier::HierSnapshot<T, M>& snap) const {
+      const hier::SnapshotSet<T, M>& snap) const {
     for (const auto& [k, v] : cells_) {
       auto got = snap.extract_element(k.first, k.second);
       if (!got)
@@ -150,6 +150,12 @@ class DenseRef {
                << k.second << "): snapshot " << *got << " vs reference " << v;
     }
     return matches(snap.to_matrix());
+  }
+
+  /// The same check on part p of a set alone: the image one lane gave.
+  ::testing::AssertionResult matches(const hier::SnapshotSet<T, M>& set,
+                                     std::size_t p) const {
+    return matches(hier::SnapshotSet<T, M>({set.part(p)}));
   }
 
  private:

@@ -263,7 +263,7 @@ TEST(CheckpointWal, CompactedSnapshotRestoresToTheSameSum) {
     h.update(static_cast<gbx::Index>(k * 7 % 100),
              static_cast<gbx::Index>(k * 13 % 100), 1.0 + k);
   const auto compact = h.freeze().compacted();
-  ASSERT_EQ(compact.num_levels(), 1u);
+  ASSERT_EQ(compact.part(0).num_levels(), 1u);
 
   std::stringstream ss;
   hier::checkpoint(ss, compact);
@@ -274,6 +274,17 @@ TEST(CheckpointWal, CompactedSnapshotRestoresToTheSameSum) {
   EXPECT_EQ(restored.cut_policy().cuts(), h.cut_policy().cuts());
   EXPECT_EQ(restored.level_entries(0), 0u);
   EXPECT_EQ(restored.level_entries(1), 0u);
+}
+
+// An image of several lanes is refused before a byte is written.
+TEST(CheckpointWal, MultiPartImageIsRefused) {
+  hier::InstanceArray<double> array(2, 100, 100, CutPolicy({4, 16}));
+  hier::ParallelStream<double> engine(array);
+  engine.start();
+  (void)engine.stop();
+  std::ostringstream os;
+  EXPECT_THROW(hier::checkpoint(os, engine.freeze()), gbx::Error);
+  EXPECT_TRUE(os.str().empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -145,7 +145,8 @@ TEST(ClusterRouter, PartitionAgreesWithSplitRows) {
     one.push_back(r, 0, 1.0);
     auto snap = oracle_freeze(parts, {one});
     for (std::size_t p = 0; p < parts; ++p)
-      EXPECT_EQ(snap.part(p).nvals(), p == map.part_of(r) ? 1u : 0u);
+      EXPECT_EQ(hier::SnapshotSet<double>({snap.part(p)}).nvals(),
+                p == map.part_of(r) ? 1u : 0u);
   }
 }
 

@@ -45,18 +45,18 @@ Block make_block(const Cells& cells) {
       gbx::Dcsr<double>::from_sorted_unique(es));
 }
 
-hier::HierSnapshot<double> as_snapshot(Index dim,
-                                       const std::vector<Block>& blocks) {
+hier::SnapshotSet<double> as_snapshot(Index dim,
+                                      const std::vector<Block>& blocks) {
   std::vector<gbx::MatrixView<double>> levels;
   for (const auto& b : blocks) levels.emplace_back(dim, dim, b);
-  return hier::HierSnapshot<double>(dim, dim, std::move(levels), {}, {}, 0);
+  return hier::SnapshotSet<double>({{dim, dim, std::move(levels), {}, {}, 0}});
 }
 
 /// The oracle check; returns the snapshot's stored-entry bound so the
 /// caller can tell which side of the serial cutoff the case fell on.
-std::size_t expect_exact(const hier::HierSnapshot<double>& snap) {
+std::size_t expect_exact(const hier::SnapshotSet<double>& snap) {
   EXPECT_EQ(snap.nvals(), snap.to_matrix().nvals());
-  return snap.nvals_bound();
+  return snap.part(0).nvals_bound();
 }
 
 /// One random block set. Rows come from a shared pool; each row is
@@ -203,7 +203,7 @@ TEST(CountDistinct, DemotedSegmentsCountWithResidentLevels) {
   h.update(last);
   ref.apply(last);
   const auto snap = h.freeze();
-  ASSERT_TRUE(snap.has_demoted());
+  ASSERT_TRUE(snap.part(0).has_demoted());
   for_team_sizes([&] {
     EXPECT_GE(expect_exact(snap), hier::detail::kParallelCountCutoff);
     EXPECT_EQ(snap.nvals(), ref.nvals());

@@ -241,7 +241,7 @@ TEST(OutOfCore, CompactionBoundsRunsAndReclaimsBlocksAfterReaders) {
 
   // Pin a snapshot mid-stream, then keep demoting past max_runs so a
   // compaction happens underneath it.
-  hier::HierSnapshot<std::int64_t> pinned;
+  hier::SnapshotSet<std::int64_t> pinned;
   proptest::DenseRef<std::int64_t> pinned_ref;
   for (int s = 0; s < 10; ++s) {
     auto b = proptest::random_batch<std::int64_t>(rng, 2048, 500);
@@ -264,7 +264,7 @@ TEST(OutOfCore, CompactionBoundsRunsAndReclaimsBlocksAfterReaders) {
   const std::size_t blocks_while_pinned = store->blocks();
 
   // Dropping the last reference to the old image erases its blocks.
-  pinned = hier::HierSnapshot<std::int64_t>();
+  pinned = hier::SnapshotSet<std::int64_t>();
   EXPECT_LT(store->blocks(), blocks_while_pinned);
   ASSERT_TRUE(ref.matches(h.freeze()));
 }

@@ -1,9 +1,9 @@
 // Coverage for the memory-governed snapshot eviction subsystem
 // (hier/memory_governor.hpp):
 //
-//   * Compaction primitives: HierSnapshot::compacted() preserves every
-//     read path bit-for-bit, owns its block (no surviving alias pins),
-//     and carries epoch/cuts/stats along; SnapshotSet::compacted()
+//   * Compaction primitives: a one-part SnapshotSet::compacted()
+//     preserves every read path bit-for-bit, owns its block (no
+//     surviving alias pins), and carries epoch/cuts/stats along; it
 //     collapses overlapping-part sets into one exact Σ image.
 //   * Governor policy: a lagging reader's pinned bytes are released
 //     under a budget (materialize-and-release), reads through the
@@ -16,8 +16,8 @@
 //   * Property (stress label, 3-seed rerun): random update/freeze/
 //     evict interleavings re-queried against the dense-replay oracle
 //     across the four fold monoids, over HierMatrix and over row-split
-//     parts (whose evictions collapse the whole set; watermarks and
-//     epochs preserved).
+//     parts (whose evictions collapse the whole set; every part's epoch
+//     and entry count preserved).
 //   * analytics::IncrementalEngine over a governed source: eviction of
 //     the cached previous snapshot falls back to a counted full
 //     recompute; a generous budget keeps the incremental path intact.
@@ -79,17 +79,17 @@ TEST(MemoryGovernor, CompactedSnapshotPreservesReadsAndMetadata) {
   auto snap = h.freeze();
   auto compact = snap.compacted();
 
-  EXPECT_EQ(compact.num_levels(), 1u);
+  EXPECT_EQ(compact.part(0).num_levels(), 1u);
   EXPECT_EQ(compact.epoch(), snap.epoch());
-  EXPECT_EQ(compact.cuts(), snap.cuts());
-  EXPECT_EQ(compact.stats().updates, snap.stats().updates);
+  EXPECT_EQ(compact.part(0).cuts(), snap.part(0).cuts());
+  EXPECT_EQ(compact.part(0).stats().updates, snap.part(0).stats().updates);
   EXPECT_EQ(compact.nvals(), snap.nvals());
   EXPECT_TRUE(same_matrix(compact.to_matrix(), snap.to_matrix()));
   EXPECT_TRUE(ref.matches(compact));
 
   // The compact block is privately owned: the only reference is the
   // compacted snapshot's own level view.
-  EXPECT_EQ(compact.level(0).block_use_count(), 1);
+  EXPECT_EQ(compact.part(0).level(0).block_use_count(), 1);
 }
 
 TEST(MemoryGovernor, CompactedSingleLevelDeepCopiesTheAliasedBlock) {
@@ -100,11 +100,11 @@ TEST(MemoryGovernor, CompactedSingleLevelDeepCopiesTheAliasedBlock) {
   h.update(1, 2, 3.0);
   h.update(4, 5, 6.0);
   auto snap = h.freeze();
-  ASSERT_GT(snap.level(0).nvals(), 0u);
+  ASSERT_GT(snap.part(0).level(0).nvals(), 0u);
   auto compact = snap.compacted();
   // to_matrix() aliases a single non-empty level; compacted() must not.
-  EXPECT_NE(compact.level(0).shared_storage().get(),
-            snap.level(0).shared_storage().get());
+  EXPECT_NE(compact.part(0).level(0).shared_storage().get(),
+            snap.part(0).level(0).shared_storage().get());
   EXPECT_TRUE(same_matrix(compact.to_matrix(), snap.to_matrix()));
 }
 
@@ -121,12 +121,13 @@ TEST(MemoryGovernor, SetCollapseIsBitExactForOverlappingParts) {
   std::vector<gbx::MatrixView<double>> lv1{c.view()};
   hier::HierSnapshot<double> p0(dim, dim, std::move(lv0), {}, {}, 1);
   hier::HierSnapshot<double> p1(dim, dim, std::move(lv1), {}, {}, 1);
-  hier::SnapshotSet<double> set({p0, p1}, {{1, 2}, {1, 1}});
+  hier::SnapshotSet<double> set({p0, p1});
 
   auto collapsed = set.compacted();
   ASSERT_EQ(collapsed.size(), set.size());
   EXPECT_EQ(collapsed.epoch(), set.epoch());
-  EXPECT_EQ(collapsed.watermark(0).entries, set.watermark(0).entries);
+  EXPECT_EQ(collapsed.part(0).stats().entries_appended,
+            set.part(0).stats().entries_appended);
   // ((1e16 ⊕ 1) ⊕ -1e16): the left-fold both read paths define.
   ASSERT_TRUE(set.extract_element(0, 0).has_value());
   EXPECT_EQ(*collapsed.extract_element(0, 0), *set.extract_element(0, 0));
@@ -158,7 +159,7 @@ TEST(MemoryGovernor, BudgetEvictsLaggingReaderExactly) {
 
   MemoryGovernor<HierMatrix<double>>::handle_type held;
   gbx::Matrix<double> ref(1, 1);
-  hier::HierSnapshot<double> old_image;
+  hier::SnapshotSet<double> old_image;
   for (int k = 0; k < 30; ++k) {
     auto b = proptest::random_batch<double>(rng, dim, 300);
     h.update(b);
@@ -197,7 +198,7 @@ TEST(MemoryGovernor, BudgetEvictsLaggingReaderExactly) {
 
   // The superseded blocks really free: our pinned copy is now the sole
   // owner of the old level-0 block (slot dropped it, writer folded past).
-  EXPECT_EQ(old_image.level(0).block_use_count(), 1);
+  EXPECT_EQ(old_image.part(0).level(0).block_use_count(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -338,13 +339,13 @@ void run_evict_requery_oracle(Source& src, Feed feed, std::uint64_t seed) {
   struct Held {
     typename MemoryGovernor<Source>::handle_type handle;
     DenseRef<T, M> ref;
-    std::vector<hier::SnapshotWatermark> marks;  ///< set sources only
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> marks;
   };
   auto marks_of = [](const auto& img) {
-    std::vector<hier::SnapshotWatermark> marks;
-    if constexpr (requires { img.watermark(0); })
-      for (std::size_t p = 0; p < img.size(); ++p)
-        marks.push_back(img.watermark(p));
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> marks;
+    for (std::size_t p = 0; p < img.size(); ++p)
+      marks.emplace_back(img.part(p).epoch(),
+                         img.part(p).stats().entries_appended);
     return marks;
   };
   DenseRef<T, M> ref;
@@ -373,12 +374,12 @@ void run_evict_requery_oracle(Source& src, Feed feed, std::uint64_t seed) {
     EXPECT_EQ(h.handle.nvals(), h.ref.nvals());
     auto img = h.handle.pin();
     EXPECT_EQ(img.epoch(), h.handle.epoch());
-    // Eviction keeps every part's watermark, compacted or not.
+    // Eviction keeps every part's epoch and entries, compacted or not.
     const auto marks = marks_of(img);
     ASSERT_EQ(marks.size(), h.marks.size());
     for (std::size_t p = 0; p < marks.size(); ++p) {
-      EXPECT_EQ(marks[p].batches, h.marks[p].batches);
-      EXPECT_EQ(marks[p].entries, h.marks[p].entries);
+      EXPECT_EQ(marks[p].first, h.marks[p].first);
+      EXPECT_EQ(marks[p].second, h.marks[p].second);
     }
   }
 }

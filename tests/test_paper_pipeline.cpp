@@ -63,7 +63,7 @@ TEST(PaperPipeline, EndToEnd) {
 
   // --- combine all instances: A = Σ over instances of Σ Ai ------------
   gbx::Matrix<double> combined(base.dim, base.dim);
-  for (const auto& h : instances) h.freeze().fold_into(combined);
+  for (const auto& h : instances) h.freeze().part(0).fold_into(combined);
   ASSERT_TRUE(gbx::equal(combined, reference))
       << "combined instance matrices diverged from the global reference";
 

@@ -343,9 +343,9 @@ TEST(ParallelStream, FreezeIncludesABatchQueuedBehindASlowCascade) {
   ASSERT_TRUE(wait_for_fire()) << "batch 1's cascade never stalled";
   engine.submit(0, b2);  // queued behind the stalled cascade
   const auto snap = engine.freeze();
-  EXPECT_EQ(snap.watermark(0).batches, 2u);
-  EXPECT_EQ(snap.watermark(0).entries, 4000u);
-  EXPECT_TRUE(ref.matches(snap.part(0)));
+  EXPECT_EQ(snap.part(0).epoch(), 2u);
+  EXPECT_EQ(snap.part(0).stats().entries_appended, 4000u);
+  EXPECT_TRUE(ref.matches(snap, 0));
 
   const auto report = engine.stop();
   EXPECT_EQ(report.lane[0].batches, 2u);  // each batch counted once
@@ -438,8 +438,8 @@ TEST(ParallelStream, FreezeDoesNotWaitForTheGrownBottomMerge) {
   const std::size_t asks = (after.level_entries(3) + slice - 1) / slice - 1;
   EXPECT_LT(slices_at_freeze, asks)
       << "the freeze waited for the merge's last slice";
-  EXPECT_EQ(snap.watermark(0).batches, prefix + 2);
-  EXPECT_TRUE(ref.matches(part));
+  EXPECT_EQ(snap.part(0).epoch(), prefix + 2);
+  EXPECT_TRUE(ref.matches(snap, 0));
 
   engine.drain();
   EXPECT_FALSE(m.merging());

@@ -2,7 +2,7 @@
 //
 //   * Linearizability: a snapshot taken while ParallelStream workers are
 //     actively inserting equals, per lane, the monoid-sum of EXACTLY the
-//     first `watermark.batches` batches submitted to that lane — checked
+//     first `part(p).epoch()` batches submitted to that lane — checked
 //     entry-for-entry against dense reference prefix replays, and as the
 //     acceptance-criterion Σ Ai scalar.
 //   * Checkpoint-from-live-snapshot: a checkpoint written from a frozen
@@ -117,12 +117,12 @@ TEST(SnapshotConcurrency, SnapshotUnderIngestIsPrefixExact) {
     ASSERT_EQ(snap.size(), lanes);
     double expected_total = 0;
     for (std::size_t p = 0; p < lanes; ++p) {
-      const auto k = snap.watermark(p).batches;
-      ASSERT_LE(k, per_lane) << "watermark beyond submitted prefix";
+      const auto k = snap.part(p).epoch();
+      ASSERT_LE(k, per_lane) << "epoch beyond submitted prefix";
       if (k < per_lane) saw_partial = true;
-      EXPECT_EQ(snap.watermark(p).entries, k * batch_len);
+      EXPECT_EQ(snap.part(p).stats().entries_appended, k * batch_len);
       // Entry-for-entry: lane image == dense replay of its exact prefix.
-      EXPECT_TRUE(script.prefix_ref[p][k].matches(snap.part(p)));
+      EXPECT_TRUE(script.prefix_ref[p][k].matches(snap, p));
       expected_total += script.prefix_sum[p][k];
     }
     // The acceptance criterion: Σ Ai of the snapshot equals the dense
@@ -135,7 +135,7 @@ TEST(SnapshotConcurrency, SnapshotUnderIngestIsPrefixExact) {
   // The last snapshot (after drain) contains every batch.
   const auto& final_snap = snaps.back();
   for (std::size_t p = 0; p < lanes; ++p)
-    EXPECT_EQ(final_snap.watermark(p).batches, per_lane);
+    EXPECT_EQ(final_snap.part(p).epoch(), per_lane);
   // On any machine slow enough to matter, at least one mid-flight
   // snapshot catches a true partial prefix; do not assert it on fast
   // machines, but record it for the curious.
@@ -173,9 +173,9 @@ TEST(SnapshotConcurrency, SnapshotDuringPumpIsPrefixExact) {
     SCOPED_TRACE(::testing::Message() << "snapshot " << s);
     double expected_total = 0;
     for (std::size_t p = 0; p < snap.size(); ++p) {
-      const auto k = snap.watermark(p).batches;
+      const auto k = snap.part(p).epoch();
       ASSERT_LE(k, sets);
-      EXPECT_TRUE(script.prefix_ref[p][k].matches(snap.part(p)));
+      EXPECT_TRUE(script.prefix_ref[p][k].matches(snap, p));
       expected_total += script.prefix_sum[p][k];
     }
     EXPECT_DOUBLE_EQ(snap.reduce(), expected_total);
@@ -202,7 +202,7 @@ TEST(SnapshotConcurrency, CheckpointFromLiveSnapshotRestoresIdentically) {
   // thread while the worker keeps inserting behind it.
   auto snap = engine.freeze();
   std::ostringstream os;
-  hier::checkpoint(os, snap.part(0));
+  hier::checkpoint(os, snap);
 
   producer.join();
   engine.drain();
@@ -210,11 +210,11 @@ TEST(SnapshotConcurrency, CheckpointFromLiveSnapshotRestoresIdentically) {
 
   std::istringstream is(os.str());
   auto restored = hier::restore<double>(is);
-  const auto k = snap.watermark(0).batches;
+  const auto k = snap.part(0).epoch();
   // The restored matrix IS the frozen prefix: entry-for-entry against
   // the reference replay, and equal to the snapshot's own materialization.
   EXPECT_TRUE(script.prefix_ref[0][k].matches(restored.snapshot()));
-  EXPECT_TRUE(gbx::equal(restored.snapshot(), snap.part(0).to_matrix()));
+  EXPECT_TRUE(gbx::equal(restored.snapshot(), snap.to_matrix()));
   // Cascade state survives too: resumed streaming behaves identically.
   EXPECT_EQ(restored.stats().updates, snap.part(0).stats().updates);
 }
@@ -265,7 +265,7 @@ TEST(SnapshotConcurrency, ReadersRacingPumpTsanStress) {
   // Post-run: a quiescent snapshot equals the full dense replay.
   auto final_snap = engine.freeze();
   for (std::size_t p = 0; p < lanes; ++p)
-    EXPECT_TRUE(script.prefix_ref[p][sets].matches(final_snap.part(p)));
+    EXPECT_TRUE(script.prefix_ref[p][sets].matches(final_snap, p));
 }
 
 // ---------------------------------------------------------------------------
@@ -375,7 +375,7 @@ TEST(SnapshotConcurrency, DiffDuringPumpPatchesExactly) {
   // Post-run sanity: final quiescent image equals the dense replay.
   auto final_snap = engine.freeze();
   for (std::size_t p = 0; p < lanes; ++p)
-    EXPECT_TRUE(script.prefix_ref[p][sets].matches(final_snap.part(p)));
+    EXPECT_TRUE(script.prefix_ref[p][sets].matches(final_snap, p));
 }
 
 // ---------------------------------------------------------------------------
@@ -439,7 +439,7 @@ TEST(SnapshotConcurrency, EvictionDuringPumpKeepsReadsExact) {
   auto final_handle = gov.freeze();
   auto final_image = final_handle.pin();
   for (std::size_t p = 0; p < lanes; ++p)
-    EXPECT_TRUE(script.prefix_ref[p][sets].matches(final_image.part(p)));
+    EXPECT_TRUE(script.prefix_ref[p][sets].matches(final_image, p));
 }
 
 // ---------------------------------------------------------------------------

@@ -154,6 +154,18 @@ TEST(Delta, SnapshotDiffReusesUnchangedLevels) {
   EXPECT_TRUE(d1.removed.empty());
 }
 
+// Images of different shapes are refused, one part or many.
+TEST(Delta, SnapshotDiffRejectsDimensionMismatch) {
+  hier::InstanceArray<double> a(2, 64, 64, CutPolicy({4, 16}));
+  hier::InstanceArray<double> b(2, 128, 128, CutPolicy({4, 16}));
+  hier::ParallelStream<double> sa(a), sb(b);
+  EXPECT_THROW(hier::snapshot_diff(a.instance(1).freeze(),
+                                   b.instance(1).freeze()),
+               gbx::DimensionMismatch);
+  EXPECT_THROW(hier::snapshot_diff(sa.freeze(), sb.freeze()),
+               gbx::DimensionMismatch);
+}
+
 // Snapshots of different depths diff: a growth event adds a level above
 // the bottom, and a compacted() image has one level. Each pair, in both
 // directions, must give the oracle's difference, and patching the older
@@ -171,17 +183,17 @@ TEST(Delta, SnapshotDiffAcrossDepths) {
   for (int k = 0; k < 20; ++k) step();
   const auto before = h.freeze();
   const auto map_before = ref.cells();
-  for (int k = 0; h.num_levels() == before.num_levels(); ++k) {
+  for (int k = 0; h.num_levels() == before.part(0).num_levels(); ++k) {
     ASSERT_LT(k, 10000) << "the matrix never grew";
     step();
   }
   const auto after = h.freeze();
   const auto map_after = ref.cells();
-  ASSERT_GT(after.num_levels(), before.num_levels());
+  ASSERT_GT(after.part(0).num_levels(), before.part(0).num_levels());
 
-  auto check = [](const hier::HierSnapshot<double>& a,
+  auto check = [](const hier::SnapshotSet<double>& a,
                   const std::map<Key, double>& ma,
-                  const hier::HierSnapshot<double>& b,
+                  const hier::SnapshotSet<double>& b,
                   const std::map<Key, double>& mb) {
     const auto d = hier::snapshot_diff(a, b);
     expect_delta_matches_oracle(ma, mb, d);
@@ -198,7 +210,7 @@ TEST(Delta, SnapshotDiffAcrossDepths) {
   };
   struct Image {
     const char* name;
-    hier::HierSnapshot<double> snap;
+    hier::SnapshotSet<double> snap;
     const std::map<Key, double>* cells;
   };
   const Image b0{"before", before, &map_before};
@@ -229,7 +241,7 @@ void run_delta_oracle_property(std::uint64_t seed, std::size_t steps,
                                    static_cast<std::size_t>(base(rng)), 4));
   DenseRef<T, M> ref;
 
-  std::vector<hier::HierSnapshot<T, M>> snaps;
+  std::vector<hier::SnapshotSet<T, M>> snaps;
   std::vector<std::map<Key, T>> maps;
   std::uniform_int_distribution<std::size_t> bsize(1, max_batch);
   std::uniform_int_distribution<int> action(0, 9);
@@ -483,8 +495,7 @@ TEST(SnapshotMemory, DedupesAliasedBlocks) {
   for (int k = 0; k < 32; ++k) m.set_element(k, k, 1.0);
   auto v = m.view();
   // Two levels aliasing one block must count it once.
-  hier::HierSnapshot<double> snap(64, 64, {v, v}, {8, 16}, hier::HierStats{},
-                                  1);
+  hier::SnapshotSet<double> snap({{64, 64, {v, v}, {8, 16}, {}, 1}});
   EXPECT_EQ(snap.memory_bytes(), v.memory_bytes());
   EXPECT_GT(snap.memory_bytes(), 0u);
 }

@@ -19,7 +19,7 @@ namespace {
 using gbx::Index;
 using hier::CutPolicy;
 using hier::HierMatrix;
-using hier::HierSnapshot;
+using hier::SnapshotSet;
 using proptest::DenseRef;
 
 // Pinned base seeds (perturbed by HHGBX_SEED, see prop_util.hpp).
@@ -53,7 +53,7 @@ void random_interleaving_episode(std::uint64_t seed, const CutPolicy& cuts,
 
   HierMatrix<T, M> h(dim, dim, cuts);
   DenseRef<T, M> ref;
-  std::vector<HierSnapshot<T, M>> snaps;
+  std::vector<SnapshotSet<T, M>> snaps;
   std::vector<DenseRef<T, M>> prefixes;
   std::vector<std::uint64_t> epochs;
 
@@ -90,8 +90,8 @@ void random_interleaving_episode(std::uint64_t seed, const CutPolicy& cuts,
     EXPECT_TRUE(prefixes[s].matches(snaps[s]));
     // The no-materialization scalar reduce agrees with the dense replay.
     EXPECT_EQ(snaps[s].reduce(), prefixes[s].reduce());
-    for (std::size_t l = 0; l < snaps[s].num_levels(); ++l)
-      EXPECT_TRUE(snaps[s].level(l).validate());
+    for (std::size_t l = 0; l < snaps[s].part(0).num_levels(); ++l)
+      EXPECT_TRUE(snaps[s].part(0).level(l).validate());
   }
 }
 
@@ -244,8 +244,8 @@ TEST(SnapshotProperties, ViewKernelsMatchMatrixKernels) {
   EXPECT_DOUBLE_EQ(snap.reduce(),
                    gbx::reduce_scalar<gbx::PlusMonoid<double>>(materialized));
   // Per-level view kernels vs a per-level materialized copy.
-  for (std::size_t l = 0; l < snap.num_levels(); ++l) {
-    const auto& v = snap.level(l);
+  for (std::size_t l = 0; l < snap.part(0).num_levels(); ++l) {
+    const auto& v = snap.part(0).level(l);
     gbx::Matrix<double> copy(v.nrows(), v.ncols());
     copy.plus_assign(v);
     EXPECT_DOUBLE_EQ(gbx::reduce_scalar<gbx::PlusMonoid<double>>(v),
