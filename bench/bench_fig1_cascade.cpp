@@ -6,6 +6,19 @@
 // "hierarchical hypersparse matrices ensure that the majority of updates
 // are performed in fast memory": the fast level absorbs every update and
 // folds to deeper (slower) levels orders of magnitude less often.
+//
+// A second stream times the paper's comparison: HierMatrix::update
+// against one flat gbx::Matrix doing append + materialize per set over
+// the same stream, the two taking turns set by set, generation excluded
+// from both. It is the same
+// generator at alpha 0.8, under the same cuts: most of its 5M entries
+// are distinct, so the bottom outgrows the starting depth (the Fig. 1
+// stream at alpha 1.3 stays under it) and the timed run includes the
+// grown bottom merges over a chunked bottom.
+// BENCH_JSON: {"bench":"fig1_cascade","entries":n,"levels":L,
+//   "hier_meps":h,"flat_meps":f,"hier_over_flat":h/f} — hier_over_flat
+//   is the gated same-host ratio; L is the depth the matrix reached.
+#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -76,5 +89,48 @@ int main() {
       "expected shape (paper Fig. 1): every update lands in L1; each level "
       "folds ~ratio x less often than the level above, so slow-memory "
       "merges see a small fraction of the raw update traffic.");
+
+  // The timed comparison, on the growing stream.
+  using Clock = std::chrono::steady_clock;
+  auto seconds = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  };
+  pp.alpha = 0.8;
+  gen::PowerLawGenerator hier_gen(pp);
+  hier::HierMatrix<double> grown(pp.dim, pp.dim, cuts);
+  gbx::Matrix<double> flat(pp.dim, pp.dim);
+  // The two take turns set by set, so both run on the same heap state.
+  double hier_s = 0, flat_s = 0;
+  for (std::size_t s = 1; s <= kSets; ++s) {
+    const auto batch = hier_gen.batch<double>(kSetSize);
+    const auto t0 = Clock::now();
+    grown.update(batch);
+    const auto t1 = Clock::now();
+    flat.append(batch);
+    flat.materialize();
+    hier_s += seconds(t0, t1);
+    flat_s += seconds(t1, Clock::now());
+  }
+  if (!gbx::equal(flat, grown.snapshot())) {
+    std::printf("the flat matrix differs from the hierarchy's sum\n");
+    return 1;
+  }
+  const double n = static_cast<double>(grown.stats().entries_appended);
+  const double hier_rate = n / hier_s, flat_rate = n / flat_s;
+  std::printf("\nalpha 0.8 stream: logical nnz=%zu, depth %zu, bottom %zu "
+              "entries\n",
+              flat.nvals(), grown.num_levels(),
+              grown.level_entries(grown.num_levels() - 1));
+  std::printf("update rate: hierarchical %s entries/s, flat "
+              "append+materialize %s entries/s, ratio %.2f\n",
+              benchutil::rate(hier_rate).c_str(),
+              benchutil::rate(flat_rate).c_str(), hier_rate / flat_rate);
+  std::printf(
+      "BENCH_JSON {\"bench\":\"fig1_cascade\",\"entries\":%llu,"
+      "\"levels\":%zu,\"hier_meps\":%.3f,\"flat_meps\":%.3f,"
+      "\"hier_over_flat\":%.3f}\n",
+      static_cast<unsigned long long>(grown.stats().entries_appended),
+      grown.num_levels(), hier_rate / 1e6, flat_rate / 1e6,
+      hier_rate / flat_rate);
   return 0;
 }

@@ -147,7 +147,7 @@ int main() {
     // Residency: enforcement either met the budget or moved every
     // compressed byte out (only warm-capacity buffers remain resident).
     if (ooc.memory_bytes() > budget &&
-        !ooc.level(ooc.num_levels() - 1).empty())
+        ooc.level_entries(ooc.num_levels() - 1) > 0)
       ++resident_violations;
     // Exactness, full and pointwise, against the twin at this epoch.
     const auto snap = ooc.freeze();

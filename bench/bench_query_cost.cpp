@@ -81,7 +81,7 @@ QuerySample measure(std::size_t levels, std::size_t c1, std::size_t sets,
   const auto img = h.freeze();
   std::size_t blocks = 0;
   for (std::size_t l = 0; l < img.part(0).num_levels(); ++l)
-    blocks += img.part(0).level(l).empty() ? 0 : 1;
+    blocks += img.part(0).level_slices(l).nvals() > 0 ? 1 : 0;
   std::size_t counted = 0, materialized = 0;
   const double nvals_ms = min_ms(9, [&] { counted = img.nvals(); });
   const double mat_ms =

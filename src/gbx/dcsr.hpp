@@ -124,6 +124,24 @@ class Dcsr {
     fit(vals_, nnz);
   }
 
+  /// prepare() for a kernel appending to the block: room for `nrows`
+  /// more rows and `nnz` more entries, the contents kept.
+  void extend(std::size_t nrows, std::size_t nnz) {
+    grow(rows_, rows_.size() + nrows);
+    grow(ptr_, ptr_.size() + nrows);
+    grow(cols_, cols_.size() + nnz);
+    grow(vals_, vals_.size() + nnz);
+  }
+
+  /// Room for `nnz` entries (the row arrays grow as they fill).
+  void reserve_entries(std::size_t nnz) {
+    cols_.reserve(nnz);
+    vals_.reserve(nnz);
+  }
+
+  /// Entries the block holds room for without reallocating.
+  std::size_t capacity() const { return cols_.capacity(); }
+
   /// Cut a prepare()d block down to the `nrows` rows and `nnz` entries
   /// the kernel wrote (at most what prepare() sized; never reallocates).
   void trim(std::size_t nrows, std::size_t nnz) {
@@ -211,6 +229,13 @@ class Dcsr {
       V().swap(v);  // the old contents are dead: free before regrowing
       v.reserve(std::max(n, grown));
     }
+    v.resize(n);
+  }
+
+  template <class V>
+  static void grow(V& v, std::size_t n) {
+    if (v.capacity() < n)
+      v.reserve(std::max(n, v.capacity() + v.capacity() / 2));
     v.resize(n);
   }
 

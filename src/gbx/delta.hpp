@@ -1,20 +1,12 @@
 // gbx/delta.hpp — structural/value deltas between immutable blocks.
 //
-// The snapshot engine (hier/snapshot.hpp) publishes one immutable DCSR
-// block per level; successive snapshots of the same source share every
-// block the writer has not folded past, by shared_ptr identity. That
-// identity is what makes incremental analytics possible: a level whose
-// block pointer is unchanged contributes *nothing* to the difference
-// between two snapshots, so the diff work is proportional to the blocks
-// that actually moved, not to nnz.
-//
-// This header supplies the two primitives the hier-level diff is built
-// from:
-//   * same_block(a, b)    — O(1) block-identity test on views.
-//   * delta(A, B)         — rowwise merge extracting the entries of B
-//                           not in A (added), of A not in B (removed),
-//                           and the coordinates stored in both with
-//                           unequal values (changed, old & new value).
+// The snapshot engine (hier/snapshot.hpp) publishes immutable DCSR
+// blocks; successive snapshots of the same source share every block the
+// writer has not folded past, by shared_ptr identity, and hier's
+// snapshot_diff skips those (hier::Level::unshared). This header supplies
+// the merge it runs over the rest: delta(A, B), extracting the entries
+// of B not in A (added), of A not in B (removed), and the coordinates
+// stored in both with unequal values (changed, old & new value).
 //
 // delta() is symmetric in structure with ewise_add: a two-pointer union
 // merge over the non-empty row lists, O(nnz(A) + nnz(B)), with a pass-1
@@ -29,7 +21,6 @@
 #include "gbx/dcsr.hpp"
 #include "gbx/ewise.hpp"
 #include "gbx/types.hpp"
-#include "gbx/view.hpp"
 
 namespace gbx {
 
@@ -58,13 +49,6 @@ struct BlockDelta {
     return added.size() + removed.size() + changed.size();
   }
 };
-
-/// O(1) identity test: do two views share the exact same storage block?
-/// True also when both are empty default views (nullptr == nullptr).
-template <class T>
-bool same_block(const MatrixView<T>& a, const MatrixView<T>& b) {
-  return a.shared_storage() == b.shared_storage();
-}
 
 /// Extract the difference of B relative to A as entry streams. The merge
 /// walks both blocks once; rows present in only one side are bulk-copied
@@ -111,15 +95,6 @@ BlockDelta<T> delta(const Dcsr<T>& A, const Dcsr<T>& B) {
     for (; pb < eb; ++pb) d.added.push_back(r, B.cols()[pb], B.vals()[pb]);
   }
   return d;
-}
-
-/// View-level delta with the block-identity fast path: identical blocks
-/// (the common case for unchanged snapshot levels) return an empty delta
-/// without touching a single entry.
-template <class T>
-BlockDelta<T> delta(const MatrixView<T>& a, const MatrixView<T>& b) {
-  if (same_block(a, b)) return BlockDelta<T>{};
-  return delta(a.storage(), b.storage());
 }
 
 }  // namespace gbx

@@ -230,16 +230,49 @@ void build_from_run(const Run& run, Dcsr<T>& out) {
 /// bound |A| + |B| by Dcsr::prepare (no counting pass, no zero-fill), so
 /// the output never reallocates mid-merge. A, B and `out` must stay put
 /// and unchanged by anyone else until the merge completes; `out` must not
-/// alias A or B. A HierMatrix runs its grown bottom merge in slices this
-/// way; merge_blocks_into is the same kernel run to completion.
+/// alias A or B. The range form merges the rows at positions [ka, ka_end)
+/// of A with those at [kb, kb_end) of B after what `out` already holds
+/// (Dcsr::extend), and stops at a row boundary when the next row could
+/// take `out` past `cap` entries (full(); an empty `out` takes any first
+/// row): a HierMatrix fills a grown bottom's chunks this way, in slices.
+/// merge_blocks_into is the whole form run to completion.
 template <class Op, class T>
 class BlockMerge {
  public:
   BlockMerge(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& out)
-      : a_(&A), b_(&B), out_(&out) {
+      : a_(&A), b_(&B), out_(&out), a_end_(A.nrows_nonempty()),
+        b_end_(B.nrows_nonempty()) {
     out.prepare(A.nrows_nonempty() + B.nrows_nonempty(), A.nnz() + B.nnz());
   }
 
+  BlockMerge(const Dcsr<T>& A, std::size_t ka, std::size_t ka_end,
+             const Dcsr<T>& B, std::size_t kb, std::size_t kb_end,
+             Dcsr<T>& out, std::size_t cap)
+      : a_(&A), b_(&B), out_(&out), ka_(ka), kb_(kb), a_end_(ka_end),
+        b_end_(kb_end), k_(out.nrows_nonempty()), w_(out.nnz()), cap_(cap) {
+    const std::size_t all = (A.ptr()[ka_end] - A.ptr()[ka]) +
+                            (B.ptr()[kb_end] - B.ptr()[kb]);
+    std::size_t n = cap > w_ ? cap - w_ : 0;
+    if (w_ == 0)  // room for a first row of any length
+      n = std::max<std::size_t>(
+          n, (ka < ka_end ? A.ptr()[ka + 1] - A.ptr()[ka] : 0) +
+                 (kb < kb_end ? B.ptr()[kb + 1] - B.ptr()[kb] : 0));
+    n = std::min(n, all);
+    // Room for the rows of each input that start within its next n
+    // entries: no more can reach the output.
+    auto rows = [n](const Dcsr<T>& X, std::size_t k, std::size_t end) {
+      const auto p = X.ptr();
+      return static_cast<std::size_t>(
+          std::upper_bound(p.begin() + k, p.begin() + end, p[k] + n) -
+          (p.begin() + k));
+    };
+    out.extend(rows(A, ka, ka_end) + rows(B, kb, kb_end), n);
+  }
+
+  /// The range form stopped at `cap`; rows from ka() / kb() on are left.
+  bool full() const { return full_; }
+  std::size_t ka() const { return ka_; }
+  std::size_t kb() const { return kb_; }
   bool done() const { return done_; }
 
   bool step(std::size_t budget) {
@@ -248,7 +281,7 @@ class BlockMerge {
     const auto br = b_->rows(), bc = b_->cols();
     const auto ap = a_->ptr(), bp = b_->ptr();
     const auto av = a_->vals(), bv = b_->vals();
-    const std::size_t nra = ar.size(), nrb = br.size();
+    const std::size_t nra = a_end_, nrb = b_end_;
     auto& orows = out_->mutable_rows();
     auto& optr = out_->mutable_ptr();
     auto& ocols = out_->mutable_cols();
@@ -341,9 +374,17 @@ class BlockMerge {
         done_ = true;
         break;
       }
-      // The next row does not fit: open it and merge what does.
+      // The next row does not fit: open it and merge what does (unless
+      // it could pass the cap).
       const bool take_a = ka < nra && (kb == nrb || ar[ka] <= br[kb]);
       const bool take_b = kb < nrb && (ka == nra || br[kb] <= ar[ka]);
+      if (w > 0 && w + (take_a ? ap[ka + 1] - ap[ka] : 0) +
+                           (take_b ? bp[kb + 1] - bp[kb] : 0) > cap_) {
+        optr[k] = w;
+        out_->trim(k, w);
+        done_ = full_ = true;
+        break;
+      }
       open_row(take_a ? ar[ka] : br[kb]);
       pa_ = ea_ = pb_ = eb_ = 0;
       if (take_a) {
@@ -368,8 +409,11 @@ class BlockMerge {
   const Dcsr<T>* b_;
   Dcsr<T>* out_;
   std::size_t ka_ = 0, kb_ = 0;  ///< next row of A / of B
+  std::size_t a_end_, b_end_;    ///< end of A's / B's merged rows
   std::size_t k_ = 0;            ///< output rows opened
   Offset w_ = 0;                 ///< output entries written
+  std::size_t cap_ = static_cast<std::size_t>(-1);  ///< the range form's
+  bool full_ = false;
   bool partial_ = false;         ///< a row is open, partly written
   Offset pa_ = 0, ea_ = 0;       ///< A's rest of that row
   Offset pb_ = 0, eb_ = 0;       ///< B's rest of that row

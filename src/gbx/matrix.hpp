@@ -50,6 +50,34 @@ namespace gbx {
 #define GBX_HAS_FEATURE_TSAN 0
 #endif
 
+/// True when `p` holds the only reference to its block, so the block may
+/// be mutated in place or recycled (Matrix's copy-on-fold, a grown bottom
+/// merge's chunks). New references are only ever created on the owning
+/// thread, so an observed count of 1 is stable — but the last external
+/// release may have happened on a reader thread, whose final loads must
+/// be ordered before our stores. The relaxed use_count() load observing
+/// the release-decrement, followed by the acquire fence, establishes
+/// exactly that ([atomics.fences]) — the classic COW publication edge.
+///
+/// TSan's fence modeling cannot pair the relaxed load with the
+/// decrement, so with the fused pipeline exercising in-place reuse on
+/// every fold it reports the (correct) edge as a race. Under TSan the
+/// reuse is disabled — every fold copies, like the pinned-block path —
+/// which keeps all modelable publication edges checked; allocation
+/// reuse itself is asserted by the plain-build zero-alloc test. Same
+/// spirit as the preset's OpenMP opt-out for uninstrumented libgomp.
+template <class B>
+bool sole_owner(const std::shared_ptr<B>& p) {
+#if defined(__SANITIZE_THREAD__) || GBX_HAS_FEATURE_TSAN
+  (void)p;
+  return false;
+#else
+  if (p.use_count() != 1) return false;
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return true;
+#endif
+}
+
 template <class T, class AddMonoid = PlusMonoid<T>>
 class Matrix {
  public:
@@ -339,32 +367,8 @@ class Matrix {
   }
 
   /// True when no view/alias shares the block, i.e. in-place mutation is
-  /// allowed. New references are only ever created from this matrix on
-  /// the owning thread, so an observed count of 1 is stable — but the
-  /// last external release may have happened on a reader thread, whose
-  /// final loads must be ordered before our stores. The relaxed
-  /// use_count() load observing the release-decrement, followed by the
-  /// acquire fence, establishes exactly that ([atomics.fences]: a
-  /// release operation synchronizes with an acquire fence sequenced
-  /// after an atomic read of the released value) — the classic COW
-  /// publication edge.
-  ///
-  /// TSan's fence modeling cannot pair the relaxed load with the
-  /// decrement, so with the fused pipeline exercising in-place reuse on
-  /// every fold it reports the (correct) edge as a race. Under TSan the
-  /// reuse is disabled — every fold copies, like the pinned-block path —
-  /// which keeps all modelable publication edges checked; allocation
-  /// reuse itself is asserted by the plain-build zero-alloc test. Same
-  /// spirit as the preset's OpenMP opt-out for uninstrumented libgomp.
-  bool sole_owner() const {
-#if defined(__SANITIZE_THREAD__) || GBX_HAS_FEATURE_TSAN
-    return false;
-#else
-    if (stor_.use_count() != 1) return false;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    return true;
-#endif
-  }
+  /// allowed (gbx::sole_owner).
+  bool sole_owner() const { return gbx::sole_owner(stor_); }
 
   Index nrows_;
   Index ncols_;

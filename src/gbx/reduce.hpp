@@ -1,6 +1,7 @@
 // gbx/reduce.hpp — monoid reductions of matrices to scalars and vectors.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "gbx/matrix.hpp"
@@ -28,15 +29,17 @@ T reduce_row(const Dcsr<T>& s, std::size_t k) {
   return acc;
 }
 
-/// Shared reduction core over raw DCSR storage.
+/// Shared reduction core over raw DCSR storage: the rows at positions
+/// [k0, k1), by default every row.
 template <class MonoidT, class T>
-T reduce_scalar_dcsr(const Dcsr<T>& s) {
-  const auto nr = s.nrows_nonempty();
-  std::vector<T> partial(nr, MonoidT::identity());
-  parallel_for(nr, s.nnz() >= kParallelReduceCutoff,
+T reduce_scalar_dcsr(const Dcsr<T>& s, std::size_t k0 = 0,
+                     std::size_t k1 = static_cast<std::size_t>(-1)) {
+  k1 = std::min(k1, s.nrows_nonempty());
+  std::vector<T> partial(k1 - k0, MonoidT::identity());
+  parallel_for(k1 - k0, s.ptr()[k1] - s.ptr()[k0] >= kParallelReduceCutoff,
                [&](std::size_t begin, std::size_t end) {
                  for (std::size_t k = begin; k < end; ++k)
-                   partial[k] = reduce_row<MonoidT>(s, k);
+                   partial[k] = reduce_row<MonoidT>(s, k0 + k);
                });
   T acc = MonoidT::identity();
   for (const T& v : partial) acc = MonoidT::apply(acc, v);

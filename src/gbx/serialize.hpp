@@ -10,6 +10,8 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <span>
+#include <vector>
 
 #include "gbx/matrix.hpp"
 #include "gbx/view.hpp"
@@ -46,14 +48,6 @@ T read_pod(std::istream& is) {
   return v;
 }
 
-template <class T>
-void write_vec(std::ostream& os, const std::vector<T>& v) {
-  write_pod<std::uint64_t>(os, v.size());
-  if (!v.empty())
-    os.write(reinterpret_cast<const char*>(v.data()),
-             static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-
 /// Read a length-prefixed array into `v` (replacing its contents).
 template <class V>
 void read_vec_into(std::istream& is, V& v) {
@@ -74,39 +68,72 @@ void read_vec_into(std::istream& is, V& v) {
   }
 }
 
-/// The one matrix writer: header + raw DCSR arrays holding the rows in
-/// positions [row_begin, row_end) of s.rows() (ptr rebased to start at
-/// 0). serialize() writes every row; each slice is a complete,
-/// independently deserializable matrix of the full dims — the
-/// out-of-core tier packs a level into block-sized segments with it,
-/// and a reader that plus_assigns the slices back together reconstructs
-/// the level bit-exactly (row ranges are disjoint, so no fold
-/// reassociation).
+/// The rows at positions [k0, k1) of a block.
 template <class T>
-void serialize_rows(std::ostream& os, Index nrows, Index ncols,
-                    const Dcsr<T>& s, std::size_t row_begin,
-                    std::size_t row_end) {
-  GBX_CHECK_VALUE(row_begin <= row_end && row_end <= s.rows().size(),
-                  "serialize_rows: row position range out of bounds");
-  const Offset p0 = s.ptr()[row_begin];
-  const Offset p1 = s.ptr()[row_end];
+struct RowRange {
+  const Dcsr<T>* blk;
+  std::size_t k0, k1;
+};
+
+/// The one matrix writer: header + raw DCSR arrays holding the rows of
+/// `ranges` (row-disjoint, in row order) as one matrix of the full dims,
+/// ptr rebased to start at 0, written from the blocks in place. The
+/// out-of-core tier packs a level into block-sized segments with one
+/// range each, and a reader that plus_assigns the segments back together
+/// reconstructs the level bit-exactly (row ranges are disjoint, so no
+/// fold reassociation); a checkpoint writes a grown bottom's chunks as
+/// one matrix.
+template <class T>
+void serialize_ranges(std::ostream& os, Index nrows, Index ncols,
+                      std::span<const RowRange<T>> ranges) {
+  std::uint64_t nr = 0, nnz = 0;
+  for (const auto& r : ranges) {
+    GBX_CHECK_VALUE(r.k0 <= r.k1 && r.k1 <= r.blk->rows().size(),
+                    "serialize: row position range out of bounds");
+    nr += r.k1 - r.k0;
+    nnz += r.blk->ptr()[r.k1] - r.blk->ptr()[r.k0];
+  }
+  auto put = [&os](const auto* p, std::size_t n) {
+    os.write(reinterpret_cast<const char*>(p),
+             static_cast<std::streamsize>(n * sizeof *p));
+  };
   write_pod(os, kSerializeMagic);
   write_pod(os, kSerializeVersion);
   write_pod(os, type_tag<T>());
   write_pod<std::uint32_t>(os, 0);  // reserved/padding
   write_pod<Index>(os, nrows);
   write_pod<Index>(os, ncols);
-  write_vec(os, std::vector<Index>(s.rows().begin() + row_begin,
-                                   s.rows().begin() + row_end));
-  std::vector<Offset> ptr(row_end - row_begin + 1);
-  for (std::size_t i = 0; i <= row_end - row_begin; ++i)
-    ptr[i] = s.ptr()[row_begin + i] - p0;
-  write_vec(os, ptr);
-  write_vec(os, std::vector<Index>(s.cols().begin() + p0,
-                                   s.cols().begin() + p1));
-  write_vec(os,
-            std::vector<T>(s.vals().begin() + p0, s.vals().begin() + p1));
+  write_pod(os, nr);
+  for (const auto& r : ranges) put(r.blk->rows().data() + r.k0, r.k1 - r.k0);
+  write_pod(os, nr + 1);
+  Offset base = 0;
+  for (const auto& r : ranges) {  // ptr, rebased range by range
+    std::vector<Offset> ptr(r.blk->ptr().begin() + r.k0,
+                            r.blk->ptr().begin() + r.k1);
+    for (auto& p : ptr) p = p - r.blk->ptr()[r.k0] + base;
+    put(ptr.data(), ptr.size());
+    base += r.blk->ptr()[r.k1] - r.blk->ptr()[r.k0];
+  }
+  write_pod(os, base);
+  write_pod(os, nnz);
+  for (const auto& r : ranges) {
+    const auto p = r.blk->ptr();
+    put(r.blk->cols().data() + p[r.k0], p[r.k1] - p[r.k0]);
+  }
+  write_pod(os, nnz);
+  for (const auto& r : ranges) {
+    const auto p = r.blk->ptr();
+    put(r.blk->vals().data() + p[r.k0], p[r.k1] - p[r.k0]);
+  }
   GBX_CHECK(os.good(), "serialize: write failure");
+}
+
+template <class T>
+void serialize_rows(std::ostream& os, Index nrows, Index ncols,
+                    const Dcsr<T>& s, std::size_t row_begin,
+                    std::size_t row_end) {
+  const RowRange<T> r{&s, row_begin, row_end};
+  serialize_ranges<T>(os, nrows, ncols, {&r, 1});
 }
 
 }  // namespace detail

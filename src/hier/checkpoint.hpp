@@ -11,13 +11,16 @@
 //   * one header frame of u64 words — nrows, ncols, the updates /
 //     entries_appended / queries counters, the cut count c, the c cuts,
 //     then (folds, entries_folded, max_entries) for each of the c + 1
-//     levels;
+//     levels, then the starting depth;
 //   * c + 1 level frames, shallowest first, each one gbx::serialize
-//     matrix. A demoted bottom level is written with its on-disk tier
-//     folded back in, so the file needs no block store.
-// The depth follows from the header's cut count. restore() reads the
-// whole stream as one checkpoint: a missing, extra, torn, corrupt or
-// foreign-epoch frame throws gbx::Error.
+//     matrix: a grown bottom's chunks written as one from the chunks in
+//     place, and a demoted bottom level with its on-disk tier folded back
+//     in (the file needs no store).
+// The depth follows from the header's cut count; a header without the
+// starting-depth word restores at its full depth. restore() decodes each
+// frame into one block (a grown bottom's is then cut into chunks) and
+// reads the whole stream as one checkpoint: a missing, extra, torn,
+// corrupt or foreign-epoch frame throws.
 //
 // Crash recovery: BatchWal logs every update batch to a store::RecordLog
 // stream stamped with the epoch it produced (HierMatrix::epoch counts
@@ -68,24 +71,24 @@ void write_checkpoint(std::ostream& os, const HierSnapshot<T, M>& snap,
   words.insert(words.end(), cuts.begin(), cuts.end());
   for (const auto& ls : st.level)
     words.insert(words.end(), {ls.folds, ls.entries_folded, ls.max_entries});
+  words.push_back(snap.base_levels());
 
   store::RecordLogWriter out(os);
   out.append(snap.epoch(), words.data(), words.size() * sizeof words[0]);
   const std::size_t skip = levels - snap.num_levels();
   for (std::size_t i = 0; i < levels; ++i) {
     std::ostringstream level;
-    gbx::Matrix<T, M> m(snap.nrows(), snap.ncols());
     if (i + 1 == levels && snap.has_demoted()) {
-      // Tier runs fold oldest-first, resident view last — the canonical
+      // Tier runs fold oldest-first, resident level last — the canonical
       // read order, so the bytes match a checkpoint of the equivalent
       // never-demoted matrix whenever the fold is bit-associative.
+      gbx::Matrix<T, M> m(snap.nrows(), snap.ncols());
       snap.tier_view().materialize_into(m);
-      m.plus_assign(snap.level(i - skip));
+      snap.level_slices(i - skip).fold_into(m);
       gbx::serialize(level, m);
-    } else if (i >= skip) {
-      gbx::serialize(level, snap.level(i - skip));
     } else {
-      gbx::serialize(level, m);
+      (i >= skip ? snap.level_slices(i - skip) : Level<T, M>())
+          .serialize(level, snap.nrows(), snap.ncols());
     }
     const std::string bytes = std::move(level).str();
     out.append(snap.epoch(), bytes.data(), bytes.size());
@@ -121,9 +124,11 @@ HierMatrix<T, M> restore(std::istream& is) {
   const auto head = in.next();
   GBX_CHECK(head.has_value(), "restore: empty stream (no header frame)");
   std::vector<std::uint64_t> w;
-  // Word 5 is the cut count c; the header holds 9 + 4c words.
+  // Word 5 is the cut count c; the header holds 9 + 4c words, and then
+  // the starting depth.
   GBX_CHECK(store::payload_as(head->payload, w) && w.size() > 5 &&
-                w[5] < w.size() && w.size() == 9 + 4 * w[5],
+                w[5] < w.size() &&
+                (w.size() == 9 + 4 * w[5] || w.size() == 10 + 4 * w[5]),
             "restore: malformed header frame");
   GBX_CHECK(w[2] == head->epoch,
             "restore: header epoch is not its update count");
@@ -131,18 +136,22 @@ HierMatrix<T, M> restore(std::istream& is) {
   HierMatrix<T, M> h(w[0], w[1],
                      CutPolicy(std::vector<std::size_t>(cuts, cuts + w[5])));
   HierStats st{w[2], w[3], w[4], {}};
-  for (auto p = cuts + w[5]; p != w.end(); p += 3)
+  for (auto p = cuts + w[5]; p + 3 <= w.end(); p += 3)
     st.level.push_back({p[0], p[1], p[2]});
+  if (w.size() == 10 + 4 * w[5]) h.restore_base_levels(w.back());
 
   for (std::size_t i = 0; i < h.num_levels(); ++i) {
-    const auto rec = in.next();
-    GBX_CHECK(rec.has_value(), "restore: missing level frame");
-    GBX_CHECK(rec->epoch == head->epoch,
-              "restore: level frame of another epoch");
-    std::istringstream level(
-        std::string(reinterpret_cast<const char*>(rec->payload.data()),
-                    rec->payload.size()));
-    h.restore_level(i, gbx::deserialize<T, M>(level));
+    auto m = [&] {  // the frame's bytes are freed before the level lands
+      const auto rec = in.next();
+      GBX_CHECK(rec.has_value(), "restore: missing level frame");
+      GBX_CHECK(rec->epoch == head->epoch,
+                "restore: level frame of another epoch");
+      std::istringstream level(
+          std::string(reinterpret_cast<const char*>(rec->payload.data()),
+                      rec->payload.size()));
+      return gbx::deserialize<T, M>(level);
+    }();
+    h.restore_level(i, std::move(m));
   }
   GBX_CHECK(!in.next(), "restore: frame after the last level");
   h.restore_stats(std::move(st));

@@ -2,9 +2,9 @@
 //
 // Successive epoch snapshots of one source share every level block the
 // writer has not folded past (shared_ptr identity, see gbx/view.hpp).
-// snapshot_diff exploits that: levels whose blocks are pointer-identical
-// are skipped outright, and only the blocks that actually changed are
-// merged entry-by-entry (gbx::delta). The result is the difference of
+// snapshot_diff exploits that: level slices both images hold (same
+// block, same rows) are skipped outright, and only the rest is merged
+// entry-by-entry (gbx::delta). The result is the difference of
 // the *logical* matrices Σ Ai — per-level movement that cancels out
 // (a fold relocating entries to the next level without changing the
 // union value) is filtered away by re-reading both snapshots' cross-
@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -42,7 +43,7 @@ namespace hier {
 /// two snapshots was skipped via block identity versus actually scanned.
 struct DeltaStats {
   std::size_t levels_total = 0;    ///< level slots compared (all parts)
-  std::size_t levels_reused = 0;   ///< skipped, blocks pointer-identical
+  std::size_t levels_reused = 0;   ///< skipped, every slice shared
   std::size_t entries_scanned = 0; ///< entries examined in changed blocks
                                    ///< (both sides of each pair)
   std::size_t entries_reused = 0;  ///< entries skipped in reused blocks
@@ -82,7 +83,7 @@ struct SnapshotDelta {
 
 namespace detail {
 
-/// Core diff: `each_pair(f)` enumerates aligned level-view pairs, and
+/// Core diff: `each_pair(f)` enumerates aligned hier::Level pairs, and
 /// `get_old`/`get_new` are the two snapshots' cross-level lookups. The
 /// union value is re-read at every coordinate where any changed block
 /// differs (including per-level removals — a fold moving entries up
@@ -97,17 +98,21 @@ SnapshotDelta<T> diff_core(EachPair&& each_pair, GetOld&& get_old,
   out.epoch_to = epoch_to;
 
   std::vector<std::pair<gbx::Index, gbx::Index>> touched;
-  each_pair([&](const gbx::MatrixView<T>& va, const gbx::MatrixView<T>& vb) {
+  each_pair([&](const auto& la, const auto& lb) {
     ++out.stats.levels_total;
-    if (gbx::same_block(va, vb)) {
+    // Slices both levels hold (same block, same rows) are skipped. Same
+    // units as entries_scanned (which counts BOTH sides of a changed
+    // pair): a reused slice skips scanning each side once.
+    using L = std::decay_t<decltype(la)>;
+    const L ra = L::unshared(la, lb), rb = L::unshared(lb, la);
+    out.stats.entries_reused +=
+        (la.nvals() - ra.nvals()) + (lb.nvals() - rb.nvals());
+    out.stats.bytes_reused += la.memory_bytes() - ra.memory_bytes();
+    if (ra.slices().empty() && rb.slices().empty()) {
       ++out.stats.levels_reused;
-      // Same units as entries_scanned (which counts BOTH sides of a
-      // changed pair): a reused pair skips scanning each side once.
-      out.stats.entries_reused += va.nvals() + vb.nvals();
-      out.stats.bytes_reused += va.memory_bytes();
       return;
     }
-    auto d = gbx::delta(va, vb);
+    auto d = gbx::delta(*ra.joined(), *rb.joined());
     out.stats.entries_scanned += d.entries_scanned;
     for (const auto& e : d.added) touched.emplace_back(e.row, e.col);
     for (const auto& e : d.removed) touched.emplace_back(e.row, e.col);
@@ -135,20 +140,20 @@ SnapshotDelta<T> diff_core(EachPair&& each_pair, GetOld&& get_old,
 
 /// Pair the levels of two images for the diff: bottom with bottom, the
 /// upper levels shallowest first, and the shallower image padded with
-/// empty views above its bottom. Depths differ across a growth event (a
+/// empty levels above its bottom. Depths differ across a growth event (a
 /// level goes in above the bottom) and against a compacted() image (its
 /// one level is its bottom).
 template <class T, class M, class F>
 void each_level_pair(const HierSnapshot<T, M>& a, const HierSnapshot<T, M>& b,
                      F&& f) {
   const std::size_t n = std::max(a.num_levels(), b.num_levels());
-  const gbx::MatrixView<T> none;
+  const Level<T, M> none;
   auto at = [&](const HierSnapshot<T, M>& s,
-                std::size_t i) -> const gbx::MatrixView<T>& {
+                std::size_t i) -> const Level<T, M>& {
     const std::size_t ns = s.num_levels();
     if (ns == 0) return none;
-    if (i + 1 == n) return s.level(ns - 1);
-    return i + 1 < ns ? s.level(i) : none;
+    if (i + 1 == n) return s.level_slices(ns - 1);
+    return i + 1 < ns ? s.level_slices(i) : none;
   };
   for (std::size_t i = 0; i < n; ++i) f(at(a, i), at(b, i));
 }

@@ -23,14 +23,22 @@
 // Depth grows with the state: the schedule a matrix is built with is its
 // starting depth, and once the bottom passes CutPolicy::next_cut() (the
 // last cut times the schedule's last ratio) an empty level with that cut
-// goes in above it. A grown matrix folds into its bottom with a
-// resumable merge into a fresh block (gbx::BlockMerge), run in slices of
-// kMergeSlice output entries by cascade(yield): while it is in flight
-// both inputs stay in their levels, so stage() and freeze() work and a
-// ParallelStream lane serves freezes between slices. At the starting
-// depth every fold is the recycling fold of gbx::Matrix::fold_from.
+// goes in above it. From then on the matrix keeps its bottom only as a
+// row-ordered list of row-disjoint chunks of at most kChunkEntries
+// entries (a hier::Level; the starting-depth bottom becomes its one old
+// chunk). Its fold into the bottom (gbx::BlockMerge) merges the old
+// chunks with the level above into full new chunks, each replacing the
+// old rows it holds; an old chunk whose rows are all rewritten is
+// released and its buffers hold the next new chunk, so the transient is
+// a chunk or two, not a second bottom. cascade(yield) runs it in slices
+// of kMergeSlice output entries; a paused merge's image is the new
+// chunks, the old rows not yet rewritten and the level above from its
+// cursor on, so stage() and freeze() work and a ParallelStream lane
+// serves freezes between slices. At the starting depth every fold is
+// the recycling fold of gbx::Matrix::fold_from.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <numeric>
@@ -51,10 +59,13 @@ template <class T, class AddMonoid = gbx::PlusMonoid<T>>
 class HierMatrix {
  public:
   using matrix_type = gbx::Matrix<T, AddMonoid>;
+  using level_type = Level<T, AddMonoid>;
   using value_type = T;
 
   /// Output entries a grown bottom merge writes between two yield() calls.
   static constexpr std::size_t kMergeSlice = std::size_t{1} << 16;
+  /// Entries a chunk of a grown bottom holds at most (unless it is one row).
+  static constexpr std::size_t kChunkEntries = 4 * kMergeSlice;
 
   HierMatrix(gbx::Index nrows, gbx::Index ncols, CutPolicy cuts)
       : nrows_(nrows),
@@ -114,18 +125,23 @@ class HierMatrix {
   /// Entry-count upper bound per level (compressed + buffered; never
   /// forces folds). This is the quantity cut thresholds act on.
   std::size_t level_entries(std::size_t i) const {
-    return levels_[i].nvals_bound();
+    return i + 1 == levels_.size() && grown() ? chunks_.nvals()
+                                              : levels_[i].nvals_bound();
   }
 
-  /// Heap bytes across all levels, and the output block of a grown
-  /// bottom merge in flight (resident only — demoted runs live in
-  /// the block store, counted by store_bytes()). Each demoted run's row
-  /// index (8 B per row) stays on the heap and is not counted: demoting
-  /// cannot shrink it, so counting it would make every
+  /// Heap bytes across all levels and chunks, and the open chunk and
+  /// spare of a grown bottom merge in flight (resident only — demoted
+  /// runs live in the block store, counted by store_bytes()). Each
+  /// demoted run's row index (8 B per row) stays on the heap and is not
+  /// counted: demoting cannot shrink it, so counting it would make every
   /// enforce_residency() call flush and demote once it nears the budget.
   std::size_t memory_bytes() const {
-    std::size_t n = merge_ ? merge_->out->memory_bytes() : 0;
+    std::size_t n = chunks_.memory_bytes();
     for (const auto& l : levels_) n += l.memory_bytes();
+    if (merge_) {
+      if (merge_->out) n += merge_->out->memory_bytes();
+      if (merge_->spare) n += merge_->spare->memory_bytes();
+    }
     return n;
   }
 
@@ -155,7 +171,7 @@ class HierMatrix {
   bool demote_now() {
     if (!tier_) return false;
     finish_merge();
-    const bool moved = tier_->demote(levels_.back());
+    const bool moved = demote_bottom();
     tier_->maybe_compact();
     return moved;
   }
@@ -169,11 +185,10 @@ class HierMatrix {
     if (!tier_) return 0;
     finish_merge();
     std::size_t demoted = 0;
-    if (memory_bytes() > budget_bytes && tier_->demote(levels_.back()))
-      ++demoted;
+    if (memory_bytes() > budget_bytes && demote_bottom()) ++demoted;
     if (memory_bytes() > budget_bytes && levels_.size() > 1) {
       flush();
-      if (tier_->demote(levels_.back())) ++demoted;
+      if (demote_bottom()) ++demoted;
     }
     tier_->maybe_compact();
     return demoted;
@@ -198,45 +213,49 @@ class HierMatrix {
   matrix_type snapshot() const { return freeze().to_matrix(); }
 
   /// Epoch snapshot: swap out the level-1 pending buffer (fold it into
-  /// level 1's compressed block) and publish one immutable view per
-  /// level, as the one part of a SnapshotSet — the read surface every
-  /// source returns. No entry data is copied — views share the
-  /// compressed blocks, and copy-on-fold keeps them frozen while
-  /// streaming continues. The caller may read the snapshot from any
-  /// thread; further update() calls on this matrix must stay on the
+  /// level 1's compressed block) and publish one immutable Level per
+  /// level (a chunked bottom's chunk list; the level above a paused
+  /// merge from its cursor on), as the one part of a SnapshotSet — the
+  /// read surface every source returns. No entry data is copied — views
+  /// share the compressed blocks, and copy-on-fold keeps them frozen
+  /// while streaming continues. The caller may read the snapshot from
+  /// any thread; further update() calls on this matrix must stay on the
   /// owning thread as always.
   SnapshotSet<T, AddMonoid> freeze() const {
     ++stats_.queries;
-    std::vector<gbx::MatrixView<T>> views;
-    views.reserve(levels_.size());
-    for (const auto& l : levels_) views.push_back(l.view());
+    std::vector<level_type> lv;
+    lv.reserve(levels_.size());
+    for (const auto& l : levels_) lv.emplace_back(l.view());
+    if (merge_)  // a paused merge: the level above from its cursor on
+      lv[lv.size() - 2] = level_type(
+          gbx::MatrixView<T>(nrows_, ncols_, merge_->upper), merge_->kb);
+    if (grown()) lv.back() = chunks_;
     std::vector<HierSnapshot<T, AddMonoid>> part;
-    part.emplace_back(nrows_, ncols_, std::move(views), cuts_.cuts(), stats_,
+    part.emplace_back(nrows_, ncols_, std::move(lv), cuts_.cuts(), stats_,
                       stats_.updates,
-                      tier_ ? tier_->view() : TierView<T, AddMonoid>());
+                      tier_ ? tier_->view() : TierView<T, AddMonoid>(),
+                      base_levels_);
     return SnapshotSet<T, AddMonoid>(std::move(part));
   }
 
   /// Epoch watermark: update() and stage() calls applied so far.
   std::uint64_t epoch() const { return stats_.updates; }
 
-  /// Destructive query: folds every level into the top one and returns a
-  /// reference to it. Cheaper than snapshot when streaming is finished.
-  /// Streaming is over, so the emptied levels release their memory too.
-  const matrix_type& collapse() {
+  /// Destructive query: folds every level into the bottom one and
+  /// returns it (the returned matrix shares the bottom's block). Cheaper
+  /// than snapshot when streaming is finished. Streaming is over, so the
+  /// emptied levels release their memory too, and the bottom is one
+  /// block with no spare (a grown matrix's one chunk).
+  matrix_type collapse() {
     finish_merge();
     ++stats_.queries;
-    // Promote the demoted runs back under the resident bottom first, so
-    // the fold below sees the bottom level's full logical value (runs
-    // oldest-first then resident — the tier read path's grouping).
-    if (has_demoted()) {
-      matrix_type bottom(nrows_, ncols_);
-      tier_->view().materialize_into(bottom);
-      bottom.plus_assign(levels_.back().view());
-      levels_.back() = std::move(bottom);
-      tier_->clear();
-    }
-    auto& top = levels_.back();
+    // The tier read path's grouping: the demoted runs oldest-first, then
+    // the resident bottom (a chunked one concatenated), then the levels
+    // above it, shallowest first.
+    matrix_type top(nrows_, ncols_);
+    if (has_demoted()) tier_->view().materialize_into(top);
+    if (grown()) chunks_.fold_into(top);
+    else top.plus_assign(levels_.back().view());
     for (std::size_t i = 0; i + 1 < levels_.size(); ++i) {
       if (levels_[i].empty()) continue;
       record_fold(i, levels_[i].nvals_bound());
@@ -244,6 +263,10 @@ class HierMatrix {
       levels_[i].reset();
     }
     top.materialize();
+    top.drop_spare();
+    if (has_demoted()) tier_->clear();
+    if (grown()) chunks_ = level_type(top.view());
+    else levels_.back() = top;
     return top;
   }
 
@@ -262,7 +285,11 @@ class HierMatrix {
       if (!fold(i, yield)) return false;
     }
     while (cuts_.next_cut() > 0 &&
-           levels_.back().nvals_bound() > cuts_.next_cut()) {
+           level_entries(levels_.size() - 1) > cuts_.next_cut()) {
+      if (!grown()) {  // the starting-depth bottom: the one old chunk
+        chunks_ = level_type(levels_.back().view());
+        levels_.back().reset();
+      }
       cuts_.grow();
       levels_.emplace(levels_.end() - 1, nrows_, ncols_);
       stats_.level.emplace(stats_.level.end() - 1);
@@ -280,7 +307,17 @@ class HierMatrix {
   }
 
   /// Direct (read-only) access to a level, for instrumentation and tests.
-  const matrix_type& level(std::size_t i) const { return levels_[i]; }
+  /// Throws when the level is not one block: a grown bottom (read
+  /// bottom_chunks()), or the level above a paused grown bottom merge.
+  const matrix_type& level(std::size_t i) const {
+    const bool bottom = i + 1 == levels_.size();
+    GBX_CHECK_VALUE(bottom ? !grown() : !(merge_ && i + 2 == levels_.size()),
+                    "level: not one block");
+    return levels_[i];
+  }
+
+  /// A grown bottom's chunk list (none at the starting depth).
+  const level_type& bottom_chunks() const { return chunks_; }
 
   /// Exact nnz of the logical matrix. Freezes the levels (publishing
   /// views, no copy) and counts the distinct coordinates with the
@@ -294,7 +331,21 @@ class HierMatrix {
     GBX_CHECK_INDEX(i < levels_.size(), "restore_level index out of range");
     GBX_CHECK_DIM(m.nrows() == nrows_ && m.ncols() == ncols_,
                   "restore_level dimension mismatch");
-    levels_[i] = std::move(m);
+    // A grown bottom is cut into chunks, so its next merge frees each
+    // one as it goes.
+    if (i + 1 == levels_.size() && grown())
+      chunks_ = level_type::chunked(m.view(), kChunkEntries);
+    else
+      levels_[i] = std::move(m);
+  }
+  /// The starting depth of a restored grown matrix (2 ≤ depth ≤ levels),
+  /// set before its bottom is restored.
+  void restore_base_levels(std::size_t depth) {
+    GBX_CHECK_VALUE(depth >= 2 && depth <= levels_.size(),
+                    "restore_base_levels: depth outside the level count");
+    GBX_CHECK_VALUE(levels_.back().empty() && chunks_.slices().empty(),
+                    "restore_base_levels: the bottom is already restored");
+    base_levels_ = depth;
   }
   void restore_stats(HierStats st) {
     finish_merge();
@@ -306,23 +357,26 @@ class HierMatrix {
  private:
   using add_op = typename matrix_type::add_op;
 
-  /// A grown bottom merge in flight: both input blocks pinned (their
-  /// levels still hold them, so freeze() publishes them) and the fresh
-  /// output block the kernel fills. A copy of the matrix restarts it.
+  /// A grown bottom merge in flight. chunks_ holds the new chunks before
+  /// `next` and the old slices from `next` on; the level above (`upper`,
+  /// pinned) is merged below row position kb. The open chunk `out` holds
+  /// what the merge read past that: the old slices before ci, slice ci's
+  /// rows before position ka and the level above's before kp. `kernel`
+  /// appends to it; `spare` is a released chunk's buffer. A copy of the
+  /// matrix restarts the open chunk.
   struct GrownMerge {
-    GrownMerge(std::shared_ptr<const gbx::Dcsr<T>> bottom_block,
-               std::shared_ptr<const gbx::Dcsr<T>> upper_block)
-        : bottom(std::move(bottom_block)),
-          upper(std::move(upper_block)),
-          kernel(*bottom, *upper, *out) {}
-    GrownMerge(const GrownMerge& o) : GrownMerge(o.bottom, o.upper) {}
+    explicit GrownMerge(std::shared_ptr<const gbx::Dcsr<T>> up)
+        : upper(std::move(up)) {}
+    GrownMerge(const GrownMerge& o)
+        : upper(o.upper), next(o.next), kb(o.kb), ci(o.next), kp(o.kb) {}
     GrownMerge& operator=(const GrownMerge& o) { return *this = GrownMerge(o); }
     GrownMerge(GrownMerge&&) = default;
     GrownMerge& operator=(GrownMerge&&) = default;
 
-    std::shared_ptr<const gbx::Dcsr<T>> bottom, upper;
-    std::unique_ptr<gbx::Dcsr<T>> out = std::make_unique<gbx::Dcsr<T>>();
-    gbx::BlockMerge<add_op, T> kernel;
+    std::shared_ptr<const gbx::Dcsr<T>> upper;
+    std::size_t next = 0, kb = 0, ci = 0, ka = 0, kp = 0;
+    std::shared_ptr<gbx::Dcsr<T>> out, spare;
+    std::optional<gbx::BlockMerge<add_op, T>> kernel;
   };
 
   static bool never_yield() { return false; }
@@ -332,33 +386,132 @@ class HierMatrix {
   /// sorts, dedups, and merges A_i's pending run straight into A_{i+1}'s
   /// block without materializing an intermediate Dcsr in A_i. Once the
   /// matrix has grown, the fold into the bottom is a grown bottom merge
-  /// instead: both levels drop their spares and the merge writes a fresh
-  /// block. Returns false when yield() paused that merge.
+  /// instead: the level above drops its spare and the merge walks the
+  /// chunks (an empty bottom takes the level above's block as its one
+  /// chunk). Returns false when yield() paused that merge.
   template <class Yield>
   bool fold(std::size_t i, Yield& yield) {
     auto& lo = levels_[i];
     if (lo.empty()) return true;
     record_fold(i, lo.nvals_bound());
-    if (i + 2 < levels_.size() || levels_.size() == base_levels_) {
+    if (i + 2 < levels_.size() || !grown()) {
       levels_[i + 1].fold_from(lo);
       return true;
     }
     lo.drop_spare();
-    levels_.back().drop_spare();
-    merge_.emplace(levels_.back().shared_storage(), lo.shared_storage());
+    if (chunks_.slices().empty()) {
+      chunks_ = level_type(lo.view());
+      lo.reset();
+      return true;
+    }
+    merge_.emplace(lo.shared_storage());
+    // Room up front for the slices the merge can install, so the list
+    // does not regrow mid-merge and a merge's allocations do not depend
+    // on the chunk count.
+    chunks_.reserve(2 * chunks_.slices().size() +
+                    lo.nvals_bound() / kChunkEntries + 2);
     return run_merge(yield);
   }
 
-  /// Step the merge in flight slice by slice; install its block when it
-  /// completes. Returns false when yield() paused it.
+  /// Step the merge in flight slice by slice, installing each new chunk
+  /// as it fills; reset the level above once every row is merged.
+  /// Returns false when yield() paused it.
   template <class Yield>
   bool run_merge(Yield& yield) {
-    while (!merge_->kernel.step(kMergeSlice))
+    auto& g = *merge_;
+    if (!g.kernel) next_piece(g);
+    while (g.kernel) {
+      if (g.kernel->step(kMergeSlice)) {
+        g.ka = g.kernel->ka();
+        g.kp = g.kernel->kb();
+        if (g.kernel->full()) install(g);
+        g.kernel.reset();
+        next_piece(g);
+        if (!g.kernel) break;
+      }
       if (yield()) return false;
-    auto out = std::move(merge_->out);
-    merge_.reset();  // unpin the inputs
-    levels_.back() = matrix_type::adopt(nrows_, ncols_, std::move(*out));
+    }
+    merge_.reset();  // unpin the level above
     levels_[levels_.size() - 2].reset();
+    return true;
+  }
+
+  /// Start the merge's next piece into the open chunk: old slice ci's
+  /// rows from ka with the level above's from kp, up to the next old
+  /// slice's first row. An old chunk no row of the level above falls in
+  /// keeps its place (the open chunk is installed first). Leaves no
+  /// kernel once every row is merged.
+  void next_piece(GrownMerge& g) {
+    static const gbx::Dcsr<T> none;  // past the last old slice
+    const auto urows = g.upper->rows();
+    for (;;) {
+      const auto& cs = chunks_.slices();
+      const bool old = g.ci < cs.size(), open = g.out && !g.out->empty();
+      const gbx::Dcsr<T>& a = old ? cs[g.ci].block() : none;
+      const std::size_t ka_end = old ? cs[g.ci].k1 : 0;
+      if (old) g.ka = std::max(g.ka, cs[g.ci].k0);
+      std::size_t kp_end = urows.size();
+      if (g.ci + 1 < cs.size())
+        kp_end = static_cast<std::size_t>(
+            std::lower_bound(urows.begin() + static_cast<std::ptrdiff_t>(g.kp),
+                             urows.end(), cs[g.ci + 1].first_row()) -
+            urows.begin());
+      if (g.ka == ka_end && g.kp == kp_end) {  // slice ci is read
+        if (!old) {
+          if (open) install(g);
+          return;
+        }
+        ++g.ci;
+        g.ka = 0;
+      } else if (old && g.ka == 0 && g.kp == kp_end) {  // untouched
+        if (open) install(g);
+        else g.next = ++g.ci;
+      } else {
+        if (!g.out) g.out = std::exchange(g.spare, nullptr);
+        if (!g.out) {
+          g.out = std::make_shared<gbx::Dcsr<T>>();
+          g.out->reserve_entries(kChunkEntries);
+        }
+        g.kernel.emplace(a, g.ka, ka_end, *g.upper, g.kp, kp_end, *g.out,
+                         kChunkEntries);
+        return;
+      }
+    }
+  }
+
+  /// Install the open chunk in place of the old rows it holds and move
+  /// the level above's cursor past them. An old chunk whose rows are all
+  /// rewritten leaves the level; its buffers become the spare when
+  /// nothing else holds them (gbx::sole_owner, as copy-on-fold) and they
+  /// are a chunk's (room for kChunkEntries entries).
+  void install(GrownMerge& g) {
+    chunks_.install(
+        g.next, g.ci, g.ka,
+        gbx::MatrixView<T>(nrows_, ncols_, std::exchange(g.out, nullptr)),
+        [&g](std::shared_ptr<const gbx::Dcsr<T>> b) {  // else freed here
+          if (!g.spare && b->capacity() == kChunkEntries &&
+              gbx::sole_owner(b)) {
+            g.spare = std::const_pointer_cast<gbx::Dcsr<T>>(std::move(b));
+            g.spare->clear();
+          }
+        });
+    g.ci = ++g.next;
+    g.ka = 0;  // next_piece() moves it to the slice's first row
+    g.kb = g.kp;
+  }
+
+  /// Once the matrix has grown, its bottom is chunks_ (levels_.back()
+  /// stays empty).
+  bool grown() const { return levels_.size() > base_levels_; }
+
+  /// Demote the bottom into a new run (a chunked bottom concatenated
+  /// for it); a throw leaves the bottom in place.
+  bool demote_bottom() {
+    if (!grown()) return tier_->demote(levels_.back());
+    matrix_type bottom(nrows_, ncols_);
+    chunks_.fold_into(bottom);
+    if (!tier_->demote(bottom)) return false;
+    chunks_ = level_type();
     return true;
   }
 
@@ -378,6 +531,7 @@ class HierMatrix {
   CutPolicy cuts_;
   std::size_t base_levels_;  ///< the starting depth
   std::vector<matrix_type> levels_;
+  level_type chunks_;  ///< a grown bottom's chunks (see grown())
   std::optional<GrownMerge> merge_;
   // shared_ptr keeps HierMatrix copyable (copies share the tier; attach
   // one tier per logically distinct matrix, as enable_demotion's

@@ -10,6 +10,12 @@
 // publication, so analytics run on them while ingest keeps streaming —
 // the same immutable-version discipline as an MVCC storage engine.
 //
+// A level is a hier::Level: row-disjoint slices of shared blocks (a
+// block and a range of positions in its row index), in row order. Most
+// levels are one whole block; a grown bottom is a list of chunks, and
+// the level above a paused grown bottom merge is its rows from the
+// merge's cursor on. Every read of a level goes through Level.
+//
 // Every source spells the acquisition freeze() and returns a SnapshotSet:
 //   * HierMatrix::freeze()     — a one-part set, caller's thread.
 //   * ParallelStream::freeze() — one part per lane, each frozen at that
@@ -27,18 +33,23 @@
 
 #include <algorithm>
 #include <atomic>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "gbx/ewise.hpp"
+#include "gbx/fold.hpp"
 #include "gbx/matrix.hpp"
 #include "gbx/monoid.hpp"
 #include "gbx/parallel.hpp"
 #include "gbx/reduce.hpp"
+#include "gbx/serialize.hpp"
 #include "gbx/view.hpp"
 #include "hier/stats.hpp"
 #include "hier/tier.hpp"
@@ -67,6 +78,7 @@ struct RowCursor {
   const gbx::Dcsr<T>* blk;
   std::size_t k;
   std::size_t end;
+  auto operator<=>(const RowCursor&) const = default;
 };
 
 template <class T>
@@ -167,54 +179,254 @@ std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
   }
 }
 
-/// Exact number of distinct coordinates across a set of frozen blocks —
-/// nothing is materialized. The row space is cut into chunks at the
-/// gbx::parallel_for ranges over the rows of the block with the most
-/// rows; each chunk locates its row range in every block by binary
+/// Exact number of distinct coordinates across a set of frozen row
+/// ranges — nothing is materialized. Identical ranges (an aliased block)
+/// contribute one copy. The row space is cut into chunks at the
+/// gbx::parallel_for ranges over the rows of the range with the most
+/// rows; each chunk locates its row range in every range by binary
 /// search and counts independently, and the integer per-chunk counts
 /// are summed, so the result is exact and independent of the team size.
 /// The definition behind SnapshotSet::nvals.
 template <class T>
-std::size_t count_distinct_coords(std::vector<const gbx::Dcsr<T>*> bs) {
-  dedupe_blocks(bs);  // aliased blocks contribute one copy
-  std::erase_if(bs, [](const auto* b) { return b->empty(); });
-  if (bs.empty()) return 0;
-  if (bs.size() == 1) return bs.front()->nnz();
-
+std::size_t count_distinct_coords(std::vector<RowCursor<T>> cs) {
+  std::erase_if(cs, [](const RowCursor<T>& c) { return c.k == c.end; });
+  std::sort(cs.begin(), cs.end());
+  cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
   std::size_t total = 0;
-  const gbx::Dcsr<T>* widest = bs.front();
-  for (const auto* b : bs) {
-    total += b->nnz();
-    if (b->nrows_nonempty() > widest->nrows_nonempty()) widest = b;
+  const RowCursor<T>* widest = nullptr;
+  for (const auto& c : cs) {
+    total += static_cast<std::size_t>(c.blk->ptr()[c.end] - c.blk->ptr()[c.k]);
+    if (!widest || c.end - c.k > widest->end - widest->k) widest = &c;
   }
-  const auto split = widest->rows();
+  if (cs.size() <= 1) return total;
+  const auto split =
+      widest->blk->rows().subspan(widest->k, widest->end - widest->k);
   // The chunk over splitter range [q0, q1) owns rows [split[q0],
   // split[q1]), with the first and last chunks open-ended; a row equal
-  // to a splitter lands at the start of the same chunk in every block.
-  auto bound = [&](std::span<const gbx::Index> rows, std::size_t q) {
-    if (q == 0) return std::size_t{0};
-    if (q == split.size()) return rows.size();
+  // to a splitter lands at the start of the same chunk in every range.
+  auto bound = [&](const RowCursor<T>& c, std::size_t q) {
+    if (q == 0) return c.k;
+    if (q == split.size()) return c.end;
+    const auto rows = c.blk->rows();
     return static_cast<std::size_t>(
-        std::lower_bound(rows.begin(), rows.end(), split[q]) - rows.begin());
+        std::lower_bound(rows.begin() + static_cast<std::ptrdiff_t>(c.k),
+                         rows.begin() + static_cast<std::ptrdiff_t>(c.end),
+                         split[q]) -
+        rows.begin());
   };
   std::atomic<std::size_t> n{0};
   gbx::parallel_for(
       split.size(), total >= kParallelCountCutoff,
       [&](std::size_t q0, std::size_t q1) {
-        std::vector<RowCursor<T>> cs;
-        cs.reserve(bs.size());
-        for (const auto* b : bs)
-          cs.push_back({b, bound(b->rows(), q0), bound(b->rows(), q1)});
-        n.fetch_add(count_chunk(std::move(cs)), std::memory_order_relaxed);
+        std::vector<RowCursor<T>> chunk;
+        chunk.reserve(cs.size());
+        for (const auto& c : cs)
+          chunk.push_back({c.blk, bound(c, q0), bound(c, q1)});
+        n.fetch_add(count_chunk(std::move(chunk)), std::memory_order_relaxed);
       });
   return n;
 }
 
 }  // namespace detail
 
+/// The rows at positions [k0, k1) of a shared block.
+template <class T>
+struct BlockSlice {
+  gbx::MatrixView<T> view;
+  std::size_t k0 = 0;
+  std::size_t k1 = 0;
+
+  const gbx::Dcsr<T>& block() const { return view.storage(); }
+  gbx::Index first_row() const { return block().rows()[k0]; }
+  std::size_t nvals() const {
+    return static_cast<std::size_t>(block().ptr()[k1] - block().ptr()[k0]);
+  }
+  bool whole() const { return k0 == 0 && k1 == block().nrows_nonempty(); }
+  bool operator==(const BlockSlice& o) const {
+    return view.shared_storage() == o.view.shared_storage() && k0 == o.k0 &&
+           k1 == o.k1;
+  }
+};
+
+template <class T, class AddMonoid = gbx::PlusMonoid<T>>
+class Level {
+ public:
+  using matrix_type = gbx::Matrix<T, AddMonoid>;
+  using block_ptr = std::shared_ptr<const gbx::Dcsr<T>>;
+
+  Level() = default;
+
+  /// The rows [k0, k1) of v's block, by default all of them (a view is
+  /// a one-block level). A whole empty block is kept (its capacity is
+  /// heap the level holds); an empty range of other rows is no slice.
+  Level(gbx::MatrixView<T> v, std::size_t k0 = 0,  // NOLINT(*-explicit-*)
+        std::size_t k1 = static_cast<std::size_t>(-1)) {
+    k1 = std::min(k1, v.storage().nrows_nonempty());
+    if (k0 < k1 || v.empty()) slices_.push_back({std::move(v), k0, k1});
+  }
+
+  const std::vector<BlockSlice<T>>& slices() const { return slices_; }
+
+  std::size_t nvals() const {
+    std::size_t n = 0;
+    for (const auto& s : slices_) n += s.nvals();
+    return n;
+  }
+
+  /// The level as one block; throws for a chunk list, a partial slice or
+  /// no slice at all.
+  const gbx::MatrixView<T>& block() const {
+    GBX_CHECK_VALUE(slices_.size() == 1 && slices_[0].whole(),
+                    "level: not one whole block (read it through Level)");
+    return slices_[0].view;
+  }
+
+  std::optional<T> get(gbx::Index i, gbx::Index j) const {
+    auto it = slices_.begin();
+    if (slices_.size() > 1) {  // the last slice starting at or below row i
+      it = std::upper_bound(slices_.begin(), slices_.end(), i,
+                            [](gbx::Index r, const BlockSlice<T>& s) {
+                              return r < s.first_row();
+                            });
+      if (it == slices_.begin()) return std::nullopt;
+      --it;
+    }
+    if (it == slices_.end() || it->k0 == it->k1 || i < it->first_row() ||
+        i > it->block().rows()[it->k1 - 1])
+      return std::nullopt;  // a row outside the slice's range
+    return it->block().get(i, j);
+  }
+
+  T reduce() const {
+    auto acc = AddMonoid::identity();
+    for (const auto& s : slices_)
+      acc = AddMonoid::apply(acc, gbx::detail::reduce_scalar_dcsr<AddMonoid>(
+                                      s.block(), s.k0, s.k1));
+    return acc;
+  }
+
+  /// The level as one block: a whole block as is, slices concatenated in
+  /// O(entries) (they are row-disjoint and in row order: nothing merges).
+  block_ptr joined() const {
+    if (slices_.size() == 1 && slices_[0].whole())
+      return slices_[0].view.shared_storage();
+    std::size_t rows = 0;
+    for (const auto& s : slices_) rows += s.k1 - s.k0;
+    auto out = std::make_shared<gbx::Dcsr<T>>();
+    out->prepare(rows, nvals());
+    out->clear();  // capacity kept: the appends below never reallocate
+    for (const auto& s : slices_)
+      gbx::BlockMerge<typename AddMonoid::op_type, T>(s.block(), s.k0, s.k1,
+                                                      none(), 0, 0, *out, kAll)
+          .step(kAll);
+    return out;
+  }
+
+  /// Write the level as one gbx::serialize matrix of the given dims,
+  /// from its blocks in place (the bytes of serializing joined()).
+  void serialize(std::ostream& os, gbx::Index nrows, gbx::Index ncols) const {
+    std::vector<gbx::detail::RowRange<T>> rs;
+    rs.reserve(slices_.size());
+    for (const auto& s : slices_) rs.push_back({&s.block(), s.k0, s.k1});
+    gbx::detail::serialize_ranges<T>(os, nrows, ncols, rs);
+  }
+
+  /// v's rows copied into blocks of at most `cap` entries (a longer row
+  /// takes a block of its own), each with room for `cap` entries: a
+  /// grown bottom's chunks.
+  static Level chunked(const gbx::MatrixView<T>& v, std::size_t cap) {
+    Level out;
+    const auto& b = v.storage();
+    const auto ptr = b.ptr();
+    for (std::size_t k0 = 0; k0 < b.nrows_nonempty();) {
+      // The most rows from k0 on that hold at most cap entries (one or more).
+      const auto end = std::upper_bound(
+          ptr.begin() + static_cast<std::ptrdiff_t>(k0), ptr.end(),
+          ptr[k0] + cap);
+      const auto k1 = std::max<std::size_t>(
+          k0 + 1, static_cast<std::size_t>(end - ptr.begin()) - 1);
+      auto c = std::make_shared<gbx::Dcsr<T>>();
+      c->reserve_entries(cap);
+      gbx::BlockMerge<typename AddMonoid::op_type, T>(b, k0, k1, none(), 0, 0,
+                                                      *c, kAll)
+          .step(kAll);
+      out.slices_.push_back(
+          {gbx::MatrixView<T>(v.nrows(), v.ncols(), std::move(c)), 0, k1 - k0});
+      k0 = k1;
+    }
+    return out;
+  }
+
+  /// acc ⊕= this level, through joined().
+  void fold_into(matrix_type& acc) const {
+    if (!slices_.empty())
+      acc.plus_assign(gbx::MatrixView<T>(acc.nrows(), acc.ncols(), joined()));
+  }
+
+  /// A grown bottom merge installs the new chunk `b` in place of the
+  /// slices [from, to) and of slice `to`'s rows before position k.
+  /// release(block_ptr) takes the block of each slice that leaves the
+  /// level, the level's reference already dropped.
+  template <class Release>
+  void install(std::size_t from, std::size_t to, std::size_t k,
+               gbx::MatrixView<T> b, Release&& release) {
+    if (to < slices_.size() && (slices_[to].k0 = k) == slices_[to].k1) ++to;
+    for (std::size_t i = from; i < to; ++i) {
+      block_ptr gone = std::exchange(slices_[i], {}).view.shared_storage();
+      release(std::move(gone));  // the slice's reference is gone by now
+    }
+    const auto first = slices_.begin() + static_cast<std::ptrdiff_t>(from);
+    const std::size_t rows = b.storage().nrows_nonempty();
+    slices_.insert(
+        slices_.erase(first, first + static_cast<std::ptrdiff_t>(to - from)),
+        BlockSlice<T>{std::move(b), 0, rows});
+  }
+
+  /// Move the slices to a new list with room for `n`: installs up to
+  /// that many never reallocate it.
+  void reserve(std::size_t n) {
+    std::vector<BlockSlice<T>> s;
+    s.reserve(std::max(n, slices_.size()));
+    std::move(slices_.begin(), slices_.end(), std::back_inserter(s));
+    slices_ = std::move(s);
+  }
+
+  /// The slices of `a` that `b` does not hold (snapshot_diff compares
+  /// only these).
+  static Level unshared(const Level& a, const Level& b) {
+    Level out;
+    for (const auto& s : a.slices_)
+      if (std::find(b.slices_.begin(), b.slices_.end(), s) == b.slices_.end())
+        out.slices_.push_back(s);
+    return out;
+  }
+
+  std::size_t memory_bytes() const {
+    std::size_t n = 0;
+    for (const auto& s : slices_) n += s.view.memory_bytes();
+    return n;
+  }
+
+  void collect_blocks(std::vector<const gbx::Dcsr<T>*>& out) const {
+    for (const auto& s : slices_)
+      if (s.view.shared_storage()) out.push_back(s.view.shared_storage().get());
+  }
+
+ private:
+  static constexpr auto kAll = static_cast<std::size_t>(-1);
+  static const gbx::Dcsr<T>& none() {
+    static const gbx::Dcsr<T> b;
+    return b;
+  }
+
+  std::vector<BlockSlice<T>> slices_;
+};
+
 /// A consistent frozen image of one hierarchical matrix: one immutable
-/// view per level plus the cut schedule, statistics, and epoch at the
-/// freeze point — one part of a SnapshotSet, which owns the reads of
+/// hier::Level per level (a list of row-disjoint block slices: one whole
+/// block, a grown bottom's chunks, or the rows a paused merge has not
+/// reached) plus the cut schedule, statistics, starting depth and epoch
+/// at the freeze point — one part of a SnapshotSet, which owns the reads of
 /// Σ Ai. All of it is safe to read concurrently with further streaming
 /// into the source matrix.
 template <class T, class AddMonoid = gbx::PlusMonoid<T>>
@@ -223,27 +435,45 @@ class HierSnapshot {
   using value_type = T;
   using matrix_type = gbx::Matrix<T, AddMonoid>;
 
+  using level_type = Level<T, AddMonoid>;
+
   HierSnapshot() = default;
 
   /// `tier` (default: none) is the frozen image of the source's demoted
   /// runs; all read paths fold it between the upper levels and the
   /// resident bottom — see the canonical-order note on fold_element_into.
+  /// `base_levels` is the source's starting depth (0: the image's own
+  /// depth, cuts + 1).
   HierSnapshot(gbx::Index nrows, gbx::Index ncols,
-               std::vector<gbx::MatrixView<T>> levels,
-               std::vector<std::size_t> cuts, HierStats stats,
-               std::uint64_t epoch, TierView<T, AddMonoid> tier = {})
+               std::vector<level_type> levels, std::vector<std::size_t> cuts,
+               HierStats stats, std::uint64_t epoch,
+               TierView<T, AddMonoid> tier = {}, std::size_t base_levels = 0)
       : nrows_(nrows),
         ncols_(ncols),
         levels_(std::move(levels)),
         cuts_(std::move(cuts)),
         stats_(std::move(stats)),
         epoch_(epoch),
-        tier_(std::move(tier)) {}
+        tier_(std::move(tier)),
+        base_levels_(base_levels) {}
 
   gbx::Index nrows() const { return nrows_; }
   gbx::Index ncols() const { return ncols_; }
   std::size_t num_levels() const { return levels_.size(); }
-  const gbx::MatrixView<T>& level(std::size_t i) const { return levels_[i]; }
+
+  /// Level i as one block; throws unless it is one whole block (a grown
+  /// bottom's chunks, or the level above a paused merge).
+  const gbx::MatrixView<T>& level(std::size_t i) const {
+    return levels_[i].block();
+  }
+  /// Level i as the list of slices it is.
+  const level_type& level_slices(std::size_t i) const { return levels_[i]; }
+
+  /// The source's starting depth: a checkpoint restores a matrix that
+  /// folds into its bottom the way the source did.
+  std::size_t base_levels() const {
+    return base_levels_ != 0 ? base_levels_ : cuts_.size() + 1;
+  }
 
   /// Number of update() calls the frozen image contains — the snapshot's
   /// position in the source's update sequence.
@@ -263,7 +493,7 @@ class HierSnapshot {
   /// runs count like levels: once per run.
   std::size_t nvals_bound() const {
     std::size_t n = static_cast<std::size_t>(tier_.entries_bound());
-    for (const auto& v : levels_) n += v.nvals();
+    for (const auto& l : levels_) n += l.nvals();
     return n;
   }
 
@@ -295,13 +525,11 @@ class HierSnapshot {
     auto acc = AddMonoid::identity();
     const std::size_t nl = levels_.size();
     for (std::size_t l = 0; l + 1 < nl; ++l)
-      acc = AddMonoid::apply(acc, gbx::reduce_scalar<AddMonoid>(levels_[l]));
+      acc = AddMonoid::apply(acc, levels_[l].reduce());
     tier_.for_each_block([&acc](const matrix_type& m) {
       acc = AddMonoid::apply(acc, gbx::reduce_scalar<AddMonoid>(m.view()));
     });
-    if (nl > 0)
-      acc = AddMonoid::apply(acc,
-                             gbx::reduce_scalar<AddMonoid>(levels_[nl - 1]));
+    if (nl > 0) acc = AddMonoid::apply(acc, levels_[nl - 1].reduce());
     return acc;
   }
 
@@ -309,9 +537,9 @@ class HierSnapshot {
   /// fold_element_into; SnapshotSet::to_matrix folds every part with it).
   void fold_into(matrix_type& acc) const {
     const std::size_t nl = levels_.size();
-    for (std::size_t l = 0; l + 1 < nl; ++l) acc.plus_assign(levels_[l]);
+    for (std::size_t l = 0; l + 1 < nl; ++l) levels_[l].fold_into(acc);
     tier_.materialize_into(acc);
-    if (nl > 0) acc.plus_assign(levels_[nl - 1]);
+    if (nl > 0) levels_[nl - 1].fold_into(acc);
   }
 
   /// Append this snapshot's raw block pointers (for identity-based
@@ -319,32 +547,33 @@ class HierSnapshot {
   /// Resident blocks only — identity accounting is about heap sharing,
   /// which demoted runs do not participate in.
   void collect_blocks(std::vector<const gbx::Dcsr<T>*>& out) const {
-    for (const auto& v : levels_)
-      if (v.shared_storage()) out.push_back(v.shared_storage().get());
+    for (const auto& l : levels_) l.collect_blocks(out);
   }
 
-  /// Resident blocks PLUS transiently decoded demoted segments, for the
-  /// distinct-coordinate merge count (SnapshotSet::nvals).
-  /// `keepalive` owns the decoded blocks for as long as the pointers in
+  /// Every level's row ranges PLUS transiently decoded demoted segments,
+  /// for the distinct-coordinate merge count (SnapshotSet::nvals).
+  /// `keepalive` owns the decoded blocks for as long as the cursors in
   /// `out` are used.
-  void collect_count_blocks(
-      std::vector<const gbx::Dcsr<T>*>& out,
+  void collect_count_ranges(
+      std::vector<detail::RowCursor<T>>& out,
       std::vector<std::shared_ptr<const gbx::Dcsr<T>>>& keepalive) const {
-    collect_blocks(out);
+    for (const auto& l : levels_)
+      for (const auto& s : l.slices()) out.push_back({&s.block(), s.k0, s.k1});
     tier_.for_each_block([&](const matrix_type& m) {
       keepalive.push_back(m.shared_storage());
-      out.push_back(keepalive.back().get());
+      out.push_back({keepalive.back().get(), 0, m.storage().nrows_nonempty()});
     });
   }
 
  private:
   gbx::Index nrows_ = 0;
   gbx::Index ncols_ = 0;
-  std::vector<gbx::MatrixView<T>> levels_;
+  std::vector<level_type> levels_;
   std::vector<std::size_t> cuts_;
   HierStats stats_;
   std::uint64_t epoch_ = 0;
   TierView<T, AddMonoid> tier_;
+  std::size_t base_levels_ = 0;
 };
 
 /// The read surface of A = Σ Ai over one or more independent
@@ -402,10 +631,10 @@ class SnapshotSet {
   /// ParallelStream lanes) are counted once, and nothing is materialized.
   /// Demoted segments are decoded transiently into the count.
   std::size_t nvals() const {
-    std::vector<const gbx::Dcsr<T>*> bs;
+    std::vector<detail::RowCursor<T>> ranges;
     std::vector<std::shared_ptr<const gbx::Dcsr<T>>> keepalive;
-    for (const auto& p : parts_) p.collect_count_blocks(bs, keepalive);
-    return detail::count_distinct_coords(std::move(bs));
+    for (const auto& p : parts_) p.collect_count_ranges(ranges, keepalive);
+    return detail::count_distinct_coords(std::move(ranges));
   }
 
   /// Fold all parts' values into one scalar with the fold monoid (no
@@ -460,11 +689,12 @@ class SnapshotSet {
     std::vector<part_type> parts;
     parts.reserve(parts_.size());
     for (std::size_t p = 0; p < parts_.size(); ++p) {
-      std::vector<gbx::MatrixView<T>> lv;
-      if (p == 0) lv.push_back(m.view());
+      std::vector<typename part_type::level_type> lv;
+      if (p == 0) lv.emplace_back(m.view());
       parts.push_back(part_type(parts_[p].nrows(), parts_[p].ncols(),
                                 std::move(lv), parts_[p].cuts(),
-                                parts_[p].stats(), parts_[p].epoch()));
+                                parts_[p].stats(), parts_[p].epoch(), {},
+                                parts_[p].base_levels()));
     }
     return SnapshotSet(std::move(parts));
   }

@@ -173,7 +173,7 @@ class TierView {
 
   /// Decode every segment block in fold order: f(const matrix_type&).
   /// (SnapshotSet::nvals feeds the decoded blocks to its merge count,
-  /// through HierSnapshot::collect_count_blocks.)
+  /// through HierSnapshot::collect_count_ranges.)
   template <class F>
   void for_each_block(F&& f) const {
     if (!demoted()) return;

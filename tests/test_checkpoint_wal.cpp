@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -285,6 +286,107 @@ TEST(CheckpointWal, MultiPartImageIsRefused) {
   std::ostringstream os;
   EXPECT_THROW(hier::checkpoint(os, engine.freeze()), gbx::Error);
   EXPECT_TRUE(os.str().empty());
+}
+
+// A restored grown matrix folds into its bottom the way the original
+// does: the header carries the starting depth, so both run grown bottom
+// merges (sliced, pausing at yield()) over identical batches and end at
+// the same memory, instead of the restored copy taking the starting-depth
+// recycling fold with a spare beside its bottom.
+TEST(CheckpointWal, RestoreKeepsTheGrownPath) {
+  const gbx::Index dim = gbx::Index{1} << 40;
+  std::mt19937_64 rng(4401);
+  auto batch = [&] {
+    Tuples<double> t;
+    for (int k = 0; k < 512; ++k) t.push_back(rng() % dim, rng() % dim, 1.0);
+    return t;
+  };
+  HierMatrix<double> h(dim, dim, CutPolicy::geometric(3, 1024, 8));
+  while (h.num_levels() < 4) h.update(batch());
+  std::stringstream ckpt;
+  hier::checkpoint(ckpt, h);
+  auto restored = hier::restore<double>(ckpt);
+
+  std::size_t asks[2] = {0, 0};
+  const auto merges = h.stats().level[2].folds;
+  while (h.stats().level[2].folds < merges + 2) {
+    const auto b = batch();
+    HierMatrix<double>* m[2] = {&h, &restored};
+    for (int i = 0; i < 2; ++i) {
+      m[i]->stage(b);
+      while (!m[i]->cascade([&] { return ++asks[i], true; })) {
+      }
+    }
+  }
+  EXPECT_EQ(restored.stats().level[2].folds, h.stats().level[2].folds);
+  EXPECT_GT(asks[0], 0u);
+  EXPECT_EQ(asks[1], asks[0]) << "the restored copy's merges did not slice";
+  EXPECT_EQ(restored.memory_bytes(), h.memory_bytes());
+  EXPECT_TRUE(gbx::equal(restored.snapshot(), h.snapshot()));
+}
+
+// A level frame of a chunked level holds the bytes of the level as one
+// block: hier::Level::chunked cuts a block into chunks of at most `cap`
+// entries (a longer row alone), and Level::serialize writes them in
+// place as one matrix, byte for byte what gbx::serialize writes for the
+// block.
+TEST(CheckpointWal, ChunkedLevelWritesTheJoinedBytes) {
+  std::mt19937_64 rng(4403);
+  Matrix<double> m(1 << 20, 1 << 20);
+  Tuples<double> t;
+  for (int k = 0; k < 20000; ++k)
+    t.push_back(rng() % 3000, rng() % (1 << 20), static_cast<double>(k));
+  for (int k = 0; k < 700; ++k) t.push_back(1500, k, 1.0);  // a long row
+  m.append(t);
+  std::ostringstream want;
+  gbx::serialize(want, m);
+  for (std::size_t cap : {std::size_t{1}, std::size_t{300}, std::size_t{4096},
+                          std::size_t{1} << 20}) {
+    SCOPED_TRACE(cap);
+    const auto level = hier::Level<double>::chunked(m.view(), cap);
+    std::size_t entries = 0;
+    for (const auto& c : level.slices()) {
+      entries += c.nvals();
+      if (c.k1 - c.k0 > 1) {
+        EXPECT_LE(c.nvals(), cap);
+      }
+    }
+    EXPECT_EQ(entries, m.nvals());
+    std::ostringstream got;
+    level.serialize(got, m.nrows(), m.ncols());
+    EXPECT_EQ(got.str(), want.str());
+  }
+}
+
+// The starting-depth word: a header without it (an older file) restores
+// at its full depth, and a depth past the level count is refused.
+TEST(CheckpointWal, RestoreChecksTheStartingDepth) {
+  auto file = [](std::vector<std::uint64_t> tail) {
+    // A 3-level, empty 64 x 64 matrix under cuts {4, 16}.
+    std::vector<std::uint64_t> words{64, 64, 0, 0, 0, 2, 4, 16};
+    words.insert(words.end(), 9, 0);
+    words.insert(words.end(), tail.begin(), tail.end());
+    std::stringstream ss;
+    store::RecordLogWriter out(ss);
+    out.append(0, words.data(), words.size() * sizeof words[0]);
+    for (int i = 0; i < 3; ++i) {
+      std::ostringstream level;
+      gbx::serialize(level, Matrix<double>(64, 64));
+      const std::string bytes = std::move(level).str();
+      out.append(0, bytes.data(), bytes.size());
+    }
+    return ss;
+  };
+  auto old = file({});
+  auto h = hier::restore<double>(old);
+  EXPECT_EQ(h.num_levels(), 3u);
+  std::stringstream again;
+  hier::checkpoint(again, h);
+  EXPECT_EQ(hier::restore<double>(again).freeze().part(0).base_levels(), 3u);
+  auto deep = file({4});
+  EXPECT_THROW(hier::restore<double>(deep), gbx::Error);
+  auto shallow = file({1});
+  EXPECT_THROW(hier::restore<double>(shallow), gbx::Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ Block make_block(const Cells& cells) {
 
 hier::SnapshotSet<double> as_snapshot(Index dim,
                                       const std::vector<Block>& blocks) {
-  std::vector<gbx::MatrixView<double>> levels;
-  for (const auto& b : blocks) levels.emplace_back(dim, dim, b);
+  std::vector<hier::Level<double>> levels;
+  for (const auto& b : blocks)
+    levels.push_back(gbx::MatrixView<double>(dim, dim, b));
   return hier::SnapshotSet<double>({{dim, dim, std::move(levels), {}, {}, 0}});
 }
 

@@ -73,7 +73,7 @@ TEST(OutOfCore, DemoteMovesBottomLevelIntoStore) {
   EXPECT_GT(h.store_bytes(), 0u);
   EXPECT_GT(store->blocks(), 0u);
   EXPECT_LT(h.memory_bytes(), resident_before);
-  EXPECT_EQ(h.level(h.num_levels() - 1).nvals_bound(), 0u);
+  EXPECT_EQ(h.level_entries(h.num_levels() - 1), 0u);
 
   // Every read path still sees the full value.
   EXPECT_TRUE(ref.matches(h.freeze()));

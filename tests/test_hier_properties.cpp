@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "gen/gen.hpp"
@@ -208,6 +210,30 @@ TEST(HierMemory, LowLevelsBounded) {
   EXPECT_GT(h.stats().level[0].folds, 5u);
 }
 
+// collapse() ends streaming: the collapsed top is one block, with no
+// recycled spare beside it, and every emptied level released.
+TEST(HierMemory, CollapseKeepsOneBlock) {
+  HHGBX_PROP_SEED(seed, 5002);
+  std::mt19937_64 rng(seed);
+  const Index dim = Index{1} << 40;
+  HierMatrix<double> h(dim, dim, CutPolicy::geometric(3, 1024, 8));
+  for (int b = 0; b < 500; ++b)
+    h.update(proptest::random_batch<double>(rng, dim, 512));
+  ASSERT_GT(h.num_levels(), 3u) << "the stream must grow the matrix";
+  const auto want = h.snapshot();
+  const auto& top = h.collapse();
+  EXPECT_TRUE(gbx::equal(top, want));
+  // The bottom is the one block, shared with the returned matrix; every
+  // level (the grown bottom's emptied holder too) holds an empty block
+  // and an empty spare.
+  ASSERT_EQ(h.bottom_chunks().slices().size(), 1u);
+  EXPECT_EQ(h.bottom_chunks().slices()[0].view.shared_storage(),
+            top.shared_storage());
+  const std::size_t empty = gbx::Dcsr<double>().memory_bytes();
+  EXPECT_EQ(h.memory_bytes(),
+            top.storage().memory_bytes() + 2 * h.num_levels() * empty);
+}
+
 // Depth grows with the state: under cuts {4, 16} a level with 4x the
 // last cut goes in above the bottom each time the bottom passes it. The
 // grown matrix equals the dense replay after every update, folds each
@@ -265,50 +291,148 @@ TEST(HierGrowth, GrowthIsExactAndPersists) {
   }
 }
 
+// The grown setup of the chunked-merge tests: under cuts {512, 8192}
+// the bottom passes 16 x 8192 and a level with cut 131072 goes in above
+// it; from then on every fold into the bottom is a grown bottom merge,
+// and the bottom is a list of chunks of at most kChunkEntries entries.
+constexpr Index kGrownDim = Index{1} << 20;
+constexpr std::size_t kChunk = HierMatrix<double>::kChunkEntries;
+// The most a chunk can take: kChunkEntries entries, each a row of its own.
+constexpr std::size_t kChunkBytes =
+    kChunk * (2 * sizeof(Index) + sizeof(gbx::Offset) + sizeof(double));
+
+HierMatrix<double> grown_matrix() {
+  return HierMatrix<double>(kGrownDim, kGrownDim, CutPolicy({512, 8192}));
+}
+
+// Entry-for-entry comparison of a materialized matrix with the oracle,
+// in one ordered pass over both.
+::testing::AssertionResult same_entries(
+    const Matrix<double>& m, const proptest::DenseRef<double>& ref) {
+  if (m.nvals() != ref.nvals())
+    return ::testing::AssertionFailure()
+           << "nvals " << m.nvals() << " vs oracle " << ref.nvals();
+  auto it = ref.cells().begin();
+  std::optional<std::pair<Index, Index>> bad;
+  m.for_each([&](Index i, Index j, double v) {
+    if (!bad && (it->first != std::pair(i, j) || it->second != v))
+      bad = std::pair(i, j);
+    ++it;
+  });
+  if (bad)
+    return ::testing::AssertionFailure()
+           << "entry (" << bad->first << ", " << bad->second << ") differs";
+  return ::testing::AssertionSuccess();
+}
+
 // A grown bottom merge that yield() paused stays in flight: stage() and
-// freeze() work and read the exact value, memory_bytes() counts the
-// output block, cascade() resumes the merge and folds nothing else, a
+// freeze() work, cascade() resumes the merge and folds nothing else, a
 // copy restarts it, and every call that reshapes the levels finishes it
-// first.
+// first. At every pause of a merge over a bottom of at least 4 chunks
+// the image is exact (extract_element, nvals, reduce and to_matrix
+// against the dense oracle), diffs empty against the previous pause's
+// image, and checkpoints and restores to the oracle. Neither the chunked
+// bottom nor the paused level above reads as one block.
 TEST(HierGrowth, PausedMergeSemantics) {
   HHGBX_PROP_SEED(seed, 41002);
   std::mt19937_64 rng(seed);
-  const Index dim = Index{1} << 20;
-  // The bottom passes 16 x 8192 and a level with cut 131072 goes in;
-  // the first grown bottom merge then writes more than 2 x 131072
-  // entries, four slices or more, so it pauses at least three times.
-  HierMatrix<double> h(dim, dim, CutPolicy({512, 8192}));
+  auto h = grown_matrix();
   proptest::DenseRef<double> ref;
+  // Rows of a few hundred entries keep the images' row arrays small.
+  std::uniform_int_distribution<Index> row(0, 4095), col(0, kGrownDim - 2);
+  std::uniform_int_distribution<int> val(-5, 5);
   auto batch = [&] {
-    auto b = proptest::random_batch<double>(rng, dim, 4096);
+    Tuples<double> b;
+    for (int k = 0; k < 4096; ++k)
+      b.push_back(row(rng), col(rng), static_cast<double>(val(rng)));
     ref.apply(b);
     return b;
   };
   auto pause = [] { return true; };
+  while (h.num_levels() < 4 || h.bottom_chunks().slices().size() < 4) {
+    ASSERT_LT(h.stats().updates, 600u) << "the bottom never spanned 4 chunks";
+    h.update(batch());
+  }
   for (int k = 0; !h.merging(); ++k) {
-    ASSERT_LT(k, 400) << "no grown bottom merge was paused";
+    ASSERT_LT(k, 100) << "no grown bottom merge was paused";
     h.stage(batch());
     h.cascade(pause);
   }
   ASSERT_EQ(h.num_levels(), 4u);
-  std::size_t level_bytes = 0;
-  for (std::size_t i = 0; i < h.num_levels(); ++i)
-    level_bytes += h.level(i).memory_bytes();
-  EXPECT_GT(h.memory_bytes(), level_bytes) << "output block not counted";
-  ASSERT_TRUE(ref.matches(h.freeze()));
+  EXPECT_THROW((void)h.level(3), gbx::InvalidValue) << "chunked bottom";
+  EXPECT_THROW((void)h.level(2), gbx::InvalidValue) << "paused level above";
+  // memory_bytes() counts the open chunk (room for kChunkEntries
+  // entries) beside the levels, the chunks and the pinned level above.
+  std::size_t held = h.bottom_chunks().memory_bytes() +
+                     h.freeze().part(0).level_slices(2).memory_bytes();
+  for (std::size_t i = 0; i < 2; ++i) held += h.level(i).memory_bytes();
+  EXPECT_GE(h.memory_bytes(), held + kChunk * (sizeof(Index) + sizeof(double)))
+      << "the open chunk is not counted";
 
   std::vector<std::size_t> entries;
-  entries.reserve(h.num_levels());
   for (std::size_t i = 0; i < h.num_levels(); ++i)
     entries.push_back(h.level_entries(i));
   h.stage(batch());
   EXPECT_FALSE(h.cascade(pause));
   EXPECT_TRUE(h.merging());
   EXPECT_EQ(h.level_entries(0), entries[0] + 4096) << "level 1 folded";
-  for (std::size_t i = 1; i < h.num_levels(); ++i)
-    EXPECT_EQ(h.level_entries(i), entries[i]) << "level " << i + 1 << " moved";
-  ASSERT_TRUE(ref.matches(h.freeze()));
+  EXPECT_EQ(h.level_entries(1), entries[1]) << "level 2 moved";
+  EXPECT_EQ(h.level_entries(2), entries[2]) << "level 3 moved";
 
+  // The oracle as a matrix, built once: nothing is staged while the
+  // merge below pauses, so every pause image must equal it.
+  Matrix<double> want_now(kGrownDim, kGrownDim);
+  for (const auto& [k, v] : ref.cells()) want_now.set_element(k.first, k.second, v);
+  ASSERT_TRUE(same_entries(want_now, ref));
+  const double want_sum = ref.reduce();
+  // Probes: every 251st oracle entry, and coordinates next to them.
+  std::vector<std::pair<std::pair<Index, Index>, std::optional<double>>> probes;
+  std::size_t n = 0;
+  for (const auto& [k, v] : ref.cells()) {
+    if (n++ % 251 != 0) continue;
+    probes.push_back({k, v});
+    const std::pair<Index, Index> near{k.first, k.second + 1};
+    const auto it = ref.cells().find(near);
+    probes.push_back({near, it == ref.cells().end()
+                                ? std::nullopt
+                                : std::optional<double>(it->second)});
+  }
+  auto check_image = [&](const hier::SnapshotSet<double>& snap) {
+    ASSERT_EQ(snap.nvals(), ref.nvals());
+    ASSERT_EQ(snap.reduce(), want_sum);
+    ASSERT_TRUE(gbx::equal(snap.to_matrix(), want_now));
+    for (const auto& [k, v] : probes)
+      ASSERT_EQ(snap.extract_element(k.first, k.second), v)
+          << k.first << "," << k.second;
+  };
+  std::optional<hier::SnapshotSet<double>> prev;
+  std::size_t pauses = 0;
+  while (h.merging()) {
+    SCOPED_TRACE("pause " + std::to_string(pauses));
+    const auto snap = h.freeze();
+    ASSERT_NO_FATAL_FAILURE(check_image(snap));
+    EXPECT_THROW((void)snap.part(0).level(3), gbx::InvalidValue);
+    if (prev) {
+      ASSERT_TRUE(hier::snapshot_diff(*prev, snap).empty());
+    }
+    std::stringstream ckpt;
+    hier::checkpoint(ckpt, snap);
+    const auto restored = hier::restore<double>(ckpt);
+    ASSERT_EQ(restored.num_levels(), 4u);
+    ASSERT_TRUE(gbx::equal(restored.snapshot(), want_now));
+    prev = snap;
+    h.cascade(pause);
+    ++pauses;
+  }
+  EXPECT_GE(pauses, 8u) << "the merge must pause many times";
+  ASSERT_NO_FATAL_FAILURE(check_image(h.freeze()));
+  EXPECT_TRUE(ref.matches(h.freeze()));
+
+  // A second merge, paused once, for the calls that reshape the levels.
+  while (!h.merging()) {
+    h.stage(batch());
+    h.cascade(pause);
+  }
   const auto want = h.snapshot();
   auto store = store::make_mem_block_store();
   auto finishes = [&](const char* name, auto&& call) {
@@ -332,6 +456,90 @@ TEST(HierGrowth, PausedMergeSemantics) {
   finishes("restore_level", [](auto& m) { m.restore_level(0, m.level(0)); });
   finishes("restore_stats", [](auto& m) { m.restore_stats(m.stats()); });
   finishes("cascade", [](auto& m) { m.cascade(); });
+}
+
+// Grown bottom merges whose level above holds rows that all lie above
+// the bottom's (each merge's batches draw rows from a band above the
+// last one's): every old chunk but the last keeps its place untouched,
+// and the merge goes on past the last old chunk, whose rows run out
+// before the level above's do.
+TEST(HierGrowth, MergesAboveTheBottomRows) {
+  HHGBX_PROP_SEED(seed, 41004);
+  std::mt19937_64 rng(seed);
+  auto h = grown_matrix();
+  proptest::DenseRef<double> ref;
+  constexpr Index kBand = Index{1} << 15;
+  auto merges = [&] { return h.num_levels() < 4 ? 0 : h.stats().level[2].folds; };
+  std::uniform_int_distribution<Index> row(0, kBand - 1), col(0, kGrownDim - 1);
+  while (merges() < 5) {
+    Tuples<double> b;
+    for (int k = 0; k < 4096; ++k)
+      b.push_back(merges() * kBand + row(rng), col(rng), 1.0);
+    ref.apply(b);
+    const auto before = merges();
+    // The first merge rewrites the starting-depth bottom, in its band.
+    const auto untouched =
+        before == 0 ? std::shared_ptr<const gbx::Dcsr<double>>()
+                    : h.bottom_chunks().slices().front().view.shared_storage();
+    h.update(b);
+    if (merges() == before) continue;
+    ASSERT_TRUE(same_entries(h.snapshot(), ref)) << "merge " << merges();
+    if (untouched && h.bottom_chunks().slices().size() > 1) {
+      EXPECT_EQ(h.bottom_chunks().slices().front().view.shared_storage(),
+                untouched)
+          << "the first chunk was rewritten";
+    }
+  }
+}
+
+// A grown bottom merge frees each old chunk once its rows are rewritten
+// and writes into the freed buffers: at every pause of a merge over a
+// bottom of at least 4 chunks, memory_bytes() stays within 2 chunks of
+// its value before the merge started (which counts the level above's
+// spare, dropped when the merge starts), instead of holding a second
+// bottom until the end. A restored copy's bottom is chunks too, so the
+// first merge after a restore keeps the same bound.
+TEST(HierGrowth, ChunkedMergeHoldsAtMostTwoChunksMore) {
+  HHGBX_PROP_SEED(seed, 41003);
+  std::mt19937_64 rng(seed);
+  auto h = grown_matrix();
+  auto batch = [&] {
+    return proptest::random_batch<double>(rng, kGrownDim, 4096);
+  };
+  auto pause = [] { return true; };
+  while (h.num_levels() < 4 || h.bottom_chunks().slices().size() < 4) {
+    ASSERT_LT(h.stats().updates, 600u) << "the bottom never spanned 4 chunks";
+    h.update(batch());
+  }
+  auto merges_hold = [&](HierMatrix<double>& m, int merges) {
+    for (int merge = 0; merge < merges; ++merge) {
+      SCOPED_TRACE("merge " + std::to_string(merge));
+      std::size_t start = 0;
+      for (int k = 0; !m.merging(); ++k) {
+        ASSERT_LT(k, 100) << "no grown bottom merge was paused";
+        start = m.memory_bytes();
+        m.stage(batch());
+        m.cascade(pause);
+      }
+      std::size_t pauses = 0;
+      for (; m.merging(); ++pauses) {
+        ASSERT_LE(m.memory_bytes(), start + 2 * kChunkBytes)
+            << "pause " << pauses << " of a merge over "
+            << m.level_entries(3) << " bottom entries";
+        m.cascade(pause);
+      }
+      EXPECT_GE(pauses, 8u);
+      EXPECT_GE(m.bottom_chunks().slices().size(), 4u);
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(merges_hold(h, 3));
+  std::stringstream ckpt;
+  hier::checkpoint(ckpt, h);
+  auto restored = hier::restore<double>(ckpt);
+  EXPECT_GE(restored.bottom_chunks().slices().size(), 4u)
+      << "the restored bottom is not chunks";
+  SCOPED_TRACE("restored");
+  ASSERT_NO_FATAL_FAILURE(merges_hold(restored, 1));
 }
 
 }  // namespace

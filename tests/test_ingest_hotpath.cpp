@@ -44,12 +44,15 @@
 // ---------------------------------------------------------------------
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 std::atomic<bool> g_count_allocs{false};
 }  // namespace
 
 void* operator new(std::size_t sz) {
-  if (g_count_allocs.load(std::memory_order_relaxed))
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(sz, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(sz ? sz : 1)) return p;
   throw std::bad_alloc();
 }
@@ -719,61 +722,73 @@ TEST(ZeroAlloc, GrowingBottomLevelAllocatesAmortized) {
       << " entries";
 }
 
-TEST(ZeroAlloc, GrownBottomTakesOneBlockPerMerge) {
+TEST(ZeroAlloc, GrownBottomMergeRecyclesItsChunks) {
 #if defined(__SANITIZE_THREAD__) || GBX_HAS_FEATURE_TSAN
   GTEST_SKIP() << "in-place block reuse disabled under TSan";
 #endif
   ThreadsGuard threads(1);
 
-  // Fresh coordinates: the bottom passes 8 x 8192 and a level with cut
-  // 65536 goes in above it; from then on every fold into the bottom is
-  // a grown bottom merge into a fresh block.
+  // Fresh coordinates: the bottom passes 16 x 8192 and a level with cut
+  // 131072 goes in above it; from then on every fold into the bottom is
+  // a grown bottom merge, which fills chunks of kChunkEntries entries and
+  // writes each into the buffers of an old chunk it released.
+  using H = hier::HierMatrix<double>;
   const Index dim = Index{1} << 40;
-  hier::HierMatrix<double> m(dim, dim, hier::CutPolicy::geometric(3, 1024, 8));
+  H m(dim, dim, hier::CutPolicy({512, 8192}));
   std::mt19937_64 rng(2802);
   std::vector<gbx::Tuples<double>> batches;
-  batches.reserve(900);
-  for (int b = 0; b < 900; ++b)
-    batches.push_back(proptest::random_batch<double>(rng, dim, 512));
+  batches.reserve(400);
+  for (int b = 0; b < 400; ++b)
+    batches.push_back(proptest::random_batch<double>(rng, dim, 4096));
 
   std::size_t next = 0;
   auto merges = [&] {
     return m.num_levels() < 4 ? 0 : m.stats().level[2].folds;
   };
-  while (merges() < 1) m.update(batches[next++]);  // warm: one merge
+  // Warm: the bottom spans two chunks.
+  while (m.num_levels() < 4 || m.level_entries(3) < 2 * H::kChunkEntries)
+    m.update(batches[next++]);
   ASSERT_EQ(m.num_levels(), 4u);
 
-  constexpr int kWindows = 4;
+  // The most a chunk can take: kChunkEntries entries, each a row.
+  const std::size_t chunk_bytes =
+      H::kChunkEntries * (2 * sizeof(Index) + sizeof(gbx::Offset) + sizeof(double));
   std::vector<std::uint64_t> allocs;
-  std::vector<std::size_t> bottoms;
-  allocs.reserve(kWindows);
-  bottoms.reserve(kWindows);
-  for (int window = 0; window < kWindows; ++window) {
+  const std::size_t first = m.level_entries(3);
+  while (m.level_entries(3) < 2 * first) {
+    ASSERT_LT(next + 40, batches.size()) << "the bottom never doubled";
     const auto before = merges();
+    std::size_t upper_bytes = 0, merge_bytes = 0;
     g_alloc_count.store(0, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
-    while (merges() == before) m.update(batches[next++]);
+    while (merges() == before) {
+      upper_bytes = m.level(2).memory_bytes();
+      g_alloc_bytes.store(0, std::memory_order_relaxed);
+      m.update(batches[next++]);
+      merge_bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+    }
     g_count_allocs.store(false, std::memory_order_relaxed);
     allocs.push_back(g_alloc_count.load(std::memory_order_relaxed));
+    // The update that ran the merge allocates at most the level above's
+    // regrowth and the chunks the bottom gains: every other new chunk
+    // lands in a recycled buffer.
+    EXPECT_LE(merge_bytes, upper_bytes + 2 * chunk_bytes)
+        << "merge " << allocs.size() << " over " << m.level_entries(3)
+        << " bottom entries";
 
-    // The bottom holds one block, filled to capacity: no spare beside
-    // it and no regrowth headroom (the merge sizes its output to |A| +
-    // |B|, which fresh coordinates fill exactly).
-    const auto& bottom = m.level(m.num_levels() - 1);
-    const auto& b = bottom.storage();
-    bottoms.push_back(b.nnz());
-    EXPECT_EQ(bottom.memory_bytes(), b.memory_bytes() + Block().memory_bytes());
-    EXPECT_EQ(b.memory_bytes(),
-              (b.rows().size() + b.cols().size()) * sizeof(Index) +
-                  b.ptr().size() * sizeof(gbx::Offset) +
-                  b.vals().size() * sizeof(double));
+    // No spare beside the chunks, and every chunk is a chunk's buffer
+    // (no regrowth headroom), all but the last nearly full.
+    const auto& chunks = m.bottom_chunks().slices();
+    std::size_t held = Block().memory_bytes() * 2;  // the empty bottom holder
+    for (std::size_t i = 0; i + 1 < m.num_levels(); ++i)
+      held += m.level(i).memory_bytes();
+    EXPECT_EQ(m.memory_bytes(), held + m.bottom_chunks().memory_bytes());
+    for (const auto& c : chunks) EXPECT_EQ(c.block().capacity(), H::kChunkEntries);
+    EXPECT_GE(m.level_entries(3), (chunks.size() - 1) * H::kChunkEntries * 9 / 10);
   }
+  ASSERT_GE(allocs.size(), 3u);
   ASSERT_EQ(m.num_levels(), 4u);
-  ASSERT_GE(bottoms.back(), 2 * bottoms.front())
-      << "the bottom must double over the windows";
-  // Each merge cycle allocates the same: the merge's one output block
-  // (four arrays, its holder and the level wrapping it) and the level
-  // above regrowing from its dropped spare, whatever the bottom's size.
+  // The allocations per merge cycle do not grow with the bottom.
   for (const auto a : allocs) {
     EXPECT_EQ(a, allocs.front()) << "allocations grew with the bottom";
     EXPECT_LE(a, 64u);

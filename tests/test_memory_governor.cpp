@@ -117,8 +117,8 @@ TEST(MemoryGovernor, SetCollapseIsBitExactForOverlappingParts) {
   a.set_element(0, 0, 1e16);
   b.set_element(0, 0, 1.0);
   c.set_element(0, 0, -1e16);
-  std::vector<gbx::MatrixView<double>> lv0{a.view(), b.view()};
-  std::vector<gbx::MatrixView<double>> lv1{c.view()};
+  std::vector<hier::Level<double>> lv0{a.view(), b.view()};
+  std::vector<hier::Level<double>> lv1{c.view()};
   hier::HierSnapshot<double> p0(dim, dim, std::move(lv0), {}, {}, 1);
   hier::HierSnapshot<double> p1(dim, dim, std::move(lv1), {}, {}, 1);
   hier::SnapshotSet<double> set({p0, p1});

@@ -430,10 +430,10 @@ TEST(ParallelStream, FreezeDoesNotWaitForTheGrownBottomMerge) {
   const auto slices_at_freeze = gbx::failpoints().ops("hier.stream.merge");
   const auto& part = snap.part(0);
   ASSERT_EQ(part.num_levels(), merged_levels);
-  EXPECT_EQ(part.level(3).nvals(), old_bottom)
+  EXPECT_EQ(part.level_slices(3).nvals(), old_bottom)
       << "the freeze waited for the install";
   // The merge writes the bottom `after` holds and asks yield() between
-  // slices, so one ask fewer than its slices.
+  // slices, so at least one ask fewer than its slices.
   const std::size_t slice = hier::HierMatrix<double>::kMergeSlice;
   const std::size_t asks = (after.level_entries(3) + slice - 1) / slice - 1;
   EXPECT_LT(slices_at_freeze, asks)
@@ -443,13 +443,72 @@ TEST(ParallelStream, FreezeDoesNotWaitForTheGrownBottomMerge) {
 
   engine.drain();
   EXPECT_FALSE(m.merging());
-  EXPECT_TRUE(m.level(3).storage() == after.level(3).storage())
+  EXPECT_TRUE(*m.bottom_chunks().joined() == *after.bottom_chunks().joined())
       << "drain() returned before the merge was installed";
   EXPECT_TRUE(ref.matches(m.freeze()));
   const auto report = engine.stop();
   EXPECT_EQ(report.lane[0].batches, 2u);
   EXPECT_EQ(report.lane[0].entries, 2 * 4096u);
   gbx::failpoints().clear();
+}
+
+// Reader threads freeze and read while one lane runs grown bottom
+// merges over a chunked bottom. Every batch is fresh coordinates, so the
+// image at epoch e holds exactly the first e batches: every read checks
+// nvals, reduce and point probes (the last batch in, the next one out)
+// against that prefix. In a plain build the merges recycle every chunk
+// no reader pins; under TSan (gbx::sole_owner) they never recycle.
+TEST(ParallelStream, ReadersFreezeWhileChunkedMergesRecycleChunks) {
+  const Index dim = Index{1} << 40;
+  InstanceArray<double> array(1, dim, dim, CutPolicy({512, 8192}));
+  std::mt19937_64 rng(4102);
+  constexpr std::size_t kBatches = 240, kSize = 4096;
+  std::vector<Tuples<double>> batches;
+  std::vector<double> sums{0};
+  batches.reserve(kBatches);
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    batches.push_back(proptest::random_batch<double>(rng, dim, kSize));
+    double sum = sums.back();
+    for (const auto& e : batches.back()) sum += e.val;
+    sums.push_back(sum);
+  }
+
+  ParallelStream<double> engine(array);
+  engine.start();
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> reads{0}, bad{0};
+  auto reader = [&] {
+    while (!done.load()) {
+      const auto snap = engine.freeze();
+      const auto e = static_cast<std::size_t>(snap.part(0).epoch());
+      bool ok = snap.nvals() == e * kSize && snap.reduce() == sums[e];
+      if (e > 0) {
+        const auto& in = batches[e - 1].entries().back();
+        ok = ok && snap.extract_element(in.row, in.col) == in.val;
+      }
+      if (e < kBatches) {
+        const auto& out = batches[e].entries().front();
+        ok = ok && !snap.extract_element(out.row, out.col);
+      }
+      bad += ok ? 0 : 1;
+      ++reads;
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) readers.emplace_back(reader);
+  for (const auto& b : batches) engine.submit(0, b);
+  engine.drain();
+  done = true;
+  for (auto& t : readers) t.join();
+  engine.stop();
+
+  EXPECT_EQ(bad.load(), 0u) << "of " << reads.load() << " reads";
+  EXPECT_GT(reads.load(), 3u);
+  const auto& m = array.instance(0);
+  ASSERT_EQ(m.num_levels(), 4u);
+  EXPECT_GE(m.bottom_chunks().slices().size(), 3u) << "the bottom never chunked";
+  EXPECT_GE(m.stats().level[2].folds, 4u) << "too few grown bottom merges";
+  EXPECT_EQ(m.nvals(), kBatches * kSize);
 }
 
 // Producers racing stop() get a defined kStopped instead of blocking on

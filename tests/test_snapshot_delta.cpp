@@ -108,7 +108,7 @@ TEST(Delta, KernelExtractsAddedRemovedChanged) {
   b.set_element(1, 5, 14);   // added (existing row)
   // (4, 2) removed (row vanishes entirely)
 
-  auto d = gbx::delta(a.view(), b.view());
+  auto d = gbx::delta(a.storage(), b.storage());
   ASSERT_EQ(d.added.size(), 2u);
   ASSERT_EQ(d.removed.size(), 1u);
   ASSERT_EQ(d.changed.size(), 1u);
@@ -122,12 +122,17 @@ TEST(Delta, KernelExtractsAddedRemovedChanged) {
 TEST(Delta, IdenticalBlockFastPathSkipsEverything) {
   gbx::Matrix<double> m(64, 64);
   for (int k = 0; k < 20; ++k) m.set_element(k, 2 * k % 64, 1.0 + k);
-  auto v1 = m.view();
-  auto v2 = m.view();  // same block, refcount bumped
-  EXPECT_TRUE(gbx::same_block(v1, v2));
-  auto d = gbx::delta(v1, v2);
+  // Two levels over the same block (refcount bumped) share every slice,
+  // so a diff has nothing left to scan.
+  const hier::Level<double> l1(m.view()), l2(m.view());
+  EXPECT_TRUE(hier::Level<double>::unshared(l1, l2).slices().empty());
+  EXPECT_TRUE(hier::Level<double>::unshared(l2, l1).slices().empty());
+  HierMatrix<double> h(64, 64, CutPolicy({4, 16}));
+  h.update(m.extract_tuples());
+  const auto d = hier::snapshot_diff(h.freeze(), h.freeze());
   EXPECT_TRUE(d.empty());
-  EXPECT_EQ(d.entries_scanned, 0u) << "fast path must not scan entries";
+  EXPECT_EQ(d.stats.entries_scanned, 0u) << "fast path must not scan entries";
+  EXPECT_EQ(d.stats.levels_reused, d.stats.levels_total);
 }
 
 TEST(Delta, SnapshotDiffReusesUnchangedLevels) {
