@@ -168,6 +168,10 @@ RETIRED = [(re.compile(p), why) for p, why in (
     (r"\b(SnapshotWatermark|frozen_mark)\b",
      "a part's prefix is its own epoch() and stats().entries_appended; "
      "no watermark is stored beside it"),
+    (r"\bgrown\(\)|\b(base_levels_?|restore_base_levels|GrownMerge|"
+     r"kMergeSlice|next_piece)\b",
+     "every bottom is a chunk list merged in waves (HierMatrix::run_merge); "
+     "there is no starting-depth bottom, spare or serial merge to tell apart"),
 )]
 
 # One output sizing (check 10): the kernels' files, a direct call on a

@@ -133,8 +133,11 @@ class Dcsr {
     grow(vals_, vals_.size() + nnz);
   }
 
-  /// Room for `nnz` entries (the row arrays grow as they fill).
-  void reserve_entries(std::size_t nnz) {
+  /// Room for `nrows` non-empty rows and `nnz` entries, the contents
+  /// kept (an array that is short is regrown to exactly that).
+  void reserve(std::size_t nrows, std::size_t nnz) {
+    rows_.reserve(nrows);
+    ptr_.reserve(nrows + 1);
     cols_.reserve(nnz);
     vals_.reserve(nnz);
   }

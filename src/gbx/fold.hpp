@@ -234,7 +234,7 @@ void build_from_run(const Run& run, Dcsr<T>& out) {
 /// of A with those at [kb, kb_end) of B after what `out` already holds
 /// (Dcsr::extend), and stops at a row boundary when the next row could
 /// take `out` past `cap` entries (full(); an empty `out` takes any first
-/// row): a HierMatrix fills a grown bottom's chunks this way, in slices.
+/// row): a HierMatrix fills its bottom's chunks this way.
 /// merge_blocks_into is the whole form run to completion.
 template <class Op, class T>
 class BlockMerge {
@@ -259,14 +259,15 @@ class BlockMerge {
                  (kb < kb_end ? B.ptr()[kb + 1] - B.ptr()[kb] : 0));
     n = std::min(n, all);
     // Room for the rows of each input that start within its next n
-    // entries: no more can reach the output.
+    // entries, and for no more than n rows (every row written holds an
+    // entry): no more can reach the output.
     auto rows = [n](const Dcsr<T>& X, std::size_t k, std::size_t end) {
       const auto p = X.ptr();
       return static_cast<std::size_t>(
           std::upper_bound(p.begin() + k, p.begin() + end, p[k] + n) -
           (p.begin() + k));
     };
-    out.extend(rows(A, ka, ka_end) + rows(B, kb, kb_end), n);
+    out.extend(std::min(n, rows(A, ka, ka_end) + rows(B, kb, kb_end)), n);
   }
 
   /// The range form stopped at `cap`; rows from ka() / kb() on are left.

@@ -51,7 +51,7 @@ namespace gbx {
 #endif
 
 /// True when `p` holds the only reference to its block, so the block may
-/// be mutated in place or recycled (Matrix's copy-on-fold, a grown bottom
+/// be mutated in place or recycled (Matrix's copy-on-fold, a bottom
 /// merge's chunks). New references are only ever created on the owning
 /// thread, so an observed count of 1 is stable — but the last external
 /// release may have happened on a reader thread, whose final loads must

@@ -81,8 +81,8 @@ struct RowRange {
 /// out-of-core tier packs a level into block-sized segments with one
 /// range each, and a reader that plus_assigns the segments back together
 /// reconstructs the level bit-exactly (row ranges are disjoint, so no
-/// fold reassociation); a checkpoint writes a grown bottom's chunks as
-/// one matrix.
+/// fold reassociation); a checkpoint writes a bottom's chunks as one
+/// matrix.
 template <class T>
 void serialize_ranges(std::ostream& os, Index nrows, Index ncols,
                       std::span<const RowRange<T>> ranges) {

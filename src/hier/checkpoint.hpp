@@ -11,16 +11,17 @@
 //   * one header frame of u64 words — nrows, ncols, the updates /
 //     entries_appended / queries counters, the cut count c, the c cuts,
 //     then (folds, entries_folded, max_entries) for each of the c + 1
-//     levels, then the starting depth;
+//     levels;
 //   * c + 1 level frames, shallowest first, each one gbx::serialize
-//     matrix: a grown bottom's chunks written as one from the chunks in
+//     matrix: the bottom's chunks written as one from the chunks in
 //     place, and a demoted bottom level with its on-disk tier folded back
 //     in (the file needs no store).
-// The depth follows from the header's cut count; a header without the
-// starting-depth word restores at its full depth. restore() decodes each
-// frame into one block (a grown bottom's is then cut into chunks) and
-// reads the whole stream as one checkpoint: a missing, extra, torn,
-// corrupt or foreign-epoch frame throws.
+// The depth follows from the header's cut count. Older checkpoints end
+// the header with one more word, the starting depth; restore() accepts
+// and ignores it (every bottom is chunks). restore() decodes each frame
+// into one block (the bottom's is then copied into chunks) and reads the
+// whole stream as one checkpoint: a missing, extra, torn, corrupt or
+// foreign-epoch frame throws.
 //
 // Crash recovery: BatchWal logs every update batch to a store::RecordLog
 // stream stamped with the epoch it produced (HierMatrix::epoch counts
@@ -71,7 +72,6 @@ void write_checkpoint(std::ostream& os, const HierSnapshot<T, M>& snap,
   words.insert(words.end(), cuts.begin(), cuts.end());
   for (const auto& ls : st.level)
     words.insert(words.end(), {ls.folds, ls.entries_folded, ls.max_entries});
-  words.push_back(snap.base_levels());
 
   store::RecordLogWriter out(os);
   out.append(snap.epoch(), words.data(), words.size() * sizeof words[0]);
@@ -124,8 +124,8 @@ HierMatrix<T, M> restore(std::istream& is) {
   const auto head = in.next();
   GBX_CHECK(head.has_value(), "restore: empty stream (no header frame)");
   std::vector<std::uint64_t> w;
-  // Word 5 is the cut count c; the header holds 9 + 4c words, and then
-  // the starting depth.
+  // Word 5 is the cut count c; the header holds 9 + 4c words (and then
+  // the retired starting-depth word, in older checkpoints).
   GBX_CHECK(store::payload_as(head->payload, w) && w.size() > 5 &&
                 w[5] < w.size() &&
                 (w.size() == 9 + 4 * w[5] || w.size() == 10 + 4 * w[5]),
@@ -138,7 +138,6 @@ HierMatrix<T, M> restore(std::istream& is) {
   HierStats st{w[2], w[3], w[4], {}};
   for (auto p = cuts + w[5]; p + 3 <= w.end(); p += 3)
     st.level.push_back({p[0], p[1], p[2]});
-  if (w.size() == 10 + 4 * w[5]) h.restore_base_levels(w.back());
 
   for (std::size_t i = 0; i < h.num_levels(); ++i) {
     auto m = [&] {  // the frame's bytes are freed before the level lands

@@ -32,7 +32,7 @@
 // once it is in the matrix's value, so a flush barrier (lane_done) is
 // released while its cascade still runs, and the cascade overlaps the
 // next batch's trip to the lane. drain() waits for the cascades too,
-// a grown bottom merge's install included.
+// a bottom merge's last wave included.
 //
 // freeze() captures an epoch-consistent image WITHOUT stopping the
 // workers: each lane is asked to freeze its matrix at its next batch
@@ -41,13 +41,13 @@
 // batches submitted to that lane, and the part's own epoch() is the
 // prefix length. A lane serves a freeze between a stage and its cascade,
 // or when idle; a ticket posted during a cascade waits for the next
-// queued batch's stage, so the image includes that batch. A grown bottom merge
+// queued batch's stage, so the image includes that batch. A bottom merge
 // (HierMatrix::cascade(yield)) does not make it wait for the whole
-// merge: the merge pauses at its next slice, the lane stages the batch
+// merge: the merge pauses after its wave, the lane stages the batch
 // at the head of its queue, marks it done, serves the freeze and
 // resumes; every batch staged meanwhile settles with that cascade. A
 // reader thus waits at most for one lane's folds above the bottom or one
-// slice of its bottom merge, plus one stage; ingest never drains, never
+// wave of its bottom merge, plus one stage; ingest never drains, never
 // pauses globally.
 #pragma once
 
@@ -452,9 +452,9 @@ class ParallelStream {
     }
   }
 
-  /// The yield() a lane's cascade passes: pause a grown bottom merge
-  /// when a freeze ticket is pending. Test hook `hier.stream.merge`:
-  /// delay each slice by `delay_ms`, as a larger merge would.
+  /// The yield() a lane's cascade passes: pause a bottom merge when a
+  /// freeze ticket is pending. Test hook `hier.stream.merge`: delay each
+  /// wave by `delay_ms`, as a larger merge would.
   static bool freeze_pending(Lane& lane) {
     if (gbx::failpoints().armed())
       if (auto fp = gbx::failpoints().hit("hier.stream.merge"))
@@ -543,7 +543,7 @@ class ParallelStream {
       if (!apply(lane, matrix, batch, busy)) continue;
       // 3. Freezes asked for before the stage now include the batch.
       serve_freeze(lane, matrix);
-      // 4. Cascade. A grown bottom merge pauses when a freeze is asked
+      // 4. Cascade. A bottom merge pauses when a freeze is asked
       // for: the lane stages the next queued batch, so the image
       // includes it, serves the freeze and resumes. Every batch staged
       // meanwhile settles with this cascade. A throw here (allocation

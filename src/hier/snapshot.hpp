@@ -11,10 +11,12 @@
 // the same immutable-version discipline as an MVCC storage engine.
 //
 // A level is a hier::Level: row-disjoint slices of shared blocks (a
-// block and a range of positions in its row index), in row order. Most
-// levels are one whole block; a grown bottom is a list of chunks, and
-// the level above a paused grown bottom merge is its rows from the
-// merge's cursor on. Every read of a level goes through Level.
+// block and a range of positions in its row index), in row order. The
+// levels above the bottom are one whole block each; the bottom is a list
+// of chunks (slices of at most HierMatrix::kChunkEntries entries, one
+// block each or several slices of one block), and the level above a
+// paused bottom merge is its rows from the merge's cursor on. Every read
+// of a level goes through Level.
 //
 // Every source spells the acquisition freeze() and returns a SnapshotSet:
 //   * HierMatrix::freeze()     — a one-part set, caller's thread.
@@ -331,28 +333,37 @@ class Level {
     gbx::detail::serialize_ranges<T>(os, nrows, ncols, rs);
   }
 
-  /// v's rows copied into blocks of at most `cap` entries (a longer row
-  /// takes a block of its own), each with room for `cap` entries: a
-  /// grown bottom's chunks.
-  static Level chunked(const gbx::MatrixView<T>& v, std::size_t cap) {
+  /// v's rows as slices of its block of at most `cap` entries each (a
+  /// longer row is a slice of its own); nothing is copied.
+  static Level split(const gbx::MatrixView<T>& v, std::size_t cap) {
     Level out;
-    const auto& b = v.storage();
-    const auto ptr = b.ptr();
-    for (std::size_t k0 = 0; k0 < b.nrows_nonempty();) {
+    const auto ptr = v.storage().ptr();
+    const std::size_t rows = v.storage().nrows_nonempty();
+    for (std::size_t k0 = 0; k0 < rows;) {
       // The most rows from k0 on that hold at most cap entries (one or more).
       const auto end = std::upper_bound(
           ptr.begin() + static_cast<std::ptrdiff_t>(k0), ptr.end(),
           ptr[k0] + cap);
       const auto k1 = std::max<std::size_t>(
           k0 + 1, static_cast<std::size_t>(end - ptr.begin()) - 1);
-      auto c = std::make_shared<gbx::Dcsr<T>>();
-      c->reserve_entries(cap);
-      gbx::BlockMerge<typename AddMonoid::op_type, T>(b, k0, k1, none(), 0, 0,
-                                                      *c, kAll)
-          .step(kAll);
-      out.slices_.push_back(
-          {gbx::MatrixView<T>(v.nrows(), v.ncols(), std::move(c)), 0, k1 - k0});
+      out.slices_.push_back({v, k0, k1});
       k0 = k1;
+    }
+    return out;
+  }
+
+  /// split(v, cap) with each slice copied into a block of its own with
+  /// room for `cap` entries: a restored bottom's chunks.
+  static Level chunked(const gbx::MatrixView<T>& v, std::size_t cap) {
+    Level out = split(v, cap);
+    for (auto& s : out.slices_) {
+      auto c = std::make_shared<gbx::Dcsr<T>>();
+      c->reserve(s.k1 - s.k0, cap);
+      gbx::BlockMerge<typename AddMonoid::op_type, T>(s.block(), s.k0, s.k1,
+                                                      none(), 0, 0, *c, kAll)
+          .step(kAll);
+      const std::size_t rows = c->nrows_nonempty();
+      s = {gbx::MatrixView<T>(v.nrows(), v.ncols(), std::move(c)), 0, rows};
     }
     return out;
   }
@@ -363,33 +374,25 @@ class Level {
       acc.plus_assign(gbx::MatrixView<T>(acc.nrows(), acc.ncols(), joined()));
   }
 
-  /// A grown bottom merge installs the new chunk `b` in place of the
-  /// slices [from, to) and of slice `to`'s rows before position k.
-  /// release(block_ptr) takes the block of each slice that leaves the
-  /// level, the level's reference already dropped.
+  /// Replace the slices [from, to) with `with` (moved from). release(
+  /// block_ptr) takes the block of each slice that leaves, the level's
+  /// reference already dropped (`with` may still hold it).
   template <class Release>
-  void install(std::size_t from, std::size_t to, std::size_t k,
-               gbx::MatrixView<T> b, Release&& release) {
-    if (to < slices_.size() && (slices_[to].k0 = k) == slices_[to].k1) ++to;
+  void replace(std::size_t from, std::size_t to,
+               std::vector<BlockSlice<T>>& with, Release&& release) {
     for (std::size_t i = from; i < to; ++i) {
       block_ptr gone = std::exchange(slices_[i], {}).view.shared_storage();
       release(std::move(gone));  // the slice's reference is gone by now
     }
     const auto first = slices_.begin() + static_cast<std::ptrdiff_t>(from);
-    const std::size_t rows = b.storage().nrows_nonempty();
     slices_.insert(
         slices_.erase(first, first + static_cast<std::ptrdiff_t>(to - from)),
-        BlockSlice<T>{std::move(b), 0, rows});
+        std::make_move_iterator(with.begin()),
+        std::make_move_iterator(with.end()));
   }
 
-  /// Move the slices to a new list with room for `n`: installs up to
-  /// that many never reallocate it.
-  void reserve(std::size_t n) {
-    std::vector<BlockSlice<T>> s;
-    s.reserve(std::max(n, slices_.size()));
-    std::move(slices_.begin(), slices_.end(), std::back_inserter(s));
-    slices_ = std::move(s);
-  }
+  /// Room for `n` slices: replace() never reallocates the list below it.
+  void reserve(std::size_t n) { slices_.reserve(n); }
 
   /// The slices of `a` that `b` does not hold (snapshot_diff compares
   /// only these).
@@ -401,9 +404,13 @@ class Level {
     return out;
   }
 
+  /// Heap bytes of the level's blocks, a block that several slices in a
+  /// row share counted once.
   std::size_t memory_bytes() const {
     std::size_t n = 0;
-    for (const auto& s : slices_) n += s.view.memory_bytes();
+    for (std::size_t i = 0; i < slices_.size(); ++i)
+      if (i == 0 || &slices_[i].block() != &slices_[i - 1].block())
+        n += slices_[i].view.memory_bytes();
     return n;
   }
 
@@ -424,9 +431,9 @@ class Level {
 
 /// A consistent frozen image of one hierarchical matrix: one immutable
 /// hier::Level per level (a list of row-disjoint block slices: one whole
-/// block, a grown bottom's chunks, or the rows a paused merge has not
-/// reached) plus the cut schedule, statistics, starting depth and epoch
-/// at the freeze point — one part of a SnapshotSet, which owns the reads of
+/// block, the bottom's chunks, or the rows a paused merge has not
+/// reached) plus the cut schedule, statistics and epoch at the freeze
+/// point — one part of a SnapshotSet, which owns the reads of
 /// Σ Ai. All of it is safe to read concurrently with further streaming
 /// into the source matrix.
 template <class T, class AddMonoid = gbx::PlusMonoid<T>>
@@ -442,38 +449,29 @@ class HierSnapshot {
   /// `tier` (default: none) is the frozen image of the source's demoted
   /// runs; all read paths fold it between the upper levels and the
   /// resident bottom — see the canonical-order note on fold_element_into.
-  /// `base_levels` is the source's starting depth (0: the image's own
-  /// depth, cuts + 1).
   HierSnapshot(gbx::Index nrows, gbx::Index ncols,
                std::vector<level_type> levels, std::vector<std::size_t> cuts,
                HierStats stats, std::uint64_t epoch,
-               TierView<T, AddMonoid> tier = {}, std::size_t base_levels = 0)
+               TierView<T, AddMonoid> tier = {})
       : nrows_(nrows),
         ncols_(ncols),
         levels_(std::move(levels)),
         cuts_(std::move(cuts)),
         stats_(std::move(stats)),
         epoch_(epoch),
-        tier_(std::move(tier)),
-        base_levels_(base_levels) {}
+        tier_(std::move(tier)) {}
 
   gbx::Index nrows() const { return nrows_; }
   gbx::Index ncols() const { return ncols_; }
   std::size_t num_levels() const { return levels_.size(); }
 
-  /// Level i as one block; throws unless it is one whole block (a grown
-  /// bottom's chunks, or the level above a paused merge).
+  /// Level i as one block; throws unless it is one whole block (a bottom
+  /// of several chunks, or the level above a paused merge).
   const gbx::MatrixView<T>& level(std::size_t i) const {
     return levels_[i].block();
   }
   /// Level i as the list of slices it is.
   const level_type& level_slices(std::size_t i) const { return levels_[i]; }
-
-  /// The source's starting depth: a checkpoint restores a matrix that
-  /// folds into its bottom the way the source did.
-  std::size_t base_levels() const {
-    return base_levels_ != 0 ? base_levels_ : cuts_.size() + 1;
-  }
 
   /// Number of update() calls the frozen image contains — the snapshot's
   /// position in the source's update sequence.
@@ -573,7 +571,6 @@ class HierSnapshot {
   HierStats stats_;
   std::uint64_t epoch_ = 0;
   TierView<T, AddMonoid> tier_;
-  std::size_t base_levels_ = 0;
 };
 
 /// The read surface of A = Σ Ai over one or more independent
@@ -693,8 +690,7 @@ class SnapshotSet {
       if (p == 0) lv.emplace_back(m.view());
       parts.push_back(part_type(parts_[p].nrows(), parts_[p].ncols(),
                                 std::move(lv), parts_[p].cuts(),
-                                parts_[p].stats(), parts_[p].epoch(), {},
-                                parts_[p].base_levels()));
+                                parts_[p].stats(), parts_[p].epoch()));
     }
     return SnapshotSet(std::move(parts));
   }

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iterator>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -25,6 +26,7 @@
 #include "hier/hier.hpp"
 #include "legacy_frame.hpp"
 #include "net/protocol.hpp"
+#include "prop_util.hpp"
 #include "store/block_store.hpp"
 #include "store/wal.hpp"
 
@@ -72,7 +74,7 @@ TEST(CheckpointWal, SaveRestoreIdenticalSum) {
   EXPECT_TRUE(gbx::equal(restored.snapshot(), h.snapshot()));
   ASSERT_EQ(restored.num_levels(), h.num_levels());
   for (std::size_t i = 0; i < h.num_levels(); ++i)
-    EXPECT_EQ(restored.level(i).nvals_bound(), h.level(i).nvals_bound());
+    EXPECT_EQ(restored.level_entries(i), h.level_entries(i));
   EXPECT_EQ(restored.stats().entries_appended, h.stats().entries_appended);
   EXPECT_EQ(restored.cut_policy().cuts(), h.cut_policy().cuts());
 }
@@ -289,11 +291,11 @@ TEST(CheckpointWal, MultiPartImageIsRefused) {
 }
 
 // A restored grown matrix folds into its bottom the way the original
-// does: the header carries the starting depth, so both run grown bottom
-// merges (sliced, pausing at yield()) over identical batches and end at
-// the same memory, instead of the restored copy taking the starting-depth
-// recycling fold with a spare beside its bottom.
+// does: its bottom is chunks too, so both run bottom merges (in waves,
+// pausing at yield()) over identical batches and end at the same memory,
+// with no spare beside the bottom.
 TEST(CheckpointWal, RestoreKeepsTheGrownPath) {
+  proptest::ThreadsGuard threads(1);  // a wave per piece: many pauses
   const gbx::Index dim = gbx::Index{1} << 40;
   std::mt19937_64 rng(4401);
   auto batch = [&] {
@@ -320,9 +322,149 @@ TEST(CheckpointWal, RestoreKeepsTheGrownPath) {
   }
   EXPECT_EQ(restored.stats().level[2].folds, h.stats().level[2].folds);
   EXPECT_GT(asks[0], 0u);
-  EXPECT_EQ(asks[1], asks[0]) << "the restored copy's merges did not slice";
+  EXPECT_EQ(asks[1], asks[0]) << "the restored copy's merges did not pause";
   EXPECT_EQ(restored.memory_bytes(), h.memory_bytes());
   EXPECT_TRUE(gbx::equal(restored.snapshot(), h.snapshot()));
+}
+
+// The stream of the compatibility checks below: 512-entry batches over
+// 4096 x 65536 coordinates with values in tenths (sums that round), into
+// cuts {64, 1024, 8192}, whose bottom grows the matrix past 65536.
+HierMatrix<double> compat_stream(int batches) {
+  HierMatrix<double> h(gbx::Index{1} << 20, gbx::Index{1} << 20,
+                       CutPolicy({64, 1024, 8192}));
+  std::mt19937_64 rng(4601);
+  for (int b = 0; b < batches; ++b) {
+    Tuples<double> t;
+    for (int k = 0; k < 512; ++k)
+      t.push_back(rng() % 4096, rng() % 65536,
+                  static_cast<double>(rng() % 1000) * 0.1);
+    h.update(t);
+  }
+  return h;
+}
+
+std::uint64_t fnv1a(std::span<const std::byte> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::byte b : bytes)
+    h = (h ^ std::to_integer<std::uint64_t>(b)) * 0x100000001b3ull;
+  return h;
+}
+
+// What the build before every bottom was chunks wrote for compat_stream:
+// its header words (the last one the retired starting depth) and each
+// level frame's size and FNV-1a digest. After 60 batches the matrix is
+// at its starting depth, its bottom one block; after 400 it has grown a
+// level and its bottom was chunks.
+struct ParentCheckpoint {
+  int batches;
+  std::vector<std::uint64_t> header;
+  std::vector<std::pair<std::size_t, std::uint64_t>> levels;
+};
+const ParentCheckpoint kParentCheckpoints[] = {
+    {60,
+     {1048576, 1048576, 60, 30720, 0, 3, 64, 1024, 8192, 60, 30720, 512, 20,
+      30720, 1536, 3, 27648, 9216, 0, 0, 0, 4},
+     {{76, 0x520c7cf11769db1eull},
+      {76, 0x520c7cf11769db1eull},
+      {83804, 0x63d2ec25fa4713afull},
+      {507932, 0x09ac47ec56ef2f63ull}}},
+    {400,
+     {1048576, 1048576, 400, 204800, 0, 4, 64, 1024, 8192, 65536, 400, 204800,
+      512, 133, 204288, 1536, 22, 202752, 9216, 1, 73718, 73718, 0, 0, 0, 4},
+     {{76, 0x520c7cf11769db1eull},
+      {15980, 0x5315fa7361927e6aull},
+      {45452, 0xe16a9592e8f09987ull},
+      {950252, 0xa8b313801f28da70ull},
+      {2424316, 0x05460c3a726bfdfeull}}},
+};
+
+// For the same stream a checkpoint's level frames are byte for byte the
+// older build's, and its header is the older one without the retired
+// starting-depth word. The older file (that header, these frames)
+// restores into chunks with the same sum, depth and level sizes.
+TEST(CheckpointWal, OlderCheckpointsRestoreIntoChunks) {
+  for (const auto& want : kParentCheckpoints) {
+    SCOPED_TRACE(want.batches);
+    const auto h = compat_stream(want.batches);
+    std::stringstream ckpt;
+    hier::checkpoint(ckpt, h);
+    store::RecordLogReader frames(ckpt);
+    std::vector<std::uint64_t> header;
+    const auto head = frames.next();
+    ASSERT_TRUE(head && store::payload_as(head->payload, header));
+    EXPECT_EQ(header, std::vector<std::uint64_t>(want.header.begin(),
+                                                 want.header.end() - 1));
+    // The older file: the same frames behind the older header.
+    std::stringstream older;
+    store::RecordLogWriter out(older);
+    out.append(head->epoch, want.header.data(),
+               want.header.size() * sizeof want.header[0]);
+    for (const auto& [size, digest] : want.levels) {
+      const auto rec = frames.next();
+      ASSERT_TRUE(rec.has_value());
+      EXPECT_EQ(rec->payload.size(), size);
+      EXPECT_EQ(fnv1a(rec->payload), digest) << "a level frame changed";
+      out.append(rec->epoch, rec->payload.data(), rec->payload.size());
+    }
+    EXPECT_FALSE(frames.next().has_value());
+
+    const auto restored = hier::restore<double>(older);
+    ASSERT_EQ(restored.num_levels(), h.num_levels());
+    for (std::size_t i = 0; i < h.num_levels(); ++i)
+      EXPECT_EQ(restored.level_entries(i), h.level_entries(i)) << "level " << i;
+    EXPECT_TRUE(gbx::equal(restored.snapshot(), h.snapshot()));
+    const auto& chunks = restored.bottom_chunks().slices();
+    ASSERT_FALSE(chunks.empty());
+    for (const auto& c : chunks)
+      EXPECT_LE(c.nvals(), HierMatrix<double>::kChunkEntries);
+    EXPECT_EQ(chunks.size(),
+              (restored.level_entries(h.num_levels() - 1) +
+               HierMatrix<double>::kChunkEntries - 1) /
+                  HierMatrix<double>::kChunkEntries);
+  }
+}
+
+// A crash while a checkpoint is written leaves a prefix of it: cut at
+// every frame boundary and at every byte of the header frame, recover()
+// over the prefix and the WAL of the batches after it either throws or
+// (the whole file) returns the checkpointed image with the WAL replayed.
+TEST(CheckpointWal, CheckpointCutAtEveryFrameBoundaryRecoversOrThrows) {
+  auto h = compat_stream(400);  // a grown matrix, its bottom chunks
+  std::stringstream ckpt;
+  hier::checkpoint(ckpt, h);
+  const std::string file = ckpt.str();
+  std::stringstream wal_bytes;
+  hier::BatchWal<double> wal(wal_bytes);
+  std::mt19937_64 rng(4602);
+  for (int b = 0; b < 6; ++b)
+    wal.log_and_update(h, proptest::random_batch<double>(rng, 1 << 20, 300));
+  const auto want = h.snapshot();
+
+  std::vector<std::size_t> cuts;
+  store::RecordLogReader frames(ckpt);
+  std::size_t at = 0;
+  for (bool first = true; auto rec = frames.next(); first = false) {
+    const std::size_t end = at + store::frame_bytes(rec->payload.size());
+    if (first)
+      for (std::size_t c = 0; c < end; ++c) cuts.push_back(c);
+    cuts.push_back(at = end);
+  }
+  ASSERT_EQ(at, file.size());
+  std::size_t recovered = 0;
+  for (const std::size_t c : cuts) {
+    SCOPED_TRACE(c);
+    std::istringstream in(file.substr(0, c)), log(wal_bytes.str());
+    try {
+      const auto r = hier::recover<double>(in, log);
+      EXPECT_EQ(c, file.size()) << "a torn checkpoint recovered";
+      EXPECT_TRUE(gbx::equal(r.snapshot(), want));
+      ++recovered;
+    } catch (const gbx::Error&) {
+      EXPECT_LT(c, file.size()) << "the whole checkpoint did not recover";
+    }
+  }
+  EXPECT_EQ(recovered, 1u);
 }
 
 // A level frame of a chunked level holds the bytes of the level as one
@@ -358,9 +500,10 @@ TEST(CheckpointWal, ChunkedLevelWritesTheJoinedBytes) {
   }
 }
 
-// The starting-depth word: a header without it (an older file) restores
-// at its full depth, and a depth past the level count is refused.
-TEST(CheckpointWal, RestoreChecksTheStartingDepth) {
+// The retired starting-depth word: a header that ends with it (a file
+// written before every bottom was chunks) restores like one without it,
+// whatever its value, and a checkpoint writes no such word.
+TEST(CheckpointWal, RestoreAcceptsTheRetiredStartingDepthWord) {
   auto file = [](std::vector<std::uint64_t> tail) {
     // A 3-level, empty 64 x 64 matrix under cuts {4, 16}.
     std::vector<std::uint64_t> words{64, 64, 0, 0, 0, 2, 4, 16};
@@ -377,16 +520,21 @@ TEST(CheckpointWal, RestoreChecksTheStartingDepth) {
     }
     return ss;
   };
-  auto old = file({});
-  auto h = hier::restore<double>(old);
-  EXPECT_EQ(h.num_levels(), 3u);
-  std::stringstream again;
-  hier::checkpoint(again, h);
-  EXPECT_EQ(hier::restore<double>(again).freeze().part(0).base_levels(), 3u);
-  auto deep = file({4});
-  EXPECT_THROW(hier::restore<double>(deep), gbx::Error);
-  auto shallow = file({1});
-  EXPECT_THROW(hier::restore<double>(shallow), gbx::Error);
+  for (const std::vector<std::uint64_t>& tail :
+       {std::vector<std::uint64_t>{}, {3}, {2}, {4}}) {
+    SCOPED_TRACE(tail.size());
+    auto in = file(tail);
+    auto h = hier::restore<double>(in);
+    EXPECT_EQ(h.num_levels(), 3u);
+    std::stringstream again;
+    hier::checkpoint(again, h);
+    store::RecordLogReader frames(again);
+    std::vector<std::uint64_t> words;
+    ASSERT_TRUE(store::payload_as(frames.next()->payload, words));
+    EXPECT_EQ(words.size(), 9u + 4 * 2) << "the header's word count";
+  }
+  auto longer = file({3, 3});
+  EXPECT_THROW(hier::restore<double>(longer), gbx::Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ TEST_P(EnospcSweep, FailedDemoteRollsBackWhole) {
 
   const auto runs_before = h.tier().num_runs();
   const auto blocks_before = rig.store->blocks();
-  const auto entries_before = h.level(h.num_levels() - 1).nvals_bound();
+  const auto entries_before = h.level_entries(h.num_levels() - 1);
   ASSERT_GT(entries_before, 0u);
 
   rig.fp->fail_write_at(rig.fp->writes() + GetParam());
@@ -137,7 +137,7 @@ TEST_P(EnospcSweep, FailedDemoteRollsBackWhole) {
   // Rolled back whole: nothing published, nothing leaked, level intact.
   EXPECT_EQ(h.tier().num_runs(), runs_before);
   EXPECT_EQ(rig.store->blocks(), blocks_before);
-  EXPECT_EQ(h.level(h.num_levels() - 1).nvals_bound(), entries_before);
+  EXPECT_EQ(h.level_entries(h.num_levels() - 1), entries_before);
   std::size_t loud = 0;
   expect_exact_or_loud(h, ref, &loud);
   EXPECT_EQ(loud, 0u) << "a write-side fault must not poison reads";

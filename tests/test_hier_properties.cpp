@@ -15,6 +15,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "gen/gen.hpp"
@@ -29,6 +30,7 @@ using gbx::Matrix;
 using gbx::Tuples;
 using hier::CutPolicy;
 using hier::HierMatrix;
+using proptest::ThreadsGuard;
 
 struct Config {
   std::size_t levels;
@@ -211,7 +213,8 @@ TEST(HierMemory, LowLevelsBounded) {
 }
 
 // collapse() ends streaming: the collapsed top is one block, with no
-// recycled spare beside it, and every emptied level released.
+// recycled spare beside it, and every emptied level released. The
+// bottom is that block, as slices of at most kChunkEntries entries.
 TEST(HierMemory, CollapseKeepsOneBlock) {
   HHGBX_PROP_SEED(seed, 5002);
   std::mt19937_64 rng(seed);
@@ -224,14 +227,17 @@ TEST(HierMemory, CollapseKeepsOneBlock) {
   const auto& top = h.collapse();
   EXPECT_TRUE(gbx::equal(top, want));
   // The bottom is the one block, shared with the returned matrix; every
-  // level (the grown bottom's emptied holder too) holds an empty block
-  // and an empty spare.
-  ASSERT_EQ(h.bottom_chunks().slices().size(), 1u);
-  EXPECT_EQ(h.bottom_chunks().slices()[0].view.shared_storage(),
-            top.shared_storage());
+  // level above it holds an empty block and an empty spare.
+  const auto& chunks = h.bottom_chunks().slices();
+  ASSERT_GT(chunks.size(), 1u);
+  for (const auto& c : chunks) {
+    EXPECT_EQ(c.view.shared_storage(), top.shared_storage());
+    EXPECT_LE(c.nvals(), HierMatrix<double>::kChunkEntries);
+  }
+  EXPECT_EQ(h.bottom_chunks().nvals(), top.nvals());
   const std::size_t empty = gbx::Dcsr<double>().memory_bytes();
   EXPECT_EQ(h.memory_bytes(),
-            top.storage().memory_bytes() + 2 * h.num_levels() * empty);
+            top.storage().memory_bytes() + 2 * (h.num_levels() - 1) * empty);
 }
 
 // Depth grows with the state: under cuts {4, 16} a level with 4x the
@@ -293,8 +299,8 @@ TEST(HierGrowth, GrowthIsExactAndPersists) {
 
 // The grown setup of the chunked-merge tests: under cuts {512, 8192}
 // the bottom passes 16 x 8192 and a level with cut 131072 goes in above
-// it; from then on every fold into the bottom is a grown bottom merge,
-// and the bottom is a list of chunks of at most kChunkEntries entries.
+// it, so every merge into the bottom (a list of chunks of at most
+// kChunkEntries entries) merges a level of up to 131072 entries.
 constexpr Index kGrownDim = Index{1} << 20;
 constexpr std::size_t kChunk = HierMatrix<double>::kChunkEntries;
 // The most a chunk can take: kChunkEntries entries, each a row of its own.
@@ -303,6 +309,15 @@ constexpr std::size_t kChunkBytes =
 
 HierMatrix<double> grown_matrix() {
   return HierMatrix<double>(kGrownDim, kGrownDim, CutPolicy({512, 8192}));
+}
+
+// The heap a grown matrix paused in a bottom merge holds in its levels:
+// the two levels above, the pinned level above the bottom and the chunks.
+std::size_t held_bytes(const HierMatrix<double>& h) {
+  std::size_t held = h.bottom_chunks().memory_bytes() +
+                     h.freeze().part(0).level_slices(2).memory_bytes();
+  for (std::size_t i = 0; i < 2; ++i) held += h.level(i).memory_bytes();
+  return held;
 }
 
 // Entry-for-entry comparison of a materialized matrix with the oracle,
@@ -325,15 +340,17 @@ HierMatrix<double> grown_matrix() {
   return ::testing::AssertionSuccess();
 }
 
-// A grown bottom merge that yield() paused stays in flight: stage() and
+// A bottom merge that yield() paused stays in flight: stage() and
 // freeze() work, cascade() resumes the merge and folds nothing else, a
 // copy restarts it, and every call that reshapes the levels finishes it
-// first. At every pause of a merge over a bottom of at least 4 chunks
+// first. At every pause of a merge over a bottom of at least 8 chunks
 // the image is exact (extract_element, nvals, reduce and to_matrix
 // against the dense oracle), diffs empty against the previous pause's
 // image, and checkpoints and restores to the oracle. Neither the chunked
-// bottom nor the paused level above reads as one block.
-TEST(HierGrowth, PausedMergeSemantics) {
+// bottom nor the paused level above reads as one block. A merge pauses
+// between its waves of `team` pieces: at least ceil(8 / team) - 1 times.
+void paused_merge_semantics(int team) {
+  ThreadsGuard threads(team);
   HHGBX_PROP_SEED(seed, 41002);
   std::mt19937_64 rng(seed);
   auto h = grown_matrix();
@@ -349,25 +366,21 @@ TEST(HierGrowth, PausedMergeSemantics) {
     return b;
   };
   auto pause = [] { return true; };
-  while (h.num_levels() < 4 || h.bottom_chunks().slices().size() < 4) {
-    ASSERT_LT(h.stats().updates, 600u) << "the bottom never spanned 4 chunks";
+  while (h.num_levels() < 4 || h.bottom_chunks().slices().size() < 8) {
+    ASSERT_LT(h.stats().updates, 600u) << "the bottom never spanned 8 chunks";
     h.update(batch());
   }
   for (int k = 0; !h.merging(); ++k) {
-    ASSERT_LT(k, 100) << "no grown bottom merge was paused";
+    ASSERT_LT(k, 100) << "no bottom merge was paused";
     h.stage(batch());
     h.cascade(pause);
   }
   ASSERT_EQ(h.num_levels(), 4u);
   EXPECT_THROW((void)h.level(3), gbx::InvalidValue) << "chunked bottom";
   EXPECT_THROW((void)h.level(2), gbx::InvalidValue) << "paused level above";
-  // memory_bytes() counts the open chunk (room for kChunkEntries
-  // entries) beside the levels, the chunks and the pinned level above.
-  std::size_t held = h.bottom_chunks().memory_bytes() +
-                     h.freeze().part(0).level_slices(2).memory_bytes();
-  for (std::size_t i = 0; i < 2; ++i) held += h.level(i).memory_bytes();
-  EXPECT_GE(h.memory_bytes(), held + kChunk * (sizeof(Index) + sizeof(double)))
-      << "the open chunk is not counted";
+  // memory_bytes() counts the levels, the chunks and the pinned level
+  // above (and the released chunks: ChunkedMergeHoldsAtMostTwoChunksMore).
+  EXPECT_GE(h.memory_bytes(), held_bytes(h));
 
   std::vector<std::size_t> entries;
   for (std::size_t i = 0; i < h.num_levels(); ++i)
@@ -424,7 +437,8 @@ TEST(HierGrowth, PausedMergeSemantics) {
     h.cascade(pause);
     ++pauses;
   }
-  EXPECT_GE(pauses, 8u) << "the merge must pause many times";
+  EXPECT_GE(pauses, (8u + team - 1) / team - 1)
+      << "the merge must pause between its waves";
   ASSERT_NO_FATAL_FAILURE(check_image(h.freeze()));
   EXPECT_TRUE(ref.matches(h.freeze()));
 
@@ -456,6 +470,98 @@ TEST(HierGrowth, PausedMergeSemantics) {
   finishes("restore_level", [](auto& m) { m.restore_level(0, m.level(0)); });
   finishes("restore_stats", [](auto& m) { m.restore_stats(m.stats()); });
   finishes("cascade", [](auto& m) { m.cascade(); });
+}
+
+TEST(HierGrowth, PausedMergeSemantics) { paused_merge_semantics(1); }
+TEST(HierGrowth, PausedMergeSemanticsInWaves) { paused_merge_semantics(4); }
+
+// The wave merge is gbx::merge_blocks_into over the joined bottom, bit
+// for bit: a grown matrix's bottom (chunks written by earlier merges) is
+// merged with a block put in level 1 by restore_level (rows shared with
+// the bottom, and fresh ones; over every cut, it is passed down as is),
+// the merge pausing after every wave. Every freeze between waves is the
+// sum of its prefix, the value the merge started from (nothing is staged
+// meanwhile), and a snapshot taken before the merge pins the old chunks:
+// none is recycled into a new chunk, and its blocks and values stay as
+// they were across this merge and the next ones.
+template <class T, class M>
+void wave_merge_matches_block_merge(int team, std::uint64_t seed) {
+  ThreadsGuard threads(team);
+  SCOPED_TRACE("team " + std::to_string(team));
+  std::mt19937_64 rng(seed);
+  auto value = [&rng] {
+    if constexpr (std::is_floating_point_v<T>)
+      return std::uniform_real_distribution<T>(-1, 1)(rng);
+    else
+      return std::uniform_int_distribution<T>(-1000, 1000)(rng);
+  };
+  HierMatrix<T, M> h(kGrownDim, kGrownDim, CutPolicy({512, 8192}));
+  std::uniform_int_distribution<Index> row(0, 8191), col(0, kGrownDim - 1);
+  auto batch = [&](int n) {
+    Tuples<T> b;
+    for (int k = 0; k < n; ++k) b.push_back(row(rng), col(rng), value());
+    return b;
+  };
+  while (h.num_levels() < 4 || h.bottom_chunks().slices().size() < 6)
+    h.update(batch(4096));
+  h.flush();
+  auto pause = [] { return true; };
+
+  std::vector<std::pair<std::shared_ptr<const gbx::Dcsr<T>>, gbx::Dcsr<T>>> old;
+  std::optional<hier::SnapshotSet<T, M>> pinned;
+  Matrix<T, M> pinned_value(kGrownDim, kGrownDim);
+  for (int merge = 0; merge < 3; ++merge) {
+    SCOPED_TRACE("merge " + std::to_string(merge));
+    // The level above, over its cut (so the cascade merges it): about
+    // 40000 of its entries at the bottom's coordinates.
+    const auto joined = h.bottom_chunks().joined();
+    Tuples<T> t = batch(100000);
+    std::uniform_int_distribution<std::size_t> pick(0, joined->nnz() - 1);
+    joined->for_each([&](Index i, Index j, const T&) {
+      if (pick(rng) < 40000) t.push_back(i, j, value());
+    });
+    Matrix<T, M> upper(kGrownDim, kGrownDim);
+    upper.append(t);
+    upper.materialize();
+    gbx::Dcsr<T> want;
+    gbx::merge_blocks_into<typename M::op_type>(*joined, upper.storage(), want);
+    const auto sum = Matrix<T, M>::adopt(kGrownDim, kGrownDim, want);
+    if (merge == 0) {  // pin the old chunks
+      pinned = h.freeze();
+      pinned_value = pinned->to_matrix();
+      for (const auto& c : h.bottom_chunks().slices())
+        old.emplace_back(c.view.shared_storage(), c.block());
+    }
+
+    h.restore_level(0, upper);
+    std::size_t waves = 1;
+    for (; !h.cascade(pause); ++waves) {
+      ASSERT_TRUE(h.merging());
+      ASSERT_TRUE(gbx::equal(h.snapshot(), sum)) << "after wave " << waves;
+    }
+    EXPECT_GE(waves, (h.bottom_chunks().slices().size() - 1) / team)
+        << "the merge did not pause between its waves";
+    ASSERT_TRUE(*h.bottom_chunks().joined() == want) << "the bottom differs";
+    for (const auto& c : h.bottom_chunks().slices()) {
+      EXPECT_LE(c.nvals(), (HierMatrix<T, M>::kChunkEntries));
+      for (const auto& [blk, copy] : old)
+        EXPECT_NE(&c.block(), blk.get()) << "a pinned chunk was recycled";
+    }
+    for (const auto& [blk, copy] : old)
+      ASSERT_TRUE(*blk == copy) << "a pinned chunk changed";
+    ASSERT_TRUE(gbx::equal(pinned->to_matrix(), pinned_value));
+  }
+}
+
+TEST(HierGrowth, WaveMergeMatchesBlockMerge) {
+  HHGBX_PROP_SEED(seed, 46001);
+  for (const int team : {1, 4}) {
+    wave_merge_matches_block_merge<double, gbx::PlusMonoid<double>>(team, seed);
+    wave_merge_matches_block_merge<std::int64_t, gbx::MinMonoid<std::int64_t>>(
+        team, seed + 1);
+    wave_merge_matches_block_merge<std::int64_t, gbx::MaxMonoid<std::int64_t>>(
+        team, seed + 2);
+  }
 }
 
 // Grown bottom merges whose level above holds rows that all lie above
@@ -492,14 +598,17 @@ TEST(HierGrowth, MergesAboveTheBottomRows) {
   }
 }
 
-// A grown bottom merge frees each old chunk once its rows are rewritten
-// and writes into the freed buffers: at every pause of a merge over a
-// bottom of at least 4 chunks, memory_bytes() stays within 2 chunks of
-// its value before the merge started (which counts the level above's
-// spare, dropped when the merge starts), instead of holding a second
-// bottom until the end. A restored copy's bottom is chunks too, so the
-// first merge after a restore keeps the same bound.
-TEST(HierGrowth, ChunkedMergeHoldsAtMostTwoChunksMore) {
+// A bottom merge frees each wave's old chunks once their rows are
+// rewritten and writes the next wave into the freed buffers: at every
+// pause of a merge over a bottom of at least 8 chunks, memory_bytes()
+// stays within one wave of chunks (the team size, plus one) and the
+// entries the merge adds (the level above's) of its value before the
+// merge started (which counts the level above's spare, dropped when the
+// merge starts), instead of holding a second bottom until the end. A
+// restored copy's bottom is chunks too, so the first merge after a
+// restore keeps the same bound.
+void chunked_merge_holds_a_wave(int team) {
+  ThreadsGuard threads(team);
   HHGBX_PROP_SEED(seed, 41003);
   std::mt19937_64 rng(seed);
   auto h = grown_matrix();
@@ -507,39 +616,54 @@ TEST(HierGrowth, ChunkedMergeHoldsAtMostTwoChunksMore) {
     return proptest::random_batch<double>(rng, kGrownDim, 4096);
   };
   auto pause = [] { return true; };
-  while (h.num_levels() < 4 || h.bottom_chunks().slices().size() < 4) {
-    ASSERT_LT(h.stats().updates, 600u) << "the bottom never spanned 4 chunks";
+  while (h.num_levels() < 4 || h.bottom_chunks().slices().size() < 8) {
+    ASSERT_LT(h.stats().updates, 600u) << "the bottom never spanned 8 chunks";
     h.update(batch());
   }
+  const std::size_t wave_bytes =
+      static_cast<std::size_t>(team + 1) * kChunkBytes;
   auto merges_hold = [&](HierMatrix<double>& m, int merges) {
     for (int merge = 0; merge < merges; ++merge) {
       SCOPED_TRACE("merge " + std::to_string(merge));
       std::size_t start = 0;
       for (int k = 0; !m.merging(); ++k) {
-        ASSERT_LT(k, 100) << "no grown bottom merge was paused";
+        ASSERT_LT(k, 100) << "no bottom merge was paused";
         start = m.memory_bytes();
         m.stage(batch());
         m.cascade(pause);
       }
       std::size_t pauses = 0;
+      bool counted = false;  // a released chunk's buffer counted
       for (; m.merging(); ++pauses) {
-        ASSERT_LE(m.memory_bytes(), start + 2 * kChunkBytes)
+        ASSERT_GE(m.memory_bytes(), held_bytes(m));
+        counted |= m.memory_bytes() >=
+                   held_bytes(m) + kChunk * (sizeof(Index) + sizeof(double));
+        const std::size_t added = m.level_entries(2) * kChunkBytes / kChunk;
+        ASSERT_LE(m.memory_bytes(), start + wave_bytes + added)
             << "pause " << pauses << " of a merge over "
             << m.level_entries(3) << " bottom entries";
         m.cascade(pause);
       }
-      EXPECT_GE(pauses, 8u);
-      EXPECT_GE(m.bottom_chunks().slices().size(), 4u);
+      EXPECT_GE(pauses, (8u + team - 1) / team - 1);
+      EXPECT_TRUE(counted) << "the released chunks are not counted";
+      EXPECT_GE(m.bottom_chunks().slices().size(), 8u);
     }
   };
   ASSERT_NO_FATAL_FAILURE(merges_hold(h, 3));
   std::stringstream ckpt;
   hier::checkpoint(ckpt, h);
   auto restored = hier::restore<double>(ckpt);
-  EXPECT_GE(restored.bottom_chunks().slices().size(), 4u)
+  EXPECT_GE(restored.bottom_chunks().slices().size(), 8u)
       << "the restored bottom is not chunks";
   SCOPED_TRACE("restored");
   ASSERT_NO_FATAL_FAILURE(merges_hold(restored, 1));
+}
+
+TEST(HierGrowth, ChunkedMergeHoldsAtMostTwoChunksMore) {
+  chunked_merge_holds_a_wave(1);
+}
+TEST(HierGrowth, ChunkedMergeHoldsAtMostAWaveMore) {
+  chunked_merge_holds_a_wave(4);
 }
 
 }  // namespace

@@ -590,12 +590,13 @@ TEST(HierQueries, SnapshotAliasesSingleNonEmptyLevel) {
   gbx::Tuples<double> t;
   for (Index i = 0; i < 500; ++i) t.push_back(i, i, 1.0);
   m.update(t);
-  m.flush();  // everything lands in the top level
-  const auto& top = m.level(m.num_levels() - 1);
+  m.flush();  // everything lands in the bottom, as one chunk
+  ASSERT_EQ(m.bottom_chunks().slices().size(), 1u);
+  const auto& top = m.bottom_chunks().slices()[0].block();
   auto snap = m.snapshot();
   // Non-destructive query of a single-block hierarchy must alias, not
   // copy: the satellite fix routes snapshot() through freeze() views.
-  EXPECT_EQ(snap.storage_handle().get(), top.storage_handle().get());
+  EXPECT_EQ(snap.storage_handle().get(), &top);
   EXPECT_EQ(snap.nvals(), 500u);
 }
 
@@ -676,6 +677,10 @@ TEST(ZeroAlloc, SteadyStateCascadeFoldsDoNotTouchTheHeap) {
   EXPECT_GT(m.stats().level[0].folds, 60u);
 }
 
+/// Allocations of one chunk buffer: the shared block, its four arrays,
+/// and the row pointers' regrowth past the first slot.
+constexpr std::uint64_t kChunkAllocs = 6;
+
 TEST(ZeroAlloc, GrowingBottomLevelAllocatesAmortized) {
 #if defined(__SANITIZE_THREAD__) || GBX_HAS_FEATURE_TSAN
   GTEST_SKIP() << "in-place block reuse disabled under TSan";
@@ -683,12 +688,16 @@ TEST(ZeroAlloc, GrowingBottomLevelAllocatesAmortized) {
   ThreadsGuard threads(1);
 
   // Every batch is fresh coordinates, so the bottom level grows with
-  // every fold into it (merge_blocks_into from the middle level). The
-  // ratio 64 keeps the bottom under 64 x the last cut, so the matrix
-  // stays at its starting depth and every fold is the recycling fold.
+  // every merge into it from the level above. The ratio 64 keeps the
+  // bottom under 64 x the last cut, so the matrix stays at its starting
+  // depth. The bottom is chunks, so a merge allocates the chunks the
+  // bottom gains and at most a wave (one piece at this team size) and
+  // the chunk a wave's cut lags behind, never a second bottom: its
+  // allocations do not grow with the bottom.
+  using H = hier::HierMatrix<double>;
   const Index dim = Index{1} << 40;
-  hier::HierMatrix<double> m(dim, dim, hier::CutPolicy::geometric(3, 128, 64));
-  const std::size_t bottom_in = m.num_levels() - 2;  // folds INTO the bottom
+  H m(dim, dim, hier::CutPolicy::geometric(3, 128, 64));
+  const std::size_t bottom_in = m.num_levels() - 2;  // merges INTO the bottom
   std::mt19937_64 rng(2801);
   std::vector<gbx::Tuples<double>> batches;
   for (int b = 0; b < 800; ++b)
@@ -698,40 +707,47 @@ TEST(ZeroAlloc, GrowingBottomLevelAllocatesAmortized) {
   std::size_t next = 0;
   while (m.stats().level[bottom_in].folds < 8) m.update(batches[next++]);
 
-  const auto folds_before = m.stats().level[bottom_in].folds;
-  const auto& bottom = m.level(m.num_levels() - 1);
-  const double first = static_cast<double>(bottom.nvals_bound());
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_relaxed);
-  while (next < batches.size()) m.update(batches[next++]);
-  g_count_allocs.store(false, std::memory_order_relaxed);
-  const auto allocs = g_alloc_count.load(std::memory_order_relaxed);
-  const auto folds = m.stats().level[bottom_in].folds - folds_before;
-  const double last = static_cast<double>(bottom.nvals_bound());
+  const double first = static_cast<double>(m.level_entries(2));
+  std::vector<std::uint64_t> fixed;  // a merge's allocations less its gain
+  while (next < batches.size()) {
+    const auto merges = m.stats().level[bottom_in].folds;
+    const auto chunks = m.bottom_chunks().slices().size();
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    m.update(batches[next++]);
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    if (m.stats().level[bottom_in].folds == merges) continue;
+    const auto allocs = g_alloc_count.load(std::memory_order_relaxed);
+    const auto gained = m.bottom_chunks().slices().size() - chunks;
+    ASSERT_GE(allocs, kChunkAllocs * gained);
+    fixed.push_back(allocs - kChunkAllocs * gained);
+  }
+  const double last = static_cast<double>(m.level_entries(2));
 
-  ASSERT_GE(folds, 32u) << "the window must cover many bottom folds";
+  ASSERT_GE(fixed.size(), 32u) << "the window must cover many bottom merges";
   ASSERT_GT(last, 2 * first) << "the bottom level must really grow";
   ASSERT_EQ(m.num_levels(), 3u) << "the matrix grew a level";
-  // Two ping-ponged blocks (current + spare), four arrays each; an array
-  // regrows by 1.5x, so it reallocates at most log_1.5(growth) + 1 times.
-  // An exact-fit output reallocates every array on every fold instead.
-  const auto regrowths =
-      static_cast<std::uint64_t>(std::ceil(std::log(last / first) / std::log(1.5)));
-  EXPECT_LE(allocs, 2 * 4 * (regrowths + 1))
-      << folds << " bottom folds, bottom " << first << " -> " << last
+  // Less the chunks it gains, every merge allocates the same up to one
+  // wave and the lagging chunk (two chunk buffers at this team size).
+  const auto [lo, hi] = std::minmax_element(fixed.begin(), fixed.end());
+  EXPECT_LE(*hi, *lo + 2 * kChunkAllocs)
+      << "allocations grew with the bottom, " << first << " -> " << last
       << " entries";
 }
 
-TEST(ZeroAlloc, GrownBottomMergeRecyclesItsChunks) {
-#if defined(__SANITIZE_THREAD__) || GBX_HAS_FEATURE_TSAN
-  GTEST_SKIP() << "in-place block reuse disabled under TSan";
-#endif
-  ThreadsGuard threads(1);
+// A merge into the bottom fills chunks of kChunkEntries entries and
+// writes each into the buffers of an old chunk it released. At the team
+// size `team`, the update that runs a merge allocates at most the level
+// above's regrowth, the chunks the bottom gains, one wave and the chunk
+// a wave's cut lags behind; after the merge no spare is left beside the
+// chunks, every chunk is a chunk's buffer and all but the last are
+// nearly full. With a team of one, a merge cycle's allocations do not
+// grow with the bottom.
+void grown_merge_recycles_chunks(int team) {
+  ThreadsGuard threads(team);
 
   // Fresh coordinates: the bottom passes 16 x 8192 and a level with cut
-  // 131072 goes in above it; from then on every fold into the bottom is
-  // a grown bottom merge, which fills chunks of kChunkEntries entries and
-  // writes each into the buffers of an old chunk it released.
+  // 131072 goes in above it.
   using H = hier::HierMatrix<double>;
   const Index dim = Index{1} << 40;
   H m(dim, dim, hier::CutPolicy({512, 8192}));
@@ -745,8 +761,8 @@ TEST(ZeroAlloc, GrownBottomMergeRecyclesItsChunks) {
   auto merges = [&] {
     return m.num_levels() < 4 ? 0 : m.stats().level[2].folds;
   };
-  // Warm: the bottom spans two chunks.
-  while (m.num_levels() < 4 || m.level_entries(3) < 2 * H::kChunkEntries)
+  // Warm: the bottom spans eight chunks.
+  while (m.num_levels() < 4 || m.level_entries(3) < 8 * H::kChunkEntries)
     m.update(batches[next++]);
   ASSERT_EQ(m.num_levels(), 4u);
 
@@ -758,6 +774,7 @@ TEST(ZeroAlloc, GrownBottomMergeRecyclesItsChunks) {
   while (m.level_entries(3) < 2 * first) {
     ASSERT_LT(next + 40, batches.size()) << "the bottom never doubled";
     const auto before = merges();
+    const auto chunks_before = m.bottom_chunks().slices().size();
     std::size_t upper_bytes = 0, merge_bytes = 0;
     g_alloc_count.store(0, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
@@ -769,17 +786,15 @@ TEST(ZeroAlloc, GrownBottomMergeRecyclesItsChunks) {
     }
     g_count_allocs.store(false, std::memory_order_relaxed);
     allocs.push_back(g_alloc_count.load(std::memory_order_relaxed));
-    // The update that ran the merge allocates at most the level above's
-    // regrowth and the chunks the bottom gains: every other new chunk
-    // lands in a recycled buffer.
-    EXPECT_LE(merge_bytes, upper_bytes + 2 * chunk_bytes)
+    const auto& chunks = m.bottom_chunks().slices();
+    const std::size_t gained = chunks.size() - chunks_before;
+    EXPECT_LE(merge_bytes, upper_bytes + (gained + team + 1) * chunk_bytes)
         << "merge " << allocs.size() << " over " << m.level_entries(3)
         << " bottom entries";
 
     // No spare beside the chunks, and every chunk is a chunk's buffer
     // (no regrowth headroom), all but the last nearly full.
-    const auto& chunks = m.bottom_chunks().slices();
-    std::size_t held = Block().memory_bytes() * 2;  // the empty bottom holder
+    std::size_t held = 0;
     for (std::size_t i = 0; i + 1 < m.num_levels(); ++i)
       held += m.level(i).memory_bytes();
     EXPECT_EQ(m.memory_bytes(), held + m.bottom_chunks().memory_bytes());
@@ -788,11 +803,21 @@ TEST(ZeroAlloc, GrownBottomMergeRecyclesItsChunks) {
   }
   ASSERT_GE(allocs.size(), 3u);
   ASSERT_EQ(m.num_levels(), 4u);
-  // The allocations per merge cycle do not grow with the bottom.
-  for (const auto a : allocs) {
-    EXPECT_EQ(a, allocs.front()) << "allocations grew with the bottom";
-    EXPECT_LE(a, 64u);
-  }
+  if (team != 1) return;  // libgomp's own bookkeeping is not counted
+  // Every cycle gains the same chunks (each holds the level above's
+  // 131072 fresh entries in two full chunks), so the cycles allocate the
+  // same up to one wave and the lagging chunk.
+  const auto [lo, hi] = std::minmax_element(allocs.begin(), allocs.end());
+  EXPECT_LE(*hi, *lo + 2 * kChunkAllocs) << "allocations grew with the bottom";
+  EXPECT_LE(*hi, 96u);
+}
+
+TEST(ZeroAlloc, GrownBottomMergeRecyclesItsChunks) {
+#if defined(__SANITIZE_THREAD__) || GBX_HAS_FEATURE_TSAN
+  GTEST_SKIP() << "in-place block reuse disabled under TSan";
+#endif
+  grown_merge_recycles_chunks(1);
+  grown_merge_recycles_chunks(4);
 }
 
 }  // namespace

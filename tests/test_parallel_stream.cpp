@@ -372,11 +372,11 @@ TEST(ParallelStream, DrainWaitsForTheCascade) {
   gbx::failpoints().clear();
 }
 
-// A freeze asked for during a lane's grown bottom merge pauses the merge
-// at its next slice: the lane stages the batch queued behind it, serves
-// the freeze and resumes. The freeze returns before the merge ends (its
-// image still holds the old bottom) and includes the queued batch;
-// drain() waits for the install.
+// A freeze asked for during a lane's bottom merge pauses the merge after
+// its wave: the lane stages the batch queued behind it, serves the
+// freeze and resumes. The freeze returns before the merge ends (its
+// image's bottom holds fewer entries than the merged one) and includes
+// the queued batch; drain() waits for the last wave.
 TEST(ParallelStream, FreezeDoesNotWaitForTheGrownBottomMerge) {
   const Index dim = Index{1} << 40;
   InstanceArray<double> array(1, dim, dim, CutPolicy::geometric(3, 1024, 8));
@@ -385,9 +385,14 @@ TEST(ParallelStream, FreezeDoesNotWaitForTheGrownBottomMerge) {
   proptest::DenseRef<double> ref;
   auto fresh = [&] { return proptest::random_batch<double>(rng, dim, 4096); };
 
-  // Grow the matrix, quiescent, to one batch short of a grown bottom
-  // merge that writes at least 4 slices; `after` is that batch applied.
-  const std::size_t merged_levels = 4;
+  // Grow the matrix, quiescent, to one batch short of a bottom merge
+  // that runs at least three waves on the lane (a wave merges up to a
+  // team of pieces, each filling at most a chunk); `after` is that batch
+  // applied.
+  const std::size_t merged_levels = 5, bottom = merged_levels - 1;
+  const std::size_t wave =
+      static_cast<std::size_t>(gbx::max_threads()) *
+      hier::HierMatrix<double>::kChunkEntries;
   gbx::Tuples<double> trigger;
   hier::HierMatrix<double> after = m;
   for (;;) {
@@ -396,14 +401,16 @@ TEST(ParallelStream, FreezeDoesNotWaitForTheGrownBottomMerge) {
     after.update(trigger);
     if (after.num_levels() == merged_levels &&
         m.num_levels() == merged_levels &&
-        after.stats().level[2].folds > m.stats().level[2].folds &&
-        m.level_entries(3) >= 2 * hier::HierMatrix<double>::kMergeSlice)
+        after.stats().level[bottom - 1].folds >
+            m.stats().level[bottom - 1].folds &&
+        m.level_entries(bottom) >=
+            2 * wave + hier::HierMatrix<double>::kChunkEntries)
       break;
-    ASSERT_LT(m.stats().updates, 1000u) << "no grown bottom merge found";
+    ASSERT_LT(m.stats().updates, 1000u) << "no bottom merge found";
     m.update(trigger);
     ref.apply(trigger);
   }
-  const std::size_t old_bottom = m.level_entries(3);
+  const std::size_t old_bottom = m.level_entries(bottom);
   const std::uint64_t prefix = m.epoch();
 
   gbx::FailpointSpec slow;
@@ -421,30 +428,31 @@ TEST(ParallelStream, FreezeDoesNotWaitForTheGrownBottomMerge) {
          std::chrono::steady_clock::now() < until)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   ASSERT_GT(gbx::failpoints().ops("hier.stream.merge"), 0u)
-      << "the grown bottom merge never started";
+      << "the bottom merge never paused";
 
   const auto queued = fresh();
   engine.submit(0, queued);  // queued behind the merge
   ref.apply(queued);
   const auto snap = engine.freeze();
-  const auto slices_at_freeze = gbx::failpoints().ops("hier.stream.merge");
+  const auto waves_at_freeze = gbx::failpoints().ops("hier.stream.merge");
   const auto& part = snap.part(0);
   ASSERT_EQ(part.num_levels(), merged_levels);
-  EXPECT_EQ(part.level_slices(3).nvals(), old_bottom)
-      << "the freeze waited for the install";
+  EXPECT_GE(part.level_slices(bottom).nvals(), old_bottom);
+  EXPECT_LT(part.level_slices(bottom).nvals(), after.level_entries(bottom))
+      << "the freeze waited for the merge's last wave";
   // The merge writes the bottom `after` holds and asks yield() between
-  // slices, so at least one ask fewer than its slices.
-  const std::size_t slice = hier::HierMatrix<double>::kMergeSlice;
-  const std::size_t asks = (after.level_entries(3) + slice - 1) / slice - 1;
-  EXPECT_LT(slices_at_freeze, asks)
-      << "the freeze waited for the merge's last slice";
+  // waves, so at least one ask fewer than the waves that bottom fills.
+  const std::size_t asks =
+      (after.level_entries(bottom) + wave - 1) / wave - 1;
+  EXPECT_LT(waves_at_freeze, asks)
+      << "the freeze waited for the merge's last wave";
   EXPECT_EQ(snap.part(0).epoch(), prefix + 2);
   EXPECT_TRUE(ref.matches(snap, 0));
 
   engine.drain();
   EXPECT_FALSE(m.merging());
   EXPECT_TRUE(*m.bottom_chunks().joined() == *after.bottom_chunks().joined())
-      << "drain() returned before the merge was installed";
+      << "drain() returned before the merge's last wave";
   EXPECT_TRUE(ref.matches(m.freeze()));
   const auto report = engine.stop();
   EXPECT_EQ(report.lane[0].batches, 2u);

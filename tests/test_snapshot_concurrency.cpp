@@ -248,7 +248,8 @@ TEST(SnapshotConcurrency, ReadersRacingPumpTsanStress) {
         (void)snap.reduce();
         for (std::size_t p = 0; p < snap.size(); ++p)
           for (std::size_t l = 0; l < snap.part(p).num_levels(); ++l)
-            (void)analytics::summarize(snap.part(p).level(l));
+            for (const auto& c : snap.part(p).level_slices(l).slices())
+              (void)analytics::summarize(c.view);
         reads.fetch_add(1, std::memory_order_relaxed);
       }
     });

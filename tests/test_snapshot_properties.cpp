@@ -91,7 +91,8 @@ void random_interleaving_episode(std::uint64_t seed, const CutPolicy& cuts,
     // The no-materialization scalar reduce agrees with the dense replay.
     EXPECT_EQ(snaps[s].reduce(), prefixes[s].reduce());
     for (std::size_t l = 0; l < snaps[s].part(0).num_levels(); ++l)
-      EXPECT_TRUE(snaps[s].part(0).level(l).validate());
+      for (const auto& c : snaps[s].part(0).level_slices(l).slices())
+        EXPECT_TRUE(c.block().validate());
   }
 }
 
@@ -244,22 +245,25 @@ TEST(SnapshotProperties, ViewKernelsMatchMatrixKernels) {
   EXPECT_DOUBLE_EQ(snap.reduce(),
                    gbx::reduce_scalar<gbx::PlusMonoid<double>>(materialized));
   // Per-level view kernels vs a per-level materialized copy.
+  // The bottom is read chunk by chunk.
   for (std::size_t l = 0; l < snap.part(0).num_levels(); ++l) {
-    const auto& v = snap.part(0).level(l);
-    gbx::Matrix<double> copy(v.nrows(), v.ncols());
-    copy.plus_assign(v);
-    EXPECT_DOUBLE_EQ(gbx::reduce_scalar<gbx::PlusMonoid<double>>(v),
-                     gbx::reduce_scalar<gbx::PlusMonoid<double>>(copy));
-    EXPECT_EQ(gbx::reduce_rows<gbx::PlusMonoid<double>>(v).nvals(),
-              gbx::reduce_rows<gbx::PlusMonoid<double>>(copy).nvals());
-    EXPECT_EQ(gbx::reduce_cols<gbx::PlusMonoid<double>>(v).nvals(),
-              gbx::reduce_cols<gbx::PlusMonoid<double>>(copy).nvals());
-    auto vs = analytics::summarize(v);
-    auto ms = analytics::summarize(copy);
-    EXPECT_EQ(vs.links, ms.links);
-    EXPECT_DOUBLE_EQ(vs.packets, ms.packets);
-    EXPECT_EQ(vs.sources, ms.sources);
-    EXPECT_EQ(vs.destinations, ms.destinations);
+    for (const auto& c : snap.part(0).level_slices(l).slices()) {
+      const auto& v = c.view;
+      gbx::Matrix<double> copy(v.nrows(), v.ncols());
+      copy.plus_assign(v);
+      EXPECT_DOUBLE_EQ(gbx::reduce_scalar<gbx::PlusMonoid<double>>(v),
+                       gbx::reduce_scalar<gbx::PlusMonoid<double>>(copy));
+      EXPECT_EQ(gbx::reduce_rows<gbx::PlusMonoid<double>>(v).nvals(),
+                gbx::reduce_rows<gbx::PlusMonoid<double>>(copy).nvals());
+      EXPECT_EQ(gbx::reduce_cols<gbx::PlusMonoid<double>>(v).nvals(),
+                gbx::reduce_cols<gbx::PlusMonoid<double>>(copy).nvals());
+      auto vs = analytics::summarize(v);
+      auto ms = analytics::summarize(copy);
+      EXPECT_EQ(vs.links, ms.links);
+      EXPECT_DOUBLE_EQ(vs.packets, ms.packets);
+      EXPECT_EQ(vs.sources, ms.sources);
+      EXPECT_EQ(vs.destinations, ms.destinations);
+    }
   }
 }
 
