@@ -47,6 +47,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -355,19 +356,19 @@ class HierMatrix {
 
   /// A bottom merge in flight. bottom_ holds the new chunks before slice
   /// `next` and the old rows from `next` on; the level above (`upper`,
-  /// pinned) is merged below row position kb. The planned wave ends at
-  /// old chunk `j` (its rows from `ka` left) and the level above's row
-  /// position `jb`.
+  /// pinned) is merged below row position kb. The planned wave, the
+  /// first `pieces` of scratch_.wave, ends at old chunk `j` (its rows
+  /// from `ka` left) and the level above's row position `jb`.
   struct Merge {
     std::shared_ptr<const gbx::Dcsr<T>> upper;
     std::size_t before;  ///< the bottom's entries when the merge began
-    std::size_t next = 0, kb = 0, j = 0, ka = 0, jb = 0;
+    std::size_t next = 0, kb = 0, j = 0, ka = 0, jb = 0, pieces = 0;
   };
 
-  /// The lists a merge works in, kept (empty) between merges so that a
-  /// merge allocates only the chunk buffers the bottom gains. `spares`
-  /// are released chunks' buffers, freed when the merge ends. A copy of
-  /// the matrix starts with empty lists: it shares no buffer.
+  /// The lists a merge works in, kept (empty) between merges: a merge
+  /// allocates chunk buffers only. `spares` are released chunks'
+  /// buffers, freed when the merge ends (between merges a lane holds its
+  /// levels alone). A copy of the matrix starts with empty lists.
   struct Scratch {
     Scratch() = default;
     Scratch(const Scratch&) {}
@@ -424,7 +425,7 @@ class HierMatrix {
     };
     while (left()) {
       plan_wave(g);
-      gbx::parallel_for(scratch_.wave.size(), scratch_.wave.size() > 1,
+      gbx::parallel_for(g.pieces, g.pieces > 1,
                         [&](std::size_t p0, std::size_t p1) {
                           for (std::size_t p = p0; p < p1; ++p)
                             run_piece(*g.upper, scratch_.wave[p]);
@@ -473,10 +474,10 @@ class HierMatrix {
     };
     std::size_t j = g.next, ka = j < n ? cs[j].k0 : 0, kb = g.kb;
     auto& wave = scratch_.wave;
-    wave.resize(static_cast<std::size_t>(gbx::max_threads()));
-    std::size_t w = 0;
-    for (; w < wave.size() && (j < n || kb < nu); ++w) {
-      auto& pc = wave[w];
+    const auto team = static_cast<std::size_t>(gbx::max_threads());
+    if (wave.size() < team) wave.resize(team);  // kept: no regrowth
+    for (g.pieces = 0; g.pieces < team && (j < n || kb < nu); ++g.pieces) {
+      auto& pc = wave[g.pieces];
       pc.segs.clear();
       pc.used = 0;
       auto room = static_cast<double>(
@@ -484,6 +485,9 @@ class HierMatrix {
       while (room > 0 && (j < n || kb < nu)) {
         if (j == n) {  // the level above's rows past the last old row
           const std::size_t kb1 = ucut(kb, nu, room);
+          if (!pc.segs.empty() &&
+              static_cast<double>(uptr[kb1] - uptr[kb]) > room)
+            break;  // its first row starts the next piece
           pc.segs.push_back({&none, 0, 0, kb, kb1});
           kb = kb1;
           break;
@@ -491,8 +495,9 @@ class HierMatrix {
         const auto& s = cs[j];
         const auto ap = s.block().ptr();
         const auto ar = s.block().rows();
-        const std::size_t ub =
-            j + 1 < n ? upos(kb, nu, cs[j + 1].first_row()) : nu;
+        // The level above's rows before the next old chunk (or its end).
+        const std::size_t ub = upos(
+            kb, nu, j + 1 < n ? cs[j + 1].first_row() : ar[s.k1 - 1] + 1);
         auto cost = [&](std::size_t k, std::size_t kbk) {
           return static_cast<double>(ap[k] - ap[ka]) +
                  fresh_ * static_cast<double>(uptr[kbk] - uptr[kb]);
@@ -552,22 +557,20 @@ class HierMatrix {
       for (const auto& sg : pc.segs) {
         entries += static_cast<double>(sg.a->ptr()[sg.ka_end] -
                                        sg.a->ptr()[sg.ka]) +
-                   fresh_ * static_cast<double>(uptr[sg.kb_end] - uptr[sg.kb]);
+                   (sg.a == &none ? 1 : fresh_) *
+                       static_cast<double>(uptr[sg.kb_end] - uptr[sg.kb]);
         rows += (sg.ka_end - sg.ka) + (sg.kb_end - sg.kb);
       }
       auto& spares = scratch_.spares;
       for (std::size_t c = 0; static_cast<double>(c * kChunkEntries) < entries;
            ++c) {
-        if (spares.empty()) {
-          pc.out.push_back(std::make_shared<gbx::Dcsr<T>>());
-        } else {
-          pc.out.push_back(std::move(spares.back()));
-          spares.pop_back();
-        }
+        const bool spare = !spares.empty();
+        pc.out.push_back(spare ? std::move(spares.back())
+                               : std::make_shared<gbx::Dcsr<T>>());
+        if (spare) spares.pop_back();
         pc.out.back()->reserve(std::min(rows, kChunkEntries), kChunkEntries);
       }
     }
-    wave.resize(w);
     g.j = j;
     g.ka = ka;
     g.jb = kb;
@@ -609,7 +612,7 @@ class HierMatrix {
     auto& st = scratch_.staged;
     auto& spares = scratch_.spares;
     const auto& cs = bottom_.slices();
-    for (auto& pc : scratch_.wave) {
+    for (auto& pc : std::span(scratch_.wave).first(g.pieces)) {
       if (pc.segs.empty()) st.push_back(cs[pc.keep]);
       for (std::size_t o = 0; o < pc.out.size(); ++o) {
         if (o < pc.used) {
@@ -638,12 +641,10 @@ class HierMatrix {
     st.clear();
   }
 
-  /// Demote the bottom into a new run (its chunks concatenated for it);
+  /// Demote the bottom into a new run, written from its chunks in place;
   /// a throw leaves the bottom in place.
   bool demote_bottom() {
-    matrix_type bottom(nrows_, ncols_);
-    bottom_.fold_into(bottom);
-    if (!tier_->demote(bottom)) return false;
+    if (!tier_->demote(bottom_.ranges())) return false;
     bottom_ = level_type();
     return true;
   }

@@ -324,13 +324,19 @@ class Level {
     return out;
   }
 
-  /// Write the level as one gbx::serialize matrix of the given dims,
-  /// from its blocks in place (the bytes of serializing joined()).
-  void serialize(std::ostream& os, gbx::Index nrows, gbx::Index ncols) const {
+  /// The slices as row ranges of their blocks (what the serializer and
+  /// the demoted tier write from in place).
+  std::vector<gbx::detail::RowRange<T>> ranges() const {
     std::vector<gbx::detail::RowRange<T>> rs;
     rs.reserve(slices_.size());
     for (const auto& s : slices_) rs.push_back({&s.block(), s.k0, s.k1});
-    gbx::detail::serialize_ranges<T>(os, nrows, ncols, rs);
+    return rs;
+  }
+
+  /// Write the level as one gbx::serialize matrix of the given dims,
+  /// from its blocks in place (the bytes of serializing joined()).
+  void serialize(std::ostream& os, gbx::Index nrows, gbx::Index ncols) const {
+    gbx::detail::serialize_ranges<T>(os, nrows, ncols, ranges());
   }
 
   /// v's rows as slices of its block of at most `cap` entries each (a

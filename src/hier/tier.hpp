@@ -2,10 +2,10 @@
 //
 // The paper's hierarchy exists so the oldest, largest, coldest level
 // can live on slower storage while the small hot levels absorb the
-// insert stream. This header is that slow tier: demote() moves the
-// resident bottom level's compressed block into an immutable *run* of
-// serialized row-range segments inside a store::BlockStore, then resets
-// the resident level — an LSM shape (runs accumulate per demotion,
+// insert stream. This header is that slow tier: demote() writes the
+// resident bottom level's chunks, from their blocks in place, into an
+// immutable *run* of serialized row-range segments inside a
+// store::BlockStore, and the matrix then releases them — an LSM shape (runs accumulate per demotion,
 // compaction merges them) layered over the existing checksummed
 // gbx::serialize container, so every demoted byte is end-to-end
 // verified on the way back in.
@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -215,20 +216,15 @@ class DemotedTier {
     publish(std::make_shared<TierImage>());
   }
 
-  /// Move `bottom`'s current value into a new demoted run and reset the
-  /// resident level (releasing its heap). Returns false when the level
-  /// is empty. Exception-safe: a failure while writing (ENOSPC, torn
-  /// write surfaced by the store) leaves the image unchanged and the
-  /// resident level intact — the half-written run's RAII erases
-  /// whatever blocks it managed to put.
-  bool demote(matrix_type& bottom) {
-    GBX_CHECK_DIM(bottom.nrows() == nrows_ && bottom.ncols() == ncols_,
-                  "tier demote dimension mismatch");
-    bottom.materialize();
-    if (bottom.empty()) return false;
-    const gbx::Dcsr<T>& s = bottom.storage();
+  /// Write the rows of `ranges` (a level's slices) into a new demoted
+  /// run from their blocks in place; false when they hold no entry. A
+  /// failure while writing (ENOSPC, a torn write the store surfaces)
+  /// leaves the image unchanged: the half-written run's RAII erases the
+  /// blocks it put. The caller releases the resident rows on true.
+  bool demote(std::span<const gbx::detail::RowRange<T>> ranges) {
     auto cur = image();
-    auto run = build_run(s);
+    auto run = build_run(ranges);
+    if (run->entries == 0) return false;
     auto img = std::make_shared<TierImage>();
     img->runs = cur->runs;
     img->runs.push_back(run);
@@ -238,7 +234,6 @@ class DemotedTier {
     stats_.demotions += 1;
     stats_.entries_demoted += run->entries;
     stats_.bytes_demoted += run->bytes;
-    bottom.reset();
     return true;
   }
 
@@ -263,7 +258,9 @@ class DemotedTier {
     merged.materialize();
     auto img = std::make_shared<TierImage>();
     if (!merged.empty()) {
-      auto run = build_run(merged.storage());
+      const gbx::Dcsr<T>& m = merged.storage();
+      const gbx::detail::RowRange<T> all{&m, 0, m.nrows_nonempty()};
+      auto run = build_run({&all, 1});
       img->entries = run->entries;
       img->bytes = run->bytes;
       img->runs.push_back(std::move(run));
@@ -306,33 +303,43 @@ class DemotedTier {
            sizeof(gbx::Offset);
   }
 
-  /// Serialize s into segment blocks of ~segment_bytes and index the
-  /// run's rows. A block id is recorded before its put, and the run is
+  /// Serialize the rows of `ranges` into segment blocks of
+  /// ~segment_bytes (a segment may span ranges) and index the run's
+  /// rows. A block id is recorded before its put, and the run is
   /// committed to an image only by the caller — so any throw along the
   /// way unwinds into the run's RAII erase with nothing published.
-  std::shared_ptr<TierRun> build_run(const gbx::Dcsr<T>& s) {
+  std::shared_ptr<TierRun> build_run(
+      std::span<const gbx::detail::RowRange<T>> ranges) {
     auto run = std::make_shared<TierRun>(store_);
-    const auto rows = s.rows();
-    run->rows.assign(rows.begin(), rows.end());
-    std::size_t b = 0;
-    while (b < rows.size()) {
-      std::size_t e = b;
-      std::size_t est = 0;
-      while (e < rows.size() && (e == b || est < cfg_.segment_bytes)) {
-        est += row_bytes(s, e);
-        ++e;
-      }
+    std::size_t rows = 0;
+    for (const auto& r : ranges) rows += r.k1 - r.k0;
+    run->rows.reserve(rows);
+    std::vector<gbx::detail::RowRange<T>> seg;  // the open segment's rows
+    std::size_t est = 0;
+    auto put = [&] {
       std::ostringstream os;
-      gbx::detail::serialize_rows(os, nrows_, ncols_, s, b, e);
+      gbx::detail::serialize_ranges<T>(os, nrows_, ncols_, seg);
       const std::string payload = std::move(os).str();
       const store::BlockId id = store_->allocate();
       run->blocks.push_back(id);  // before put: erase of an unwritten
       store_->put(id, payload);   // id is an idempotent no-op
       run->bytes += payload.size();
-      run->seg_end.push_back(e);
-      b = e;
+      run->seg_end.push_back(run->rows.size());
+      seg.clear();
+      est = 0;
+    };
+    for (const auto& r : ranges) {
+      for (std::size_t k = r.k0; k < r.k1; ++k) {
+        if (est >= cfg_.segment_bytes) put();
+        if (seg.empty() || seg.back().blk != r.blk || seg.back().k1 != k)
+          seg.push_back({r.blk, k, k});
+        ++seg.back().k1;
+        est += row_bytes(*r.blk, k);
+        run->rows.push_back(r.blk->rows()[k]);
+      }
+      run->entries += r.blk->ptr()[r.k1] - r.blk->ptr()[r.k0];
     }
-    run->entries = s.nnz();
+    if (!seg.empty()) put();
     return run;
   }
 

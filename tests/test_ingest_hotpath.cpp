@@ -45,6 +45,7 @@
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<std::uint64_t> g_alloc_bytes{0};
+std::atomic<std::uint64_t> g_alloc_max{0};  // the largest one
 std::atomic<bool> g_count_allocs{false};
 }  // namespace
 
@@ -52,6 +53,10 @@ void* operator new(std::size_t sz) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
     g_alloc_bytes.fetch_add(sz, std::memory_order_relaxed);
+    auto m = g_alloc_max.load(std::memory_order_relaxed);
+    while (m < sz && !g_alloc_max.compare_exchange_weak(
+                         m, sz, std::memory_order_relaxed)) {
+    }
   }
   if (void* p = std::malloc(sz ? sz : 1)) return p;
   throw std::bad_alloc();
@@ -680,6 +685,55 @@ TEST(ZeroAlloc, SteadyStateCascadeFoldsDoNotTouchTheHeap) {
 /// Allocations of one chunk buffer: the shared block, its four arrays,
 /// and the row pointers' regrowth past the first slot.
 constexpr std::uint64_t kChunkAllocs = 6;
+/// Allocations of the update that runs a bottom merge, besides its chunk
+/// buffers: the level above's four arrays regrowing in the fold that
+/// puts it over its cut, its release (three empty blocks), the bottom's
+/// slice list growing its room, and the merge's two lists (a piece's
+/// segments, a wave's new slices) growing to their most yet.
+constexpr std::uint64_t kMergeFixedAllocs = 10;
+
+// A steady-state bottom merge: 64 batches cycled over a 512 x 512
+// coordinate space, so every merge into the bottom (three chunks)
+// rewrites its chunks without adding an entry. Released chunk buffers
+// are freed when a merge ends and the level above is released (the
+// memory a lane holds between merges is its levels alone), so each
+// merge allocates one wave of chunk buffers (one piece at this team
+// size) and the chunk a wave's cut lags behind, and nothing that grows
+// with the bottom or with the number of merges.
+TEST(ZeroAlloc, SteadyStateBottomMergesAllocateOneWave) {
+#if defined(__SANITIZE_THREAD__) || GBX_HAS_FEATURE_TSAN
+  GTEST_SKIP() << "in-place block reuse disabled under TSan";
+#endif
+  ThreadsGuard threads(1);
+  const Index dim = 512;
+  hier::HierMatrix<double> m(dim, dim, hier::CutPolicy::geometric(3, 4096, 8));
+  std::mt19937_64 rng(4602);
+  std::vector<gbx::Tuples<double>> batches;
+  for (int b = 0; b < 64; ++b)
+    batches.push_back(proptest::random_batch<double>(rng, dim, 4096));
+  std::size_t next = 0;
+  auto merges = [&] { return m.stats().level[1].folds; };
+  while (merges() < 8) m.update(batches[next++ % batches.size()]);
+  const std::size_t entries = m.level_entries(2);
+  const std::size_t chunks = m.bottom_chunks().slices().size();
+  ASSERT_GE(chunks, 3u);
+
+  for (int merge = 0; merge < 16; ++merge) {
+    const auto before = merges();
+    std::uint64_t allocs = 0;
+    while (merges() == before) {
+      g_alloc_count.store(0, std::memory_order_relaxed);
+      g_count_allocs.store(true, std::memory_order_relaxed);
+      m.update(batches[next++ % batches.size()]);
+      g_count_allocs.store(false, std::memory_order_relaxed);
+      allocs = g_alloc_count.load(std::memory_order_relaxed);
+    }
+    EXPECT_EQ(m.level_entries(2), entries);
+    EXPECT_EQ(m.bottom_chunks().slices().size(), chunks);
+    EXPECT_LE(allocs, kChunkAllocs * 2 + kMergeFixedAllocs)
+        << "merge " << merge << " allocated past a wave";
+  }
+}
 
 TEST(ZeroAlloc, GrowingBottomLevelAllocatesAmortized) {
 #if defined(__SANITIZE_THREAD__) || GBX_HAS_FEATURE_TSAN
@@ -693,7 +747,8 @@ TEST(ZeroAlloc, GrowingBottomLevelAllocatesAmortized) {
   // depth. The bottom is chunks, so a merge allocates the chunks the
   // bottom gains and at most a wave (one piece at this team size) and
   // the chunk a wave's cut lags behind, never a second bottom: its
-  // allocations do not grow with the bottom.
+  // allocations do not grow with the bottom. Besides the chunk buffers
+  // it allocates at most kMergeFixedAllocs.
   using H = hier::HierMatrix<double>;
   const Index dim = Index{1} << 40;
   H m(dim, dim, hier::CutPolicy::geometric(3, 128, 64));
@@ -720,6 +775,8 @@ TEST(ZeroAlloc, GrowingBottomLevelAllocatesAmortized) {
     const auto allocs = g_alloc_count.load(std::memory_order_relaxed);
     const auto gained = m.bottom_chunks().slices().size() - chunks;
     ASSERT_GE(allocs, kChunkAllocs * gained);
+    EXPECT_LE(allocs, kChunkAllocs * (gained + 2) + kMergeFixedAllocs)
+        << "merge " << fixed.size() << " gained " << gained << " chunks";
     fixed.push_back(allocs - kChunkAllocs * gained);
   }
   const double last = static_cast<double>(m.level_entries(2));
@@ -741,8 +798,7 @@ TEST(ZeroAlloc, GrowingBottomLevelAllocatesAmortized) {
 // above's regrowth, the chunks the bottom gains, one wave and the chunk
 // a wave's cut lags behind; after the merge no spare is left beside the
 // chunks, every chunk is a chunk's buffer and all but the last are
-// nearly full. With a team of one, a merge cycle's allocations do not
-// grow with the bottom.
+// nearly full. With a team of one, every merge cycle allocates the same.
 void grown_merge_recycles_chunks(int team) {
   ThreadsGuard threads(team);
 
@@ -776,21 +832,29 @@ void grown_merge_recycles_chunks(int team) {
     const auto before = merges();
     const auto chunks_before = m.bottom_chunks().slices().size();
     std::size_t upper_bytes = 0, merge_bytes = 0;
+    std::uint64_t merge_allocs = 0;
     g_alloc_count.store(0, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
     while (merges() == before) {
       upper_bytes = m.level(2).memory_bytes();
       g_alloc_bytes.store(0, std::memory_order_relaxed);
+      merge_allocs = g_alloc_count.load(std::memory_order_relaxed);
       m.update(batches[next++]);
       merge_bytes = g_alloc_bytes.load(std::memory_order_relaxed);
     }
     g_count_allocs.store(false, std::memory_order_relaxed);
     allocs.push_back(g_alloc_count.load(std::memory_order_relaxed));
+    merge_allocs = allocs.back() - merge_allocs;
     const auto& chunks = m.bottom_chunks().slices();
     const std::size_t gained = chunks.size() - chunks_before;
     EXPECT_LE(merge_bytes, upper_bytes + (gained + team + 1) * chunk_bytes)
         << "merge " << allocs.size() << " over " << m.level_entries(3)
         << " bottom entries";
+    if (team == 1) {  // libgomp's own bookkeeping is not counted
+      EXPECT_LE(merge_allocs,
+                kChunkAllocs * (gained + team + 1) + kMergeFixedAllocs)
+          << "merge " << allocs.size() << " gained " << gained << " chunks";
+    }
 
     // No spare beside the chunks, and every chunk is a chunk's buffer
     // (no regrowth headroom), all but the last nearly full.
@@ -803,13 +867,49 @@ void grown_merge_recycles_chunks(int team) {
   }
   ASSERT_GE(allocs.size(), 3u);
   ASSERT_EQ(m.num_levels(), 4u);
-  if (team != 1) return;  // libgomp's own bookkeeping is not counted
-  // Every cycle gains the same chunks (each holds the level above's
-  // 131072 fresh entries in two full chunks), so the cycles allocate the
-  // same up to one wave and the lagging chunk.
-  const auto [lo, hi] = std::minmax_element(allocs.begin(), allocs.end());
-  EXPECT_LE(*hi, *lo + 2 * kChunkAllocs) << "allocations grew with the bottom";
-  EXPECT_LE(*hi, 96u);
+  if (team != 1) return;
+  // The allocations per merge cycle do not grow with the bottom. Each
+  // cycle gains two chunks (the level above's 131072 fresh entries), two
+  // chunk buffers more than the at most one 2^18-entry chunk a cycle
+  // gained when chunks were four times larger and a cycle took 64.
+  for (const auto a : allocs) {
+    EXPECT_EQ(a, allocs.front()) << "allocations grew with the bottom";
+    EXPECT_LE(a, 64u + 2 * kChunkAllocs);
+  }
+}
+
+// Demotion writes the bottom's chunks into the block store from their
+// blocks in place: no allocation during demote_now() is as large as one
+// chunk's column array (a joined copy of the bottom would take one the
+// size of all its chunks'), and the resident bytes fall by the bottom's.
+TEST(ZeroAlloc, DemotionWritesTheChunksInPlace) {
+  ThreadsGuard threads(1);
+  using H = hier::HierMatrix<double>;
+  const Index dim = Index{1} << 15;  // ~16 entries a row: a small row index
+  auto store = store::make_mem_block_store();
+  H m(dim, dim, hier::CutPolicy({512, 8192}));
+  hier::DemotionConfig cfg;
+  cfg.segment_bytes = 64u << 10;
+  m.enable_demotion(store.get(), cfg);
+  std::mt19937_64 rng(4601);
+  while (m.bottom_chunks().slices().size() < 8)
+    m.update(proptest::random_batch<double>(rng, dim, 4096));
+  m.flush();
+  const auto want = m.freeze().to_matrix();
+  const std::size_t before = m.memory_bytes();
+  const std::size_t bottom = m.bottom_chunks().memory_bytes();
+
+  g_alloc_max.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  ASSERT_TRUE(m.demote_now());
+  g_count_allocs.store(false, std::memory_order_relaxed);
+
+  EXPECT_LT(g_alloc_max.load(std::memory_order_relaxed),
+            H::kChunkEntries * sizeof(Index))
+      << "demotion copied the bottom";
+  EXPECT_EQ(m.memory_bytes(), before - bottom);
+  EXPECT_TRUE(m.bottom_chunks().slices().empty());
+  EXPECT_TRUE(gbx::equal(m.freeze().to_matrix(), want));
 }
 
 TEST(ZeroAlloc, GrownBottomMergeRecyclesItsChunks) {
