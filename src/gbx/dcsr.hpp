@@ -142,6 +142,20 @@ class Dcsr {
     vals_.reserve(nnz);
   }
 
+  /// reserve() for an empty recycled block: row arrays holding room for
+  /// more than four times `nrows` rows are given back first, so a buffer
+  /// that held sparser rows does not carry that room into a denser block.
+  void refit(std::size_t nrows, std::size_t nnz) {
+    if (rows_.capacity() > 4 * (nrows + 1)) {
+      BlockVec<Index>().swap(rows_);
+      BlockVec<Offset> p;
+      p.reserve(nrows + 1);
+      p.push_back(0);
+      ptr_.swap(p);
+    }
+    reserve(nrows, nnz);
+  }
+
   /// Entries the block holds room for without reallocating.
   std::size_t capacity() const { return cols_.capacity(); }
 

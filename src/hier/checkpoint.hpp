@@ -137,7 +137,7 @@ HierMatrix<T, M> restore(std::istream& is) {
                      CutPolicy(std::vector<std::size_t>(cuts, cuts + w[5])));
   HierStats st{w[2], w[3], w[4], {}};
   for (auto p = cuts + w[5]; p + 3 <= w.end(); p += 3)
-    st.level.push_back({p[0], p[1], p[2]});
+    st.level.push_back({p[0], p[1], p[2], 0});
 
   for (std::size_t i = 0; i < h.num_levels(); ++i) {
     auto m = [&] {  // the frame's bytes are freed before the level lands

@@ -74,6 +74,9 @@ void dedupe_blocks(std::vector<const gbx::Dcsr<T>*>& blocks) {
 /// more than the scan it would split.
 inline constexpr std::size_t kParallelCountCutoff = std::size_t{1} << 16;
 
+/// Splitter rows the distinct count samples from each range.
+inline constexpr std::size_t kSplitsPerRange = 64;
+
 /// One block's row-index range [k, end) inside a count chunk.
 template <class T>
 struct RowCursor {
@@ -138,22 +141,28 @@ std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
     return n + static_cast<std::size_t>(a->ptr()[ea] - a->ptr()[ka]) +
            static_cast<std::size_t>(b->ptr()[eb] - b->ptr()[kb]);
   }
-  std::vector<std::size_t> active;  // cursors positioned on the row
+  // Cursors by first row; `live` holds the started ones not yet done,
+  // so a row scans only the ranges that reach it (about one slice per
+  // chunked level), not every slice.
+  auto first = [&](std::size_t i) { return cs[i].blk->rows()[cs[i].k]; };
+  std::sort(cs.begin(), cs.end(), [](const auto& x, const auto& y) {
+    return x.blk->rows()[x.k] < y.blk->rows()[y.k];
+  });
+  std::size_t next = 0;
+  std::vector<std::size_t> live, active;  // active: positioned on the row
   std::vector<gbx::Index> acc, tmp;
   for (;;) {
-    bool any = false;
-    gbx::Index row = 0;
-    for (const auto& c : cs) {
-      if (c.k == c.end) continue;
-      const gbx::Index r = c.blk->rows()[c.k];
-      if (!any || r < row) row = r;
+    bool any = next < cs.size();
+    gbx::Index row = any ? first(next) : 0;
+    for (const std::size_t i : live) {
+      if (!any || first(i) < row) row = first(i);
       any = true;
     }
     if (!any) return n;
+    while (next < cs.size() && first(next) == row) live.push_back(next++);
     active.clear();
-    for (std::size_t i = 0; i < cs.size(); ++i)
-      if (cs[i].k < cs[i].end && cs[i].blk->rows()[cs[i].k] == row)
-        active.push_back(i);
+    for (const std::size_t i : live)
+      if (first(i) == row) active.push_back(i);
     auto seg = [&](std::size_t a) {
       return row_segment(*cs[active[a]].blk, cs[active[a]].k);
     };
@@ -178,31 +187,39 @@ std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
       n += gbx::detail::union_count(acc, seg(na - 1));
     }
     for (const std::size_t i : active) ++cs[i].k;
+    std::erase_if(live, [&](std::size_t i) { return cs[i].k == cs[i].end; });
   }
 }
 
 /// Exact number of distinct coordinates across a set of frozen row
 /// ranges — nothing is materialized. Identical ranges (an aliased block)
 /// contribute one copy. The row space is cut into chunks at the
-/// gbx::parallel_for ranges over the rows of the range with the most
-/// rows; each chunk locates its row range in every range by binary
-/// search and counts independently, and the integer per-chunk counts
-/// are summed, so the result is exact and independent of the team size.
-/// The definition behind SnapshotSet::nvals.
+/// gbx::parallel_for ranges over splitter rows sampled from every range
+/// (kSplitsPerRange each, so a level held as many row-disjoint slices
+/// is cut as evenly as one block); each chunk locates its row range in
+/// every range by binary search and counts independently, and the
+/// integer per-chunk counts are summed, so the result is exact and
+/// independent of the team size. The definition behind
+/// SnapshotSet::nvals.
 template <class T>
 std::size_t count_distinct_coords(std::vector<RowCursor<T>> cs) {
   std::erase_if(cs, [](const RowCursor<T>& c) { return c.k == c.end; });
   std::sort(cs.begin(), cs.end());
   cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
   std::size_t total = 0;
-  const RowCursor<T>* widest = nullptr;
-  for (const auto& c : cs) {
+  for (const auto& c : cs)
     total += static_cast<std::size_t>(c.blk->ptr()[c.end] - c.blk->ptr()[c.k]);
-    if (!widest || c.end - c.k > widest->end - widest->k) widest = &c;
-  }
   if (cs.size() <= 1) return total;
-  const auto split =
-      widest->blk->rows().subspan(widest->k, widest->end - widest->k);
+  if (total < kParallelCountCutoff) return count_chunk(std::move(cs));
+  std::vector<gbx::Index> split;
+  for (const auto& c : cs) {
+    const std::size_t step =
+        std::max<std::size_t>(1, (c.end - c.k) / kSplitsPerRange);
+    for (std::size_t k = c.k; k < c.end; k += step)
+      split.push_back(c.blk->rows()[k]);
+  }
+  std::sort(split.begin(), split.end());
+  split.erase(std::unique(split.begin(), split.end()), split.end());
   // The chunk over splitter range [q0, q1) owns rows [split[q0],
   // split[q1]), with the first and last chunks open-ended; a row equal
   // to a splitter lands at the start of the same chunk in every range.
@@ -218,7 +235,7 @@ std::size_t count_distinct_coords(std::vector<RowCursor<T>> cs) {
   };
   std::atomic<std::size_t> n{0};
   gbx::parallel_for(
-      split.size(), total >= kParallelCountCutoff,
+      split.size(), true,
       [&](std::size_t q0, std::size_t q1) {
         std::vector<RowCursor<T>> chunk;
         chunk.reserve(cs.size());

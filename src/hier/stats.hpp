@@ -16,6 +16,13 @@ struct LevelStats {
   std::uint64_t folds = 0;           ///< times this level was cascaded up
   std::uint64_t entries_folded = 0;  ///< total entries moved up from here
   std::uint64_t max_entries = 0;     ///< high-water mark of entry count
+  /// Output entries of every fold into this level, counted where the
+  /// merge writes them: a fold into a block level writes the whole new
+  /// block, a merge into a chunked level the chunks it fills (an old
+  /// chunk it keeps is not written), and a level that was empty takes
+  /// the level above as it is, writing nothing. Not checkpointed: a
+  /// restored matrix counts from zero.
+  std::uint64_t entries_written = 0;
 };
 
 struct HierStats {

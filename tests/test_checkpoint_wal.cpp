@@ -292,8 +292,11 @@ TEST(CheckpointWal, MultiPartImageIsRefused) {
 
 // A restored grown matrix folds into its bottom the way the original
 // does: its bottom is chunks too, so both run bottom merges (in waves,
-// pausing at yield()) over identical batches and end at the same memory,
-// with no spare beside the bottom.
+// pausing at yield()) over identical batches and end with the same
+// levels and chunks. Beside them each keeps the released chunk buffers
+// of its last merge (at most a wave: two at this team size), and the
+// level above the bottom keeps its capacity warm; both follow each
+// copy's own history, so the totals agree up to a wave.
 TEST(CheckpointWal, RestoreKeepsTheGrownPath) {
   proptest::ThreadsGuard threads(1);  // a wave per piece: many pauses
   const gbx::Index dim = gbx::Index{1} << 40;
@@ -323,7 +326,68 @@ TEST(CheckpointWal, RestoreKeepsTheGrownPath) {
   EXPECT_EQ(restored.stats().level[2].folds, h.stats().level[2].folds);
   EXPECT_GT(asks[0], 0u);
   EXPECT_EQ(asks[1], asks[0]) << "the restored copy's merges did not pause";
-  EXPECT_EQ(restored.memory_bytes(), h.memory_bytes());
+  for (std::size_t i = 0; i < h.num_levels(); ++i)
+    EXPECT_EQ(restored.level_entries(i), h.level_entries(i));
+  const auto& chunks = h.bottom_chunks().slices();
+  ASSERT_EQ(restored.bottom_chunks().slices().size(), chunks.size());
+  for (std::size_t c = 0; c < chunks.size(); ++c)
+    EXPECT_EQ(restored.bottom_chunks().slices()[c].nvals(), chunks[c].nvals());
+  const std::size_t kept_wave =
+      2 * (HierMatrix<double>::kChunkEntries + 1) *
+      (2 * sizeof(gbx::Index) + sizeof(gbx::Offset) + sizeof(double));
+  EXPECT_LE(std::max(restored.memory_bytes(), h.memory_bytes()) -
+                std::min(restored.memory_bytes(), h.memory_bytes()),
+            kept_wave);
+  EXPECT_TRUE(gbx::equal(restored.snapshot(), h.snapshot()));
+}
+
+// Every chunked level restores as chunks, at every depth: under cuts
+// {512, 8192, 262144} level 2 is a chunk list above the chunked bottom,
+// and both hold more than two chunks when the checkpoint is taken. The
+// restored copy holds each as chunks of at most kChunkEntries
+// entries (level() throws for both), and the merges that follow into
+// level 2 run as wave merges on both copies and keep them equal.
+TEST(CheckpointWal, RestoreKeepsEveryChunkedLevelAsChunks) {
+  using H = HierMatrix<double>;
+  const gbx::Index dim = gbx::Index{1} << 20;
+  std::mt19937_64 rng(4701);
+  auto batch = [&] {
+    Tuples<double> t;
+    for (int k = 0; k < 512; ++k) t.push_back(rng() % dim, rng() % dim, 1.0);
+    return t;
+  };
+  H h(dim, dim, CutPolicy({512, 8192, 262144}));
+  while (h.stats().level[2].folds == 0 ||
+         h.level_entries(2) <= 2 * H::kChunkEntries)
+    h.update(batch());
+  ASSERT_EQ(h.num_levels(), 4u);
+  std::stringstream ckpt;
+  hier::checkpoint(ckpt, h);
+  auto restored = hier::restore<double>(ckpt);
+
+  ASSERT_EQ(restored.num_levels(), h.num_levels());
+  for (std::size_t i = 0; i < h.num_levels(); ++i) {
+    SCOPED_TRACE("level " + std::to_string(i));
+    EXPECT_EQ(restored.level_entries(i), h.level_entries(i));
+    if (i < 2) {
+      EXPECT_NO_THROW((void)restored.level(i));
+      continue;
+    }
+    EXPECT_THROW((void)restored.level(i), gbx::InvalidValue);
+    const auto& chunks = restored.chunks(i).slices();
+    EXPECT_GE(chunks.size(), 3u);
+    for (const auto& c : chunks) EXPECT_LE(c.nvals(), H::kChunkEntries);
+  }
+  EXPECT_TRUE(gbx::equal(restored.snapshot(), h.snapshot()));
+
+  const auto merges = h.stats().level[1].folds;
+  while (h.stats().level[1].folds < merges + 2) {
+    const auto b = batch();
+    h.update(b);
+    restored.update(b);
+  }
+  EXPECT_EQ(restored.stats().level[1].folds, h.stats().level[1].folds);
+  EXPECT_GT(restored.chunks(2).slices().size(), 2u);
   EXPECT_TRUE(gbx::equal(restored.snapshot(), h.snapshot()));
 }
 

@@ -10,12 +10,17 @@
 // suite several times; failures always print the effective seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <memory>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "gen/gen.hpp"
@@ -297,10 +302,47 @@ TEST(HierGrowth, GrowthIsExactAndPersists) {
   }
 }
 
+// Each level's entries_written counts the output entries of every fold
+// into it, on a cascade whose fold outputs are known: under cuts {2, 4}
+// every 3-entry batch passes level 1's cut. A fold into level 2 (a
+// block) writes its new block, whole; the first fold into the chunked
+// bottom takes level 2's block as it is, writing nothing; the next one
+// merges into the bottom's one chunk and writes it. The bottom then
+// passes 2 x 4 and a block level with cut 8 goes in above it, with
+// counts of its own.
+TEST(HierGrowth, EntriesWrittenCountsEveryFoldsOutput) {
+  HierMatrix<double> h(16, 16, CutPolicy({2, 4}));
+  auto update = [&](std::initializer_list<std::pair<Index, Index>> coords) {
+    Tuples<double> b;
+    for (const auto& [i, j] : coords) b.push_back(i, j, 1.0);
+    h.update(b);
+  };
+  auto written = [&] {
+    std::vector<std::uint64_t> w;
+    for (const auto& l : h.stats().level) w.push_back(l.entries_written);
+    return w;
+  };
+  using W = std::vector<std::uint64_t>;
+  update({{0, 0}, {0, 1}, {1, 1}});  // into empty level 2: 3 built
+  EXPECT_EQ(written(), (W{0, 3, 0}));
+  update({{0, 0}, {2, 2}, {3, 3}});  // level 2 is 5; the bottom takes it
+  EXPECT_EQ(written(), (W{0, 8, 0}));
+  EXPECT_EQ(h.level_entries(2), 5u);
+  update({{1, 1}, {4, 4}, {5, 5}});  // into emptied level 2: 3 built
+  EXPECT_EQ(written(), (W{0, 11, 0}));
+  update({{6, 6}, {7, 7}, {4, 4}});  // level 2 is 5; the bottom becomes 9
+  ASSERT_EQ(h.num_levels(), 4u) << "the bottom passed 8: a level goes in";
+  EXPECT_EQ(written(), (W{0, 16, 0, 9}));
+  EXPECT_EQ(h.level_entries(3), 9u);
+  for (std::size_t i = 0; i < h.num_levels(); ++i)
+    EXPECT_EQ(h.stats().level[i].folds, i == 0 ? 4u : i == 1 ? 2u : 0u);
+}
+
 // The grown setup of the chunked-merge tests: under cuts {512, 8192}
 // the bottom passes 16 x 8192 and a level with cut 131072 goes in above
 // it, so every merge into the bottom (a list of chunks of at most
-// kChunkEntries entries) merges a level of up to 131072 entries.
+// kChunkEntries entries) merges a level of up to 131072 entries, itself
+// a chunk list (its cut is past kChunkEntries).
 constexpr Index kGrownDim = Index{1} << 20;
 constexpr std::size_t kChunk = HierMatrix<double>::kChunkEntries;
 // The most a chunk can take: kChunkEntries entries, each a row of its own.
@@ -312,12 +354,30 @@ HierMatrix<double> grown_matrix() {
 }
 
 // The heap a grown matrix paused in a bottom merge holds in its levels:
-// the two levels above, the pinned level above the bottom and the chunks.
+// the two levels above, the level above the bottom from the cursor on
+// and the chunks.
 std::size_t held_bytes(const HierMatrix<double>& h) {
   std::size_t held = h.bottom_chunks().memory_bytes() +
                      h.freeze().part(0).level_slices(2).memory_bytes();
   for (std::size_t i = 0; i < 2; ++i) held += h.level(i).memory_bytes();
   return held;
+}
+
+// Stage batches, cascading with a yield() that always pauses, until a
+// merge into the bottom is in flight (a merge into a chunked level above
+// it pauses too). Returns memory_bytes() before the update that began it.
+template <class Batch>
+std::size_t pause_a_bottom_merge(HierMatrix<double>& h, Batch&& batch) {
+  const std::size_t above = h.num_levels() - 2;
+  for (int k = 0; k < 200; ++k) {
+    const auto folds = h.stats().level[above].folds;
+    const std::size_t start = h.memory_bytes();
+    h.stage(batch());
+    h.cascade([] { return true; });
+    if (h.merging() && h.stats().level[above].folds > folds) return start;
+  }
+  ADD_FAILURE() << "no bottom merge was paused";
+  return 0;
 }
 
 // Entry-for-entry comparison of a materialized matrix with the oracle,
@@ -370,14 +430,11 @@ void paused_merge_semantics(int team) {
     ASSERT_LT(h.stats().updates, 600u) << "the bottom never spanned 8 chunks";
     h.update(batch());
   }
-  for (int k = 0; !h.merging(); ++k) {
-    ASSERT_LT(k, 100) << "no bottom merge was paused";
-    h.stage(batch());
-    h.cascade(pause);
-  }
+  pause_a_bottom_merge(h, batch);
+  ASSERT_TRUE(h.merging());
   ASSERT_EQ(h.num_levels(), 4u);
   EXPECT_THROW((void)h.level(3), gbx::InvalidValue) << "chunked bottom";
-  EXPECT_THROW((void)h.level(2), gbx::InvalidValue) << "paused level above";
+  EXPECT_THROW((void)h.level(2), gbx::InvalidValue) << "chunked level above";
   // memory_bytes() counts the levels, the chunks and the pinned level
   // above (and the released chunks: ChunkedMergeHoldsAtMostTwoChunksMore).
   EXPECT_GE(h.memory_bytes(), held_bytes(h));
@@ -390,7 +447,11 @@ void paused_merge_semantics(int team) {
   EXPECT_TRUE(h.merging());
   EXPECT_EQ(h.level_entries(0), entries[0] + 4096) << "level 1 folded";
   EXPECT_EQ(h.level_entries(1), entries[1]) << "level 2 moved";
-  EXPECT_EQ(h.level_entries(2), entries[2]) << "level 3 moved";
+  // The level above counts its rows from the merge's cursor on: the
+  // chunks the merge passed left it.
+  EXPECT_LE(h.level_entries(2), entries[2]) << "level 3 grew";
+  EXPECT_EQ(h.level_entries(2), h.chunks(2).nvals());
+  EXPECT_EQ(h.level_entries(2), h.freeze().part(0).level_slices(2).nvals());
 
   // The oracle as a matrix, built once: nothing is staged while the
   // merge below pauses, so every pause image must equal it.
@@ -570,6 +631,158 @@ TEST(HierGrowth, WaveMergeMatchesBlockMerge) {
   }
 }
 
+// The wave merge at every depth is gbx::merge_blocks_into over the
+// joined levels, bit for bit. Under cuts {512, 8192, 262144} level 2 is
+// a chunk list above the chunked bottom (both restored as chunks). Each
+// round puts a block over every cut in level 1 (restore_level(0, ...)),
+// twice: first one that level 2 takes in and stays under its cut (a
+// merge into a chunked middle level, from a block), then one that takes
+// level 2 past its cut, so level 2's chunks, written by that merge,
+// merge into the bottom (a merge whose upper level is a chunk list). The
+// blocks hold rows shared with level 2, fresh rows and rows past its
+// last row. Every freeze between waves is the prefix sum, and a
+// snapshot taken before the first round pins both levels' chunks: each
+// merge writes every chunk of its level anew, none into a pinned
+// block, and the pinned blocks and values stay as they were.
+template <class T, class M>
+void wave_merges_at_every_depth(int team, std::uint64_t seed) {
+  ThreadsGuard threads(team);
+  SCOPED_TRACE("team " + std::to_string(team));
+  std::mt19937_64 rng(seed);
+  auto value = [&rng] {
+    if constexpr (std::is_floating_point_v<T>)
+      return std::uniform_real_distribution<T>(-1, 1)(rng);
+    else
+      return std::uniform_int_distribution<T>(-1000, 1000)(rng);
+  };
+  using H = HierMatrix<T, M>;
+  using op = typename M::op_type;
+  H h(kGrownDim, kGrownDim, CutPolicy({512, 8192, 262144}));
+  ASSERT_THROW((void)h.level(2), gbx::InvalidValue) << "level 2 is one block";
+  std::uniform_int_distribution<Index> row(0, 8191), col(0, kGrownDim - 1);
+  auto block = [&](Tuples<T> t, int fresh) {
+    for (int k = 0; k < fresh; ++k) t.push_back(row(rng), col(rng), value());
+    Matrix<T, M> m(kGrownDim, kGrownDim);
+    m.append(t);
+    m.materialize();
+    return m;
+  };
+  h.restore_level(2, block({}, 150000));
+  h.restore_level(3, block({}, 300000));
+  ASSERT_GE(h.chunks(2).slices().size(), 3u);
+  auto pause = [] { return true; };
+
+  std::vector<std::pair<std::shared_ptr<const gbx::Dcsr<T>>, gbx::Dcsr<T>>> old;
+  const auto pinned = h.freeze();
+  const auto pinned_value = pinned.to_matrix();
+  for (const auto* l : {&h.chunks(2), &h.bottom_chunks()})
+    for (const auto& c : l->slices())
+      old.emplace_back(c.view.shared_storage(), c.block());
+  auto not_pinned = [&](const hier::Level<T, M>& l) {
+    for (const auto& c : l.slices())
+      for (const auto& [blk, copy] : old)
+        if (&c.block() == blk.get())
+          return ::testing::AssertionFailure() << "a chunk is a pinned block";
+    return ::testing::AssertionSuccess();
+  };
+
+  for (int round = 0; round < 2; ++round) {
+    for (const bool past : {false, true}) {
+      SCOPED_TRACE("round " + std::to_string(round) +
+                   (past ? ", past level 2's cut" : ", into level 2"));
+      const auto l2 = h.chunks(2).joined();
+      const auto l3 = h.bottom_chunks().joined();
+      // Rows shared with level 2, fresh rows, and rows past level 2's.
+      Tuples<T> t;
+      if (l2->nnz() > 0) {
+        std::uniform_int_distribution<std::size_t> pick(0, l2->nnz() - 1);
+        l2->for_each([&](Index i, Index j, const T&) {
+          if (pick(rng) < 10000) t.push_back(i, j, value());
+        });
+      }
+      std::uniform_int_distribution<Index> beyond(0, (Index{1} << 12) - 1);
+      for (int k = 0; k < 20000; ++k)
+        t.push_back((Index(round) + 1) * (Index{1} << 16) + beyond(rng),
+                    col(rng), value());
+      const auto upper = block(
+          std::move(t), past ? 300000 - static_cast<int>(l2->nnz()) : 30000);
+      gbx::Dcsr<T> want2, want3;
+      gbx::merge_blocks_into<op>(*l2, upper.storage(), want2);
+      ASSERT_EQ(want2.nnz() > 262144, past);
+      if (past) gbx::merge_blocks_into<op>(*l3, want2, want3);
+      gbx::Dcsr<T> want_sum;
+      gbx::merge_blocks_into<op>(*l3, want2, want_sum);
+      const auto sum = Matrix<T, M>::adopt(kGrownDim, kGrownDim, want_sum);
+
+      // The entries each level's merge writes: its chunks that are new
+      // (told apart by their blocks in the first round, where the pinned
+      // snapshot keeps every old block from being recycled).
+      std::vector<std::vector<const gbx::Dcsr<T>*>> had(2);
+      std::vector<std::uint64_t> written(2);
+      for (std::size_t l = 2; l < 4; ++l) {
+        for (const auto& c : h.chunks(l).slices()) had[l - 2].push_back(&c.block());
+        written[l - 2] = h.stats().level[l].entries_written;
+      }
+      auto new_entries = [&](std::size_t l) {
+        std::uint64_t n = 0;
+        for (const auto& c : h.chunks(l).slices())
+          if (std::find(had[l - 2].begin(), had[l - 2].end(), &c.block()) ==
+              had[l - 2].end())
+            n += c.nvals();
+        return n;
+      };
+      h.restore_level(0, upper);
+      std::size_t waves = 1;
+      for (; !h.cascade(pause); ++waves) {
+        ASSERT_TRUE(h.merging());
+        ASSERT_TRUE(gbx::equal(h.snapshot(), sum)) << "after wave " << waves;
+      }
+      if (!past) {
+        ASSERT_TRUE(*h.chunks(2).joined() == want2) << "level 2 differs";
+        ASSERT_TRUE(*h.bottom_chunks().joined() == *l3) << "the bottom moved";
+        EXPECT_EQ(h.stats().level[3].entries_written, written[1]);
+        // A level that was empty takes the block as it is, writing nothing.
+        if (round == 0 || l2->nnz() == 0) {
+          EXPECT_EQ(h.stats().level[2].entries_written,
+                    written[0] + (l2->nnz() > 0 ? new_entries(2) : 0));
+        }
+        if (l2->nnz() > 0) {
+          // Level 2's cut is under kParallelMergeCutoff: one piece a
+          // wave, at any team size.
+          EXPECT_GE(waves, h.chunks(2).slices().size() - 1)
+              << "the merge did not pause between its waves";
+          EXPECT_TRUE(not_pinned(h.chunks(2)));
+        }
+      } else {
+        EXPECT_TRUE(h.chunks(2).slices().empty());
+        ASSERT_TRUE(*h.bottom_chunks().joined() == want3) << "the bottom differs";
+        if (round == 0) {
+          EXPECT_EQ(h.stats().level[3].entries_written,
+                    written[1] + new_entries(3));
+          EXPECT_TRUE(not_pinned(h.bottom_chunks()));
+        }
+      }
+      for (const auto* l : {&h.chunks(2), &h.bottom_chunks()})
+        for (const auto& c : l->slices())
+          EXPECT_LE(c.nvals(), H::kChunkEntries);
+      for (const auto& [blk, copy] : old)
+        ASSERT_TRUE(*blk == copy) << "a pinned chunk changed";
+      ASSERT_TRUE(gbx::equal(pinned.to_matrix(), pinned_value));
+    }
+  }
+}
+
+TEST(HierGrowth, WaveMergeMatchesBlockMergeAtEveryDepth) {
+  HHGBX_PROP_SEED(seed, 47001);
+  for (const int team : {1, 4}) {
+    wave_merges_at_every_depth<double, gbx::PlusMonoid<double>>(team, seed);
+    wave_merges_at_every_depth<std::int64_t, gbx::MinMonoid<std::int64_t>>(
+        team, seed + 1);
+    wave_merges_at_every_depth<std::int64_t, gbx::MaxMonoid<std::int64_t>>(
+        team, seed + 2);
+  }
+}
+
 // Grown bottom merges whose level above holds rows that all lie above
 // the bottom's (each merge's batches draw rows from a band above the
 // last one's): every old chunk keeps its place untouched, the last one
@@ -620,8 +833,8 @@ TEST(HierGrowth, MergesAboveTheBottomRows) {
 // pause of a merge over a bottom of at least 8 chunks, memory_bytes()
 // stays within one wave of chunks (the team size, plus one) and the
 // entries the merge adds (the level above's) of its value before the
-// merge started (which counts the level above's spare, dropped when the
-// merge starts), instead of holding a second bottom until the end. A
+// merge started (which counts the buffers the last merge kept), instead
+// of holding a second bottom until the end. A
 // restored copy's bottom is chunks too, so the first merge after a
 // restore keeps the same bound.
 void chunked_merge_holds_a_wave(int team) {
@@ -642,20 +855,18 @@ void chunked_merge_holds_a_wave(int team) {
   auto merges_hold = [&](HierMatrix<double>& m, int merges) {
     for (int merge = 0; merge < merges; ++merge) {
       SCOPED_TRACE("merge " + std::to_string(merge));
-      std::size_t start = 0;
-      for (int k = 0; !m.merging(); ++k) {
-        ASSERT_LT(k, 100) << "no bottom merge was paused";
-        start = m.memory_bytes();
-        m.stage(batch());
-        m.cascade(pause);
-      }
+      const auto folded = m.stats().level[2].entries_folded;
+      const std::size_t start = pause_a_bottom_merge(m, batch);
+      ASSERT_TRUE(m.merging());
+      // The entries the merge can add: the level above's.
+      const std::size_t added =
+          (m.stats().level[2].entries_folded - folded) * kChunkBytes / kChunk;
       std::size_t pauses = 0;
       bool counted = false;  // a released chunk's buffer counted
       for (; m.merging(); ++pauses) {
         ASSERT_GE(m.memory_bytes(), held_bytes(m));
         counted |= m.memory_bytes() >=
                    held_bytes(m) + kChunk * (sizeof(Index) + sizeof(double));
-        const std::size_t added = m.level_entries(2) * kChunkBytes / kChunk;
         ASSERT_LE(m.memory_bytes(), start + wave_bytes + added)
             << "pause " << pauses << " of a merge over "
             << m.level_entries(3) << " bottom entries";
@@ -684,6 +895,76 @@ TEST(HierGrowth, ChunkedMergeHoldsAtMostTwoChunksMore) {
 }
 TEST(HierGrowth, ChunkedMergeHoldsAtMostAWaveMore) {
   chunked_merge_holds_a_wave(4);
+}
+
+// A merge into a grown level frees its old chunks as it goes, as a
+// bottom merge does: under cuts {4096, 32768} the bottom passes 8 x
+// 32768 and a level with cut 262144 (a chunk list) goes in above it. At
+// every pause of a merge into that level, memory_bytes() stays within
+// its value before the merge began (both levels' live bytes and the
+// buffers the last merge kept) plus one wave of chunks (the team size,
+// plus one) and the entries the merge adds, never a second copy of the
+// level. Between merges the buffers kept beside the levels are at most
+// one wave (the team size, plus one).
+void grown_level_merge_holds_a_wave(int team) {
+  ThreadsGuard threads(team);
+  HHGBX_PROP_SEED(seed, 47002);
+  std::mt19937_64 rng(seed);
+  HierMatrix<double> h(kGrownDim, kGrownDim, CutPolicy({4096, 32768}));
+  auto batch = [&] {
+    return proptest::random_batch<double>(rng, kGrownDim, 4096);
+  };
+  auto pause = [] { return true; };
+  while (h.num_levels() < 4) {
+    ASSERT_LT(h.stats().updates, 400u) << "the matrix never grew";
+    h.update(batch());
+  }
+  ASSERT_EQ(h.cut_policy().cut(2), 262144u);
+  const std::size_t wave = static_cast<std::size_t>(team + 1) * kChunkBytes;
+  auto kept = [&] {
+    std::size_t levels = h.chunks(2).memory_bytes() +
+                         h.bottom_chunks().memory_bytes();
+    for (std::size_t i = 0; i < 2; ++i) levels += h.level(i).memory_bytes();
+    return h.memory_bytes() - levels;
+  };
+  std::size_t paused = 0;
+  for (int update = 0; paused < 6; ++update) {
+    ASSERT_LT(update, 2000) << "merges into level 2 paused " << paused
+                            << " times";
+    const auto into2 = h.stats().level[1].folds;
+    const auto into3 = h.stats().level[2].folds;
+    const auto folded = h.stats().level[1].entries_folded;
+    const std::size_t start = h.memory_bytes();
+    h.stage(batch());
+    h.cascade(pause);
+    const bool in_level2 = h.merging() && h.stats().level[1].folds > into2 &&
+                           h.stats().level[2].folds == into3;
+    if (in_level2) {
+      SCOPED_TRACE("merge " + std::to_string(paused));
+      ++paused;
+      const std::size_t added =
+          (h.stats().level[1].entries_folded - folded) * kChunkBytes / kChunk;
+      for (int pause_n = 0; h.merging() && h.stats().level[2].folds == into3;
+           ++pause_n) {
+        ASSERT_LE(h.memory_bytes(), start + wave + added)
+            << "pause " << pause_n << " of a merge into "
+            << h.level_entries(2) << " entries";
+        h.cascade(pause);
+      }
+    }
+    h.cascade();
+    ASSERT_FALSE(h.merging());
+    ASSERT_LE(kept(), static_cast<std::size_t>(team + 1) *
+                          (kChunkBytes + sizeof(gbx::Offset)))
+        << "more than a wave of buffers kept";
+  }
+}
+
+TEST(HierGrowth, GrownLevelMergeHoldsAtMostTwoChunksMore) {
+  grown_level_merge_holds_a_wave(1);
+}
+TEST(HierGrowth, GrownLevelMergeHoldsAtMostAWaveMore) {
+  grown_level_merge_holds_a_wave(4);
 }
 
 }  // namespace
