@@ -42,7 +42,7 @@ int main() {
   for (std::size_t i = 0; i < collector.num_levels(); ++i)
     std::printf(" %zu", collector.level_entries(i));
   std::printf("; bottom in %zu chunks)\n",
-              collector.bottom_chunks().slices().size());
+              collector.chunks(collector.num_levels() - 1).slices().size());
 
   // simulate a crash: the collector object is discarded entirely.
   {

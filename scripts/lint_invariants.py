@@ -172,10 +172,10 @@ RETIRED = [(re.compile(p), why) for p, why in (
      r"kMergeSlice|next_piece)\b",
      "every bottom is a chunk list merged in waves (HierMatrix::run_merge); "
      "there is no starting-depth bottom, spare or serial merge to tell apart"),
-    (r"\b(bottom_|fresh_)\b",
+    (r"\b(bottom_|bottom_chunks|fresh_)\b",
      "every level past kChunkEntries is a chunk list (HierMatrix::chunked_, "
-     "the bottom last) with its own fill estimate (Chunked::fresh); no "
-     "merge state is the bottom's alone"),
+     "the bottom last) with its own fill estimate (Chunked::fresh), read "
+     "through chunks(i); no merge state or accessor is the bottom's alone"),
 )]
 
 # One output sizing (check 10): the kernels' files, a direct call on a

@@ -143,10 +143,11 @@ class Dcsr {
   }
 
   /// reserve() for an empty recycled block: row arrays holding room for
-  /// more than four times `nrows` rows are given back first, so a buffer
-  /// that held sparser rows does not carry that room into a denser block.
+  /// more than three times `nrows` rows are given back first, so a buffer
+  /// that held sparser rows does not carry that room into a denser block,
+  /// and one refilled at about the same density keeps its arrays.
   void refit(std::size_t nrows, std::size_t nnz) {
-    if (rows_.capacity() > 4 * (nrows + 1)) {
+    if (rows_.capacity() > 3 * (nrows + 1)) {
       BlockVec<Index>().swap(rows_);
       BlockVec<Offset> p;
       p.reserve(nrows + 1);
@@ -262,4 +263,31 @@ class Dcsr {
   BlockVec<T> vals_;
 };
 
+namespace detail {
+
+/// The rows at positions [k0, k1) of a block.
+template <class T>
+struct RowRange {
+  const Dcsr<T>* blk;
+  std::size_t k0, k1;
+};
+
+/// Merging block `a` with row-disjoint `ranges` in row order, range by
+/// range: the end of a's rows from `from` on that go with ranges[i],
+/// those before the next range with a row (all the rest past the last).
+template <class T>
+std::size_t rows_with_range(const Dcsr<T>& a, std::size_t from,
+                            std::span<const RowRange<T>> ranges,
+                            std::size_t i) {
+  std::size_t next = i + 1;
+  while (next < ranges.size() && ranges[next].k0 == ranges[next].k1) ++next;
+  const auto ar = a.rows();
+  if (next == ranges.size()) return ar.size();
+  return static_cast<std::size_t>(
+      std::lower_bound(ar.begin() + static_cast<std::ptrdiff_t>(from),
+                       ar.end(), ranges[next].blk->rows()[ranges[next].k0]) -
+      ar.begin());
+}
+
+}  // namespace detail
 }  // namespace gbx

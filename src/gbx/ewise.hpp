@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "gbx/dcsr.hpp"
@@ -126,27 +127,54 @@ inline std::size_t union_count(std::span<const Index> a,
 /// C = A ⊕ B (set union; both-present entries combined with Op), built
 /// into a caller-recycled output block: C is sized once by
 /// Dcsr::prepare() (capacity reused, no zero-fill; pass 2 is the first
-/// touch) and the row-merge scratch leases from `pool`. This is the
-/// cascade-fold merge — called every time a level folds into the next —
-/// so it must not allocate at steady state. Preconditions: A and B
-/// non-empty, C aliases neither. Op must be commutative when used from
-/// order-agnostic callers.
+/// touch) and the row-merge scratch leases from `pool`. B is the rows of
+/// `ranges`, row-disjoint ranges of blocks in row order (a level held as
+/// chunks; a whole block is one range), merged without being joined
+/// first. This is gbx::Matrix's parallel merge, so it must not allocate
+/// at steady state. Preconditions: A and B non-empty, C aliases neither.
+/// Op must be commutative when used from order-agnostic callers.
 template <class Op, class T>
-void ewise_add_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& C,
+void ewise_add_into(const Dcsr<T>& A,
+                    std::span<const detail::RowRange<T>> ranges, Dcsr<T>& C,
                     ScratchPool& pool) {
-  const std::size_t maxr = A.rows().size() + B.rows().size();
+  static const Dcsr<T> none;
+  std::size_t nb = 0;
+  for (const auto& r : ranges) nb += r.k1 - r.k0;
+  const std::size_t maxr = A.rows().size() + nb;
   auto rows = pool.acquire<Index>(maxr);
   auto ia = pool.acquire<std::size_t>(maxr);
   auto ib = pool.acquire<std::size_t>(maxr);
+  auto bb = pool.acquire<const Dcsr<T>*>(maxr);  // the block row k's ib is in
   auto off = pool.acquire<Offset>(maxr + 1);
-  const std::size_t nr = detail::merge_row_lists_into(
-      A.rows(), B.rows(), rows.data(), ia.data(), ib.data());
+  // The row lists, range by range, each with A's rows before the next.
+  const auto ar = A.rows();
+  std::size_t nr = 0, ka = 0;
+  auto merge_rows = [&](std::size_t ka_end, const Dcsr<T>& blk,
+                        std::size_t k0, std::size_t k1) {
+    const std::size_t n = detail::merge_row_lists_into(
+        ar.subspan(ka, ka_end - ka), blk.rows().subspan(k0, k1 - k0),
+        rows.data() + nr, ia.data() + nr, ib.data() + nr);
+    for (std::size_t k = nr; k < nr + n; ++k) {
+      if (ia[k] != detail::kNoRow) ia[k] += ka;
+      if (ib[k] != detail::kNoRow) ib[k] += k0;
+      bb[k] = &blk;
+    }
+    nr += n;
+    ka = ka_end;
+  };
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    const auto& r = ranges[i];
+    if (r.k0 != r.k1)
+      merge_rows(detail::rows_with_range(A, ka, ranges, i), *r.blk, r.k0, r.k1);
+  }
+  merge_rows(ar.size(), none, 0, 0);  // A's rows past every range
 
   // Pass 1: exact per-row output counts, then their prefix sum.
   off[0] = 0;
   parallel_for(nr, true, [&](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
       const std::size_t a = ia[k], b = ib[k];
+      const Dcsr<T>& B = *bb[k];
       std::size_t cnt;
       if (a == detail::kNoRow) {
         cnt = static_cast<std::size_t>(B.ptr()[b + 1] - B.ptr()[b]);
@@ -173,6 +201,7 @@ void ewise_add_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& C,
     for (std::size_t k = begin; k < end; ++k) {
       Offset w = off[k];
       const std::size_t a = ia[k], b = ib[k];
+      const Dcsr<T>& B = *bb[k];
       if (a == detail::kNoRow) {
         for (Offset p = B.ptr()[b]; p < B.ptr()[b + 1]; ++p, ++w) {
           cc[w] = B.cols()[p];
@@ -212,6 +241,15 @@ void ewise_add_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& C,
       }
     }
   });
+}
+
+/// ewise_add_into over one whole block B.
+template <class Op, class T>
+void ewise_add_into(const Dcsr<T>& A, const Dcsr<T>& B, Dcsr<T>& C,
+                    ScratchPool& pool) {
+  const detail::RowRange<T> all{&B, 0, B.nrows_nonempty()};
+  ewise_add_into<Op>(A, std::span<const detail::RowRange<T>>(&all, 1), C,
+                     pool);
 }
 
 /// C = A ⊕ B returning a fresh block. Delegates to ewise_add_into with

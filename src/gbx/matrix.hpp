@@ -21,6 +21,7 @@
 // matrix holds the sole reference.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
@@ -226,6 +227,42 @@ class Matrix {
     } else {
       merge_block_in(d);
     }
+  }
+
+  /// A ⊕= the rows of `ranges` (row-disjoint, in row order: a level held
+  /// as chunks) into the recycled spare, never joining the ranges into
+  /// one block first: one streaming pass over this matrix's block, each
+  /// range merged with its rows up to the next range's first row, or the
+  /// parallel counts-then-fill over the same row lists where
+  /// merge_block_in would fork.
+  void plus_assign(std::span<const detail::RowRange<T>> ranges) {
+    materialize();
+    const Dcsr<T>& a = *stor_;
+    std::size_t rows = a.nrows_nonempty(), nnz = a.nnz();
+    for (const auto& r : ranges) {
+      rows += r.k1 - r.k0;
+      nnz += r.blk->ptr()[r.k1] - r.blk->ptr()[r.k0];
+    }
+    if (nnz == a.nnz()) return;
+    if (max_threads() > 1 && !a.empty() &&
+        nnz >= detail::kParallelMergeCutoff) {
+      ewise_add_into<add_op>(a, ranges, spare_, ScratchPool::local());
+      publish_spare();
+      return;
+    }
+    spare_.clear();
+    spare_.reserve(rows, nnz);  // the merges below never reallocate
+    constexpr auto kAll = static_cast<std::size_t>(-1);
+    std::size_t ka = 0;
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+      const auto& r = ranges[i];
+      if (r.k0 == r.k1) continue;
+      const std::size_t ka_end = detail::rows_with_range(a, ka, ranges, i);
+      BlockMerge<add_op, T>(a, ka, ka_end, *r.blk, r.k0, r.k1, spare_, kAll)
+          .step(kAll);
+      ka = ka_end;
+    }
+    publish_spare();
   }
 
   /// The cascade's fold step, fused: A ⊕= src (compressed AND pending

@@ -68,13 +68,6 @@ void read_vec_into(std::istream& is, V& v) {
   }
 }
 
-/// The rows at positions [k0, k1) of a block.
-template <class T>
-struct RowRange {
-  const Dcsr<T>* blk;
-  std::size_t k0, k1;
-};
-
 /// The one matrix writer: header + raw DCSR arrays holding the rows of
 /// `ranges` (row-disjoint, in row order) as one matrix of the full dims,
 /// ptr rebased to start at 0, written from the blocks in place. The

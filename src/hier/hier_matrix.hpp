@@ -344,9 +344,6 @@ class HierMatrix {
                : chunked_[i - blocks_.size()].level;
   }
 
-  /// The bottom's chunk list.
-  const level_type& bottom_chunks() const { return chunked_.back().level; }
-
   /// Exact nnz of the logical matrix. Freezes the levels (publishing
   /// views, no copy) and counts the distinct coordinates with the
   /// snapshot's merge count — Σ Ai is never materialized.
@@ -403,6 +400,7 @@ class HierMatrix {
     std::size_t keep = 0;
     std::vector<block_ptr> out;
     std::size_t used = 0;
+    std::size_t rows = 0;  ///< the rows each chunk is sized for
   };
 
   /// A merge into chunked level `dst` (0: none). That level holds the
@@ -669,9 +667,13 @@ class HierMatrix {
         break;
       }
       // The piece's chunks, from the spares first, sized here on the
-      // merging thread for the rows and entries the piece can write: a
-      // piece allocates only when its output passes them, so the team's
-      // threads keep no freed chunk in their own allocator arenas.
+      // merging thread: a piece allocates only when its output passes
+      // them, so the team's threads keep no freed chunk in their own
+      // allocator arenas. Each chunk gets room for a full chunk's entries
+      // and for the rows a full chunk takes at the piece's rows (of both
+      // inputs, an upper bound) per entry it is expected to write, so a
+      // buffer refilled at that density does not regrow, and a spare that
+      // held sparser rows (another level's chunk) gives that room back.
       double entries = 0;  // as the cut counts them
       std::size_t rows = 0;
       for (const auto& sg : pc.segs) {
@@ -682,6 +684,11 @@ class HierMatrix {
                                            sg.b->ptr()[sg.kb]);
         rows += (sg.ka_end - sg.ka) + (sg.kb_end - sg.kb);
       }
+      pc.rows = std::min(
+          kChunkEntries,
+          static_cast<std::size_t>(static_cast<double>(rows * kChunkEntries) /
+                                   std::max(entries, 1.0)) +
+              1);
       auto& spares = scratch_.spares;
       for (std::size_t c = 0; static_cast<double>(c * kChunkEntries) < entries;
            ++c) {
@@ -689,14 +696,7 @@ class HierMatrix {
         pc.out.push_back(spare ? std::move(spares.back())
                                : std::make_shared<gbx::Dcsr<T>>());
         if (spare) spares.pop_back();
-        // A piece that fills its chunk gives back the row room of a spare
-        // that held far sparser rows (another level's chunk); a short
-        // piece is no measure of the rows the buffer's next use needs.
-        const std::size_t need = std::min(rows, kChunkEntries);
-        if (entries >= kChunkEntries / 2)
-          pc.out.back()->refit(need, kChunkEntries);
-        else
-          pc.out.back()->reserve(need, kChunkEntries);
+        pc.out.back()->refit(pc.rows, kChunkEntries);
       }
     }
     g.j = j;
@@ -717,7 +717,7 @@ class HierMatrix {
         if (!out) {
           if (pc.used == pc.out.size()) {
             pc.out.push_back(std::make_shared<gbx::Dcsr<T>>());
-            pc.out.back()->reserve(0, kChunkEntries);
+            pc.out.back()->reserve(pc.rows, kChunkEntries);
           }
           out = pc.out[pc.used++].get();
         }

@@ -110,13 +110,15 @@ inline std::size_t union_into(std::span<const gbx::Index> a,
   return k;
 }
 
-/// Distinct coordinates inside one chunk's row ranges. Rows held by one
-/// block add their segment length, rows held by two add their two-
-/// pointer union count, and rows held by three or more fold their
-/// segments pairwise into a reused scratch union.
+/// Distinct coordinates of row ranges open over one stretch of rows.
+/// Rows held by one block add their segment length, rows held by two add
+/// their two-pointer union count, and rows held by three or more fold
+/// their segments pairwise into a reused scratch union.
 template <class T>
-std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
-  std::erase_if(cs, [](const RowCursor<T>& c) { return c.k == c.end; });
+std::size_t count_open(std::vector<RowCursor<T>>& cs,
+                       std::vector<std::size_t>& active,
+                       std::vector<gbx::Index>& acc,
+                       std::vector<gbx::Index>& tmp) {
   if (cs.empty()) return 0;
   if (cs.size() == 1) {
     const auto& c = cs.front();
@@ -124,7 +126,7 @@ std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
   }
   std::size_t n = 0;
   if (cs.size() == 2) {
-    // Whole-chunk two-block merge: the quiesced two-lane shape.
+    // Two-block merge: the quiesced two-lane shape, and two levels.
     auto& [a, ka, ea] = cs[0];
     auto& [b, kb, eb] = cs[1];
     while (ka < ea && kb < eb) {
@@ -141,28 +143,19 @@ std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
     return n + static_cast<std::size_t>(a->ptr()[ea] - a->ptr()[ka]) +
            static_cast<std::size_t>(b->ptr()[eb] - b->ptr()[kb]);
   }
-  // Cursors by first row; `live` holds the started ones not yet done,
-  // so a row scans only the ranges that reach it (about one slice per
-  // chunked level), not every slice.
   auto first = [&](std::size_t i) { return cs[i].blk->rows()[cs[i].k]; };
-  std::sort(cs.begin(), cs.end(), [](const auto& x, const auto& y) {
-    return x.blk->rows()[x.k] < y.blk->rows()[y.k];
-  });
-  std::size_t next = 0;
-  std::vector<std::size_t> live, active;  // active: positioned on the row
-  std::vector<gbx::Index> acc, tmp;
   for (;;) {
-    bool any = next < cs.size();
-    gbx::Index row = any ? first(next) : 0;
-    for (const std::size_t i : live) {
-      if (!any || first(i) < row) row = first(i);
-      any = true;
-    }
+    bool any = false;
+    gbx::Index row = 0;
+    for (std::size_t i = 0; i < cs.size(); ++i)
+      if (cs[i].k < cs[i].end && (!any || first(i) < row)) {
+        row = first(i);
+        any = true;
+      }
     if (!any) return n;
-    while (next < cs.size() && first(next) == row) live.push_back(next++);
-    active.clear();
-    for (const std::size_t i : live)
-      if (first(i) == row) active.push_back(i);
+    active.clear();  // the ranges positioned on the row
+    for (std::size_t i = 0; i < cs.size(); ++i)
+      if (cs[i].k < cs[i].end && first(i) == row) active.push_back(i);
     auto seg = [&](std::size_t a) {
       return row_segment(*cs[active[a]].blk, cs[active[a]].k);
     };
@@ -187,8 +180,47 @@ std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
       n += gbx::detail::union_count(acc, seg(na - 1));
     }
     for (const std::size_t i : active) ++cs[i].k;
-    std::erase_if(live, [&](std::size_t i) { return cs[i].k == cs[i].end; });
   }
+}
+
+/// Distinct coordinates inside one chunk's row ranges. The chunk is cut
+/// at every range's first row, so each stretch between two cuts counts
+/// only the ranges open in it (about one slice per level, not every
+/// slice), and a stretch two levels share runs the two-block merge.
+template <class T>
+std::size_t count_chunk(std::vector<RowCursor<T>> cs) {
+  std::erase_if(cs, [](const RowCursor<T>& c) { return c.k == c.end; });
+  std::vector<std::size_t> active;
+  std::vector<gbx::Index> acc, tmp;
+  if (cs.size() <= 2) return count_open(cs, active, acc, tmp);
+  auto first = [](const RowCursor<T>& c) { return c.blk->rows()[c.k]; };
+  std::sort(cs.begin(), cs.end(),
+            [&](const auto& x, const auto& y) { return first(x) < first(y); });
+  std::size_t next = 0, n = 0;
+  std::vector<RowCursor<T>> live, open;  // live: started, not yet done
+  while (next < cs.size() || !live.empty()) {
+    const gbx::Index from = next < cs.size() ? first(cs[next]) : 0;
+    while (next < cs.size() && first(cs[next]) == from)
+      live.push_back(cs[next++]);
+    // The stretch ends before the next range's first row.
+    open.clear();
+    for (auto& c : live) {
+      std::size_t e = c.end;
+      if (next < cs.size()) {
+        const auto rows = c.blk->rows();
+        e = static_cast<std::size_t>(
+            std::lower_bound(rows.begin() + static_cast<std::ptrdiff_t>(c.k),
+                             rows.begin() + static_cast<std::ptrdiff_t>(c.end),
+                             first(cs[next])) -
+            rows.begin());
+      }
+      if (e > c.k) open.push_back({c.blk, c.k, e});
+      c.k = e;
+    }
+    std::erase_if(live, [](const RowCursor<T>& c) { return c.k == c.end; });
+    n += count_open(open, active, acc, tmp);
+  }
+  return n;
 }
 
 /// Exact number of distinct coordinates across a set of frozen row
@@ -391,10 +423,13 @@ class Level {
     return out;
   }
 
-  /// acc ⊕= this level, through joined().
+  /// acc ⊕= this level: a whole block through plus_assign (an empty acc
+  /// aliases it), slices in one pass over acc's block, never joined.
   void fold_into(matrix_type& acc) const {
-    if (!slices_.empty())
-      acc.plus_assign(gbx::MatrixView<T>(acc.nrows(), acc.ncols(), joined()));
+    if (slices_.size() == 1 && slices_[0].whole())
+      acc.plus_assign(slices_[0].view);
+    else if (!slices_.empty())
+      acc.plus_assign(std::span<const gbx::detail::RowRange<T>>(ranges()));
   }
 
   /// Replace the slices [from, to) with `with` (moved from). release(

@@ -328,10 +328,11 @@ TEST(CheckpointWal, RestoreKeepsTheGrownPath) {
   EXPECT_EQ(asks[1], asks[0]) << "the restored copy's merges did not pause";
   for (std::size_t i = 0; i < h.num_levels(); ++i)
     EXPECT_EQ(restored.level_entries(i), h.level_entries(i));
-  const auto& chunks = h.bottom_chunks().slices();
-  ASSERT_EQ(restored.bottom_chunks().slices().size(), chunks.size());
+  const auto& chunks = h.chunks(h.num_levels() - 1).slices();
+  const auto& got = restored.chunks(restored.num_levels() - 1).slices();
+  ASSERT_EQ(got.size(), chunks.size());
   for (std::size_t c = 0; c < chunks.size(); ++c)
-    EXPECT_EQ(restored.bottom_chunks().slices()[c].nvals(), chunks[c].nvals());
+    EXPECT_EQ(got[c].nvals(), chunks[c].nvals());
   const std::size_t kept_wave =
       2 * (HierMatrix<double>::kChunkEntries + 1) *
       (2 * sizeof(gbx::Index) + sizeof(gbx::Offset) + sizeof(double));
@@ -478,7 +479,7 @@ TEST(CheckpointWal, OlderCheckpointsRestoreIntoChunks) {
     for (std::size_t i = 0; i < h.num_levels(); ++i)
       EXPECT_EQ(restored.level_entries(i), h.level_entries(i)) << "level " << i;
     EXPECT_TRUE(gbx::equal(restored.snapshot(), h.snapshot()));
-    const auto& chunks = restored.bottom_chunks().slices();
+    const auto& chunks = restored.chunks(restored.num_levels() - 1).slices();
     ASSERT_FALSE(chunks.empty());
     for (const auto& c : chunks)
       EXPECT_LE(c.nvals(), HierMatrix<double>::kChunkEntries);

@@ -1,8 +1,11 @@
 // Tests for the eWiseAdd union merge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
+#include <span>
+#include <vector>
 
 #include "gbx/ewise.hpp"
 #include "gbx/fold.hpp"
@@ -82,7 +85,8 @@ TEST(EwiseAddInto, MatchesSerialMergeAtEveryTeamSize) {
   // Thousands of rows, so a 4-thread team splits both passes into
   // several ranges; rows held by one block and by both, and few columns,
   // so many coordinates combine. The output must equal the one-pass
-  // serial merge bit for bit.
+  // serial merge bit for bit, with B whole and with B cut into
+  // row-disjoint ranges (a chunked level; one of them empty).
   std::mt19937_64 rng(11);
   auto block = [&](Index first_row) {
     std::uniform_int_distribution<Index> row(first_row, first_row + 4999);
@@ -98,11 +102,23 @@ TEST(EwiseAddInto, MatchesSerialMergeAtEveryTeamSize) {
   gbx::Dcsr<double> want;
   gbx::merge_blocks_into<gbx::Plus<double>>(a, b, want);
 
+  const gbx::Dcsr<double> none;
+  std::vector<gbx::detail::RowRange<double>> ranges;
+  for (std::size_t k0 = 0; k0 < b.nrows_nonempty(); k0 += 700) {
+    ranges.push_back({&b, k0, std::min(b.nrows_nonempty(), k0 + 700)});
+    if (ranges.size() == 3) ranges.push_back({&none, 0, 0});
+  }
+
   proptest::for_team_sizes([&] {
     gbx::Dcsr<double> got;
     gbx::ewise_add_into<gbx::Plus<double>>(a, b, got,
                                            gbx::ScratchPool::local());
     EXPECT_EQ(got, want);
+    gbx::Dcsr<double> cut;
+    gbx::ewise_add_into<gbx::Plus<double>>(
+        a, std::span<const gbx::detail::RowRange<double>>(ranges), cut,
+        gbx::ScratchPool::local());
+    EXPECT_EQ(cut, want);
   });
 }
 

@@ -2,8 +2,11 @@
 // bounds checking, plus_assign.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
+#include <span>
+#include <vector>
 
 #include "gbx/matrix.hpp"
 #include "gbx/matrix_ops.hpp"
@@ -131,6 +134,40 @@ TEST(Matrix, PlusAssignIntoEmpty) {
   b.set_element(5, 5, 5.0);
   a.plus_assign(b);
   EXPECT_DOUBLE_EQ(a.extract_element(5, 5).value(), 5.0);
+}
+
+// plus_assign over row-disjoint ranges (a chunked level) equals
+// plus_assign of the block they cut, bit for bit: the matrix's rows
+// before, between and past the ranges, an empty range, an empty matrix.
+TEST(Matrix, PlusAssignRowRangesEqualsTheBlock) {
+  std::mt19937_64 rng(4801);
+  const gbx::Dcsr<double> none;
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    Matrix<double> a(200, 200), b(200, 200);
+    const int na = trial % 5 == 0 ? 0 : 300;
+    for (int e = 0; e < na; ++e)
+      a.set_element(rng() % 200, rng() % 200,
+                    static_cast<double>(rng() % 97) / 7);
+    for (int e = 0; e < 300; ++e)
+      b.set_element(20 + rng() % 160, rng() % 200,
+                    static_cast<double>(rng() % 89) / 3);
+    const auto& blk = b.storage();
+    std::vector<gbx::detail::RowRange<double>> ranges;
+    std::size_t k0 = 0;
+    while (k0 < blk.nrows_nonempty()) {
+      const std::size_t k1 =
+          std::min(blk.nrows_nonempty(), k0 + 1 + rng() % 40);
+      ranges.push_back({&blk, k0, k1});
+      if (rng() % 3 == 0) ranges.push_back({&none, 0, 0});
+      k0 = k1;
+    }
+    Matrix<double> want = a;
+    want.plus_assign(b);
+    a.plus_assign(std::span<const gbx::detail::RowRange<double>>(ranges));
+    EXPECT_TRUE(a.validate());
+    EXPECT_TRUE(a.storage() == want.storage());
+  }
 }
 
 TEST(Matrix, OperatorPlus) {

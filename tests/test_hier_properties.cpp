@@ -233,13 +233,13 @@ TEST(HierMemory, CollapseKeepsOneBlock) {
   EXPECT_TRUE(gbx::equal(top, want));
   // The bottom is the one block, shared with the returned matrix; every
   // level above it holds an empty block and an empty spare.
-  const auto& chunks = h.bottom_chunks().slices();
+  const auto& chunks = h.chunks(h.num_levels() - 1).slices();
   ASSERT_GT(chunks.size(), 1u);
   for (const auto& c : chunks) {
     EXPECT_EQ(c.view.shared_storage(), top.shared_storage());
     EXPECT_LE(c.nvals(), HierMatrix<double>::kChunkEntries);
   }
-  EXPECT_EQ(h.bottom_chunks().nvals(), top.nvals());
+  EXPECT_EQ(h.chunks(h.num_levels() - 1).nvals(), top.nvals());
   const std::size_t empty = gbx::Dcsr<double>().memory_bytes();
   EXPECT_EQ(h.memory_bytes(),
             top.storage().memory_bytes() + 2 * (h.num_levels() - 1) * empty);
@@ -357,7 +357,7 @@ HierMatrix<double> grown_matrix() {
 // the two levels above, the level above the bottom from the cursor on
 // and the chunks.
 std::size_t held_bytes(const HierMatrix<double>& h) {
-  std::size_t held = h.bottom_chunks().memory_bytes() +
+  std::size_t held = h.chunks(h.num_levels() - 1).memory_bytes() +
                      h.freeze().part(0).level_slices(2).memory_bytes();
   for (std::size_t i = 0; i < 2; ++i) held += h.level(i).memory_bytes();
   return held;
@@ -426,7 +426,8 @@ void paused_merge_semantics(int team) {
     return b;
   };
   auto pause = [] { return true; };
-  while (h.num_levels() < 4 || h.bottom_chunks().slices().size() < 8) {
+  while (h.num_levels() < 4 ||
+         h.chunks(h.num_levels() - 1).slices().size() < 8) {
     ASSERT_LT(h.stats().updates, 600u) << "the bottom never spanned 8 chunks";
     h.update(batch());
   }
@@ -564,7 +565,7 @@ void wave_merge_matches_block_merge(int team, std::uint64_t seed) {
     for (int k = 0; k < n; ++k) b.push_back(row(rng), col(rng), value());
     return b;
   };
-  while (h.num_levels() < 4 || h.bottom_chunks().slices().size() < 6)
+  while (h.num_levels() < 4 || h.chunks(h.num_levels() - 1).slices().size() < 6)
     h.update(batch(4096));
   h.flush();
   auto pause = [] { return true; };
@@ -576,7 +577,7 @@ void wave_merge_matches_block_merge(int team, std::uint64_t seed) {
     SCOPED_TRACE("merge " + std::to_string(merge));
     // The level above, over its cut (so the cascade merges it): about
     // 40000 of its entries at the bottom's coordinates.
-    const auto joined = h.bottom_chunks().joined();
+    const auto joined = h.chunks(h.num_levels() - 1).joined();
     Tuples<T> t = batch(100000);
     std::uniform_int_distribution<std::size_t> pick(0, joined->nnz() - 1);
     joined->for_each([&](Index i, Index j, const T&) {
@@ -596,7 +597,7 @@ void wave_merge_matches_block_merge(int team, std::uint64_t seed) {
     if (merge == 0) {  // pin the old chunks
       pinned = h.freeze();
       pinned_value = pinned->to_matrix();
-      for (const auto& c : h.bottom_chunks().slices())
+      for (const auto& c : h.chunks(h.num_levels() - 1).slices())
         old.emplace_back(c.view.shared_storage(), c.block());
     }
 
@@ -606,10 +607,11 @@ void wave_merge_matches_block_merge(int team, std::uint64_t seed) {
       ASSERT_TRUE(h.merging());
       ASSERT_TRUE(gbx::equal(h.snapshot(), sum)) << "after wave " << waves;
     }
-    EXPECT_GE(waves, (h.bottom_chunks().slices().size() - 1) / team)
+    EXPECT_GE(waves, (h.chunks(h.num_levels() - 1).slices().size() - 1) / team)
         << "the merge did not pause between its waves";
-    ASSERT_TRUE(*h.bottom_chunks().joined() == want) << "the bottom differs";
-    for (const auto& c : h.bottom_chunks().slices()) {
+    ASSERT_TRUE(*h.chunks(h.num_levels() - 1).joined() == want)
+        << "the bottom differs";
+    for (const auto& c : h.chunks(h.num_levels() - 1).slices()) {
       EXPECT_LE(c.nvals(), (HierMatrix<T, M>::kChunkEntries));
       for (const auto& [blk, copy] : old)
         EXPECT_NE(&c.block(), blk.get()) << "a pinned chunk was recycled";
@@ -675,7 +677,7 @@ void wave_merges_at_every_depth(int team, std::uint64_t seed) {
   std::vector<std::pair<std::shared_ptr<const gbx::Dcsr<T>>, gbx::Dcsr<T>>> old;
   const auto pinned = h.freeze();
   const auto pinned_value = pinned.to_matrix();
-  for (const auto* l : {&h.chunks(2), &h.bottom_chunks()})
+  for (const auto* l : {&h.chunks(2), &h.chunks(h.num_levels() - 1)})
     for (const auto& c : l->slices())
       old.emplace_back(c.view.shared_storage(), c.block());
   auto not_pinned = [&](const hier::Level<T, M>& l) {
@@ -691,7 +693,7 @@ void wave_merges_at_every_depth(int team, std::uint64_t seed) {
       SCOPED_TRACE("round " + std::to_string(round) +
                    (past ? ", past level 2's cut" : ", into level 2"));
       const auto l2 = h.chunks(2).joined();
-      const auto l3 = h.bottom_chunks().joined();
+      const auto l3 = h.chunks(h.num_levels() - 1).joined();
       // Rows shared with level 2, fresh rows, and rows past level 2's.
       Tuples<T> t;
       if (l2->nnz() > 0) {
@@ -739,7 +741,8 @@ void wave_merges_at_every_depth(int team, std::uint64_t seed) {
       }
       if (!past) {
         ASSERT_TRUE(*h.chunks(2).joined() == want2) << "level 2 differs";
-        ASSERT_TRUE(*h.bottom_chunks().joined() == *l3) << "the bottom moved";
+        ASSERT_TRUE(*h.chunks(h.num_levels() - 1).joined() == *l3)
+            << "the bottom moved";
         EXPECT_EQ(h.stats().level[3].entries_written, written[1]);
         // A level that was empty takes the block as it is, writing nothing.
         if (round == 0 || l2->nnz() == 0) {
@@ -755,14 +758,15 @@ void wave_merges_at_every_depth(int team, std::uint64_t seed) {
         }
       } else {
         EXPECT_TRUE(h.chunks(2).slices().empty());
-        ASSERT_TRUE(*h.bottom_chunks().joined() == want3) << "the bottom differs";
+        ASSERT_TRUE(*h.chunks(h.num_levels() - 1).joined() == want3)
+            << "the bottom differs";
         if (round == 0) {
           EXPECT_EQ(h.stats().level[3].entries_written,
                     written[1] + new_entries(3));
-          EXPECT_TRUE(not_pinned(h.bottom_chunks()));
+          EXPECT_TRUE(not_pinned(h.chunks(h.num_levels() - 1)));
         }
       }
-      for (const auto* l : {&h.chunks(2), &h.bottom_chunks()})
+      for (const auto* l : {&h.chunks(2), &h.chunks(h.num_levels() - 1)})
         for (const auto& c : l->slices())
           EXPECT_LE(c.nvals(), H::kChunkEntries);
       for (const auto& [blk, copy] : old)
@@ -807,12 +811,12 @@ void merges_above_the_bottom_rows(int team) {
     // The first merge rewrites the starting-depth bottom, in its band.
     std::vector<const gbx::Dcsr<double>*> untouched;
     if (before > 0)
-      for (const auto& c : h.bottom_chunks().slices())
+      for (const auto& c : h.chunks(h.num_levels() - 1).slices())
         untouched.push_back(&c.block());
     h.update(b);
     if (merges() == before) continue;
     ASSERT_TRUE(same_entries(h.snapshot(), ref)) << "merge " << merges();
-    const auto& cs = h.bottom_chunks().slices();
+    const auto& cs = h.chunks(h.num_levels() - 1).slices();
     ASSERT_GE(cs.size(), untouched.size());
     for (std::size_t i = 0; i < untouched.size(); ++i)
       EXPECT_EQ(&cs[i].block(), untouched[i])
@@ -846,7 +850,8 @@ void chunked_merge_holds_a_wave(int team) {
     return proptest::random_batch<double>(rng, kGrownDim, 4096);
   };
   auto pause = [] { return true; };
-  while (h.num_levels() < 4 || h.bottom_chunks().slices().size() < 8) {
+  while (h.num_levels() < 4 ||
+         h.chunks(h.num_levels() - 1).slices().size() < 8) {
     ASSERT_LT(h.stats().updates, 600u) << "the bottom never spanned 8 chunks";
     h.update(batch());
   }
@@ -877,14 +882,14 @@ void chunked_merge_holds_a_wave(int team) {
       // (Under TSan gbx::sole_owner is false: no chunk is ever released.)
       EXPECT_TRUE(counted) << "the released chunks are not counted";
 #endif
-      EXPECT_GE(m.bottom_chunks().slices().size(), 8u);
+      EXPECT_GE(m.chunks(m.num_levels() - 1).slices().size(), 8u);
     }
   };
   ASSERT_NO_FATAL_FAILURE(merges_hold(h, 3));
   std::stringstream ckpt;
   hier::checkpoint(ckpt, h);
   auto restored = hier::restore<double>(ckpt);
-  EXPECT_GE(restored.bottom_chunks().slices().size(), 8u)
+  EXPECT_GE(restored.chunks(restored.num_levels() - 1).slices().size(), 8u)
       << "the restored bottom is not chunks";
   SCOPED_TRACE("restored");
   ASSERT_NO_FATAL_FAILURE(merges_hold(restored, 1));
@@ -923,7 +928,7 @@ void grown_level_merge_holds_a_wave(int team) {
   const std::size_t wave = static_cast<std::size_t>(team + 1) * kChunkBytes;
   auto kept = [&] {
     std::size_t levels = h.chunks(2).memory_bytes() +
-                         h.bottom_chunks().memory_bytes();
+                         h.chunks(h.num_levels() - 1).memory_bytes();
     for (std::size_t i = 0; i < 2; ++i) levels += h.level(i).memory_bytes();
     return h.memory_bytes() - levels;
   };

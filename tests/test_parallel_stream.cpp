@@ -451,7 +451,8 @@ TEST(ParallelStream, FreezeDoesNotWaitForTheGrownBottomMerge) {
 
   engine.drain();
   EXPECT_FALSE(m.merging());
-  EXPECT_TRUE(*m.bottom_chunks().joined() == *after.bottom_chunks().joined())
+  EXPECT_TRUE(*m.chunks(m.num_levels() - 1).joined() ==
+              *after.chunks(after.num_levels() - 1).joined())
       << "drain() returned before the merge's last wave";
   EXPECT_TRUE(ref.matches(m.freeze()));
   const auto report = engine.stop();
@@ -514,7 +515,8 @@ TEST(ParallelStream, ReadersFreezeWhileChunkedMergesRecycleChunks) {
   EXPECT_GT(reads.load(), 3u);
   const auto& m = array.instance(0);
   ASSERT_EQ(m.num_levels(), 4u);
-  EXPECT_GE(m.bottom_chunks().slices().size(), 3u) << "the bottom never chunked";
+  EXPECT_GE(m.chunks(m.num_levels() - 1).slices().size(), 3u)
+      << "the bottom never chunked";
   EXPECT_GE(m.stats().level[2].folds, 4u) << "too few grown bottom merges";
   EXPECT_EQ(m.nvals(), kBatches * kSize);
 }
